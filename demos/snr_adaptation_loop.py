@@ -37,9 +37,9 @@ print(f"gateway estimate: {estimate_snr(pilots, truths, cfg):.2f} dB "
 trace = [(t, 5.0 + 13.0 * min(t / 1500.0, 1.0)) for t in range(0, 2001, 100)]
 records = run_scenario(trace, net, cfg, seed=3)
 
-print("\n t_ms   snr_db  lambda  papr_db  ser")
+print("\n t_ms   snr_db  lambda  papr_db  ser (one block)")
 for r in records:
-    print(f"{r.t_ms:5.0f}  {r.snr_db:6.2f}  {r.lam:6.2f}  {r.papr_db:7.2f}  {r.ser_window:.3f}")
+    print(f"{r.t_ms:5.0f}  {r.snr_db:6.2f}  {r.lam:6.2f}  {r.papr_db:7.2f}  {r.ser_block:.3f}")
 
 lams = sorted({r.lam for r in records})
 print(f"\nlambda visited {lams} as the SNR crossed its bins")

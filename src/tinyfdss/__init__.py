@@ -12,17 +12,14 @@ from .adaptation import (
     AdaptState,
     LambdaTable,
     adaptation_cycle,
-    lookup_lambda,
     preset_trace,
     run_scenario,
 )
 from .baselines import (
     ClfConfig,
     SlmConfig,
-    clf_transmit,
     conventional_config,
     rrc_fir,
-    slm_transmit,
 )
 from .chain import (
     ChainConfig,
@@ -30,12 +27,12 @@ from .chain import (
     ModScheme,
     Stage,
     SymbolBlock,
-    apply_filter,
-    dft_precode,
-    map_bits,
+    extend,
+    map_symbols,
+    precode,
     receiver_chain,
-    spectrum_extend,
-    to_time_domain,
+    shape_and_normalize,
+    time_signal,
     transmit,
 )
 from .channel import ChannelCfg, ChannelModel, apply_channel, estimate_snr

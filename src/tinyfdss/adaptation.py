@@ -18,16 +18,16 @@ from . import network
 from .chain import (
     ChainConfig,
     ModScheme,
-    Stage,
-    SymbolBlock,
-    apply_filter,
-    dft_precode,
-    map_bits,
-    receiver_chain,
-    spectrum_extend,
-    to_time_domain,
+    detect_symbols,
+    equalize,
+    extend,
+    map_symbols,
+    occupied_bins,
+    precode,
+    shape_and_normalize,
+    time_signal,
 )
-from .channel import ChannelCfg, ChannelModel, apply_channel
+from .channel import ChannelCfg, ChannelModel, pass_channel
 from .filters import taps_from_coeffs
 from .metrics import measured_ser, papr_db
 
@@ -77,10 +77,6 @@ class LambdaTable:
         return self.bins[-1][2]
 
 
-def lookup_lambda(table: LambdaTable, snr_db: float) -> float:
-    return table.lookup(snr_db)
-
-
 @dataclass
 class AdaptEvent:
     t_ms: float
@@ -91,7 +87,11 @@ class AdaptEvent:
 
 @dataclass
 class AdaptState:
-    """Mutable per-link state: current lambda, taps, clock, and event log."""
+    """Mutable per-link state: current lambda, taps, clock, and event log.
+
+    ``taps`` are the effective (power-normalized) taps of the last cycle, the
+    ones the receiver equalizes with.
+    """
 
     n_sk: int
     lam: float = DEFAULT_BINS[0][2]
@@ -112,29 +112,28 @@ def adaptation_cycle(
     state: AdaptState,
     snr_db: float,
     net: network.NetParams | network.QuantizedNet,
-    s_ext: SymbolBlock,
-) -> SymbolBlock:
+    s_ext: np.ndarray,
+) -> np.ndarray:
     """One feedback cycle: update lambda, recompute taps, shape the block.
 
-    Tap computation is stateless in (snr, block): identical inputs yield
-    identical taps on every cycle.  The event log records the cycle time,
-    feedback SNR, lambda, and coefficient vector; the clock then advances by
-    one period.
+    ``s_ext`` is one extended spectrum (n_sk bins); the returned bins are
+    shaped at fixed transmit power.  Tap computation is stateless in
+    (snr, block): identical inputs yield identical taps on every cycle.  The
+    event log records the cycle time, feedback SNR, lambda, and coefficient
+    vector; the clock then advances by one period.
     """
-    if s_ext.stage is not Stage.EXTENDED:
-        raise ValueError(f"expected EXTENDED block, got {s_ext.stage.name}")
-    if len(s_ext) != state.n_sk:
-        raise ValueError(f"block length {len(s_ext)} != n_sk {state.n_sk}")
+    s_ext = np.asarray(s_ext)
+    if s_ext.shape != (state.n_sk,):
+        raise ValueError(f"block shape {s_ext.shape} != ({state.n_sk},)")
     state.lam = state.table.lookup(snr_db)
-    features = network.build_input(s_ext.values, snr_db, expected_len=state.n_sk)
+    features = network.build_input(s_ext, snr_db, expected_len=state.n_sk)
     coeffs = network.predict_coeffs(net, features)
-    state.taps = taps_from_coeffs(coeffs, state.n_sk)
-    shaped = apply_filter(s_ext, state.taps)
+    bins, state.taps, _ = shape_and_normalize(s_ext, taps_from_coeffs(coeffs, state.n_sk))
     state.events.append(
         AdaptEvent(t_ms=state.t_ms, snr_db=float(snr_db), lam=state.lam, coeffs=coeffs)
     )
     state.t_ms += state.period_ms
-    return shaped
+    return bins
 
 
 @dataclass
@@ -143,7 +142,7 @@ class TickRecord:
     snr_db: float
     lam: float
     papr_db: float
-    ser_window: float
+    ser_block: float
 
 
 def preset_trace(name: str, duration_ms: float = 2000.0, period_ms: float = DEFAULT_PERIOD_MS):
@@ -170,7 +169,7 @@ def run_scenario(
     last trace timestamp; at each tick the most recent feedback at or before
     the tick applies.  Each tick transmits one fresh block (seeded by the tick
     index), measures its PAPR, passes it through an AWGN channel at the true
-    SNR, and records the windowed symbol error rate.
+    SNR, and records that block's symbol error rate.
     """
     if len(trace) == 0:
         return []
@@ -193,19 +192,18 @@ def run_scenario(
         snr_db = trace[feedback_pos][1]
         rng = np.random.default_rng((seed, 4, tick))
         bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
-        tx = map_bits(bits, scheme)
-        s_ext = spectrum_extend(dft_precode(tx, cfg), cfg)
-        shaped = adaptation_cycle(state, snr_db, net, s_ext)
-        papr = papr_db(to_time_domain(shaped, cfg))
+        tx = map_symbols(bits, scheme)
+        bins = adaptation_cycle(state, snr_db, net, extend(precode(tx), cfg.n_se))
+        papr = papr_db(time_signal(bins, cfg))
         # communication path at critical sampling under the true SNR
-        t1 = to_time_domain(shaped, cfg, oversample=1)
-        rx, h = apply_channel(
-            t1, ChannelCfg(ChannelModel.AWGN, snr_db=snr_db), cfg, rng=rng
+        rx, h = pass_channel(
+            time_signal(bins, cfg, oversample=1),
+            ChannelCfg(ChannelModel.AWGN, snr_db=snr_db), cfg, rng,
         )
-        detected, _ = receiver_chain(rx, state.taps, cfg, scheme, fade=h)
-        ser, _, _ = measured_ser(tx.values, detected.values)
+        equalized = equalize(occupied_bins(rx / h, cfg), state.taps, cfg.n_se)
+        ser, _, _ = measured_ser(tx, detect_symbols(equalized, scheme))
         records.append(
             TickRecord(t_ms=now, snr_db=float(snr_db), lam=state.lam,
-                       papr_db=float(papr), ser_window=float(ser))
+                       papr_db=float(papr), ser_block=float(ser))
         )
     return records

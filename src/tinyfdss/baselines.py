@@ -21,15 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
-    ChainConfig,
-    Stage,
-    SymbolBlock,
-    extend,
-    occupied_bins,
-    occupied_slice,
-    time_signal,
-)
+from .chain import ChainConfig, extend, occupied_bins, occupied_slice, time_signal
 from .metrics import papr_db
 
 SLM_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
@@ -101,17 +93,6 @@ def clf_reduce(
     return x
 
 
-def clf_transmit(
-    block: SymbolBlock, clf: ClfConfig, cfg: ChainConfig, oversample: int | None = None
-) -> SymbolBlock:
-    """Clip-and-filter one extended block (flat taps implied)."""
-    if block.stage is not Stage.EXTENDED:
-        raise ValueError(f"expected EXTENDED block, got {block.stage.name}")
-    if len(block) != cfg.n_sk:
-        raise ValueError(f"block length {len(block)} != n_sk {cfg.n_sk}")
-    return SymbolBlock(Stage.TIME_DOMAIN, clf_reduce(block.values, clf, cfg, oversample))
-
-
 # ---------------------------------------------------------------------------
 # Selective mapping
 # ---------------------------------------------------------------------------
@@ -147,19 +128,6 @@ def slm_select(
     if single:
         return chosen[0], idx[0]
     return chosen, idx
-
-
-def slm_transmit(
-    block: SymbolBlock, slm: SlmConfig, cfg: ChainConfig, oversample: int | None = None
-) -> tuple[SymbolBlock, int]:
-    """SLM for one frequency-domain block; returns (time signal, chosen index)."""
-    if block.stage is not Stage.FREQ_DOMAIN:
-        raise ValueError(f"expected FREQ_DOMAIN block, got {block.stage.name}")
-    if len(block) != cfg.n_data:
-        raise ValueError(f"block length {len(block)} != n_data {cfg.n_data}")
-    phases = slm_phase_vectors(slm, cfg.n_data)
-    chosen, idx = slm_select(block.values, phases, cfg, oversample)
-    return SymbolBlock(Stage.TIME_DOMAIN, chosen), int(idx)
 
 
 # ---------------------------------------------------------------------------

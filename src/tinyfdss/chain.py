@@ -14,8 +14,12 @@ signal interpolates the critically sampled one (``oversample=1`` is the
 unitary transform); transmitter and receiver share this mapping bit-exactly.
 
 The array-level functions act on the last axis and accept leading batch
-dimensions; the SymbolBlock operations validate stage and length for single
-blocks.
+dimensions; training, evaluation and adaptation use only these.  Fixed
+transmit power (:func:`shape_and_normalize`) and the receiver's matched
+filter and folding (:func:`equalize`) are each written once here.  The
+stage-tagged :class:`SymbolBlock` exists only at the single-block boundary
+``transmit`` -> ``channel.apply_channel`` -> ``receiver_chain``, which
+validates stage and length.
 """
 
 from __future__ import annotations
@@ -54,19 +58,16 @@ SCHEME_NAMES = {"qpsk": ModScheme.QPSK, "qam16": ModScheme.QAM16,
 
 
 class Stage(enum.Enum):
+    """Stages a block passes at the single-block boundary."""
+
     DATA_SYMBOLS = "data_symbols"
-    FREQ_DOMAIN = "freq_domain"
-    EXTENDED = "extended"
-    SHAPED = "shaped"
     TIME_DOMAIN = "time_domain"
     RECEIVED = "received"
-    RECOVERED_FREQ = "recovered_freq"
-    MATCHED = "matched"
 
 
 @dataclass(frozen=True)
 class SymbolBlock:
-    """One block's complex values tagged with its pipeline stage."""
+    """One block's complex values tagged with its boundary stage."""
 
     stage: Stage
     values: np.ndarray
@@ -251,6 +252,42 @@ def occupied_bins(signal: np.ndarray, cfg: ChainConfig) -> np.ndarray:
     return centered[..., occupied_slice(cfg, n // cfg.n_fft)]
 
 
+def shape_and_normalize(
+    s: np.ndarray, taps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shape the bins with the taps at fixed transmit power.
+
+    Returns ``(bins, eff_taps, g)``: the per-block gain
+    ``g = sqrt(mean|s|^2 / mean|s*taps|^2)`` makes the shaped bins
+    ``bins = g*(s*taps)`` carry the unshaped occupied power, so scaling the
+    taps can neither buy SNR nor change PAPR; ``eff_taps = g*taps`` is what the
+    receiver equalizes with.  Taps may be real or complex (a transmit FIR's
+    bin response) and broadcast against ``s``.
+    """
+    shaped = s * taps
+    g = np.sqrt(
+        np.mean(np.abs(s) ** 2, axis=-1)
+        / np.maximum(np.mean(np.abs(shaped) ** 2, axis=-1), 1e-300)
+    )
+    return g[..., None] * shaped, g[..., None] * taps, g
+
+
+def _matched_fold(
+    rx_bins: np.ndarray, taps: np.ndarray, n_se: int, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Matched filter, extension folding and gain normalization.
+
+    Returns ``(numer, gain, recovered)`` per data bin: the folded matched
+    filter output, the summed squared gain of its copies, and their
+    eps-guarded ratio.
+    """
+    taps = np.asarray(taps)
+    matched = rx_bins * np.conj(taps)
+    numer = fold_extension(matched, n_se)
+    gain = fold_extension(np.broadcast_to(np.abs(taps) ** 2, matched.shape), n_se)
+    return numer, gain, numer / (gain + eps)
+
+
 def equalize(
     rx_bins: np.ndarray,
     taps: np.ndarray,
@@ -266,60 +303,17 @@ def equalize(
     squared gain of its contributing copies (eps-guarded); a bin whose total
     gain is exactly zero is undecodable.
     """
-    taps = np.asarray(taps)
-    matched = rx_bins * np.conj(taps)
-    numer = fold_extension(matched, n_se)
-    gain = fold_extension(
-        np.broadcast_to(np.abs(taps) ** 2, matched.shape).copy(), n_se
-    )
+    _, gain, recovered = _matched_fold(rx_bins, taps, n_se, eps)
     if np.any(gain == 0.0):
         raise EqualizationError("zero effective gain on at least one data bin")
-    recovered = numer / (gain + eps)
     if phase_derotate is not None:
         recovered = recovered * np.conj(phase_derotate)
     return deprecode(recovered)
 
 
 # ---------------------------------------------------------------------------
-# SymbolBlock operations
+# Single-block boundary
 # ---------------------------------------------------------------------------
-
-def _expect(block: SymbolBlock, stage: Stage, length: int | None = None) -> np.ndarray:
-    if block.stage is not stage:
-        raise ValueError(f"expected {stage.name} block, got {block.stage.name}")
-    if length is not None and len(block) != length:
-        raise ValueError(f"expected length {length}, got {len(block)}")
-    return block.values
-
-
-def map_bits(bits: np.ndarray, scheme: ModScheme) -> SymbolBlock:
-    return SymbolBlock(Stage.DATA_SYMBOLS, map_symbols(bits, scheme))
-
-
-def dft_precode(block: SymbolBlock, cfg: ChainConfig) -> SymbolBlock:
-    x = _expect(block, Stage.DATA_SYMBOLS, cfg.n_data)
-    return SymbolBlock(Stage.FREQ_DOMAIN, precode(x))
-
-
-def spectrum_extend(block: SymbolBlock, cfg: ChainConfig) -> SymbolBlock:
-    x = _expect(block, Stage.FREQ_DOMAIN, cfg.n_data)
-    return SymbolBlock(Stage.EXTENDED, extend(x, cfg.n_se))
-
-
-def apply_filter(block: SymbolBlock, taps: np.ndarray) -> SymbolBlock:
-    x = _expect(block, Stage.EXTENDED)
-    taps = np.asarray(taps, dtype=np.float64)
-    if taps.shape != (len(block),):
-        raise ValueError(f"taps shape {taps.shape} does not match block length {len(block)}")
-    return SymbolBlock(Stage.SHAPED, x * taps)
-
-
-def to_time_domain(
-    block: SymbolBlock, cfg: ChainConfig, oversample: int | None = None
-) -> SymbolBlock:
-    x = _expect(block, Stage.SHAPED, cfg.n_sk)
-    return SymbolBlock(Stage.TIME_DOMAIN, time_signal(x, cfg, oversample))
-
 
 def transmit(
     bits: np.ndarray,
@@ -328,10 +322,15 @@ def transmit(
     cfg: ChainConfig,
     oversample: int | None = None,
 ) -> SymbolBlock:
-    """Convenience pipeline: bits all the way to the shaped time-domain block."""
-    data = map_bits(bits, scheme)
-    extended = spectrum_extend(dft_precode(data, cfg), cfg)
-    return to_time_domain(apply_filter(extended, taps), cfg, oversample)
+    """Bits all the way to the shaped (not power-normalized) time-domain block."""
+    symbols = map_symbols(bits, scheme)
+    if symbols.shape != (cfg.n_data,):
+        raise ValueError(f"expected {cfg.n_data} data symbols, got {symbols.shape[0]}")
+    taps = np.asarray(taps, dtype=np.float64)
+    if taps.shape != (cfg.n_sk,):
+        raise ValueError(f"taps shape {taps.shape}, expected ({cfg.n_sk},)")
+    shaped = extend(precode(symbols), cfg.n_se) * taps
+    return SymbolBlock(Stage.TIME_DOMAIN, time_signal(shaped, cfg, oversample))
 
 
 def receiver_chain(
@@ -350,13 +349,14 @@ def receiver_chain(
     information) before inverse precoding.  Returns the detected symbol block
     and the raw equalized symbols.
     """
-    values = _expect(rx, Stage.RECEIVED)
+    if rx.stage is not Stage.RECEIVED:
+        raise ValueError(f"expected RECEIVED block, got {rx.stage.name}")
     if len(rx) % cfg.n_fft != 0:
         raise ValueError(f"received length {len(rx)} not a multiple of n_fft")
     taps = np.asarray(taps)
     if taps.shape != (cfg.n_sk,):
         raise ValueError(f"taps shape {taps.shape}, expected ({cfg.n_sk},)")
-    bins = occupied_bins(values / fade, cfg)
+    bins = occupied_bins(rx.values / fade, cfg)
     equalized = equalize(bins, taps, cfg.n_se, eps=eps, phase_derotate=phase_derotate)
     detected = detect_symbols(equalized, scheme)
     return SymbolBlock(Stage.DATA_SYMBOLS, detected), equalized

@@ -78,6 +78,26 @@ def noise_power(signal: np.ndarray, snr_db: float, chain_cfg: ChainConfig) -> fl
     return occupied_power * 10.0 ** (-snr_db / 10.0)
 
 
+def pass_channel(
+    x: np.ndarray,
+    cfg: ChannelCfg,
+    chain_cfg: ChainConfig,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, complex]:
+    """Fade and noise for one time-domain block array; returns (h*x + w, h).
+
+    Draw order is fade first, then the real and the imaginary noise parts.
+    """
+    h = draw_fade(cfg.model, rng, cfg.k_linear)
+    sigma2 = noise_power(x, cfg.snr_db, chain_cfg)
+    if sigma2 > 0.0:
+        w = np.sqrt(sigma2 / 2.0) * (
+            rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        )
+        return h * x + w, h
+    return h * x, h
+
+
 def apply_channel(
     signal: SymbolBlock,
     cfg: ChannelCfg,
@@ -95,16 +115,7 @@ def apply_channel(
         raise ValueError(f"expected TIME_DOMAIN block, got {signal.stage.name}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    h = draw_fade(cfg.model, rng, cfg.k_linear)
-    x = signal.values
-    sigma2 = noise_power(x, cfg.snr_db, chain_cfg)
-    if sigma2 > 0.0:
-        w = np.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
-        )
-        rx = h * x + w
-    else:
-        rx = h * x
+    rx, h = pass_channel(signal.values, cfg, chain_cfg, rng)
     return SymbolBlock(Stage.RECEIVED, rx), h
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .adaptation import LambdaTable, preset_trace, run_scenario
 from .baselines import ClfConfig, SlmConfig
-from .chain import ChainConfig
+from .chain import SCHEME_NAMES, ChainConfig
 from .evaluation import EvalConfig, evaluate
 from .training import (
     Checkpoint,
@@ -218,7 +218,7 @@ def _write_eval_outputs(result, out: Path, eval_cfg: EvalConfig,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_train(cfg: dict, out: Path, threads: int) -> int:
+def cmd_train(cfg: dict, out: Path) -> int:
     ckpt = train(cfg["train"], progress=True)
     save_checkpoint(out / CHECKPOINT_NAME, ckpt)
     rows = []
@@ -319,17 +319,14 @@ def _load_trace(cfg: dict, flag: str | None) -> list[tuple[float, float]]:
                         period_ms=float(adapt.get("period_ms", 100.0)))
 
 
-def cmd_adapt(cfg: dict, out: Path, threads: int, checkpoint_flag: str | None,
+def cmd_adapt(cfg: dict, out: Path, checkpoint_flag: str | None,
               trace_flag: str | None) -> int:
     path = _resolve_checkpoint(cfg, out, checkpoint_flag)
     ckpt = load_checkpoint(path)
     eval_cfg = cfg["eval"]
     net = ckpt.qnet if (eval_cfg.use_quantized and ckpt.qnet is not None) else ckpt.params
     trace = _load_trace(cfg, trace_flag)
-    from .chain import ModScheme
-
-    mod = {"qpsk": ModScheme.QPSK, "qam16": ModScheme.QAM16,
-           "qam64": ModScheme.QAM64}[cfg["adapt"].get("mod", "qpsk")]
+    mod = SCHEME_NAMES[cfg["adapt"].get("mod", "qpsk")]
     records = run_scenario(
         trace, net, cfg["chain"], scheme=mod, seed=cfg["seed"],
         period_ms=float(cfg["adapt"].get("period_ms", 100.0)),
@@ -337,8 +334,8 @@ def cmd_adapt(cfg: dict, out: Path, threads: int, checkpoint_flag: str | None,
     )
     write_csv(
         out / "events.csv",
-        ["t_ms", "snr_db", "lambda", "papr_db", "ser_window"],
-        ((r.t_ms, r.snr_db, r.lam, r.papr_db, r.ser_window) for r in records),
+        ["t_ms", "snr_db", "lambda", "papr_db", "ser_block"],
+        ((r.t_ms, r.snr_db, r.lam, r.papr_db, r.ser_block) for r in records),
     )
     print(f"{len(records)} adaptation ticks written to {out / 'events.csv'}")
     return 0
@@ -394,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "train":
-            return cmd_train(cfg, out, threads)
+            return cmd_train(cfg, out)
         if args.command == "eval":
             return cmd_eval(cfg, out, threads, args.checkpoint)
         if args.command == "baselines":
@@ -402,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, out, threads)
         if args.command == "adapt":
-            return cmd_adapt(cfg, out, threads, args.checkpoint, args.trace)
+            return cmd_adapt(cfg, out, args.checkpoint, args.trace)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,9 +49,10 @@ from .chain import (
     map_symbols,
     occupied_bins,
     precode,
+    shape_and_normalize,
     time_signal,
 )
-from .channel import MODEL_NAMES, draw_fade
+from .channel import MODEL_NAMES, ChannelCfg, pass_channel
 from .filters import rrc_taps, taps_from_coeffs, unit_taps
 from .adaptation import LambdaTable
 from .metrics import (
@@ -189,15 +190,9 @@ class _SchemeEngine:
                 coeffs = network.predict_coeffs(self.net, feats)
                 taps = taps_from_coeffs(coeffs, self.cfg.n_sk)
             else:
-                taps = np.broadcast_to(self.rrc_fdss_taps, s_ext.shape).copy()
-            shaped = s_ext * taps
-            # fixed transmit power: normalize to the unshaped occupied power
-            g = np.sqrt(
-                np.mean(np.abs(s_ext) ** 2, axis=-1)
-                / np.maximum(np.mean(np.abs(shaped) ** 2, axis=-1), 1e-300)
-            )
-            eff = g[:, None] * taps
-            return {"bins": g[:, None] * shaped, "taps": eff,
+                taps = self.rrc_fdss_taps
+            bins, eff, _ = shape_and_normalize(s_ext, taps)
+            return {"bins": bins, "taps": eff,
                     "symbols": data["sym_ext"], "derot": None}
         if scheme == "dftsofdm":
             bins = data["s_conv"]
@@ -205,14 +200,8 @@ class _SchemeEngine:
             return {"bins": bins, "taps": taps,
                     "symbols": data["sym_conv"], "derot": None}
         if scheme == "rrc":
-            s = data["s_conv"]
-            shaped = s * self.fir_gains
-            g = np.sqrt(
-                np.mean(np.abs(s) ** 2, axis=-1)
-                / np.maximum(np.mean(np.abs(shaped) ** 2, axis=-1), 1e-300)
-            )
-            eff = g[:, None] * np.broadcast_to(self.fir_gains, shaped.shape)
-            return {"bins": g[:, None] * shaped, "taps": eff,
+            bins, eff, _ = shape_and_normalize(data["s_conv"], self.fir_gains)
+            return {"bins": bins, "taps": eff,
                     "symbols": data["sym_conv"], "derot": None}
         if scheme == "clf":
             x = clf_reduce(data["s_conv"], self.eval_cfg.clf, self.conv)
@@ -245,11 +234,12 @@ def _run_cell(
     """Monte-Carlo one (scheme, channel, modulation, SNR) cell."""
     eval_cfg = engine.eval_cfg
     cfg = engine.chain_for(scheme)
-    model = MODEL_NAMES[channel_name]
+    channel = ChannelCfg(
+        MODEL_NAMES[channel_name], snr_db, k_factor_db=eval_cfg.rician_k_db,
+        k_is_linear=eval_cfg.rician_k_linear,
+    )
     chan_i = list(MODEL_NAMES).index(channel_name)
     mod_i = list(SCHEME_NAMES).index(mod)
-    k_db = eval_cfg.rician_k_db
-    k_lin = float(k_db) if eval_cfg.rician_k_linear else 10.0 ** (k_db / 10.0)
     indices = np.arange(n_blocks)
     data = engine.data_symbols(mod, indices)
     tx = engine.transmit(scheme, data, snr_db)
@@ -258,17 +248,11 @@ def _run_cell(
     x4 = time_signal(bins, cfg)
     paprs = papr_db(x4)
     # channel: same per-block generator for every scheme -> identical h and w
-    inv_snr = 10.0 ** (-snr_db / 10.0)
     rx = np.empty_like(x1)
     for row, idx in enumerate(indices):
         rng = _cell_rng(eval_cfg.seed, chan_i, mod_i, snr_i, int(idx))
-        h = draw_fade(model, rng, k_lin)
-        p_occ = np.mean(np.abs(x1[row]) ** 2) * cfg.n_fft / cfg.n_sk
-        sigma = np.sqrt(p_occ * inv_snr / 2.0)
-        w = sigma * (
-            rng.standard_normal(x1.shape[-1]) + 1j * rng.standard_normal(x1.shape[-1])
-        )
-        rx[row] = (h * x1[row] + w) / h
+        y, h = pass_channel(x1[row], channel, cfg, rng)
+        rx[row] = y / h
     equalized = equalize(
         occupied_bins(rx, cfg), tx["taps"], cfg.n_se, phase_derotate=tx["derot"]
     )

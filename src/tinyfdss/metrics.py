@@ -13,26 +13,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainConfig, SymbolBlock
+from .chain import ChainConfig
 
 TAIL_X0_DB = 6.0
 TAIL_UPPER_DB = 20.0
 TAIL_GRID_DB = 0.1
 
 
-def _values(signal) -> np.ndarray:
-    if isinstance(signal, SymbolBlock):
-        return signal.values
-    return np.asarray(signal)
-
-
 def papr_db(signal) -> float | np.ndarray:
     """Peak-to-average power ratio 10*log10(max|s|^2 / mean|s|^2) in dB.
 
-    Accepts a SymbolBlock or an ndarray; with leading batch dimensions one
-    PAPR per block is returned.
+    With leading batch dimensions one PAPR per block is returned.
     """
-    x = _values(signal)
+    x = np.asarray(signal)
     p = np.abs(x) ** 2
     peak = p.max(axis=-1)
     mean = p.mean(axis=-1)
@@ -101,8 +94,8 @@ def surrogate_p(
 
 def mse_e(tx_symbols: np.ndarray, rx_equalized: np.ndarray) -> float:
     """Mean squared error between transmitted and equalized symbols."""
-    tx = _values(tx_symbols)
-    rx = _values(rx_equalized)
+    tx = np.asarray(tx_symbols)
+    rx = np.asarray(rx_equalized)
     if tx.shape != rx.shape:
         raise ValueError(f"length mismatch: {tx.shape} vs {rx.shape}")
     return float(np.mean(np.abs(tx - rx) ** 2))
@@ -110,8 +103,8 @@ def mse_e(tx_symbols: np.ndarray, rx_equalized: np.ndarray) -> float:
 
 def measured_ser(tx_symbols: np.ndarray, detected: np.ndarray) -> tuple[float, int, int]:
     """Symbol error ratio from hard decisions: (ser, errors, total)."""
-    tx = _values(tx_symbols)
-    det = _values(detected)
+    tx = np.asarray(tx_symbols)
+    det = np.asarray(detected)
     if tx.shape != det.shape:
         raise ValueError(f"length mismatch: {tx.shape} vs {det.shape}")
     errors = int(np.count_nonzero(tx != det))

@@ -31,12 +31,6 @@ def build_input(
     ``s_ext`` may carry a leading batch axis (with ``snr_db`` a matching
     vector); features are float64 and O(1) by construction.
     """
-    from .chain import SymbolBlock, Stage  # local import avoids a cycle
-
-    if isinstance(s_ext, SymbolBlock):
-        if s_ext.stage is not Stage.EXTENDED:
-            raise ValueError(f"expected EXTENDED block, got {s_ext.stage.name}")
-        s_ext = s_ext.values
     s_ext = np.asarray(s_ext)
     if s_ext.shape[-1] != expected_len:
         raise ValueError(f"expected {expected_len} shaped bins, got {s_ext.shape[-1]}")

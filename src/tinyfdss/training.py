@@ -32,11 +32,13 @@ from .chain import (
     SCHEME_NAMES,
     ChainConfig,
     ModScheme,
+    _matched_fold,
+    deprecode,
     extend,
-    fold_extension,
     map_symbols,
     occupied_slice,
     precode,
+    shape_and_normalize,
     time_signal,
 )
 from .channel import MODEL_NAMES, ChannelModel, draw_fade
@@ -259,7 +261,7 @@ def chain_loss(
     s_ext = prep.s_ext
     shaped = s_ext * taps
 
-    # --- PAPR path (scale-invariant, so normalization is irrelevant here)
+    # --- PAPR path (scale-invariant, so it runs on the unnormalized bins)
     x = time_signal(shaped, cfg)
     n_os = x.shape[-1]
     power = np.abs(x) ** 2
@@ -272,16 +274,9 @@ def chain_loss(
     softplus = np.maximum(papr - x0_db, 0.0) + np.log1p(np.exp(-np.abs(z))) / sharpness
 
     # --- symbol-error path at fixed transmit power
-    p_shaped = np.mean(np.abs(shaped) ** 2, axis=-1)
-    p_ref = np.mean(np.abs(s_ext) ** 2, axis=-1)
-    g = np.sqrt(p_ref / np.maximum(p_shaped, 1e-300))
-    taps_eff = g[:, None] * taps
-    rx_bins = g[:, None] * shaped + prep.eta
-    matched = rx_bins * taps_eff
-    numer = fold_extension(matched, cfg.n_se)
-    gain = fold_extension(taps_eff**2, cfg.n_se)
-    recovered = numer / (gain + eps)
-    s_hat = np.fft.ifft(recovered, axis=-1) * np.sqrt(cfg.n_data)
+    bins, taps_eff, g = shape_and_normalize(s_ext, taps)
+    numer, gain, recovered = _matched_fold(bins + prep.eta, taps_eff, cfg.n_se, eps)
+    s_hat = deprecode(recovered)
     err = s_hat - prep.symbols
     mse = np.mean(np.abs(err) ** 2, axis=-1)
 
@@ -322,6 +317,7 @@ def chain_loss(
     dt_du = 2.0 * taps_eff * s_ext + prep.eta
     d_u = np.real(np.conj(t_bar_ext) * dt_du) + 2.0 * taps_eff * g_bar_ext
     # through the power normalization u = g(taps) * taps
+    p_shaped = np.mean(np.abs(shaped) ** 2, axis=-1)
     s_ext_pow = np.abs(s_ext) ** 2
     du_dot_f = np.sum(d_u * taps, axis=-1)
     d_taps += g[:, None] * d_u

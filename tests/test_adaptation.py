@@ -6,17 +6,11 @@ from tinyfdss.adaptation import (
     AdaptState,
     LambdaTable,
     adaptation_cycle,
-    lookup_lambda,
     preset_trace,
     run_scenario,
 )
-from tinyfdss.chain import (
-    ChainConfig,
-    ModScheme,
-    dft_precode,
-    map_bits,
-    spectrum_extend,
-)
+from tinyfdss.chain import ModScheme, extend, map_symbols, precode, shape_and_normalize
+from tinyfdss.filters import taps_from_coeffs
 
 
 @pytest.fixture
@@ -27,15 +21,15 @@ def net():
 def make_block(cfg, seed=0):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, cfg.n_data * 2)
-    return spectrum_extend(dft_precode(map_bits(bits, ModScheme.QPSK), cfg), cfg)
+    return extend(precode(map_symbols(bits, ModScheme.QPSK)), cfg.n_se)
 
 
 class TestLambdaTable:
     def test_bin_examples(self):
         table = LambdaTable()
-        assert lookup_lambda(table, 7.0) == 0.3
-        assert lookup_lambda(table, 25.0) == 1.0
-        assert lookup_lambda(table, -3.0) == 0.1  # clamped below range
+        assert table.lookup(7.0) == 0.3
+        assert table.lookup(25.0) == 1.0
+        assert table.lookup(-3.0) == 0.1  # clamped below range
 
     def test_half_open_boundaries(self):
         table = LambdaTable()
@@ -83,18 +77,32 @@ class TestAdaptationCycle:
         block = make_block(cfg)
         state = AdaptState(n_sk=cfg.n_sk)
         shaped = adaptation_cycle(state, 8.0, net, block)
-        np.testing.assert_array_equal(shaped.values, block.values * state.taps)
+        taps = taps_from_coeffs(state.events[-1].coeffs, cfg.n_sk)
+        bins, eff, _ = shape_and_normalize(block, taps)
+        np.testing.assert_array_equal(shaped, bins)
+        np.testing.assert_array_equal(state.taps, eff)
+
+    def test_shaped_output_keeps_unshaped_power(self, cfg, net):
+        # fixed transmit power: the taps cannot buy SNR
+        state = AdaptState(n_sk=cfg.n_sk)
+        for seed, snr_db in enumerate((-2.0, 3.0, 8.0, 16.0, 24.0)):
+            block = make_block(cfg, seed=seed)
+            shaped = adaptation_cycle(state, snr_db, net, block)
+            assert np.mean(np.abs(shaped) ** 2) == pytest.approx(
+                np.mean(np.abs(block) ** 2), rel=1e-12
+            )
 
     def test_quantized_net_path(self, cfg, net):
         qnet = network.quantize(net)
         block = make_block(cfg)
         state = AdaptState(n_sk=cfg.n_sk)
         shaped = adaptation_cycle(state, 8.0, qnet, block)
-        assert np.all(np.isfinite(shaped.values))
+        assert np.all(np.isfinite(shaped))
 
     def test_wrong_stage_rejected(self, cfg, net):
+        # data symbols (n_data long) are not an extended spectrum (n_sk long)
         state = AdaptState(n_sk=cfg.n_sk)
-        block = map_bits(np.zeros(cfg.n_data * 2, dtype=int), ModScheme.QPSK)
+        block = map_symbols(np.zeros(cfg.n_data * 2, dtype=int), ModScheme.QPSK)
         with pytest.raises(ValueError):
             adaptation_cycle(state, 8.0, net, block)
 
@@ -116,8 +124,8 @@ class TestRunScenario:
         trace = [(0.0, 4.0), (250.0, 12.0), (600.0, 18.0)]
         a = run_scenario(trace, net, cfg, seed=3)
         b = run_scenario(trace, net, cfg, seed=3)
-        assert [(r.t_ms, r.snr_db, r.lam, r.papr_db, r.ser_window) for r in a] == [
-            (r.t_ms, r.snr_db, r.lam, r.papr_db, r.ser_window) for r in b
+        assert [(r.t_ms, r.snr_db, r.lam, r.papr_db, r.ser_block) for r in a] == [
+            (r.t_ms, r.snr_db, r.lam, r.papr_db, r.ser_block) for r in b
         ]
 
     def test_tick_count_and_feedback_holding(self, cfg, net):

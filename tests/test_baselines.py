@@ -5,24 +5,19 @@ from tinyfdss.baselines import (
     ClfConfig,
     SlmConfig,
     clf_reduce,
-    clf_transmit,
     clip_amplitude,
     conventional_config,
     fir_bin_gains,
     rrc_fir,
     slm_phase_vectors,
     slm_select,
-    slm_transmit,
 )
 from tinyfdss.chain import (
-    ChainConfig,
     ModScheme,
-    Stage,
-    SymbolBlock,
-    dft_precode,
-    map_bits,
+    extend,
+    map_symbols,
     occupied_bins,
-    spectrum_extend,
+    precode,
     time_signal,
 )
 from tinyfdss.metrics import papr_db
@@ -31,15 +26,24 @@ from tinyfdss.metrics import papr_db
 def freq_block(cfg, seed=0):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, cfg.n_data * 2)
-    return dft_precode(map_bits(bits, ModScheme.QPSK), cfg)
+    return precode(map_symbols(bits, ModScheme.QPSK))
+
+
+def ext_block(cfg, seed=0):
+    return extend(freq_block(cfg, seed), cfg.n_se)
+
+
+def slm_one(block, slm, cfg):
+    """SLM for one frequency-domain block: (time signal, chosen index)."""
+    return slm_select(block, slm_phase_vectors(slm, cfg.n_data), cfg)
 
 
 class TestClf:
     def test_clip_level_above_peak_is_identity(self, cfg):
-        block = spectrum_extend(freq_block(cfg), cfg)
-        out = clf_transmit(block, ClfConfig(clip_ratio_db=40.0, iterations=1), cfg)
-        ref = time_signal(block.values, cfg)
-        np.testing.assert_allclose(out.values, ref, atol=1e-12)
+        block = ext_block(cfg)
+        out = clf_reduce(block, ClfConfig(clip_ratio_db=40.0, iterations=1), cfg)
+        ref = time_signal(block, cfg)
+        np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_clip_stage_bound_is_exact(self, cfg, rng):
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
@@ -53,35 +57,31 @@ class TestClf:
         # first iteration's clip itself can only reduce the peak
         rng = np.random.default_rng(3)
         for i in range(100):
-            block = spectrum_extend(freq_block(cfg, seed=i), cfg)
-            x = time_signal(block.values, cfg)
+            x = time_signal(ext_block(cfg, seed=i), cfg)
             level = np.sqrt(np.mean(np.abs(x) ** 2)) * 10 ** (4.0 / 20.0)
             clipped = clip_amplitude(x, level)
             assert papr_db(clipped) <= papr_db(x) + 1e-9
 
     def test_filtering_restores_allocation(self, cfg):
-        block = spectrum_extend(freq_block(cfg), cfg)
-        out = clf_transmit(block, ClfConfig(), cfg)
-        grid = np.fft.fftshift(np.fft.fft(out.values))
-        n = len(out.values)
+        out = clf_reduce(ext_block(cfg), ClfConfig(), cfg)
+        grid = np.fft.fftshift(np.fft.fft(out))
+        n = len(out)
         start = n // 2 - cfg.n_sk // 2
         out_of_band = np.concatenate([grid[:start], grid[start + cfg.n_sk :]])
         assert np.max(np.abs(out_of_band)) < 1e-9 * np.max(np.abs(grid))
 
     def test_deterministic(self, cfg):
-        block = spectrum_extend(freq_block(cfg), cfg)
-        a = clf_transmit(block, ClfConfig(), cfg)
-        b = clf_transmit(block, ClfConfig(), cfg)
-        np.testing.assert_array_equal(a.values, b.values)
+        block = ext_block(cfg)
+        a = clf_reduce(block, ClfConfig(), cfg)
+        b = clf_reduce(block, ClfConfig(), cfg)
+        np.testing.assert_array_equal(a, b)
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ValueError):
             ClfConfig(iterations=0)
 
     def test_batch_matches_single(self, cfg):
-        blocks = np.stack([
-            spectrum_extend(freq_block(cfg, seed=s), cfg).values for s in range(3)
-        ])
+        blocks = np.stack([ext_block(cfg, seed=s) for s in range(3)])
         batch = clf_reduce(blocks, ClfConfig(), cfg)
         for i in range(3):
             single = clf_reduce(blocks[i], ClfConfig(), cfg)
@@ -92,39 +92,35 @@ class TestSlm:
     def test_never_worse_than_identity(self, cfg):
         for seed in range(20):
             block = freq_block(cfg, seed=seed)
-            baseline = papr_db(
-                time_signal(spectrum_extend(block, cfg).values, cfg)
-            )
-            out, idx = slm_transmit(block, SlmConfig(num_candidates=8), cfg)
-            assert papr_db(out.values) <= baseline + 1e-12
+            baseline = papr_db(time_signal(extend(block, cfg.n_se), cfg))
+            out, idx = slm_one(block, SlmConfig(num_candidates=8), cfg)
+            assert papr_db(out) <= baseline + 1e-12
 
     def test_single_candidate_is_identity(self, cfg):
         block = freq_block(cfg)
-        out, idx = slm_transmit(block, SlmConfig(num_candidates=1), cfg)
+        out, idx = slm_one(block, SlmConfig(num_candidates=1), cfg)
         assert idx == 0
-        ref = time_signal(spectrum_extend(block, cfg).values, cfg)
-        np.testing.assert_allclose(out.values, ref, atol=1e-12)
+        ref = time_signal(extend(block, cfg.n_se), cfg)
+        np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_argmin_matches_per_candidate_oracle(self, cfg):
         slm = SlmConfig(num_candidates=8)
         phases = slm_phase_vectors(slm, cfg.n_data)
         block = freq_block(cfg, seed=7)
-        out, idx = slm_transmit(block, slm, cfg)
+        out, idx = slm_one(block, slm, cfg)
         paprs = []
         for u in range(8):
-            from tinyfdss.chain import extend
-
-            cand = time_signal(extend(block.values * phases[u], cfg.n_se), cfg)
+            cand = time_signal(extend(block * phases[u], cfg.n_se), cfg)
             paprs.append(papr_db(cand))
         assert idx == int(np.argmin(paprs))
-        assert papr_db(out.values) == pytest.approx(min(paprs), abs=1e-12)
+        assert papr_db(out) == pytest.approx(min(paprs), abs=1e-12)
 
     def test_argmin_invariant_under_scaling(self, cfg):
         slm = SlmConfig(num_candidates=8)
         phases = slm_phase_vectors(slm, cfg.n_data)
         block = freq_block(cfg, seed=9)
-        _, idx1 = slm_select(block.values, phases, cfg)
-        _, idx2 = slm_select(3.7 * block.values, phases, cfg)
+        _, idx1 = slm_select(block, phases, cfg)
+        _, idx2 = slm_select(3.7 * block, phases, cfg)
         assert idx1 == idx2
 
     def test_identity_candidate_is_row_zero(self, cfg):
@@ -160,8 +156,6 @@ class TestRrcFir:
         h = rrc_fir(32, 0.25, sps=conv.oversample)
         gains = fir_bin_gains(h, conv)
         bits = rng.integers(0, 2, conv.n_data * 2)
-        from tinyfdss.chain import map_symbols, precode
-
         spectrum = precode(map_symbols(bits, ModScheme.QPSK))
         # explicit circular convolution on the oversampled grid
         x = time_signal(spectrum, conv)

@@ -3,29 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from tinyfdss.baselines import conventional_config, fir_bin_gains, rrc_fir
 from tinyfdss.chain import (
     ChainConfig,
     EqualizationError,
     ModScheme,
     Stage,
     SymbolBlock,
-    apply_filter,
     constellation,
     detect_symbols,
-    dft_precode,
     extend,
-    map_bits,
     map_symbols,
     occupied_bins,
     precode,
     receiver_chain,
-    spectrum_extend,
+    shape_and_normalize,
     time_signal,
-    to_time_domain,
     transmit,
 )
 from tinyfdss.channel import ChannelCfg, ChannelModel, apply_channel
-from tinyfdss.filters import rrc_taps, unit_taps
+from tinyfdss.filters import rrc_taps, taps_from_coeffs, unit_taps
 from tinyfdss.metrics import measured_ser, papr_db
 
 # 3GPP-style Gray 16-QAM table computed by hand from the per-axis rule
@@ -40,21 +37,28 @@ GRAY_16QAM = {
 }
 
 
+def qam16_spectra(rng, n_data, n_se):
+    """Six extended 16-QAM spectra."""
+    bits = rng.integers(0, 2, (6, n_data * 4))
+    symbols = np.stack([map_symbols(b, ModScheme.QAM16) for b in bits])
+    return extend(precode(symbols), n_se)
+
+
 class TestMapBits:
     def test_qpsk_corner(self):
-        block = map_bits(np.array([0, 0]), ModScheme.QPSK)
-        assert block.values[0] == pytest.approx((1 + 1j) / np.sqrt(2))
+        block = map_symbols(np.array([0, 0]), ModScheme.QPSK)
+        assert block[0] == pytest.approx((1 + 1j) / np.sqrt(2))
 
     def test_qpsk_energy_normalization(self, rng):
         bits = rng.integers(0, 2, 420)
-        block = map_bits(bits, ModScheme.QPSK)
+        block = map_symbols(bits, ModScheme.QPSK)
         assert len(block) == 210
-        assert np.mean(np.abs(block.values) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.mean(np.abs(block) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_16qam_exhaustive_against_gray_table(self):
         for label, point in GRAY_16QAM.items():
-            block = map_bits(np.array(label), ModScheme.QAM16)
-            assert block.values[0] == pytest.approx(point / np.sqrt(10), abs=1e-12)
+            block = map_symbols(np.array(label), ModScheme.QAM16)
+            assert block[0] == pytest.approx(point / np.sqrt(10), abs=1e-12)
 
     def test_16qam_distinct_points_unit_energy(self):
         points, _ = constellation(ModScheme.QAM16)
@@ -78,7 +82,7 @@ class TestMapBits:
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
-            map_bits(np.array([0, 1, 0]), ModScheme.QPSK)
+            map_symbols(np.array([0, 1, 0]), ModScheme.QPSK)
 
 
 class TestDetect:
@@ -101,29 +105,27 @@ class TestDetect:
 
 class TestDftPrecode:
     def test_all_ones_length_four(self):
-        cfg = ChainConfig(n_data=4, n_se=0, n_fft=8)
-        block = SymbolBlock(Stage.DATA_SYMBOLS, np.ones(4, dtype=complex))
-        out = dft_precode(block, cfg)
-        np.testing.assert_allclose(out.values, [2, 0, 0, 0], atol=1e-14)
+        out = precode(np.ones(4, dtype=complex))
+        np.testing.assert_allclose(out, [2, 0, 0, 0], atol=1e-14)
 
     def test_parseval(self, cfg, rng):
         bits = rng.integers(0, 2, cfg.n_data * 2)
-        block = map_bits(bits, ModScheme.QPSK)
-        out = dft_precode(block, cfg)
-        e_in = np.sum(np.abs(block.values) ** 2)
-        e_out = np.sum(np.abs(out.values) ** 2)
+        block = map_symbols(bits, ModScheme.QPSK)
+        out = precode(block)
+        e_in = np.sum(np.abs(block) ** 2)
+        e_out = np.sum(np.abs(out) ** 2)
         assert abs(e_out - e_in) / e_in < 1e-10
 
     def test_matches_naive_dft_oracle(self, cfg, rng):
         bits = rng.integers(0, 2, cfg.n_data * 2)
-        x = map_bits(bits, ModScheme.QPSK).values
+        x = map_symbols(bits, ModScheme.QPSK)
         n = cfg.n_data
         k = np.arange(n)
         oracle = np.array(
             [np.sum(x * np.exp(-2j * np.pi * kk * k / n)) for kk in k]
         ) / np.sqrt(n)
-        out = dft_precode(map_bits(bits, ModScheme.QPSK), cfg)
-        np.testing.assert_allclose(out.values, oracle, atol=1e-9)
+        out = precode(x)
+        np.testing.assert_allclose(out, oracle, atol=1e-9)
 
     def test_inverse_round_trip(self, cfg, rng):
         from tinyfdss.chain import deprecode
@@ -131,25 +133,23 @@ class TestDftPrecode:
         x = rng.standard_normal(cfg.n_data) + 1j * rng.standard_normal(cfg.n_data)
         np.testing.assert_allclose(deprecode(precode(x)), x, atol=1e-10)
 
-    def test_rejects_wrong_length(self, cfg):
-        block = SymbolBlock(Stage.DATA_SYMBOLS, np.ones(5, dtype=complex))
+    def test_rejects_wrong_length(self):
+        # 5 QPSK symbols do not fill a 4-symbol allocation
+        cfg = ChainConfig(n_data=4, n_se=0, n_fft=8)
         with pytest.raises(ValueError):
-            dft_precode(block, cfg)
+            transmit(np.zeros(10, dtype=int), ModScheme.QPSK, unit_taps(cfg.n_sk), cfg)
 
 
 class TestSpectrumExtend:
     def test_four_bin_example(self):
-        cfg = ChainConfig(n_data=4, n_se=1, n_fft=8)
         a, b, c, d = 1 + 1j, 2 - 1j, -3 + 0j, 0 + 4j
-        block = SymbolBlock(Stage.FREQ_DOMAIN, np.array([a, b, c, d]))
-        out = spectrum_extend(block, cfg)
-        np.testing.assert_array_equal(out.values, [d, a, b, c, d, a])
+        out = extend(np.array([a, b, c, d]), 1)
+        np.testing.assert_array_equal(out, [d, a, b, c, d, a])
 
     def test_zero_extension_is_identity(self, rng):
-        cfg = ChainConfig(n_data=8, n_se=0, n_fft=8)
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        out = spectrum_extend(SymbolBlock(Stage.FREQ_DOMAIN, x), cfg)
-        np.testing.assert_array_equal(out.values, x)
+        out = extend(x, 0)
+        np.testing.assert_array_equal(out, x)
 
     def test_energy_accounting(self, cfg, rng):
         x = rng.standard_normal(cfg.n_data) + 1j * rng.standard_normal(cfg.n_data)
@@ -172,35 +172,73 @@ class TestSpectrumExtend:
 
 
 class TestApplyFilter:
+    """Shaping at fixed transmit power (``shape_and_normalize``)."""
+
     def test_all_ones_identity(self, cfg, rng):
         x = rng.standard_normal(cfg.n_sk) + 1j * rng.standard_normal(cfg.n_sk)
-        block = SymbolBlock(Stage.EXTENDED, x)
-        out = apply_filter(block, unit_taps(cfg.n_sk))
-        np.testing.assert_array_equal(out.values, x)
+        bins, eff, g = shape_and_normalize(x, unit_taps(cfg.n_sk))
+        np.testing.assert_array_equal(bins, x)
+        np.testing.assert_array_equal(eff, unit_taps(cfg.n_sk))
+        assert g == 1.0
 
     def test_all_zeros(self, cfg, rng):
         x = rng.standard_normal(cfg.n_sk) + 1j * rng.standard_normal(cfg.n_sk)
-        out = apply_filter(SymbolBlock(Stage.EXTENDED, x), np.zeros(cfg.n_sk))
-        assert np.all(out.values == 0)
+        bins, _, _ = shape_and_normalize(x, np.zeros(cfg.n_sk))
+        assert np.all(bins == 0)
 
     def test_matches_scalar_loop_oracle(self, cfg, rng):
         x = rng.standard_normal(cfg.n_sk) + 1j * rng.standard_normal(cfg.n_sk)
         taps = rng.standard_normal(cfg.n_sk)
-        out = apply_filter(SymbolBlock(Stage.EXTENDED, x), taps)
-        oracle = np.array([x[i] * taps[i] for i in range(cfg.n_sk)])
-        np.testing.assert_array_equal(out.values, oracle)
+        bins, eff, g = shape_and_normalize(x, taps)
+        shaped = np.array([x[i] * taps[i] for i in range(cfg.n_sk)])
+        p_ref = sum(abs(v) ** 2 for v in x) / cfg.n_sk
+        p_shaped = sum(abs(v) ** 2 for v in shaped) / cfg.n_sk
+        assert g == pytest.approx(math.sqrt(p_ref / p_shaped), rel=1e-12)
+        np.testing.assert_array_equal(bins, g * shaped)
+        np.testing.assert_array_equal(eff, g * taps)
 
     def test_rejects_length_mismatch(self, cfg, rng):
-        x = rng.standard_normal(cfg.n_sk) + 1j * rng.standard_normal(cfg.n_sk)
+        bits = rng.integers(0, 2, cfg.n_data * 2)
         with pytest.raises(ValueError):
-            apply_filter(SymbolBlock(Stage.EXTENDED, x), np.ones(cfg.n_sk - 1))
+            transmit(bits, ModScheme.QPSK, np.ones(cfg.n_sk - 1), cfg)
+
+    def test_real_taps_keep_occupied_power(self, cfg, rng):
+        s = qam16_spectra(rng, cfg.n_data, cfg.n_se)
+        coeffs = np.array([1.0, 0.0, -0.6, 0.0, 0.1]) + 0.2 * rng.standard_normal((6, 5))
+        bins, eff, _ = shape_and_normalize(s, taps_from_coeffs(coeffs, cfg.n_sk))
+        np.testing.assert_allclose(
+            np.mean(np.abs(bins) ** 2, axis=-1), np.mean(np.abs(s) ** 2, axis=-1),
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(bins, s * eff, rtol=1e-12)
+
+    def test_complex_fir_gains_keep_occupied_power(self, cfg, rng):
+        conv = conventional_config(cfg)
+        gains = fir_bin_gains(rrc_fir(32, 0.25, sps=conv.oversample), conv)
+        s = qam16_spectra(rng, conv.n_data, 0)
+        bins, eff, _ = shape_and_normalize(s, gains)
+        assert eff.shape == s.shape and np.iscomplexobj(eff)
+        np.testing.assert_allclose(
+            np.mean(np.abs(bins) ** 2, axis=-1), np.mean(np.abs(s) ** 2, axis=-1),
+            rtol=1e-12,
+        )
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.5, 7.0])
+    def test_invariant_to_tap_scale(self, cfg, rng, scale):
+        s = qam16_spectra(rng, cfg.n_data, cfg.n_se)
+        taps = rrc_taps(cfg.n_sk, 0.25)
+        bins, eff, g = shape_and_normalize(s, taps)
+        bins_s, eff_s, g_s = shape_and_normalize(s, scale * taps)
+        np.testing.assert_allclose(bins_s, bins, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(eff_s, eff, rtol=1e-12)
+        np.testing.assert_allclose(g_s * scale, g, rtol=1e-12)
 
 
 class TestToTimeDomain:
     def test_single_center_subcarrier_constant_envelope(self, cfg):
         shaped = np.zeros(cfg.n_sk, dtype=complex)
         shaped[cfg.n_sk // 2] = 1.0  # lands on DC of the centered grid
-        sig = to_time_domain(SymbolBlock(Stage.SHAPED, shaped), cfg)
+        sig = time_signal(shaped, cfg)
         assert papr_db(sig) == pytest.approx(0.0, abs=1e-12)
 
     def test_parseval_scaling_convention(self, cfg, rng):
@@ -232,12 +270,12 @@ class TestReceiverChain:
     def test_noiseless_loopback_unit_filter_exact(self, cfg, rng):
         bits = rng.integers(0, 2, cfg.n_data * 2)
         taps = unit_taps(cfg.n_sk)
-        tx = map_bits(bits, ModScheme.QPSK)
+        tx = map_symbols(bits, ModScheme.QPSK)
         sig = transmit(bits, ModScheme.QPSK, taps, cfg)
         rx = SymbolBlock(Stage.RECEIVED, sig.values)
         detected, _ = receiver_chain(rx, taps, cfg, ModScheme.QPSK)
-        np.testing.assert_array_equal(detected.values, tx.values)
-        ser, errors, _ = measured_ser(tx.values, detected.values)
+        np.testing.assert_array_equal(detected.values, tx)
+        ser, errors, _ = measured_ser(tx, detected.values)
         assert errors == 0
 
     @pytest.mark.parametrize("taps_name", ["rrc", "random"])
@@ -247,11 +285,11 @@ class TestReceiverChain:
             taps = rrc_taps(cfg.n_sk, 0.25)
         else:
             taps = 0.3 + rng.uniform(0.0, 1.0, cfg.n_sk)
-        tx = map_bits(bits, ModScheme.QPSK)
+        tx = map_symbols(bits, ModScheme.QPSK)
         sig = transmit(bits, ModScheme.QPSK, taps, cfg)
         rx = SymbolBlock(Stage.RECEIVED, sig.values)
         _, equalized = receiver_chain(rx, taps, cfg, ModScheme.QPSK)
-        assert np.max(np.abs(equalized - tx.values)) < 1e-6
+        assert np.max(np.abs(equalized - tx)) < 1e-6
 
     def test_awgn_ser_matches_closed_form(self, cfg):
         # folding the extension copies buys n_data/(n_data - n_se) in SNR
@@ -265,13 +303,13 @@ class TestReceiverChain:
         for b in range(n_blocks):
             brng = np.random.default_rng((42, b))
             bits = brng.integers(0, 2, cfg.n_data * 2)
-            tx = map_bits(bits, ModScheme.QPSK)
+            tx = map_symbols(bits, ModScheme.QPSK)
             sig = transmit(bits, ModScheme.QPSK, taps, cfg, oversample=1)
             rx, fade = apply_channel(
                 sig, ChannelCfg(ChannelModel.AWGN, snr_db=snr_db), cfg, rng=brng
             )
             detected, _ = receiver_chain(rx, taps, cfg, ModScheme.QPSK, fade=fade)
-            _, e, t = measured_ser(tx.values, detected.values)
+            _, e, t = measured_ser(tx, detected.values)
             errors += e
             total += t
         ser = errors / total
@@ -294,21 +332,21 @@ class TestRoundTripInvariant:
     def test_exact_recovery_any_positive_taps(self, cfg, rng, scheme):
         bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
         taps = 0.11 + rng.uniform(0.0, 1.5, cfg.n_sk)  # min|F| > 0.1
-        tx = map_bits(bits, scheme)
+        tx = map_symbols(bits, scheme)
         sig = transmit(bits, scheme, taps, cfg)
         rx = SymbolBlock(Stage.RECEIVED, sig.values)
         detected, _ = receiver_chain(rx, taps, cfg, scheme)
-        np.testing.assert_array_equal(detected.values, tx.values)
+        np.testing.assert_array_equal(detected.values, tx)
 
     def test_parseval_at_each_linear_stage(self, cfg, rng):
         bits = rng.integers(0, 2, cfg.n_data * 2)
-        data = map_bits(bits, ModScheme.QPSK)
-        freq = dft_precode(data, cfg)
-        assert np.sum(np.abs(freq.values) ** 2) == pytest.approx(
-            np.sum(np.abs(data.values) ** 2), rel=1e-9
+        data = map_symbols(bits, ModScheme.QPSK)
+        freq = precode(data)
+        assert np.sum(np.abs(freq) ** 2) == pytest.approx(
+            np.sum(np.abs(data) ** 2), rel=1e-9
         )
-        shaped = apply_filter(spectrum_extend(freq, cfg), unit_taps(cfg.n_sk))
-        sig = to_time_domain(shaped, cfg, oversample=1)
-        assert np.sum(np.abs(sig.values) ** 2) == pytest.approx(
-            np.sum(np.abs(shaped.values) ** 2), rel=1e-9
+        shaped, _, _ = shape_and_normalize(extend(freq, cfg.n_se), unit_taps(cfg.n_sk))
+        sig = time_signal(shaped, cfg, oversample=1)
+        assert np.sum(np.abs(sig) ** 2) == pytest.approx(
+            np.sum(np.abs(shaped) ** 2), rel=1e-9
         )

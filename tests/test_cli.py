@@ -147,7 +147,7 @@ class TestAdaptCommand:
         code = main(["adapt", "--config", str(config_path), "--out", str(out)])
         assert code == 0
         header, rows = read_csv(out / "events.csv")
-        assert header == ["t_ms", "snr_db", "lambda", "papr_db", "ser_window"]
+        assert header == ["t_ms", "snr_db", "lambda", "papr_db", "ser_block"]
         assert len(rows) == 5  # 400 ms / 100 ms + 1 tick
         assert all(r[2] == "0.3" for r in rows)  # 5 dB -> the [5,10) bin
 

@@ -50,10 +50,8 @@ class TestBuildInput:
         np.testing.assert_allclose(feats[:240], oracle, atol=1e-12)
 
     def test_rejects_wrong_length(self):
-        from tinyfdss.chain import Stage, SymbolBlock
-
         with pytest.raises(ValueError):
-            build_input(SymbolBlock(Stage.EXTENDED, np.zeros(100, dtype=complex)), 0.0)
+            build_input(np.zeros(100, dtype=complex), 0.0)
 
 
 class TestForward:

@@ -12,6 +12,7 @@ from tinyfdss.chain import (
     map_symbols,
     precode,
     receiver_chain,
+    shape_and_normalize,
     time_signal,
 )
 from tinyfdss.filters import taps_from_coeffs
@@ -107,17 +108,12 @@ class TestChainLossGradient:
         prep = prepare_batch(config, np.arange(2), table)
         coeffs = np.tile([1.0, 0.0, -0.5, 0.0, 0.2], (2, 1))
         taps = taps_from_coeffs(coeffs, cfg.n_sk)
-        shaped = prep.s_ext * taps
-        g = np.sqrt(
-            np.mean(np.abs(prep.s_ext) ** 2, axis=-1)
-            / np.mean(np.abs(shaped) ** 2, axis=-1)
-        )
+        bins, eff, _ = shape_and_normalize(prep.s_ext, taps)
         terms, _ = chain_loss(coeffs, prep, cfg, want_grad=False)
         for b in range(2):
-            bins = g[b] * shaped[b] + prep.eta[b]
-            rx = time_signal(bins, cfg, oversample=1)
+            rx = time_signal(bins[b] + prep.eta[b], cfg, oversample=1)
             _, equalized = receiver_chain(
-                SymbolBlock(Stage.RECEIVED, rx), g[b] * taps[b], cfg, ModScheme.QPSK
+                SymbolBlock(Stage.RECEIVED, rx), eff[b], cfg, ModScheme.QPSK
             )
             mse = float(np.mean(np.abs(equalized - prep.symbols[b]) ** 2))
             assert mse == pytest.approx(terms.mse[b], rel=1e-9)
