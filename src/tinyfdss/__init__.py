@@ -9,7 +9,6 @@ classic baselines (RRC, CLF, SLM), and the runtime adaptation loop.
 """
 
 from .adaptation import (
-    AdaptState,
     LambdaTable,
     adaptation_cycle,
     preset_trace,

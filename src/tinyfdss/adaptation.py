@@ -10,7 +10,7 @@ upper bin, and values below the first bin clamp to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,63 +77,26 @@ class LambdaTable:
         return self.bins[-1][2]
 
 
-@dataclass
-class AdaptEvent:
-    t_ms: float
-    snr_db: float
-    lam: float
-    coeffs: np.ndarray
-
-
-@dataclass
-class AdaptState:
-    """Mutable per-link state: current lambda, taps, clock, and event log.
-
-    ``taps`` are the effective (power-normalized) taps of the last cycle, the
-    ones the receiver equalizes with.
-    """
-
-    n_sk: int
-    lam: float = DEFAULT_BINS[0][2]
-    taps: np.ndarray | None = None
-    t_ms: float = 0.0
-    period_ms: float = DEFAULT_PERIOD_MS
-    table: LambdaTable = field(default_factory=LambdaTable)
-    events: list[AdaptEvent] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.period_ms <= 0:
-            raise ValueError("cycle period must be positive")
-        if self.taps is None:
-            self.taps = np.ones(self.n_sk)
-
-
 def adaptation_cycle(
-    state: AdaptState,
     snr_db: float,
     net: network.NetParams | network.QuantizedNet,
     s_ext: np.ndarray,
-) -> np.ndarray:
-    """One feedback cycle: update lambda, recompute taps, shape the block.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One feedback cycle: recompute the taps and shape the block.
 
-    ``s_ext`` is one extended spectrum (n_sk bins); the returned bins are
-    shaped at fixed transmit power.  Tap computation is stateless in
-    (snr, block): identical inputs yield identical taps on every cycle.  The
-    event log records the cycle time, feedback SNR, lambda, and coefficient
-    vector; the clock then advances by one period.
+    ``s_ext`` is one extended spectrum of n_sk bins, where n_sk is the net's
+    input width less the SNR feature.  Returns ``(bins, eff_taps)``: the bins
+    shaped at fixed transmit power and the effective taps the receiver
+    equalizes with.  The cycle is a pure function of (snr, net, block).
     """
+    n_sk = net.input_dim - 1
     s_ext = np.asarray(s_ext)
-    if s_ext.shape != (state.n_sk,):
-        raise ValueError(f"block shape {s_ext.shape} != ({state.n_sk},)")
-    state.lam = state.table.lookup(snr_db)
-    features = network.build_input(s_ext, snr_db, expected_len=state.n_sk)
+    if s_ext.shape != (n_sk,):
+        raise ValueError(f"block shape {s_ext.shape} != ({n_sk},)")
+    features = network.build_input(s_ext, snr_db, expected_len=n_sk)
     coeffs = network.predict_coeffs(net, features)
-    bins, state.taps, _ = shape_and_normalize(s_ext, taps_from_coeffs(coeffs, state.n_sk))
-    state.events.append(
-        AdaptEvent(t_ms=state.t_ms, snr_db=float(snr_db), lam=state.lam, coeffs=coeffs)
-    )
-    state.t_ms += state.period_ms
-    return bins
+    bins, eff_taps, _ = shape_and_normalize(s_ext, taps_from_coeffs(coeffs, n_sk))
+    return bins, eff_taps
 
 
 @dataclass
@@ -167,21 +130,20 @@ def run_scenario(
 
     The simulated clock advances in ``period_ms`` steps from the first to the
     last trace timestamp; at each tick the most recent feedback at or before
-    the tick applies.  Each tick transmits one fresh block (seeded by the tick
-    index), measures its PAPR, passes it through an AWGN channel at the true
-    SNR, and records that block's symbol error rate.
+    the tick applies.  Each tick looks lambda up in ``table``, transmits one
+    fresh block (seeded by the tick index), measures its PAPR, passes it
+    through an AWGN channel at the true SNR, and records that block's symbol
+    error rate.
     """
     if len(trace) == 0:
         return []
     times = [t for t, _ in trace]
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("trace timestamps must be sorted")
-    state = AdaptState(
-        n_sk=cfg.n_sk,
-        period_ms=period_ms,
-        table=table if table is not None else LambdaTable(),
-    )
-    state.t_ms = times[0]
+    if period_ms <= 0:
+        raise ValueError("cycle period must be positive")
+    if table is None:
+        table = LambdaTable()
     records: list[TickRecord] = []
     n_ticks = int((times[-1] - times[0]) // period_ms) + 1
     feedback_pos = 0
@@ -190,20 +152,21 @@ def run_scenario(
         while feedback_pos + 1 < len(trace) and trace[feedback_pos + 1][0] <= now:
             feedback_pos += 1
         snr_db = trace[feedback_pos][1]
+        lam = table.lookup(snr_db)
         rng = np.random.default_rng((seed, 4, tick))
         bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
         tx = map_symbols(bits, scheme)
-        bins = adaptation_cycle(state, snr_db, net, extend(precode(tx), cfg.n_se))
+        bins, taps = adaptation_cycle(snr_db, net, extend(precode(tx), cfg.n_se))
         papr = papr_db(time_signal(bins, cfg))
         # communication path at critical sampling under the true SNR
         rx, h = pass_channel(
             time_signal(bins, cfg, oversample=1),
             ChannelCfg(ChannelModel.AWGN, snr_db=snr_db), cfg, rng,
         )
-        equalized = equalize(occupied_bins(rx / h, cfg), state.taps, cfg.n_se)
+        equalized = equalize(occupied_bins(rx / h, cfg), taps, cfg.n_se)
         ser, _, _ = measured_ser(tx, detect_symbols(equalized, scheme))
         records.append(
-            TickRecord(t_ms=now, snr_db=float(snr_db), lam=state.lam,
+            TickRecord(t_ms=now, snr_db=float(snr_db), lam=lam,
                        papr_db=float(papr), ser_block=float(ser))
         )
     return records

@@ -322,7 +322,12 @@ def transmit(
     cfg: ChainConfig,
     oversample: int | None = None,
 ) -> SymbolBlock:
-    """Bits all the way to the shaped (not power-normalized) time-domain block."""
+    """Bits all the way to the shaped (not power-normalized) time-domain block.
+
+    This single-block boundary needs no power normalization: ``apply_channel``
+    sets the noise from the block's own power, so a scale on the taps moves
+    signal and noise together and buys no SNR, and PAPR is scale-invariant.
+    """
     symbols = map_symbols(bits, scheme)
     if symbols.shape != (cfg.n_data,):
         raise ValueError(f"expected {cfg.n_data} data symbols, got {symbols.shape[0]}")

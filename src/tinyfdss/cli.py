@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .baselines import ClfConfig, SlmConfig
 from .chain import SCHEME_NAMES, ChainConfig
 from .evaluation import EvalConfig, evaluate
 from .training import (
-    Checkpoint,
+    HISTORY_COLUMNS,
     TrainConfig,
     load_checkpoint,
     save_checkpoint,
@@ -39,21 +39,17 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending key."""
 
 
-_CHAIN_KEYS = {"n_data", "n_se", "n_fft", "oversample", "bandwidth_hz", "scs_hz"}
-_TRAIN_KEYS = {
-    "n_blocks", "batch_size", "epochs", "lr", "weight_decay", "prune_mode",
-    "prune_fraction", "target_sparsity", "snr_range_db", "channel_mix",
-    "mod_mix", "rician_k_db", "hidden_width", "out_init_scale",
-    "surrogate_sharpness", "papr_x0_db",
-}
-_EVAL_KEYS = {
-    "snr_db", "channels", "mods", "n_blocks", "ccdf_blocks", "ccdf_snr_db",
-    "ccdf_grid_db", "papr_trace_blocks", "oobe_blocks", "rrc_rolloff",
-    "rician_k_db", "rician_k_linear", "use_quantized", "schemes",
-}
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+# each section accepts its config's fields, less those load_config sets itself
+_CHAIN_KEYS = _field_names(ChainConfig)
+_TRAIN_KEYS = _field_names(TrainConfig) - {"seed", "chain"}
+_EVAL_KEYS = _field_names(EvalConfig) - {"seed", "clf", "slm"}
 _BASELINE_KEYS = {"clf", "slm"}
-_CLF_KEYS = {"clip_ratio_db", "iterations"}
-_SLM_KEYS = {"num_candidates", "seed"}
+_CLF_KEYS = _field_names(ClfConfig)
+_SLM_KEYS = _field_names(SlmConfig)
 _ADAPT_KEYS = {"period_ms", "preset", "duration_ms", "trace", "mod"}
 _SWEEP_KEYS = {"hidden_widths"}
 _TOP_KEYS = {
@@ -224,13 +220,8 @@ def cmd_train(cfg: dict, out: Path) -> int:
     rows = []
     for i, row in enumerate(ckpt.history):
         wall = ckpt.wall_seconds[i] if ckpt.wall_seconds is not None else 0.0
-        rows.append((int(row[0]), row[1], row[2], row[3], row[4], row[5], wall))
-    write_csv(
-        out / "history.csv",
-        ["epoch", "mean_loss", "median_loss", "mse_term", "tail_term",
-         "sparsity", "wall_seconds"],
-        rows,
-    )
+        rows.append((int(row[0]), *row[1:], wall))
+    write_csv(out / "history.csv", [*HISTORY_COLUMNS, "wall_seconds"], rows)
     print(f"checkpoint written to {out / CHECKPOINT_NAME}")
     return 0
 

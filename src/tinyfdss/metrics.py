@@ -72,22 +72,34 @@ def tail_p(
     return float(np.trapezoid(ccdf, grid))
 
 
+def surrogate_blocks(
+    papr_db_batch: np.ndarray,
+    x0_db: float = TAIL_X0_DB,
+    sharpness: float = 4.0,
+) -> np.ndarray:
+    """Per-block softplus tail surrogate softplus_b(PAPR - x0).
+
+    softplus_b(z) = log(1 + exp(b*z))/b approaches max(0, z) as the sharpness
+    b grows, so its batch mean approximates E[max(0, PAPR - x0)], the hinge
+    form of the CCDF-tail integral.
+    """
+    if not sharpness > 0.0:
+        raise ValueError(f"sharpness must be positive, got {sharpness}")
+    z = np.asarray(papr_db_batch, dtype=np.float64) - x0_db
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-sharpness * np.abs(z))) / sharpness
+
+
 def surrogate_p(
     papr_db_batch: np.ndarray,
     x0_db: float = TAIL_X0_DB,
     sharpness: float = 4.0,
 ) -> tuple[float, np.ndarray]:
-    """Differentiable tail surrogate: mean softplus over the batch.
+    """Differentiable tail surrogate: mean of :func:`surrogate_blocks` over the batch.
 
-    Returns (value, gradient w.r.t. each block's PAPR).  softplus_b(z) =
-    log(1 + exp(b*z))/b approaches max(0, z) as the sharpness b grows, so the
-    batch mean approximates E[max(0, PAPR - x0)], the hinge form of the
-    CCDF-tail integral.
+    Returns (value, gradient w.r.t. each block's PAPR).
     """
-    if sharpness <= 0.0:
-        raise ValueError(f"sharpness must be positive, got {sharpness}")
+    soft = surrogate_blocks(papr_db_batch, x0_db, sharpness)
     z = np.asarray(papr_db_batch, dtype=np.float64) - x0_db
-    soft = np.maximum(z, 0.0) + np.log1p(np.exp(-sharpness * np.abs(z))) / sharpness
     grad = 1.0 / (1.0 + np.exp(-sharpness * z)) / z.size
     return float(np.mean(soft)), grad
 

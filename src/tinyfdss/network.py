@@ -87,7 +87,6 @@ class Grads:
     b1: np.ndarray | None
     w2: np.ndarray
     b2: np.ndarray
-    x: np.ndarray
 
 
 def init_params(
@@ -163,17 +162,15 @@ def backward(params: NetParams, cache: dict, upstream: np.ndarray) -> Grads:
     input; batch contributions are summed (scale the upstream by 1/B for a
     mean).  Masked weights receive exactly zero gradient.
     """
-    x = cache["x"]
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape[-1] != params.out_dim:
         raise ValueError(f"upstream dim {g.shape[-1]}, expected {params.out_dim}")
-    x2 = x.reshape(-1, params.input_dim)
+    x2 = cache["x"].reshape(-1, params.input_dim)
     g2 = g.reshape(-1, params.out_dim)
     if params.hidden_width == 0:
         gw2 = (g2.T @ x2) * params.mask2
         gb2 = g2.sum(axis=0)
-        gx = (g2 @ (params.w2 * params.mask2)).reshape(x.shape)
-        return Grads(w1=None, b1=None, w2=gw2, b2=gb2, x=gx)
+        return Grads(w1=None, b1=None, w2=gw2, b2=gb2)
     h2 = cache["h"].reshape(-1, params.hidden_width)
     z2 = cache["z1"].reshape(-1, params.hidden_width)
     gw2 = (g2.T @ h2) * params.mask2
@@ -182,8 +179,7 @@ def backward(params: NetParams, cache: dict, upstream: np.ndarray) -> Grads:
     gz1 = gh * (z2 > 0.0)
     gw1 = (gz1.T @ x2) * params.mask1
     gb1 = gz1.sum(axis=0)
-    gx = (gz1 @ (params.w1 * params.mask1)).reshape(x.shape)
-    return Grads(w1=gw1, b1=gb1, w2=gw2, b2=gb2, x=gx)
+    return Grads(w1=gw1, b1=gb1, w2=gw2, b2=gb2)
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +420,26 @@ def predict_coeffs(net: NetParams | QuantizedNet, x: np.ndarray) -> np.ndarray:
 #   hidden_width    u32
 #   input_dim       u32
 #   out_dim         u32  (also the coefficient count)
-#   flags           u32  bit0 quantized twin, bit1 optimizer state, bit2 extras,
-#                        bit3 history
+#   flags           u32  bit0 quantized twin, bit2 extras, bit3 history; any
+#                        other bit is rejected, including bit1, which marked an
+#                        optimizer section that no code path resumed from
 #   params          float32 row-major: [w1, b1] (if hidden>0), w2, b2
 #   masks           packed bitsets (row-major, padded to byte) per weight tensor
 #   quant (bit0)    per layer: int8 tensor, float32 weight scale,
 #                   int32 bias tensor, float32 bias scale
-#   opt   (bit1)    u64 step; f64 lr, beta1, beta2, eps, weight_decay;
-#                   f64 m and v per parameter tensor in params order
 #   extras(bit2)    u32 epoch, u64 config hash
 #   history(bit3)   u32 row count, rows of 6 f64
 #                   (epoch, mean_loss, median_loss, mse_term, tail_term, sparsity)
+#
+# The file ends after the last section its flags name; trailing bytes are
+# rejected.
 
 MAGIC = b"TFSS"
 VERSION = 1
 _FLAG_QUANT = 1
-_FLAG_OPT = 2
 _FLAG_EXTRAS = 4
 _FLAG_HISTORY = 8
+_KNOWN_FLAGS = _FLAG_QUANT | _FLAG_EXTRAS | _FLAG_HISTORY
 
 
 def _f32_bytes(a: np.ndarray) -> bytes:
@@ -480,12 +478,11 @@ def save_net(
     path,
     params: NetParams,
     qnet: QuantizedNet | None = None,
-    opt: AdamState | None = None,
     epoch: int | None = None,
     config_hash: int | None = None,
     history: np.ndarray | None = None,
 ) -> None:
-    """Serialize the network (and optional twins/state) to ``path``.
+    """Serialize the network (optional int8 twin, extras, history) to ``path``.
 
     Parameter tensors are stored as float32; callers needing a bit-exact
     save -> load -> forward round trip should hold float32-representable
@@ -494,8 +491,6 @@ def save_net(
     flags = 0
     if qnet is not None:
         flags |= _FLAG_QUANT
-    if opt is not None:
-        flags |= _FLAG_OPT
     if epoch is not None or config_hash is not None:
         flags |= _FLAG_EXTRAS
     if history is not None:
@@ -526,19 +521,6 @@ def save_net(
             qnet.b2_q.astype("<i4").tobytes(),
             struct.pack("<f", qnet.bias_scale2),
         ]
-    if opt is not None:
-        chunks.append(
-            struct.pack(
-                "<Qddddd", opt.step, opt.lr, opt.beta1, opt.beta2,
-                opt.eps, opt.weight_decay,
-            )
-        )
-        names = (["w1", "b1"] if params.hidden_width > 0 else []) + ["w2", "b2"]
-        for name in names:
-            ref = getattr(params, name)
-            m, v = opt.slot(name, ref)
-            chunks.append(np.ascontiguousarray(m, dtype="<f8").tobytes())
-            chunks.append(np.ascontiguousarray(v, dtype="<f8").tobytes())
     if flags & _FLAG_EXTRAS:
         chunks.append(struct.pack("<IQ", epoch or 0, config_hash or 0))
     if history is not None:
@@ -550,7 +532,11 @@ def save_net(
 
 
 def load_net(path) -> dict:
-    """Load a checkpoint file; returns a dict with params/qnet/opt/epoch/... keys."""
+    """Load a checkpoint into a dict: params, qnet, epoch, config_hash, history.
+
+    A file that sets a flag bit this loader does not read, ends early, or
+    carries bytes after its last section raises ``ValueError``.
+    """
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     magic, version, hidden, in_dim, out_dim, flags = struct.unpack(
@@ -560,6 +546,13 @@ def load_net(path) -> dict:
         raise ValueError(f"bad checkpoint magic {magic!r}")
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    unknown = flags & ~_KNOWN_FLAGS
+    if unknown:
+        bits = [i for i in range(32) if unknown >> i & 1]
+        raise ValueError(
+            f"checkpoint sets flag bit(s) {bits} (flags {flags:#x}) that this loader "
+            "does not read"
+        )
     if hidden > 0:
         w1 = reader.array("<f4", (hidden, in_dim)).astype(np.float64)
         b1 = reader.array("<f4", (hidden,)).astype(np.float64)
@@ -575,8 +568,8 @@ def load_net(path) -> dict:
         hidden_width=hidden, input_dim=in_dim, out_dim=out_dim,
     )
     apply_masks(params)
-    out = {"params": params, "qnet": None, "opt": None, "epoch": None,
-           "config_hash": None, "history": None}
+    out = {"params": params, "qnet": None, "epoch": None, "config_hash": None,
+           "history": None}
     if flags & _FLAG_QUANT:
         if hidden > 0:
             q1 = reader.array("<i1", (hidden, in_dim))
@@ -594,16 +587,6 @@ def load_net(path) -> dict:
             q2=q2, scale2=float(s2), b2_q=b2_q, bias_scale2=float(bs2),
             hidden_width=hidden, input_dim=in_dim, out_dim=out_dim,
         )
-    if flags & _FLAG_OPT:
-        step, lr, beta1, beta2, eps, wd = struct.unpack("<Qddddd", reader.take(48))
-        opt = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                        weight_decay=wd, step=int(step))
-        names = (["w1", "b1"] if hidden > 0 else []) + ["w2", "b2"]
-        for name in names:
-            ref = getattr(params, name)
-            opt.m[name] = reader.array("<f8", ref.shape)
-            opt.v[name] = reader.array("<f8", ref.shape)
-        out["opt"] = opt
     if flags & _FLAG_EXTRAS:
         epoch, config_hash = struct.unpack("<IQ", reader.take(12))
         out["epoch"] = int(epoch)
@@ -611,4 +594,7 @@ def load_net(path) -> dict:
     if flags & _FLAG_HISTORY:
         (rows,) = struct.unpack("<I", reader.take(4))
         out["history"] = reader.array("<f8", (rows, 6))
+    trailing = len(reader.data) - reader.pos
+    if trailing:
+        raise ValueError(f"{trailing} trailing bytes after the checkpoint's last section")
     return out

@@ -43,7 +43,7 @@ from .chain import (
 )
 from .channel import MODEL_NAMES, ChannelModel, draw_fade
 from .filters import coeff_basis, taps_from_coeffs
-from .metrics import TAIL_X0_DB
+from .metrics import TAIL_X0_DB, surrogate_blocks
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the loss turns non-finite; carries diagnostic context."""
@@ -87,6 +87,10 @@ class TrainConfig:
             total = sum(w for _, w in pairs)
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"{mix} weights sum to {total}, expected 1")
+        if not self.surrogate_sharpness > 0.0:
+            raise ValueError(
+                f"surrogate_sharpness must be positive, got {self.surrogate_sharpness}"
+            )
 
 
 def config_hash(config: TrainConfig) -> int:
@@ -101,11 +105,10 @@ HISTORY_COLUMNS = ("epoch", "mean_loss", "median_loss", "mse_term", "tail_term",
 
 @dataclass
 class Checkpoint:
-    """Trained parameters plus everything needed to reproduce or resume."""
+    """Trained parameters, their int8 twin, and the run's provenance and history."""
 
     params: network.NetParams
     qnet: network.QuantizedNet | None
-    opt: network.AdamState | None
     epoch: int
     config_hash: int
     history: np.ndarray  # one row per epoch, HISTORY_COLUMNS order
@@ -117,7 +120,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         path,
         ckpt.params,
         qnet=ckpt.qnet,
-        opt=ckpt.opt,
         epoch=ckpt.epoch,
         config_hash=ckpt.config_hash,
         history=ckpt.history,
@@ -129,7 +131,6 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         params=raw["params"],
         qnet=raw["qnet"],
-        opt=raw["opt"],
         epoch=raw["epoch"] if raw["epoch"] is not None else 0,
         config_hash=raw["config_hash"] or 0,
         history=raw["history"]
@@ -180,7 +181,6 @@ class BatchPrep:
     features: np.ndarray  # (B, input_dim)
     eta: np.ndarray  # (B, n_sk) complex fixed noise (already fade-compensated)
     lam: np.ndarray  # (B,)
-    snr_db: np.ndarray  # (B,)
     indices: np.ndarray  # (B,) block indices, for diagnostics
 
 
@@ -214,7 +214,7 @@ def prepare_batch(
     features = network.build_input(s_ext, snr, expected_len=cfg.n_sk)
     return BatchPrep(
         symbols=symbols, s_ext=s_ext, features=features, eta=eta,
-        lam=lam, snr_db=snr, indices=np.asarray(indices),
+        lam=lam, indices=np.asarray(indices),
     )
 
 
@@ -270,8 +270,7 @@ def chain_loss(
     peak = power[rows, peak_idx]
     mean_pow = power.mean(axis=-1)
     papr = 10.0 * np.log10(peak / mean_pow)
-    z = sharpness * (papr - x0_db)
-    softplus = np.maximum(papr - x0_db, 0.0) + np.log1p(np.exp(-np.abs(z))) / sharpness
+    softplus = surrogate_blocks(papr, x0_db, sharpness)
 
     # --- symbol-error path at fixed transmit power
     bins, taps_eff, g = shape_and_normalize(s_ext, taps)
@@ -298,6 +297,7 @@ def chain_loss(
         return terms, None
 
     # --- backward: PAPR tail term
+    z = sharpness * (papr - x0_db)
     w_papr = prep.lam / (1.0 + np.exp(-z)) / batch  # dLoss/dpapr_b
     c_log = 10.0 / np.log(10.0)
     x_bar = x * (-2.0 * w_papr / (n_os * mean_pow) * c_log)[:, None]
@@ -421,7 +421,6 @@ def train(
     return Checkpoint(
         params=params,
         qnet=qnet,
-        opt=opt,
         epoch=config.epochs,
         config_hash=config_hash(config),
         history=history,

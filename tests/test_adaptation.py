@@ -3,7 +3,6 @@ import pytest
 
 from tinyfdss import network
 from tinyfdss.adaptation import (
-    AdaptState,
     LambdaTable,
     adaptation_cycle,
     preset_trace,
@@ -59,35 +58,31 @@ class TestLambdaTable:
 class TestAdaptationCycle:
     def test_identical_inputs_identical_taps(self, cfg, net):
         block = make_block(cfg)
-        state = AdaptState(n_sk=cfg.n_sk)
-        adaptation_cycle(state, 8.0, net, block)
-        taps1 = state.taps.copy()
-        adaptation_cycle(state, 8.0, net, block)
-        np.testing.assert_array_equal(state.taps, taps1)
+        bins1, taps1 = adaptation_cycle(8.0, net, block)
+        adaptation_cycle(20.0, net, make_block(cfg, seed=1))
+        bins2, taps2 = adaptation_cycle(8.0, net, block)
+        np.testing.assert_array_equal(bins2, bins1)
+        np.testing.assert_array_equal(taps2, taps1)
 
     def test_lambda_transition_logged(self, cfg, net):
-        block = make_block(cfg)
-        state = AdaptState(n_sk=cfg.n_sk)
-        adaptation_cycle(state, 9.0, net, block)
-        adaptation_cycle(state, 11.0, net, block)
-        assert [e.lam for e in state.events] == [0.3, 0.5]
-        assert [e.t_ms for e in state.events] == [0.0, 100.0]
+        # the cycle keeps no log; the per-tick records of the loop are the log
+        records = run_scenario([(0.0, 9.0), (100.0, 11.0)], net, cfg)
+        assert [r.lam for r in records] == [0.3, 0.5]
+        assert [r.t_ms for r in records] == [0.0, 100.0]
 
     def test_shaped_output_matches_manual_filter(self, cfg, net):
         block = make_block(cfg)
-        state = AdaptState(n_sk=cfg.n_sk)
-        shaped = adaptation_cycle(state, 8.0, net, block)
-        taps = taps_from_coeffs(state.events[-1].coeffs, cfg.n_sk)
-        bins, eff, _ = shape_and_normalize(block, taps)
+        shaped, eff_taps = adaptation_cycle(8.0, net, block)
+        coeffs = network.predict_coeffs(net, network.build_input(block, 8.0))
+        bins, eff, _ = shape_and_normalize(block, taps_from_coeffs(coeffs, cfg.n_sk))
         np.testing.assert_array_equal(shaped, bins)
-        np.testing.assert_array_equal(state.taps, eff)
+        np.testing.assert_array_equal(eff_taps, eff)
 
     def test_shaped_output_keeps_unshaped_power(self, cfg, net):
         # fixed transmit power: the taps cannot buy SNR
-        state = AdaptState(n_sk=cfg.n_sk)
         for seed, snr_db in enumerate((-2.0, 3.0, 8.0, 16.0, 24.0)):
             block = make_block(cfg, seed=seed)
-            shaped = adaptation_cycle(state, snr_db, net, block)
+            shaped, _ = adaptation_cycle(snr_db, net, block)
             assert np.mean(np.abs(shaped) ** 2) == pytest.approx(
                 np.mean(np.abs(block) ** 2), rel=1e-12
             )
@@ -95,16 +90,14 @@ class TestAdaptationCycle:
     def test_quantized_net_path(self, cfg, net):
         qnet = network.quantize(net)
         block = make_block(cfg)
-        state = AdaptState(n_sk=cfg.n_sk)
-        shaped = adaptation_cycle(state, 8.0, qnet, block)
+        shaped, _ = adaptation_cycle(8.0, qnet, block)
         assert np.all(np.isfinite(shaped))
 
     def test_wrong_stage_rejected(self, cfg, net):
         # data symbols (n_data long) are not an extended spectrum (n_sk long)
-        state = AdaptState(n_sk=cfg.n_sk)
         block = map_symbols(np.zeros(cfg.n_data * 2, dtype=int), ModScheme.QPSK)
         with pytest.raises(ValueError):
-            adaptation_cycle(state, 8.0, net, block)
+            adaptation_cycle(8.0, net, block)
 
 
 class TestRunScenario:
@@ -142,6 +135,11 @@ class TestRunScenario:
         trace = [(0.0, 9.0), (100.0, 11.0)]
         records = run_scenario(trace, net, cfg, seed=5)
         assert [r.lam for r in records] == [0.3, 0.5]
+
+    def test_nonpositive_period_rejected(self, cfg, net):
+        for period_ms in (0.0, -100.0):
+            with pytest.raises(ValueError, match="period"):
+                run_scenario([(0.0, 5.0)], net, cfg, period_ms=period_ms)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):

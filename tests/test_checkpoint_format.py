@@ -1,0 +1,103 @@
+"""Property tests: the checkpoint loader accepts exactly the files the writer emits.
+
+A valid file is built from drawn shapes and optional sections; every strict
+prefix, every non-empty suffix, and every flag bit the loader does not read
+must raise ``ValueError``.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tinyfdss.network import init_params, load_net, quantize, save_net
+
+FLAGS_OFFSET = 20  # after magic, version, hidden_width, input_dim, out_dim
+KNOWN_BITS = (0, 2, 3)
+UNKNOWN_BITS = [b for b in range(32) if b not in KNOWN_BITS]
+
+
+@st.composite
+def checkpoint_bytes(draw):
+    hidden = draw(st.sampled_from([0, 1, 3]))
+    in_dim = draw(st.integers(1, 12))
+    out_dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = init_params(hidden_width=hidden, rng=rng, input_dim=in_dim, out_dim=out_dim)
+    for w, mask in p.weight_tensors():
+        mask[...] = rng.random(mask.shape) < 0.7
+        w *= mask
+    with_extras = draw(st.booleans())
+    history = draw(st.one_of(st.none(), st.integers(0, 3)))
+    return {
+        "params": p,
+        "qnet": quantize(p) if draw(st.booleans()) else None,
+        "epoch": draw(st.integers(0, 2**32 - 1)) if with_extras else None,
+        "config_hash": draw(st.integers(0, 2**64 - 1)) if with_extras else None,
+        "history": None if history is None else rng.standard_normal((history, 6)),
+    }
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ckpt")
+
+
+def valid_file(workdir, parts) -> bytes:
+    path = workdir / "valid.bin"
+    save_net(path, parts["params"], qnet=parts["qnet"], epoch=parts["epoch"],
+             config_hash=parts["config_hash"], history=parts["history"])
+    data = path.read_bytes()
+    load_net(path)  # the untouched file loads
+    return data
+
+
+def load_bytes(workdir, data: bytes):
+    path = workdir / "mutated.bin"
+    path.write_bytes(data)
+    return load_net(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=checkpoint_bytes(), data=st.data())
+def test_every_strict_prefix_rejected(workdir, parts, data):
+    blob = valid_file(workdir, parts)
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    with pytest.raises(ValueError):
+        load_bytes(workdir, blob[:cut])
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=checkpoint_bytes(), suffix=st.binary(min_size=1, max_size=64))
+def test_every_appended_suffix_rejected(workdir, parts, suffix):
+    blob = valid_file(workdir, parts)
+    with pytest.raises(ValueError, match="trailing"):
+        load_bytes(workdir, blob + suffix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=checkpoint_bytes(), bit=st.sampled_from(UNKNOWN_BITS))
+def test_every_unknown_flag_bit_rejected(workdir, parts, bit):
+    blob = bytearray(valid_file(workdir, parts))
+    (flags,) = struct.unpack_from("<I", blob, FLAGS_OFFSET)
+    struct.pack_into("<I", blob, FLAGS_OFFSET, flags | 1 << bit)
+    with pytest.raises(ValueError, match=rf"flag bit\(s\) \[{bit}\]"):
+        load_bytes(workdir, bytes(blob))
+
+
+def test_optimizer_section_file_rejected(workdir):
+    # the layout of a file that still carries the retired optimizer section
+    # (bit 1): quantized twin, then step and hyperparameters, then m and v
+    p = init_params(hidden_width=2, rng=np.random.default_rng(0), input_dim=5, out_dim=3)
+    blob = bytearray(valid_file(workdir, {"params": p, "qnet": quantize(p), "epoch": None,
+                                          "config_hash": None, "history": None}))
+    struct.pack_into("<I", blob, FLAGS_OFFSET, 1 | 2)
+    blob += struct.pack("<Qddddd", 7, 1e-3, 0.9, 0.999, 1e-8, 1e-4)
+    blob += bytes(2 * 8 * (p.w1.size + p.b1.size + p.w2.size + p.b2.size))
+    with pytest.raises(ValueError, match=r"flag bit\(s\) \[1\]"):
+        load_bytes(workdir, bytes(blob))

@@ -69,6 +69,11 @@ class TestGenerateBlock:
         with pytest.raises(ValueError):
             TrainConfig(channel_mix=(("underwater", 1.0),))
 
+    def test_nonpositive_surrogate_sharpness_rejected(self):
+        for sharpness in (0.0, -4.0, float("nan")):
+            with pytest.raises(ValueError, match="surrogate_sharpness"):
+                TrainConfig(surrogate_sharpness=sharpness)
+
 
 class TestChainLossGradient:
     def test_coefficient_gradient_matches_fd(self, table):
