@@ -47,7 +47,6 @@ from .metrics import (
     papr_db,
     surrogate_p,
     tail_p,
-    total_loss,
 )
 from .network import (
     NetParams,

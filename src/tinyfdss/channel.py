@@ -38,12 +38,11 @@ MODEL_NAMES = {"awgn": ChannelModel.AWGN, "rayleigh": ChannelModel.RAYLEIGH,
 
 @dataclass(frozen=True)
 class ChannelCfg:
-    """Channel selector plus SNR; the Rician K-factor may be given in dB or linear."""
+    """Channel selector plus SNR and the Rician K-factor in dB."""
 
     model: ChannelModel = ChannelModel.AWGN
     snr_db: float = 10.0
     k_factor_db: float = 3.0
-    k_is_linear: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -54,8 +53,6 @@ class ChannelCfg:
 
     @property
     def k_linear(self) -> float:
-        if self.k_is_linear:
-            return float(self.k_factor_db)
         return float(10.0 ** (self.k_factor_db / 10.0))
 
 

@@ -23,9 +23,10 @@ import numpy as np
 from .adaptation import LambdaTable, preset_trace, run_scenario
 from .baselines import ClfConfig, SlmConfig
 from .chain import SCHEME_NAMES, ChainConfig
-from .evaluation import EvalConfig, evaluate
+from .evaluation import BASELINESCHEME_NAMES, EvalConfig, evaluate
 from .training import (
     HISTORY_COLUMNS,
+    Checkpoint,
     TrainConfig,
     load_checkpoint,
     save_checkpoint,
@@ -226,21 +227,28 @@ def cmd_train(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _resolve_checkpoint(cfg: dict, out: Path, flag: str | None) -> Path:
+def _load_checkpoint(cfg: dict, out: Path, flag: str | None) -> tuple[Path, Checkpoint]:
+    """Find and load the checkpoint; reject one whose net does not fit the chain."""
     for candidate in (flag, cfg.get("checkpoint"), out / CHECKPOINT_NAME):
-        if candidate is None:
-            continue
-        path = Path(candidate)
-        if path.exists():
-            return path
-    raise FileNotFoundError(
-        "no checkpoint found; pass --checkpoint, set the config key, or run train first"
-    )
+        if candidate is not None and Path(candidate).exists():
+            path = Path(candidate)
+            break
+    else:
+        raise FileNotFoundError(
+            "no checkpoint found; pass --checkpoint, set the config key, or run train first"
+        )
+    ckpt = load_checkpoint(path)
+    width, n_sk = ckpt.params.input_dim, cfg["chain"].n_sk
+    if width != n_sk + 1:
+        raise ValueError(
+            f"checkpoint {path} has input width {width}, but the config's chain "
+            f"needs chain.n_sk + 1 = {n_sk + 1}"
+        )
+    return path, ckpt
 
 
 def cmd_eval(cfg: dict, out: Path, threads: int, checkpoint_flag: str | None) -> int:
-    path = _resolve_checkpoint(cfg, out, checkpoint_flag)
-    ckpt = load_checkpoint(path)
+    path, ckpt = _load_checkpoint(cfg, out, checkpoint_flag)
     result = evaluate(ckpt, cfg["eval"], cfg["chain"], threads=threads)
     _write_eval_outputs(result, out, cfg["eval"], str(path))
     print(f"evaluation outputs written to {out}")
@@ -251,7 +259,7 @@ def cmd_baselines(cfg: dict, out: Path, threads: int) -> int:
     eval_cfg = cfg["eval"]
     schemes = tuple(s for s in eval_cfg.schemes if s != "tinyml")
     if not schemes:
-        schemes = ("rrc", "dftsofdm", "clf", "slm")
+        schemes = BASELINESCHEME_NAMES
     eval_cfg = replace(eval_cfg, schemes=schemes)
     result = evaluate(None, eval_cfg, cfg["chain"], threads=threads)
     _write_eval_outputs(result, out, eval_cfg, None)
@@ -312,10 +320,8 @@ def _load_trace(cfg: dict, flag: str | None) -> list[tuple[float, float]]:
 
 def cmd_adapt(cfg: dict, out: Path, checkpoint_flag: str | None,
               trace_flag: str | None) -> int:
-    path = _resolve_checkpoint(cfg, out, checkpoint_flag)
-    ckpt = load_checkpoint(path)
-    eval_cfg = cfg["eval"]
-    net = ckpt.qnet if (eval_cfg.use_quantized and ckpt.qnet is not None) else ckpt.params
+    _, ckpt = _load_checkpoint(cfg, out, checkpoint_flag)
+    net = ckpt.deployed_net(cfg["eval"].use_quantized)
     trace = _load_trace(cfg, trace_flag)
     mod = SCHEME_NAMES[cfg["adapt"].get("mod", "qpsk")]
     records = run_scenario(

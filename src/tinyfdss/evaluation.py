@@ -13,9 +13,12 @@ Schemes
 ``clf``       clipping-and-filtering on the conventional chain
 ``slm``       selective mapping on the conventional chain (genie side info)
 
-Pairing: data bits depend only on (seed, modulation, block index) and the
-channel draw only on (seed, channel, modulation, snr, block index), so every
-scheme sees identical fades and noise and every channel sees identical blocks
+Pairing is structural.  The CCDF pass draws each chunk of blocks once and
+runs every scheme on it; the grid draws each modulation's blocks once,
+transmits them once per (scheme, modulation, SNR) and passes that one
+waveform through every channel, so every scheme sees the same data and every
+channel the same transmit.  The channel draw depends only on (seed, channel,
+modulation, SNR, block index), so every scheme sees identical fades and noise
 at matched SNR.  PAPR is measured on the oversampled transmit waveform; the
 communication path runs at critical sampling where the configured SNR is
 exact per occupied bin.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -54,7 +58,6 @@ from .chain import (
 )
 from .channel import MODEL_NAMES, ChannelCfg, pass_channel
 from .filters import rrc_taps, taps_from_coeffs, unit_taps
-from .adaptation import LambdaTable
 from .metrics import (
     RunMetrics,
     empirical_ccdf,
@@ -64,13 +67,13 @@ from .metrics import (
     papr_at_ccdf,
     papr_db,
     tail_p,
-    total_loss,
 )
 from .training import Checkpoint
 
 ALLSCHEME_NAMES = ("tinyml", "rrc", "dftsofdm", "clf", "slm", "rrc_fdss")
 BASELINESCHEME_NAMES = ("rrc", "dftsofdm", "clf", "slm")
 RRC_FIR_TAPS = 32
+CCDF_CHUNK = 2048  # blocks per CCDF chunk, bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,6 @@ class EvalConfig:
     oobe_blocks: int = 64
     rrc_rolloff: float = 0.25
     rician_k_db: float = 3.0
-    rician_k_linear: bool = False
     use_quantized: bool = True
     schemes: tuple[str, ...] = ("tinyml", "rrc", "dftsofdm", "clf", "slm")
     clf: ClfConfig = field(default_factory=ClfConfig)
@@ -130,32 +132,37 @@ class EvalResult:
     summary: dict
 
 
+@dataclass(frozen=True)
+class Transmit:
+    """One scheme's transmit side for a batch of blocks."""
+
+    cfg: ChainConfig  # chain layout the scheme runs on
+    bins: np.ndarray  # occupied bins, one row per block
+    taps: np.ndarray  # effective receiver taps, broadcast against ``bins``
+    symbols: np.ndarray  # reference data symbols
+    derot: np.ndarray | None = None  # per-bin SLM phases (genie side info)
+
+
 class _SchemeEngine:
-    """Per-scheme transmit/receive at matched block and channel seeds."""
+    """Per-scheme transmit on blocks drawn once per (seed, mod, index)."""
 
     def __init__(self, cfg: ChainConfig, eval_cfg: EvalConfig,
                  checkpoint: Checkpoint | None):
         self.cfg = cfg
         self.conv = conventional_config(cfg)
         self.eval_cfg = eval_cfg
-        self.net = None
-        if checkpoint is not None:
-            self.net = (
-                checkpoint.qnet
-                if eval_cfg.use_quantized and checkpoint.qnet is not None
-                else checkpoint.params
-            )
+        self.net = (
+            None if checkpoint is None
+            else checkpoint.deployed_net(eval_cfg.use_quantized)
+        )
         self.rrc_fdss_taps = rrc_taps(cfg.n_sk, eval_cfg.rrc_rolloff)
-        self.unit = unit_taps(cfg.n_sk)
+        self.unit = unit_taps(self.conv.n_sk)
         # the FIR runs at the oversampled rate; its occupied-bin gains apply
         # to any synthesis grid for the same physical subcarriers
         self.fir_gains = fir_bin_gains(
             rrc_fir(RRC_FIR_TAPS, eval_cfg.rrc_rolloff, sps=cfg.oversample), cfg
         )
         self.slm_phases = slm_phase_vectors(eval_cfg.slm, self.conv.n_data)
-
-    def chain_for(self, scheme: str) -> ChainConfig:
-        return self.cfg if scheme in ("tinyml", "rrc_fdss") else self.conv
 
     def data_symbols(self, mod: str, indices: np.ndarray) -> dict:
         """Blocks for both chain layouts, deterministic per (seed, mod, index)."""
@@ -177,8 +184,8 @@ class _SchemeEngine:
             "s_conv": precode(sym_conv),
         }
 
-    def transmit(self, scheme: str, data: dict, snr_db: float) -> dict:
-        """Occupied bins, effective receiver taps, and reference symbols."""
+    def transmit(self, scheme: str, data: dict, snr_db: float) -> Transmit:
+        """Occupied bins, effective receiver taps and reference symbols."""
         if scheme in ("tinyml", "rrc_fdss"):
             s_ext = data["s_ext"]
             if scheme == "tinyml":
@@ -192,109 +199,89 @@ class _SchemeEngine:
             else:
                 taps = self.rrc_fdss_taps
             bins, eff, _ = shape_and_normalize(s_ext, taps)
-            return {"bins": bins, "taps": eff,
-                    "symbols": data["sym_ext"], "derot": None}
+            return Transmit(self.cfg, bins, eff, data["sym_ext"])
+        conv, s, sym = self.conv, data["s_conv"], data["sym_conv"]
         if scheme == "dftsofdm":
-            bins = data["s_conv"]
-            taps = np.broadcast_to(self.unit[: self.conv.n_sk], bins.shape)
-            return {"bins": bins, "taps": taps,
-                    "symbols": data["sym_conv"], "derot": None}
+            return Transmit(conv, s, self.unit, sym)
         if scheme == "rrc":
-            bins, eff, _ = shape_and_normalize(data["s_conv"], self.fir_gains)
-            return {"bins": bins, "taps": eff,
-                    "symbols": data["sym_conv"], "derot": None}
+            bins, eff, _ = shape_and_normalize(s, self.fir_gains)
+            return Transmit(conv, bins, eff, sym)
         if scheme == "clf":
-            x = clf_reduce(data["s_conv"], self.eval_cfg.clf, self.conv)
-            bins = occupied_bins(x, self.conv)
-            taps = np.broadcast_to(self.unit[: self.conv.n_sk], bins.shape)
-            return {"bins": bins, "taps": taps,
-                    "symbols": data["sym_conv"], "derot": None}
+            x = clf_reduce(s, self.eval_cfg.clf, conv)
+            return Transmit(conv, occupied_bins(x, conv), self.unit, sym)
         if scheme == "slm":
-            x, idx = slm_select(data["s_conv"], self.slm_phases, self.conv)
-            bins = occupied_bins(x, self.conv)
-            taps = np.broadcast_to(self.unit[: self.conv.n_sk], bins.shape)
-            return {"bins": bins, "taps": taps,
-                    "symbols": data["sym_conv"], "derot": self.slm_phases[idx]}
+            x, idx = slm_select(s, self.slm_phases, conv)
+            return Transmit(conv, occupied_bins(x, conv), self.unit, sym,
+                            self.slm_phases[idx])
         raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _cell_rng(seed: int, chan_i: int, mod_i: int, snr_i: int, idx: int):
-    return np.random.default_rng((seed, 31, chan_i, mod_i, snr_i, idx))
+def _run_group(
+    engine: _SchemeEngine, scheme: str, mod: str, snr_i: int, data: dict
+) -> list[CellResult]:
+    """One (scheme, modulation, SNR) group: transmit once, then every channel.
 
-
-def _run_cell(
-    engine: _SchemeEngine,
-    scheme: str,
-    channel_name: str,
-    mod: str,
-    snr_db: float,
-    snr_i: int,
-    n_blocks: int,
-) -> CellResult:
-    """Monte-Carlo one (scheme, channel, modulation, SNR) cell."""
+    Returns one cell per channel, in ``eval_cfg.channels`` order.
+    """
     eval_cfg = engine.eval_cfg
-    cfg = engine.chain_for(scheme)
-    channel = ChannelCfg(
-        MODEL_NAMES[channel_name], snr_db, k_factor_db=eval_cfg.rician_k_db,
-        k_is_linear=eval_cfg.rician_k_linear,
-    )
-    chan_i = list(MODEL_NAMES).index(channel_name)
+    snr_db = eval_cfg.snr_db[snr_i]
     mod_i = list(SCHEME_NAMES).index(mod)
-    indices = np.arange(n_blocks)
-    data = engine.data_symbols(mod, indices)
     tx = engine.transmit(scheme, data, snr_db)
-    bins = tx["bins"]
-    x1 = time_signal(bins, cfg, oversample=1)
-    x4 = time_signal(bins, cfg)
-    paprs = papr_db(x4)
-    # channel: same per-block generator for every scheme -> identical h and w
-    rx = np.empty_like(x1)
-    for row, idx in enumerate(indices):
-        rng = _cell_rng(eval_cfg.seed, chan_i, mod_i, snr_i, int(idx))
-        y, h = pass_channel(x1[row], channel, cfg, rng)
-        rx[row] = y / h
-    equalized = equalize(
-        occupied_bins(rx, cfg), tx["taps"], cfg.n_se, phase_derotate=tx["derot"]
-    )
-    detected = detect_symbols(equalized, SCHEME_NAMES[mod])
-    ser, errors, total = measured_ser(tx["symbols"], detected)
+    cfg = tx.cfg
+    x1 = time_signal(tx.bins, cfg, oversample=1)
+    paprs = papr_db(time_signal(tx.bins, cfg))
     tail = tail_p(paprs)
-    mse = mse_e(tx["symbols"], equalized)
-    run = RunMetrics(
-        papr_db_samples=paprs,
-        tail_p=tail,
-        mse_e=mse,
-        ser=ser,
-        ser_errors=errors,
-        ser_total=total,
-        loss=total_loss(
-            mse, tail, LambdaTable().lookup(snr_db if np.isfinite(snr_db) else 1e6)
-        ),
-    )
-    run.validate()
-    return CellResult(
-        scheme=scheme, channel=channel_name, mod=mod, snr_db=snr_db,
-        metrics=run, mean_papr_db=float(paprs.mean()),
-    )
+    cells = []
+    for channel_name in eval_cfg.channels:
+        channel = ChannelCfg(MODEL_NAMES[channel_name], snr_db,
+                             k_factor_db=eval_cfg.rician_k_db)
+        chan_i = list(MODEL_NAMES).index(channel_name)
+        # same per-block generator for every scheme -> identical h and w
+        rx = np.empty_like(x1)
+        for idx in range(x1.shape[0]):
+            rng = np.random.default_rng((eval_cfg.seed, 31, chan_i, mod_i, snr_i, idx))
+            y, h = pass_channel(x1[idx], channel, cfg, rng)
+            rx[idx] = y / h
+        equalized = equalize(
+            occupied_bins(rx, cfg), tx.taps, cfg.n_se, phase_derotate=tx.derot
+        )
+        detected = detect_symbols(equalized, SCHEME_NAMES[mod])
+        ser, errors, total = measured_ser(tx.symbols, detected)
+        run = RunMetrics(
+            papr_db_samples=paprs,
+            tail_p=tail,
+            mse_e=mse_e(tx.symbols, equalized),
+            ser=ser,
+            ser_errors=errors,
+            ser_total=total,
+        )
+        run.validate()
+        cells.append(CellResult(
+            scheme=scheme, channel=channel_name, mod=mod, snr_db=snr_db,
+            metrics=run, mean_papr_db=float(paprs.mean()),
+        ))
+    return cells
 
 
-def _ccdf_pass(engine: _SchemeEngine, scheme: str) -> tuple[np.ndarray, float]:
-    """Noise-free PAPR statistics for the CCDF figure (chunked for memory)."""
+def _ccdf_pass(engine: _SchemeEngine) -> tuple[dict, dict]:
+    """Noise-free PAPR samples and OOBE per scheme for the CCDF figure.
+
+    Each chunk of blocks is drawn once and run through every scheme; the
+    chunking bounds memory.
+    """
     eval_cfg = engine.eval_cfg
-    cfg = engine.chain_for(scheme)
-    mod = eval_cfg.mods[0]
-    samples = np.empty(eval_cfg.ccdf_blocks)
-    oobe = None
-    chunk = 2048
-    for lo in range(0, eval_cfg.ccdf_blocks, chunk):
-        indices = np.arange(lo, min(lo + chunk, eval_cfg.ccdf_blocks))
-        data = engine.data_symbols(mod, indices)
-        tx = engine.transmit(scheme, data, eval_cfg.ccdf_snr_db)
-        x4 = time_signal(tx["bins"], cfg)
-        samples[indices] = papr_db(x4)
-        if oobe is None:
-            oobe = oobe_db(x4[: eval_cfg.oobe_blocks], cfg)
-    return samples, float(oobe)
+    samples = {scheme: np.empty(eval_cfg.ccdf_blocks) for scheme in eval_cfg.schemes}
+    oobe = {}
+    for lo in range(0, eval_cfg.ccdf_blocks, CCDF_CHUNK):
+        indices = np.arange(lo, min(lo + CCDF_CHUNK, eval_cfg.ccdf_blocks))
+        data = engine.data_symbols(eval_cfg.mods[0], indices)
+        for scheme in eval_cfg.schemes:
+            tx = engine.transmit(scheme, data, eval_cfg.ccdf_snr_db)
+            x4 = time_signal(tx.bins, tx.cfg)
+            samples[scheme][indices] = papr_db(x4)
+            if lo == 0:
+                oobe[scheme] = float(oobe_db(x4[: eval_cfg.oobe_blocks], tx.cfg))
+    return samples, oobe
 
 
 def evaluate(
@@ -303,43 +290,42 @@ def evaluate(
     chain_cfg: ChainConfig | None = None,
     threads: int = 1,
 ) -> EvalResult:
-    """Full evaluation: CCDF pass per scheme plus the (channel, mod, SNR) grid.
+    """Full evaluation: the CCDF pass plus the (scheme, channel, mod, SNR) grid.
 
-    ``threads`` parallelizes over independent grid cells; results are
-    collected in a fixed order, so the thread count never changes any output.
+    ``threads`` parallelizes over independent (scheme, mod, SNR) groups;
+    results are collected in a fixed order, so the thread count never changes
+    any output.
     """
     cfg = chain_cfg if chain_cfg is not None else ChainConfig()
     engine = _SchemeEngine(cfg, eval_cfg, checkpoint)
     schemes = eval_cfg.schemes
 
+    papr_samples, oobe = _ccdf_pass(engine)
     lo, hi, step = eval_cfg.ccdf_grid_db
     grid = np.arange(lo, hi + step / 2, step)
-    ccdf = {}
-    papr_samples = {}
-    oobe = {}
-    for scheme in schemes:
-        samples, scheme_oobe = _ccdf_pass(engine, scheme)
-        papr_samples[scheme] = samples
-        ccdf[scheme] = empirical_ccdf(samples, grid)
-        oobe[scheme] = scheme_oobe
+    ccdf = {scheme: empirical_ccdf(papr_samples[scheme], grid) for scheme in schemes}
 
-    tasks = []
-    for scheme in schemes:
-        for channel_name in eval_cfg.channels:
-            for mod in eval_cfg.mods:
-                for snr_i, snr in enumerate(eval_cfg.snr_db):
-                    tasks.append((scheme, channel_name, mod, snr, snr_i))
+    indices = np.arange(eval_cfg.n_blocks)
+    data = {mod: engine.data_symbols(mod, indices) for mod in eval_cfg.mods}
+    snr_is = range(len(eval_cfg.snr_db))
+    groups = list(product(schemes, eval_cfg.mods, snr_is))
 
-    def run(task):
-        scheme, channel_name, mod, snr, snr_i = task
-        return _run_cell(engine, scheme, channel_name, mod, snr, snr_i,
-                         eval_cfg.n_blocks)
+    def run(group):
+        scheme, mod, snr_i = group
+        return _run_group(engine, scheme, mod, snr_i, data[mod])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(run, tasks))
+            by_group = dict(zip(groups, pool.map(run, groups)))
     else:
-        cells = [run(t) for t in tasks]
+        by_group = {group: run(group) for group in groups}
+    cells = [
+        by_group[scheme, mod, snr_i][chan_i]
+        for scheme in schemes
+        for chan_i in range(len(eval_cfg.channels))
+        for mod in eval_cfg.mods
+        for snr_i in snr_is
+    ]
 
     summary = {}
     rrc_anchor = None

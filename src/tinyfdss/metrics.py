@@ -124,13 +124,6 @@ def measured_ser(tx_symbols: np.ndarray, detected: np.ndarray) -> tuple[float, i
     return errors / total, errors, total
 
 
-def total_loss(mse: float, tail: float, lam: float) -> float:
-    """Composite objective: symbol-error proxy plus lambda-weighted PAPR tail."""
-    if lam < 0.0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
-    return mse + lam * tail
-
-
 def oobe_db(blocks: np.ndarray, cfg: ChainConfig, pad_factor: int = 4) -> float:
     """Out-of-band emission from a Hann-windowed averaged periodogram, in dB.
 
@@ -167,22 +160,13 @@ class RunMetrics:
     """Aggregated per-run results for one evaluation cell."""
 
     papr_db_samples: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    ccdf_grid_db: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    ccdf: np.ndarray = field(default_factory=lambda: np.zeros(0))
     tail_p: float = 0.0
     mse_e: float = 0.0
     ser: float = 0.0
     ser_errors: int = 0
     ser_total: int = 0
-    loss: float = 0.0
-    oobe_db: float = float("-inf")
 
     def validate(self) -> None:
-        if self.ccdf.size:
-            if np.any(np.diff(self.ccdf) > 1e-12):
-                raise ValueError("CCDF must be non-increasing in the threshold")
-            if self.ccdf.min() < 0.0 or self.ccdf.max() > 1.0:
-                raise ValueError("CCDF values must lie in [0, 1]")
         if not 0.0 <= self.ser <= 1.0:
             raise ValueError("SER outside [0, 1]")
         if self.tail_p < 0.0:

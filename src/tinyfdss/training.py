@@ -114,6 +114,10 @@ class Checkpoint:
     history: np.ndarray  # one row per epoch, HISTORY_COLUMNS order
     wall_seconds: np.ndarray | None = None  # per-epoch, reported but not serialized
 
+    def deployed_net(self, use_quantized: bool) -> network.NetParams | network.QuantizedNet:
+        """The net a deployment runs: the int8 twin if asked for and present."""
+        return self.qnet if use_quantized and self.qnet is not None else self.params
+
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     network.save_net(

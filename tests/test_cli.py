@@ -33,6 +33,24 @@ def config_path(tmp_path):
     return path
 
 
+@pytest.fixture
+def narrow_config_path(tmp_path):
+    """The smoke config with a chain 10 data subcarriers narrower (n_sk 230)."""
+    path = tmp_path / "narrow.json"
+    cfg = dict(SMOKE_CONFIG)
+    cfg["chain"] = dict(SMOKE_CONFIG["chain"], n_data=200)
+    cfg["out_dir"] = str(tmp_path / "narrow_out")
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def assert_chain_mismatch_rejected(code, err, checkpoint):
+    assert code == 2
+    assert str(checkpoint) in err
+    assert "input width 241" in err
+    assert "chain.n_sk + 1 = 231" in err
+
+
 def read_csv(path):
     lines = Path(path).read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -139,6 +157,14 @@ class TestEvalCommand:
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_checkpoint_chain_mismatch_rejected(
+        self, narrow_config_path, trained_out, tmp_path, capsys
+    ):
+        ckpt = trained_out / "checkpoint.bin"
+        code = main(["eval", "--config", str(narrow_config_path), "--out",
+                     str(tmp_path / "narrow"), "--checkpoint", str(ckpt)])
+        assert_chain_mismatch_rejected(code, capsys.readouterr().err, ckpt)
+
 
 class TestAdaptCommand:
     def test_factory_preset_lambda_bin(self, config_path, tmp_path):
@@ -150,6 +176,17 @@ class TestAdaptCommand:
         assert header == ["t_ms", "snr_db", "lambda", "papr_db", "ser_block"]
         assert len(rows) == 5  # 400 ms / 100 ms + 1 tick
         assert all(r[2] == "0.3" for r in rows)  # 5 dB -> the [5,10) bin
+
+    def test_checkpoint_chain_mismatch_rejected(
+        self, config_path, narrow_config_path, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        main(["train", "--config", str(config_path), "--out", str(out)])
+        ckpt = out / "checkpoint.bin"
+        capsys.readouterr()
+        code = main(["adapt", "--config", str(narrow_config_path), "--out",
+                     str(tmp_path / "narrow"), "--checkpoint", str(ckpt)])
+        assert_chain_mismatch_rejected(code, capsys.readouterr().err, ckpt)
 
     def test_malformed_trace_nonzero_exit(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"

@@ -15,7 +15,6 @@ from tinyfdss.metrics import (
     papr_db,
     surrogate_p,
     tail_p,
-    total_loss,
 )
 
 
@@ -175,21 +174,6 @@ class TestErrorMetrics:
             mse_e(np.ones(3), np.ones(4))
 
 
-class TestTotalLoss:
-    def test_examples(self):
-        assert total_loss(1.0, 2.0, 0.5) == 2.0
-        assert total_loss(0.7, 123.0, 0.0) == 0.7
-
-    def test_random_triples_against_oracle(self, rng):
-        for _ in range(100):
-            m, t, lam = rng.uniform(0, 5, 3)
-            assert total_loss(m, t, lam) == pytest.approx(m + lam * t, rel=1e-15)
-
-    def test_rejects_negative_lambda(self):
-        with pytest.raises(ValueError):
-            total_loss(1.0, 1.0, -0.1)
-
-
 class TestOobe:
     def test_in_band_tone_far_below_floor(self, cfg):
         shaped = np.zeros(cfg.n_sk, dtype=complex)
@@ -231,16 +215,13 @@ class TestPaprAtCcdf:
 
 
 class TestRunMetrics:
-    def test_validate_catches_non_monotone_ccdf(self):
-        run = RunMetrics(ccdf_grid_db=np.array([1.0, 2.0]), ccdf=np.array([0.1, 0.4]))
-        with pytest.raises(ValueError):
-            run.validate()
+    def test_validate_catches_ser_outside_unit_interval(self):
+        with pytest.raises(ValueError, match="SER"):
+            RunMetrics(ser=1.5).validate()
 
     def test_validate_accepts_good_run(self):
         run = RunMetrics(
             papr_db_samples=np.array([5.0, 6.0]),
-            ccdf_grid_db=np.array([1.0, 2.0]),
-            ccdf=np.array([0.4, 0.1]),
             ser=0.01,
             tail_p=0.2,
         )

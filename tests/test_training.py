@@ -219,3 +219,11 @@ class TestTrain:
         coeffs = network.forward_q(ckpt.qnet, feats)
         taps = taps_from_coeffs(coeffs, cfg.n_sk)
         assert np.all(np.isfinite(taps))
+
+
+def test_deployed_net_prefers_int8_twin_when_asked():
+    ckpt = train(TrainConfig(n_blocks=64, batch_size=32, epochs=1, seed=4))
+    assert ckpt.deployed_net(True) is ckpt.qnet
+    assert ckpt.deployed_net(False) is ckpt.params
+    ckpt.qnet = None
+    assert ckpt.deployed_net(True) is ckpt.params
