@@ -38,15 +38,11 @@ from .channel import ChannelCfg, ChannelModel, apply_channel, estimate_snr
 from .evaluation import EvalConfig, evaluate
 from .filters import rrc_taps, taps_from_coeffs, unit_taps
 from .metrics import (
-    RunMetrics,
     empirical_ccdf,
     measured_ser,
-    mse_e,
     oobe_db,
     papr_at_ccdf,
     papr_db,
-    surrogate_p,
-    tail_p,
 )
 from .network import (
     NetParams,

@@ -11,7 +11,10 @@ therefore run the channel at critical sampling.
 Fading is flat per block: a single coefficient h with E[|h|^2] = 1 multiplies
 the whole time-domain vector, and the receiver compensates it genie-aided.
 Draw order per block is fixed (fade first, then noise) so that a given
-(config, seed) reproduces bit-identical sequences.
+(config, seed) reproduces bit-identical sequences.  Drawing
+(:func:`draw_channel`) is separate from applying (:func:`add_channel`), so a
+paired Monte-Carlo can apply one block's draws to several waveforms;
+:func:`pass_channel` is the two in sequence.
 """
 
 from __future__ import annotations
@@ -67,12 +70,48 @@ def draw_fade(model: ChannelModel, rng: np.random.Generator, k_linear: float = 2
     return complex(los + scatter * np.sqrt(1.0 / (k_linear + 1.0)))
 
 
-def noise_power(signal: np.ndarray, snr_db: float, chain_cfg: ChainConfig) -> float:
-    """Per-sample noise power for the occupied-subcarrier SNR convention."""
-    if np.isposinf(snr_db):
-        return 0.0
-    occupied_power = float(np.mean(np.abs(signal) ** 2)) * chain_cfg.n_fft / chain_cfg.n_sk
-    return occupied_power * 10.0 ** (-snr_db / 10.0)
+def noise_power(
+    signal: np.ndarray, snr_db: float, chain_cfg: ChainConfig
+) -> float | np.ndarray:
+    """Per-sample noise power for the occupied-subcarrier SNR convention.
+
+    One power per block (last axis); a single 1-D block gives a float.
+    """
+    scale = 0.0 if snr_db == np.inf else 10.0 ** (-snr_db / 10.0)
+    occupied_power = np.mean(np.abs(signal) ** 2, axis=-1) * chain_cfg.n_fft / chain_cfg.n_sk
+    return occupied_power * scale
+
+
+def draw_channel(
+    cfg: ChannelCfg, n: int, rng: np.random.Generator
+) -> tuple[complex, np.ndarray | None]:
+    """One block's draws: the fade, then unit complex noise of length ``n``.
+
+    The noise is ``re + 1j*im`` with standard-normal parts drawn real first;
+    at +inf SNR none is drawn and ``None`` is returned in its place.
+    """
+    h = draw_fade(cfg.model, rng, cfg.k_linear)
+    if cfg.snr_db == np.inf:
+        return h, None
+    return h, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def add_channel(
+    x: np.ndarray,
+    h: complex | np.ndarray,
+    noise: np.ndarray | None,
+    snr_db: float,
+    chain_cfg: ChainConfig,
+) -> np.ndarray:
+    """``h*x + sqrt(sigma2/2)*noise``, with sigma2 from each block's own power.
+
+    ``x`` is one block or a batch of blocks along the leading axes; ``h``
+    broadcasts against it (one fade per block: shape ``(..., 1)``).
+    """
+    if noise is None:
+        return h * x
+    sigma = np.sqrt(noise_power(x, snr_db, chain_cfg) / 2.0)
+    return h * x + sigma[..., None] * noise
 
 
 def pass_channel(
@@ -81,18 +120,9 @@ def pass_channel(
     chain_cfg: ChainConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, complex]:
-    """Fade and noise for one time-domain block array; returns (h*x + w, h).
-
-    Draw order is fade first, then the real and the imaginary noise parts.
-    """
-    h = draw_fade(cfg.model, rng, cfg.k_linear)
-    sigma2 = noise_power(x, cfg.snr_db, chain_cfg)
-    if sigma2 > 0.0:
-        w = np.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
-        )
-        return h * x + w, h
-    return h * x, h
+    """Fade and noise for one time-domain block; returns (h*x + w, h)."""
+    h, noise = draw_channel(cfg, x.shape[-1], rng)
+    return add_channel(x, h, noise, cfg.snr_db, chain_cfg), h
 
 
 def apply_channel(

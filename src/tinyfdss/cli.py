@@ -188,9 +188,8 @@ def _write_eval_outputs(result, out: Path, eval_cfg: EvalConfig,
         ["scheme", "channel", "mod", "snr_db", "ser", "sem"],
         (
             (
-                c.scheme, c.channel, c.mod, c.snr_db, c.metrics.ser,
-                float(np.sqrt(max(c.metrics.ser * (1 - c.metrics.ser), 0.0)
-                              / max(c.metrics.ser_total, 1))),
+                c.scheme, c.channel, c.mod, c.snr_db, c.ser,
+                float(np.sqrt(max(c.ser * (1 - c.ser), 0.0) / max(c.ser_total, 1))),
             )
             for c in result.cells
         ),

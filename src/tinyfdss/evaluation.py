@@ -14,13 +14,15 @@ Schemes
 ``slm``       selective mapping on the conventional chain (genie side info)
 
 Pairing is structural.  The CCDF pass draws each chunk of blocks once and
-runs every scheme on it; the grid draws each modulation's blocks once,
-transmits them once per (scheme, modulation, SNR) and passes that one
-waveform through every channel, so every scheme sees the same data and every
-channel the same transmit.  The channel draw depends only on (seed, channel,
-modulation, SNR, block index), so every scheme sees identical fades and noise
-at matched SNR.  PAPR is measured on the oversampled transmit waveform; the
-communication path runs at critical sampling where the configured SNR is
+runs every scheme on it.  The grid draws each modulation's blocks once and
+each block's fade and unit noise once per (channel, modulation, SNR), from a
+generator seeded by (seed, channel, modulation, SNR, block index), and
+applies those same draws to every scheme.  A scheme transmits once per
+modulation, or once per (modulation, SNR) for ``tinyml``, whose taps depend
+on the SNR, and that one waveform passes through every channel.  So every
+scheme sees the same data, fades and noise at matched SNR, and every channel
+the same transmit.  PAPR is measured on the oversampled transmit waveform;
+the communication path runs at critical sampling where the configured SNR is
 exact per occupied bin.
 """
 
@@ -46,7 +48,6 @@ from .baselines import (
 from .chain import (
     SCHEME_NAMES,
     ChainConfig,
-    ModScheme,
     detect_symbols,
     equalize,
     extend,
@@ -56,18 +57,9 @@ from .chain import (
     shape_and_normalize,
     time_signal,
 )
-from .channel import MODEL_NAMES, ChannelCfg, pass_channel
+from .channel import MODEL_NAMES, ChannelCfg, add_channel, draw_channel
 from .filters import rrc_taps, taps_from_coeffs, unit_taps
-from .metrics import (
-    RunMetrics,
-    empirical_ccdf,
-    measured_ser,
-    mse_e,
-    oobe_db,
-    papr_at_ccdf,
-    papr_db,
-    tail_p,
-)
+from .metrics import empirical_ccdf, measured_ser, oobe_db, papr_at_ccdf, papr_db
 from .training import Checkpoint
 
 ALLSCHEME_NAMES = ("tinyml", "rrc", "dftsofdm", "clf", "slm", "rrc_fdss")
@@ -109,6 +101,10 @@ class EvalConfig:
                 raise ValueError(f"unknown modulation {name!r}")
         if self.n_blocks < 1 or self.ccdf_blocks < 1:
             raise ValueError("block counts must be positive")
+        if not np.all(np.isfinite(self.snr_db)):
+            raise ValueError(f"snr_db must hold finite values, got {list(self.snr_db)}")
+        if not np.isfinite(self.ccdf_snr_db):
+            raise ValueError(f"ccdf_snr_db must be finite, got {self.ccdf_snr_db}")
 
 
 @dataclass
@@ -117,7 +113,8 @@ class CellResult:
     channel: str
     mod: str
     snr_db: float
-    metrics: RunMetrics
+    ser: float
+    ser_total: int
     mean_papr_db: float
 
 
@@ -216,50 +213,57 @@ class _SchemeEngine:
         raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _run_group(
-    engine: _SchemeEngine, scheme: str, mod: str, snr_i: int, data: dict
-) -> list[CellResult]:
-    """One (scheme, modulation, SNR) group: transmit once, then every channel.
+def _draw_channels(eval_cfg: EvalConfig, n: int) -> dict:
+    """Each block's fade and unit noise per (channel, mod, SNR), for every scheme.
 
-    Returns one cell per channel, in ``eval_cfg.channels`` order.
+    Block ``idx`` draws from the generator seeded by (seed, channel, mod,
+    SNR, idx); fades have shape (n_blocks, 1) to broadcast over the block.
     """
-    eval_cfg = engine.eval_cfg
-    snr_db = eval_cfg.snr_db[snr_i]
-    mod_i = list(SCHEME_NAMES).index(mod)
-    tx = engine.transmit(scheme, data, snr_db)
-    cfg = tx.cfg
-    x1 = time_signal(tx.bins, cfg, oversample=1)
-    paprs = papr_db(time_signal(tx.bins, cfg))
-    tail = tail_p(paprs)
-    cells = []
-    for channel_name in eval_cfg.channels:
+    draws = {}
+    for channel_name, mod, (snr_i, snr_db) in product(
+        eval_cfg.channels, eval_cfg.mods, enumerate(eval_cfg.snr_db)
+    ):
         channel = ChannelCfg(MODEL_NAMES[channel_name], snr_db,
                              k_factor_db=eval_cfg.rician_k_db)
         chan_i = list(MODEL_NAMES).index(channel_name)
-        # same per-block generator for every scheme -> identical h and w
-        rx = np.empty_like(x1)
-        for idx in range(x1.shape[0]):
+        mod_i = list(SCHEME_NAMES).index(mod)
+        h = np.empty((eval_cfg.n_blocks, 1), dtype=np.complex128)
+        noise = np.empty((eval_cfg.n_blocks, n), dtype=np.complex128)
+        for idx in range(eval_cfg.n_blocks):
             rng = np.random.default_rng((eval_cfg.seed, 31, chan_i, mod_i, snr_i, idx))
-            y, h = pass_channel(x1[idx], channel, cfg, rng)
-            rx[idx] = y / h
-        equalized = equalize(
-            occupied_bins(rx, cfg), tx.taps, cfg.n_se, phase_derotate=tx.derot
-        )
-        detected = detect_symbols(equalized, SCHEME_NAMES[mod])
-        ser, errors, total = measured_ser(tx.symbols, detected)
-        run = RunMetrics(
-            papr_db_samples=paprs,
-            tail_p=tail,
-            mse_e=mse_e(tx.symbols, equalized),
-            ser=ser,
-            ser_errors=errors,
-            ser_total=total,
-        )
-        run.validate()
-        cells.append(CellResult(
-            scheme=scheme, channel=channel_name, mod=mod, snr_db=snr_db,
-            metrics=run, mean_papr_db=float(paprs.mean()),
-        ))
+            h[idx], noise[idx] = draw_channel(channel, n, rng)
+        draws[channel_name, mod, snr_i] = (h, noise)
+    return draws
+
+
+def _run_group(
+    engine: _SchemeEngine, scheme: str, mod: str, data: dict, draws: dict
+) -> dict:
+    """One (scheme, modulation) group: every (channel, SNR) cell.
+
+    Only ``tinyml``'s taps depend on the SNR; every other scheme transmits
+    once.  Returns the cells keyed by (channel, SNR index).
+    """
+    eval_cfg = engine.eval_cfg
+    cells = {}
+    for snr_i, snr_db in enumerate(eval_cfg.snr_db):
+        if snr_i == 0 or scheme == "tinyml":
+            tx = engine.transmit(scheme, data, snr_db)
+            cfg = tx.cfg
+            x1 = time_signal(tx.bins, cfg, oversample=1)
+            mean_papr = float(papr_db(time_signal(tx.bins, cfg)).mean())
+        for channel_name in eval_cfg.channels:
+            h, noise = draws[channel_name, mod, snr_i]
+            rx = add_channel(x1, h, noise, snr_db, cfg) / h
+            equalized = equalize(
+                occupied_bins(rx, cfg), tx.taps, cfg.n_se, phase_derotate=tx.derot
+            )
+            detected = detect_symbols(equalized, SCHEME_NAMES[mod])
+            ser, _, total = measured_ser(tx.symbols, detected)
+            cells[channel_name, snr_i] = CellResult(
+                scheme=scheme, channel=channel_name, mod=mod, snr_db=snr_db,
+                ser=ser, ser_total=total, mean_papr_db=mean_papr,
+            )
     return cells
 
 
@@ -292,9 +296,9 @@ def evaluate(
 ) -> EvalResult:
     """Full evaluation: the CCDF pass plus the (scheme, channel, mod, SNR) grid.
 
-    ``threads`` parallelizes over independent (scheme, mod, SNR) groups;
-    results are collected in a fixed order, so the thread count never changes
-    any output.
+    ``threads`` parallelizes over independent (scheme, mod) groups; results
+    are collected in a fixed order, so the thread count never changes any
+    output.
     """
     cfg = chain_cfg if chain_cfg is not None else ChainConfig()
     engine = _SchemeEngine(cfg, eval_cfg, checkpoint)
@@ -307,12 +311,12 @@ def evaluate(
 
     indices = np.arange(eval_cfg.n_blocks)
     data = {mod: engine.data_symbols(mod, indices) for mod in eval_cfg.mods}
-    snr_is = range(len(eval_cfg.snr_db))
-    groups = list(product(schemes, eval_cfg.mods, snr_is))
+    draws = _draw_channels(eval_cfg, cfg.n_fft)
+    groups = list(product(schemes, eval_cfg.mods))
 
     def run(group):
-        scheme, mod, snr_i = group
-        return _run_group(engine, scheme, mod, snr_i, data[mod])
+        scheme, mod = group
+        return _run_group(engine, scheme, mod, data[mod], draws)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -320,11 +324,11 @@ def evaluate(
     else:
         by_group = {group: run(group) for group in groups}
     cells = [
-        by_group[scheme, mod, snr_i][chan_i]
+        by_group[scheme, mod][channel_name, snr_i]
         for scheme in schemes
-        for chan_i in range(len(eval_cfg.channels))
+        for channel_name in eval_cfg.channels
         for mod in eval_cfg.mods
-        for snr_i in snr_is
+        for snr_i in range(len(eval_cfg.snr_db))
     ]
 
     summary = {}

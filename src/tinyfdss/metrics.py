@@ -1,23 +1,17 @@
-"""PAPR, CCDF, tail functionals, error metrics, and spectral leakage.
+"""PAPR, CCDF, symbol error ratio, spectral leakage, and the PAPR-tail surrogate.
 
-The tail functional integrates the empirical CCDF of per-block PAPR above a
-threshold; by the hinge identity this equals E[max(0, min(PAPR, upper) - x0)]
-up to the integration grid, which the tests use as an independent cross-check.
-Training uses a differentiable softplus surrogate of the same quantity;
-reported metrics always use the true empirical tail.
+Reported PAPR figures are the empirical CCDF and its quantiles.  Training
+penalizes the CCDF tail above x0 through a differentiable softplus surrogate
+of its hinge form, E[max(0, PAPR - x0)].
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chain import ChainConfig
 
 TAIL_X0_DB = 6.0
-TAIL_UPPER_DB = 20.0
-TAIL_GRID_DB = 0.1
 
 
 def papr_db(signal) -> float | np.ndarray:
@@ -56,22 +50,6 @@ def papr_at_ccdf(samples: np.ndarray, prob: float) -> float:
     return float(np.quantile(samples, 1.0 - prob))
 
 
-def tail_p(
-    samples: np.ndarray,
-    x0_db: float = TAIL_X0_DB,
-    upper_db: float = TAIL_UPPER_DB,
-    grid_step_db: float = TAIL_GRID_DB,
-) -> float:
-    """Trapezoidal integral of the empirical CCDF from x0_db to upper_db."""
-    if upper_db <= x0_db:
-        raise ValueError(f"upper_db={upper_db} must exceed x0_db={x0_db}")
-    n_steps = int(np.ceil((upper_db - x0_db) / grid_step_db))
-    grid = x0_db + grid_step_db * np.arange(n_steps + 1)
-    grid[-1] = upper_db
-    ccdf = empirical_ccdf(samples, grid)
-    return float(np.trapezoid(ccdf, grid))
-
-
 def surrogate_blocks(
     papr_db_batch: np.ndarray,
     x0_db: float = TAIL_X0_DB,
@@ -87,30 +65,6 @@ def surrogate_blocks(
         raise ValueError(f"sharpness must be positive, got {sharpness}")
     z = np.asarray(papr_db_batch, dtype=np.float64) - x0_db
     return np.maximum(z, 0.0) + np.log1p(np.exp(-sharpness * np.abs(z))) / sharpness
-
-
-def surrogate_p(
-    papr_db_batch: np.ndarray,
-    x0_db: float = TAIL_X0_DB,
-    sharpness: float = 4.0,
-) -> tuple[float, np.ndarray]:
-    """Differentiable tail surrogate: mean of :func:`surrogate_blocks` over the batch.
-
-    Returns (value, gradient w.r.t. each block's PAPR).
-    """
-    soft = surrogate_blocks(papr_db_batch, x0_db, sharpness)
-    z = np.asarray(papr_db_batch, dtype=np.float64) - x0_db
-    grad = 1.0 / (1.0 + np.exp(-sharpness * z)) / z.size
-    return float(np.mean(soft)), grad
-
-
-def mse_e(tx_symbols: np.ndarray, rx_equalized: np.ndarray) -> float:
-    """Mean squared error between transmitted and equalized symbols."""
-    tx = np.asarray(tx_symbols)
-    rx = np.asarray(rx_equalized)
-    if tx.shape != rx.shape:
-        raise ValueError(f"length mismatch: {tx.shape} vs {rx.shape}")
-    return float(np.mean(np.abs(tx - rx) ** 2))
 
 
 def measured_ser(tx_symbols: np.ndarray, detected: np.ndarray) -> tuple[float, int, int]:
@@ -153,21 +107,3 @@ def oobe_db(blocks: np.ndarray, cfg: ChainConfig, pad_factor: int = 4) -> float:
     if mean_in == 0.0:
         raise ValueError("no in-band power")
     return 10.0 * np.log10(mean_out / mean_in) if mean_out > 0.0 else -np.inf
-
-
-@dataclass
-class RunMetrics:
-    """Aggregated per-run results for one evaluation cell."""
-
-    papr_db_samples: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    tail_p: float = 0.0
-    mse_e: float = 0.0
-    ser: float = 0.0
-    ser_errors: int = 0
-    ser_total: int = 0
-
-    def validate(self) -> None:
-        if not 0.0 <= self.ser <= 1.0:
-            raise ValueError("SER outside [0, 1]")
-        if self.tail_p < 0.0:
-            raise ValueError("tail functional must be non-negative")

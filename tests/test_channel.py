@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tinyfdss.chain import ModScheme, Stage, SymbolBlock, transmit
+from tinyfdss.chain import ChainConfig, ModScheme, Stage, SymbolBlock, transmit
 from tinyfdss.channel import (
     ChannelCfg,
     ChannelModel,
+    add_channel,
     apply_channel,
+    draw_channel,
     draw_fade,
     estimate_snr,
     noise_power,
+    pass_channel,
 )
 from tinyfdss.filters import unit_taps
 
@@ -80,6 +85,47 @@ class TestApplyChannel:
         block = SymbolBlock(Stage.DATA_SYMBOLS, np.ones(4, dtype=complex))
         with pytest.raises(ValueError):
             apply_channel(block, ChannelCfg(ChannelModel.AWGN), cfg)
+
+
+class TestDrawThenApply:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(list(ChannelModel)),
+        snr_db=st.one_of(st.floats(-10.0, 40.0), st.just(np.inf)),
+        n_blocks=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_matches_per_block_pass_channel(self, model, snr_db, n_blocks, seed):
+        cfg = ChainConfig()
+        ch = ChannelCfg(model, snr_db=snr_db, k_factor_db=10.0)
+        data = np.random.default_rng(seed)
+        # blocks of different powers, so a pooled noise power would show
+        scale = data.uniform(0.1, 10.0, (n_blocks, 1))
+        x = scale * (data.standard_normal((n_blocks, cfg.n_fft))
+                     + 1j * data.standard_normal((n_blocks, cfg.n_fft)))
+        draws = [draw_channel(ch, cfg.n_fft, np.random.default_rng((seed, b)))
+                 for b in range(n_blocks)]
+        h = np.array([[fade] for fade, _ in draws])
+        noise = None if np.isposinf(snr_db) else np.stack([w for _, w in draws])
+        assert all((w is None) == np.isposinf(snr_db) for _, w in draws)
+        batched = add_channel(x, h, noise, snr_db, cfg)
+        sigma2 = noise_power(x, snr_db, cfg)
+        assert sigma2.shape == (n_blocks,)
+        for b in range(n_blocks):
+            y, fade = pass_channel(x[b], ch, cfg, np.random.default_rng((seed, b)))
+            assert fade == h[b, 0]
+            assert batched[b].tobytes() == y.tobytes()
+            assert sigma2[b] == noise_power(x[b], snr_db, cfg)
+
+    def test_noise_power_is_per_block(self, cfg):
+        # unit-magnitude samples: occupied power n_fft/n_sk, noise at 0 dB equal
+        x = np.ones((2, cfg.n_fft), dtype=complex)
+        x[1] *= 2.0
+        np.testing.assert_allclose(
+            noise_power(x, 0.0, cfg), [cfg.n_fft / cfg.n_sk, 4 * cfg.n_fft / cfg.n_sk],
+            rtol=1e-12,
+        )
+        np.testing.assert_array_equal(noise_power(x, np.inf, cfg), [0.0, 0.0])
 
 
 class TestEstimateSnr:

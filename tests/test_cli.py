@@ -87,6 +87,21 @@ class TestConfig:
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("snr_db", [float("nan")]),
+        ("snr_db", [5.0, float("inf")]),
+        ("ccdf_snr_db", float("inf")),
+        ("ccdf_snr_db", float("nan")),
+    ], ids=["snr_db-nan", "snr_db-inf", "ccdf_snr_db-inf", "ccdf_snr_db-nan"])
+    def test_non_finite_snr_rejected(self, tmp_path, capsys, key, value):
+        # json accepts NaN and Infinity; the eval grid must not
+        path = tmp_path / "bad.json"
+        cfg = dict(SMOKE_CONFIG, eval=dict(SMOKE_CONFIG["eval"], **{key: value}))
+        path.write_text(json.dumps(cfg))
+        code = main(["eval", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: eval: {key} must" in capsys.readouterr().err
+
     def test_defaults_fill_in(self, tmp_path):
         path = tmp_path / "minimal.json"
         path.write_text("{}")

@@ -1,9 +1,10 @@
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
 
-from tinyfdss import evaluation
+from tinyfdss import channel, evaluation
 from tinyfdss.chain import ChainConfig
 from tinyfdss.evaluation import EvalConfig, evaluate
 from tinyfdss.training import TrainConfig, train
@@ -33,7 +34,7 @@ class TestEvaluate:
         assert set(result.schemes) == {"tinyml", "rrc", "dftsofdm", "clf", "slm"}
         assert len(result.cells) == len(result.schemes)
         for cell in result.cells:
-            assert 0.0 <= cell.metrics.ser <= 1.0
+            assert 0.0 <= cell.ser <= 1.0
             assert np.isfinite(cell.mean_papr_db)
 
     def test_summary_schema_keys(self, small_ckpt, small_eval):
@@ -46,21 +47,19 @@ class TestEvaluate:
         )
 
     def test_paired_seeds_same_channel_different_papr(self, small_ckpt, small_eval):
-        # trained vs flat: PAPR samples differ, channel draws identical, so the
-        # SER cells stay comparable block by block
+        # trained vs flat: PAPR differs, channel draws identical, so the SER
+        # cells stay comparable block by block
         result = evaluate(small_ckpt, small_eval, ChainConfig())
-        papr = {c.scheme: c.metrics.papr_db_samples for c in result.cells}
-        assert not np.allclose(papr["tinyml"], papr["dftsofdm"])
+        papr = {c.scheme: c.mean_papr_db for c in result.cells}
+        assert papr["tinyml"] != papr["dftsofdm"]
 
     def test_thread_count_does_not_change_results(self, small_ckpt, small_eval):
         a = evaluate(small_ckpt, small_eval, ChainConfig(), threads=1)
         b = evaluate(small_ckpt, small_eval, ChainConfig(), threads=4)
         for ca, cb in zip(a.cells, b.cells):
             assert ca.scheme == cb.scheme
-            assert ca.metrics.ser == cb.metrics.ser
-            np.testing.assert_array_equal(
-                ca.metrics.papr_db_samples, cb.metrics.papr_db_samples
-            )
+            assert ca.ser == cb.ser
+            assert ca.mean_papr_db == cb.mean_papr_db
         for scheme in a.schemes:
             np.testing.assert_array_equal(a.ccdf[scheme], b.ccdf[scheme])
 
@@ -83,7 +82,7 @@ class TestEvaluate:
             rician_k_db=10.0,
         )
         result = evaluate(small_ckpt, eval_cfg, ChainConfig())
-        assert result.cells[0].metrics.ser_total > 0
+        assert result.cells[0].ser_total > 0
 
     def test_qam64_generalization_runs(self, small_ckpt):
         # checkpoint trained on QPSK/16-QAM evaluates on 64-QAM without error
@@ -95,7 +94,7 @@ class TestEvaluate:
         result = evaluate(small_ckpt, eval_cfg, ChainConfig())
         assert len(result.cells) == 3
         for cell in result.cells:
-            assert np.isfinite(cell.metrics.ser)
+            assert np.isfinite(cell.ser)
 
     def test_baselines_only_without_checkpoint(self, small_eval):
         from dataclasses import replace
@@ -111,7 +110,7 @@ class TestEvaluate:
         cfg = replace(small_eval, schemes=("rrc_fdss", "dftsofdm"))
         result = evaluate(None, cfg, ChainConfig())
         cell = next(c for c in result.cells if c.scheme == "rrc_fdss")
-        assert cell.metrics.ser < 0.05  # 10 dB AWGN decodes almost everything
+        assert cell.ser < 0.05  # 10 dB AWGN decodes almost everything
         # shaping with the extension protected: lower PAPR than flat
         assert (
             result.summary["rrc_fdss"]["papr_at_ccdf_1e3_db"]
@@ -137,6 +136,39 @@ class TestEvaluate:
         result = evaluate(small_ckpt, eval_cfg, ChainConfig())
         assert len(result.cells) == 3 * 2 * 2 * 2
         assert sum(rows) == eval_cfg.ccdf_blocks + len(eval_cfg.mods) * eval_cfg.n_blocks
+
+    def test_channel_drawn_once_and_snr_blind_schemes_sent_once(
+        self, small_ckpt, monkeypatch
+    ):
+        # fades and noise are drawn once per (channel, mod, SNR) for all
+        # schemes; only tinyml's transmit depends on the SNR
+        eval_cfg = EvalConfig(
+            snr_db=(5.0, 10.0), channels=("awgn", "rayleigh"),
+            mods=("qpsk", "qam16"), n_blocks=20, ccdf_blocks=50, oobe_blocks=16,
+            seed=9, schemes=("tinyml", "rrc", "slm"),
+        )
+        fades = []
+        real_fade = channel.draw_fade
+
+        def counting_fade(*args, **kwargs):
+            fades.append(1)
+            return real_fade(*args, **kwargs)
+
+        grid_sends = Counter()
+        real_transmit = evaluation._SchemeEngine.transmit
+
+        def counting_transmit(self, scheme, data, snr_db):
+            if len(data["s_conv"]) == eval_cfg.n_blocks:  # not a CCDF chunk
+                grid_sends[scheme] += 1
+            return real_transmit(self, scheme, data, snr_db)
+
+        monkeypatch.setattr(channel, "draw_fade", counting_fade)
+        monkeypatch.setattr(evaluation._SchemeEngine, "transmit", counting_transmit)
+        result = evaluate(small_ckpt, eval_cfg, ChainConfig())
+        n_mods, n_snrs = len(eval_cfg.mods), len(eval_cfg.snr_db)
+        assert len(result.cells) == 3 * 2 * n_mods * n_snrs
+        assert len(fades) == len(eval_cfg.channels) * n_mods * n_snrs * eval_cfg.n_blocks
+        assert grid_sends == {"tinyml": n_mods * n_snrs, "rrc": n_mods, "slm": n_mods}
 
     def test_cell_order_is_scheme_channel_mod_snr(self, small_ckpt):
         eval_cfg = EvalConfig(
@@ -173,5 +205,5 @@ class TestEvaluate:
             schemes=("dftsofdm",),
         )
         cell = evaluate(None, eval_cfg, ChainConfig()).cells[0]
-        sem = math.sqrt(theory * (1 - theory) / cell.metrics.ser_total)
-        assert abs(cell.metrics.ser - theory) <= 3 * sem
+        sem = math.sqrt(theory * (1 - theory) / cell.ser_total)
+        assert abs(cell.ser - theory) <= 3 * sem

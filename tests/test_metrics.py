@@ -6,15 +6,12 @@ import pytest
 from tinyfdss.chain import ModScheme, extend, map_symbols, precode, time_signal
 from tinyfdss.filters import rrc_taps, unit_taps
 from tinyfdss.metrics import (
-    RunMetrics,
     empirical_ccdf,
     measured_ser,
-    mse_e,
     oobe_db,
     papr_at_ccdf,
     papr_db,
-    surrogate_p,
-    tail_p,
+    surrogate_blocks,
 )
 
 
@@ -85,55 +82,32 @@ class TestEmpiricalCcdf:
             empirical_ccdf(np.array([]), np.array([1.0]))
 
 
-class TestTailP:
-    def test_all_below_threshold(self):
-        assert tail_p(np.array([3.0, 5.0, 5.9])) == 0.0
-
-    def test_single_sample_rectangle(self):
-        # one sample at 8 dB: CCDF is 1 on [6, 8), 0 after -> area 2
-        assert tail_p(np.array([8.0]), 6.0, 20.0) == pytest.approx(2.0, abs=0.1)
-
-    def test_hinge_identity(self, rng):
-        samples = rng.uniform(2.0, 15.0, 400)
-        integral = tail_p(samples, 6.0, 20.0, grid_step_db=0.1)
-        hinge = np.mean(np.maximum(0.0, np.minimum(samples, 20.0) - 6.0))
-        assert abs(integral - hinge) <= 2 * 0.1
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            tail_p(np.array([1.0]), 6.0, 5.0)
-
-
 class TestSurrogateP:
     def test_far_below_threshold_vanishes(self):
-        value, _ = surrogate_p(np.full(16, -4.0), x0_db=6.0, sharpness=4.0)
-        assert value < 1e-4
+        value = surrogate_blocks(np.full(16, -4.0), x0_db=6.0, sharpness=4.0)
+        assert np.all(value < 1e-4)
 
     def test_at_threshold(self):
         beta = 4.0
-        value, _ = surrogate_p(np.array([6.0]), x0_db=6.0, sharpness=beta)
-        assert value == pytest.approx(math.log(2.0) / beta, abs=1e-12)
+        value = surrogate_blocks(np.array([6.0]), x0_db=6.0, sharpness=beta)
+        assert value[0] == pytest.approx(math.log(2.0) / beta, abs=1e-12)
 
-    def test_gradient_matches_finite_differences(self, rng):
-        papr = rng.uniform(3.0, 9.0, 12)
-        value, grad = surrogate_p(papr, 6.0, 4.0)
-        h = 1e-6
-        for i in range(len(papr)):
-            pp, pm = papr.copy(), papr.copy()
-            pp[i] += h
-            pm[i] -= h
-            fd = (surrogate_p(pp, 6.0, 4.0)[0] - surrogate_p(pm, 6.0, 4.0)[0]) / (2 * h)
-            assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-10)
+    def test_approaches_hinge_as_sharpness_grows(self, rng):
+        # softplus_b(z) - max(0, z) = log1p(exp(-b|z|))/b lies in (0, log(2)/b]
+        papr = rng.uniform(2.0, 15.0, 400)
+        hinge = np.maximum(0.0, papr - 6.0)
+        gaps = [np.max(surrogate_blocks(papr, 6.0, b) - hinge) for b in (1.0, 10.0, 100.0)]
+        assert gaps[0] > gaps[1] > gaps[2] > 0.0
+        assert gaps[2] <= math.log(2.0) / 100.0
 
     def test_rejects_bad_sharpness(self):
         with pytest.raises(ValueError):
-            surrogate_p(np.array([1.0]), sharpness=0.0)
+            surrogate_blocks(np.array([1.0]), sharpness=0.0)
 
 
 class TestErrorMetrics:
     def test_identical_vectors(self, rng):
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        assert mse_e(x, x) == 0.0
         ser, errors, total = measured_ser(x, x)
         assert ser == 0.0 and errors == 0 and total == 64
 
@@ -163,15 +137,9 @@ class TestErrorMetrics:
         sem = math.sqrt(theory * (1 - theory) / total)
         assert abs(ser - theory) <= 3 * sem
 
-    def test_mse_matches_oracle(self, rng):
-        a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        b = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        oracle = sum(abs(x - y) ** 2 for x, y in zip(a, b)) / 32
-        assert mse_e(a, b) == pytest.approx(oracle, rel=1e-12)
-
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            mse_e(np.ones(3), np.ones(4))
+            measured_ser(np.ones(3), np.ones(4))
 
 
 class TestOobe:
@@ -212,17 +180,3 @@ class TestPaprAtCcdf:
     def test_rejects_bad_prob(self):
         with pytest.raises(ValueError):
             papr_at_ccdf(np.array([1.0]), 0.0)
-
-
-class TestRunMetrics:
-    def test_validate_catches_ser_outside_unit_interval(self):
-        with pytest.raises(ValueError, match="SER"):
-            RunMetrics(ser=1.5).validate()
-
-    def test_validate_accepts_good_run(self):
-        run = RunMetrics(
-            papr_db_samples=np.array([5.0, 6.0]),
-            ser=0.01,
-            tail_p=0.2,
-        )
-        run.validate()
