@@ -16,6 +16,7 @@ import numpy as np
 
 from . import network
 from .chain import (
+    SCHEME_NAMES,
     ChainConfig,
     ModScheme,
     detect_symbols,
@@ -99,6 +100,27 @@ def adaptation_cycle(
     return bins, eff_taps
 
 
+@dataclass(frozen=True)
+class AdaptConfig:
+    """The ``adapt`` command: feedback period, preset trace and modulation."""
+
+    period_ms: float = DEFAULT_PERIOD_MS
+    preset: str = "factory"
+    duration_ms: float = 2000.0
+    trace: str | None = None  # trace CSV path; the preset is used when unset
+    mod: str = "qpsk"
+
+    def __post_init__(self):
+        if not 0.0 < self.period_ms < math.inf:
+            raise ValueError(f"period_ms must be positive and finite, got {self.period_ms}")
+        if not 0.0 <= self.duration_ms < math.inf:
+            raise ValueError(f"duration_ms must be finite and >= 0, got {self.duration_ms}")
+        if self.preset not in PRESET_TRACES:
+            raise ValueError(f"preset must be in {sorted(PRESET_TRACES)}, got {self.preset!r}")
+        if self.mod not in SCHEME_NAMES:
+            raise ValueError(f"mod must be in {sorted(SCHEME_NAMES)}, got {self.mod!r}")
+
+
 @dataclass
 class TickRecord:
     t_ms: float
@@ -108,7 +130,8 @@ class TickRecord:
     ser_block: float
 
 
-def preset_trace(name: str, duration_ms: float = 2000.0, period_ms: float = DEFAULT_PERIOD_MS):
+def preset_trace(name: str, duration_ms: float = AdaptConfig.duration_ms,
+                 period_ms: float = DEFAULT_PERIOD_MS):
     """Constant-SNR feedback traces for the narrative scenarios."""
     if name not in PRESET_TRACES:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESET_TRACES)}")

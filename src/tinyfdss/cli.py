@@ -1,10 +1,10 @@
 """Experiment runner: train / eval / sweep / adapt / baselines subcommands.
 
-Configuration is a JSON file with explicit sections; unknown keys are
-rejected with the offending key named.  ``--seed`` and ``--out`` override the
-config, and the environment variables TINYFDSS_OUT and TINYFDSS_THREADS
-override the output directory and worker count.  All figure data lands in
-plain CSV next to a ``summary.json``; reruns with identical config and seed
+Configuration is a JSON file whose sections are each parsed by one rule
+into a frozen dataclass; an unknown key, a value of the wrong JSON type or
+one the dataclass rejects raises :class:`ConfigError` naming the key.
+``--seed`` and ``--out`` override the config.  All figure data lands in plain
+CSV next to a ``summary.json``; reruns with identical config and seed
 reproduce every output byte for byte (the wall_seconds telemetry column in
 history.csv is the one non-deterministic field).
 """
@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .adaptation import LambdaTable, preset_trace, run_scenario
+from .adaptation import AdaptConfig, preset_trace, run_scenario
 from .baselines import ClfConfig, SlmConfig
 from .chain import SCHEME_NAMES, ChainConfig
 from .evaluation import BASELINESCHEME_NAMES, EvalConfig, evaluate
@@ -34,114 +34,119 @@ from .training import (
 )
 
 CHECKPOINT_NAME = "checkpoint.bin"
+_TOP_KEYS = {"seed", "out_dir", "checkpoint", "chain", "train", "eval", "baselines", "adapt",
+             "sweep"}
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending key."""
 
 
-def _field_names(cls) -> set:
-    return {f.name for f in fields(cls)}
+@dataclass(frozen=True)
+class SweepConfig:
+    """Hidden widths the ``sweep`` command trains; width 0 is the perceptron."""
+
+    hidden_widths: tuple[int, ...] = (5, 10, 20, 0)
+
+    def __post_init__(self):
+        if any(width < 0 for width in self.hidden_widths):
+            raise ValueError(f"hidden_widths must be >= 0, got {list(self.hidden_widths)}")
 
 
-# each section accepts its config's fields, less those load_config sets itself
-_CHAIN_KEYS = _field_names(ChainConfig)
-_TRAIN_KEYS = _field_names(TrainConfig) - {"seed", "chain"}
-_EVAL_KEYS = _field_names(EvalConfig) - {"seed", "clf", "slm"}
-_BASELINE_KEYS = {"clf", "slm"}
-_CLF_KEYS = _field_names(ClfConfig)
-_SLM_KEYS = _field_names(SlmConfig)
-_ADAPT_KEYS = {"period_ms", "preset", "duration_ms", "trace", "mod"}
-_SWEEP_KEYS = {"hidden_widths"}
-_TOP_KEYS = {
-    "seed", "out_dir", "checkpoint", "chain", "train", "eval", "baselines",
-    "adapt", "sweep",
-}
-
-
-def _check_keys(section: dict, allowed: set, path: str) -> None:
-    for key in section:
+def _object(raw, allowed, path: str) -> dict:
+    """``raw`` as a JSON object whose keys all lie in ``allowed``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must be an object, got {json.dumps(raw)}")
+    for key in raw:
         if key not in allowed:
-            raise ConfigError(f"unknown config key {path}{key!r}")
+            raise ConfigError(f"unknown config key {key!r} in {path}")
+    return raw
 
 
-def _mix_tuple(value, path: str) -> tuple:
-    if isinstance(value, dict):
-        return tuple(sorted((str(k), float(v)) for k, v in value.items()))
-    raise ConfigError(f"{path} must be an object of name -> weight")
+def _typed(value, default, path: str):
+    """``value`` checked against the JSON type of ``default``.
+
+    Numbers are kept as given (a float field also takes an int); a list
+    becomes a tuple with each item checked against ``default[0]``; an object
+    of name -> weight becomes the sorted (name, weight) pairs of a mix.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = number and not isinstance(value, float), "an integer"
+    elif isinstance(default, float):
+        ok = number and (isinstance(value, float) or abs(value) <= sys.float_info.max)
+        kind = "a number"
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    elif default is None:
+        ok, kind = value is None or isinstance(value, str), "a string or null"
+    elif isinstance(default[0], tuple):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be an object of name -> weight, "
+                              f"got {json.dumps(value)}")
+        return tuple(sorted(
+            (name, float(_typed(w, default[0][1], f"{path}.{name}")))
+            for name, w in value.items()
+        ))
+    else:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {json.dumps(value)}")
+        return tuple(_typed(v, default[0], f"{path}[{i}]") for i, v in enumerate(value))
+    if not ok:
+        raise ConfigError(f"{path} must be {kind}, got {json.dumps(value)}")
+    return value
 
 
-def load_config(path: str | Path) -> dict:
-    """Parse and validate the experiment config into constructed objects."""
+def _section(cls, raw, path: str, **fixed):
+    """Build the dataclass ``cls`` from the JSON object at ``path``.
+
+    The object may hold any field of ``cls`` except those in ``fixed``,
+    which the caller sets; a missing field keeps its default.
+    """
+    defaults = {f.name: f.default for f in fields(cls) if f.name not in fixed}
+    kwargs = {
+        key: _typed(value, defaults[key], f"{path}.{key}")
+        for key, value in _object(raw, defaults, path).items()
+    }
+    try:
+        return cls(**fixed, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def load_config(path: str | Path, seed: int | None = None) -> dict:
+    """Parse and validate the experiment config into constructed objects.
+
+    ``seed``, when given, replaces the config's seed everywhere it is used.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "")
-
-    seed = int(raw.get("seed", 0))
-    out_dir = raw.get("out_dir", "runs/default")
-
-    chain_raw = raw.get("chain", {})
-    _check_keys(chain_raw, _CHAIN_KEYS, "chain.")
-    try:
-        chain_cfg = ChainConfig(**chain_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"chain: {exc}")
-
-    train_raw = dict(raw.get("train", {}))
-    _check_keys(train_raw, _TRAIN_KEYS, "train.")
-    if "snr_range_db" in train_raw:
-        train_raw["snr_range_db"] = tuple(train_raw["snr_range_db"])
-    for mix in ("channel_mix", "mod_mix"):
-        if mix in train_raw:
-            train_raw[mix] = _mix_tuple(train_raw[mix], f"train.{mix}")
-    try:
-        train_cfg = TrainConfig(seed=seed, chain=chain_cfg, **train_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train: {exc}")
-
-    base_raw = raw.get("baselines", {})
-    _check_keys(base_raw, _BASELINE_KEYS, "baselines.")
-    clf_raw = base_raw.get("clf", {})
-    _check_keys(clf_raw, _CLF_KEYS, "baselines.clf.")
-    slm_raw = base_raw.get("slm", {})
-    _check_keys(slm_raw, _SLM_KEYS, "baselines.slm.")
-    try:
-        clf_cfg = ClfConfig(**clf_raw)
-        slm_cfg = SlmConfig(**slm_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"baselines: {exc}")
-
-    eval_raw = dict(raw.get("eval", {}))
-    _check_keys(eval_raw, _EVAL_KEYS, "eval.")
-    for key in ("snr_db", "channels", "mods", "schemes", "ccdf_grid_db"):
-        if key in eval_raw:
-            eval_raw[key] = tuple(eval_raw[key])
-    try:
-        eval_cfg = EvalConfig(seed=seed, clf=clf_cfg, slm=slm_cfg, **eval_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"eval: {exc}")
-
-    adapt_raw = raw.get("adapt", {})
-    _check_keys(adapt_raw, _ADAPT_KEYS, "adapt.")
-    sweep_raw = raw.get("sweep", {})
-    _check_keys(sweep_raw, _SWEEP_KEYS, "sweep.")
-    widths = tuple(sweep_raw.get("hidden_widths", (5, 10, 20, 0)))
-
+    _object(raw, _TOP_KEYS, "config root")
+    config_seed = _typed(raw.get("seed", 0), 0, "seed")
+    seed = config_seed if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    chain = _section(ChainConfig, raw.get("chain", {}), "chain")
+    baselines = _object(raw.get("baselines", {}), {"clf", "slm"}, "baselines")
     return {
         "seed": seed,
-        "out_dir": out_dir,
-        "checkpoint": raw.get("checkpoint"),
-        "chain": chain_cfg,
-        "train": train_cfg,
-        "eval": eval_cfg,
-        "adapt": dict(adapt_raw),
-        "sweep_widths": widths,
+        "out_dir": _typed(raw.get("out_dir", "runs/default"), "", "out_dir"),
+        "checkpoint": _typed(raw.get("checkpoint"), None, "checkpoint"),
+        "chain": chain,
+        "train": _section(TrainConfig, raw.get("train", {}), "train", seed=seed, chain=chain),
+        "eval": _section(
+            EvalConfig, raw.get("eval", {}), "eval", seed=seed,
+            clf=_section(ClfConfig, baselines.get("clf", {}), "baselines.clf"),
+            slm=_section(SlmConfig, baselines.get("slm", {}), "baselines.slm"),
+        ),
+        "adapt": _section(AdaptConfig, raw.get("adapt", {}), "adapt"),
+        "sweep": _section(SweepConfig, raw.get("sweep", {}), "sweep"),
     }
 
 
@@ -217,10 +222,8 @@ def _write_eval_outputs(result, out: Path, eval_cfg: EvalConfig,
 def cmd_train(cfg: dict, out: Path) -> int:
     ckpt = train(cfg["train"], progress=True)
     save_checkpoint(out / CHECKPOINT_NAME, ckpt)
-    rows = []
-    for i, row in enumerate(ckpt.history):
-        wall = ckpt.wall_seconds[i] if ckpt.wall_seconds is not None else 0.0
-        rows.append((int(row[0]), *row[1:], wall))
+    rows = [(int(row[0]), *row[1:], wall)
+            for row, wall in zip(ckpt.history, ckpt.wall_seconds)]
     write_csv(out / "history.csv", [*HISTORY_COLUMNS, "wall_seconds"], rows)
     print(f"checkpoint written to {out / CHECKPOINT_NAME}")
     return 0
@@ -228,7 +231,7 @@ def cmd_train(cfg: dict, out: Path) -> int:
 
 def _load_checkpoint(cfg: dict, out: Path, flag: str | None) -> tuple[Path, Checkpoint]:
     """Find and load the checkpoint; reject one whose net does not fit the chain."""
-    for candidate in (flag, cfg.get("checkpoint"), out / CHECKPOINT_NAME):
+    for candidate in (flag, cfg["checkpoint"], out / CHECKPOINT_NAME):
         if candidate is not None and Path(candidate).exists():
             path = Path(candidate)
             break
@@ -246,44 +249,34 @@ def _load_checkpoint(cfg: dict, out: Path, flag: str | None) -> tuple[Path, Chec
     return path, ckpt
 
 
-def cmd_eval(cfg: dict, out: Path, threads: int, checkpoint_flag: str | None) -> int:
+def cmd_eval(cfg: dict, out: Path, checkpoint_flag: str | None) -> int:
     path, ckpt = _load_checkpoint(cfg, out, checkpoint_flag)
-    result = evaluate(ckpt, cfg["eval"], cfg["chain"], threads=threads)
+    result = evaluate(ckpt, cfg["eval"], cfg["chain"])
     _write_eval_outputs(result, out, cfg["eval"], str(path))
     print(f"evaluation outputs written to {out}")
     return 0
 
 
-def cmd_baselines(cfg: dict, out: Path, threads: int) -> int:
-    eval_cfg = cfg["eval"]
-    schemes = tuple(s for s in eval_cfg.schemes if s != "tinyml")
-    if not schemes:
-        schemes = BASELINESCHEME_NAMES
-    eval_cfg = replace(eval_cfg, schemes=schemes)
-    result = evaluate(None, eval_cfg, cfg["chain"], threads=threads)
+def cmd_baselines(cfg: dict, out: Path) -> int:
+    schemes = tuple(s for s in cfg["eval"].schemes if s != "tinyml")
+    eval_cfg = replace(cfg["eval"], schemes=schemes or BASELINESCHEME_NAMES)
+    result = evaluate(None, eval_cfg, cfg["chain"])
     _write_eval_outputs(result, out, eval_cfg, None)
     print(f"baseline outputs written to {out}")
     return 0
 
 
-def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
+def cmd_sweep(cfg: dict, out: Path) -> int:
     eval_cfg = cfg["eval"]
     columns: dict[str, np.ndarray] = {}
-    grid = None
-    for width in cfg["sweep_widths"]:
-        train_cfg = replace(cfg["train"], hidden_width=int(width))
-        ckpt = train(train_cfg)
+    for width in cfg["sweep"].hidden_widths:
+        ckpt = train(replace(cfg["train"], hidden_width=width))
         label = f"hidden{width}" if width > 0 else "perceptron"
-        result = evaluate(
-            ckpt, replace(eval_cfg, schemes=("tinyml",)), cfg["chain"], threads=threads
-        )
-        grid = result.ccdf_grid_db
+        result = evaluate(ckpt, replace(eval_cfg, schemes=("tinyml",)), cfg["chain"])
         columns[label] = result.ccdf["tinyml"]
         print(f"{label}: papr@1e-3 = {result.summary['tinyml']['papr_at_ccdf_1e3_db']:.3f} dB")
-    base = evaluate(
-        None, replace(eval_cfg, schemes=("rrc", "dftsofdm")), cfg["chain"],
-        threads=threads,
-    )
+    base = evaluate(None, replace(eval_cfg, schemes=("rrc", "dftsofdm")), cfg["chain"])
+    grid = base.ccdf_grid_db
     columns["rrc"] = base.ccdf["rrc"]
     columns["dftsofdm"] = base.ccdf["dftsofdm"]
     names = list(columns)
@@ -299,35 +292,38 @@ def cmd_sweep(cfg: dict, out: Path, threads: int) -> int:
     return 0
 
 
-def _load_trace(cfg: dict, flag: str | None) -> list[tuple[float, float]]:
-    adapt = cfg["adapt"]
-    trace_path = flag or adapt.get("trace")
-    if trace_path:
-        rows = []
-        text = Path(trace_path).read_text().strip().splitlines()
-        start = 1 if text and text[0].lower().startswith("t_ms") else 0
-        for line in text[start:]:
-            if not line.strip():
-                continue
-            t_ms, snr_db = line.split(",")[:2]
-            rows.append((float(t_ms), float(snr_db)))
-        return rows
-    preset = adapt.get("preset", "factory")
-    return preset_trace(preset, duration_ms=float(adapt.get("duration_ms", 2000.0)),
-                        period_ms=float(adapt.get("period_ms", 100.0)))
+def _load_trace(path: str | Path) -> list[tuple[float, float]]:
+    """``(t_ms, snr_db)`` rows of a trace CSV; a ``t_ms`` header line is skipped.
+
+    A row that does not start with two finite numbers raises ValueError
+    naming the file and the line.
+    """
+    lines = [(n, line) for n, line in enumerate(Path(path).read_text().splitlines(), 1)
+             if line.strip()]
+    if lines and lines[0][1].lstrip().lower().startswith("t_ms"):
+        lines = lines[1:]
+    rows = []
+    for n, line in lines:
+        try:
+            t_ms, snr_db = (float(v) for v in line.split(",")[:2])
+        except ValueError:
+            raise ValueError(f"{path} line {n}: expected t_ms,snr_db, got {line!r}") from None
+        if not (math.isfinite(t_ms) and math.isfinite(snr_db)):
+            raise ValueError(f"{path} line {n}: non-finite value in {line!r}")
+        rows.append((t_ms, snr_db))
+    return rows
 
 
 def cmd_adapt(cfg: dict, out: Path, checkpoint_flag: str | None,
               trace_flag: str | None) -> int:
     _, ckpt = _load_checkpoint(cfg, out, checkpoint_flag)
     net = ckpt.deployed_net(cfg["eval"].use_quantized)
-    trace = _load_trace(cfg, trace_flag)
-    mod = SCHEME_NAMES[cfg["adapt"].get("mod", "qpsk")]
-    records = run_scenario(
-        trace, net, cfg["chain"], scheme=mod, seed=cfg["seed"],
-        period_ms=float(cfg["adapt"].get("period_ms", 100.0)),
-        table=LambdaTable(),
-    )
+    adapt = cfg["adapt"]
+    trace_path = trace_flag or adapt.trace
+    trace = (_load_trace(trace_path) if trace_path else
+             preset_trace(adapt.preset, float(adapt.duration_ms), float(adapt.period_ms)))
+    records = run_scenario(trace, net, cfg["chain"], scheme=SCHEME_NAMES[adapt.mod],
+                           seed=cfg["seed"], period_ms=float(adapt.period_ms))
     write_csv(
         out / "events.csv",
         ["t_ms", "snr_db", "lambda", "papr_db", "ser_block"],
@@ -356,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; has no effect")
         if name in ("eval", "adapt"):
             p.add_argument("--checkpoint", default=None, help="checkpoint file")
         if name == "adapt":
@@ -367,39 +364,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-        cfg["train"] = replace(cfg["train"], seed=args.seed)
-        cfg["eval"] = replace(cfg["eval"], seed=args.seed)
-
-    out_dir = args.out or os.environ.get("TINYFDSS_OUT") or cfg["out_dir"]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("TINYFDSS_THREADS", "1"))
-
-    try:
+        cfg = load_config(args.config, seed=args.seed)
+        out = Path(args.out or cfg["out_dir"])
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "train":
             return cmd_train(cfg, out)
         if args.command == "eval":
-            return cmd_eval(cfg, out, threads, args.checkpoint)
+            return cmd_eval(cfg, out, args.checkpoint)
         if args.command == "baselines":
-            return cmd_baselines(cfg, out, threads)
+            return cmd_baselines(cfg, out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out, threads)
+            return cmd_sweep(cfg, out)
         if args.command == "adapt":
             return cmd_adapt(cfg, out, args.checkpoint, args.trace)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

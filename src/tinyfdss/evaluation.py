@@ -28,7 +28,6 @@ exact per occupied bin.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -96,6 +95,8 @@ class EvalConfig:
         for name in self.channels:
             if name not in MODEL_NAMES:
                 raise ValueError(f"unknown channel {name!r}")
+        if not self.mods:
+            raise ValueError("mods must name at least one modulation")
         for name in self.mods:
             if name not in SCHEME_NAMES:
                 raise ValueError(f"unknown modulation {name!r}")
@@ -105,6 +106,9 @@ class EvalConfig:
             raise ValueError(f"snr_db must hold finite values, got {list(self.snr_db)}")
         if not np.isfinite(self.ccdf_snr_db):
             raise ValueError(f"ccdf_snr_db must be finite, got {self.ccdf_snr_db}")
+        grid = self.ccdf_grid_db
+        if len(grid) != 3 or not np.all(np.isfinite(grid)) or grid[2] <= 0:
+            raise ValueError(f"ccdf_grid_db must be finite (lo, hi, step > 0), got {list(grid)}")
 
 
 @dataclass
@@ -292,13 +296,11 @@ def evaluate(
     checkpoint: Checkpoint | None,
     eval_cfg: EvalConfig,
     chain_cfg: ChainConfig | None = None,
-    threads: int = 1,
 ) -> EvalResult:
     """Full evaluation: the CCDF pass plus the (scheme, channel, mod, SNR) grid.
 
-    ``threads`` parallelizes over independent (scheme, mod) groups; results
-    are collected in a fixed order, so the thread count never changes any
-    output.
+    The grid runs one (scheme, mod) group after another; cells are listed in
+    (scheme, channel, mod, SNR) order.
     """
     cfg = chain_cfg if chain_cfg is not None else ChainConfig()
     engine = _SchemeEngine(cfg, eval_cfg, checkpoint)
@@ -312,17 +314,10 @@ def evaluate(
     indices = np.arange(eval_cfg.n_blocks)
     data = {mod: engine.data_symbols(mod, indices) for mod in eval_cfg.mods}
     draws = _draw_channels(eval_cfg, cfg.n_fft)
-    groups = list(product(schemes, eval_cfg.mods))
-
-    def run(group):
-        scheme, mod = group
-        return _run_group(engine, scheme, mod, data[mod], draws)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            by_group = dict(zip(groups, pool.map(run, groups)))
-    else:
-        by_group = {group: run(group) for group in groups}
+    by_group = {
+        (scheme, mod): _run_group(engine, scheme, mod, data[mod], draws)
+        for scheme, mod in product(schemes, eval_cfg.mods)
+    }
     cells = [
         by_group[scheme, mod][channel_name, snr_i]
         for scheme in schemes

@@ -41,7 +41,7 @@ from .chain import (
     shape_and_normalize,
     time_signal,
 )
-from .channel import MODEL_NAMES, ChannelModel, draw_fade
+from .channel import MODEL_NAMES, ChannelCfg, ChannelModel, draw_channel
 from .filters import coeff_basis, taps_from_coeffs
 from .metrics import TAIL_X0_DB, surrogate_blocks
 
@@ -75,6 +75,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.n_blocks <= 0 or self.batch_size <= 0 or self.epochs <= 0:
             raise ValueError("n_blocks, batch_size, and epochs must be positive")
+        if len(self.snr_range_db) != 2 or not np.all(np.isfinite(self.snr_range_db)):
+            raise ValueError(
+                f"snr_range_db must be two finite values, got {list(self.snr_range_db)}"
+            )
         if self.snr_range_db[0] > self.snr_range_db[1]:
             raise ValueError(f"snr range out of order: {self.snr_range_db}")
         if self.prune_mode not in ("target", "schedule", "none"):
@@ -85,7 +89,7 @@ class TrainConfig:
                 if name not in table:
                     raise ValueError(f"unknown {mix} entry {name!r}")
             total = sum(w for _, w in pairs)
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"{mix} weights sum to {total}, expected 1")
         if not self.surrogate_sharpness > 0.0:
             raise ValueError(
@@ -203,14 +207,13 @@ def prepare_batch(
         draw = generate_block(rng, config)
         symbols[row] = map_symbols(draw.bits, draw.scheme)
         # channel draw: fade then per-occupied-bin noise at fixed transmit power
-        h = draw_fade(draw.model, rng, 10.0 ** (config.rician_k_db / 10.0))
-        noise = (
-            rng.standard_normal(cfg.n_sk) + 1j * rng.standard_normal(cfg.n_sk)
-        ) / np.sqrt(2.0)
+        h, noise = draw_channel(
+            ChannelCfg(draw.model, draw.snr_db, config.rician_k_db), cfg.n_sk, rng
+        )
         snr[row] = draw.snr_db
         lam[row] = table.lookup(draw.snr_db)
         # sigma^2 per occupied bin with unit reference power; scaled below
-        eta[row] = noise * 10.0 ** (-draw.snr_db / 20.0) / h
+        eta[row] = noise / np.sqrt(2.0) * 10.0 ** (-draw.snr_db / 20.0) / h
     s_ext = extend(precode(symbols), cfg.n_se)
     # reference transmit power: unshaped occupied power per block
     p_ref = np.mean(np.abs(s_ext) ** 2, axis=-1)

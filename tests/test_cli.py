@@ -1,11 +1,16 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from tinyfdss.cli import ConfigError, load_config, main
+from tinyfdss.adaptation import AdaptConfig
+from tinyfdss.cli import ConfigError, SweepConfig, build_parser, load_config, main
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 SMOKE_CONFIG = {
     "seed": 3,
@@ -102,12 +107,105 @@ class TestConfig:
         assert code == 2
         assert f"error: eval: {key} must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, value, message", [
+        ("train", "seed", "x", 'seed must be an integer, got "x"'),
+        ("train", "seed", 1.7, "seed must be an integer, got 1.7"),
+        ("train", "seed", -1, "seed must be non-negative, got -1"),
+        ("train", "eval", {"snr_db": 5}, "eval.snr_db must be a list, got 5"),
+        ("train", "train", {"snr_range_db": 5}, "train.snr_range_db must be a list"),
+        ("train", "train", {"channel_mix": {"awgn": "a"}},
+         'train.channel_mix.awgn must be a number, got "a"'),
+        ("train", "sweep", {"hidden_widths": 5}, "sweep.hidden_widths must be a list"),
+        ("train", "eval", [], "eval must be an object, got []"),
+        ("train", "eval", {"n_blocks": 1.5}, "eval.n_blocks must be an integer, got 1.5"),
+        ("adapt", "adapt", {"mod": "qam256"}, "adapt: mod must be in"),
+        ("adapt", "adapt", {"period_ms": 0}, "adapt: period_ms must be positive"),
+        ("adapt", "adapt", {"period_ms": "x"}, 'adapt.period_ms must be a number, got "x"'),
+        ("adapt", "adapt", {"duration_ms": -5}, "adapt: duration_ms must be finite and >= 0"),
+        ("train", "train", {"snr_range_db": [0.0, float("inf")]},
+         "train: snr_range_db must be two finite values"),
+        ("train", "train", {"snr_range_db": [float("nan"), 5.0]},
+         "train: snr_range_db must be two finite values"),
+        ("train", "train", {"channel_mix": {"awgn": float("nan"), "rayleigh": 0.5}},
+         "train: channel_mix weights sum to nan"),
+        ("train", "eval", {"mods": []}, "eval: mods must name at least one"),
+        ("train", "eval", {"ccdf_grid_db": [0.0, 12.0, 0.0]}, "eval: ccdf_grid_db must be"),
+        ("train", "eval", {"use_quantized": 1}, "eval.use_quantized must be true or false"),
+        ("train", "checkpoint", 5, "checkpoint must be a string or null, got 5"),
+        ("train", "baselines", {"clf": {"iterations": 0}}, "baselines.clf: iterations"),
+        ("train", "baselines", {"dft": {}}, "unknown config key 'dft' in baselines"),
+        ("train", "adapt", {"preset": "moon"}, "adapt: preset must be in"),
+        ("train", "sweep", {"hidden_widths": [5, -1]}, "sweep: hidden_widths must be >= 0"),
+    ], ids=[
+        "seed-str", "seed-float", "seed-negative", "snr_db-scalar", "snr_range_db-scalar",
+        "channel_mix-str-weight", "hidden_widths-scalar", "eval-list", "n_blocks-float",
+        "adapt-mod", "period_ms-zero", "period_ms-str", "duration_ms-negative",
+        "snr_range_db-inf", "snr_range_db-nan", "channel_mix-nan-weight", "mods-empty",
+        "ccdf_grid_db-zero-step", "use_quantized-int", "checkpoint-int", "clf-iterations",
+        "baselines-unknown", "adapt-preset", "hidden_widths-negative",
+    ])
+    def test_malformed_value_exits_2_naming_the_key(
+        self, tmp_path, capsys, command, section, value, message
+    ):
+        path = tmp_path / "bad.json"
+        if isinstance(value, dict):
+            value = dict(SMOKE_CONFIG.get(section, {}), **value)
+        path.write_text(json.dumps(dict(SMOKE_CONFIG, **{section: value})))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()  # rejected before anything ran
+
     def test_defaults_fill_in(self, tmp_path):
         path = tmp_path / "minimal.json"
         path.write_text("{}")
         cfg = load_config(path)
         assert cfg["train"].n_blocks == 10_000
         assert cfg["eval"].schemes == ("tinyml", "rrc", "dftsofdm", "clf", "slm")
+        assert cfg["adapt"] == AdaptConfig()
+        assert cfg["sweep"] == SweepConfig()
+
+    def test_seed_override_reaches_every_section(self, config_path):
+        cfg = load_config(config_path, seed=7)
+        assert cfg["seed"] == cfg["train"].seed == cfg["eval"].seed == 7
+        assert load_config(config_path)["train"].seed == SMOKE_CONFIG["seed"]
+
+    def test_negative_seed_flag_rejected(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(config_path), "--out", str(out), "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+        assert not out.exists()
+
+    def test_float_fields_keep_ints_as_given(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"eval": {"snr_db": [5, 10]}, "adapt": {"period_ms": 50}}))
+        cfg = load_config(path)
+        assert [type(v) for v in cfg["eval"].snr_db] == [int, int]
+        assert cfg["adapt"].period_ms == 50
+
+
+class TestBenchmarkInvocations:
+    """The CLI calls the benchmark makes still parse (``perfbench/workloads.py``)."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "adapt"])
+    def test_workload_cli_args_parse(self, tmp_path, monkeypatch, command):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses resolve their module through sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        checkpoint = None if command == "train" else tmp_path / "checkpoint.bin"
+        args = build_parser().parse_args(workloads.cli_args(command, tmp_path, checkpoint))
+        assert args.command == command
+        assert args.config == str(tmp_path / "config.json")
+        assert args.threads == 1
+        if checkpoint is not None:
+            assert args.checkpoint == str(checkpoint)
+        if command == "adapt":
+            assert args.trace == str(tmp_path / "trace.csv")
 
 
 class TestTrainCommand:
