@@ -1,10 +1,9 @@
-"""Show the sparsity schedule arithmetic and the int8 quantization error.
+"""Show magnitude pruning to the target sparsity and the int8 quantization error.
 
-Iterative magnitude pruning removes the smallest 20% of live weights per
-round (2460 -> 1968 -> 1574 -> 1259 -> 1007 -> 805), while the target mode
-lands exactly on 492 live weights (80% sparsity).  Symmetric per-tensor
-quantization maps each weight range onto int8 with at most half a step of
-round-trip error, and the checkpoint file reloads bit-exactly.
+Global magnitude pruning masks the smallest live weights across both layers
+until exactly 492 of the 2460 weights stay live (80% sparsity).  Symmetric
+per-tensor quantization maps each weight range onto int8 with at most half a
+step of round-trip error, and the checkpoint file reloads bit-exactly.
 """
 
 import tempfile
@@ -19,44 +18,36 @@ params = network.init_params(hidden_width=10, rng=rng)
 params.w1 = rng.standard_normal(params.w1.shape) * 0.2
 params.w2 = rng.standard_normal(params.w2.shape) * 0.2
 
-print("schedule mode, 20% of remaining per round:")
-counts = [network.live_weight_count(params)]
-for _ in range(5):
-    network.prune_step(params, 0.2)
-    counts.append(network.live_weight_count(params))
-print("  live:", " -> ".join(str(c) for c in counts))
+total = network.total_weight_count(params)
+network.prune_to(params, 0.8)
+print(f"target mode, 80% sparsity: {network.live_weight_count(params)} of {total} "
+      "weights live")
 
-params2 = network.init_params(hidden_width=10, rng=np.random.default_rng(1))
-params2.w1 = rng.standard_normal(params2.w1.shape) * 0.2
-params2.w2 = rng.standard_normal(params2.w2.shape) * 0.2
-network.prune_to(params2, 0.8)
-print(f"target mode, 80% sparsity: {network.live_weight_count(params2)} live weights")
-
-qnet = network.quantize(params2)
-for label, w, q, scale in (
-    ("hidden", params2.w1 * params2.mask1, qnet.q1, qnet.scale1),
-    ("output", params2.w2 * params2.mask2, qnet.q2, qnet.scale2),
+qnet = network.quantize(params)
+for label, (w, _, mask), (q, scale, _, _) in zip(
+    ("hidden", "output"), params.layers(), qnet.layers()
 ):
-    err = np.max(np.abs(q.astype(float) * scale - w))
-    w_max = np.max(np.abs(w))
+    err = np.max(np.abs(q.astype(float) * scale - w * mask))
+    w_max = np.max(np.abs(w * mask))
     print(f"{label} layer: w_max {w_max:.4f}, scale {scale:.6f}, "
           f"max round-trip error {err:.2e} (bound {w_max / 254:.2e})")
 
 x = rng.standard_normal((1000, 241))
-dev = np.abs(network.forward(params2, x) - network.forward_q(qnet, x))
+dev = np.abs(network.forward(params, x) - network.forward_q(qnet, x))
 print(f"float vs int8 coefficient deviation over 1000 inputs: "
       f"max {dev.max():.2e}, mean {dev.mean():.2e}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "net.bin"
     # float32-representable weights round-trip the file bit-exactly
-    for name in ("w1", "b1", "w2", "b2"):
-        t = getattr(params2, name)
-        setattr(params2, name, t.astype(np.float32).astype(np.float64))
-    network.save_net(path, params2, qnet=network.quantize(params2))
+    params = network.NetParams.from_layers([
+        tuple(t.astype(np.float32).astype(np.float64) for t in layer)
+        for layer in params.layers()
+    ])
+    network.save_net(path, params, qnet=network.quantize(params))
     loaded = network.load_net(path)
     same = np.array_equal(
-        network.forward(loaded["params"], x), network.forward(params2, x)
+        network.forward(loaded["params"], x), network.forward(params, x)
     )
     print(f"checkpoint is {path.stat().st_size} bytes; "
           f"reload forward bit-exact: {same}")

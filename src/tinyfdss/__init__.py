@@ -51,7 +51,6 @@ from .network import (
     forward,
     forward_q,
     init_params,
-    prune_step,
     prune_to,
     quantize,
 )

@@ -115,16 +115,26 @@ def slm_select(
     """Pick the minimum-PAPR candidate per block.
 
     ``spectrum`` is (..., n_data) frequency-domain symbols; returns the chosen
-    time signals and candidate indices (first minimum on ties).
+    time signals and candidate indices (first minimum on ties).  Candidates
+    are tried one at a time against a running minimum, so memory holds one
+    oversampled candidate per block rather than all U.
     """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     single = spectrum.ndim == 1
     spec2 = spectrum.reshape(-1, spectrum.shape[-1])
-    candidates = spec2[:, None, :] * phases[None, :, :]  # (B, U, n_data)
-    x = time_signal(extend(candidates, cfg.n_se), cfg, oversample)
-    paprs = papr_db(x)  # (B, U)
-    idx = np.argmin(paprs, axis=-1)
-    chosen = x[np.arange(spec2.shape[0]), idx]
+
+    def candidate(u: int) -> tuple[np.ndarray, np.ndarray]:
+        x = time_signal(extend(spec2 * phases[u], cfg.n_se), cfg, oversample)
+        return x, papr_db(x)
+
+    chosen, best = candidate(0)
+    idx = np.zeros(spec2.shape[0], dtype=np.intp)
+    for u in range(1, len(phases)):
+        x, paprs = candidate(u)
+        better = paprs < best
+        chosen[better] = x[better]
+        best[better] = paprs[better]
+        idx[better] = u
     if single:
         return chosen[0], idx[0]
     return chosen, idx

@@ -58,7 +58,14 @@ from .chain import (
 )
 from .channel import MODEL_NAMES, ChannelCfg, add_channel, draw_channel
 from .filters import rrc_taps, taps_from_coeffs, unit_taps
-from .metrics import empirical_ccdf, measured_ser, oobe_db, papr_at_ccdf, papr_db
+from .metrics import (
+    OOBE_MIN_BLOCKS,
+    empirical_ccdf,
+    measured_ser,
+    oobe_db,
+    papr_at_ccdf,
+    papr_db,
+)
 from .training import Checkpoint
 
 ALLSCHEME_NAMES = ("tinyml", "rrc", "dftsofdm", "clf", "slm", "rrc_fdss")
@@ -102,6 +109,12 @@ class EvalConfig:
                 raise ValueError(f"unknown modulation {name!r}")
         if self.n_blocks < 1 or self.ccdf_blocks < 1:
             raise ValueError("block counts must be positive")
+        if self.papr_trace_blocks < 0:
+            raise ValueError(f"papr_trace_blocks must be >= 0, got {self.papr_trace_blocks}")
+        if self.oobe_blocks < OOBE_MIN_BLOCKS:
+            raise ValueError(
+                f"oobe_blocks must be >= {OOBE_MIN_BLOCKS}, got {self.oobe_blocks}"
+            )
         if not np.all(np.isfinite(self.snr_db)):
             raise ValueError(f"snr_db must hold finite values, got {list(self.snr_db)}")
         if not np.isfinite(self.ccdf_snr_db):

@@ -12,6 +12,7 @@ import numpy as np
 from .chain import ChainConfig
 
 TAIL_X0_DB = 6.0
+OOBE_MIN_BLOCKS = 10  # periodogram segments oobe_db averages at the least
 
 
 def papr_db(signal) -> float | np.ndarray:
@@ -88,8 +89,10 @@ def oobe_db(blocks: np.ndarray, cfg: ChainConfig, pad_factor: int = 4) -> float:
     floor (well below -40 dB for the Hann window at this grid size).
     """
     blocks = np.atleast_2d(np.asarray(blocks, dtype=np.complex128))
-    if blocks.shape[0] < 10:
-        raise ValueError(f"need at least 10 blocks for a stable PSD, got {blocks.shape[0]}")
+    if blocks.shape[0] < OOBE_MIN_BLOCKS:
+        raise ValueError(
+            f"need at least {OOBE_MIN_BLOCKS} blocks for a stable PSD, got {blocks.shape[0]}"
+        )
     n = blocks.shape[-1]
     if n % cfg.n_fft != 0:
         raise ValueError(f"block length {n} not a multiple of n_fft={cfg.n_fft}")

@@ -4,6 +4,13 @@ Architecture: input (240 bin magnitudes + scaled SNR) -> hidden ReLU layer ->
 linear output of polynomial coefficients.  ``hidden_width = 0`` degenerates to
 a single linear layer (the perceptron variant of the architecture sweep).
 
+A net is a list of dense layers, input side first: ``NetParams.layers()``
+gives (weights, bias, mask) per layer and ``QuantizedNet.layers()`` gives
+(int8 weights, scale, int32 bias, bias scale).  The forward pass, its
+gradient, AdamW, pruning, quantization and the checkpoint layout each loop
+over that list, so the layer count is data.  ``hidden_width``, ``input_dim``
+and ``out_dim`` are read from the weight shapes, never stored.
+
 Everything here is plain float64 numpy with explicit reverse-mode gradients:
 forward/backward are pure, parameter updates (AdamW, pruning) mutate in place
 under a single writer.  Binary masks enforce sparsity multiplicatively, so a
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -45,9 +53,58 @@ def build_input(
     return np.concatenate([mags, snr_feat[..., None]], axis=-1)
 
 
+def _layer_shapes(input_dim: int, hidden_width: int, out_dim: int) -> list[tuple[int, int]]:
+    """(fan_out, fan_in) of each weight matrix, input side first."""
+    widths = [input_dim, hidden_width, out_dim] if hidden_width > 0 else [input_dim, out_dim]
+    return list(zip(widths[1:], widths[:-1]))
+
+
+class _Layers:
+    """A net of one or two dense layers kept in per-layer dataclass fields.
+
+    ``FIELDS`` names a subclass's fields for the hidden layer and for the
+    output layer, weights first; a perceptron holds ``None`` in every
+    hidden-layer field.
+    """
+
+    FIELDS: tuple[tuple[str, ...], tuple[str, ...]]
+
+    @classmethod
+    def from_layers(cls, layers: list[tuple]):
+        """Build from one tuple per layer (``FIELDS`` order), input side first."""
+        if not 1 <= len(layers) <= len(cls.FIELDS):
+            raise ValueError(f"a net has 1 or 2 layers, got {len(layers)}")
+        absent = [(None,) * len(cls.FIELDS[0])] * (len(cls.FIELDS) - len(layers))
+        return cls(**{
+            name: value
+            for names, layer in zip(cls.FIELDS, absent + list(layers))
+            for name, value in zip(names, layer)
+        })
+
+    def layers(self) -> list[tuple]:
+        """One tuple per layer in ``FIELDS`` order, input side first."""
+        per_layer = [attrgetter(*names)(self) for names in self.FIELDS]
+        return [layer for layer in per_layer if layer[0] is not None]
+
+    @property
+    def input_dim(self) -> int:
+        return self.layers()[0][0].shape[1]
+
+    @property
+    def out_dim(self) -> int:
+        return self.layers()[-1][0].shape[0]
+
+    @property
+    def hidden_width(self) -> int:
+        """Units of the hidden layer; 0 for the perceptron."""
+        return sum(layer[0].shape[0] for layer in self.layers()[:-1])
+
+
 @dataclass
-class NetParams:
+class NetParams(_Layers):
     """Dense weights, biases, and the sparsity masks that shadow the weights."""
+
+    FIELDS = (("w1", "b1", "mask1"), ("w2", "b2", "mask2"))
 
     w1: np.ndarray | None
     b1: np.ndarray | None
@@ -55,34 +112,17 @@ class NetParams:
     b2: np.ndarray
     mask1: np.ndarray | None
     mask2: np.ndarray
-    hidden_width: int = HIDDEN_DEFAULT
-    input_dim: int = INPUT_DIM
-    out_dim: int = OUT_DIM
-
-    def weight_tensors(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(weights, mask) pairs in layer order; biases are never pruned."""
-        pairs = []
-        if self.hidden_width > 0:
-            pairs.append((self.w1, self.mask1))
-        pairs.append((self.w2, self.mask2))
-        return pairs
 
     def copy(self) -> "NetParams":
-        return NetParams(
-            w1=None if self.w1 is None else self.w1.copy(),
-            b1=None if self.b1 is None else self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2.copy(),
-            mask1=None if self.mask1 is None else self.mask1.copy(),
-            mask2=self.mask2.copy(),
-            hidden_width=self.hidden_width,
-            input_dim=self.input_dim,
-            out_dim=self.out_dim,
+        return NetParams.from_layers(
+            [tuple(t.copy() for t in layer) for layer in self.layers()]
         )
 
 
 @dataclass
-class Grads:
+class Grads(_Layers):
+    FIELDS = (("w1", "b1"), ("w2", "b2"))
+
     w1: np.ndarray | None
     b1: np.ndarray | None
     w2: np.ndarray
@@ -108,33 +148,33 @@ def init_params(
     if hidden_width < 0:
         raise ValueError(f"hidden_width must be >= 0, got {hidden_width}")
 
-    def glorot(fan_out, fan_in):
+    layers = []
+    for fan_out, fan_in in _layer_shapes(input_dim, hidden_width, out_dim):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_out, fan_in))
-
-    b2 = np.zeros(out_dim)
-    b2[0] = 1.0
-    if hidden_width == 0:
-        w2 = glorot(out_dim, input_dim) * out_scale
-        return NetParams(
-            w1=None, b1=None, w2=w2, b2=b2,
-            mask1=None, mask2=np.ones_like(w2),
-            hidden_width=0, input_dim=input_dim, out_dim=out_dim,
-        )
-    w1 = glorot(hidden_width, input_dim)
-    w2 = glorot(out_dim, hidden_width) * out_scale
-    return NetParams(
-        w1=w1, b1=np.zeros(hidden_width), w2=w2, b2=b2,
-        mask1=np.ones_like(w1), mask2=np.ones_like(w2),
-        hidden_width=hidden_width, input_dim=input_dim, out_dim=out_dim,
-    )
+        layers.append((rng.uniform(-bound, bound, size=(fan_out, fan_in)), np.zeros(fan_out)))
+    w_out, b_out = layers[-1]
+    w_out *= out_scale
+    b_out[0] = 1.0
+    return NetParams.from_layers([(w, b, np.ones_like(w)) for w, b in layers])
 
 
-def _check_input(params: NetParams, x: np.ndarray) -> np.ndarray:
+def _dense(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
+    """Run ``x`` through (W, b) layers with a ReLU between consecutive layers.
+
+    Returns the output and the input each layer saw, which is all that
+    ``backward`` needs (a hidden unit is active where its ReLU output is > 0).
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != params.input_dim:
-        raise ValueError(f"input dim {x.shape[-1]}, expected {params.input_dim}")
-    return x
+    in_dim = layers[0][0].shape[1]
+    if x.shape[-1] != in_dim:
+        raise ValueError(f"input dim {x.shape[-1]}, expected {in_dim}")
+    inputs = []
+    for k, (w, b) in enumerate(layers):
+        if k > 0:
+            x = np.maximum(x, 0.0)
+        inputs.append(x)
+        x = x @ w.T + b
+    return x, inputs
 
 
 def forward(params: NetParams, x: np.ndarray) -> np.ndarray:
@@ -143,19 +183,12 @@ def forward(params: NetParams, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_cached(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def forward_cached(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Forward pass that also returns the intermediates needed by backward()."""
-    x = _check_input(params, x)
-    if params.hidden_width == 0:
-        out = x @ (params.w2 * params.mask2).T + params.b2
-        return out, {"x": x, "h": None}
-    z1 = x @ (params.w1 * params.mask1).T + params.b1
-    h = np.maximum(z1, 0.0)
-    out = h @ (params.w2 * params.mask2).T + params.b2
-    return out, {"x": x, "z1": z1, "h": h}
+    return _dense([(w * mask, b) for w, b, mask in params.layers()], x)
 
 
-def backward(params: NetParams, cache: dict, upstream: np.ndarray) -> Grads:
+def backward(params: NetParams, cache: list, upstream: np.ndarray) -> Grads:
     """Exact reverse-mode gradients of the masked network.
 
     ``upstream`` is dLoss/dcoeffs with the same leading shape as the cached
@@ -165,21 +198,16 @@ def backward(params: NetParams, cache: dict, upstream: np.ndarray) -> Grads:
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape[-1] != params.out_dim:
         raise ValueError(f"upstream dim {g.shape[-1]}, expected {params.out_dim}")
-    x2 = cache["x"].reshape(-1, params.input_dim)
-    g2 = g.reshape(-1, params.out_dim)
-    if params.hidden_width == 0:
-        gw2 = (g2.T @ x2) * params.mask2
-        gb2 = g2.sum(axis=0)
-        return Grads(w1=None, b1=None, w2=gw2, b2=gb2)
-    h2 = cache["h"].reshape(-1, params.hidden_width)
-    z2 = cache["z1"].reshape(-1, params.hidden_width)
-    gw2 = (g2.T @ h2) * params.mask2
-    gb2 = g2.sum(axis=0)
-    gh = g2 @ (params.w2 * params.mask2)
-    gz1 = gh * (z2 > 0.0)
-    gw1 = (gz1.T @ x2) * params.mask1
-    gb1 = gz1.sum(axis=0)
-    return Grads(w1=gw1, b1=gb1, w2=gw2, b2=gb2)
+    g = g.reshape(-1, params.out_dim)
+    layers = params.layers()
+    grads = []
+    for k in reversed(range(len(layers))):
+        w, _, mask = layers[k]
+        a = cache[k].reshape(-1, w.shape[1])
+        grads.append(((g.T @ a) * mask, g.sum(axis=0)))
+        if k > 0:
+            g = (g @ (w * mask)) * (a > 0.0)
+    return Grads.from_layers(grads[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +227,7 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
-    def slot(self, name: str, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def slot(self, name: tuple, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if name not in self.m:
             self.m[name] = np.zeros_like(like)
             self.v[name] = np.zeros_like(like)
@@ -212,27 +240,21 @@ def adamw_step(params: NetParams, grads: Grads, opt: AdamState) -> NetParams:
     t = opt.step
     bc1 = 1.0 - opt.beta1**t
     bc2 = 1.0 - opt.beta2**t
-
-    def update(name, p, g):
-        m, v = opt.slot(name, p)
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        p *= 1.0 - opt.lr * opt.weight_decay
-        p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
-
-    if params.hidden_width > 0:
-        update("w1", params.w1, grads.w1)
-        update("b1", params.b1, grads.b1)
-    update("w2", params.w2, grads.w2)
-    update("b2", params.b2, grads.b2)
+    for k, ((w, b, _), (gw, gb)) in enumerate(zip(params.layers(), grads.layers())):
+        for name, p, g in (("w", w, gw), ("b", b, gb)):
+            m, v = opt.slot((name, k), p)
+            m *= opt.beta1
+            m += (1.0 - opt.beta1) * g
+            v *= opt.beta2
+            v += (1.0 - opt.beta2) * g * g
+            p *= 1.0 - opt.lr * opt.weight_decay
+            p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
     apply_masks(params)
     return params
 
 
 def apply_masks(params: NetParams) -> None:
-    for w, mask in params.weight_tensors():
+    for w, _, mask in params.layers():
         w *= mask
 
 
@@ -241,17 +263,17 @@ def apply_masks(params: NetParams) -> None:
 # ---------------------------------------------------------------------------
 
 def live_weight_count(params: NetParams) -> int:
-    return int(sum(m.sum() for _, m in params.weight_tensors()))
+    return int(sum(mask.sum() for _, _, mask in params.layers()))
 
 
 def total_weight_count(params: NetParams) -> int:
-    return int(sum(m.size for _, m in params.weight_tensors()))
+    return int(sum(mask.size for _, _, mask in params.layers()))
 
 
 def _live_entries(params: NetParams):
     """Flat view of currently live weights with deterministic sort keys."""
     mags, layers, rows, cols = [], [], [], []
-    for layer_idx, (w, mask) in enumerate(params.weight_tensors()):
+    for layer_idx, (w, _, mask) in enumerate(params.layers()):
         live = mask > 0.0
         r, c = np.nonzero(live)
         mags.append(np.abs(w[live]))
@@ -273,31 +295,18 @@ def _mask_smallest(params: NetParams, n_mask: int) -> NetParams:
     # primary key |w|, ties broken by (layer, row, col) order
     order = np.lexsort((cols, rows, layers, mags))
     victims = order[:n_mask]
-    tensors = params.weight_tensors()
+    masks = [mask for _, _, mask in params.layers()]
     for k in victims:
-        w, mask = tensors[int(layers[k])]
-        mask[int(rows[k]), int(cols[k])] = 0.0
+        masks[int(layers[k])][int(rows[k]), int(cols[k])] = 0.0
     apply_masks(params)
     return params
 
 
-def prune_step(params: NetParams, fraction: float) -> NetParams:
-    """Mask the ``fraction`` smallest-magnitude live weights (global, both layers).
-
-    The surviving count is floor(live * (1 - fraction)); pruning everything is
-    rejected.
-    """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    live = live_weight_count(params)
-    keep = int(np.floor(live * (1.0 - fraction)))
-    if keep == 0:
-        raise ValueError("pruning step would mask every weight")
-    return _mask_smallest(params, live - keep)
-
-
 def prune_to(params: NetParams, sparsity: float) -> NetParams:
-    """Prune until exactly round(total * (1 - sparsity)) weights remain live."""
+    """Prune until exactly round(total * (1 - sparsity)) weights remain live.
+
+    The smallest-magnitude live weights across all layers go first.
+    """
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
     total = total_weight_count(params)
@@ -344,63 +353,43 @@ def _quant_bias(b: np.ndarray, weight_scale: float) -> tuple[np.ndarray, float]:
 
 
 @dataclass
-class QuantizedNet:
+class QuantizedNet(_Layers):
     """Symmetric per-tensor int8 twin (zero-point 0, weight-only quantization)."""
 
+    FIELDS = (
+        ("q1", "scale1", "b1_q", "bias_scale1"),
+        ("q2", "scale2", "b2_q", "bias_scale2"),
+    )
+
     q1: np.ndarray | None
-    scale1: float
+    scale1: float | None
     b1_q: np.ndarray | None
-    bias_scale1: float
+    bias_scale1: float | None
     q2: np.ndarray
     scale2: float
     b2_q: np.ndarray
     bias_scale2: float
-    hidden_width: int
-    input_dim: int = INPUT_DIM
-    out_dim: int = OUT_DIM
-
-    def dequant_w1(self) -> np.ndarray | None:
-        return None if self.q1 is None else self.q1.astype(np.float64) * self.scale1
-
-    def dequant_b1(self) -> np.ndarray | None:
-        return None if self.b1_q is None else self.b1_q.astype(np.float64) * self.bias_scale1
-
-    def dequant_w2(self) -> np.ndarray:
-        return self.q2.astype(np.float64) * self.scale2
-
-    def dequant_b2(self) -> np.ndarray:
-        return self.b2_q.astype(np.float64) * self.bias_scale2
 
 
 def quantize(params: NetParams) -> QuantizedNet:
     """Map each weight tensor's [-w_max, w_max] range onto int8 [-127, 127]."""
-    for w, _ in params.weight_tensors():
+    qlayers = []
+    for w, b, _ in params.layers():
         if not np.all(np.isfinite(w)):
             raise ValueError("cannot quantize non-finite weights")
-    if params.hidden_width > 0:
-        q1, s1 = _quant_tensor(params.w1)
-        b1_q, bs1 = _quant_bias(params.b1, s1)
-    else:
-        q1, s1, b1_q, bs1 = None, 1.0, None, 1.0 / BIAS_SCALE_SHIFT
-    q2, s2 = _quant_tensor(params.w2)
-    b2_q, bs2 = _quant_bias(params.b2, s2)
-    return QuantizedNet(
-        q1=q1, scale1=s1, b1_q=b1_q, bias_scale1=bs1,
-        q2=q2, scale2=s2, b2_q=b2_q, bias_scale2=bs2,
-        hidden_width=params.hidden_width,
-        input_dim=params.input_dim, out_dim=params.out_dim,
-    )
+        q, scale = _quant_tensor(w)
+        qlayers.append((q, scale, *_quant_bias(b, scale)))
+    return QuantizedNet.from_layers(qlayers)
 
 
 def forward_q(qnet: QuantizedNet, x: np.ndarray) -> np.ndarray:
     """Inference with dequantized weights on the float activation path."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != qnet.input_dim:
-        raise ValueError(f"input dim {x.shape[-1]}, expected {qnet.input_dim}")
-    if qnet.hidden_width == 0:
-        return x @ qnet.dequant_w2().T + qnet.dequant_b2()
-    h = np.maximum(x @ qnet.dequant_w1().T + qnet.dequant_b1(), 0.0)
-    return h @ qnet.dequant_w2().T + qnet.dequant_b2()
+    dequantized = [
+        (q.astype(np.float64) * scale, b_q.astype(np.float64) * bias_scale)
+        for q, scale, b_q, bias_scale in qnet.layers()
+    ]
+    out, _ = _dense(dequantized, x)
+    return out
 
 
 def predict_coeffs(net: NetParams | QuantizedNet, x: np.ndarray) -> np.ndarray:
@@ -467,6 +456,10 @@ class _Reader:
         raw = self.take(n * np.dtype(dtype).itemsize)
         return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
+    def f32(self) -> float:
+        (value,) = struct.unpack("<f", self.take(4))
+        return float(value)
+
     def mask(self, shape: tuple) -> np.ndarray:
         n = int(np.prod(shape))
         raw = self.take((n + 7) // 8)
@@ -501,26 +494,18 @@ def save_net(
             params.input_dim, params.out_dim, flags,
         )
     ]
-    if params.hidden_width > 0:
-        chunks += [_f32_bytes(params.w1), _f32_bytes(params.b1)]
-    chunks += [_f32_bytes(params.w2), _f32_bytes(params.b2)]
-    if params.hidden_width > 0:
-        chunks.append(_mask_bytes(params.mask1))
-    chunks.append(_mask_bytes(params.mask2))
+    layers = params.layers()
+    for w, b, _ in layers:
+        chunks += [_f32_bytes(w), _f32_bytes(b)]
+    chunks += [_mask_bytes(mask) for _, _, mask in layers]
     if qnet is not None:
-        if params.hidden_width > 0:
+        for q, scale, b_q, bias_scale in qnet.layers():
             chunks += [
-                qnet.q1.astype("<i1").tobytes(),
-                struct.pack("<f", qnet.scale1),
-                qnet.b1_q.astype("<i4").tobytes(),
-                struct.pack("<f", qnet.bias_scale1),
+                q.astype("<i1").tobytes(),
+                struct.pack("<f", scale),
+                b_q.astype("<i4").tobytes(),
+                struct.pack("<f", bias_scale),
             ]
-        chunks += [
-            qnet.q2.astype("<i1").tobytes(),
-            struct.pack("<f", qnet.scale2),
-            qnet.b2_q.astype("<i4").tobytes(),
-            struct.pack("<f", qnet.bias_scale2),
-        ]
     if flags & _FLAG_EXTRAS:
         chunks.append(struct.pack("<IQ", epoch or 0, config_hash or 0))
     if history is not None:
@@ -553,40 +538,23 @@ def load_net(path) -> dict:
             f"checkpoint sets flag bit(s) {bits} (flags {flags:#x}) that this loader "
             "does not read"
         )
-    if hidden > 0:
-        w1 = reader.array("<f4", (hidden, in_dim)).astype(np.float64)
-        b1 = reader.array("<f4", (hidden,)).astype(np.float64)
-        w2 = reader.array("<f4", (out_dim, hidden)).astype(np.float64)
-    else:
-        w1 = b1 = None
-        w2 = reader.array("<f4", (out_dim, in_dim)).astype(np.float64)
-    b2 = reader.array("<f4", (out_dim,)).astype(np.float64)
-    mask1 = reader.mask((hidden, in_dim)) if hidden > 0 else None
-    mask2 = reader.mask(w2.shape)
-    params = NetParams(
-        w1=w1, b1=b1, w2=w2, b2=b2, mask1=mask1, mask2=mask2,
-        hidden_width=hidden, input_dim=in_dim, out_dim=out_dim,
-    )
+    shapes = _layer_shapes(in_dim, hidden, out_dim)
+    tensors = [
+        (reader.array("<f4", shape).astype(np.float64),
+         reader.array("<f4", shape[:1]).astype(np.float64))
+        for shape in shapes
+    ]
+    masks = [reader.mask(shape) for shape in shapes]
+    params = NetParams.from_layers([(w, b, mask) for (w, b), mask in zip(tensors, masks)])
     apply_masks(params)
     out = {"params": params, "qnet": None, "epoch": None, "config_hash": None,
            "history": None}
     if flags & _FLAG_QUANT:
-        if hidden > 0:
-            q1 = reader.array("<i1", (hidden, in_dim))
-            (s1,) = struct.unpack("<f", reader.take(4))
-            b1_q = reader.array("<i4", (hidden,))
-            (bs1,) = struct.unpack("<f", reader.take(4))
-        else:
-            q1, s1, b1_q, bs1 = None, 1.0, None, 1.0 / BIAS_SCALE_SHIFT
-        q2 = reader.array("<i1", w2.shape)
-        (s2,) = struct.unpack("<f", reader.take(4))
-        b2_q = reader.array("<i4", (out_dim,))
-        (bs2,) = struct.unpack("<f", reader.take(4))
-        out["qnet"] = QuantizedNet(
-            q1=q1, scale1=float(s1), b1_q=b1_q, bias_scale1=float(bs1),
-            q2=q2, scale2=float(s2), b2_q=b2_q, bias_scale2=float(bs2),
-            hidden_width=hidden, input_dim=in_dim, out_dim=out_dim,
-        )
+        out["qnet"] = QuantizedNet.from_layers([
+            (reader.array("<i1", shape), reader.f32(),
+             reader.array("<i4", shape[:1]), reader.f32())
+            for shape in shapes
+        ])
     if flags & _FLAG_EXTRAS:
         epoch, config_hash = struct.unpack("<IQ", reader.take(12))
         out["epoch"] = int(epoch)

@@ -58,8 +58,7 @@ class TrainConfig:
     epochs: int = 5
     lr: float = 1e-3
     weight_decay: float = 1e-4
-    prune_mode: str = "target"  # "target" | "schedule" | "none"
-    prune_fraction: float = 0.2
+    prune_mode: str = "target"  # "target" | "none"
     target_sparsity: float = 0.8
     snr_range_db: tuple[float, float] = (0.0, 20.0)
     channel_mix: tuple[tuple[str, float], ...] = (("awgn", 0.5), ("rayleigh", 0.5))
@@ -81,13 +80,17 @@ class TrainConfig:
             )
         if self.snr_range_db[0] > self.snr_range_db[1]:
             raise ValueError(f"snr range out of order: {self.snr_range_db}")
-        if self.prune_mode not in ("target", "schedule", "none"):
+        if self.prune_mode not in ("target", "none"):
             raise ValueError(f"unknown prune_mode {self.prune_mode!r}")
+        if self.hidden_width < 0:
+            raise ValueError(f"hidden_width must be >= 0, got {self.hidden_width}")
         for mix, table in (("channel_mix", MODEL_NAMES), ("mod_mix", SCHEME_NAMES)):
             pairs = getattr(self, mix)
-            for name, _ in pairs:
+            for name, weight in pairs:
                 if name not in table:
                     raise ValueError(f"unknown {mix} entry {name!r}")
+                if weight < 0.0:
+                    raise ValueError(f"{mix} weight of {name!r} must be >= 0, got {weight}")
             total = sum(w for _, w in pairs)
             if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"{mix} weights sum to {total}, expected 1")
@@ -384,21 +387,19 @@ def train(
                     sharpness=config.surrogate_sharpness,
                 )
             except TrainingDivergedError as exc:
-                norms = {
-                    "w2": float(np.linalg.norm(params.w2)),
-                    "b2": float(np.linalg.norm(params.b2)),
-                }
-                if params.hidden_width > 0:
-                    norms["w1"] = float(np.linalg.norm(params.w1))
-                raise TrainingDivergedError(f"{exc}; parameter norms {norms}") from exc
+                norms = [
+                    (float(np.linalg.norm(w)), float(np.linalg.norm(b)))
+                    for w, b, _ in params.layers()
+                ]
+                raise TrainingDivergedError(
+                    f"{exc}; parameter norms (weights, bias) per layer {norms}"
+                ) from exc
             grads = network.backward(params, cache, d_coeffs)
             network.adamw_step(params, grads, opt)
             losses.append(terms.loss)
             mses.append(terms.mse_term)
             tails.append(terms.tail_term)
-        if config.prune_mode == "schedule":
-            network.prune_step(params, config.prune_fraction)
-        elif config.prune_mode == "target":
+        if config.prune_mode == "target":
             ramp = config.target_sparsity * (epoch + 1) / config.epochs
             network.prune_to(params, ramp)
         wall[epoch] = time.perf_counter() - t0
@@ -419,10 +420,10 @@ def train(
             )
 
     # make the stored parameters float32-representable for bit-exact round trips
-    for name in ("w1", "b1", "w2", "b2", "mask1", "mask2"):
-        tensor = getattr(params, name)
-        if tensor is not None:
-            setattr(params, name, tensor.astype(np.float32).astype(np.float64))
+    params = network.NetParams.from_layers([
+        tuple(t.astype(np.float32).astype(np.float64) for t in layer)
+        for layer in params.layers()
+    ])
     network.apply_masks(params)
     qnet = network.quantize(params)
     return Checkpoint(

@@ -115,6 +115,20 @@ class TestSlm:
         assert idx == int(np.argmin(paprs))
         assert papr_db(out) == pytest.approx(min(paprs), abs=1e-12)
 
+    def test_running_minimum_matches_all_candidates_oracle(self, cfg):
+        # every phase row twice: each block's minimum is tied between u and
+        # u + 8, and the first index must win as it does for np.argmin
+        phases = np.concatenate([slm_phase_vectors(SlmConfig(num_candidates=8), cfg.n_data)] * 2)
+        # plain QPSK bins (no DFT precoding), where the identity rarely wins
+        bits = np.random.default_rng(3).integers(0, 2, (12, cfg.n_data * 2))
+        blocks = np.stack([map_symbols(b, ModScheme.QPSK) for b in bits])
+        out, idx = slm_select(blocks, phases, cfg)
+        every = time_signal(extend(blocks[:, None, :] * phases[None], cfg.n_se), cfg)
+        want = np.argmin(papr_db(every), axis=-1)
+        assert np.all(want < 8) and len(set(want)) > 1
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(out, every[np.arange(len(blocks)), want])
+
     def test_argmin_invariant_under_scaling(self, cfg):
         slm = SlmConfig(num_candidates=8)
         phases = slm_phase_vectors(slm, cfg.n_data)

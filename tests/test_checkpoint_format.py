@@ -29,7 +29,7 @@ def checkpoint_bytes(draw):
     out_dim = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = init_params(hidden_width=hidden, rng=rng, input_dim=in_dim, out_dim=out_dim)
-    for w, mask in p.weight_tensors():
+    for w, _, mask in p.layers():
         mask[...] = rng.random(mask.shape) < 0.7
         w *= mask
     with_extras = draw(st.booleans())

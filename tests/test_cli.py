@@ -136,6 +136,15 @@ class TestConfig:
         ("train", "baselines", {"dft": {}}, "unknown config key 'dft' in baselines"),
         ("train", "adapt", {"preset": "moon"}, "adapt: preset must be in"),
         ("train", "sweep", {"hidden_widths": [5, -1]}, "sweep: hidden_widths must be >= 0"),
+        ("train", "train", {"hidden_width": -3}, "train: hidden_width must be >= 0, got -3"),
+        ("train", "train", {"channel_mix": {"awgn": 1.5, "rayleigh": -0.5}},
+         "train: channel_mix weight of 'rayleigh' must be >= 0, got -0.5"),
+        ("train", "train", {"mod_mix": {"qpsk": 1.25, "qam16": -0.25}},
+         "train: mod_mix weight of 'qam16' must be >= 0, got -0.25"),
+        ("train", "eval", {"papr_trace_blocks": -5},
+         "eval: papr_trace_blocks must be >= 0, got -5"),
+        ("train", "eval", {"oobe_blocks": 0}, "eval: oobe_blocks must be >= 10, got 0"),
+        ("train", "eval", {"oobe_blocks": 9}, "eval: oobe_blocks must be >= 10, got 9"),
     ], ids=[
         "seed-str", "seed-float", "seed-negative", "snr_db-scalar", "snr_range_db-scalar",
         "channel_mix-str-weight", "hidden_widths-scalar", "eval-list", "n_blocks-float",
@@ -143,6 +152,8 @@ class TestConfig:
         "snr_range_db-inf", "snr_range_db-nan", "channel_mix-nan-weight", "mods-empty",
         "ccdf_grid_db-zero-step", "use_quantized-int", "checkpoint-int", "clf-iterations",
         "baselines-unknown", "adapt-preset", "hidden_widths-negative",
+        "hidden_width-negative", "channel_mix-negative-weight", "mod_mix-negative-weight",
+        "papr_trace_blocks-negative", "oobe_blocks-zero", "oobe_blocks-nine",
     ])
     def test_malformed_value_exits_2_naming_the_key(
         self, tmp_path, capsys, command, section, value, message

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from tinyfdss.network import (
     init_params,
     live_weight_count,
     load_net,
-    prune_step,
     prune_to,
     quantize,
     save_net,
@@ -235,14 +236,6 @@ class TestAdamW:
 
 
 class TestPruning:
-    def test_schedule_arithmetic_from_2460(self):
-        p = random_params(seed=15)
-        assert total_weight_count(p) == 2460
-        expected = [1968, 1574, 1259, 1007, 805]
-        for want in expected:
-            prune_step(p, 0.2)
-            assert live_weight_count(p) == want
-
     def test_smallest_weight_masked(self):
         p = init_params(hidden_width=1, rng=np.random.default_rng(0), out_scale=1.0)
         # five live weights of magnitudes 1..5 in w2 column 0; w1 all masked
@@ -251,7 +244,7 @@ class TestPruning:
         p.mask2[:] = 0.0
         p.mask2[:, 0] = 1.0
         network.apply_masks(p)
-        prune_step(p, 0.2)
+        prune_to(p, 1.0 - 4 / total_weight_count(p))
         assert p.mask2[0, 0] == 0.0 and p.w2[0, 0] == 0.0
         assert live_weight_count(p) == 4
 
@@ -265,8 +258,9 @@ class TestPruning:
         p.w1[:] = 0.5
         p.w2[:] = 0.5
         q = p.copy()
-        prune_step(p, 0.2)
-        prune_step(q, 0.2)
+        prune_to(p, 0.2)
+        prune_to(q, 0.2)
+        assert live_weight_count(p) == 1968
         np.testing.assert_array_equal(p.mask1, q.mask1)
         np.testing.assert_array_equal(p.mask2, q.mask2)
         # ties resolved in (layer, row, col) order: early w1 entries go first
@@ -276,6 +270,11 @@ class TestPruning:
         p = init_params(hidden_width=1, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             prune_to(p, 0.99999999)
+
+
+def dequantized(qnet):
+    """(weights, bias) per layer of the int8 twin, back in float64."""
+    return [(q * scale, b_q * bias_scale) for q, scale, b_q, bias_scale in qnet.layers()]
 
 
 class TestQuantize:
@@ -306,7 +305,7 @@ class TestQuantize:
             p = random_params(seed=seed)
             q = quantize(p)
             w_max = float(np.max(np.abs(p.w1)))
-            err = np.abs(q.dequant_w1() - p.w1)
+            err = np.abs(dequantized(q)[0][0] - p.w1)
             assert err.max() <= w_max / 254 + 1e-12
 
     def test_forward_q_within_propagated_bound(self, rng):
@@ -314,17 +313,18 @@ class TestQuantize:
         prune_to(p, 0.8)
         q = quantize(p)
         # interval-propagation oracle: per-layer worst-case output deviation
-        dw1 = np.abs(q.dequant_w1() - p.w1 * p.mask1)
-        db1 = np.abs(q.dequant_b1() - p.b1)
-        dw2 = np.abs(q.dequant_w2() - p.w2 * p.mask2)
-        db2 = np.abs(q.dequant_b2() - p.b2)
+        (w1_q, b1_q), (w2_q, b2_q) = dequantized(q)
+        dw1 = np.abs(w1_q - p.w1 * p.mask1)
+        db1 = np.abs(b1_q - p.b1)
+        dw2 = np.abs(w2_q - p.w2 * p.mask2)
+        db2 = np.abs(b2_q - p.b2)
         w2_abs = np.abs(p.w2 * p.mask2)
         worst = 0.0
         for _ in range(1000):
             x = rng.uniform(0, 2, 241)
             bound_h = dw1 @ np.abs(x) + db1  # |relu(a)-relu(b)| <= |a-b|
             h = np.maximum((p.w1 * p.mask1) @ x + p.b1, 0.0)
-            h_q = np.maximum(q.dequant_w1() @ x + q.dequant_b1(), 0.0)
+            h_q = np.maximum(w1_q @ x + b1_q, 0.0)
             bound_out = dw2 @ (np.abs(h) + bound_h) + w2_abs @ bound_h + db2
             dev = np.abs(forward(p, x) - forward_q(q, x))
             assert np.all(dev <= bound_out + 1e-9)
@@ -333,44 +333,52 @@ class TestQuantize:
 
 
 class TestCheckpointIO:
-    def test_round_trip_bit_exact(self, tmp_path, rng):
-        p = random_params(seed=22)
+    @pytest.mark.parametrize("hidden", [0, 10])
+    def test_round_trip_bit_exact(self, tmp_path, rng, hidden):
+        p = random_params(hidden=hidden, seed=22)
         # float32-representable parameters round-trip exactly
-        for name in ("w1", "b1", "w2", "b2"):
-            t = getattr(p, name)
-            setattr(p, name, t.astype(np.float32).astype(np.float64))
+        p = network.NetParams.from_layers([
+            tuple(t.astype(np.float32).astype(np.float64) for t in layer)
+            for layer in p.layers()
+        ])
         prune_to(p, 0.8)
         q = quantize(p)
         path = tmp_path / "net.bin"
         save_net(path, p, qnet=q, epoch=5, config_hash=0xDEADBEEF,
                  history=np.arange(12.0).reshape(2, 6))
         loaded = load_net(path)
-        lp = loaded["params"]
-        np.testing.assert_array_equal(lp.w1, p.w1)
-        np.testing.assert_array_equal(lp.w2, p.w2)
-        np.testing.assert_array_equal(lp.mask1, p.mask1)
+        lp, lq = loaded["params"], loaded["qnet"]
+        assert len(lp.layers()) == len(lq.layers()) == (2 if hidden else 1)
+        for got, want in zip(lp.layers(), p.layers()):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        for got, want in zip(lq.layers(), q.layers()):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
         x = rng.standard_normal(241)
         np.testing.assert_array_equal(forward(lp, x), forward(p, x))
-        np.testing.assert_array_equal(forward_q(loaded["qnet"], x), forward_q(q, x))
+        np.testing.assert_array_equal(forward_q(lq, x), forward_q(q, x))
         assert loaded["epoch"] == 5
         assert loaded["config_hash"] == 0xDEADBEEF
         np.testing.assert_array_equal(loaded["history"], np.arange(12.0).reshape(2, 6))
         # a second save emits identical bytes
         path2 = tmp_path / "net2.bin"
-        save_net(path2, lp, qnet=loaded["qnet"], epoch=5,
+        save_net(path2, lp, qnet=lq, epoch=5,
                  config_hash=0xDEADBEEF, history=loaded["history"])
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_perceptron_round_trip(self, tmp_path, rng):
-        p = random_params(hidden=0, seed=23)
-        for name in ("w2", "b2"):
-            t = getattr(p, name)
-            setattr(p, name, t.astype(np.float32).astype(np.float64))
+    def test_dimensions_are_the_tensor_shapes(self, tmp_path):
+        p = init_params(hidden_width=3, rng=np.random.default_rng(0), input_dim=7, out_dim=4)
+        q = quantize(p)
         path = tmp_path / "net.bin"
-        save_net(path, p, qnet=quantize(p))
+        save_net(path, p, qnet=q)
+        header = struct.unpack("<III", path.read_bytes()[8:20])
+        assert header == (3, 7, 4)
         loaded = load_net(path)
-        x = rng.standard_normal(241)
-        np.testing.assert_array_equal(forward(loaded["params"], x), forward(p, x))
+        for net in (p, q, loaded["params"], loaded["qnet"]):
+            (w1, *_), (w2, *_) = net.layers()
+            assert w1.shape == (3, 7) and w2.shape == (4, 3)
+            assert (net.hidden_width, net.input_dim, net.out_dim) == (3, 7, 4)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

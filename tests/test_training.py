@@ -155,12 +155,6 @@ class TestTrain:
         ckpt = train(config)
         assert network.live_weight_count(ckpt.params) == 492
 
-    def test_schedule_mode_five_epochs(self):
-        config = TrainConfig(n_blocks=320, epochs=5, batch_size=32, seed=12,
-                             prune_mode="schedule", prune_fraction=0.2)
-        ckpt = train(config)
-        assert network.live_weight_count(ckpt.params) == 805
-
     def test_determinism_bit_identical(self):
         config = TrainConfig(n_blocks=256, epochs=2, batch_size=32, seed=13)
         a = train(config)
