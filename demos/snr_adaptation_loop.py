@@ -11,22 +11,31 @@ empirical SNR estimator to close the loop.
 import numpy as np
 
 from tinyfdss.adaptation import preset_trace, run_scenario
-from tinyfdss.chain import ChainConfig, ModScheme, transmit
+from tinyfdss.chain import (
+    ChainConfig,
+    ModScheme,
+    Stage,
+    SymbolBlock,
+    extend,
+    map_symbols,
+    precode,
+    time_signal,
+)
 from tinyfdss.channel import ChannelCfg, ChannelModel, apply_channel, estimate_snr
-from tinyfdss.filters import unit_taps
 from tinyfdss.training import TrainConfig, train
 
 cfg = ChainConfig()
 ckpt = train(TrainConfig(n_blocks=1000, epochs=3, batch_size=32, seed=2, chain=cfg))
 net = ckpt.qnet  # deployed model: pruned + int8
 
-# --- gateway side: estimate the channel SNR from pilot blocks
+# --- gateway side: estimate the channel SNR from unshaped pilot blocks
 true_snr = 12.0
 rng = np.random.default_rng(0)
 pilots, truths = [], []
 for b in range(50):
     bits = rng.integers(0, 2, cfg.n_data * 2)
-    sig = transmit(bits, ModScheme.QPSK, unit_taps(cfg.n_sk), cfg, oversample=1)
+    pilot = extend(precode(map_symbols(bits, ModScheme.QPSK)), cfg.n_se)
+    sig = SymbolBlock(Stage.TIME_DOMAIN, time_signal(pilot, cfg, oversample=1))
     rx, _ = apply_channel(sig, ChannelCfg(ChannelModel.AWGN, snr_db=true_snr), cfg, rng=rng)
     pilots.append(rx.values)
     truths.append(sig.values)

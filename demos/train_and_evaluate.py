@@ -9,9 +9,9 @@ against the flat and RRC baselines at CCDF = 1e-3.  A full desk-scale run
 import numpy as np
 
 from tinyfdss import network
+from tinyfdss.adaptation import adaptation_cycle
 from tinyfdss.baselines import conventional_config, fir_bin_gains, rrc_fir
 from tinyfdss.chain import ChainConfig, ModScheme, extend, map_symbols, precode, time_signal
-from tinyfdss.filters import taps_from_coeffs
 from tinyfdss.metrics import papr_at_ccdf, papr_db
 from tinyfdss.training import TrainConfig, train
 
@@ -32,9 +32,9 @@ bits = rng.integers(0, 2, (n_eval, cfg.n_data * 2))
 symbols = map_symbols(bits.reshape(-1), ModScheme.QPSK).reshape(n_eval, cfg.n_data)
 s_ext = extend(precode(symbols), cfg.n_se)
 
-feats = network.build_input(s_ext, np.full(n_eval, 15.0), expected_len=cfg.n_sk)
-taps = taps_from_coeffs(network.forward_q(ckpt.qnet, feats), cfg.n_sk)
-papr_trained = papr_db(time_signal(s_ext * taps, cfg))
+# the deployed int8 net's feedback cycle at 15 dB, on all blocks at once
+bins, taps = adaptation_cycle(15.0, ckpt.qnet, s_ext)
+papr_trained = papr_db(time_signal(bins, cfg))
 
 conv = conventional_config(cfg)
 sym_conv = map_symbols(
@@ -53,6 +53,5 @@ print(f"  rrc (32-tap FIR)   {t_rrc:5.2f} dB")
 print(f"  plain dft-s-ofdm   {t_plain:5.2f} dB")
 print(f"  learned filter     {t_net:5.2f} dB   ({t_rrc - t_net:+.2f} dB vs rrc)")
 
-print("\nmean coefficient vector at 15 dB:",
-      np.round(network.forward_q(ckpt.qnet, feats).mean(axis=0), 3))
-print("tap profile extremes: min %.3f, max %.3f" % (taps.min(), taps.max()))
+print("\neffective tap profile extremes at 15 dB: min %.3f, max %.3f"
+      % (taps.min(), taps.max()))

@@ -32,7 +32,6 @@ from .chain import (
     receiver_chain,
     shape_and_normalize,
     time_signal,
-    transmit,
 )
 from .channel import ChannelCfg, ChannelModel, apply_channel, estimate_snr
 from .evaluation import EvalConfig, evaluate

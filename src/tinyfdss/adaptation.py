@@ -5,6 +5,11 @@ are recomputed once per feedback cycle (nominally every 100 ms of simulated
 time -- the period is a tick label, no wall-clock scheduling is involved).
 Bins are half-open [lo, hi): a feedback value on a boundary belongs to the
 upper bin, and values below the first bin clamp to it.
+
+:func:`adaptation_cycle` is the one learned-filter transmit: features ->
+net -> taps -> shaping at fixed power.  The adapt loop runs it on one block
+per tick, and evaluation's ``tinyml`` scheme on whole batches of blocks, so
+evaluation measures what the device's feedback cycle runs.
 """
 
 from __future__ import annotations
@@ -48,34 +53,18 @@ PRESET_TRACES = {
 }
 
 
-@dataclass(frozen=True)
 class LambdaTable:
-    """SNR-bin -> lambda map with half-open bins and below-range clamping."""
-
-    bins: tuple[tuple[float, float, float], ...] = DEFAULT_BINS
-
-    def __post_init__(self):
-        if not self.bins:
-            raise ValueError("lambda table needs at least one bin")
-        prev_hi = None
-        for lo, hi, lam in self.bins:
-            if not lo < hi:
-                raise ValueError(f"bin ({lo}, {hi}) is empty or reversed")
-            if prev_hi is not None and lo != prev_hi:
-                raise ValueError("lambda bins must be contiguous and ordered")
-            if not 0.0 < lam <= 1.0:
-                raise ValueError(f"lambda {lam} outside (0, 1]")
-            prev_hi = hi
+    """SNR-bin -> lambda map over ``DEFAULT_BINS``, with below-range clamping."""
 
     def lookup(self, snr_db: float) -> float:
         if not np.isfinite(snr_db):
             raise ValueError(f"snr_db must be finite, got {snr_db}")
-        if snr_db < self.bins[0][0]:
-            return self.bins[0][2]
-        for lo, hi, lam in self.bins:
+        if snr_db < DEFAULT_BINS[0][0]:
+            return DEFAULT_BINS[0][2]
+        for lo, hi, lam in DEFAULT_BINS:
             if lo <= snr_db < hi:
                 return lam
-        return self.bins[-1][2]
+        return DEFAULT_BINS[-1][2]
 
 
 def adaptation_cycle(
@@ -83,17 +72,16 @@ def adaptation_cycle(
     net: network.NetParams | network.QuantizedNet,
     s_ext: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One feedback cycle: recompute the taps and shape the block.
+    """One feedback cycle: recompute the taps and shape the blocks.
 
-    ``s_ext`` is one extended spectrum of n_sk bins, where n_sk is the net's
-    input width less the SNR feature.  Returns ``(bins, eff_taps)``: the bins
+    ``s_ext`` holds extended spectra of n_sk bins on its last axis, where
+    n_sk is the net's input width less the SNR feature; every block of a
+    batch sees the one fed-back SNR.  Returns ``(bins, eff_taps)``: the bins
     shaped at fixed transmit power and the effective taps the receiver
-    equalizes with.  The cycle is a pure function of (snr, net, block).
+    equalizes with, one row per block.  The cycle is a pure function of
+    (snr, net, blocks).
     """
     n_sk = net.input_dim - 1
-    s_ext = np.asarray(s_ext)
-    if s_ext.shape != (n_sk,):
-        raise ValueError(f"block shape {s_ext.shape} != ({n_sk},)")
     features = network.build_input(s_ext, snr_db, expected_len=n_sk)
     coeffs = network.predict_coeffs(net, features)
     bins, eff_taps, _ = shape_and_normalize(s_ext, taps_from_coeffs(coeffs, n_sk))
@@ -147,16 +135,15 @@ def run_scenario(
     scheme: ModScheme = ModScheme.QPSK,
     seed: int = 0,
     period_ms: float = DEFAULT_PERIOD_MS,
-    table: LambdaTable | None = None,
 ) -> list[TickRecord]:
     """Replay an SNR feedback trace tick by tick.
 
     The simulated clock advances in ``period_ms`` steps from the first to the
     last trace timestamp; at each tick the most recent feedback at or before
-    the tick applies.  Each tick looks lambda up in ``table``, transmits one
-    fresh block (seeded by the tick index), measures its PAPR, passes it
-    through an AWGN channel at the true SNR, and records that block's symbol
-    error rate.
+    the tick applies.  Each tick looks lambda up in :class:`LambdaTable`,
+    transmits one fresh block (seeded by the tick index), measures its PAPR,
+    passes it through an AWGN channel at the true SNR, and records that
+    block's symbol error rate.
     """
     if len(trace) == 0:
         return []
@@ -165,8 +152,7 @@ def run_scenario(
         raise ValueError("trace timestamps must be sorted")
     if period_ms <= 0:
         raise ValueError("cycle period must be positive")
-    if table is None:
-        table = LambdaTable()
+    table = LambdaTable()
     records: list[TickRecord] = []
     n_ticks = int((times[-1] - times[0]) // period_ms) + 1
     feedback_pos = 0

@@ -35,6 +35,8 @@ class ClfConfig:
     iterations: int = 2
 
     def __post_init__(self):
+        if not np.isfinite(self.clip_ratio_db):
+            raise ValueError(f"clip_ratio_db must be finite, got {self.clip_ratio_db}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
@@ -74,22 +76,20 @@ def clip_amplitude(x: np.ndarray, level: np.ndarray | float) -> np.ndarray:
     return x * scale
 
 
-def clf_reduce(
-    bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig, oversample: int | None = None
-) -> np.ndarray:
+def clf_reduce(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
     """CLF rounds on occupied-bin blocks (batch-capable); returns time signals.
 
     The clip level is fixed from the input signal's RMS; filtering zeroes
     every bin outside the allocation, which restores the spectrum but regrows
     the peaks -- the classic CLF behavior.
     """
-    x = time_signal(bins, cfg, oversample)
+    x = time_signal(bins, cfg)
     level = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)) * 10.0 ** (
         clf.clip_ratio_db / 20.0
     )
     for _ in range(clf.iterations):
         x = clip_amplitude(x, level)
-        x = time_signal(occupied_bins(x, cfg), cfg, oversample)
+        x = time_signal(occupied_bins(x, cfg), cfg)
     return x
 
 
@@ -107,10 +107,7 @@ def slm_phase_vectors(slm: SlmConfig, n_data: int) -> np.ndarray:
 
 
 def slm_select(
-    spectrum: np.ndarray,
-    phases: np.ndarray,
-    cfg: ChainConfig,
-    oversample: int | None = None,
+    spectrum: np.ndarray, phases: np.ndarray, cfg: ChainConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pick the minimum-PAPR candidate per block.
 
@@ -124,7 +121,7 @@ def slm_select(
     spec2 = spectrum.reshape(-1, spectrum.shape[-1])
 
     def candidate(u: int) -> tuple[np.ndarray, np.ndarray]:
-        x = time_signal(extend(spec2 * phases[u], cfg.n_se), cfg, oversample)
+        x = time_signal(extend(spec2 * phases[u], cfg.n_se), cfg)
         return x, papr_db(x)
 
     chosen, best = candidate(0)
@@ -169,15 +166,12 @@ def rrc_fir(n_taps: int = 32, rolloff: float = 0.25, sps: int = 4) -> np.ndarray
     return h / np.sqrt(np.sum(h**2))
 
 
-def fir_bin_gains(
-    fir: np.ndarray, cfg: ChainConfig, oversample: int | None = None
-) -> np.ndarray:
+def fir_bin_gains(fir: np.ndarray, cfg: ChainConfig) -> np.ndarray:
     """Complex occupied-bin gains of circularly convolving the FIR on the grid.
 
     Circular convolution on the transmit grid is exactly a per-bin complex
     multiplication, so the filtered baseline can reuse the shaping/equalizing
     machinery with these gains as (complex) taps.
     """
-    n = cfg.n_fft * (cfg.oversample if oversample is None else oversample)
-    response = np.fft.fft(fir, n)
-    return np.fft.fftshift(response)[occupied_slice(cfg, n // cfg.n_fft)]
+    response = np.fft.fft(fir, cfg.n_fft * cfg.oversample)
+    return np.fft.fftshift(response)[occupied_slice(cfg)]

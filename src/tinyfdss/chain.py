@@ -16,10 +16,11 @@ unitary transform); transmitter and receiver share this mapping bit-exactly.
 The array-level functions act on the last axis and accept leading batch
 dimensions; training, evaluation and adaptation use only these.  Fixed
 transmit power (:func:`shape_and_normalize`) and the receiver's matched
-filter and folding (:func:`equalize`) are each written once here.  The
+filter and folding (:func:`equalize`) are each written once here, so every
+transmit goes through ``shape_and_normalize`` and :func:`time_signal`.  The
 stage-tagged :class:`SymbolBlock` exists only at the single-block boundary
-``transmit`` -> ``channel.apply_channel`` -> ``receiver_chain``, which
-validates stage and length.
+``SymbolBlock(Stage.TIME_DOMAIN, x)`` -> ``channel.apply_channel`` ->
+``receiver_chain``, which validates stage and length.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 DETECT_CHUNK = 8192  # symbols per minimum-distance chunk, bounds the distance matrix
+GAIN_EPS = 1e-12  # guards the per-bin gain normalization of the receiver
 
 
 class EqualizationError(RuntimeError):
@@ -273,26 +275,25 @@ def shape_and_normalize(
 
 
 def _matched_fold(
-    rx_bins: np.ndarray, taps: np.ndarray, n_se: int, eps: float
+    rx_bins: np.ndarray, taps: np.ndarray, n_se: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Matched filter, extension folding and gain normalization.
 
     Returns ``(numer, gain, recovered)`` per data bin: the folded matched
     filter output, the summed squared gain of its copies, and their
-    eps-guarded ratio.
+    ``GAIN_EPS``-guarded ratio.
     """
     taps = np.asarray(taps)
     matched = rx_bins * np.conj(taps)
     numer = fold_extension(matched, n_se)
     gain = fold_extension(np.broadcast_to(np.abs(taps) ** 2, matched.shape), n_se)
-    return numer, gain, numer / (gain + eps)
+    return numer, gain, numer / (gain + GAIN_EPS)
 
 
 def equalize(
     rx_bins: np.ndarray,
     taps: np.ndarray,
     n_se: int,
-    eps: float = 1e-12,
     phase_derotate: np.ndarray | None = None,
 ) -> np.ndarray:
     """Matched filter, extension folding and gain normalization, inverse precoding.
@@ -300,10 +301,10 @@ def equalize(
     The learned taps are real, so the matched filter F* reduces to plain
     multiplication; complex gains (e.g. a transmit FIR's bin response) are
     handled with the conjugate.  Each data bin is normalized by the summed
-    squared gain of its contributing copies (eps-guarded); a bin whose total
+    squared gain of its contributing copies (``GAIN_EPS``-guarded); a bin whose total
     gain is exactly zero is undecodable.
     """
-    _, gain, recovered = _matched_fold(rx_bins, taps, n_se, eps)
+    _, gain, recovered = _matched_fold(rx_bins, taps, n_se)
     if np.any(gain == 0.0):
         raise EqualizationError("zero effective gain on at least one data bin")
     if phase_derotate is not None:
@@ -315,29 +316,6 @@ def equalize(
 # Single-block boundary
 # ---------------------------------------------------------------------------
 
-def transmit(
-    bits: np.ndarray,
-    scheme: ModScheme,
-    taps: np.ndarray,
-    cfg: ChainConfig,
-    oversample: int | None = None,
-) -> SymbolBlock:
-    """Bits all the way to the shaped (not power-normalized) time-domain block.
-
-    This single-block boundary needs no power normalization: ``apply_channel``
-    sets the noise from the block's own power, so a scale on the taps moves
-    signal and noise together and buys no SNR, and PAPR is scale-invariant.
-    """
-    symbols = map_symbols(bits, scheme)
-    if symbols.shape != (cfg.n_data,):
-        raise ValueError(f"expected {cfg.n_data} data symbols, got {symbols.shape[0]}")
-    taps = np.asarray(taps, dtype=np.float64)
-    if taps.shape != (cfg.n_sk,):
-        raise ValueError(f"taps shape {taps.shape}, expected ({cfg.n_sk},)")
-    shaped = extend(precode(symbols), cfg.n_se) * taps
-    return SymbolBlock(Stage.TIME_DOMAIN, time_signal(shaped, cfg, oversample))
-
-
 def receiver_chain(
     rx: SymbolBlock,
     taps: np.ndarray,
@@ -345,7 +323,6 @@ def receiver_chain(
     scheme: ModScheme,
     fade: complex = 1.0 + 0.0j,
     phase_derotate: np.ndarray | None = None,
-    eps: float = 1e-12,
 ) -> tuple[SymbolBlock, np.ndarray]:
     """Full receiver: FFT, matched filter, extension folding, detection.
 
@@ -362,6 +339,6 @@ def receiver_chain(
     if taps.shape != (cfg.n_sk,):
         raise ValueError(f"taps shape {taps.shape}, expected ({cfg.n_sk},)")
     bins = occupied_bins(rx.values / fade, cfg)
-    equalized = equalize(bins, taps, cfg.n_se, eps=eps, phase_derotate=phase_derotate)
+    equalized = equalize(bins, taps, cfg.n_se, phase_derotate=phase_derotate)
     detected = detect_symbols(equalized, scheme)
     return SymbolBlock(Stage.DATA_SYMBOLS, detected), equalized

@@ -150,13 +150,12 @@ def estimate_snr(
     rx_blocks: list[np.ndarray],
     truth_blocks: list[np.ndarray],
     chain_cfg: ChainConfig,
-    cap_db: float = SNR_CAP_DB,
 ) -> float:
     """Empirical SNR (dB) from received blocks and their noiseless references.
 
     Uses the same occupied-subcarrier convention as :func:`apply_channel`:
     10*log10(occupied signal power / per-sample residual power).  A zero
-    residual returns ``cap_db``.
+    residual returns ``SNR_CAP_DB``, and no estimate exceeds it.
     """
     if len(rx_blocks) == 0 or len(rx_blocks) != len(truth_blocks):
         raise ValueError("need at least one (received, truth) block pair")
@@ -173,5 +172,5 @@ def estimate_snr(
         count += truth.size
     occupied = (sig / count) * chain_cfg.n_fft / chain_cfg.n_sk
     if res == 0.0:
-        return cap_db
-    return min(cap_db, 10.0 * np.log10(occupied / (res / count)))
+        return SNR_CAP_DB
+    return min(SNR_CAP_DB, 10.0 * np.log10(occupied / (res / count)))

@@ -24,8 +24,8 @@ from .adaptation import AdaptConfig, preset_trace, run_scenario
 from .baselines import ClfConfig, SlmConfig
 from .chain import SCHEME_NAMES, ChainConfig
 from .evaluation import BASELINESCHEME_NAMES, EvalConfig, evaluate
+from .network import HISTORY_COLUMNS
 from .training import (
-    HISTORY_COLUMNS,
     Checkpoint,
     TrainConfig,
     load_checkpoint,

@@ -3,7 +3,9 @@
 Schemes
 -------
 ``tinyml``    learned taps on the spectrum-extended chain (quantized twin by
-              default), transmit power normalized per block
+              default), transmit power normalized per block; each batch is
+              one ``adaptation.adaptation_cycle``, the feedback cycle the
+              device runs
 ``rrc_fdss``  static root-raised-cosine frequency-domain profile on the same
               extended chain (informative extra column)
 ``dftsofdm``  conventional DFT-s-OFDM: every subcarrier carries data, no
@@ -33,7 +35,7 @@ from itertools import product
 
 import numpy as np
 
-from . import network
+from .adaptation import adaptation_cycle
 from .baselines import (
     ClfConfig,
     SlmConfig,
@@ -57,7 +59,7 @@ from .chain import (
     time_signal,
 )
 from .channel import MODEL_NAMES, ChannelCfg, add_channel, draw_channel
-from .filters import rrc_taps, taps_from_coeffs, unit_taps
+from .filters import rrc_taps, unit_taps
 from .metrics import (
     OOBE_MIN_BLOCKS,
     empirical_ccdf,
@@ -107,14 +109,23 @@ class EvalConfig:
         for name in self.mods:
             if name not in SCHEME_NAMES:
                 raise ValueError(f"unknown modulation {name!r}")
-        if self.n_blocks < 1 or self.ccdf_blocks < 1:
-            raise ValueError("block counts must be positive")
+        if self.n_blocks < 1:
+            raise ValueError(f"n_blocks must be positive, got {self.n_blocks}")
+        if self.ccdf_blocks < OOBE_MIN_BLOCKS:
+            raise ValueError(f"ccdf_blocks must be >= {OOBE_MIN_BLOCKS}, got {self.ccdf_blocks}")
         if self.papr_trace_blocks < 0:
             raise ValueError(f"papr_trace_blocks must be >= 0, got {self.papr_trace_blocks}")
         if self.oobe_blocks < OOBE_MIN_BLOCKS:
             raise ValueError(
                 f"oobe_blocks must be >= {OOBE_MIN_BLOCKS}, got {self.oobe_blocks}"
             )
+        # the OOBE is measured on the first CCDF chunk
+        oobe_max = min(self.ccdf_blocks, CCDF_CHUNK)
+        if self.oobe_blocks > oobe_max:
+            raise ValueError(f"oobe_blocks must be <= min(ccdf_blocks, {CCDF_CHUNK}) = "
+                             f"{oobe_max}, got {self.oobe_blocks}")
+        if not np.isfinite(self.rician_k_db):
+            raise ValueError(f"rician_k_db must be finite, got {self.rician_k_db}")
         if not np.all(np.isfinite(self.snr_db)):
             raise ValueError(f"snr_db must hold finite values, got {list(self.snr_db)}")
         if not np.isfinite(self.ccdf_snr_db):
@@ -200,19 +211,13 @@ class _SchemeEngine:
 
     def transmit(self, scheme: str, data: dict, snr_db: float) -> Transmit:
         """Occupied bins, effective receiver taps and reference symbols."""
-        if scheme in ("tinyml", "rrc_fdss"):
-            s_ext = data["s_ext"]
-            if scheme == "tinyml":
-                if self.net is None:
-                    raise ValueError("tinyml scheme requires a checkpoint")
-                feats = network.build_input(
-                    s_ext, np.full(s_ext.shape[0], snr_db), expected_len=self.cfg.n_sk
-                )
-                coeffs = network.predict_coeffs(self.net, feats)
-                taps = taps_from_coeffs(coeffs, self.cfg.n_sk)
-            else:
-                taps = self.rrc_fdss_taps
-            bins, eff, _ = shape_and_normalize(s_ext, taps)
+        if scheme == "tinyml":
+            if self.net is None:
+                raise ValueError("tinyml scheme requires a checkpoint")
+            bins, eff = adaptation_cycle(snr_db, self.net, data["s_ext"])
+            return Transmit(self.cfg, bins, eff, data["sym_ext"])
+        if scheme == "rrc_fdss":
+            bins, eff, _ = shape_and_normalize(data["s_ext"], self.rrc_fdss_taps)
             return Transmit(self.cfg, bins, eff, data["sym_ext"])
         conv, s, sym = self.conv, data["s_conv"], data["sym_conv"]
         if scheme == "dftsofdm":

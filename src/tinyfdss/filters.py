@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-NUM_COEFFS = 5  # polynomial degree 4, one coefficient per output neuron
-
 
 def tap_positions(n_sk: int) -> np.ndarray:
     """Normalized bin positions t_k = (2k - n_sk - 1)/(n_sk - 1) for k = 1..n_sk.
@@ -24,7 +22,7 @@ def tap_positions(n_sk: int) -> np.ndarray:
     return (2.0 * k - n_sk - 1.0) / (n_sk - 1.0)
 
 
-def coeff_basis(n_sk: int, n_coeffs: int = NUM_COEFFS) -> np.ndarray:
+def coeff_basis(n_sk: int, n_coeffs: int) -> np.ndarray:
     """Vandermonde basis B[k, z] = t_k**z, so taps = coeffs @ B.T."""
     t = tap_positions(n_sk)
     return np.power.outer(t, np.arange(n_coeffs))

@@ -13,6 +13,7 @@ from .chain import ChainConfig
 
 TAIL_X0_DB = 6.0
 OOBE_MIN_BLOCKS = 10  # periodogram segments oobe_db averages at the least
+OOBE_PAD = 4  # zero-padding factor of each oobe_db periodogram segment
 
 
 def papr_db(signal) -> float | np.ndarray:
@@ -79,10 +80,10 @@ def measured_ser(tx_symbols: np.ndarray, detected: np.ndarray) -> tuple[float, i
     return errors / total, errors, total
 
 
-def oobe_db(blocks: np.ndarray, cfg: ChainConfig, pad_factor: int = 4) -> float:
+def oobe_db(blocks: np.ndarray, cfg: ChainConfig) -> float:
     """Out-of-band emission from a Hann-windowed averaged periodogram, in dB.
 
-    Each block is one Welch segment: windowed, zero-padded by ``pad_factor``
+    Each block is one Welch segment: windowed, zero-padded by ``OOBE_PAD``
     so leakage between subcarrier bins is resolved, and averaged.  OOBE is
     mean out-of-band PSD over mean in-band PSD.  A block-boundary--free tone
     still leaks through the window's sidelobes, which sets the measurement
@@ -97,14 +98,14 @@ def oobe_db(blocks: np.ndarray, cfg: ChainConfig, pad_factor: int = 4) -> float:
     if n % cfg.n_fft != 0:
         raise ValueError(f"block length {n} not a multiple of n_fft={cfg.n_fft}")
     window = np.hanning(n)
-    spec = np.fft.fft(blocks * window, n=n * pad_factor, axis=-1)
+    spec = np.fft.fft(blocks * window, n=n * OOBE_PAD, axis=-1)
     psd = np.mean(np.abs(spec) ** 2, axis=0)
     psd = np.fft.fftshift(psd)
-    # occupied band at padded resolution: n_sk original bins, pad_factor each
-    center = n * pad_factor // 2
-    half = cfg.n_sk * pad_factor // 2
-    in_band = np.zeros(n * pad_factor, dtype=bool)
-    in_band[center - half : center - half + cfg.n_sk * pad_factor] = True
+    # occupied band at padded resolution: n_sk original bins, OOBE_PAD each
+    center = n * OOBE_PAD // 2
+    half = cfg.n_sk * OOBE_PAD // 2
+    in_band = np.zeros(n * OOBE_PAD, dtype=bool)
+    in_band[center - half : center - half + cfg.n_sk * OOBE_PAD] = True
     mean_in = float(np.mean(psd[in_band]))
     mean_out = float(np.mean(psd[~in_band]))
     if mean_in == 0.0:

@@ -36,20 +36,15 @@ def build_input(
 ) -> np.ndarray:
     """Feature vector: extended-spectrum magnitudes followed by snr_db/20.
 
-    ``s_ext`` may carry a leading batch axis (with ``snr_db`` a matching
-    vector); features are float64 and O(1) by construction.
+    ``s_ext`` may carry leading batch axes, and ``snr_db`` is one value for
+    every block or one per block; features are float64 and O(1) by
+    construction.
     """
     s_ext = np.asarray(s_ext)
     if s_ext.shape[-1] != expected_len:
         raise ValueError(f"expected {expected_len} shaped bins, got {s_ext.shape[-1]}")
     mags = np.abs(s_ext).astype(np.float64)
-    snr_feat = np.asarray(snr_db, dtype=np.float64) / 20.0
-    if mags.ndim == 1:
-        if np.ndim(snr_feat) != 0:
-            raise ValueError("scalar snr_db expected for a single block")
-        return np.concatenate([mags, [snr_feat]])
-    if np.ndim(snr_feat) == 0:
-        snr_feat = np.full(mags.shape[:-1], snr_feat)
+    snr_feat = np.broadcast_to(np.asarray(snr_db, dtype=np.float64) / 20.0, mags.shape[:-1])
     return np.concatenate([mags, snr_feat[..., None]], axis=-1)
 
 
@@ -417,7 +412,7 @@ def predict_coeffs(net: NetParams | QuantizedNet, x: np.ndarray) -> np.ndarray:
 #   quant (bit0)    per layer: int8 tensor, float32 weight scale,
 #                   int32 bias tensor, float32 bias scale
 #   extras(bit2)    u32 epoch, u64 config hash
-#   history(bit3)   u32 row count, rows of 6 f64
+#   history(bit3)   u32 row count, rows of len(HISTORY_COLUMNS) = 6 f64
 #                   (epoch, mean_loss, median_loss, mse_term, tail_term, sparsity)
 #
 # The file ends after the last section its flags name; trailing bytes are
@@ -425,6 +420,8 @@ def predict_coeffs(net: NetParams | QuantizedNet, x: np.ndarray) -> np.ndarray:
 
 MAGIC = b"TFSS"
 VERSION = 1
+HISTORY_COLUMNS = ("epoch", "mean_loss", "median_loss", "mse_term", "tail_term",
+                   "sparsity")
 _FLAG_QUANT = 1
 _FLAG_EXTRAS = 4
 _FLAG_HISTORY = 8
@@ -509,7 +506,7 @@ def save_net(
     if flags & _FLAG_EXTRAS:
         chunks.append(struct.pack("<IQ", epoch or 0, config_hash or 0))
     if history is not None:
-        hist = np.ascontiguousarray(history, dtype="<f8").reshape(-1, 6)
+        hist = np.ascontiguousarray(history, dtype="<f8").reshape(-1, len(HISTORY_COLUMNS))
         chunks.append(struct.pack("<I", hist.shape[0]))
         chunks.append(hist.tobytes())
     with open(path, "wb") as fh:
@@ -561,7 +558,7 @@ def load_net(path) -> dict:
         out["config_hash"] = int(config_hash)
     if flags & _FLAG_HISTORY:
         (rows,) = struct.unpack("<I", reader.take(4))
-        out["history"] = reader.array("<f8", (rows, 6))
+        out["history"] = reader.array("<f8", (rows, len(HISTORY_COLUMNS)))
     trailing = len(reader.data) - reader.pos
     if trailing:
         raise ValueError(f"{trailing} trailing bytes after the checkpoint's last section")

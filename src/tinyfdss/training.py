@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -29,6 +30,7 @@ import numpy as np
 from . import network
 from .adaptation import LambdaTable
 from .chain import (
+    GAIN_EPS,
     SCHEME_NAMES,
     ChainConfig,
     ModScheme,
@@ -44,6 +46,8 @@ from .chain import (
 from .channel import MODEL_NAMES, ChannelCfg, ChannelModel, draw_channel
 from .filters import coeff_basis, taps_from_coeffs
 from .metrics import TAIL_X0_DB, surrogate_blocks
+from .network import HISTORY_COLUMNS
+
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the loss turns non-finite; carries diagnostic context."""
@@ -78,6 +82,14 @@ class TrainConfig:
             raise ValueError(
                 f"snr_range_db must be two finite values, got {list(self.snr_range_db)}"
             )
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.target_sparsity < 1.0:
+            raise ValueError(f"target_sparsity must be in [0, 1), got {self.target_sparsity}")
+        if not math.isfinite(self.rician_k_db):
+            raise ValueError(f"rician_k_db must be finite, got {self.rician_k_db}")
         if self.snr_range_db[0] > self.snr_range_db[1]:
             raise ValueError(f"snr range out of order: {self.snr_range_db}")
         if self.prune_mode not in ("target", "none"):
@@ -104,10 +116,6 @@ def config_hash(config: TrainConfig) -> int:
     """Stable 64-bit hash of the canonical JSON form of the config."""
     blob = json.dumps(asdict(config), sort_keys=True).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "little")
-
-
-HISTORY_COLUMNS = ("epoch", "mean_loss", "median_loss", "mse_term", "tail_term",
-                   "sparsity")
 
 
 @dataclass
@@ -237,7 +245,6 @@ class LossTerms:
     loss: float
     mse_term: float
     tail_term: float
-    papr_db: np.ndarray  # (B,)
     mse: np.ndarray  # (B,)
 
 
@@ -247,7 +254,6 @@ def chain_loss(
     cfg: ChainConfig,
     x0_db: float = TAIL_X0_DB,
     sharpness: float = 4.0,
-    eps: float = 1e-12,
     want_grad: bool = True,
 ) -> tuple[LossTerms, np.ndarray | None]:
     """Mean block loss and its gradient w.r.t. the (B, n_coeffs) coefficients.
@@ -284,7 +290,7 @@ def chain_loss(
 
     # --- symbol-error path at fixed transmit power
     bins, taps_eff, g = shape_and_normalize(s_ext, taps)
-    numer, gain, recovered = _matched_fold(bins + prep.eta, taps_eff, cfg.n_se, eps)
+    numer, gain, recovered = _matched_fold(bins + prep.eta, taps_eff, cfg.n_se)
     s_hat = deprecode(recovered)
     err = s_hat - prep.symbols
     mse = np.mean(np.abs(err) ** 2, axis=-1)
@@ -295,7 +301,6 @@ def chain_loss(
         loss=loss,
         mse_term=float(np.mean(mse)),
         tail_term=float(np.mean(prep.lam * softplus)),
-        papr_db=papr,
         mse=mse,
     )
     if not np.isfinite(loss):
@@ -319,8 +324,8 @@ def chain_loss(
     # --- backward: mse term, first w.r.t. the effective taps u = g * taps
     shat_bar = err * (2.0 / (batch * cfg.n_data))
     rec_bar = np.fft.fft(shat_bar, axis=-1) / np.sqrt(cfg.n_data)
-    t_bar = rec_bar / (gain + eps)
-    g_bar = -np.real(rec_bar * np.conj(numer)) / (gain + eps) ** 2
+    t_bar = rec_bar / (gain + GAIN_EPS)
+    g_bar = -np.real(rec_bar * np.conj(numer)) / (gain + GAIN_EPS) ** 2
     # unfold: every extended position inherits its data bin's cotangent
     t_bar_ext = extend(t_bar, cfg.n_se)
     g_bar_ext = extend(g_bar, cfg.n_se)
@@ -350,18 +355,14 @@ def _sparsity(params: network.NetParams) -> float:
     return 1.0 - network.live_weight_count(params) / total
 
 
-def train(
-    config: TrainConfig,
-    lambda_table: LambdaTable | None = None,
-    progress: bool = False,
-) -> Checkpoint:
+def train(config: TrainConfig, progress: bool = False) -> Checkpoint:
     """Run the offline loop: batched chain loss, AdamW, epoch-end pruning.
 
     Returns a checkpoint whose parameters are float32-representable so that a
     save -> load -> forward round trip is bit-exact.  The quantized twin is
     produced once from the final pruned weights.
     """
-    table = lambda_table if lambda_table is not None else LambdaTable()
+    table = LambdaTable()
     params = network.init_params(
         hidden_width=config.hidden_width,
         rng=block_rng(config.seed, 1),

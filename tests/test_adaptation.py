@@ -3,6 +3,7 @@ import pytest
 
 from tinyfdss import network
 from tinyfdss.adaptation import (
+    DEFAULT_BINS,
     LambdaTable,
     adaptation_cycle,
     preset_trace,
@@ -42,13 +43,11 @@ class TestLambdaTable:
         for snr, lam in [(2.5, 0.1), (7.5, 0.3), (12.5, 0.5), (17.5, 0.8), (25.0, 1.0)]:
             assert table.lookup(snr) == lam
 
-    def test_rejects_gaps(self):
-        with pytest.raises(ValueError):
-            LambdaTable(bins=((0.0, 5.0, 0.1), (6.0, 10.0, 0.3)))
-
-    def test_rejects_bad_lambda(self):
-        with pytest.raises(ValueError):
-            LambdaTable(bins=((0.0, 5.0, 0.0),))
+    def test_default_bins_contiguous_ordered_lambda_in_range(self):
+        los, his, lams = zip(*DEFAULT_BINS)
+        assert all(lo < hi for lo, hi in zip(los, his))
+        assert los[1:] == his[:-1]  # each bin starts where the last one ends
+        assert all(0.0 < lam <= 1.0 for lam in lams)
 
     def test_rejects_non_finite_snr(self):
         with pytest.raises(ValueError):
@@ -92,6 +91,45 @@ class TestAdaptationCycle:
         block = make_block(cfg)
         shaped, _ = adaptation_cycle(8.0, qnet, block)
         assert np.all(np.isfinite(shaped))
+
+    @pytest.mark.parametrize("kind", ["float", "int8"])
+    def test_batch_equals_single_block_calls_bytewise(self, cfg, kind):
+        # weights, biases and feature values are small dyadic numbers, so
+        # every product and sum in the net is exact and the batch's matrix
+        # product cannot round differently from a single block's
+        rng = np.random.default_rng(3)
+        shapes = [(10, cfg.n_sk + 1), (5, 10)]
+        if kind == "float":
+            layers = [(rng.integers(-8, 9, shape) / 16.0,
+                       rng.integers(-8, 9, shape[0]) / 16.0, np.ones(shape))
+                      for shape in shapes]
+            dyadic = network.NetParams.from_layers(layers)
+        else:
+            layers = [(rng.integers(-127, 128, shape).astype(np.int8), 2.0**-6,
+                       rng.integers(-512, 513, shape[0]).astype(np.int32), 2.0**-14)
+                      for shape in shapes]
+            dyadic = network.QuantizedNet.from_layers(layers)
+        phases = np.array([1.0, -1.0, 1j, -1j])
+        blocks = (rng.integers(1, 9, (7, cfg.n_sk))
+                  * phases[rng.integers(0, 4, (7, cfg.n_sk))])
+        bins, taps = adaptation_cycle(10.0, dyadic, blocks)
+        assert bins.shape == taps.shape == blocks.shape
+        for b in range(len(blocks)):
+            one_bins, one_taps = adaptation_cycle(10.0, dyadic, blocks[b])
+            assert one_bins.tobytes() == bins[b].tobytes()
+            assert one_taps.tobytes() == taps[b].tobytes()
+
+    @pytest.mark.parametrize("kind", ["float", "int8"])
+    def test_batch_matches_single_block_calls(self, cfg, net, kind):
+        # on general weights a BLAS may sum a batch's matrix product in a
+        # different order than one block's, so rows agree to rounding only
+        deployed = net if kind == "float" else network.quantize(net)
+        blocks = np.stack([make_block(cfg, seed) for seed in range(5)])
+        bins, taps = adaptation_cycle(8.0, deployed, blocks)
+        for b in range(len(blocks)):
+            one_bins, one_taps = adaptation_cycle(8.0, deployed, blocks[b])
+            np.testing.assert_allclose(bins[b], one_bins, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(taps[b], one_taps, rtol=1e-12, atol=1e-14)
 
     def test_wrong_stage_rejected(self, cfg, net):
         # data symbols (n_data long) are not an extended spectrum (n_sk long)

@@ -19,7 +19,6 @@ from tinyfdss.chain import (
     receiver_chain,
     shape_and_normalize,
     time_signal,
-    transmit,
 )
 from tinyfdss.channel import ChannelCfg, ChannelModel, apply_channel
 from tinyfdss.filters import rrc_taps, taps_from_coeffs, unit_taps
@@ -35,6 +34,13 @@ GRAY_16QAM = {
     (1, 1, 0, 0): -1 - 1j, (1, 1, 0, 1): -1 - 3j, (1, 1, 1, 0): -3 - 1j,
     (1, 1, 1, 1): -3 - 3j,
 }
+
+
+def shaped_block(bits, scheme, taps, cfg, oversample=None):
+    """One block shaped at fixed transmit power: (time-domain block, effective taps)."""
+    s_ext = extend(precode(map_symbols(bits, scheme)), cfg.n_se)
+    bins, eff, _ = shape_and_normalize(s_ext, taps)
+    return SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins, cfg, oversample)), eff
 
 
 def qam16_spectra(rng, n_data, n_se):
@@ -133,12 +139,6 @@ class TestDftPrecode:
         x = rng.standard_normal(cfg.n_data) + 1j * rng.standard_normal(cfg.n_data)
         np.testing.assert_allclose(deprecode(precode(x)), x, atol=1e-10)
 
-    def test_rejects_wrong_length(self):
-        # 5 QPSK symbols do not fill a 4-symbol allocation
-        cfg = ChainConfig(n_data=4, n_se=0, n_fft=8)
-        with pytest.raises(ValueError):
-            transmit(np.zeros(10, dtype=int), ModScheme.QPSK, unit_taps(cfg.n_sk), cfg)
-
 
 class TestSpectrumExtend:
     def test_four_bin_example(self):
@@ -197,10 +197,10 @@ class TestApplyFilter:
         np.testing.assert_array_equal(bins, g * shaped)
         np.testing.assert_array_equal(eff, g * taps)
 
-    def test_rejects_length_mismatch(self, cfg, rng):
-        bits = rng.integers(0, 2, cfg.n_data * 2)
-        with pytest.raises(ValueError):
-            transmit(bits, ModScheme.QPSK, np.ones(cfg.n_sk - 1), cfg)
+    def test_rejects_length_mismatch(self, cfg):
+        # the synthesis grid takes exactly the n_sk shaped bins
+        with pytest.raises(ValueError, match="shaped bins"):
+            time_signal(np.ones(cfg.n_sk - 1, dtype=complex), cfg)
 
     def test_real_taps_keep_occupied_power(self, cfg, rng):
         s = qam16_spectra(rng, cfg.n_data, cfg.n_se)
@@ -271,9 +271,9 @@ class TestReceiverChain:
         bits = rng.integers(0, 2, cfg.n_data * 2)
         taps = unit_taps(cfg.n_sk)
         tx = map_symbols(bits, ModScheme.QPSK)
-        sig = transmit(bits, ModScheme.QPSK, taps, cfg)
+        sig, eff = shaped_block(bits, ModScheme.QPSK, taps, cfg)
         rx = SymbolBlock(Stage.RECEIVED, sig.values)
-        detected, _ = receiver_chain(rx, taps, cfg, ModScheme.QPSK)
+        detected, _ = receiver_chain(rx, eff, cfg, ModScheme.QPSK)
         np.testing.assert_array_equal(detected.values, tx)
         ser, errors, _ = measured_ser(tx, detected.values)
         assert errors == 0
@@ -286,9 +286,9 @@ class TestReceiverChain:
         else:
             taps = 0.3 + rng.uniform(0.0, 1.0, cfg.n_sk)
         tx = map_symbols(bits, ModScheme.QPSK)
-        sig = transmit(bits, ModScheme.QPSK, taps, cfg)
+        sig, eff = shaped_block(bits, ModScheme.QPSK, taps, cfg)
         rx = SymbolBlock(Stage.RECEIVED, sig.values)
-        _, equalized = receiver_chain(rx, taps, cfg, ModScheme.QPSK)
+        _, equalized = receiver_chain(rx, eff, cfg, ModScheme.QPSK)
         assert np.max(np.abs(equalized - tx)) < 1e-6
 
     def test_awgn_ser_matches_closed_form(self, cfg):
@@ -304,11 +304,11 @@ class TestReceiverChain:
             brng = np.random.default_rng((42, b))
             bits = brng.integers(0, 2, cfg.n_data * 2)
             tx = map_symbols(bits, ModScheme.QPSK)
-            sig = transmit(bits, ModScheme.QPSK, taps, cfg, oversample=1)
+            sig, eff = shaped_block(bits, ModScheme.QPSK, taps, cfg, oversample=1)
             rx, fade = apply_channel(
                 sig, ChannelCfg(ChannelModel.AWGN, snr_db=snr_db), cfg, rng=brng
             )
-            detected, _ = receiver_chain(rx, taps, cfg, ModScheme.QPSK, fade=fade)
+            detected, _ = receiver_chain(rx, eff, cfg, ModScheme.QPSK, fade=fade)
             _, e, t = measured_ser(tx, detected.values)
             errors += e
             total += t
@@ -321,10 +321,10 @@ class TestReceiverChain:
         taps = unit_taps(cfg.n_sk)
         # a middle data bin has no extension copy, so zeroing its tap kills it
         taps[cfg.n_se + cfg.n_data // 2] = 0.0
-        sig = transmit(bits, ModScheme.QPSK, taps, cfg)
+        sig, eff = shaped_block(bits, ModScheme.QPSK, taps, cfg)
         rx = SymbolBlock(Stage.RECEIVED, sig.values)
         with pytest.raises(EqualizationError):
-            receiver_chain(rx, taps, cfg, ModScheme.QPSK)
+            receiver_chain(rx, eff, cfg, ModScheme.QPSK)
 
 
 class TestRoundTripInvariant:
@@ -333,9 +333,9 @@ class TestRoundTripInvariant:
         bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
         taps = 0.11 + rng.uniform(0.0, 1.5, cfg.n_sk)  # min|F| > 0.1
         tx = map_symbols(bits, scheme)
-        sig = transmit(bits, scheme, taps, cfg)
+        sig, eff = shaped_block(bits, scheme, taps, cfg)
         rx = SymbolBlock(Stage.RECEIVED, sig.values)
-        detected, _ = receiver_chain(rx, taps, cfg, scheme)
+        detected, _ = receiver_chain(rx, eff, cfg, scheme)
         np.testing.assert_array_equal(detected.values, tx)
 
     def test_parseval_at_each_linear_stage(self, cfg, rng):

@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinyfdss.chain import ChainConfig, ModScheme, Stage, SymbolBlock, transmit
+from tinyfdss.chain import (
+    ChainConfig,
+    ModScheme,
+    Stage,
+    SymbolBlock,
+    extend,
+    map_symbols,
+    precode,
+    shape_and_normalize,
+    time_signal,
+)
 from tinyfdss.channel import (
     ChannelCfg,
     ChannelModel,
@@ -19,8 +29,11 @@ from tinyfdss.filters import unit_taps
 
 
 def make_signal(cfg, rng, oversample=1):
+    """One unit-tap QPSK block at fixed transmit power, in the time domain."""
     bits = rng.integers(0, 2, cfg.n_data * 2)
-    return transmit(bits, ModScheme.QPSK, unit_taps(cfg.n_sk), cfg, oversample)
+    s_ext = extend(precode(map_symbols(bits, ModScheme.QPSK)), cfg.n_se)
+    bins, _, _ = shape_and_normalize(s_ext, unit_taps(cfg.n_sk))
+    return SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins, cfg, oversample))
 
 
 class TestApplyChannel:

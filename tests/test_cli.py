@@ -145,6 +145,27 @@ class TestConfig:
          "eval: papr_trace_blocks must be >= 0, got -5"),
         ("train", "eval", {"oobe_blocks": 0}, "eval: oobe_blocks must be >= 10, got 0"),
         ("train", "eval", {"oobe_blocks": 9}, "eval: oobe_blocks must be >= 10, got 9"),
+        ("baselines", "eval", {"ccdf_blocks": 5}, "eval: ccdf_blocks must be >= 10"),
+        ("baselines", "eval", {"ccdf_blocks": 12},
+         "eval: oobe_blocks must be <= min(ccdf_blocks, 2048) = 12, got 16"),
+        ("baselines", "eval", {"ccdf_blocks": 2100, "oobe_blocks": 2050},
+         "eval: oobe_blocks must be <= min(ccdf_blocks, 2048) = 2048, got 2050"),
+        ("train", "train", {"target_sparsity": 1.0},
+         "train: target_sparsity must be in [0, 1), got 1.0"),
+        ("train", "train", {"lr": float("nan")}, "train: lr must be finite and >= 0, got nan"),
+        ("train", "train", {"lr": -0.001}, "train: lr must be finite and >= 0, got -0.001"),
+        ("train", "train", {"weight_decay": float("inf")},
+         "train: weight_decay must be finite and >= 0, got inf"),
+        ("train", "train", {"weight_decay": -1.0},
+         "train: weight_decay must be finite and >= 0, got -1.0"),
+        ("baselines", "eval", {"rician_k_db": float("nan"), "channels": ["rician"]},
+         "eval: rician_k_db must be finite, got nan"),
+        ("train", "train", {"rician_k_db": float("inf"), "channel_mix": {"rician": 1}},
+         "train: rician_k_db must be finite, got inf"),
+        ("baselines", "baselines", {"clf": {"clip_ratio_db": float("nan")}},
+         "baselines.clf: clip_ratio_db must be finite, got nan"),
+        ("baselines", "baselines", {"clf": {"clip_ratio_db": float("inf")}},
+         "baselines.clf: clip_ratio_db must be finite, got inf"),
     ], ids=[
         "seed-str", "seed-float", "seed-negative", "snr_db-scalar", "snr_range_db-scalar",
         "channel_mix-str-weight", "hidden_widths-scalar", "eval-list", "n_blocks-float",
@@ -154,6 +175,10 @@ class TestConfig:
         "baselines-unknown", "adapt-preset", "hidden_widths-negative",
         "hidden_width-negative", "channel_mix-negative-weight", "mod_mix-negative-weight",
         "papr_trace_blocks-negative", "oobe_blocks-zero", "oobe_blocks-nine",
+        "ccdf_blocks-five", "oobe_blocks-above-ccdf_blocks", "oobe_blocks-above-chunk",
+        "target_sparsity-one", "lr-nan", "lr-negative", "weight_decay-inf",
+        "weight_decay-negative", "eval-rician_k_db-nan", "train-rician_k_db-inf",
+        "clip_ratio_db-nan", "clip_ratio_db-inf",
     ])
     def test_malformed_value_exits_2_naming_the_key(
         self, tmp_path, capsys, command, section, value, message

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tinyfdss import channel, evaluation
+from tinyfdss import channel, evaluation, network
 from tinyfdss.chain import ChainConfig
 from tinyfdss.evaluation import EvalConfig, evaluate
 from tinyfdss.training import TrainConfig, train
@@ -131,7 +131,8 @@ class TestEvaluate:
         self, small_ckpt, monkeypatch
     ):
         # fades and noise are drawn once per (channel, mod, SNR) for all
-        # schemes; only tinyml's transmit depends on the SNR
+        # schemes; only tinyml's transmit depends on the SNR, and each of its
+        # transmits is one batched feedback cycle of the adaptation loop
         eval_cfg = EvalConfig(
             snr_db=(5.0, 10.0), channels=("awgn", "rayleigh"),
             mods=("qpsk", "qam16"), n_blocks=20, ccdf_blocks=50, oobe_blocks=16,
@@ -152,13 +153,34 @@ class TestEvaluate:
                 grid_sends[scheme] += 1
             return real_transmit(self, scheme, data, snr_db)
 
+        cycles = []
+        real_cycle = evaluation.adaptation_cycle
+
+        def counting_cycle(snr_db, net, s_ext):
+            cycles.append((len(s_ext), snr_db))
+            return real_cycle(snr_db, net, s_ext)
+
+        net_calls = []
+        real_predict = network.predict_coeffs
+
+        def counting_predict(*args):
+            net_calls.append(1)
+            return real_predict(*args)
+
         monkeypatch.setattr(channel, "draw_fade", counting_fade)
         monkeypatch.setattr(evaluation._SchemeEngine, "transmit", counting_transmit)
+        monkeypatch.setattr(evaluation, "adaptation_cycle", counting_cycle)
+        monkeypatch.setattr(network, "predict_coeffs", counting_predict)
         result = evaluate(small_ckpt, eval_cfg, ChainConfig())
         n_mods, n_snrs = len(eval_cfg.mods), len(eval_cfg.snr_db)
         assert len(result.cells) == 3 * 2 * n_mods * n_snrs
         assert len(fades) == len(eval_cfg.channels) * n_mods * n_snrs * eval_cfg.n_blocks
         assert grid_sends == {"tinyml": n_mods * n_snrs, "rrc": n_mods, "slm": n_mods}
+        # the one CCDF chunk, then every (mod, SNR) of the grid
+        assert cycles == [(eval_cfg.ccdf_blocks, eval_cfg.ccdf_snr_db)] + [
+            (eval_cfg.n_blocks, snr_db) for _ in eval_cfg.mods for snr_db in eval_cfg.snr_db
+        ]
+        assert len(net_calls) == len(cycles)  # the net runs only inside the cycle
 
     def test_cell_order_is_scheme_channel_mod_snr(self, small_ckpt):
         eval_cfg = EvalConfig(
