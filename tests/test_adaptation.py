@@ -43,11 +43,15 @@ class TestLambdaTable:
         for snr, lam in [(2.5, 0.1), (7.5, 0.3), (12.5, 0.5), (17.5, 0.8), (25.0, 1.0)]:
             assert table.lookup(snr) == lam
 
-    def test_default_bins_contiguous_ordered_lambda_in_range(self):
-        los, his, lams = zip(*DEFAULT_BINS)
+    def test_rejects_gaps(self):
+        # the bins are the constant DEFAULT_BINS: ordered, with no gap
+        los, his, _ = zip(*DEFAULT_BINS)
         assert all(lo < hi for lo, hi in zip(los, his))
         assert los[1:] == his[:-1]  # each bin starts where the last one ends
-        assert all(0.0 < lam <= 1.0 for lam in lams)
+
+    def test_rejects_bad_lambda(self):
+        # every lambda of the constant DEFAULT_BINS lies in (0, 1]
+        assert all(0.0 < lam <= 1.0 for _, _, lam in DEFAULT_BINS)
 
     def test_rejects_non_finite_snr(self):
         with pytest.raises(ValueError):
