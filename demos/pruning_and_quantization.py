@@ -44,7 +44,8 @@ with tempfile.TemporaryDirectory() as tmp:
         tuple(t.astype(np.float32).astype(np.float64) for t in layer)
         for layer in params.layers()
     ])
-    network.save_net(path, params, qnet=network.quantize(params))
+    network.save_net(path, params, network.quantize(params), epoch=0, config_hash=0,
+                     history=np.zeros((0, len(network.HISTORY_COLUMNS))))
     loaded = network.load_net(path)
     same = np.array_equal(
         network.forward(loaded["params"], x), network.forward(params, x)

@@ -43,10 +43,9 @@ class ClfConfig:
 
 @dataclass(frozen=True)
 class SlmConfig:
-    """Candidate count and seed; U >= 2 for any reduction, U = 1 is the identity."""
+    """Candidate count; U >= 2 for any reduction, U = 1 is the identity."""
 
     num_candidates: int = 8
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_candidates < 1:
@@ -100,7 +99,7 @@ def clf_reduce(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray
 def slm_phase_vectors(slm: SlmConfig, n_data: int) -> np.ndarray:
     """(U, n_data) candidate phase vectors; row 0 is the identity."""
     phases = np.ones((slm.num_candidates, n_data), dtype=np.complex128)
-    rng = np.random.default_rng((slm.seed, 5))
+    rng = np.random.default_rng((0, 5))  # every run uses the same phase vectors
     for u in range(1, slm.num_candidates):
         phases[u] = SLM_ALPHABET[rng.integers(0, len(SLM_ALPHABET), n_data)]
     return phases

@@ -27,6 +27,7 @@ import numpy as np
 from .chain import ChainConfig, Stage, SymbolBlock
 
 SNR_CAP_DB = 60.0  # reported when the residual is exactly zero
+RICIAN_K_DB = 3.0  # Rician K-factor of every run's training and evaluation
 
 
 class ChannelModel(enum.Enum):
@@ -45,8 +46,7 @@ class ChannelCfg:
 
     model: ChannelModel = ChannelModel.AWGN
     snr_db: float = 10.0
-    k_factor_db: float = 3.0
-    seed: int = 0
+    k_factor_db: float = RICIAN_K_DB
 
     def __post_init__(self):
         if np.isnan(self.snr_db):
@@ -59,7 +59,7 @@ class ChannelCfg:
         return float(10.0 ** (self.k_factor_db / 10.0))
 
 
-def draw_fade(model: ChannelModel, rng: np.random.Generator, k_linear: float = 2.0) -> complex:
+def draw_fade(model: ChannelModel, rng: np.random.Generator, k_linear: float) -> complex:
     """One unit-power flat fading coefficient; AWGN returns exactly 1."""
     if model is ChannelModel.AWGN:
         return 1.0 + 0.0j
@@ -129,19 +129,16 @@ def apply_channel(
     signal: SymbolBlock,
     cfg: ChannelCfg,
     chain_cfg: ChainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[SymbolBlock, complex]:
     """Pass one time-domain block through the channel; returns (received, fade).
 
     The fade coefficient is returned for genie-aided compensation at the
-    receiver.  When ``rng`` is omitted a fresh generator is seeded from
-    ``cfg.seed``; Monte-Carlo loops should pass per-block generators seeded
-    from (master_seed, block_index).
+    receiver.  Monte-Carlo loops pass per-block generators seeded from
+    (master_seed, block_index).
     """
     if signal.stage is not Stage.TIME_DOMAIN:
         raise ValueError(f"expected TIME_DOMAIN block, got {signal.stage.name}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     rx, h = pass_channel(signal.values, cfg, chain_cfg, rng)
     return SymbolBlock(Stage.RECEIVED, rx), h
 

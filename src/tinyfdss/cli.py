@@ -23,17 +23,19 @@ import numpy as np
 from .adaptation import AdaptConfig, preset_trace, run_scenario
 from .baselines import ClfConfig, SlmConfig
 from .chain import SCHEME_NAMES, ChainConfig
-from .evaluation import BASELINESCHEME_NAMES, EvalConfig, evaluate
+from .evaluation import BASELINESCHEME_NAMES, CCDF_GRID_DB, EvalConfig, evaluate
 from .network import HISTORY_COLUMNS
 from .training import (
     Checkpoint,
     TrainConfig,
+    TrainingDivergedError,
     load_checkpoint,
     save_checkpoint,
     train,
 )
 
 CHECKPOINT_NAME = "checkpoint.bin"
+PAPR_TRACE_BLOCKS = 1000  # papr_vs_blocks.csv keeps the first blocks of each scheme
 _TOP_KEYS = {"seed", "out_dir", "checkpoint", "chain", "train", "eval", "baselines", "adapt",
              "sweep"}
 
@@ -112,7 +114,7 @@ def _section(cls, raw, path: str, **fixed):
     }
     try:
         return cls(**fixed, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -175,17 +177,16 @@ def _write_eval_outputs(result, out: Path, eval_cfg: EvalConfig,
         (
             (scheme, thr, p)
             for scheme in result.schemes
-            for thr, p in zip(result.ccdf_grid_db, result.ccdf[scheme])
+            for thr, p in zip(CCDF_GRID_DB, result.ccdf[scheme])
         ),
     )
-    n_trace = eval_cfg.papr_trace_blocks
     write_csv(
         out / "papr_vs_blocks.csv",
         ["scheme", "block_index", "papr_db"],
         (
             (scheme, i, v)
             for scheme in result.schemes
-            for i, v in enumerate(result.papr_samples[scheme][:n_trace])
+            for i, v in enumerate(result.papr_samples[scheme][:PAPR_TRACE_BLOCKS])
         ),
     )
     write_csv(
@@ -276,18 +277,10 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         columns[label] = result.ccdf["tinyml"]
         print(f"{label}: papr@1e-3 = {result.summary['tinyml']['papr_at_ccdf_1e3_db']:.3f} dB")
     base = evaluate(None, replace(eval_cfg, schemes=("rrc", "dftsofdm")), cfg["chain"])
-    grid = base.ccdf_grid_db
     columns["rrc"] = base.ccdf["rrc"]
     columns["dftsofdm"] = base.ccdf["dftsofdm"]
-    names = list(columns)
-    write_csv(
-        out / "sweep_ccdf.csv",
-        ["threshold_db"] + names,
-        (
-            tuple([grid[i]] + [columns[n][i] for n in names])
-            for i in range(len(grid))
-        ),
-    )
+    write_csv(out / "sweep_ccdf.csv", ["threshold_db", *columns],
+              zip(CCDF_GRID_DB, *columns.values()))
     print(f"sweep outputs written to {out}")
     return 0
 
@@ -377,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep(cfg, out)
         if args.command == "adapt":
             return cmd_adapt(cfg, out, args.checkpoint, args.trace)
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

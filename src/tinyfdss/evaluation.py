@@ -58,7 +58,7 @@ from .chain import (
     shape_and_normalize,
     time_signal,
 )
-from .channel import MODEL_NAMES, ChannelCfg, add_channel, draw_channel
+from .channel import MODEL_NAMES, RICIAN_K_DB, ChannelCfg, add_channel, draw_channel
 from .filters import rrc_taps, unit_taps
 from .metrics import (
     OOBE_MIN_BLOCKS,
@@ -74,6 +74,7 @@ ALLSCHEME_NAMES = ("tinyml", "rrc", "dftsofdm", "clf", "slm", "rrc_fdss")
 BASELINESCHEME_NAMES = ("rrc", "dftsofdm", "clf", "slm")
 RRC_FIR_TAPS = 32
 CCDF_CHUNK = 2048  # blocks per CCDF chunk, bounds peak memory
+CCDF_GRID_DB = np.arange(0.0, 12.0 + 0.1 / 2, 0.1)  # CCDF thresholds 0, 0.1, ..., 12 dB
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,9 @@ class EvalConfig:
     n_blocks: int = 500
     ccdf_blocks: int = 20_000
     ccdf_snr_db: float = 15.0
-    ccdf_grid_db: tuple[float, float, float] = (0.0, 12.0, 0.1)
-    papr_trace_blocks: int = 1000
     oobe_blocks: int = 64
     rrc_rolloff: float = 0.25
-    rician_k_db: float = 3.0
+    rician_k_db: float = RICIAN_K_DB
     use_quantized: bool = True
     schemes: tuple[str, ...] = ("tinyml", "rrc", "dftsofdm", "clf", "slm")
     clf: ClfConfig = field(default_factory=ClfConfig)
@@ -113,8 +112,6 @@ class EvalConfig:
             raise ValueError(f"n_blocks must be positive, got {self.n_blocks}")
         if self.ccdf_blocks < OOBE_MIN_BLOCKS:
             raise ValueError(f"ccdf_blocks must be >= {OOBE_MIN_BLOCKS}, got {self.ccdf_blocks}")
-        if self.papr_trace_blocks < 0:
-            raise ValueError(f"papr_trace_blocks must be >= 0, got {self.papr_trace_blocks}")
         if self.oobe_blocks < OOBE_MIN_BLOCKS:
             raise ValueError(
                 f"oobe_blocks must be >= {OOBE_MIN_BLOCKS}, got {self.oobe_blocks}"
@@ -130,9 +127,6 @@ class EvalConfig:
             raise ValueError(f"snr_db must hold finite values, got {list(self.snr_db)}")
         if not np.isfinite(self.ccdf_snr_db):
             raise ValueError(f"ccdf_snr_db must be finite, got {self.ccdf_snr_db}")
-        grid = self.ccdf_grid_db
-        if len(grid) != 3 or not np.all(np.isfinite(grid)) or grid[2] <= 0:
-            raise ValueError(f"ccdf_grid_db must be finite (lo, hi, step > 0), got {list(grid)}")
 
 
 @dataclass
@@ -149,8 +143,7 @@ class CellResult:
 @dataclass
 class EvalResult:
     schemes: tuple[str, ...]
-    ccdf_grid_db: np.ndarray
-    ccdf: dict  # scheme -> np.ndarray
+    ccdf: dict  # scheme -> np.ndarray over CCDF_GRID_DB
     papr_samples: dict  # scheme -> np.ndarray (ccdf cell)
     oobe: dict  # scheme -> float
     cells: list[CellResult]
@@ -325,9 +318,7 @@ def evaluate(
     schemes = eval_cfg.schemes
 
     papr_samples, oobe = _ccdf_pass(engine)
-    lo, hi, step = eval_cfg.ccdf_grid_db
-    grid = np.arange(lo, hi + step / 2, step)
-    ccdf = {scheme: empirical_ccdf(papr_samples[scheme], grid) for scheme in schemes}
+    ccdf = {scheme: empirical_ccdf(papr_samples[scheme], CCDF_GRID_DB) for scheme in schemes}
 
     indices = np.arange(eval_cfg.n_blocks)
     data = {mod: engine.data_symbols(mod, indices) for mod in eval_cfg.mods}
@@ -357,6 +348,6 @@ def evaluate(
         summary[scheme] = entry
 
     return EvalResult(
-        schemes=schemes, ccdf_grid_db=grid, ccdf=ccdf,
+        schemes=schemes, ccdf=ccdf,
         papr_samples=papr_samples, oobe=oobe, cells=cells, summary=summary,
     )

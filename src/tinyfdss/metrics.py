@@ -12,6 +12,7 @@ import numpy as np
 from .chain import ChainConfig
 
 TAIL_X0_DB = 6.0
+SURROGATE_SHARPNESS = 4.0  # softplus sharpness of the tail surrogate
 OOBE_MIN_BLOCKS = 10  # periodogram segments oobe_db averages at the least
 OOBE_PAD = 4  # zero-padding factor of each oobe_db periodogram segment
 
@@ -55,7 +56,7 @@ def papr_at_ccdf(samples: np.ndarray, prob: float) -> float:
 def surrogate_blocks(
     papr_db_batch: np.ndarray,
     x0_db: float = TAIL_X0_DB,
-    sharpness: float = 4.0,
+    sharpness: float = SURROGATE_SHARPNESS,
 ) -> np.ndarray:
     """Per-block softplus tail surrogate softplus_b(PAPR - x0).
 

@@ -297,15 +297,19 @@ def _mask_smallest(params: NetParams, n_mask: int) -> NetParams:
     return params
 
 
+def live_target(total: int, sparsity: float) -> int:
+    """Weights ``prune_to`` leaves live out of ``total``: round(total * (1 - sparsity))."""
+    return int(round(total * (1.0 - sparsity)))
+
+
 def prune_to(params: NetParams, sparsity: float) -> NetParams:
-    """Prune until exactly round(total * (1 - sparsity)) weights remain live.
+    """Prune until exactly ``live_target(total, sparsity)`` weights remain live.
 
     The smallest-magnitude live weights across all layers go first.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    total = total_weight_count(params)
-    target_live = int(round(total * (1.0 - sparsity)))
+    target_live = live_target(total_weight_count(params), sparsity)
     if target_live == 0:
         raise ValueError("target sparsity would mask every weight")
     return _mask_smallest(params, live_weight_count(params) - target_live)
@@ -404,9 +408,10 @@ def predict_coeffs(net: NetParams | QuantizedNet, x: np.ndarray) -> np.ndarray:
 #   hidden_width    u32
 #   input_dim       u32
 #   out_dim         u32  (also the coefficient count)
-#   flags           u32  bit0 quantized twin, bit2 extras, bit3 history; any
-#                        other bit is rejected, including bit1, which marked an
-#                        optimizer section that no code path resumed from
+#   flags           u32  13: bit0 quantized twin, bit2 extras, bit3 history.
+#                        Every file carries all three sections; a file that
+#                        clears one of these bits or sets any other bit is
+#                        rejected (bit1 marked a retired optimizer section)
 #   params          float32 row-major: [w1, b1] (if hidden>0), w2, b2
 #   masks           packed bitsets (row-major, padded to byte) per weight tensor
 #   quant (bit0)    per layer: int8 tensor, float32 weight scale,
@@ -415,17 +420,14 @@ def predict_coeffs(net: NetParams | QuantizedNet, x: np.ndarray) -> np.ndarray:
 #   history(bit3)   u32 row count, rows of len(HISTORY_COLUMNS) = 6 f64
 #                   (epoch, mean_loss, median_loss, mse_term, tail_term, sparsity)
 #
-# The file ends after the last section its flags name; trailing bytes are
-# rejected.
+# The file ends after the history; trailing bytes are rejected.
 
 MAGIC = b"TFSS"
 VERSION = 1
 HISTORY_COLUMNS = ("epoch", "mean_loss", "median_loss", "mse_term", "tail_term",
                    "sparsity")
-_FLAG_QUANT = 1
-_FLAG_EXTRAS = 4
-_FLAG_HISTORY = 8
-_KNOWN_FLAGS = _FLAG_QUANT | _FLAG_EXTRAS | _FLAG_HISTORY
+_SECTION_BITS = {"quantized twin": 0, "extras": 2, "history": 3}
+FLAGS = sum(1 << bit for bit in _SECTION_BITS.values())  # 13, set in every file
 
 
 def _f32_bytes(a: np.ndarray) -> bytes:
@@ -467,48 +469,38 @@ class _Reader:
 def save_net(
     path,
     params: NetParams,
-    qnet: QuantizedNet | None = None,
-    epoch: int | None = None,
-    config_hash: int | None = None,
-    history: np.ndarray | None = None,
+    qnet: QuantizedNet,
+    epoch: int,
+    config_hash: int,
+    history: np.ndarray,
 ) -> None:
-    """Serialize the network (optional int8 twin, extras, history) to ``path``.
+    """Serialize the network, its int8 twin, extras and history to ``path``.
 
     Parameter tensors are stored as float32; callers needing a bit-exact
     save -> load -> forward round trip should hold float32-representable
     parameters (the trainer casts once after training).
     """
-    flags = 0
-    if qnet is not None:
-        flags |= _FLAG_QUANT
-    if epoch is not None or config_hash is not None:
-        flags |= _FLAG_EXTRAS
-    if history is not None:
-        flags |= _FLAG_HISTORY
     chunks = [
         struct.pack(
             "<4sIIIII", MAGIC, VERSION, params.hidden_width,
-            params.input_dim, params.out_dim, flags,
+            params.input_dim, params.out_dim, FLAGS,
         )
     ]
     layers = params.layers()
     for w, b, _ in layers:
         chunks += [_f32_bytes(w), _f32_bytes(b)]
     chunks += [_mask_bytes(mask) for _, _, mask in layers]
-    if qnet is not None:
-        for q, scale, b_q, bias_scale in qnet.layers():
-            chunks += [
-                q.astype("<i1").tobytes(),
-                struct.pack("<f", scale),
-                b_q.astype("<i4").tobytes(),
-                struct.pack("<f", bias_scale),
-            ]
-    if flags & _FLAG_EXTRAS:
-        chunks.append(struct.pack("<IQ", epoch or 0, config_hash or 0))
-    if history is not None:
-        hist = np.ascontiguousarray(history, dtype="<f8").reshape(-1, len(HISTORY_COLUMNS))
-        chunks.append(struct.pack("<I", hist.shape[0]))
-        chunks.append(hist.tobytes())
+    for q, scale, b_q, bias_scale in qnet.layers():
+        chunks += [
+            q.astype("<i1").tobytes(),
+            struct.pack("<f", scale),
+            b_q.astype("<i4").tobytes(),
+            struct.pack("<f", bias_scale),
+        ]
+    chunks.append(struct.pack("<IQ", epoch, config_hash))
+    hist = np.ascontiguousarray(history, dtype="<f8").reshape(-1, len(HISTORY_COLUMNS))
+    chunks.append(struct.pack("<I", hist.shape[0]))
+    chunks.append(hist.tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
@@ -516,8 +508,8 @@ def save_net(
 def load_net(path) -> dict:
     """Load a checkpoint into a dict: params, qnet, epoch, config_hash, history.
 
-    A file that sets a flag bit this loader does not read, ends early, or
-    carries bytes after its last section raises ``ValueError``.
+    A file whose flags are not exactly ``FLAGS``, that ends early, or that
+    carries bytes after its history raises ``ValueError``.
     """
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
@@ -528,13 +520,17 @@ def load_net(path) -> dict:
         raise ValueError(f"bad checkpoint magic {magic!r}")
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    unknown = flags & ~_KNOWN_FLAGS
+    unknown = flags & ~FLAGS
     if unknown:
         bits = [i for i in range(32) if unknown >> i & 1]
         raise ValueError(
             f"checkpoint sets flag bit(s) {bits} (flags {flags:#x}) that this loader "
             "does not read"
         )
+    for section, bit in _SECTION_BITS.items():
+        if not flags >> bit & 1:
+            raise ValueError(f"checkpoint lacks its {section} section "
+                             f"(flag bit {bit}, flags {flags:#x})")
     shapes = _layer_shapes(in_dim, hidden, out_dim)
     tensors = [
         (reader.array("<f4", shape).astype(np.float64),
@@ -544,22 +540,16 @@ def load_net(path) -> dict:
     masks = [reader.mask(shape) for shape in shapes]
     params = NetParams.from_layers([(w, b, mask) for (w, b), mask in zip(tensors, masks)])
     apply_masks(params)
-    out = {"params": params, "qnet": None, "epoch": None, "config_hash": None,
-           "history": None}
-    if flags & _FLAG_QUANT:
-        out["qnet"] = QuantizedNet.from_layers([
-            (reader.array("<i1", shape), reader.f32(),
-             reader.array("<i4", shape[:1]), reader.f32())
-            for shape in shapes
-        ])
-    if flags & _FLAG_EXTRAS:
-        epoch, config_hash = struct.unpack("<IQ", reader.take(12))
-        out["epoch"] = int(epoch)
-        out["config_hash"] = int(config_hash)
-    if flags & _FLAG_HISTORY:
-        (rows,) = struct.unpack("<I", reader.take(4))
-        out["history"] = reader.array("<f8", (rows, len(HISTORY_COLUMNS)))
+    qnet = QuantizedNet.from_layers([
+        (reader.array("<i1", shape), reader.f32(),
+         reader.array("<i4", shape[:1]), reader.f32())
+        for shape in shapes
+    ])
+    epoch, config_hash = struct.unpack("<IQ", reader.take(12))
+    (rows,) = struct.unpack("<I", reader.take(4))
+    history = reader.array("<f8", (rows, len(HISTORY_COLUMNS)))
     trailing = len(reader.data) - reader.pos
     if trailing:
         raise ValueError(f"{trailing} trailing bytes after the checkpoint's last section")
-    return out
+    return {"params": params, "qnet": qnet, "epoch": int(epoch),
+            "config_hash": int(config_hash), "history": history}

@@ -45,8 +45,10 @@ from .chain import (
 )
 from .channel import MODEL_NAMES, ChannelCfg, ChannelModel, draw_channel
 from .filters import coeff_basis, taps_from_coeffs
-from .metrics import TAIL_X0_DB, surrogate_blocks
+from .metrics import SURROGATE_SHARPNESS, TAIL_X0_DB, surrogate_blocks
 from .network import HISTORY_COLUMNS
+
+OUT_INIT_SCALE = 0.3  # ``init_params`` scale of the output weights in every run
 
 
 class TrainingDivergedError(RuntimeError):
@@ -67,11 +69,7 @@ class TrainConfig:
     snr_range_db: tuple[float, float] = (0.0, 20.0)
     channel_mix: tuple[tuple[str, float], ...] = (("awgn", 0.5), ("rayleigh", 0.5))
     mod_mix: tuple[tuple[str, float], ...] = (("qpsk", 0.5), ("qam16", 0.5))
-    rician_k_db: float = 3.0
     hidden_width: int = network.HIDDEN_DEFAULT
-    out_init_scale: float = 0.3
-    surrogate_sharpness: float = 4.0
-    papr_x0_db: float = TAIL_X0_DB
     seed: int = 0
     chain: ChainConfig = field(default_factory=ChainConfig)
 
@@ -88,14 +86,19 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0.0 <= self.target_sparsity < 1.0:
             raise ValueError(f"target_sparsity must be in [0, 1), got {self.target_sparsity}")
-        if not math.isfinite(self.rician_k_db):
-            raise ValueError(f"rician_k_db must be finite, got {self.rician_k_db}")
         if self.snr_range_db[0] > self.snr_range_db[1]:
             raise ValueError(f"snr range out of order: {self.snr_range_db}")
         if self.prune_mode not in ("target", "none"):
             raise ValueError(f"unknown prune_mode {self.prune_mode!r}")
         if self.hidden_width < 0:
             raise ValueError(f"hidden_width must be >= 0, got {self.hidden_width}")
+        if self.prune_mode == "target":
+            shapes = network._layer_shapes(self.chain.n_sk + 1, self.hidden_width,
+                                           network.OUT_DIM)
+            n_weights = sum(fan_out * fan_in for fan_out, fan_in in shapes)
+            if network.live_target(n_weights, self.target_sparsity) == 0:
+                raise ValueError(f"target_sparsity must leave at least one of the "
+                                 f"{n_weights} weights live, got {self.target_sparsity}")
         for mix, table in (("channel_mix", MODEL_NAMES), ("mod_mix", SCHEME_NAMES)):
             pairs = getattr(self, mix)
             for name, weight in pairs:
@@ -106,10 +109,6 @@ class TrainConfig:
             total = sum(w for _, w in pairs)
             if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"{mix} weights sum to {total}, expected 1")
-        if not self.surrogate_sharpness > 0.0:
-            raise ValueError(
-                f"surrogate_sharpness must be positive, got {self.surrogate_sharpness}"
-            )
 
 
 def config_hash(config: TrainConfig) -> int:
@@ -123,39 +122,24 @@ class Checkpoint:
     """Trained parameters, their int8 twin, and the run's provenance and history."""
 
     params: network.NetParams
-    qnet: network.QuantizedNet | None
+    qnet: network.QuantizedNet
     epoch: int
     config_hash: int
     history: np.ndarray  # one row per epoch, HISTORY_COLUMNS order
     wall_seconds: np.ndarray | None = None  # per-epoch, reported but not serialized
 
     def deployed_net(self, use_quantized: bool) -> network.NetParams | network.QuantizedNet:
-        """The net a deployment runs: the int8 twin if asked for and present."""
-        return self.qnet if use_quantized and self.qnet is not None else self.params
+        """The net a deployment runs: the int8 twin if asked for."""
+        return self.qnet if use_quantized else self.params
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    network.save_net(
-        path,
-        ckpt.params,
-        qnet=ckpt.qnet,
-        epoch=ckpt.epoch,
-        config_hash=ckpt.config_hash,
-        history=ckpt.history,
-    )
+    network.save_net(path, ckpt.params, ckpt.qnet, ckpt.epoch, ckpt.config_hash,
+                     ckpt.history)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = network.load_net(path)
-    return Checkpoint(
-        params=raw["params"],
-        qnet=raw["qnet"],
-        epoch=raw["epoch"] if raw["epoch"] is not None else 0,
-        config_hash=raw["config_hash"] or 0,
-        history=raw["history"]
-        if raw["history"] is not None
-        else np.zeros((0, len(HISTORY_COLUMNS))),
-    )
+    return Checkpoint(**network.load_net(path))
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +202,7 @@ def prepare_batch(
         draw = generate_block(rng, config)
         symbols[row] = map_symbols(draw.bits, draw.scheme)
         # channel draw: fade then per-occupied-bin noise at fixed transmit power
-        h, noise = draw_channel(
-            ChannelCfg(draw.model, draw.snr_db, config.rician_k_db), cfg.n_sk, rng
-        )
+        h, noise = draw_channel(ChannelCfg(draw.model, draw.snr_db), cfg.n_sk, rng)
         snr[row] = draw.snr_db
         lam[row] = table.lookup(draw.snr_db)
         # sigma^2 per occupied bin with unit reference power; scaled below
@@ -252,8 +234,6 @@ def chain_loss(
     coeffs: np.ndarray,
     prep: BatchPrep,
     cfg: ChainConfig,
-    x0_db: float = TAIL_X0_DB,
-    sharpness: float = 4.0,
     want_grad: bool = True,
 ) -> tuple[LossTerms, np.ndarray | None]:
     """Mean block loss and its gradient w.r.t. the (B, n_coeffs) coefficients.
@@ -286,7 +266,7 @@ def chain_loss(
     peak = power[rows, peak_idx]
     mean_pow = power.mean(axis=-1)
     papr = 10.0 * np.log10(peak / mean_pow)
-    softplus = surrogate_blocks(papr, x0_db, sharpness)
+    softplus = surrogate_blocks(papr)
 
     # --- symbol-error path at fixed transmit power
     bins, taps_eff, g = shape_and_normalize(s_ext, taps)
@@ -312,7 +292,7 @@ def chain_loss(
         return terms, None
 
     # --- backward: PAPR tail term
-    z = sharpness * (papr - x0_db)
+    z = SURROGATE_SHARPNESS * (papr - TAIL_X0_DB)
     w_papr = prep.lam / (1.0 + np.exp(-z)) / batch  # dLoss/dpapr_b
     c_log = 10.0 / np.log(10.0)
     x_bar = x * (-2.0 * w_papr / (n_os * mean_pow) * c_log)[:, None]
@@ -367,7 +347,7 @@ def train(config: TrainConfig, progress: bool = False) -> Checkpoint:
         hidden_width=config.hidden_width,
         rng=block_rng(config.seed, 1),
         input_dim=config.chain.n_sk + 1,
-        out_scale=config.out_init_scale,
+        out_scale=OUT_INIT_SCALE,
     )
     opt = network.AdamState(lr=config.lr, weight_decay=config.weight_decay)
     history = np.zeros((config.epochs, len(HISTORY_COLUMNS)))
@@ -382,11 +362,7 @@ def train(config: TrainConfig, progress: bool = False) -> Checkpoint:
             prep = prepare_batch(config, idxs, table)
             coeffs, cache = network.forward_cached(params, prep.features)
             try:
-                terms, d_coeffs = chain_loss(
-                    coeffs, prep, config.chain,
-                    x0_db=config.papr_x0_db,
-                    sharpness=config.surrogate_sharpness,
-                )
+                terms, d_coeffs = chain_loss(coeffs, prep, config.chain)
             except TrainingDivergedError as exc:
                 norms = [
                     (float(np.linalg.norm(w)), float(np.linalg.norm(b)))

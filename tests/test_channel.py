@@ -40,14 +40,14 @@ class TestApplyChannel:
     def test_infinite_snr_awgn_is_identity(self, cfg, rng):
         sig = make_signal(cfg, rng)
         ch = ChannelCfg(ChannelModel.AWGN, snr_db=np.inf)
-        rx, fade = apply_channel(sig, ch, cfg)
+        rx, fade = apply_channel(sig, ch, cfg, rng)
         assert fade == 1.0 + 0.0j
         np.testing.assert_array_equal(rx.values, sig.values)
 
     def test_rayleigh_unit_power(self):
         rng = np.random.default_rng(0)
         draws = np.array(
-            [draw_fade(ChannelModel.RAYLEIGH, rng) for _ in range(100_000)]
+            [draw_fade(ChannelModel.RAYLEIGH, rng, k_linear=0.0) for _ in range(100_000)]
         )
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.02)
 
@@ -63,9 +63,9 @@ class TestApplyChannel:
 
     def test_seeded_determinism(self, cfg, rng):
         sig = make_signal(cfg, rng)
-        ch = ChannelCfg(ChannelModel.RAYLEIGH, snr_db=7.0, seed=99)
-        rx1, h1 = apply_channel(sig, ch, cfg)
-        rx2, h2 = apply_channel(sig, ch, cfg)
+        ch = ChannelCfg(ChannelModel.RAYLEIGH, snr_db=7.0)
+        rx1, h1 = apply_channel(sig, ch, cfg, np.random.default_rng(99))
+        rx2, h2 = apply_channel(sig, ch, cfg, np.random.default_rng(99))
         assert h1 == h2
         np.testing.assert_array_equal(rx1.values, rx2.values)
 
@@ -86,8 +86,8 @@ class TestApplyChannel:
 
     def test_fading_is_flat_per_block(self, cfg, rng):
         sig = make_signal(cfg, rng)
-        ch = ChannelCfg(ChannelModel.RAYLEIGH, snr_db=np.inf, seed=3)
-        rx, h = apply_channel(sig, ch, cfg)
+        ch = ChannelCfg(ChannelModel.RAYLEIGH, snr_db=np.inf)
+        rx, h = apply_channel(sig, ch, cfg, np.random.default_rng(3))
         np.testing.assert_allclose(rx.values, h * sig.values, atol=1e-15)
 
     def test_rician_requires_finite_k(self):
@@ -97,7 +97,7 @@ class TestApplyChannel:
     def test_wrong_stage_rejected(self, cfg):
         block = SymbolBlock(Stage.DATA_SYMBOLS, np.ones(4, dtype=complex))
         with pytest.raises(ValueError):
-            apply_channel(block, ChannelCfg(ChannelModel.AWGN), cfg)
+            apply_channel(block, ChannelCfg(ChannelModel.AWGN), cfg, np.random.default_rng(0))
 
 
 class TestDrawThenApply:

@@ -1,8 +1,8 @@
 """Property tests: the checkpoint loader accepts exactly the files the writer emits.
 
-A valid file is built from drawn shapes and optional sections; every strict
-prefix, every non-empty suffix, and every flag bit the loader does not read
-must raise ``ValueError``.
+A valid file is built from drawn shapes and section contents; every strict
+prefix, every non-empty suffix, every flag bit the loader does not read and
+every cleared section bit must raise ``ValueError``.
 """
 
 import struct
@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from tinyfdss.network import init_params, load_net, quantize, save_net
 
 FLAGS_OFFSET = 20  # after magic, version, hidden_width, input_dim, out_dim
-KNOWN_BITS = (0, 2, 3)
-UNKNOWN_BITS = [b for b in range(32) if b not in KNOWN_BITS]
+SECTION_BITS = (0, 2, 3)  # quantized twin, extras, history
+UNKNOWN_BITS = [b for b in range(32) if b not in SECTION_BITS]
 
 
 @st.composite
@@ -32,14 +32,12 @@ def checkpoint_bytes(draw):
     for w, _, mask in p.layers():
         mask[...] = rng.random(mask.shape) < 0.7
         w *= mask
-    with_extras = draw(st.booleans())
-    history = draw(st.one_of(st.none(), st.integers(0, 3)))
     return {
         "params": p,
-        "qnet": quantize(p) if draw(st.booleans()) else None,
-        "epoch": draw(st.integers(0, 2**32 - 1)) if with_extras else None,
-        "config_hash": draw(st.integers(0, 2**64 - 1)) if with_extras else None,
-        "history": None if history is None else rng.standard_normal((history, 6)),
+        "qnet": quantize(p),
+        "epoch": draw(st.integers(0, 2**32 - 1)),
+        "config_hash": draw(st.integers(0, 2**64 - 1)),
+        "history": rng.standard_normal((draw(st.integers(0, 3)), 6)),
     }
 
 
@@ -50,8 +48,7 @@ def workdir(tmp_path_factory):
 
 def valid_file(workdir, parts) -> bytes:
     path = workdir / "valid.bin"
-    save_net(path, parts["params"], qnet=parts["qnet"], epoch=parts["epoch"],
-             config_hash=parts["config_hash"], history=parts["history"])
+    save_net(path, **parts)
     data = path.read_bytes()
     load_net(path)  # the untouched file loads
     return data
@@ -90,12 +87,23 @@ def test_every_unknown_flag_bit_rejected(workdir, parts, bit):
         load_bytes(workdir, bytes(blob))
 
 
+@settings(max_examples=60, deadline=None)
+@given(parts=checkpoint_bytes(), bit=st.sampled_from(SECTION_BITS))
+def test_every_cleared_section_bit_rejected(workdir, parts, bit):
+    blob = bytearray(valid_file(workdir, parts))
+    (flags,) = struct.unpack_from("<I", blob, FLAGS_OFFSET)
+    struct.pack_into("<I", blob, FLAGS_OFFSET, flags & ~(1 << bit))
+    with pytest.raises(ValueError, match=rf"lacks its .* section \(flag bit {bit},"):
+        load_bytes(workdir, bytes(blob))
+
+
 def test_optimizer_section_file_rejected(workdir):
     # the layout of a file that still carries the retired optimizer section
     # (bit 1): quantized twin, then step and hyperparameters, then m and v
     p = init_params(hidden_width=2, rng=np.random.default_rng(0), input_dim=5, out_dim=3)
-    blob = bytearray(valid_file(workdir, {"params": p, "qnet": quantize(p), "epoch": None,
-                                          "config_hash": None, "history": None}))
+    blob = valid_file(workdir, {"params": p, "qnet": quantize(p), "epoch": 0,
+                                "config_hash": 0, "history": np.zeros((0, 6))})
+    blob = bytearray(blob[:-16])  # without the extras (12 bytes) and empty history (4)
     struct.pack_into("<I", blob, FLAGS_OFFSET, 1 | 2)
     blob += struct.pack("<Qddddd", 7, 1e-3, 0.9, 0.999, 1e-8, 1e-4)
     blob += bytes(2 * 8 * (p.w1.size + p.b1.size + p.w2.size + p.b2.size))

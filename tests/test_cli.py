@@ -10,7 +10,9 @@ jsonschema = pytest.importorskip("jsonschema")
 from tinyfdss.adaptation import AdaptConfig
 from tinyfdss.cli import ConfigError, SweepConfig, build_parser, load_config, main
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+CONFIGS = ROOT / "configs"
 
 SMOKE_CONFIG = {
     "seed": 3,
@@ -129,7 +131,8 @@ class TestConfig:
         ("train", "train", {"channel_mix": {"awgn": float("nan"), "rayleigh": 0.5}},
          "train: channel_mix weights sum to nan"),
         ("train", "eval", {"mods": []}, "eval: mods must name at least one"),
-        ("train", "eval", {"ccdf_grid_db": [0.0, 12.0, 0.0]}, "eval: ccdf_grid_db must be"),
+        ("train", "eval", {"ccdf_grid_db": [0.0, 12.0, 0.0]},
+         "unknown config key 'ccdf_grid_db' in eval"),
         ("train", "eval", {"use_quantized": 1}, "eval.use_quantized must be true or false"),
         ("train", "checkpoint", 5, "checkpoint must be a string or null, got 5"),
         ("train", "baselines", {"clf": {"iterations": 0}}, "baselines.clf: iterations"),
@@ -142,7 +145,7 @@ class TestConfig:
         ("train", "train", {"mod_mix": {"qpsk": 1.25, "qam16": -0.25}},
          "train: mod_mix weight of 'qam16' must be >= 0, got -0.25"),
         ("train", "eval", {"papr_trace_blocks": -5},
-         "eval: papr_trace_blocks must be >= 0, got -5"),
+         "unknown config key 'papr_trace_blocks' in eval"),
         ("train", "eval", {"oobe_blocks": 0}, "eval: oobe_blocks must be >= 10, got 0"),
         ("train", "eval", {"oobe_blocks": 9}, "eval: oobe_blocks must be >= 10, got 9"),
         ("baselines", "eval", {"ccdf_blocks": 5}, "eval: ccdf_blocks must be >= 10"),
@@ -152,6 +155,12 @@ class TestConfig:
          "eval: oobe_blocks must be <= min(ccdf_blocks, 2048) = 2048, got 2050"),
         ("train", "train", {"target_sparsity": 1.0},
          "train: target_sparsity must be in [0, 1), got 1.0"),
+        ("train", "train", {"target_sparsity": 0.9999},
+         "train: target_sparsity must leave at least one of the 2460 weights live, "
+         "got 0.9999"),
+        ("train", "train", {"hidden_width": 0, "target_sparsity": 0.9996},
+         "train: target_sparsity must leave at least one of the 1205 weights live, "
+         "got 0.9996"),
         ("train", "train", {"lr": float("nan")}, "train: lr must be finite and >= 0, got nan"),
         ("train", "train", {"lr": -0.001}, "train: lr must be finite and >= 0, got -0.001"),
         ("train", "train", {"weight_decay": float("inf")},
@@ -161,7 +170,7 @@ class TestConfig:
         ("baselines", "eval", {"rician_k_db": float("nan"), "channels": ["rician"]},
          "eval: rician_k_db must be finite, got nan"),
         ("train", "train", {"rician_k_db": float("inf"), "channel_mix": {"rician": 1}},
-         "train: rician_k_db must be finite, got inf"),
+         "unknown config key 'rician_k_db' in train"),
         ("baselines", "baselines", {"clf": {"clip_ratio_db": float("nan")}},
          "baselines.clf: clip_ratio_db must be finite, got nan"),
         ("baselines", "baselines", {"clf": {"clip_ratio_db": float("inf")}},
@@ -176,7 +185,8 @@ class TestConfig:
         "hidden_width-negative", "channel_mix-negative-weight", "mod_mix-negative-weight",
         "papr_trace_blocks-negative", "oobe_blocks-zero", "oobe_blocks-nine",
         "ccdf_blocks-five", "oobe_blocks-above-ccdf_blocks", "oobe_blocks-above-chunk",
-        "target_sparsity-one", "lr-nan", "lr-negative", "weight_decay-inf",
+        "target_sparsity-one", "target_sparsity-no-live-weight",
+        "target_sparsity-perceptron-no-live-weight", "lr-nan", "lr-negative", "weight_decay-inf",
         "weight_decay-negative", "eval-rician_k_db-nan", "train-rician_k_db-inf",
         "clip_ratio_db-nan", "clip_ratio_db-inf",
     ])
@@ -193,6 +203,12 @@ class TestConfig:
         assert code == 2
         assert err.startswith("error: ") and message in err
         assert not out.exists()  # rejected before anything ran
+
+    def test_perceptron_keeps_one_live_weight_at_its_bound(self, tmp_path):
+        # round(1205 * (1 - 0.9995)) = 1 live weight; 0.9996 leaves 0
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps({"train": {"hidden_width": 0, "target_sparsity": 0.9995}}))
+        assert load_config(path)["train"].target_sparsity == 0.9995
 
     def test_defaults_fill_in(self, tmp_path):
         path = tmp_path / "minimal.json"
@@ -223,16 +239,22 @@ class TestConfig:
         assert cfg["adapt"].period_ms == 50
 
 
+@pytest.fixture
+def workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded read-only."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their module through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkInvocations:
-    """The CLI calls the benchmark makes still parse (``perfbench/workloads.py``)."""
+    """The CLI calls and configs of the benchmark (``perfbench/workloads.py``) still load."""
 
     @pytest.mark.parametrize("command", ["train", "eval", "adapt"])
-    def test_workload_cli_args_parse(self, tmp_path, monkeypatch, command):
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        # its dataclasses resolve their module through sys.modules
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
+    def test_workload_cli_args_parse(self, tmp_path, workloads, command):
         checkpoint = None if command == "train" else tmp_path / "checkpoint.bin"
         args = build_parser().parse_args(workloads.cli_args(command, tmp_path, checkpoint))
         assert args.command == command
@@ -242,6 +264,19 @@ class TestBenchmarkInvocations:
             assert args.checkpoint == str(checkpoint)
         if command == "adapt":
             assert args.trace == str(tmp_path / "trace.csv")
+
+    @pytest.mark.parametrize("builder", ["make_config", "probe_config"])
+    @pytest.mark.parametrize("scale", ["full", "smoke"])
+    def test_workload_configs_load(self, tmp_path, workloads, builder, scale):
+        config = getattr(workloads, builder)(5, scale)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert load_config(path)["seed"] == 5
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_repository_config_loads(path):
+    load_config(path)
 
 
 class TestTrainCommand:
@@ -258,6 +293,17 @@ class TestTrainCommand:
         assert header == ["epoch", "mean_loss", "median_loss", "mse_term",
                           "tail_term", "sparsity", "wall_seconds"]
         assert len(rows) == 2
+
+    def test_diverged_run_exits_2_with_an_error_line(self, tmp_path, capsys):
+        path = tmp_path / "diverge.json"
+        train_cfg = {"n_blocks": 1600, "epochs": 1, "lr": 1e12, "prune_mode": "none"}
+        path.write_text(json.dumps(dict(SMOKE_CONFIG, train=train_cfg)))
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        # numpy's overflow warnings come first
+        assert err.splitlines()[-1].startswith("error: non-finite loss at block indices")
+        assert "Traceback" not in err
 
     def test_rerun_byte_identical_checkpoint(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

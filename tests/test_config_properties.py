@@ -29,7 +29,7 @@ BASE = {
               "channel_mix": {"awgn": 0.5, "rayleigh": 0.5},
               "mod_mix": {"qpsk": 0.5, "qam16": 0.5}, "hidden_width": 10},
     "eval": {"snr_db": [5.0, 10.0], "channels": ["awgn"], "mods": ["qpsk"],
-             "n_blocks": 40, "ccdf_blocks": 300, "ccdf_grid_db": [0.0, 12.0, 0.1],
+             "n_blocks": 40, "ccdf_blocks": 300,
              "use_quantized": True, "schemes": ["tinyml", "rrc"]},
     "baselines": {"clf": {"clip_ratio_db": 4.0, "iterations": 2},
                   "slm": {"num_candidates": 8}},

@@ -371,7 +371,7 @@ class TestCheckpointIO:
         p = init_params(hidden_width=3, rng=np.random.default_rng(0), input_dim=7, out_dim=4)
         q = quantize(p)
         path = tmp_path / "net.bin"
-        save_net(path, p, qnet=q)
+        save_net(path, p, q, epoch=0, config_hash=0, history=np.zeros((0, 6)))
         header = struct.unpack("<III", path.read_bytes()[8:20])
         assert header == (3, 7, 4)
         loaded = load_net(path)
