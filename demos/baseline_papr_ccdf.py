@@ -28,7 +28,7 @@ conv = conventional_config(cfg)  # all 240 subcarriers carry data, no extension
 
 rng = np.random.default_rng(0)
 bits = rng.integers(0, 2, (N_BLOCKS, conv.n_data * 2))
-symbols = map_symbols(bits.reshape(-1), ModScheme.QPSK).reshape(N_BLOCKS, conv.n_data)
+symbols = map_symbols(bits, ModScheme.QPSK)
 spectrum = precode(symbols)
 
 samples = {}

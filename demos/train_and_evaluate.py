@@ -29,7 +29,7 @@ print(f"\npruned to {live}/{total} live weights "
 rng = np.random.default_rng(777)
 n_eval = 6000
 bits = rng.integers(0, 2, (n_eval, cfg.n_data * 2))
-symbols = map_symbols(bits.reshape(-1), ModScheme.QPSK).reshape(n_eval, cfg.n_data)
+symbols = map_symbols(bits, ModScheme.QPSK)
 s_ext = extend(precode(symbols), cfg.n_se)
 
 # the deployed int8 net's feedback cycle at 15 dB, on all blocks at once
@@ -37,9 +37,7 @@ bins, taps = adaptation_cycle(15.0, ckpt.qnet, s_ext)
 papr_trained = papr_db(time_signal(bins, cfg))
 
 conv = conventional_config(cfg)
-sym_conv = map_symbols(
-    rng.integers(0, 2, (n_eval, conv.n_data * 2)).reshape(-1), ModScheme.QPSK
-).reshape(n_eval, conv.n_data)
+sym_conv = map_symbols(rng.integers(0, 2, (n_eval, conv.n_data * 2)), ModScheme.QPSK)
 spectrum = precode(sym_conv)
 papr_plain = papr_db(time_signal(spectrum, conv))
 gains = fir_bin_gains(rrc_fir(32, 0.25, sps=conv.oversample), conv)

@@ -33,7 +33,7 @@ from .chain import (
     shape_and_normalize,
     time_signal,
 )
-from .channel import ChannelCfg, ChannelModel, pass_channel
+from .channel import ChannelCfg, ChannelModel, add_channel, draw_channel
 from .filters import taps_from_coeffs
 from .metrics import measured_ser, papr_db
 
@@ -168,10 +168,8 @@ def run_scenario(
         bins, taps = adaptation_cycle(snr_db, net, extend(precode(tx), cfg.n_se))
         papr = papr_db(time_signal(bins, cfg))
         # communication path at critical sampling under the true SNR
-        rx, h = pass_channel(
-            time_signal(bins, cfg, oversample=1),
-            ChannelCfg(ChannelModel.AWGN, snr_db=snr_db), cfg, rng,
-        )
+        h, noise = draw_channel(ChannelCfg(ChannelModel.AWGN, snr_db), cfg.n_fft, rng)
+        rx = add_channel(time_signal(bins, cfg, oversample=1), h, noise, snr_db, cfg)
         equalized = equalize(occupied_bins(rx / h, cfg), taps, cfg.n_se)
         ser, _, _ = measured_ser(tx, detect_symbols(equalized, scheme))
         records.append(

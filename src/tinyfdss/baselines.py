@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainConfig, extend, occupied_bins, occupied_slice, time_signal
+from .chain import ChainConfig, centered_band, extend, occupied_bins, time_signal
 from .metrics import papr_db
 
 SLM_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
@@ -116,7 +116,6 @@ def slm_select(
     oversampled candidate per block rather than all U.
     """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
-    single = spectrum.ndim == 1
     spec2 = spectrum.reshape(-1, spectrum.shape[-1])
 
     def candidate(u: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,9 +130,8 @@ def slm_select(
         chosen[better] = x[better]
         best[better] = paprs[better]
         idx[better] = u
-    if single:
-        return chosen[0], idx[0]
-    return chosen, idx
+    lead = spectrum.shape[:-1]
+    return chosen.reshape(lead + chosen.shape[-1:]), idx.reshape(lead)
 
 
 # ---------------------------------------------------------------------------
@@ -172,5 +170,5 @@ def fir_bin_gains(fir: np.ndarray, cfg: ChainConfig) -> np.ndarray:
     multiplication, so the filtered baseline can reuse the shaping/equalizing
     machinery with these gains as (complex) taps.
     """
-    response = np.fft.fft(fir, cfg.n_fft * cfg.oversample)
-    return np.fft.fftshift(response)[occupied_slice(cfg)]
+    n = cfg.n_fft * cfg.oversample
+    return np.fft.fft(fir, n)[centered_band(cfg.n_sk, n)]

@@ -7,11 +7,12 @@ extraction -> matched filter (taps are real, so F* = F) -> coherent folding of
 the extension copies onto their source bins with per-bin gain normalization ->
 inverse precoding -> minimum-distance detection.
 
-Subcarrier mapping convention: the n_sk occupied bins are the centered bins of
-the DC-centered grid (grid index n//2 is DC), converted to FFT order with
-``ifftshift`` before the IDFT.  The IDFT is scaled so that the oversampled
-signal interpolates the critically sampled one (``oversample=1`` is the
-unitary transform); transmitter and receiver share this mapping bit-exactly.
+Subcarrier mapping convention: the n_sk occupied bins sit symmetrically
+around DC, bins -n_sk//2 .. n_sk - n_sk//2 - 1, written straight into the
+FFT-order IDFT grid at the indices :func:`centered_band` returns.  The IDFT is
+scaled so that the oversampled signal interpolates the critically sampled one
+(``oversample=1`` is the unitary transform); transmitter and receiver share
+this mapping bit-exactly.
 
 The array-level functions act on the last axis and accept leading batch
 dimensions; training, evaluation and adaptation use only these.  Fixed
@@ -150,16 +151,17 @@ def _map_label_bits(bits2d: np.ndarray, scheme: ModScheme) -> np.ndarray:
 
 
 def map_symbols(bits: np.ndarray, scheme: ModScheme) -> np.ndarray:
-    """Gray-map a flat bit vector to unit-average-energy symbols."""
+    """Gray-map the bits on the last axis to unit-average-energy symbols."""
     bits = np.asarray(bits)
     bps = scheme.bits_per_symbol
-    if bits.ndim != 1 or bits.size % bps != 0:
+    if bits.ndim == 0:
+        raise ValueError("bits must have at least one axis")
+    if bits.shape[-1] % bps != 0:
         raise ValueError(
-            f"bit count {bits.size} not divisible by {bps} ({scheme.name})"
+            f"bit count {bits.shape[-1]} not divisible by {bps} ({scheme.name})"
         )
-    if bits.size == 0:
-        return np.zeros(0, dtype=np.complex128)
-    return _map_label_bits(bits.reshape(-1, bps), scheme)
+    n_sym = bits.shape[-1] // bps
+    return _map_label_bits(bits.reshape(bits.shape[:-1] + (n_sym, bps)), scheme)
 
 
 def detect_symbols(received: np.ndarray, scheme: ModScheme) -> np.ndarray:
@@ -215,11 +217,9 @@ def fold_extension(values: np.ndarray, n_se: int) -> np.ndarray:
     return folded
 
 
-def occupied_slice(cfg: ChainConfig, oversample: int | None = None) -> slice:
-    """Positions of the n_sk occupied bins inside the DC-centered grid."""
-    n = cfg.n_fft * (cfg.oversample if oversample is None else oversample)
-    start = n // 2 - cfg.n_sk // 2
-    return slice(start, start + cfg.n_sk)
+def centered_band(width: int, n: int) -> np.ndarray:
+    """FFT-order indices of the ``width`` DC-centered bins of an n-point grid."""
+    return (np.arange(width) - width // 2) % n
 
 
 def time_signal(
@@ -235,11 +235,9 @@ def time_signal(
     shaped = np.asarray(shaped, dtype=np.complex128)
     if shaped.shape[-1] != cfg.n_sk:
         raise ValueError(f"expected {cfg.n_sk} shaped bins, got {shaped.shape[-1]}")
-    ovs = cfg.oversample if oversample is None else oversample
-    n = cfg.n_fft * ovs
-    centered = np.zeros(shaped.shape[:-1] + (n,), dtype=np.complex128)
-    centered[..., occupied_slice(cfg, ovs)] = shaped
-    grid = np.fft.ifftshift(centered, axes=-1)
+    n = cfg.n_fft * (cfg.oversample if oversample is None else oversample)
+    grid = np.zeros(shaped.shape[:-1] + (n,), dtype=np.complex128)
+    grid[..., centered_band(cfg.n_sk, n)] = shaped
     return np.fft.ifft(grid, axis=-1) * (n / np.sqrt(cfg.n_fft))
 
 
@@ -250,8 +248,7 @@ def occupied_bins(signal: np.ndarray, cfg: ChainConfig) -> np.ndarray:
     if n % cfg.n_fft != 0:
         raise ValueError(f"signal length {n} not a multiple of n_fft={cfg.n_fft}")
     grid = np.fft.fft(signal, axis=-1) * (np.sqrt(cfg.n_fft) / n)
-    centered = np.fft.fftshift(grid, axes=-1)
-    return centered[..., occupied_slice(cfg, n // cfg.n_fft)]
+    return grid[..., centered_band(cfg.n_sk, n)]
 
 
 def shape_and_normalize(
@@ -322,14 +319,11 @@ def receiver_chain(
     cfg: ChainConfig,
     scheme: ModScheme,
     fade: complex = 1.0 + 0.0j,
-    phase_derotate: np.ndarray | None = None,
 ) -> tuple[SymbolBlock, np.ndarray]:
     """Full receiver: FFT, matched filter, extension folding, detection.
 
-    ``fade`` is the known flat fading coefficient (genie-aided compensation);
-    ``phase_derotate`` removes known per-bin phase rotations (SLM side
-    information) before inverse precoding.  Returns the detected symbol block
-    and the raw equalized symbols.
+    ``fade`` is the known flat fading coefficient (genie-aided compensation).
+    Returns the detected symbol block and the raw equalized symbols.
     """
     if rx.stage is not Stage.RECEIVED:
         raise ValueError(f"expected RECEIVED block, got {rx.stage.name}")
@@ -339,6 +333,6 @@ def receiver_chain(
     if taps.shape != (cfg.n_sk,):
         raise ValueError(f"taps shape {taps.shape}, expected ({cfg.n_sk},)")
     bins = occupied_bins(rx.values / fade, cfg)
-    equalized = equalize(bins, taps, cfg.n_se, phase_derotate=phase_derotate)
+    equalized = equalize(bins, taps, cfg.n_se)
     detected = detect_symbols(equalized, scheme)
     return SymbolBlock(Stage.DATA_SYMBOLS, detected), equalized

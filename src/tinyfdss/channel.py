@@ -13,8 +13,7 @@ the whole time-domain vector, and the receiver compensates it genie-aided.
 Draw order per block is fixed (fade first, then noise) so that a given
 (config, seed) reproduces bit-identical sequences.  Drawing
 (:func:`draw_channel`) is separate from applying (:func:`add_channel`), so a
-paired Monte-Carlo can apply one block's draws to several waveforms;
-:func:`pass_channel` is the two in sequence.
+paired Monte-Carlo can apply one block's draws to several waveforms.
 """
 
 from __future__ import annotations
@@ -114,17 +113,6 @@ def add_channel(
     return h * x + sigma[..., None] * noise
 
 
-def pass_channel(
-    x: np.ndarray,
-    cfg: ChannelCfg,
-    chain_cfg: ChainConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, complex]:
-    """Fade and noise for one time-domain block; returns (h*x + w, h)."""
-    h, noise = draw_channel(cfg, x.shape[-1], rng)
-    return add_channel(x, h, noise, cfg.snr_db, chain_cfg), h
-
-
 def apply_channel(
     signal: SymbolBlock,
     cfg: ChannelCfg,
@@ -139,7 +127,8 @@ def apply_channel(
     """
     if signal.stage is not Stage.TIME_DOMAIN:
         raise ValueError(f"expected TIME_DOMAIN block, got {signal.stage.name}")
-    rx, h = pass_channel(signal.values, cfg, chain_cfg, rng)
+    h, noise = draw_channel(cfg, len(signal), rng)
+    rx = add_channel(signal.values, h, noise, cfg.snr_db, chain_cfg)
     return SymbolBlock(Stage.RECEIVED, rx), h
 
 

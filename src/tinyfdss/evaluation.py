@@ -186,15 +186,13 @@ class _SchemeEngine:
         """Blocks for both chain layouts, deterministic per (seed, mod, index)."""
         mod_i = list(SCHEME_NAMES).index(mod)
         scheme = SCHEME_NAMES[mod]
-        bps = scheme.bits_per_symbol
-        sym_ext = np.empty((len(indices), self.cfg.n_data), dtype=np.complex128)
-        sym_conv = np.empty((len(indices), self.conv.n_data), dtype=np.complex128)
+        n_bits = self.conv.n_data * scheme.bits_per_symbol
+        bits = np.empty((len(indices), n_bits), dtype=np.int64)
         for row, idx in enumerate(indices):
             rng = np.random.default_rng((self.eval_cfg.seed, 30, mod_i, int(idx)))
-            bits = rng.integers(0, 2, self.conv.n_data * bps)
-            full = map_symbols(bits, scheme)
-            sym_conv[row] = full
-            sym_ext[row] = full[: self.cfg.n_data]
+            bits[row] = rng.integers(0, 2, n_bits)
+        sym_conv = map_symbols(bits, scheme)
+        sym_ext = sym_conv[:, : self.cfg.n_data]
         return {
             "sym_ext": sym_ext,
             "s_ext": extend(precode(sym_ext), self.cfg.n_se),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainConfig
+from .chain import ChainConfig, centered_band
 
 TAIL_X0_DB = 6.0
 SURROGATE_SHARPNESS = 4.0  # softplus sharpness of the tail surrogate
@@ -101,12 +101,9 @@ def oobe_db(blocks: np.ndarray, cfg: ChainConfig) -> float:
     window = np.hanning(n)
     spec = np.fft.fft(blocks * window, n=n * OOBE_PAD, axis=-1)
     psd = np.mean(np.abs(spec) ** 2, axis=0)
-    psd = np.fft.fftshift(psd)
     # occupied band at padded resolution: n_sk original bins, OOBE_PAD each
-    center = n * OOBE_PAD // 2
-    half = cfg.n_sk * OOBE_PAD // 2
     in_band = np.zeros(n * OOBE_PAD, dtype=bool)
-    in_band[center - half : center - half + cfg.n_sk * OOBE_PAD] = True
+    in_band[centered_band(cfg.n_sk * OOBE_PAD, n * OOBE_PAD)] = True
     mean_in = float(np.mean(psd[in_band]))
     mean_out = float(np.mean(psd[~in_band]))
     if mean_in == 0.0:

@@ -265,34 +265,20 @@ def total_weight_count(params: NetParams) -> int:
     return int(sum(mask.size for _, _, mask in params.layers()))
 
 
-def _live_entries(params: NetParams):
-    """Flat view of currently live weights with deterministic sort keys."""
-    mags, layers, rows, cols = [], [], [], []
-    for layer_idx, (w, _, mask) in enumerate(params.layers()):
-        live = mask > 0.0
-        r, c = np.nonzero(live)
-        mags.append(np.abs(w[live]))
-        layers.append(np.full(r.size, layer_idx))
-        rows.append(r)
-        cols.append(c)
-    return (
-        np.concatenate(mags),
-        np.concatenate(layers),
-        np.concatenate(rows),
-        np.concatenate(cols),
-    )
-
-
 def _mask_smallest(params: NetParams, n_mask: int) -> NetParams:
     if n_mask <= 0:
         return params
-    mags, layers, rows, cols = _live_entries(params)
-    # primary key |w|, ties broken by (layer, row, col) order
-    order = np.lexsort((cols, rows, layers, mags))
-    victims = order[:n_mask]
-    masks = [mask for _, _, mask in params.layers()]
-    for k in victims:
-        masks[int(layers[k])][int(rows[k]), int(cols[k])] = 0.0
+    layers = params.layers()
+    # dead weights key +inf; the stable sort breaks |w| ties in (layer, row,
+    # col) flatten order
+    keys = np.concatenate(
+        [np.where(mask > 0.0, np.abs(w), np.inf).ravel() for w, _, mask in layers]
+    )
+    victims = np.zeros(keys.size, dtype=bool)
+    victims[np.argsort(keys, kind="stable")[:n_mask]] = True
+    offsets = np.cumsum([mask.size for _, _, mask in layers])[:-1]
+    for (_, _, mask), hit in zip(layers, np.split(victims, offsets)):
+        mask[hit.reshape(mask.shape)] = 0.0
     apply_masks(params)
     return params
 

@@ -35,10 +35,10 @@ from .chain import (
     ChainConfig,
     ModScheme,
     _matched_fold,
+    centered_band,
     deprecode,
     extend,
     map_symbols,
-    occupied_slice,
     precode,
     shape_and_normalize,
     time_signal,
@@ -252,31 +252,33 @@ def chain_loss(
         raise TrainingDivergedError(
             f"non-finite coefficients at block indices {bad.tolist()[:8]}"
         )
-    taps = taps_from_coeffs(coeffs, n_sk)
+    # a diverged net overflows here; the finite-loss check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        taps = taps_from_coeffs(coeffs, n_sk)
 
-    s_ext = prep.s_ext
-    shaped = s_ext * taps
+        s_ext = prep.s_ext
+        shaped = s_ext * taps
 
-    # --- PAPR path (scale-invariant, so it runs on the unnormalized bins)
-    x = time_signal(shaped, cfg)
-    n_os = x.shape[-1]
-    power = np.abs(x) ** 2
-    peak_idx = np.argmax(power, axis=-1)
-    rows = np.arange(batch)
-    peak = power[rows, peak_idx]
-    mean_pow = power.mean(axis=-1)
-    papr = 10.0 * np.log10(peak / mean_pow)
-    softplus = surrogate_blocks(papr)
+        # --- PAPR path (scale-invariant, so it runs on the unnormalized bins)
+        x = time_signal(shaped, cfg)
+        n_os = x.shape[-1]
+        power = np.abs(x) ** 2
+        peak_idx = np.argmax(power, axis=-1)
+        rows = np.arange(batch)
+        peak = power[rows, peak_idx]
+        mean_pow = power.mean(axis=-1)
+        papr = 10.0 * np.log10(peak / mean_pow)
+        softplus = surrogate_blocks(papr)
 
-    # --- symbol-error path at fixed transmit power
-    bins, taps_eff, g = shape_and_normalize(s_ext, taps)
-    numer, gain, recovered = _matched_fold(bins + prep.eta, taps_eff, cfg.n_se)
-    s_hat = deprecode(recovered)
-    err = s_hat - prep.symbols
-    mse = np.mean(np.abs(err) ** 2, axis=-1)
+        # --- symbol-error path at fixed transmit power
+        bins, taps_eff, g = shape_and_normalize(s_ext, taps)
+        numer, gain, recovered = _matched_fold(bins + prep.eta, taps_eff, cfg.n_se)
+        s_hat = deprecode(recovered)
+        err = s_hat - prep.symbols
+        mse = np.mean(np.abs(err) ** 2, axis=-1)
 
-    per_block = mse + prep.lam * softplus
-    loss = float(np.mean(per_block))
+        per_block = mse + prep.lam * softplus
+        loss = float(np.mean(per_block))
     terms = LossTerms(
         loss=loss,
         mse_term=float(np.mean(mse)),
@@ -298,7 +300,7 @@ def chain_loss(
     x_bar = x * (-2.0 * w_papr / (n_os * mean_pow) * c_log)[:, None]
     x_bar[rows, peak_idx] += x[rows, peak_idx] * (2.0 * w_papr * c_log / peak)
     grid_bar = np.fft.fft(x_bar, axis=-1) / np.sqrt(cfg.n_fft)
-    shaped_bar = np.fft.fftshift(grid_bar, axes=-1)[..., occupied_slice(cfg)]
+    shaped_bar = grid_bar[..., centered_band(n_sk, n_os)]
     d_taps = np.real(shaped_bar * np.conj(s_ext))
 
     # --- backward: mse term, first w.r.t. the effective taps u = g * taps

@@ -121,13 +121,28 @@ class TestSlm:
         phases = np.concatenate([slm_phase_vectors(SlmConfig(num_candidates=8), cfg.n_data)] * 2)
         # plain QPSK bins (no DFT precoding), where the identity rarely wins
         bits = np.random.default_rng(3).integers(0, 2, (12, cfg.n_data * 2))
-        blocks = np.stack([map_symbols(b, ModScheme.QPSK) for b in bits])
+        blocks = map_symbols(bits, ModScheme.QPSK)
         out, idx = slm_select(blocks, phases, cfg)
         every = time_signal(extend(blocks[:, None, :] * phases[None], cfg.n_se), cfg)
         want = np.argmin(papr_db(every), axis=-1)
         assert np.all(want < 8) and len(set(want)) > 1
         np.testing.assert_array_equal(idx, want)
         np.testing.assert_array_equal(out, every[np.arange(len(blocks)), want])
+
+    def test_any_leading_shape(self, cfg):
+        phases = slm_phase_vectors(SlmConfig(num_candidates=4), cfg.n_data)
+        bits = np.random.default_rng(4).integers(0, 2, (2, 3, cfg.n_data * 2))
+        blocks = precode(map_symbols(bits, ModScheme.QPSK))
+        n = cfg.n_fft * cfg.oversample
+        out, idx = slm_select(blocks, phases, cfg)
+        assert out.shape == (2, 3, n) and idx.shape == (2, 3)
+        flat_out, flat_idx = slm_select(blocks.reshape(6, -1), phases, cfg)
+        np.testing.assert_array_equal(out.reshape(6, n), flat_out)
+        np.testing.assert_array_equal(idx.reshape(6), flat_idx)
+        one_out, one_idx = slm_select(blocks[1, 2], phases, cfg)
+        assert one_out.shape == (n,) and np.shape(one_idx) == ()
+        np.testing.assert_array_equal(one_out, flat_out[5])
+        assert one_idx == flat_idx[5]
 
     def test_argmin_invariant_under_scaling(self, cfg):
         slm = SlmConfig(num_candidates=8)

@@ -10,6 +10,7 @@ from tinyfdss.chain import (
     ModScheme,
     Stage,
     SymbolBlock,
+    centered_band,
     constellation,
     detect_symbols,
     extend,
@@ -46,8 +47,7 @@ def shaped_block(bits, scheme, taps, cfg, oversample=None):
 def qam16_spectra(rng, n_data, n_se):
     """Six extended 16-QAM spectra."""
     bits = rng.integers(0, 2, (6, n_data * 4))
-    symbols = np.stack([map_symbols(b, ModScheme.QAM16) for b in bits])
-    return extend(precode(symbols), n_se)
+    return extend(precode(map_symbols(bits, ModScheme.QAM16)), n_se)
 
 
 class TestMapBits:
@@ -89,6 +89,20 @@ class TestMapBits:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             map_symbols(np.array([0, 1, 0]), ModScheme.QPSK)
+        with pytest.raises(ValueError):
+            map_symbols(np.zeros((2, 3, 10)), ModScheme.QAM16)
+
+    def test_rejects_scalar(self):
+        with pytest.raises(ValueError):
+            map_symbols(np.array(0), ModScheme.QPSK)
+
+    @pytest.mark.parametrize("scheme", list(ModScheme))
+    def test_leading_axes_match_per_row_calls(self, scheme, rng):
+        bits = rng.integers(0, 2, (2, 3, 5 * scheme.bits_per_symbol))
+        batched = map_symbols(bits, scheme)
+        assert batched.shape == (2, 3, 5)
+        per_row = np.stack([[map_symbols(row, scheme) for row in plane] for plane in bits])
+        assert batched.tobytes() == per_row.tobytes()
 
 
 class TestDetect:
@@ -264,6 +278,15 @@ class TestToTimeDomain:
     def test_rejects_oversized_allocation(self):
         with pytest.raises(ValueError):
             ChainConfig(n_data=300, n_se=0, n_fft=256)
+
+    @pytest.mark.parametrize("width, n", [(240, 1024), (240, 256), (7, 16), (6, 15),
+                                          (7, 15), (1, 1), (15, 15), (0, 8)])
+    def test_centered_band_matches_fftshifted_slice(self, width, n):
+        # the bins at n//2 - width//2 ... of the DC-centered (fftshifted) grid
+        centered = np.fft.fftshift(np.arange(n))
+        start = n // 2 - width // 2
+        want = centered[start : start + width]
+        np.testing.assert_array_equal(centered_band(width, n), want)
 
 
 class TestReceiverChain:

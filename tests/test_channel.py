@@ -23,7 +23,6 @@ from tinyfdss.channel import (
     draw_fade,
     estimate_snr,
     noise_power,
-    pass_channel,
 )
 from tinyfdss.filters import unit_taps
 
@@ -108,7 +107,7 @@ class TestDrawThenApply:
         n_blocks=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_batched_matches_per_block_pass_channel(self, model, snr_db, n_blocks, seed):
+    def test_batched_matches_per_block_apply_channel(self, model, snr_db, n_blocks, seed):
         cfg = ChainConfig()
         ch = ChannelCfg(model, snr_db=snr_db, k_factor_db=10.0)
         data = np.random.default_rng(seed)
@@ -125,9 +124,10 @@ class TestDrawThenApply:
         sigma2 = noise_power(x, snr_db, cfg)
         assert sigma2.shape == (n_blocks,)
         for b in range(n_blocks):
-            y, fade = pass_channel(x[b], ch, cfg, np.random.default_rng((seed, b)))
+            y, fade = apply_channel(SymbolBlock(Stage.TIME_DOMAIN, x[b]), ch, cfg,
+                                    np.random.default_rng((seed, b)))
             assert fade == h[b, 0]
-            assert batched[b].tobytes() == y.tobytes()
+            assert batched[b].tobytes() == y.values.tobytes()
             assert sigma2[b] == noise_power(x[b], snr_db, cfg)
 
     def test_noise_power_is_per_block(self, cfg):

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -301,9 +302,22 @@ class TestTrainCommand:
         code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
-        # numpy's overflow warnings come first
         assert err.splitlines()[-1].startswith("error: non-finite loss at block indices")
         assert "Traceback" not in err
+
+    def test_diverged_run_writes_only_its_error_line(self, tmp_path, capsys):
+        # the overflow on the way to the non-finite loss raises no warning
+        cfg = json.loads((CONFIGS / "smoke.json").read_text())
+        cfg["train"]["lr"] = 1e12
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: non-finite loss at block indices")
 
     def test_rerun_byte_identical_checkpoint(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -152,14 +152,14 @@ class TestOobe:
 
     def test_deterministic(self, cfg, rng):
         bits = rng.integers(0, 2, (12, cfg.n_data * 2))
-        sym = map_symbols(bits.reshape(-1), ModScheme.QPSK).reshape(12, cfg.n_data)
+        sym = map_symbols(bits, ModScheme.QPSK)
         x = time_signal(extend(precode(sym), cfg.n_se), cfg)
         assert oobe_db(x, cfg) == oobe_db(x.copy(), cfg)
 
     def test_rrc_leaks_no_more_than_brick_wall(self, cfg):
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, (64, cfg.n_data * 2))
-        sym = map_symbols(bits.reshape(-1), ModScheme.QPSK).reshape(64, cfg.n_data)
+        sym = map_symbols(bits, ModScheme.QPSK)
         s_ext = extend(precode(sym), cfg.n_se)
         brick = oobe_db(time_signal(s_ext * unit_taps(cfg.n_sk), cfg), cfg)
         shaped = oobe_db(time_signal(s_ext * rrc_taps(cfg.n_sk, 0.25), cfg), cfg)

@@ -235,6 +235,11 @@ class TestAdamW:
             assert p.w1[3, 7] == 0.0
 
 
+def flat_masks(params):
+    """Every layer's mask in (layer, row, col) flatten order."""
+    return np.concatenate([mask.ravel() for _, _, mask in params.layers()])
+
+
 class TestPruning:
     def test_smallest_weight_masked(self):
         p = init_params(hidden_width=1, rng=np.random.default_rng(0), out_scale=1.0)
@@ -265,6 +270,11 @@ class TestPruning:
         np.testing.assert_array_equal(p.mask2, q.mask2)
         # ties resolved in (layer, row, col) order: early w1 entries go first
         assert p.mask1[0, 0] == 0.0
+        order = np.arange(total_weight_count(p))
+        np.testing.assert_array_equal(flat_masks(p) == 0.0, order < 492)
+        # a second prune never counts an already-dead weight again
+        prune_to(p, 0.4)
+        np.testing.assert_array_equal(flat_masks(p) == 0.0, order < 984)
 
     def test_rejects_full_mask(self):
         p = init_params(hidden_width=1, rng=np.random.default_rng(0))
