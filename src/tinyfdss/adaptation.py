@@ -33,7 +33,7 @@ from .chain import (
     shape_and_normalize,
     time_signal,
 )
-from .channel import ChannelCfg, ChannelModel, add_channel, draw_channel
+from .channel import ChannelCfg, ChannelModel, Stream, add_channel, block_rng, draw_channel
 from .filters import taps_from_coeffs
 from .metrics import measured_ser, papr_db
 
@@ -162,7 +162,7 @@ def run_scenario(
             feedback_pos += 1
         snr_db = trace[feedback_pos][1]
         lam = table.lookup(snr_db)
-        rng = np.random.default_rng((seed, 4, tick))
+        rng = block_rng(seed, Stream.ADAPT_TICK, tick)
         bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
         tx = map_symbols(bits, scheme)
         bins, taps = adaptation_cycle(snr_db, net, extend(precode(tx), cfg.n_se))

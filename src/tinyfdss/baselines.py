@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainConfig, centered_band, extend, occupied_bins, time_signal
+from .channel import Stream, block_rng
 from .metrics import papr_db
 
 SLM_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
@@ -99,7 +100,7 @@ def clf_reduce(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray
 def slm_phase_vectors(slm: SlmConfig, n_data: int) -> np.ndarray:
     """(U, n_data) candidate phase vectors; row 0 is the identity."""
     phases = np.ones((slm.num_candidates, n_data), dtype=np.complex128)
-    rng = np.random.default_rng((0, 5))  # every run uses the same phase vectors
+    rng = block_rng(0, Stream.SLM_PHASES)  # every run uses the same phase vectors
     for u in range(1, slm.num_candidates):
         phases[u] = SLM_ALPHABET[rng.integers(0, len(SLM_ALPHABET), n_data)]
     return phases

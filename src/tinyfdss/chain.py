@@ -51,10 +51,6 @@ class ModScheme(enum.Enum):
     def bits_per_symbol(self) -> int:
         return self.value
 
-    @property
-    def order(self) -> int:
-        return 2 ** self.value
-
 
 SCHEME_NAMES = {"qpsk": ModScheme.QPSK, "qam16": ModScheme.QAM16,
                 "qam64": ModScheme.QAM64}

@@ -29,6 +29,27 @@ SNR_CAP_DB = 60.0  # reported when the residual is exactly zero
 RICIAN_K_DB = 3.0  # Rician K-factor of every run's training and evaluation
 
 
+class Stream(enum.IntEnum):
+    """Tag of each random stream; every generator comes from :func:`block_rng`.
+
+    A block is a pure function of (seed, stream, index...), so the values
+    are part of every output.
+    """
+
+    TRAIN_BLOCK = 0  # training block: mod, SNR, channel model, bits, fade, noise
+    INIT = 1  # initial network weights
+    EPOCH_ORDER = 2  # per-epoch permutation of the training blocks
+    ADAPT_TICK = 4  # adapt tick: bits, then fade and noise
+    SLM_PHASES = 5  # SLM candidate phase vectors
+    EVAL_DATA = 30  # eval bits per (modulation, block)
+    EVAL_CHANNEL = 31  # eval fade and noise per (channel, mod, SNR, block)
+
+
+def block_rng(seed: int, stream: Stream, *index: int) -> np.random.Generator:
+    """The generator of one (seed, stream, index...) coordinate."""
+    return np.random.default_rng((seed, stream, *index))
+
+
 class ChannelModel(enum.Enum):
     AWGN = "awgn"
     RAYLEIGH = "rayleigh"
@@ -122,8 +143,8 @@ def apply_channel(
     """Pass one time-domain block through the channel; returns (received, fade).
 
     The fade coefficient is returned for genie-aided compensation at the
-    receiver.  Monte-Carlo loops pass per-block generators seeded from
-    (master_seed, block_index).
+    receiver.  Monte-Carlo loops pass one generator per block, from
+    :func:`block_rng` with a :class:`Stream` member and the block index.
     """
     if signal.stage is not Stage.TIME_DOMAIN:
         raise ValueError(f"expected TIME_DOMAIN block, got {signal.stage.name}")

@@ -53,6 +53,9 @@ class SweepConfig:
     def __post_init__(self):
         if any(width < 0 for width in self.hidden_widths):
             raise ValueError(f"hidden_widths must be >= 0, got {list(self.hidden_widths)}")
+        if len(set(self.hidden_widths)) != len(self.hidden_widths):
+            raise ValueError(f"hidden_widths must not repeat an entry, "
+                             f"got {list(self.hidden_widths)}")
 
 
 def _object(raw, allowed, path: str) -> dict:

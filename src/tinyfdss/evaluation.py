@@ -17,8 +17,8 @@ Schemes
 
 Pairing is structural.  The CCDF pass draws each chunk of blocks once and
 runs every scheme on it.  The grid draws each modulation's blocks once and
-each block's fade and unit noise once per (channel, modulation, SNR), from a
-generator seeded by (seed, channel, modulation, SNR, block index), and
+each block's fade and unit noise once per (channel, modulation, SNR), from
+``block_rng(seed, Stream.EVAL_CHANNEL, channel, modulation, SNR, block)``, and
 applies those same draws to every scheme.  A scheme transmits once per
 modulation, or once per (modulation, SNR) for ``tinyml``, whose taps depend
 on the SNR, and that one waveform passes through every channel.  So every
@@ -58,7 +58,8 @@ from .chain import (
     shape_and_normalize,
     time_signal,
 )
-from .channel import MODEL_NAMES, RICIAN_K_DB, ChannelCfg, add_channel, draw_channel
+from .channel import (MODEL_NAMES, RICIAN_K_DB, ChannelCfg, Stream, add_channel,
+                      block_rng, draw_channel)
 from .filters import rrc_taps, unit_taps
 from .metrics import (
     OOBE_MIN_BLOCKS,
@@ -97,6 +98,10 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("schemes", "channels", "mods", "snr_db"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} must not repeat an entry, got {list(values)}")
         for name in self.schemes:
             if name not in ALLSCHEME_NAMES:
                 raise ValueError(f"unknown scheme {name!r}")
@@ -189,7 +194,7 @@ class _SchemeEngine:
         n_bits = self.conv.n_data * scheme.bits_per_symbol
         bits = np.empty((len(indices), n_bits), dtype=np.int64)
         for row, idx in enumerate(indices):
-            rng = np.random.default_rng((self.eval_cfg.seed, 30, mod_i, int(idx)))
+            rng = block_rng(self.eval_cfg.seed, Stream.EVAL_DATA, mod_i, int(idx))
             bits[row] = rng.integers(0, 2, n_bits)
         sym_conv = map_symbols(bits, scheme)
         sym_ext = sym_conv[:, : self.cfg.n_data]
@@ -229,8 +234,8 @@ class _SchemeEngine:
 def _draw_channels(eval_cfg: EvalConfig, n: int) -> dict:
     """Each block's fade and unit noise per (channel, mod, SNR), for every scheme.
 
-    Block ``idx`` draws from the generator seeded by (seed, channel, mod,
-    SNR, idx); fades have shape (n_blocks, 1) to broadcast over the block.
+    Block ``idx`` draws from ``block_rng(seed, Stream.EVAL_CHANNEL, channel,
+    mod, SNR, idx)``; fades have shape (n_blocks, 1) to broadcast over the block.
     """
     draws = {}
     for channel_name, mod, (snr_i, snr_db) in product(
@@ -243,7 +248,7 @@ def _draw_channels(eval_cfg: EvalConfig, n: int) -> dict:
         h = np.empty((eval_cfg.n_blocks, 1), dtype=np.complex128)
         noise = np.empty((eval_cfg.n_blocks, n), dtype=np.complex128)
         for idx in range(eval_cfg.n_blocks):
-            rng = np.random.default_rng((eval_cfg.seed, 31, chan_i, mod_i, snr_i, idx))
+            rng = block_rng(eval_cfg.seed, Stream.EVAL_CHANNEL, chan_i, mod_i, snr_i, idx)
             h[idx], noise[idx] = draw_channel(channel, n, rng)
         draws[channel_name, mod, snr_i] = (h, noise)
     return draws

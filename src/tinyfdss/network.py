@@ -125,8 +125,8 @@ class Grads(_Layers):
 
 
 def init_params(
+    rng: np.random.Generator,
     hidden_width: int = HIDDEN_DEFAULT,
-    rng: np.random.Generator | None = None,
     input_dim: int = INPUT_DIM,
     out_dim: int = OUT_DIM,
     out_scale: float = 0.05,
@@ -138,8 +138,6 @@ def init_params(
     scaled by ``out_scale`` so early blocks stay decodable while hidden-layer
     gradients remain nonzero.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     if hidden_width < 0:
         raise ValueError(f"hidden_width must be >= 0, got {hidden_width}")
 

@@ -2,7 +2,7 @@
 
 Every block is fully determined by (master_seed, block_index): bits, scheme,
 SNR, channel draw, and per-bin noise all come from one per-block generator, so
-runs are bit-reproducible regardless of batching or thread count.
+runs are bit-reproducible regardless of batching.
 
 The loss per block is mse + lambda(snr) * softplus(papr - x0), with the
 lambda looked up per block's drawn SNR.  The chain is differentiated in closed
@@ -43,7 +43,7 @@ from .chain import (
     shape_and_normalize,
     time_signal,
 )
-from .channel import MODEL_NAMES, ChannelCfg, ChannelModel, draw_channel
+from .channel import MODEL_NAMES, ChannelCfg, ChannelModel, Stream, block_rng, draw_channel
 from .filters import coeff_basis, taps_from_coeffs
 from .metrics import SURROGATE_SHARPNESS, TAIL_X0_DB, surrogate_blocks
 from .network import HISTORY_COLUMNS
@@ -146,11 +146,6 @@ def load_checkpoint(path) -> Checkpoint:
 # Dataset
 # ---------------------------------------------------------------------------
 
-def block_rng(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for one (seed, stream...) coordinate."""
-    return np.random.default_rng((seed,) + path)
-
-
 def _draw_from_mix(rng: np.random.Generator, mix: tuple[tuple[str, float], ...]) -> str:
     names = [n for n, _ in mix]
     weights = np.array([w for _, w in mix])
@@ -163,6 +158,8 @@ class BlockDraw:
     scheme: ModScheme
     snr_db: float
     model: ChannelModel
+    h: complex
+    noise: np.ndarray  # (n_sk,) unit complex noise, one per occupied bin
 
 
 def generate_block(rng: np.random.Generator, config: TrainConfig) -> BlockDraw:
@@ -172,7 +169,8 @@ def generate_block(rng: np.random.Generator, config: TrainConfig) -> BlockDraw:
     snr_db = float(rng.uniform(lo, hi))
     model = MODEL_NAMES[_draw_from_mix(rng, config.channel_mix)]
     bits = rng.integers(0, 2, config.chain.n_data * scheme.bits_per_symbol)
-    return BlockDraw(bits=bits, scheme=scheme, snr_db=snr_db, model=model)
+    h, noise = draw_channel(ChannelCfg(model, snr_db), config.chain.n_sk, rng)
+    return BlockDraw(bits=bits, scheme=scheme, snr_db=snr_db, model=model, h=h, noise=noise)
 
 
 @dataclass
@@ -192,21 +190,19 @@ def prepare_batch(
 ) -> BatchPrep:
     """Rebuild blocks for the given dataset indices (deterministic per index)."""
     cfg = config.chain
-    b = len(indices)
-    symbols = np.empty((b, cfg.n_data), dtype=np.complex128)
-    eta = np.empty((b, cfg.n_sk), dtype=np.complex128)
-    snr = np.empty(b)
-    lam = np.empty(b)
-    for row, idx in enumerate(indices):
-        rng = block_rng(config.seed, 0, int(idx))
-        draw = generate_block(rng, config)
-        symbols[row] = map_symbols(draw.bits, draw.scheme)
-        # channel draw: fade then per-occupied-bin noise at fixed transmit power
-        h, noise = draw_channel(ChannelCfg(draw.model, draw.snr_db), cfg.n_sk, rng)
-        snr[row] = draw.snr_db
-        lam[row] = table.lookup(draw.snr_db)
-        # sigma^2 per occupied bin with unit reference power; scaled below
-        eta[row] = noise / np.sqrt(2.0) * 10.0 ** (-draw.snr_db / 20.0) / h
+    draws = [generate_block(block_rng(config.seed, Stream.TRAIN_BLOCK, int(idx)), config)
+             for idx in indices]
+    symbols = np.empty((len(draws), cfg.n_data), dtype=np.complex128)
+    for scheme in {d.scheme for d in draws}:
+        rows = [row for row, d in enumerate(draws) if d.scheme is scheme]
+        symbols[rows] = map_symbols(np.stack([draws[row].bits for row in rows]), scheme)
+    snr = np.array([d.snr_db for d in draws])
+    lam = np.array([table.lookup(d.snr_db) for d in draws])
+    # sigma per occupied bin with unit reference power, by Python's pow (numpy's
+    # vectorized power may differ in the last bit); scaled to p_ref below
+    sigma = np.array([10.0 ** (-d.snr_db / 20.0) for d in draws])
+    h = np.array([d.h for d in draws])
+    eta = np.stack([d.noise for d in draws]) / np.sqrt(2.0) * sigma[:, None] / h[:, None]
     s_ext = extend(precode(symbols), cfg.n_se)
     # reference transmit power: unshaped occupied power per block
     p_ref = np.mean(np.abs(s_ext) ** 2, axis=-1)
@@ -347,7 +343,7 @@ def train(config: TrainConfig, progress: bool = False) -> Checkpoint:
     table = LambdaTable()
     params = network.init_params(
         hidden_width=config.hidden_width,
-        rng=block_rng(config.seed, 1),
+        rng=block_rng(config.seed, Stream.INIT),
         input_dim=config.chain.n_sk + 1,
         out_scale=OUT_INIT_SCALE,
     )
@@ -357,7 +353,7 @@ def train(config: TrainConfig, progress: bool = False) -> Checkpoint:
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        order = block_rng(config.seed, 2, epoch).permutation(config.n_blocks)
+        order = block_rng(config.seed, Stream.EPOCH_ORDER, epoch).permutation(config.n_blocks)
         losses, mses, tails = [], [], []
         for lo in range(0, config.n_blocks, config.batch_size):
             idxs = order[lo : lo + config.batch_size]

@@ -17,8 +17,10 @@ from tinyfdss.chain import (
 from tinyfdss.channel import (
     ChannelCfg,
     ChannelModel,
+    Stream,
     add_channel,
     apply_channel,
+    block_rng,
     draw_channel,
     draw_fade,
     estimate_snr,
@@ -33,6 +35,33 @@ def make_signal(cfg, rng, oversample=1):
     s_ext = extend(precode(map_symbols(bits, ModScheme.QPSK)), cfg.n_se)
     bins, _, _ = shape_and_normalize(s_ext, unit_taps(cfg.n_sk))
     return SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins, cfg, oversample))
+
+
+class TestBlockRng:
+    def test_stream_tags(self):
+        # the tags seed every output; renumbering one changes its stream
+        assert {m.name: m.value for m in Stream} == {
+            "TRAIN_BLOCK": 0, "INIT": 1, "EPOCH_ORDER": 2, "ADAPT_TICK": 4,
+            "SLM_PHASES": 5, "EVAL_DATA": 30, "EVAL_CHANNEL": 31,
+        }
+
+    @pytest.mark.parametrize("seed, stream, index", [
+        (0, Stream.SLM_PHASES, ()),
+        (9, Stream.INIT, ()),
+        (3, Stream.EPOCH_ORDER, (1,)),
+        (7, Stream.TRAIN_BLOCK, (np.int64(499),)),
+        (2, Stream.EVAL_DATA, (1, 2047)),
+        (5, Stream.EVAL_CHANNEL, (2, 0, 1, 59)),
+    ])
+    def test_draws_match_default_rng_on_the_int_tuple(self, seed, stream, index):
+        want = np.random.default_rng((seed, int(stream), *index))
+        got = block_rng(seed, stream, *index)
+        np.testing.assert_array_equal(got.integers(0, 2**62, 16), want.integers(0, 2**62, 16))
+        np.testing.assert_array_equal(got.standard_normal(8), want.standard_normal(8))
+
+    def test_training_exports_the_same_function(self):
+        from tinyfdss import training
+        assert training.block_rng is block_rng
 
 
 class TestApplyChannel:

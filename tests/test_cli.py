@@ -176,6 +176,18 @@ class TestConfig:
          "baselines.clf: clip_ratio_db must be finite, got nan"),
         ("baselines", "baselines", {"clf": {"clip_ratio_db": float("inf")}},
          "baselines.clf: clip_ratio_db must be finite, got inf"),
+        ("baselines", "eval", {"channels": ["awgn", "awgn"]},
+         "eval: channels must not repeat an entry, got ['awgn', 'awgn']"),
+        ("baselines", "eval", {"schemes": ["rrc", "rrc"]},
+         "eval: schemes must not repeat an entry, got ['rrc', 'rrc']"),
+        ("baselines", "eval", {"mods": ["qpsk", "qam16", "qpsk"]},
+         "eval: mods must not repeat an entry, got ['qpsk', 'qam16', 'qpsk']"),
+        ("baselines", "eval", {"snr_db": [10, 10]},
+         "eval: snr_db must not repeat an entry, got [10, 10]"),
+        ("baselines", "eval", {"snr_db": [10, 5.0, 10.0]},
+         "eval: snr_db must not repeat an entry, got [10, 5.0, 10.0]"),
+        ("sweep", "sweep", {"hidden_widths": [0, 0]},
+         "sweep: hidden_widths must not repeat an entry, got [0, 0]"),
     ], ids=[
         "seed-str", "seed-float", "seed-negative", "snr_db-scalar", "snr_range_db-scalar",
         "channel_mix-str-weight", "hidden_widths-scalar", "eval-list", "n_blocks-float",
@@ -189,7 +201,8 @@ class TestConfig:
         "target_sparsity-one", "target_sparsity-no-live-weight",
         "target_sparsity-perceptron-no-live-weight", "lr-nan", "lr-negative", "weight_decay-inf",
         "weight_decay-negative", "eval-rician_k_db-nan", "train-rician_k_db-inf",
-        "clip_ratio_db-nan", "clip_ratio_db-inf",
+        "clip_ratio_db-nan", "clip_ratio_db-inf", "channels-repeat", "schemes-repeat",
+        "mods-repeat", "snr_db-repeat", "snr_db-repeat-int-float", "hidden_widths-repeat",
     ])
     def test_malformed_value_exits_2_naming_the_key(
         self, tmp_path, capsys, command, section, value, message

@@ -4,6 +4,7 @@ import pytest
 from tinyfdss import network
 from tinyfdss.adaptation import LambdaTable
 from tinyfdss.chain import (
+    SCHEME_NAMES,
     ChainConfig,
     ModScheme,
     Stage,
@@ -15,13 +16,14 @@ from tinyfdss.chain import (
     shape_and_normalize,
     time_signal,
 )
+from tinyfdss.channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_channel
 from tinyfdss.filters import taps_from_coeffs
 from tinyfdss.training import (
     OUT_INIT_SCALE,
     BatchPrep,
     Checkpoint,
     TrainConfig,
-    block_rng,
+    _draw_from_mix,
     chain_loss,
     config_hash,
     generate_block,
@@ -42,24 +44,27 @@ def table():
 class TestGenerateBlock:
     def test_fixed_seed_reproduces_first_block(self):
         config = TrainConfig(**SMOKE, seed=5)
-        a = generate_block(block_rng(5, 0, 0), config)
-        b = generate_block(block_rng(5, 0, 0), config)
+        a = generate_block(block_rng(5, Stream.TRAIN_BLOCK, 0), config)
+        b = generate_block(block_rng(5, Stream.TRAIN_BLOCK, 0), config)
         np.testing.assert_array_equal(a.bits, b.bits)
         assert a.scheme == b.scheme
         assert a.snr_db == b.snr_db
         assert a.model == b.model
+        assert a.h == b.h
+        np.testing.assert_array_equal(a.noise, b.noise)
 
     def test_snr_mean_over_range(self):
         config = TrainConfig(**SMOKE, seed=6)
         snrs = [
-            generate_block(block_rng(6, 0, i), config).snr_db for i in range(10_000)
+            generate_block(block_rng(6, Stream.TRAIN_BLOCK, i), config).snr_db
+            for i in range(10_000)
         ]
         assert np.mean(snrs) == pytest.approx(10.0, abs=0.2)
 
     def test_pure_qpsk_mix(self):
         config = TrainConfig(**SMOKE, seed=7, mod_mix=(("qpsk", 1.0),))
         for i in range(200):
-            draw = generate_block(block_rng(7, 0, i), config)
+            draw = generate_block(block_rng(7, Stream.TRAIN_BLOCK, i), config)
             assert draw.scheme is ModScheme.QPSK
 
     def test_mix_weights_must_sum_to_one(self):
@@ -69,6 +74,57 @@ class TestGenerateBlock:
     def test_unknown_mix_entry_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(channel_mix=(("underwater", 1.0),))
+
+
+def per_row_prepare_batch(config, indices, table):
+    """The per-block loop ``prepare_batch`` once ran, as a byte-exact reference.
+
+    Also returns the (modulation, channel model) pairs the batch drew.
+    """
+    cfg = config.chain
+    b = len(indices)
+    symbols = np.empty((b, cfg.n_data), dtype=np.complex128)
+    eta = np.empty((b, cfg.n_sk), dtype=np.complex128)
+    snr = np.empty(b)
+    lam = np.empty(b)
+    drawn = set()
+    for row, idx in enumerate(indices):
+        rng = np.random.default_rng((config.seed, 0, int(idx)))
+        scheme = SCHEME_NAMES[_draw_from_mix(rng, config.mod_mix)]
+        snr_db = float(rng.uniform(*config.snr_range_db))
+        model = MODEL_NAMES[_draw_from_mix(rng, config.channel_mix)]
+        bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
+        symbols[row] = map_symbols(bits, scheme)
+        h, noise = draw_channel(ChannelCfg(model, snr_db), cfg.n_sk, rng)
+        snr[row] = snr_db
+        lam[row] = table.lookup(snr_db)
+        eta[row] = noise / np.sqrt(2.0) * 10.0 ** (-snr_db / 20.0) / h
+        drawn.add((scheme, model))
+    s_ext = extend(precode(symbols), cfg.n_se)
+    eta *= np.sqrt(np.mean(np.abs(s_ext) ** 2, axis=-1))[:, None]
+    features = network.build_input(s_ext, snr, expected_len=cfg.n_sk)
+    prep = BatchPrep(symbols=symbols, s_ext=s_ext, features=features, eta=eta,
+                     lam=lam, indices=np.asarray(indices))
+    return prep, drawn
+
+
+class TestPrepareBatch:
+    def test_matches_per_row_reference_byte_for_byte(self, table):
+        config = TrainConfig(
+            **SMOKE, seed=21,
+            channel_mix=(("awgn", 0.3), ("rayleigh", 0.3), ("rician", 0.4)),
+        )
+        indices = np.random.default_rng(0).permutation(config.n_blocks)[:48]
+        want, drawn = per_row_prepare_batch(config, indices, table)
+        # every modulation meets every channel model in this batch
+        assert {(s.name, m.name) for s, m in drawn} == {
+            (s, m) for s in ("QPSK", "QAM16") for m in ("AWGN", "RAYLEIGH", "RICIAN")
+        }
+        got = prepare_batch(config, indices, table)
+        for name in ("symbols", "s_ext", "features", "eta", "lam", "indices"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestChainLossGradient:
@@ -127,7 +183,7 @@ class TestTrain:
         ckpt = train(config)
         fresh = network.init_params(
             hidden_width=config.hidden_width,
-            rng=block_rng(9, 1),
+            rng=block_rng(9, Stream.INIT),
             input_dim=config.chain.n_sk + 1,
             out_scale=OUT_INIT_SCALE,
         )
