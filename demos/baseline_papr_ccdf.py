@@ -41,12 +41,13 @@ gains = fir_bin_gains(rrc_fir(32, 0.25, sps=conv.oversample), conv)
 samples["rrc"] = papr_db(time_signal(spectrum * gains, conv))
 
 # clipping and filtering: clip 4 dB above RMS, remove regrowth, twice
-samples["clf"] = papr_db(clf_reduce(spectrum, ClfConfig(), conv))
+samples["clf"] = papr_db(time_signal(clf_reduce(spectrum, ClfConfig(), conv), conv))
 
-# selective mapping: best of 8 phase-rotated candidates (identity included)
+# selective mapping: best of 8 phase-rotated candidates (identity included);
+# the chosen phases are per-bin taps the receiver undoes with its matched filter
 phases = slm_phase_vectors(SlmConfig(num_candidates=8), conv.n_data)
-chosen, idx = slm_select(spectrum, phases, conv)
-samples["slm"] = papr_db(chosen)
+idx = slm_select(spectrum, phases, conv)
+samples["slm"] = papr_db(time_signal(spectrum * phases[idx], conv))
 print(f"SLM kept the identity candidate on {np.mean(idx == 0):.0%} of blocks")
 
 print(f"\n{'scheme':>10s} {'mean':>7s} {'@1e-2':>7s} {'@1e-3':>7s}  (dB)")

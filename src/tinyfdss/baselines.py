@@ -1,11 +1,13 @@
 """PAPR-reduction comparison schemes: CLF, SLM, and the static RRC transmit filter.
 
 Clipping-and-filtering amplitude-limits the time signal and removes the
-out-of-allocation spectral regrowth, iterated a configurable number of times.
+out-of-allocation spectral regrowth, iterated a configurable number of times;
+``clf_reduce`` returns the filtered occupied bins of its last round.
 Selective mapping transmits the minimum-PAPR candidate among phase-rotated
 copies of the frequency-domain symbols (candidate 0 is always the identity,
-so SLM never does worse than the unmodified block); the chosen index is the
-side information a real system would signal.
+so SLM never does worse than the unmodified block); ``slm_select`` returns the
+chosen index, the side information a real system would signal, and the
+phases it picks are the block's complex receiver taps.
 
 The static RRC baseline is the classic truncated time-domain pulse-shaping
 filter (32 taps by default); its circular convolution is expressed as per-bin
@@ -77,20 +79,21 @@ def clip_amplitude(x: np.ndarray, level: np.ndarray | float) -> np.ndarray:
 
 
 def clf_reduce(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
-    """CLF rounds on occupied-bin blocks (batch-capable); returns time signals.
+    """CLF rounds on occupied-bin blocks (batch-capable); returns occupied bins.
 
-    The clip level is fixed from the input signal's RMS; filtering zeroes
-    every bin outside the allocation, which restores the spectrum but regrows
-    the peaks -- the classic CLF behavior.
+    The clip level is fixed from the input signal's RMS; filtering keeps only
+    the occupied bins, which restores the spectrum but regrows the peaks --
+    the classic CLF behavior.
     """
     x = time_signal(bins, cfg)
     level = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)) * 10.0 ** (
         clf.clip_ratio_db / 20.0
     )
-    for _ in range(clf.iterations):
-        x = clip_amplitude(x, level)
-        x = time_signal(occupied_bins(x, cfg), cfg)
-    return x
+    for i in range(clf.iterations):
+        if i:
+            x = time_signal(bins, cfg)
+        bins = occupied_bins(clip_amplitude(x, level), cfg)
+    return bins
 
 
 # ---------------------------------------------------------------------------
@@ -106,33 +109,20 @@ def slm_phase_vectors(slm: SlmConfig, n_data: int) -> np.ndarray:
     return phases
 
 
-def slm_select(
-    spectrum: np.ndarray, phases: np.ndarray, cfg: ChainConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pick the minimum-PAPR candidate per block.
+def slm_select(spectrum: np.ndarray, phases: np.ndarray, cfg: ChainConfig) -> np.ndarray:
+    """Index of the minimum-PAPR candidate per block (first minimum on ties).
 
-    ``spectrum`` is (..., n_data) frequency-domain symbols; returns the chosen
-    time signals and candidate indices (first minimum on ties).  Candidates
-    are tried one at a time against a running minimum, so memory holds one
+    ``spectrum`` is (..., n_data) frequency-domain symbols.  Candidates are
+    tried one at a time against a running minimum, so memory holds one
     oversampled candidate per block rather than all U.
     """
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
-    spec2 = spectrum.reshape(-1, spectrum.shape[-1])
-
-    def candidate(u: int) -> tuple[np.ndarray, np.ndarray]:
-        x = time_signal(extend(spec2 * phases[u], cfg.n_se), cfg)
-        return x, papr_db(x)
-
-    chosen, best = candidate(0)
-    idx = np.zeros(spec2.shape[0], dtype=np.intp)
-    for u in range(1, len(phases)):
-        x, paprs = candidate(u)
-        better = paprs < best
-        chosen[better] = x[better]
-        best[better] = paprs[better]
-        idx[better] = u
-    lead = spectrum.shape[:-1]
-    return chosen.reshape(lead + chosen.shape[-1:]), idx.reshape(lead)
+    paprs = (papr_db(time_signal(extend(spectrum * p, cfg.n_se), cfg)) for p in phases)
+    best = next(paprs)
+    idx = np.zeros(np.shape(best), dtype=np.intp)
+    for u, papr in enumerate(paprs, start=1):
+        idx = np.where(papr < best, u, idx)
+        best = np.minimum(papr, best)
+    return idx
 
 
 # ---------------------------------------------------------------------------

@@ -283,25 +283,18 @@ def _matched_fold(
     return numer, gain, numer / (gain + GAIN_EPS)
 
 
-def equalize(
-    rx_bins: np.ndarray,
-    taps: np.ndarray,
-    n_se: int,
-    phase_derotate: np.ndarray | None = None,
-) -> np.ndarray:
+def equalize(rx_bins: np.ndarray, taps: np.ndarray, n_se: int) -> np.ndarray:
     """Matched filter, extension folding and gain normalization, inverse precoding.
 
     The learned taps are real, so the matched filter F* reduces to plain
-    multiplication; complex gains (e.g. a transmit FIR's bin response) are
-    handled with the conjugate.  Each data bin is normalized by the summed
-    squared gain of its contributing copies (``GAIN_EPS``-guarded); a bin whose total
-    gain is exactly zero is undecodable.
+    multiplication; complex gains (a transmit FIR's bin response, SLM's chosen
+    phases) are handled with the conjugate.  Each data bin is normalized by the
+    summed squared gain of its contributing copies (``GAIN_EPS``-guarded); a bin
+    whose total gain is exactly zero is undecodable.
     """
     _, gain, recovered = _matched_fold(rx_bins, taps, n_se)
     if np.any(gain == 0.0):
         raise EqualizationError("zero effective gain on at least one data bin")
-    if phase_derotate is not None:
-        recovered = recovered * np.conj(phase_derotate)
     return deprecode(recovered)
 
 

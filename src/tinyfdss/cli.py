@@ -51,6 +51,8 @@ class SweepConfig:
     hidden_widths: tuple[int, ...] = (5, 10, 20, 0)
 
     def __post_init__(self):
+        if not self.hidden_widths:
+            raise ValueError("hidden_widths must name at least one entry")
         if any(width < 0 for width in self.hidden_widths):
             raise ValueError(f"hidden_widths must be >= 0, got {list(self.hidden_widths)}")
         if len(set(self.hidden_widths)) != len(self.hidden_widths):

@@ -13,7 +13,8 @@ Schemes
 ``rrc``       conventional chain through the classic truncated time-domain
               RRC transmit filter (expressed as complex per-bin gains)
 ``clf``       clipping-and-filtering on the conventional chain
-``slm``       selective mapping on the conventional chain (genie side info)
+``slm``       selective mapping on the conventional chain; the chosen phases
+              are the receiver's complex taps (genie side info: the index)
 
 Pairing is structural.  The CCDF pass draws each chunk of blocks once and
 runs every scheme on it.  The grid draws each modulation's blocks once and
@@ -100,6 +101,8 @@ class EvalConfig:
     def __post_init__(self):
         for key in ("schemes", "channels", "mods", "snr_db"):
             values = getattr(self, key)
+            if not values:
+                raise ValueError(f"{key} must name at least one entry")
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} must not repeat an entry, got {list(values)}")
         for name in self.schemes:
@@ -108,8 +111,6 @@ class EvalConfig:
         for name in self.channels:
             if name not in MODEL_NAMES:
                 raise ValueError(f"unknown channel {name!r}")
-        if not self.mods:
-            raise ValueError("mods must name at least one modulation")
         for name in self.mods:
             if name not in SCHEME_NAMES:
                 raise ValueError(f"unknown modulation {name!r}")
@@ -163,7 +164,6 @@ class Transmit:
     bins: np.ndarray  # occupied bins, one row per block
     taps: np.ndarray  # effective receiver taps, broadcast against ``bins``
     symbols: np.ndarray  # reference data symbols
-    derot: np.ndarray | None = None  # per-bin SLM phases (genie side info)
 
 
 class _SchemeEngine:
@@ -222,12 +222,10 @@ class _SchemeEngine:
             bins, eff, _ = shape_and_normalize(s, self.fir_gains)
             return Transmit(conv, bins, eff, sym)
         if scheme == "clf":
-            x = clf_reduce(s, self.eval_cfg.clf, conv)
-            return Transmit(conv, occupied_bins(x, conv), self.unit, sym)
+            return Transmit(conv, clf_reduce(s, self.eval_cfg.clf, conv), self.unit, sym)
         if scheme == "slm":
-            x, idx = slm_select(s, self.slm_phases, conv)
-            return Transmit(conv, occupied_bins(x, conv), self.unit, sym,
-                            self.slm_phases[idx])
+            taps = self.slm_phases[slm_select(s, self.slm_phases, conv)]
+            return Transmit(conv, s * taps, taps, sym)
         raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -273,9 +271,7 @@ def _run_group(
         for channel_name in eval_cfg.channels:
             h, noise = draws[channel_name, mod, snr_i]
             rx = add_channel(x1, h, noise, snr_db, cfg) / h
-            equalized = equalize(
-                occupied_bins(rx, cfg), tx.taps, cfg.n_se, phase_derotate=tx.derot
-            )
+            equalized = equalize(occupied_bins(rx, cfg), tx.taps, cfg.n_se)
             detected = detect_symbols(equalized, SCHEME_NAMES[mod])
             ser, _, total = measured_ser(tx.symbols, detected)
             cells[channel_name, snr_i] = CellResult(

@@ -43,7 +43,7 @@ from .chain import (
     shape_and_normalize,
     time_signal,
 )
-from .channel import MODEL_NAMES, ChannelCfg, ChannelModel, Stream, block_rng, draw_channel
+from .channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_channel
 from .filters import coeff_basis, taps_from_coeffs
 from .metrics import SURROGATE_SHARPNESS, TAIL_X0_DB, surrogate_blocks
 from .network import HISTORY_COLUMNS
@@ -157,7 +157,6 @@ class BlockDraw:
     bits: np.ndarray
     scheme: ModScheme
     snr_db: float
-    model: ChannelModel
     h: complex
     noise: np.ndarray  # (n_sk,) unit complex noise, one per occupied bin
 
@@ -170,7 +169,7 @@ def generate_block(rng: np.random.Generator, config: TrainConfig) -> BlockDraw:
     model = MODEL_NAMES[_draw_from_mix(rng, config.channel_mix)]
     bits = rng.integers(0, 2, config.chain.n_data * scheme.bits_per_symbol)
     h, noise = draw_channel(ChannelCfg(model, snr_db), config.chain.n_sk, rng)
-    return BlockDraw(bits=bits, scheme=scheme, snr_db=snr_db, model=model, h=h, noise=noise)
+    return BlockDraw(bits=bits, scheme=scheme, snr_db=snr_db, h=h, noise=noise)
 
 
 @dataclass

@@ -34,16 +34,17 @@ def ext_block(cfg, seed=0):
 
 
 def slm_one(block, slm, cfg):
-    """SLM for one frequency-domain block: (time signal, chosen index)."""
-    return slm_select(block, slm_phase_vectors(slm, cfg.n_data), cfg)
+    """SLM for one frequency-domain block: (chosen candidate's time signal, index)."""
+    phases = slm_phase_vectors(slm, cfg.n_data)
+    idx = slm_select(block, phases, cfg)
+    return time_signal(extend(block * phases[idx], cfg.n_se), cfg), idx
 
 
 class TestClf:
     def test_clip_level_above_peak_is_identity(self, cfg):
         block = ext_block(cfg)
         out = clf_reduce(block, ClfConfig(clip_ratio_db=40.0, iterations=1), cfg)
-        ref = time_signal(block, cfg)
-        np.testing.assert_allclose(out, ref, atol=1e-12)
+        np.testing.assert_allclose(out, block, atol=1e-12)
 
     def test_clip_stage_bound_is_exact(self, cfg, rng):
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
@@ -63,12 +64,15 @@ class TestClf:
             assert papr_db(clipped) <= papr_db(x) + 1e-9
 
     def test_filtering_restores_allocation(self, cfg):
-        out = clf_reduce(ext_block(cfg), ClfConfig(), cfg)
-        grid = np.fft.fftshift(np.fft.fft(out))
-        n = len(out)
-        start = n // 2 - cfg.n_sk // 2
-        out_of_band = np.concatenate([grid[:start], grid[start + cfg.n_sk :]])
-        assert np.max(np.abs(out_of_band)) < 1e-9 * np.max(np.abs(grid))
+        # the result is the occupied bins of the clipped signal, so nothing
+        # outside the allocation is transmitted
+        block = ext_block(cfg)
+        clf = ClfConfig(iterations=1)
+        out = clf_reduce(block, clf, cfg)
+        assert out.shape == (cfg.n_sk,)
+        x = time_signal(block, cfg)
+        level = np.sqrt(np.mean(np.abs(x) ** 2)) * 10 ** (clf.clip_ratio_db / 20.0)
+        np.testing.assert_array_equal(out, occupied_bins(clip_amplitude(x, level), cfg))
 
     def test_deterministic(self, cfg):
         block = ext_block(cfg)
@@ -98,10 +102,8 @@ class TestSlm:
 
     def test_single_candidate_is_identity(self, cfg):
         block = freq_block(cfg)
-        out, idx = slm_one(block, SlmConfig(num_candidates=1), cfg)
+        _, idx = slm_one(block, SlmConfig(num_candidates=1), cfg)
         assert idx == 0
-        ref = time_signal(extend(block, cfg.n_se), cfg)
-        np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_argmin_matches_per_candidate_oracle(self, cfg):
         slm = SlmConfig(num_candidates=8)
@@ -113,7 +115,7 @@ class TestSlm:
             cand = time_signal(extend(block * phases[u], cfg.n_se), cfg)
             paprs.append(papr_db(cand))
         assert idx == int(np.argmin(paprs))
-        assert papr_db(out) == pytest.approx(min(paprs), abs=1e-12)
+        assert papr_db(out) == min(paprs)
 
     def test_running_minimum_matches_all_candidates_oracle(self, cfg):
         # every phase row twice: each block's minimum is tied between u and
@@ -122,34 +124,30 @@ class TestSlm:
         # plain QPSK bins (no DFT precoding), where the identity rarely wins
         bits = np.random.default_rng(3).integers(0, 2, (12, cfg.n_data * 2))
         blocks = map_symbols(bits, ModScheme.QPSK)
-        out, idx = slm_select(blocks, phases, cfg)
+        idx = slm_select(blocks, phases, cfg)
         every = time_signal(extend(blocks[:, None, :] * phases[None], cfg.n_se), cfg)
         want = np.argmin(papr_db(every), axis=-1)
         assert np.all(want < 8) and len(set(want)) > 1
         np.testing.assert_array_equal(idx, want)
-        np.testing.assert_array_equal(out, every[np.arange(len(blocks)), want])
 
     def test_any_leading_shape(self, cfg):
         phases = slm_phase_vectors(SlmConfig(num_candidates=4), cfg.n_data)
         bits = np.random.default_rng(4).integers(0, 2, (2, 3, cfg.n_data * 2))
         blocks = precode(map_symbols(bits, ModScheme.QPSK))
-        n = cfg.n_fft * cfg.oversample
-        out, idx = slm_select(blocks, phases, cfg)
-        assert out.shape == (2, 3, n) and idx.shape == (2, 3)
-        flat_out, flat_idx = slm_select(blocks.reshape(6, -1), phases, cfg)
-        np.testing.assert_array_equal(out.reshape(6, n), flat_out)
+        idx = slm_select(blocks, phases, cfg)
+        assert idx.shape == (2, 3)
+        flat_idx = slm_select(blocks.reshape(6, -1), phases, cfg)
         np.testing.assert_array_equal(idx.reshape(6), flat_idx)
-        one_out, one_idx = slm_select(blocks[1, 2], phases, cfg)
-        assert one_out.shape == (n,) and np.shape(one_idx) == ()
-        np.testing.assert_array_equal(one_out, flat_out[5])
+        one_idx = slm_select(blocks[1, 2], phases, cfg)
+        assert np.shape(one_idx) == ()
         assert one_idx == flat_idx[5]
 
     def test_argmin_invariant_under_scaling(self, cfg):
         slm = SlmConfig(num_candidates=8)
         phases = slm_phase_vectors(slm, cfg.n_data)
         block = freq_block(cfg, seed=9)
-        _, idx1 = slm_select(block, phases, cfg)
-        _, idx2 = slm_select(3.7 * block, phases, cfg)
+        idx1 = slm_select(block, phases, cfg)
+        idx2 = slm_select(3.7 * block, phases, cfg)
         assert idx1 == idx2
 
     def test_identity_candidate_is_row_zero(self, cfg):

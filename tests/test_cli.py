@@ -188,6 +188,10 @@ class TestConfig:
          "eval: snr_db must not repeat an entry, got [10, 5.0, 10.0]"),
         ("sweep", "sweep", {"hidden_widths": [0, 0]},
          "sweep: hidden_widths must not repeat an entry, got [0, 0]"),
+        ("eval", "eval", {"schemes": []}, "eval: schemes must name at least one"),
+        ("baselines", "eval", {"channels": []}, "eval: channels must name at least one"),
+        ("baselines", "eval", {"snr_db": []}, "eval: snr_db must name at least one"),
+        ("sweep", "sweep", {"hidden_widths": []}, "sweep: hidden_widths must name at least one"),
     ], ids=[
         "seed-str", "seed-float", "seed-negative", "snr_db-scalar", "snr_range_db-scalar",
         "channel_mix-str-weight", "hidden_widths-scalar", "eval-list", "n_blocks-float",
@@ -203,6 +207,7 @@ class TestConfig:
         "weight_decay-negative", "eval-rician_k_db-nan", "train-rician_k_db-inf",
         "clip_ratio_db-nan", "clip_ratio_db-inf", "channels-repeat", "schemes-repeat",
         "mods-repeat", "snr_db-repeat", "snr_db-repeat-int-float", "hidden_widths-repeat",
+        "schemes-empty", "channels-empty", "snr_db-empty", "hidden_widths-empty",
     ])
     def test_malformed_value_exits_2_naming_the_key(
         self, tmp_path, capsys, command, section, value, message

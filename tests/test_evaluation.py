@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from tinyfdss import channel, evaluation, network
-from tinyfdss.chain import ChainConfig
+from tinyfdss.baselines import clip_amplitude, conventional_config, slm_phase_vectors
+from tinyfdss.chain import (ChainConfig, ModScheme, detect_symbols, equalize,
+                            occupied_bins, time_signal)
 from tinyfdss.evaluation import EvalConfig, evaluate
+from tinyfdss.metrics import papr_db
 from tinyfdss.training import TrainConfig, train
 
 
@@ -218,3 +221,44 @@ class TestEvaluate:
         cell = evaluate(None, eval_cfg, ChainConfig()).cells[0]
         sem = math.sqrt(theory * (1 - theory) / cell.ser_total)
         assert abs(cell.ser - theory) <= 3 * sem
+
+
+class TestBaselineTransmit:
+    """``clf`` and ``slm`` hand the link occupied bins and receiver taps."""
+
+    EVAL = EvalConfig(snr_db=(10.0,), n_blocks=20, ccdf_blocks=300, oobe_blocks=16,
+                      seed=5, schemes=("clf", "slm"))
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        engine = evaluation._SchemeEngine(ChainConfig(), self.EVAL, None)
+        data = engine.data_symbols("qpsk", np.arange(self.EVAL.ccdf_blocks))
+        return engine, data, evaluate(None, self.EVAL, ChainConfig())
+
+    def test_slm_samples_are_minimum_over_candidates(self, run):
+        _, data, result = run
+        conv = conventional_config(ChainConfig())
+        phases = slm_phase_vectors(self.EVAL.slm, conv.n_data)
+        every = [papr_db(time_signal(data["s_conv"] * phases[u], conv))
+                 for u in range(len(phases))]
+        np.testing.assert_array_equal(result.papr_samples["slm"], np.min(every, axis=0))
+
+    def test_clf_samples_match_reference_loop(self, run):
+        _, data, result = run
+        conv, clf = conventional_config(ChainConfig()), self.EVAL.clf
+        x = time_signal(data["s_conv"], conv)
+        rms = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True))
+        level = rms * 10 ** (clf.clip_ratio_db / 20)
+        for _ in range(clf.iterations):
+            x = time_signal(occupied_bins(clip_amplitude(x, level), conv), conv)
+        np.testing.assert_array_equal(result.papr_samples["clf"], papr_db(x))
+
+    def test_noise_free_slm_link_recovers_every_symbol(self, run):
+        # the chosen phases are the receiver taps: its matched filter derotates
+        engine, data, _ = run
+        tx = engine.transmit("slm", data, self.EVAL.ccdf_snr_db)
+        assert np.any(tx.taps != 1.0)  # some block chose a rotated candidate
+        detected = detect_symbols(equalize(tx.bins, tx.taps, 0), ModScheme.QPSK)
+        np.testing.assert_array_equal(detected, tx.symbols)
+        unrotated = detect_symbols(equalize(tx.bins, engine.unit, 0), ModScheme.QPSK)
+        assert np.any(unrotated != tx.symbols)

@@ -49,7 +49,6 @@ class TestGenerateBlock:
         np.testing.assert_array_equal(a.bits, b.bits)
         assert a.scheme == b.scheme
         assert a.snr_db == b.snr_db
-        assert a.model == b.model
         assert a.h == b.h
         np.testing.assert_array_equal(a.noise, b.noise)
 
