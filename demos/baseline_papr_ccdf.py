@@ -18,8 +18,8 @@ from tinyfdss.baselines import (
     slm_phase_vectors,
     slm_select,
 )
-from tinyfdss.chain import ChainConfig, ModScheme, map_symbols, precode, time_signal
-from tinyfdss.metrics import empirical_ccdf, papr_at_ccdf, papr_db
+from tinyfdss.chain import ChainConfig, ModScheme, map_symbols, precode
+from tinyfdss.metrics import empirical_ccdf, papr_at_ccdf, waveform_papr_db
 
 N_BLOCKS = 5000
 
@@ -34,20 +34,20 @@ spectrum = precode(symbols)
 samples = {}
 
 # plain DFT-s-OFDM: flat spectrum straight onto the oversampled grid
-samples["dftsofdm"] = papr_db(time_signal(spectrum, conv))
+samples["dftsofdm"] = waveform_papr_db(spectrum, conv)
 
 # classic truncated RRC transmit filter, expressed as per-bin complex gains
 gains = fir_bin_gains(rrc_fir(32, 0.25, sps=conv.oversample), conv)
-samples["rrc"] = papr_db(time_signal(spectrum * gains, conv))
+samples["rrc"] = waveform_papr_db(spectrum * gains, conv)
 
 # clipping and filtering: clip 4 dB above RMS, remove regrowth, twice
-samples["clf"] = papr_db(time_signal(clf_reduce(spectrum, ClfConfig(), conv), conv))
+samples["clf"] = waveform_papr_db(clf_reduce(spectrum, ClfConfig(), conv), conv)
 
 # selective mapping: best of 8 phase-rotated candidates (identity included);
 # the chosen phases are per-bin taps the receiver undoes with its matched filter
 phases = slm_phase_vectors(SlmConfig(num_candidates=8), conv.n_data)
 idx = slm_select(spectrum, phases, conv)
-samples["slm"] = papr_db(time_signal(spectrum * phases[idx], conv))
+samples["slm"] = waveform_papr_db(spectrum * phases[idx], conv)
 print(f"SLM kept the identity candidate on {np.mean(idx == 0):.0%} of blocks")
 
 print(f"\n{'scheme':>10s} {'mean':>7s} {'@1e-2':>7s} {'@1e-3':>7s}  (dB)")

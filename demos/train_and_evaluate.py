@@ -11,8 +11,8 @@ import numpy as np
 from tinyfdss import network
 from tinyfdss.adaptation import adaptation_cycle
 from tinyfdss.baselines import conventional_config, fir_bin_gains, rrc_fir
-from tinyfdss.chain import ChainConfig, ModScheme, extend, map_symbols, precode, time_signal
-from tinyfdss.metrics import papr_at_ccdf, papr_db
+from tinyfdss.chain import ChainConfig, ModScheme, extend, map_symbols, precode
+from tinyfdss.metrics import papr_at_ccdf, waveform_papr_db
 from tinyfdss.training import TrainConfig, train
 
 cfg = ChainConfig()
@@ -34,14 +34,14 @@ s_ext = extend(precode(symbols), cfg.n_se)
 
 # the deployed int8 net's feedback cycle at 15 dB, on all blocks at once
 bins, taps = adaptation_cycle(15.0, ckpt.qnet, s_ext)
-papr_trained = papr_db(time_signal(bins, cfg))
+papr_trained = waveform_papr_db(bins, cfg)
 
 conv = conventional_config(cfg)
 sym_conv = map_symbols(rng.integers(0, 2, (n_eval, conv.n_data * 2)), ModScheme.QPSK)
 spectrum = precode(sym_conv)
-papr_plain = papr_db(time_signal(spectrum, conv))
+papr_plain = waveform_papr_db(spectrum, conv)
 gains = fir_bin_gains(rrc_fir(32, 0.25, sps=conv.oversample), conv)
-papr_rrc = papr_db(time_signal(spectrum * gains, conv))
+papr_rrc = waveform_papr_db(spectrum * gains, conv)
 
 t_rrc = papr_at_ccdf(papr_rrc, 1e-3)
 t_plain = papr_at_ccdf(papr_plain, 1e-3)

@@ -42,6 +42,7 @@ from .metrics import (
     oobe_db,
     papr_at_ccdf,
     papr_db,
+    waveform_papr_db,
 )
 from .network import (
     NetParams,

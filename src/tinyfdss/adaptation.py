@@ -35,7 +35,7 @@ from .chain import (
 )
 from .channel import ChannelCfg, ChannelModel, Stream, add_channel, block_rng, draw_channel
 from .filters import taps_from_coeffs
-from .metrics import measured_ser, papr_db
+from .metrics import measured_ser, waveform_papr_db
 
 DEFAULT_BINS = (
     (0.0, 5.0, 0.1),
@@ -166,7 +166,7 @@ def run_scenario(
         bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
         tx = map_symbols(bits, scheme)
         bins, taps = adaptation_cycle(snr_db, net, extend(precode(tx), cfg.n_se))
-        papr = papr_db(time_signal(bins, cfg))
+        papr = waveform_papr_db(bins, cfg)
         # communication path at critical sampling under the true SNR
         h, noise = draw_channel(ChannelCfg(ChannelModel.AWGN, snr_db), cfg.n_fft, rng)
         rx = add_channel(time_signal(bins, cfg, oversample=1), h, noise, snr_db, cfg)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import ChainConfig, centered_band, extend, occupied_bins, time_signal
 from .channel import Stream, block_rng
-from .metrics import papr_db
+from .metrics import by_tiles, waveform_papr_db
 
 SLM_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
 
@@ -83,8 +83,12 @@ def clf_reduce(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray
 
     The clip level is fixed from the input signal's RMS; filtering keeps only
     the occupied bins, which restores the spectrum but regrows the peaks --
-    the classic CLF behavior.
+    the classic CLF behavior.  The rounds run one tile of blocks at a time.
     """
+    return by_tiles(lambda tile: _clf_rounds(tile, clf, cfg), bins, cfg)
+
+
+def _clf_rounds(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
     x = time_signal(bins, cfg)
     level = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)) * 10.0 ** (
         clf.clip_ratio_db / 20.0
@@ -113,10 +117,10 @@ def slm_select(spectrum: np.ndarray, phases: np.ndarray, cfg: ChainConfig) -> np
     """Index of the minimum-PAPR candidate per block (first minimum on ties).
 
     ``spectrum`` is (..., n_data) frequency-domain symbols.  Candidates are
-    tried one at a time against a running minimum, so memory holds one
-    oversampled candidate per block rather than all U.
+    tried one at a time against a running minimum, and each candidate's
+    waveform is synthesized one tile of blocks at a time.
     """
-    paprs = (papr_db(time_signal(extend(spectrum * p, cfg.n_se), cfg)) for p in phases)
+    paprs = (waveform_papr_db(extend(spectrum * p, cfg.n_se), cfg) for p in phases)
     best = next(paprs)
     idx = np.zeros(np.shape(best), dtype=np.intp)
     for u, papr in enumerate(paprs, start=1):

@@ -293,8 +293,8 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
 def _load_trace(path: str | Path) -> list[tuple[float, float]]:
     """``(t_ms, snr_db)`` rows of a trace CSV; a ``t_ms`` header line is skipped.
 
-    A row that does not start with two finite numbers raises ValueError
-    naming the file and the line.
+    A row that does not start with two finite numbers, or whose ``t_ms`` is
+    below the row before it, raises ValueError naming the file and the line.
     """
     lines = [(n, line) for n, line in enumerate(Path(path).read_text().splitlines(), 1)
              if line.strip()]
@@ -308,6 +308,9 @@ def _load_trace(path: str | Path) -> list[tuple[float, float]]:
             raise ValueError(f"{path} line {n}: expected t_ms,snr_db, got {line!r}") from None
         if not (math.isfinite(t_ms) and math.isfinite(snr_db)):
             raise ValueError(f"{path} line {n}: non-finite value in {line!r}")
+        if rows and t_ms < rows[-1][0]:
+            raise ValueError(f"{path} line {n}: trace timestamps must be sorted, "
+                             f"got {t_ms!r} after {rows[-1][0]!r}")
         rows.append((t_ms, snr_db))
     return rows
 

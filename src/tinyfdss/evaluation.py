@@ -68,7 +68,7 @@ from .metrics import (
     measured_ser,
     oobe_db,
     papr_at_ccdf,
-    papr_db,
+    waveform_papr_db,
 )
 from .training import Checkpoint
 
@@ -267,7 +267,7 @@ def _run_group(
             tx = engine.transmit(scheme, data, snr_db)
             cfg = tx.cfg
             x1 = time_signal(tx.bins, cfg, oversample=1)
-            mean_papr = float(papr_db(time_signal(tx.bins, cfg)).mean())
+            mean_papr = float(waveform_papr_db(tx.bins, cfg).mean())
         for channel_name in eval_cfg.channels:
             h, noise = draws[channel_name, mod, snr_i]
             rx = add_channel(x1, h, noise, snr_db, cfg) / h
@@ -285,7 +285,8 @@ def _ccdf_pass(engine: _SchemeEngine) -> tuple[dict, dict]:
     """Noise-free PAPR samples and OOBE per scheme for the CCDF figure.
 
     Each chunk of blocks is drawn once and run through every scheme; the
-    chunking bounds memory.
+    chunking bounds memory.  Waveforms are synthesized one tile of a chunk at
+    a time, and in full only for the first chunk's OOBE blocks.
     """
     eval_cfg = engine.eval_cfg
     samples = {scheme: np.empty(eval_cfg.ccdf_blocks) for scheme in eval_cfg.schemes}
@@ -295,10 +296,10 @@ def _ccdf_pass(engine: _SchemeEngine) -> tuple[dict, dict]:
         data = engine.data_symbols(eval_cfg.mods[0], indices)
         for scheme in eval_cfg.schemes:
             tx = engine.transmit(scheme, data, eval_cfg.ccdf_snr_db)
-            x4 = time_signal(tx.bins, tx.cfg)
-            samples[scheme][indices] = papr_db(x4)
+            samples[scheme][indices] = waveform_papr_db(tx.bins, tx.cfg)
             if lo == 0:
-                oobe[scheme] = float(oobe_db(x4[: eval_cfg.oobe_blocks], tx.cfg))
+                x4 = time_signal(tx.bins[: eval_cfg.oobe_blocks], tx.cfg)
+                oobe[scheme] = float(oobe_db(x4, tx.cfg))
     return samples, oobe
 
 

@@ -425,6 +425,17 @@ class TestAdaptCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_unsorted_trace_names_file_and_line(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["train", "--config", str(config_path), "--out", str(out)])
+        trace = tmp_path / "bad_trace.csv"
+        trace.write_text("t_ms,snr_db\n0,5\n200,6\n100,7\n")
+        code = main(["adapt", "--config", str(config_path), "--out", str(out),
+                     "--trace", str(trace)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {trace} line 4: trace timestamps must be sorted")
+
     def test_trace_file_replay_determinism(self, config_path, tmp_path):
         out = tmp_path / "run"
         main(["train", "--config", str(config_path), "--out", str(out)])

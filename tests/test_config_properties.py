@@ -120,6 +120,7 @@ def test_trace_loads_finite_rows_or_names_the_line(workdir, text):
         assert str(exc).startswith(f"{path} line ")
     else:
         assert all(math.isfinite(t) and math.isfinite(s) for t, s in rows)
+        assert all(a[0] <= b[0] for a, b in zip(rows, rows[1:]))
 
 
 @pytest.mark.parametrize("text, line", [
@@ -127,6 +128,7 @@ def test_trace_loads_finite_rows_or_names_the_line(workdir, text):
     ("0,5\n\n100,abc\n", 3),
     ("t_ms,snr_db\nnan,5\n", 2),
     ("0,inf\n", 1),
+    ("t_ms,snr_db\n0,5\n200,6\n100,7\n", 4),
 ])
 def test_malformed_trace_row_named(workdir, text, line):
     path = workdir / "bad_trace.csv"

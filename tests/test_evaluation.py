@@ -1,15 +1,17 @@
+import tracemalloc
 from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
 
-from tinyfdss import channel, evaluation, network
-from tinyfdss.baselines import clip_amplitude, conventional_config, slm_phase_vectors
+from tinyfdss import channel, evaluation, metrics, network
+from tinyfdss.baselines import (clf_reduce, clip_amplitude, conventional_config,
+                                slm_phase_vectors, slm_select)
 from tinyfdss.chain import (ChainConfig, ModScheme, detect_symbols, equalize,
                             occupied_bins, time_signal)
 from tinyfdss.evaluation import EvalConfig, evaluate
-from tinyfdss.metrics import papr_db
+from tinyfdss.metrics import papr_db, tile_rows
 from tinyfdss.training import TrainConfig, train
 
 
@@ -262,3 +264,91 @@ class TestBaselineTransmit:
         np.testing.assert_array_equal(detected, tx.symbols)
         unrotated = detect_symbols(equalize(tx.bins, engine.unit, 0), ModScheme.QPSK)
         assert np.any(unrotated != tx.symbols)
+
+
+def set_tile_rows(monkeypatch, cfg, rows):
+    """Shrink the tile budget so that a tile holds ``rows`` blocks of ``cfg``."""
+    monkeypatch.setattr(metrics, "TILE_BYTES", 16 * cfg.n_fft * cfg.oversample * rows)
+    assert tile_rows(cfg) == rows
+
+
+def untiled_clf(bins, clf, cfg):
+    """``clf_reduce`` on the whole batch at once: the rounds before tiling."""
+    x = time_signal(bins, cfg)
+    level = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)) * 10.0 ** (
+        clf.clip_ratio_db / 20.0)
+    for i in range(clf.iterations):
+        if i:
+            x = time_signal(bins, cfg)
+        bins = occupied_bins(clip_amplitude(x, level), cfg)
+    return bins
+
+
+class TestTiling:
+    """Waveforms are synthesized per tile; the tile size changes no output."""
+
+    EVAL = EvalConfig(snr_db=(10.0,), n_blocks=20, ccdf_blocks=300, oobe_blocks=16,
+                      seed=13, schemes=evaluation.ALLSCHEME_NAMES)
+
+    def test_outputs_do_not_depend_on_tile_rows(self, small_ckpt, monkeypatch):
+        cfg = ChainConfig()
+        default = tile_rows(cfg)
+        assert default < self.EVAL.ccdf_blocks  # the default size tiles too
+        results = []
+        for rows in (1, 7, default):
+            set_tile_rows(monkeypatch, cfg, rows)
+            results.append(evaluate(small_ckpt, self.EVAL, cfg))
+        first = results[0]
+        for other in results[1:]:
+            for scheme in self.EVAL.schemes:
+                np.testing.assert_array_equal(other.papr_samples[scheme],
+                                              first.papr_samples[scheme])
+                np.testing.assert_array_equal(other.ccdf[scheme], first.ccdf[scheme])
+            assert other.oobe == first.oobe
+            assert other.cells == first.cells
+
+    @pytest.mark.parametrize("rows", [7, None])
+    def test_clf_matches_untiled_reference(self, monkeypatch, rows):
+        conv = conventional_config(ChainConfig())
+        if rows is not None:
+            set_tile_rows(monkeypatch, conv, rows)
+        engine = evaluation._SchemeEngine(ChainConfig(), self.EVAL, None)
+        s = engine.data_symbols("qpsk", np.arange(2 * tile_rows(conv) + 3))["s_conv"]
+        np.testing.assert_array_equal(clf_reduce(s, self.EVAL.clf, conv),
+                                      untiled_clf(s, self.EVAL.clf, conv))
+
+
+class TestTiledMemory:
+    """Peak traced memory on one 2048-block chunk of default-chain QPSK blocks.
+
+    One (2048, 240) complex128 array of bins is 7.5 MiB and one full
+    oversampled grid 32 MiB.  Before tiling the peaks were 166 MiB for the
+    CCDF pass, 72 MiB for ``slm_select`` and 111 MiB for ``clf_reduce``.
+    """
+
+    EVAL = EvalConfig(ccdf_blocks=evaluation.CCDF_CHUNK, seed=3,
+                      schemes=evaluation.BASELINESCHEME_NAMES)
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return evaluation._SchemeEngine(ChainConfig(), self.EVAL, None)
+
+    @staticmethod
+    def peak_mib(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_ccdf_pass(self, engine):
+        assert self.peak_mib(evaluation._ccdf_pass, engine) < 64
+
+    def test_slm_select(self, engine):
+        s = engine.data_symbols("qpsk", np.arange(self.EVAL.ccdf_blocks))["s_conv"]
+        assert self.peak_mib(slm_select, s, engine.slm_phases, engine.conv) < 24
+
+    def test_clf_reduce(self, engine):
+        s = engine.data_symbols("qpsk", np.arange(self.EVAL.ccdf_blocks))["s_conv"]
+        assert self.peak_mib(clf_reduce, s, self.EVAL.clf, engine.conv) < 24

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tinyfdss.chain import ModScheme, extend, map_symbols, precode, time_signal
+from tinyfdss.chain import ChainConfig, ModScheme, extend, map_symbols, precode, time_signal
 from tinyfdss.filters import rrc_taps, unit_taps
 from tinyfdss.metrics import (
     empirical_ccdf,
@@ -12,6 +12,8 @@ from tinyfdss.metrics import (
     papr_at_ccdf,
     papr_db,
     surrogate_blocks,
+    tile_rows,
+    waveform_papr_db,
 )
 
 
@@ -43,6 +45,46 @@ class TestPaprDb:
     def test_rejects_zero_signal(self):
         with pytest.raises(ValueError):
             papr_db(np.zeros(8, dtype=complex))
+
+
+class TestWaveformPaprDb:
+    """The tiled rule equals ``papr_db(time_signal(...))`` of the whole batch."""
+
+    @staticmethod
+    def bins(rng, shape, cfg):
+        return rng.standard_normal(shape + (cfg.n_sk,)) + 1j * rng.standard_normal(
+            shape + (cfg.n_sk,))
+
+    def test_tile_rows_fit_the_budget(self, cfg):
+        assert tile_rows(cfg) == 128  # 1024-point grid: 16 KiB per complex128 row
+        assert tile_rows(ChainConfig(n_fft=512, oversample=8)) == 32
+
+    @pytest.mark.parametrize("extra", ["1", "T-1", "T", "T+1", "2T+3"])
+    def test_matches_untiled_byte_for_byte(self, cfg, rng, extra):
+        t = tile_rows(cfg)
+        n = {"1": 1, "T-1": t - 1, "T": t, "T+1": t + 1, "2T+3": 2 * t + 3}[extra]
+        b = self.bins(rng, (n,), cfg)
+        got = waveform_papr_db(b, cfg)
+        assert got.shape == (n,)
+        np.testing.assert_array_equal(got, papr_db(time_signal(b, cfg)))
+
+    def test_any_leading_shape(self, cfg, rng):
+        b = self.bins(rng, (2, 3), cfg)
+        got = waveform_papr_db(b, cfg)
+        assert got.shape == (2, 3)
+        np.testing.assert_array_equal(got, papr_db(time_signal(b, cfg)))
+
+    def test_single_block_is_a_float(self, cfg, rng):
+        b = self.bins(rng, (), cfg)
+        got = waveform_papr_db(b, cfg)
+        assert type(got) is float
+        assert got == papr_db(time_signal(b, cfg))
+
+    def test_all_zero_row_rejected(self, cfg, rng):
+        b = self.bins(rng, (tile_rows(cfg) + 5,), cfg)
+        b[-2] = 0.0
+        with pytest.raises(ValueError, match="PAPR undefined for an all-zero signal"):
+            waveform_papr_db(b, cfg)
 
 
 class TestEmpiricalCcdf:
