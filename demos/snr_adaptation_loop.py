@@ -1,52 +1,27 @@
 """Replay the runtime adaptation loop over a time-varying SNR trace.
 
-A gateway-side SNR estimate arrives every 100 ms; each tick updates the
+SNR feedback from the gateway arrives every 100 ms; each tick updates the
 trade-off weight from the lookup table, recomputes the taps with the
 quantized network, transmits one block, and logs (time, snr, lambda, papr,
 ser).  The trace here walks from factory-like conditions (5 dB) up to a
-rural line-of-sight link (18 dB); the gateway estimate is simulated with the
-empirical SNR estimator to close the loop.
+rural line-of-sight link (18 dB).
 """
 
 import numpy as np
 
 from tinyfdss.adaptation import preset_trace, run_scenario
-from tinyfdss.chain import (
-    ChainConfig,
-    ModScheme,
-    Stage,
-    SymbolBlock,
-    extend,
-    map_symbols,
-    precode,
-    time_signal,
-)
-from tinyfdss.channel import ChannelCfg, ChannelModel, apply_channel, estimate_snr
+from tinyfdss.chain import ChainConfig
 from tinyfdss.training import TrainConfig, train
 
 cfg = ChainConfig()
 ckpt = train(TrainConfig(n_blocks=1000, epochs=3, batch_size=32, seed=2, chain=cfg))
 net = ckpt.qnet  # deployed model: pruned + int8
 
-# --- gateway side: estimate the channel SNR from unshaped pilot blocks
-true_snr = 12.0
-rng = np.random.default_rng(0)
-pilots, truths = [], []
-for b in range(50):
-    bits = rng.integers(0, 2, cfg.n_data * 2)
-    pilot = extend(precode(map_symbols(bits, ModScheme.QPSK)), cfg.n_se)
-    sig = SymbolBlock(Stage.TIME_DOMAIN, time_signal(pilot, cfg, oversample=1))
-    rx, _ = apply_channel(sig, ChannelCfg(ChannelModel.AWGN, snr_db=true_snr), cfg, rng=rng)
-    pilots.append(rx.values)
-    truths.append(sig.values)
-print(f"gateway estimate: {estimate_snr(pilots, truths, cfg):.2f} dB "
-      f"(true {true_snr} dB)")
-
-# --- device side: replay a trace that climbs from factory to rural SNR
+# replay a trace that climbs from factory to rural SNR
 trace = [(t, 5.0 + 13.0 * min(t / 1500.0, 1.0)) for t in range(0, 2001, 100)]
 records = run_scenario(trace, net, cfg, seed=3)
 
-print("\n t_ms   snr_db  lambda  papr_db  ser (one block)")
+print(" t_ms   snr_db  lambda  papr_db  ser (one block)")
 for r in records:
     print(f"{r.t_ms:5.0f}  {r.snr_db:6.2f}  {r.lam:6.2f}  {r.papr_db:7.2f}  {r.ser_block:.3f}")
 

@@ -29,11 +29,12 @@ from .chain import (
     extend,
     map_symbols,
     precode,
+    receive,
     receiver_chain,
     shape_and_normalize,
     time_signal,
 )
-from .channel import ChannelCfg, ChannelModel, apply_channel, estimate_snr
+from .channel import ChannelCfg, ChannelModel, apply_channel
 from .evaluation import EvalConfig, evaluate
 from .filters import rrc_taps, taps_from_coeffs, unit_taps
 from .metrics import (

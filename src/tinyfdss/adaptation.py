@@ -24,12 +24,10 @@ from .chain import (
     SCHEME_NAMES,
     ChainConfig,
     ModScheme,
-    detect_symbols,
-    equalize,
     extend,
     map_symbols,
-    occupied_bins,
     precode,
+    receive,
     shape_and_normalize,
     time_signal,
 )
@@ -170,8 +168,8 @@ def run_scenario(
         # communication path at critical sampling under the true SNR
         h, noise = draw_channel(ChannelCfg(ChannelModel.AWGN, snr_db), cfg.n_fft, rng)
         rx = add_channel(time_signal(bins, cfg, oversample=1), h, noise, snr_db, cfg)
-        equalized = equalize(occupied_bins(rx / h, cfg), taps, cfg.n_se)
-        ser, _, _ = measured_ser(tx, detect_symbols(equalized, scheme))
+        detected, _ = receive(rx, h, taps, cfg, scheme)
+        ser, _, _ = measured_ser(tx, detected)
         records.append(
             TickRecord(t_ms=now, snr_db=float(snr_db), lam=lam,
                        papr_db=float(papr), ser_block=float(ser))

@@ -19,7 +19,7 @@ plain DFT-s-OFDM as in the published comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,14 +57,7 @@ class SlmConfig:
 
 def conventional_config(cfg: ChainConfig) -> ChainConfig:
     """Plain DFT-s-OFDM occupying the same band: all n_sk subcarriers carry data."""
-    return ChainConfig(
-        n_data=cfg.n_sk,
-        n_se=0,
-        n_fft=cfg.n_fft,
-        oversample=cfg.oversample,
-        bandwidth_hz=cfg.bandwidth_hz,
-        scs_hz=cfg.scs_hz,
-    )
+    return replace(cfg, n_data=cfg.n_sk, n_se=0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,13 @@ The array-level functions act on the last axis and accept leading batch
 dimensions; training, evaluation and adaptation use only these.  Fixed
 transmit power (:func:`shape_and_normalize`) and the receiver's matched
 filter and folding (:func:`equalize`) are each written once here, so every
-transmit goes through ``shape_and_normalize`` and :func:`time_signal`.  The
-stage-tagged :class:`SymbolBlock` exists only at the single-block boundary
+transmit goes through ``shape_and_normalize`` and :func:`time_signal`.
+:func:`receive` is the array receive step (fade removal, occupied bins,
+equalization, detection) of every symbol-error path.  The stage-tagged
+:class:`SymbolBlock` exists only at the single-block boundary
 ``SymbolBlock(Stage.TIME_DOMAIN, x)`` -> ``channel.apply_channel`` ->
-``receiver_chain``, which validates stage and length.
+``receiver_chain``, which validates stage, length and taps and then runs
+``receive`` on the one block.
 """
 
 from __future__ import annotations
@@ -298,6 +301,20 @@ def equalize(rx_bins: np.ndarray, taps: np.ndarray, n_se: int) -> np.ndarray:
     return deprecode(recovered)
 
 
+def receive(
+    rx: np.ndarray, h: complex | np.ndarray, taps: np.ndarray,
+    cfg: ChainConfig, scheme: ModScheme,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Receive step: remove the known fade, equalize and detect.
+
+    ``rx`` holds received time-domain blocks on its last axis, with any
+    leading axes; ``h`` (genie-aided) and ``taps`` broadcast against them.
+    Returns ``(detected, equalized)`` data symbols.
+    """
+    equalized = equalize(occupied_bins(rx / h, cfg), taps, cfg.n_se)
+    return detect_symbols(equalized, scheme), equalized
+
+
 # ---------------------------------------------------------------------------
 # Single-block boundary
 # ---------------------------------------------------------------------------
@@ -321,7 +338,5 @@ def receiver_chain(
     taps = np.asarray(taps)
     if taps.shape != (cfg.n_sk,):
         raise ValueError(f"taps shape {taps.shape}, expected ({cfg.n_sk},)")
-    bins = occupied_bins(rx.values / fade, cfg)
-    equalized = equalize(bins, taps, cfg.n_se)
-    detected = detect_symbols(equalized, scheme)
+    detected, equalized = receive(rx.values, fade, taps, cfg, scheme)
     return SymbolBlock(Stage.DATA_SYMBOLS, detected), equalized

@@ -25,7 +25,6 @@ import numpy as np
 
 from .chain import ChainConfig, Stage, SymbolBlock
 
-SNR_CAP_DB = 60.0  # reported when the residual is exactly zero
 RICIAN_K_DB = 3.0  # Rician K-factor of every run's training and evaluation
 
 
@@ -69,8 +68,8 @@ class ChannelCfg:
     k_factor_db: float = RICIAN_K_DB
 
     def __post_init__(self):
-        if np.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        if not np.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if self.model is ChannelModel.RICIAN and not np.isfinite(self.k_factor_db):
             raise ValueError("Rician channel requires a finite K-factor")
 
@@ -97,29 +96,25 @@ def noise_power(
 
     One power per block (last axis); a single 1-D block gives a float.
     """
-    scale = 0.0 if snr_db == np.inf else 10.0 ** (-snr_db / 10.0)
     occupied_power = np.mean(np.abs(signal) ** 2, axis=-1) * chain_cfg.n_fft / chain_cfg.n_sk
-    return occupied_power * scale
+    return occupied_power * 10.0 ** (-snr_db / 10.0)
 
 
 def draw_channel(
     cfg: ChannelCfg, n: int, rng: np.random.Generator
-) -> tuple[complex, np.ndarray | None]:
+) -> tuple[complex, np.ndarray]:
     """One block's draws: the fade, then unit complex noise of length ``n``.
 
-    The noise is ``re + 1j*im`` with standard-normal parts drawn real first;
-    at +inf SNR none is drawn and ``None`` is returned in its place.
+    The noise is ``re + 1j*im`` with standard-normal parts drawn real first.
     """
     h = draw_fade(cfg.model, rng, cfg.k_linear)
-    if cfg.snr_db == np.inf:
-        return h, None
     return h, rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def add_channel(
     x: np.ndarray,
     h: complex | np.ndarray,
-    noise: np.ndarray | None,
+    noise: np.ndarray,
     snr_db: float,
     chain_cfg: ChainConfig,
 ) -> np.ndarray:
@@ -128,8 +123,6 @@ def add_channel(
     ``x`` is one block or a batch of blocks along the leading axes; ``h``
     broadcasts against it (one fade per block: shape ``(..., 1)``).
     """
-    if noise is None:
-        return h * x
     sigma = np.sqrt(noise_power(x, snr_db, chain_cfg) / 2.0)
     return h * x + sigma[..., None] * noise
 
@@ -151,33 +144,3 @@ def apply_channel(
     h, noise = draw_channel(cfg, len(signal), rng)
     rx = add_channel(signal.values, h, noise, cfg.snr_db, chain_cfg)
     return SymbolBlock(Stage.RECEIVED, rx), h
-
-
-def estimate_snr(
-    rx_blocks: list[np.ndarray],
-    truth_blocks: list[np.ndarray],
-    chain_cfg: ChainConfig,
-) -> float:
-    """Empirical SNR (dB) from received blocks and their noiseless references.
-
-    Uses the same occupied-subcarrier convention as :func:`apply_channel`:
-    10*log10(occupied signal power / per-sample residual power).  A zero
-    residual returns ``SNR_CAP_DB``, and no estimate exceeds it.
-    """
-    if len(rx_blocks) == 0 or len(rx_blocks) != len(truth_blocks):
-        raise ValueError("need at least one (received, truth) block pair")
-    sig = 0.0
-    res = 0.0
-    count = 0
-    for rx, truth in zip(rx_blocks, truth_blocks):
-        rx = np.asarray(rx)
-        truth = np.asarray(truth)
-        if rx.shape != truth.shape:
-            raise ValueError("received/truth shape mismatch")
-        sig += float(np.sum(np.abs(truth) ** 2))
-        res += float(np.sum(np.abs(rx - truth) ** 2))
-        count += truth.size
-    occupied = (sig / count) * chain_cfg.n_fft / chain_cfg.n_sk
-    if res == 0.0:
-        return SNR_CAP_DB
-    return min(SNR_CAP_DB, 10.0 * np.log10(occupied / (res / count)))

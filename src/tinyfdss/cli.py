@@ -23,7 +23,7 @@ import numpy as np
 from .adaptation import AdaptConfig, preset_trace, run_scenario
 from .baselines import ClfConfig, SlmConfig
 from .chain import SCHEME_NAMES, ChainConfig
-from .evaluation import BASELINESCHEME_NAMES, CCDF_GRID_DB, EvalConfig, evaluate
+from .evaluation import CCDF_GRID_DB, EvalConfig, evaluate
 from .network import HISTORY_COLUMNS
 from .training import (
     Checkpoint,
@@ -141,7 +141,7 @@ def load_config(path: str | Path, seed: int | None = None) -> dict:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     chain = _section(ChainConfig, raw.get("chain", {}), "chain")
     baselines = _object(raw.get("baselines", {}), {"clf", "slm"}, "baselines")
-    return {
+    config = {
         "seed": seed,
         "out_dir": _typed(raw.get("out_dir", "runs/default"), "", "out_dir"),
         "checkpoint": _typed(raw.get("checkpoint"), None, "checkpoint"),
@@ -155,6 +155,11 @@ def load_config(path: str | Path, seed: int | None = None) -> dict:
         "adapt": _section(AdaptConfig, raw.get("adapt", {}), "adapt"),
         "sweep": _section(SweepConfig, raw.get("sweep", {}), "sweep"),
     }
+    schemes = config["eval"].schemes
+    if not {"rrc", "dftsofdm"} <= set(schemes):  # summary.schema.json requires both
+        raise ConfigError(f"eval.schemes must include the summary anchors 'rrc' and "
+                          f"'dftsofdm', got {list(schemes)}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +270,7 @@ def cmd_eval(cfg: dict, out: Path, checkpoint_flag: str | None) -> int:
 
 def cmd_baselines(cfg: dict, out: Path) -> int:
     schemes = tuple(s for s in cfg["eval"].schemes if s != "tinyml")
-    eval_cfg = replace(cfg["eval"], schemes=schemes or BASELINESCHEME_NAMES)
+    eval_cfg = replace(cfg["eval"], schemes=schemes)
     result = evaluate(None, eval_cfg, cfg["chain"])
     _write_eval_outputs(result, out, eval_cfg, None)
     print(f"baseline outputs written to {out}")

@@ -50,12 +50,10 @@ from .baselines import (
 from .chain import (
     SCHEME_NAMES,
     ChainConfig,
-    detect_symbols,
-    equalize,
     extend,
     map_symbols,
-    occupied_bins,
     precode,
+    receive,
     shape_and_normalize,
     time_signal,
 )
@@ -73,7 +71,6 @@ from .metrics import (
 from .training import Checkpoint
 
 ALLSCHEME_NAMES = ("tinyml", "rrc", "dftsofdm", "clf", "slm", "rrc_fdss")
-BASELINESCHEME_NAMES = ("rrc", "dftsofdm", "clf", "slm")
 RRC_FIR_TAPS = 32
 CCDF_CHUNK = 2048  # blocks per CCDF chunk, bounds peak memory
 CCDF_GRID_DB = np.arange(0.0, 12.0 + 0.1 / 2, 0.1)  # CCDF thresholds 0, 0.1, ..., 12 dB
@@ -127,6 +124,8 @@ class EvalConfig:
         if self.oobe_blocks > oobe_max:
             raise ValueError(f"oobe_blocks must be <= min(ccdf_blocks, {CCDF_CHUNK}) = "
                              f"{oobe_max}, got {self.oobe_blocks}")
+        if not 0.0 < self.rrc_rolloff <= 1.0:
+            raise ValueError(f"rrc_rolloff must be in (0, 1], got {self.rrc_rolloff}")
         if not np.isfinite(self.rician_k_db):
             raise ValueError(f"rician_k_db must be finite, got {self.rician_k_db}")
         if not np.all(np.isfinite(self.snr_db)):
@@ -270,9 +269,8 @@ def _run_group(
             mean_papr = float(waveform_papr_db(tx.bins, cfg).mean())
         for channel_name in eval_cfg.channels:
             h, noise = draws[channel_name, mod, snr_i]
-            rx = add_channel(x1, h, noise, snr_db, cfg) / h
-            equalized = equalize(occupied_bins(rx, cfg), tx.taps, cfg.n_se)
-            detected = detect_symbols(equalized, SCHEME_NAMES[mod])
+            rx = add_channel(x1, h, noise, snr_db, cfg)
+            detected, _ = receive(rx, h, tx.taps, cfg, SCHEME_NAMES[mod])
             ser, _, total = measured_ser(tx.symbols, detected)
             cells[channel_name, snr_i] = CellResult(
                 scheme=scheme, channel=channel_name, mod=mod, snr_db=snr_db,

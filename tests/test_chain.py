@@ -17,6 +17,7 @@ from tinyfdss.chain import (
     map_symbols,
     occupied_bins,
     precode,
+    receive,
     receiver_chain,
     shape_and_normalize,
     time_signal,
@@ -348,6 +349,42 @@ class TestReceiverChain:
         rx = SymbolBlock(Stage.RECEIVED, sig.values)
         with pytest.raises(EqualizationError):
             receiver_chain(rx, eff, cfg, ModScheme.QPSK)
+
+
+
+class TestReceive:
+    @pytest.mark.parametrize("scheme", [ModScheme.QPSK, ModScheme.QAM16])
+    def test_batch_equals_per_block_receiver_chain_bytewise(self, cfg, scheme):
+        # per-block fades from all three models and a different tap kind per block
+        rng = np.random.default_rng(77)
+        tap_kinds = [
+            unit_taps(cfg.n_sk),
+            rrc_taps(cfg.n_sk, 0.25),
+            0.2 + rng.uniform(0.0, 1.0, cfg.n_sk),
+            fir_bin_gains(rrc_fir(32, 0.25, sps=cfg.oversample), cfg),
+        ]
+        models = list(ChannelModel)
+        n_blocks = 12
+        blocks, fades, eff_taps = [], [], []
+        for b in range(n_blocks):
+            bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
+            sig, eff = shaped_block(bits, scheme, tap_kinds[b % 4], cfg, oversample=1)
+            channel = ChannelCfg(models[b % 3], snr_db=4.0 + b, k_factor_db=3.0)
+            rx, fade = apply_channel(sig, channel, cfg, np.random.default_rng((5, b)))
+            blocks.append(rx)
+            fades.append(fade)
+            eff_taps.append(eff)
+        assert len(set(fades)) > n_blocks // 2  # the faded blocks differ
+        rx = np.stack([block.values for block in blocks]).reshape(3, 4, -1)
+        h = np.array(fades).reshape(3, 4, 1)
+        detected, equalized = receive(rx, h, np.stack(eff_taps).reshape(3, 4, -1),
+                                      cfg, scheme)
+        assert detected.shape == equalized.shape == (3, 4, cfg.n_data)
+        for b, block in enumerate(blocks):
+            want_det, want_eq = receiver_chain(block, eff_taps[b], cfg, scheme,
+                                               fade=fades[b])
+            assert detected.reshape(n_blocks, -1)[b].tobytes() == want_det.values.tobytes()
+            assert equalized.reshape(n_blocks, -1)[b].tobytes() == want_eq.tobytes()
 
 
 class TestRoundTripInvariant:

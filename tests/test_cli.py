@@ -192,6 +192,13 @@ class TestConfig:
         ("baselines", "eval", {"channels": []}, "eval: channels must name at least one"),
         ("baselines", "eval", {"snr_db": []}, "eval: snr_db must name at least one"),
         ("sweep", "sweep", {"hidden_widths": []}, "sweep: hidden_widths must name at least one"),
+        ("train", "eval", {"rrc_rolloff": 0.0}, "eval: rrc_rolloff must be in (0, 1], got 0.0"),
+        ("train", "eval", {"rrc_rolloff": 1.5}, "eval: rrc_rolloff must be in (0, 1], got 1.5"),
+        ("baselines", "eval", {"rrc_rolloff": float("nan")},
+         "eval: rrc_rolloff must be in (0, 1], got nan"),
+        ("baselines", "eval", {"schemes": ["clf", "slm"]},
+         "eval.schemes must include the summary anchors 'rrc' and 'dftsofdm', "
+         "got ['clf', 'slm']"),
     ], ids=[
         "seed-str", "seed-float", "seed-negative", "snr_db-scalar", "snr_range_db-scalar",
         "channel_mix-str-weight", "hidden_widths-scalar", "eval-list", "n_blocks-float",
@@ -208,6 +215,7 @@ class TestConfig:
         "clip_ratio_db-nan", "clip_ratio_db-inf", "channels-repeat", "schemes-repeat",
         "mods-repeat", "snr_db-repeat", "snr_db-repeat-int-float", "hidden_widths-repeat",
         "schemes-empty", "channels-empty", "snr_db-empty", "hidden_widths-empty",
+        "rrc_rolloff-zero", "rrc_rolloff-above-one", "rrc_rolloff-nan", "schemes-no-anchor",
     ])
     def test_malformed_value_exits_2_naming_the_key(
         self, tmp_path, capsys, command, section, value, message

@@ -30,7 +30,7 @@ BASE = {
               "mod_mix": {"qpsk": 0.5, "qam16": 0.5}, "hidden_width": 10},
     "eval": {"snr_db": [5.0, 10.0], "channels": ["awgn"], "mods": ["qpsk"],
              "n_blocks": 40, "ccdf_blocks": 300,
-             "use_quantized": True, "schemes": ["tinyml", "rrc"]},
+             "use_quantized": True, "schemes": ["tinyml", "rrc", "dftsofdm"]},
     "baselines": {"clf": {"clip_ratio_db": 4.0, "iterations": 2},
                   "slm": {"num_candidates": 8}},
     "adapt": {"period_ms": 100.0, "preset": "factory", "duration_ms": 400.0,

@@ -327,7 +327,7 @@ class TestTiledMemory:
     """
 
     EVAL = EvalConfig(ccdf_blocks=evaluation.CCDF_CHUNK, seed=3,
-                      schemes=evaluation.BASELINESCHEME_NAMES)
+                      schemes=("rrc", "dftsofdm", "clf", "slm"))
 
     @pytest.fixture(scope="class")
     def engine(self):
