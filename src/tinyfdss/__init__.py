@@ -59,7 +59,6 @@ from .training import (
     Checkpoint,
     TrainConfig,
     TrainingDivergedError,
-    generate_block,
     load_checkpoint,
     save_checkpoint,
     train,

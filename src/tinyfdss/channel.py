@@ -103,12 +103,15 @@ def noise_power(
 def draw_channel(
     cfg: ChannelCfg, n: int, rng: np.random.Generator
 ) -> tuple[complex, np.ndarray]:
-    """One block's draws: the fade, then unit complex noise of length ``n``.
-
-    The noise is ``re + 1j*im`` with standard-normal parts drawn real first.
-    """
+    """One block's draws: the fade, then unit complex noise of length ``n``."""
     h = draw_fade(cfg.model, rng, cfg.k_linear)
-    return h, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return h, unit_noise(rng.standard_normal((2, n)))
+
+
+def unit_noise(parts: np.ndarray) -> np.ndarray:
+    """Unit complex noise ``re + 1j*im`` from standard-normal parts of shape
+    ``(..., 2, n)``, drawn real first: ``parts[..., 0, :]`` is ``re``."""
+    return parts[..., 0, :] + 1j * parts[..., 1, :]
 
 
 def add_channel(

@@ -7,6 +7,8 @@ baselines.  All taps are real-valued vectors of length ``n_sk``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -22,10 +24,12 @@ def tap_positions(n_sk: int) -> np.ndarray:
     return (2.0 * k - n_sk - 1.0) / (n_sk - 1.0)
 
 
+@lru_cache(maxsize=None)
 def coeff_basis(n_sk: int, n_coeffs: int) -> np.ndarray:
-    """Vandermonde basis B[k, z] = t_k**z, so taps = coeffs @ B.T."""
-    t = tap_positions(n_sk)
-    return np.power.outer(t, np.arange(n_coeffs))
+    """Vandermonde basis B[k, z] = t_k**z, so taps = coeffs @ B.T (cached, read-only)."""
+    basis = np.power.outer(tap_positions(n_sk), np.arange(n_coeffs))
+    basis.setflags(write=False)
+    return basis
 
 
 def taps_from_coeffs(coeffs: np.ndarray, n_sk: int) -> np.ndarray:

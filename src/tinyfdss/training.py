@@ -1,8 +1,14 @@
 """Offline training: dataset generation, differentiable chain loss, AdamW loop.
 
-Every block is fully determined by (master_seed, block_index): bits, scheme,
-SNR, channel draw, and per-bin noise all come from one per-block generator, so
-runs are bit-reproducible regardless of batching.
+Every block is a pure function of (seed, block index), so runs are
+bit-reproducible regardless of batching.  Its generator,
+``block_rng(seed, Stream.TRAIN_BLOCK, index)``, draws in this order: the
+modulation (one ``random()`` against the mix's CDF), the SNR (``uniform``),
+the channel model (one ``random()``), the bits, the fade (``draw_fade``) and
+the per-bin noise's standard-normal parts, real then imaginary
+(``unit_noise``), as ``draw_channel`` draws them.  ``prepare_batch``'s
+per-block loop only draws; symbols, lambda, noise scaling and features run on
+the whole batch.
 
 The loss per block is mse + lambda(snr) * softplus(papr - x0), with the
 lambda looked up per block's drawn SNR.  The chain is differentiated in closed
@@ -33,7 +39,6 @@ from .chain import (
     GAIN_EPS,
     SCHEME_NAMES,
     ChainConfig,
-    ModScheme,
     _matched_fold,
     centered_band,
     deprecode,
@@ -43,7 +48,7 @@ from .chain import (
     shape_and_normalize,
     time_signal,
 )
-from .channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_channel
+from .channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_fade, unit_noise
 from .filters import coeff_basis, taps_from_coeffs
 from .metrics import SURROGATE_SHARPNESS, TAIL_X0_DB, surrogate_blocks
 from .network import HISTORY_COLUMNS
@@ -146,30 +151,13 @@ def load_checkpoint(path) -> Checkpoint:
 # Dataset
 # ---------------------------------------------------------------------------
 
-def _draw_from_mix(rng: np.random.Generator, mix: tuple[tuple[str, float], ...]) -> str:
-    names = [n for n, _ in mix]
+def _mix_sampler(mix: tuple[tuple[str, float], ...]):
+    """Index sampler of a mix: one ``rng.random()``, the same draw and stream
+    step as ``rng.choice(len(mix), p=w / w.sum())`` with the mix's weights."""
     weights = np.array([w for _, w in mix])
-    return names[int(rng.choice(len(names), p=weights / weights.sum()))]
-
-
-@dataclass
-class BlockDraw:
-    bits: np.ndarray
-    scheme: ModScheme
-    snr_db: float
-    h: complex
-    noise: np.ndarray  # (n_sk,) unit complex noise, one per occupied bin
-
-
-def generate_block(rng: np.random.Generator, config: TrainConfig) -> BlockDraw:
-    """Draw one training block; the draw order is fixed for reproducibility."""
-    scheme = SCHEME_NAMES[_draw_from_mix(rng, config.mod_mix)]
-    lo, hi = config.snr_range_db
-    snr_db = float(rng.uniform(lo, hi))
-    model = MODEL_NAMES[_draw_from_mix(rng, config.channel_mix)]
-    bits = rng.integers(0, 2, config.chain.n_data * scheme.bits_per_symbol)
-    h, noise = draw_channel(ChannelCfg(model, snr_db), config.chain.n_sk, rng)
-    return BlockDraw(bits=bits, scheme=scheme, snr_db=snr_db, h=h, noise=noise)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return lambda rng: int(cdf.searchsorted(rng.random(), side="right"))
 
 
 @dataclass
@@ -189,24 +177,38 @@ def prepare_batch(
 ) -> BatchPrep:
     """Rebuild blocks for the given dataset indices (deterministic per index)."""
     cfg = config.chain
-    draws = [generate_block(block_rng(config.seed, Stream.TRAIN_BLOCK, int(idx)), config)
-             for idx in indices]
-    symbols = np.empty((len(draws), cfg.n_data), dtype=np.complex128)
-    for scheme in {d.scheme for d in draws}:
-        rows = [row for row, d in enumerate(draws) if d.scheme is scheme]
-        symbols[rows] = map_symbols(np.stack([draws[row].bits for row in rows]), scheme)
-    snr = np.array([d.snr_db for d in draws])
-    lam = np.array([table.lookup(d.snr_db) for d in draws])
+    batch = len(indices)
+    schemes = [SCHEME_NAMES[name] for name, _ in config.mod_mix]
+    channels = [ChannelCfg(MODEL_NAMES[name]) for name, _ in config.channel_mix]
+    pick_scheme, pick_channel = _mix_sampler(config.mod_mix), _mix_sampler(config.channel_mix)
+    lo, hi = config.snr_range_db
+    rows_of = [[] for _ in schemes]  # batch rows of each scheme
+    snr, bits = [], []
+    h = np.empty(batch, dtype=np.complex128)
+    parts = np.empty((batch, 2, cfg.n_sk))  # the noise's standard-normal parts
+    for row, idx in enumerate(indices):
+        rng = block_rng(config.seed, Stream.TRAIN_BLOCK, int(idx))
+        k = pick_scheme(rng)
+        rows_of[k].append(row)
+        snr.append(float(rng.uniform(lo, hi)))
+        channel = channels[pick_channel(rng)]
+        bits.append(rng.integers(0, 2, cfg.n_data * schemes[k].bits_per_symbol))
+        h[row] = draw_fade(channel.model, rng, channel.k_linear)
+        rng.standard_normal(out=parts[row])
+    symbols = np.empty((batch, cfg.n_data), dtype=np.complex128)
+    for scheme, rows in zip(schemes, rows_of):
+        if rows:
+            symbols[rows] = map_symbols(np.stack([bits[row] for row in rows]), scheme)
+    lam = np.array([table.lookup(s) for s in snr])
     # sigma per occupied bin with unit reference power, by Python's pow (numpy's
     # vectorized power may differ in the last bit); scaled to p_ref below
-    sigma = np.array([10.0 ** (-d.snr_db / 20.0) for d in draws])
-    h = np.array([d.h for d in draws])
-    eta = np.stack([d.noise for d in draws]) / np.sqrt(2.0) * sigma[:, None] / h[:, None]
+    sigma = np.array([10.0 ** (-s / 20.0) for s in snr])
+    eta = unit_noise(parts) / np.sqrt(2.0) * sigma[:, None] / h[:, None]
     s_ext = extend(precode(symbols), cfg.n_se)
     # reference transmit power: unshaped occupied power per block
     p_ref = np.mean(np.abs(s_ext) ** 2, axis=-1)
     eta *= np.sqrt(p_ref)[:, None]
-    features = network.build_input(s_ext, snr, expected_len=cfg.n_sk)
+    features = network.build_input(s_ext, np.array(snr), expected_len=cfg.n_sk)
     return BatchPrep(
         symbols=symbols, s_ext=s_ext, features=features, eta=eta,
         lam=lam, indices=np.asarray(indices),
@@ -294,8 +296,7 @@ def chain_loss(
     c_log = 10.0 / np.log(10.0)
     x_bar = x * (-2.0 * w_papr / (n_os * mean_pow) * c_log)[:, None]
     x_bar[rows, peak_idx] += x[rows, peak_idx] * (2.0 * w_papr * c_log / peak)
-    grid_bar = np.fft.fft(x_bar, axis=-1) / np.sqrt(cfg.n_fft)
-    shaped_bar = grid_bar[..., centered_band(n_sk, n_os)]
+    shaped_bar = np.fft.fft(x_bar, axis=-1)[..., centered_band(n_sk, n_os)] / np.sqrt(cfg.n_fft)
     d_taps = np.real(shaped_bar * np.conj(s_ext))
 
     # --- backward: mse term, first w.r.t. the effective taps u = g * taps

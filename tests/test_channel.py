@@ -24,6 +24,7 @@ from tinyfdss.channel import (
     draw_channel,
     draw_fade,
     noise_power,
+    unit_noise,
 )
 from tinyfdss.filters import unit_taps
 
@@ -156,6 +157,17 @@ class TestDrawThenApply:
             assert fade == h[b, 0]
             assert batched[b].tobytes() == y.values.tobytes()
             assert sigma2[b] == noise_power(x[b], snr_db, cfg)
+
+    @pytest.mark.parametrize("model", list(ChannelModel))
+    def test_noise_draws_real_parts_then_imaginary(self, model):
+        # every output's noise depends on this order
+        _, noise = draw_channel(ChannelCfg(model), 16, np.random.default_rng(3))
+        ref = np.random.default_rng(3)
+        draw_fade(model, ref, ChannelCfg(model).k_linear)
+        want = ref.standard_normal(16) + 1j * ref.standard_normal(16)
+        assert noise.tobytes() == want.tobytes()
+        batch = unit_noise(np.stack([np.zeros((2, 16)), [np.ones(16), np.full(16, 2.0)]]))
+        assert batch.tobytes() == np.stack([np.zeros(16), np.full(16, 1 + 2j)]).tobytes()
 
     def test_noise_power_is_per_block(self, cfg):
         # unit-magnitude samples: occupied power n_fft/n_sk, noise at 0 dB equal

@@ -82,6 +82,15 @@ class TestTapPositions:
         for z in range(5):
             np.testing.assert_allclose(basis[:, z], t**z, atol=1e-15)
 
+    def test_basis_is_cached_read_only(self):
+        basis = coeff_basis(17, 5)
+        assert not basis.flags.writeable
+        assert coeff_basis(17, 5) is basis
+        fresh = np.power.outer(tap_positions(17), np.arange(5))
+        assert basis.dtype == fresh.dtype and basis.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            basis[0, 0] = 2.0
+
 
 class TestRrcTaps:
     def test_zero_rolloff_is_brick_wall(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tinyfdss import network
 from tinyfdss.adaptation import LambdaTable
@@ -9,6 +11,7 @@ from tinyfdss.chain import (
     ModScheme,
     Stage,
     SymbolBlock,
+    constellation,
     extend,
     map_symbols,
     precode,
@@ -21,12 +24,10 @@ from tinyfdss.filters import taps_from_coeffs
 from tinyfdss.training import (
     OUT_INIT_SCALE,
     BatchPrep,
-    Checkpoint,
     TrainConfig,
-    _draw_from_mix,
+    _mix_sampler,
     chain_loss,
     config_hash,
-    generate_block,
     load_checkpoint,
     prepare_batch,
     save_checkpoint,
@@ -41,30 +42,35 @@ def table():
     return LambdaTable()
 
 
-class TestGenerateBlock:
-    def test_fixed_seed_reproduces_first_block(self):
-        config = TrainConfig(**SMOKE, seed=5)
-        a = generate_block(block_rng(5, Stream.TRAIN_BLOCK, 0), config)
-        b = generate_block(block_rng(5, Stream.TRAIN_BLOCK, 0), config)
-        np.testing.assert_array_equal(a.bits, b.bits)
-        assert a.scheme == b.scheme
-        assert a.snr_db == b.snr_db
-        assert a.h == b.h
-        np.testing.assert_array_equal(a.noise, b.noise)
+def assert_preps_equal(got, want, rows=slice(None)):
+    for name in ("symbols", "s_ext", "features", "eta", "lam", "indices"):
+        a, b = getattr(got, name), getattr(want, name)[rows]
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
-    def test_snr_mean_over_range(self):
+
+class TestGenerateBlock:
+    """Per-block draws, seen through ``prepare_batch``."""
+
+    def test_fixed_seed_reproduces_first_block(self, table):
+        config = TrainConfig(**SMOKE, seed=5)
+        a = prepare_batch(config, np.array([0]), table)
+        b = prepare_batch(config, np.array([0]), table)
+        assert_preps_equal(a, b)
+
+    def test_snr_mean_over_range(self, table):
         config = TrainConfig(**SMOKE, seed=6)
-        snrs = [
-            generate_block(block_rng(6, Stream.TRAIN_BLOCK, i), config).snr_db
-            for i in range(10_000)
-        ]
+        snrs = np.concatenate([
+            prepare_batch(config, np.arange(lo, lo + 1000), table).features[:, -1] * 20.0
+            for lo in range(0, 10_000, 1000)
+        ])
         assert np.mean(snrs) == pytest.approx(10.0, abs=0.2)
 
-    def test_pure_qpsk_mix(self):
+    def test_pure_qpsk_mix(self, table):
         config = TrainConfig(**SMOKE, seed=7, mod_mix=(("qpsk", 1.0),))
-        for i in range(200):
-            draw = generate_block(block_rng(7, Stream.TRAIN_BLOCK, i), config)
-            assert draw.scheme is ModScheme.QPSK
+        prep = prepare_batch(config, np.arange(200), table)
+        points, _ = constellation(ModScheme.QPSK)
+        assert np.isin(prep.symbols, points).all()
 
     def test_mix_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -87,11 +93,14 @@ def per_row_prepare_batch(config, indices, table):
     snr = np.empty(b)
     lam = np.empty(b)
     drawn = set()
+    mods, w_mod = zip(*config.mod_mix)
+    models, w_model = zip(*config.channel_mix)
+    w_mod, w_model = np.array(w_mod), np.array(w_model)
     for row, idx in enumerate(indices):
         rng = np.random.default_rng((config.seed, 0, int(idx)))
-        scheme = SCHEME_NAMES[_draw_from_mix(rng, config.mod_mix)]
+        scheme = SCHEME_NAMES[mods[rng.choice(len(mods), p=w_mod / w_mod.sum())]]
         snr_db = float(rng.uniform(*config.snr_range_db))
-        model = MODEL_NAMES[_draw_from_mix(rng, config.channel_mix)]
+        model = MODEL_NAMES[models[rng.choice(len(models), p=w_model / w_model.sum())]]
         bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
         symbols[row] = map_symbols(bits, scheme)
         h, noise = draw_channel(ChannelCfg(model, snr_db), cfg.n_sk, rng)
@@ -119,11 +128,47 @@ class TestPrepareBatch:
         assert {(s.name, m.name) for s, m in drawn} == {
             (s, m) for s in ("QPSK", "QAM16") for m in ("AWGN", "RAYLEIGH", "RICIAN")
         }
-        got = prepare_batch(config, indices, table)
-        for name in ("symbols", "s_ext", "features", "eta", "lam", "indices"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
+        assert_preps_equal(prepare_batch(config, indices, table), want)
+
+    @pytest.mark.parametrize("mod_mix, channel_mix", [
+        ((("qpsk", 0.0), ("qam16", 1.0)), (("awgn", 0.5), ("rayleigh", 0.0), ("rician", 0.5))),
+        ((("qam16", 1.0),), (("rician", 1.0),)),
+    ], ids=["zero-weight-entry", "single-scheme"])
+    def test_degenerate_mixes_match_per_row_reference(self, table, mod_mix, channel_mix):
+        config = TrainConfig(**SMOKE, seed=22, mod_mix=mod_mix, channel_mix=channel_mix)
+        indices = np.random.default_rng(1).permutation(config.n_blocks)[:40]
+        want, drawn = per_row_prepare_batch(config, indices, table)
+        assert drawn <= {(SCHEME_NAMES[s], MODEL_NAMES[m])
+                         for s, ws in mod_mix if ws > 0 for m, wm in channel_mix if wm > 0}
+        assert_preps_equal(prepare_batch(config, indices, table), want)
+
+    def test_row_is_the_same_alone_or_in_a_shuffled_batch(self, table):
+        config = TrainConfig(
+            **SMOKE, seed=23,
+            channel_mix=(("awgn", 0.3), ("rayleigh", 0.3), ("rician", 0.4)),
+        )
+        indices = np.random.default_rng(2).permutation(config.n_blocks)[:32]
+        batch = prepare_batch(config, indices, table)
+        for row, idx in enumerate(indices):
+            alone = prepare_batch(config, np.array([idx]), table)
+            assert_preps_equal(alone, batch, slice(row, row + 1))
+
+
+class TestMixSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        raw=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=4)
+        .filter(lambda w: sum(w) > 0.0),
+        seed=st.integers(0, 2**128),
+    )
+    def test_matches_generator_choice_and_stream_position(self, raw, seed):
+        weights = [w / sum(raw) for w in raw]
+        assume(abs(sum(weights) - 1.0) <= 1e-9)  # TrainConfig's sum check
+        config = TrainConfig(mod_mix=tuple(("qpsk", w) for w in weights))
+        w = np.array([w for _, w in config.mod_mix])
+        want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _mix_sampler(config.mod_mix)(got) == want.choice(len(w), p=w / w.sum())
+        assert got.random() == want.random()
 
 
 class TestChainLossGradient:
