@@ -7,9 +7,12 @@ Bins are half-open [lo, hi): a feedback value on a boundary belongs to the
 upper bin, and values below the first bin clamp to it.
 
 :func:`adaptation_cycle` is the one learned-filter transmit: features ->
-net -> taps -> shaping at fixed power.  The adapt loop runs it on one block
-per tick, and evaluation's ``tinyml`` scheme on whole batches of blocks, so
-evaluation measures what the device's feedback cycle runs.
+net -> taps -> shaping at fixed power.  The net's forward is batch-invariant
+and every other step acts on each block alone, so a block's bytes do not
+depend on the batch it is shaped in.  A device shapes one block per feedback
+cycle.  :func:`run_scenario` replays the cycles in chunks of ticks and
+evaluation's ``tinyml`` scheme shapes whole batches; both give each block
+the bytes of that one device cycle.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .chain import (
 )
 from .channel import ChannelCfg, ChannelModel, Stream, add_channel, block_rng, draw_channel
 from .filters import taps_from_coeffs
-from .metrics import measured_ser, waveform_papr_db
+from .metrics import waveform_papr_db
 
 DEFAULT_BINS = (
     (0.0, 5.0, 0.1),
@@ -44,6 +47,9 @@ DEFAULT_BINS = (
 )
 
 DEFAULT_PERIOD_MS = 100.0
+# ticks per batched replay step: peak RSS grows with it, and past a few dozen
+# ticks the per-call overhead it saves is already gone
+CHUNK_TICKS = 32
 
 PRESET_TRACES = {
     "factory": 5.0,  # noisy industrial floor, reliability first
@@ -66,18 +72,19 @@ class LambdaTable:
 
 
 def adaptation_cycle(
-    snr_db: float,
+    snr_db: float | np.ndarray,
     net: network.NetParams | network.QuantizedNet,
     s_ext: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One feedback cycle: recompute the taps and shape the blocks.
 
     ``s_ext`` holds extended spectra of n_sk bins on its last axis, where
-    n_sk is the net's input width less the SNR feature; every block of a
-    batch sees the one fed-back SNR.  Returns ``(bins, eff_taps)``: the bins
-    shaped at fixed transmit power and the effective taps the receiver
-    equalizes with, one row per block.  The cycle is a pure function of
-    (snr, net, blocks).
+    n_sk is the net's input width less the SNR feature; ``snr_db`` is the
+    fed-back SNR, one for every block or one per block.  Returns
+    ``(bins, eff_taps)``: the bins shaped at fixed transmit power and the
+    effective taps the receiver equalizes with, one row per block.  The cycle
+    is a pure function of (snr, net, block) per row: a row has the same bytes
+    alone as inside any batch.
     """
     n_sk = net.input_dim - 1
     features = network.build_input(s_ext, snr_db, expected_len=n_sk)
@@ -134,14 +141,19 @@ def run_scenario(
     seed: int = 0,
     period_ms: float = DEFAULT_PERIOD_MS,
 ) -> list[TickRecord]:
-    """Replay an SNR feedback trace tick by tick.
+    """Replay an SNR feedback trace: a loop that only draws, then batched links.
 
     The simulated clock advances in ``period_ms`` steps from the first to the
     last trace timestamp; at each tick the most recent feedback at or before
     the tick applies.  Each tick looks lambda up in :class:`LambdaTable`,
-    transmits one fresh block (seeded by the tick index), measures its PAPR,
-    passes it through an AWGN channel at the true SNR, and records that
-    block's symbol error rate.
+    transmits one fresh block, measures its PAPR, passes it through an AWGN
+    channel at the true SNR, and records that block's symbol error rate.
+
+    The ticks run ``CHUNK_TICKS`` at a time.  Per chunk, a loop resolves each
+    tick's time and feedback and draws its bits, fade and noise from
+    ``block_rng(seed, Stream.ADAPT_TICK, tick)``; the link then runs once on
+    the chunk, with one SNR per block.  Every step of the link is
+    row-independent, so each record has the bytes of the tick run alone.
     """
     if len(trace) == 0:
         return []
@@ -153,25 +165,34 @@ def run_scenario(
     table = LambdaTable()
     records: list[TickRecord] = []
     n_ticks = int((times[-1] - times[0]) // period_ms) + 1
+    n_bits = cfg.n_data * scheme.bits_per_symbol
+    awgn = ChannelCfg(ChannelModel.AWGN)
     feedback_pos = 0
-    for tick in range(n_ticks):
-        now = times[0] + tick * period_ms
-        while feedback_pos + 1 < len(trace) and trace[feedback_pos + 1][0] <= now:
-            feedback_pos += 1
-        snr_db = trace[feedback_pos][1]
-        lam = table.lookup(snr_db)
-        rng = block_rng(seed, Stream.ADAPT_TICK, tick)
-        bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
+    for lo in range(0, n_ticks, CHUNK_TICKS):
+        ticks = range(lo, min(lo + CHUNK_TICKS, n_ticks))
+        now, snr_db = [], []
+        bits = np.empty((len(ticks), n_bits), dtype=np.int64)
+        h = np.empty((len(ticks), 1), dtype=np.complex128)
+        noise = np.empty((len(ticks), cfg.n_fft), dtype=np.complex128)
+        for row, tick in enumerate(ticks):
+            now.append(times[0] + tick * period_ms)
+            while feedback_pos + 1 < len(trace) and trace[feedback_pos + 1][0] <= now[-1]:
+                feedback_pos += 1
+            snr_db.append(float(trace[feedback_pos][1]))
+            rng = block_rng(seed, Stream.ADAPT_TICK, tick)
+            bits[row] = rng.integers(0, 2, n_bits)
+            h[row], noise[row] = draw_channel(awgn, cfg.n_fft, rng)
+        lam = [table.lookup(snr) for snr in snr_db]
+        snr = np.array(snr_db)
         tx = map_symbols(bits, scheme)
-        bins, taps = adaptation_cycle(snr_db, net, extend(precode(tx), cfg.n_se))
+        bins, taps = adaptation_cycle(snr, net, extend(precode(tx), cfg.n_se))
         papr = waveform_papr_db(bins, cfg)
         # communication path at critical sampling under the true SNR
-        h, noise = draw_channel(ChannelCfg(ChannelModel.AWGN, snr_db), cfg.n_fft, rng)
-        rx = add_channel(time_signal(bins, cfg, oversample=1), h, noise, snr_db, cfg)
+        rx = add_channel(time_signal(bins, cfg, oversample=1), h, noise, snr, cfg)
         detected, _ = receive(rx, h, taps, cfg, scheme)
-        ser, _, _ = measured_ser(tx, detected)
-        records.append(
-            TickRecord(t_ms=now, snr_db=float(snr_db), lam=lam,
-                       papr_db=float(papr), ser_block=float(ser))
+        ser = np.count_nonzero(detected != tx, axis=-1) / cfg.n_data
+        records.extend(
+            TickRecord(t_ms=t, snr_db=s, lam=lm, papr_db=float(p), ser_block=float(e))
+            for t, s, lm, p, e in zip(now, snr_db, lam, papr, ser)
         )
     return records

@@ -90,14 +90,18 @@ def draw_fade(model: ChannelModel, rng: np.random.Generator, k_linear: float) ->
 
 
 def noise_power(
-    signal: np.ndarray, snr_db: float, chain_cfg: ChainConfig
+    signal: np.ndarray, snr_db: float | np.ndarray, chain_cfg: ChainConfig
 ) -> float | np.ndarray:
     """Per-sample noise power for the occupied-subcarrier SNR convention.
 
     One power per block (last axis); a single 1-D block gives a float.
+    ``snr_db`` is one SNR for every block or one per block.
     """
     occupied_power = np.mean(np.abs(signal) ** 2, axis=-1) * chain_cfg.n_fft / chain_cfg.n_sk
-    return occupied_power * 10.0 ** (-snr_db / 10.0)
+    # Python's float pow per SNR: numpy's vectorized power may differ in the
+    # last bit, and a block's noise must not depend on the batch it is in
+    scale = [10.0 ** (-snr / 10.0) for snr in np.ravel(snr_db).tolist()]
+    return occupied_power * np.reshape(scale, np.shape(snr_db))
 
 
 def draw_channel(
@@ -118,13 +122,14 @@ def add_channel(
     x: np.ndarray,
     h: complex | np.ndarray,
     noise: np.ndarray,
-    snr_db: float,
+    snr_db: float | np.ndarray,
     chain_cfg: ChainConfig,
 ) -> np.ndarray:
     """``h*x + sqrt(sigma2/2)*noise``, with sigma2 from each block's own power.
 
     ``x`` is one block or a batch of blocks along the leading axes; ``h``
-    broadcasts against it (one fade per block: shape ``(..., 1)``).
+    broadcasts against it (one fade per block: shape ``(..., 1)``), and
+    ``snr_db`` is one SNR for every block or one per block.
     """
     sigma = np.sqrt(noise_power(x, snr_db, chain_cfg) / 2.0)
     return h * x + sigma[..., None] * noise

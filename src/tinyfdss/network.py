@@ -156,6 +156,11 @@ def _dense(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
 
     Returns the output and the input each layer saw, which is all that
     ``backward`` needs (a hidden unit is active where its ReLU output is > 0).
+
+    The contraction is ``np.einsum`` without BLAS: every row of ``x`` is
+    summed in one fixed order, so a row's output has the same bytes at any
+    batch shape, alone or inside a batch, under any BLAS threading.  A
+    BLAS ``x @ w.T`` picks its kernel and blocking from the batch shape.
     """
     x = np.asarray(x, dtype=np.float64)
     in_dim = layers[0][0].shape[1]
@@ -166,7 +171,7 @@ def _dense(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
         if k > 0:
             x = np.maximum(x, 0.0)
         inputs.append(x)
-        x = x @ w.T + b
+        x = np.einsum("...i,oi->...o", x, w) + b
     return x, inputs
 
 

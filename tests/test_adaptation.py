@@ -3,14 +3,34 @@ import pytest
 
 from tinyfdss import network
 from tinyfdss.adaptation import (
+    CHUNK_TICKS,
     DEFAULT_BINS,
+    DEFAULT_PERIOD_MS,
     LambdaTable,
+    TickRecord,
     adaptation_cycle,
     preset_trace,
     run_scenario,
 )
-from tinyfdss.chain import ModScheme, extend, map_symbols, precode, shape_and_normalize
+from tinyfdss.chain import (
+    ModScheme,
+    extend,
+    map_symbols,
+    precode,
+    receive,
+    shape_and_normalize,
+    time_signal,
+)
+from tinyfdss.channel import (
+    ChannelCfg,
+    ChannelModel,
+    Stream,
+    add_channel,
+    block_rng,
+    draw_channel,
+)
 from tinyfdss.filters import taps_from_coeffs
+from tinyfdss.metrics import measured_ser, waveform_papr_db
 
 
 @pytest.fixture
@@ -22,6 +42,32 @@ def make_block(cfg, seed=0):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, cfg.n_data * 2)
     return extend(precode(map_symbols(bits, ModScheme.QPSK)), cfg.n_se)
+
+
+def replay_tick_by_tick(trace, net, cfg, scheme, seed):
+    """Reference replay: one device cycle per tick, one block at a time."""
+    table = LambdaTable()
+    times = [t for t, _ in trace]
+    records = []
+    feedback_pos = 0
+    for tick in range(int((times[-1] - times[0]) // DEFAULT_PERIOD_MS) + 1):
+        now = times[0] + tick * DEFAULT_PERIOD_MS
+        while feedback_pos + 1 < len(trace) and trace[feedback_pos + 1][0] <= now:
+            feedback_pos += 1
+        snr_db = trace[feedback_pos][1]
+        lam = table.lookup(snr_db)
+        rng = block_rng(seed, Stream.ADAPT_TICK, tick)
+        bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
+        tx = map_symbols(bits, scheme)
+        bins, taps = adaptation_cycle(snr_db, net, extend(precode(tx), cfg.n_se))
+        papr = waveform_papr_db(bins, cfg)
+        h, noise = draw_channel(ChannelCfg(ChannelModel.AWGN, snr_db), cfg.n_fft, rng)
+        rx = add_channel(time_signal(bins, cfg, oversample=1), h, noise, snr_db, cfg)
+        detected, _ = receive(rx, h, taps, cfg, scheme)
+        ser, _, _ = measured_ser(tx, detected)
+        records.append(TickRecord(t_ms=now, snr_db=float(snr_db), lam=lam,
+                                  papr_db=float(papr), ser_block=float(ser)))
+    return records
 
 
 class TestLambdaTable:
@@ -97,43 +143,26 @@ class TestAdaptationCycle:
         assert np.all(np.isfinite(shaped))
 
     @pytest.mark.parametrize("kind", ["float", "int8"])
-    def test_batch_equals_single_block_calls_bytewise(self, cfg, kind):
-        # weights, biases and feature values are small dyadic numbers, so
-        # every product and sum in the net is exact and the batch's matrix
-        # product cannot round differently from a single block's
-        rng = np.random.default_rng(3)
-        shapes = [(10, cfg.n_sk + 1), (5, 10)]
-        if kind == "float":
-            layers = [(rng.integers(-8, 9, shape) / 16.0,
-                       rng.integers(-8, 9, shape[0]) / 16.0, np.ones(shape))
-                      for shape in shapes]
-            dyadic = network.NetParams.from_layers(layers)
-        else:
-            layers = [(rng.integers(-127, 128, shape).astype(np.int8), 2.0**-6,
-                       rng.integers(-512, 513, shape[0]).astype(np.int32), 2.0**-14)
-                      for shape in shapes]
-            dyadic = network.QuantizedNet.from_layers(layers)
-        phases = np.array([1.0, -1.0, 1j, -1j])
-        blocks = (rng.integers(1, 9, (7, cfg.n_sk))
-                  * phases[rng.integers(0, 4, (7, cfg.n_sk))])
-        bins, taps = adaptation_cycle(10.0, dyadic, blocks)
-        assert bins.shape == taps.shape == blocks.shape
-        for b in range(len(blocks)):
-            one_bins, one_taps = adaptation_cycle(10.0, dyadic, blocks[b])
-            assert one_bins.tobytes() == bins[b].tobytes()
-            assert one_taps.tobytes() == taps[b].tobytes()
-
-    @pytest.mark.parametrize("kind", ["float", "int8"])
-    def test_batch_matches_single_block_calls(self, cfg, net, kind):
-        # on general weights a BLAS may sum a batch's matrix product in a
-        # different order than one block's, so rows agree to rounding only
+    def test_batch_equals_single_block_calls_bytewise(self, cfg, net, kind):
+        # general weights: the forward's contraction must not depend on the
+        # batch shape, so every row has the bytes of that block run alone
         deployed = net if kind == "float" else network.quantize(net)
-        blocks = np.stack([make_block(cfg, seed) for seed in range(5)])
-        bins, taps = adaptation_cycle(8.0, deployed, blocks)
-        for b in range(len(blocks)):
-            one_bins, one_taps = adaptation_cycle(8.0, deployed, blocks[b])
-            np.testing.assert_allclose(bins[b], one_bins, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(taps[b], one_taps, rtol=1e-12, atol=1e-14)
+        rng = np.random.default_rng(3)
+        n = 2048 + 7
+        bits = rng.integers(0, 2, (n, cfg.n_data * 2))
+        blocks = extend(precode(map_symbols(bits, ModScheme.QPSK)), cfg.n_se)
+        snr_db = rng.uniform(-2.0, 25.0, n)
+        bins, taps = adaptation_cycle(snr_db, deployed, blocks)
+        assert bins.shape == taps.shape == blocks.shape
+        for lo, size in ((1000, 1), (3, 7), (7, 2048)):
+            rows = slice(lo, lo + size)
+            part_bins, part_taps = adaptation_cycle(snr_db[rows], deployed, blocks[rows])
+            assert part_bins.tobytes() == bins[rows].tobytes()
+            assert part_taps.tobytes() == taps[rows].tobytes()
+        one_bins, one_taps = adaptation_cycle(float(snr_db[5]), deployed, blocks[5])
+        assert one_bins.shape == (cfg.n_sk,)
+        assert one_bins.tobytes() == bins[5].tobytes()
+        assert one_taps.tobytes() == taps[5].tobytes()
 
     def test_wrong_stage_rejected(self, cfg, net):
         # data symbols (n_data long) are not an extended spectrum (n_sk long)
@@ -162,6 +191,21 @@ class TestRunScenario:
         assert [(r.t_ms, r.snr_db, r.lam, r.papr_db, r.ser_block) for r in a] == [
             (r.t_ms, r.snr_db, r.lam, r.papr_db, r.ser_block) for r in b
         ]
+
+    @pytest.mark.parametrize("kind,scheme", [
+        ("float", ModScheme.QPSK), ("int8", ModScheme.QPSK), ("float", ModScheme.QAM16),
+    ])
+    def test_records_equal_tick_by_tick_replay_bytewise(self, cfg, net, kind, scheme):
+        deployed = net if kind == "float" else network.quantize(net)
+        # feedback held across ticks and across every lambda bin; 77 ticks are
+        # two full chunks and a partial third
+        trace = [(0.0, -1.0), (250.0, 3.0), (1230.0, 7.5), (2600.0, 12.0),
+                 (4100.0, 17.0), (5555.0, 22.0), (6400.0, 9.0), (7600.0, 4.0)]
+        records = run_scenario(trace, deployed, cfg, scheme, seed=6)
+        assert len(records) > 2 * CHUNK_TICKS and len(records) % CHUNK_TICKS
+        assert {r.lam for r in records} == {lam for _, _, lam in DEFAULT_BINS}
+        want = replay_tick_by_tick(trace, deployed, cfg, scheme, seed=6)
+        assert [repr(r) for r in records] == [repr(r) for r in want]
 
     def test_tick_count_and_feedback_holding(self, cfg, net):
         trace = [(0.0, 4.0), (250.0, 12.0)]
