@@ -164,6 +164,17 @@ class TestAdaptationCycle:
         assert one_bins.tobytes() == bins[5].tobytes()
         assert one_taps.tobytes() == taps[5].tobytes()
 
+    @pytest.mark.parametrize("kind", ["float", "int8"])
+    def test_batch_matches_single_block_calls(self, cfg, net, kind):
+        # a batch at one shared SNR agrees row by row with each block run alone
+        deployed = net if kind == "float" else network.quantize(net)
+        blocks = np.stack([make_block(cfg, seed) for seed in range(5)])
+        bins, taps = adaptation_cycle(8.0, deployed, blocks)
+        for b in range(len(blocks)):
+            one_bins, one_taps = adaptation_cycle(8.0, deployed, blocks[b])
+            np.testing.assert_allclose(bins[b], one_bins, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(taps[b], one_taps, rtol=1e-12, atol=1e-14)
+
     def test_wrong_stage_rejected(self, cfg, net):
         # data symbols (n_data long) are not an extended spectrum (n_sk long)
         block = map_symbols(np.zeros(cfg.n_data * 2, dtype=int), ModScheme.QPSK)
