@@ -6,8 +6,9 @@ out-of-allocation spectral regrowth, iterated a configurable number of times;
 Selective mapping transmits the minimum-PAPR candidate among phase-rotated
 copies of the frequency-domain symbols (candidate 0 is always the identity,
 so SLM never does worse than the unmodified block); ``slm_select`` returns the
-chosen index, the side information a real system would signal, and the
-phases it picks are the block's complex receiver taps.
+chosen index, the side information a real system would signal, and on request
+the chosen candidate's PAPR; the phases it picks are the block's complex
+receiver taps.
 
 The static RRC baseline is the classic truncated time-domain pulse-shaping
 filter (32 taps by default); its circular convolution is expressed as per-bin
@@ -65,9 +66,15 @@ def conventional_config(cfg: ChainConfig) -> ChainConfig:
 # ---------------------------------------------------------------------------
 
 def clip_amplitude(x: np.ndarray, level: np.ndarray | float) -> np.ndarray:
-    """Hard amplitude clip: |y_n| <= level with phases preserved."""
-    mag = np.abs(x)
-    scale = np.where(mag > level, np.asarray(level) / np.maximum(mag, 1e-300), 1.0)
+    """Hard amplitude clip: |y_n| <= level with phases preserved.
+
+    Each sample is scaled by ``min(1, level / max(|x|, 1e-300))``, built in
+    one array; a sample at or below the level is scaled by exactly 1.
+    """
+    scale = np.abs(x)
+    np.maximum(scale, 1e-300, out=scale)
+    np.divide(level, scale, out=scale)
+    np.minimum(scale, 1.0, out=scale)
     return x * scale
 
 
@@ -106,20 +113,33 @@ def slm_phase_vectors(slm: SlmConfig, n_data: int) -> np.ndarray:
     return phases
 
 
-def slm_select(spectrum: np.ndarray, phases: np.ndarray, cfg: ChainConfig) -> np.ndarray:
+def slm_select(
+    spectrum: np.ndarray, phases: np.ndarray, cfg: ChainConfig,
+    identity_papr: np.ndarray | None = None, return_papr: bool = False,
+):
     """Index of the minimum-PAPR candidate per block (first minimum on ties).
 
     ``spectrum`` is (..., n_data) frequency-domain symbols.  Candidates are
     tried one at a time against a running minimum, and each candidate's
-    waveform is synthesized one tile of blocks at a time.
+    waveform is synthesized one tile of blocks at a time.  A caller that has
+    already measured candidate 0's waveform (with the identity row of
+    :func:`slm_phase_vectors`, the unrotated spectrum's) passes its PAPR as
+    ``identity_papr``, and that candidate is not synthesized again.
+
+    Returns the index per block, shaped like the leading axes; with
+    ``return_papr``, ``(index, papr)``, where ``papr`` is the running
+    minimum: per block, ``waveform_papr_db`` of the chosen candidate.
     """
-    paprs = (waveform_papr_db(extend(spectrum * p, cfg.n_se), cfg) for p in phases)
-    best = next(paprs)
+    def papr(u):
+        return waveform_papr_db(extend(spectrum * phases[u], cfg.n_se), cfg)
+
+    best = papr(0) if identity_papr is None else identity_papr
     idx = np.zeros(np.shape(best), dtype=np.intp)
-    for u, papr in enumerate(paprs, start=1):
-        idx = np.where(papr < best, u, idx)
-        best = np.minimum(papr, best)
-    return idx
+    for u in range(1, len(phases)):
+        candidate = papr(u)
+        idx = np.where(candidate < best, u, idx)
+        best = np.minimum(candidate, best)
+    return (idx, best) if return_papr else idx
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 DETECT_CHUNK = 8192  # symbols per minimum-distance chunk, bounds the distance matrix
+SLICE_TIE = 1e-9  # half-width around a PAM midpoint that the full distance rule decides
+SLICE_BOUND = 100.0  # |I| or |Q| beyond which the full distance rule decides
 GAIN_EPS = 1e-12  # guards the per-bin gain normalization of the receiver
 
 
@@ -163,16 +165,66 @@ def map_symbols(bits: np.ndarray, scheme: ModScheme) -> np.ndarray:
     return _map_label_bits(bits.reshape(bits.shape[:-1] + (n_sym, bps)), scheme)
 
 
-def detect_symbols(received: np.ndarray, scheme: ModScheme) -> np.ndarray:
-    """Minimum-Euclidean-distance decision onto the constellation grid."""
+@lru_cache(maxsize=None)
+def _pam_slicer(scheme: ModScheme) -> tuple[np.ndarray, np.ndarray]:
+    """(midpoints of the PAM levels, the points at index ``I level * m + Q level``)."""
     points, _ = constellation(scheme)
-    received = np.asarray(received, dtype=np.complex128)
-    flat = received.reshape(-1)
+    levels = np.unique(points.real)  # the same PAM levels carry I and Q
+    m = len(levels)
+    grid = np.empty(m * m, dtype=np.complex128)
+    grid[np.searchsorted(levels, points.real) * m + np.searchsorted(levels, points.imag)] = points
+    grid.setflags(write=False)
+    return (levels[1:] + levels[:-1]) / 2, grid
+
+
+def _slice_axis(x: np.ndarray, mids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One axis' PAM level index, and where the slicer may decide it alone.
+
+    The index counts the midpoints below each value, as ``searchsorted``
+    would, by one comparison per midpoint (seven at most, and far faster
+    than a binary search).  Values within ``SLICE_TIE`` of a midpoint, beyond
+    ``SLICE_BOUND`` or not finite are left to the full rule.
+    """
+    lo = np.zeros(x.shape, dtype=np.int8)
+    hi = np.zeros(x.shape, dtype=np.int8)
+    for mid in mids:
+        lo += x > mid - SLICE_TIE
+        hi += x > mid + SLICE_TIE
+    return hi, (lo == hi) & (np.abs(x) <= SLICE_BOUND)
+
+
+def _nearest_points(flat: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Full minimum-distance rule: squared distance to every point, first on ties."""
     out = np.empty_like(flat)
     for lo in range(0, flat.size, DETECT_CHUNK):
         chunk = flat[lo : lo + DETECT_CHUNK]
         d2 = np.abs(chunk[:, None] - points[None, :]) ** 2
         out[lo : lo + DETECT_CHUNK] = points[np.argmin(d2, axis=1)]
+    return out
+
+
+def detect_symbols(received: np.ndarray, scheme: ModScheme) -> np.ndarray:
+    """Minimum-Euclidean-distance decision onto the constellation grid.
+
+    The grid is square, so I and Q are sliced apart: each axis takes its
+    nearest PAM level.  This gives the full rule's decisions exactly.  Off a
+    midpoint, any other point's squared distance exceeds the sliced point's
+    by at least 2 * spacing * (distance to the nearest midpoint), far more
+    than a squared distance's rounding for |I|, |Q| <= ``SLICE_BOUND``.  The
+    few values near a midpoint, where rounding or the first-point tie rule
+    decides, and values out of bounds take the full rule (``DETECT_CHUNK``
+    symbols at a time).
+    """
+    received = np.asarray(received, dtype=np.complex128)
+    flat = received.reshape(-1)
+    mids, grid = _pam_slicer(scheme)
+    i, clear = _slice_axis(flat.real, mids)
+    q, clear_q = _slice_axis(flat.imag, mids)
+    out = grid[i * (len(mids) + 1) + q]
+    clear &= clear_q
+    if not clear.all():
+        hard = ~clear
+        out[hard] = _nearest_points(flat[hard], constellation(scheme)[0])
     return out.reshape(received.shape)
 
 
@@ -229,25 +281,39 @@ def time_signal(
     Scaling is 1/sqrt(n_fft) relative to the unnormalized IDFT sum, so the
     oversampled waveform interpolates the critical-rate one sample-for-sample
     and the mean time-domain power equals sum(|bins|^2)/n_fft for any
-    oversample factor.
+    oversample factor.  The band is written into the zeroed grid as two
+    slices, at the indices :func:`centered_band` names (the bins below DC at
+    the top of the grid, DC and above at the bottom), and the grid is
+    transformed and scaled in place: one grid-sized allocation per call.
     """
     shaped = np.asarray(shaped, dtype=np.complex128)
     if shaped.shape[-1] != cfg.n_sk:
         raise ValueError(f"expected {cfg.n_sk} shaped bins, got {shaped.shape[-1]}")
     n = cfg.n_fft * (cfg.oversample if oversample is None else oversample)
+    half = cfg.n_sk // 2
     grid = np.zeros(shaped.shape[:-1] + (n,), dtype=np.complex128)
-    grid[..., centered_band(cfg.n_sk, n)] = shaped
-    return np.fft.ifft(grid, axis=-1) * (n / np.sqrt(cfg.n_fft))
+    grid[..., : cfg.n_sk - half] = shaped[..., half:]
+    grid[..., n - half :] = shaped[..., :half]
+    np.fft.ifft(grid, axis=-1, out=grid)
+    grid *= n / np.sqrt(cfg.n_fft)
+    return grid
 
 
 def occupied_bins(signal: np.ndarray, cfg: ChainConfig) -> np.ndarray:
-    """Recover the n_sk occupied bins from a time-domain grid (inverse mapping)."""
+    """Recover the n_sk occupied bins from a time-domain grid (inverse mapping).
+
+    The band is read as the same two slices :func:`time_signal` writes, and
+    only those n_sk bins are scaled.
+    """
     signal = np.asarray(signal, dtype=np.complex128)
     n = signal.shape[-1]
     if n % cfg.n_fft != 0:
         raise ValueError(f"signal length {n} not a multiple of n_fft={cfg.n_fft}")
-    grid = np.fft.fft(signal, axis=-1) * (np.sqrt(cfg.n_fft) / n)
-    return grid[..., centered_band(cfg.n_sk, n)]
+    spectrum = np.fft.fft(signal, axis=-1)
+    half = cfg.n_sk // 2
+    bins = np.concatenate([spectrum[..., n - half :], spectrum[..., : cfg.n_sk - half]], axis=-1)
+    bins *= np.sqrt(cfg.n_fft) / n
+    return bins
 
 
 def shape_and_normalize(

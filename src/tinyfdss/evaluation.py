@@ -163,6 +163,11 @@ class Transmit:
     bins: np.ndarray  # occupied bins, one row per block
     taps: np.ndarray  # effective receiver taps, broadcast against ``bins``
     symbols: np.ndarray  # reference data symbols
+    papr: np.ndarray | None = None  # waveform PAPR per block, if already measured
+
+    def waveform_papr(self) -> np.ndarray:
+        """PAPR per block of the oversampled waveform, synthesized only if unknown."""
+        return self.papr if self.papr is not None else waveform_papr_db(self.bins, self.cfg)
 
 
 class _SchemeEngine:
@@ -187,7 +192,12 @@ class _SchemeEngine:
         self.slm_phases = slm_phase_vectors(eval_cfg.slm, self.conv.n_data)
 
     def data_symbols(self, mod: str, indices: np.ndarray) -> dict:
-        """Blocks for both chain layouts, deterministic per (seed, mod, index)."""
+        """Blocks for both chain layouts, deterministic per (seed, mod, index).
+
+        When ``dftsofdm`` or ``slm`` is evaluated, ``papr_conv`` holds the
+        PAPR of the plain DFT-s-OFDM waveform: ``dftsofdm``'s transmit and
+        ``slm``'s identity candidate, measured once for both.
+        """
         mod_i = list(SCHEME_NAMES).index(mod)
         scheme = SCHEME_NAMES[mod]
         n_bits = self.conv.n_data * scheme.bits_per_symbol
@@ -197,12 +207,15 @@ class _SchemeEngine:
             bits[row] = rng.integers(0, 2, n_bits)
         sym_conv = map_symbols(bits, scheme)
         sym_ext = sym_conv[:, : self.cfg.n_data]
-        return {
+        data = {
             "sym_ext": sym_ext,
             "s_ext": extend(precode(sym_ext), self.cfg.n_se),
             "sym_conv": sym_conv,
             "s_conv": precode(sym_conv),
         }
+        if not {"dftsofdm", "slm"}.isdisjoint(self.eval_cfg.schemes):
+            data["papr_conv"] = waveform_papr_db(data["s_conv"], self.conv)
+        return data
 
     def transmit(self, scheme: str, data: dict, snr_db: float) -> Transmit:
         """Occupied bins, effective receiver taps and reference symbols."""
@@ -216,15 +229,17 @@ class _SchemeEngine:
             return Transmit(self.cfg, bins, eff, data["sym_ext"])
         conv, s, sym = self.conv, data["s_conv"], data["sym_conv"]
         if scheme == "dftsofdm":
-            return Transmit(conv, s, self.unit, sym)
+            return Transmit(conv, s, self.unit, sym, data.get("papr_conv"))
         if scheme == "rrc":
             bins, eff, _ = shape_and_normalize(s, self.fir_gains)
             return Transmit(conv, bins, eff, sym)
         if scheme == "clf":
             return Transmit(conv, clf_reduce(s, self.eval_cfg.clf, conv), self.unit, sym)
         if scheme == "slm":
-            taps = self.slm_phases[slm_select(s, self.slm_phases, conv)]
-            return Transmit(conv, s * taps, taps, sym)
+            idx, papr = slm_select(s, self.slm_phases, conv,
+                                   identity_papr=data.get("papr_conv"), return_papr=True)
+            taps = self.slm_phases[idx]
+            return Transmit(conv, s * taps, taps, sym, papr)
         raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -266,7 +281,7 @@ def _run_group(
             tx = engine.transmit(scheme, data, snr_db)
             cfg = tx.cfg
             x1 = time_signal(tx.bins, cfg, oversample=1)
-            mean_papr = float(waveform_papr_db(tx.bins, cfg).mean())
+            mean_papr = float(tx.waveform_papr().mean())
         for channel_name in eval_cfg.channels:
             h, noise = draws[channel_name, mod, snr_i]
             rx = add_channel(x1, h, noise, snr_db, cfg)
@@ -284,7 +299,12 @@ def _ccdf_pass(engine: _SchemeEngine) -> tuple[dict, dict]:
 
     Each chunk of blocks is drawn once and run through every scheme; the
     chunking bounds memory.  Waveforms are synthesized one tile of a chunk at
-    a time, and in full only for the first chunk's OOBE blocks.
+    a time, and in full only for the first chunk's OOBE blocks.  No waveform
+    is synthesized twice for its PAPR: the ``slm`` samples are the running
+    minimum ``slm_select`` keeps while choosing, and its identity candidate
+    is the plain waveform whose PAPR the chunk measures once, for
+    ``dftsofdm`` too (``papr_conv``).  Only one chunk's blocks and one
+    scheme's transmit are held at a time.
     """
     eval_cfg = engine.eval_cfg
     samples = {scheme: np.empty(eval_cfg.ccdf_blocks) for scheme in eval_cfg.schemes}
@@ -294,10 +314,12 @@ def _ccdf_pass(engine: _SchemeEngine) -> tuple[dict, dict]:
         data = engine.data_symbols(eval_cfg.mods[0], indices)
         for scheme in eval_cfg.schemes:
             tx = engine.transmit(scheme, data, eval_cfg.ccdf_snr_db)
-            samples[scheme][indices] = waveform_papr_db(tx.bins, tx.cfg)
+            samples[scheme][indices] = tx.waveform_papr()
             if lo == 0:
                 x4 = time_signal(tx.bins[: eval_cfg.oobe_blocks], tx.cfg)
                 oobe[scheme] = float(oobe_db(x4, tx.cfg))
+            del tx  # free this scheme's bins before the next scheme transmits
+        del data  # and this chunk's blocks before the next chunk is drawn
     return samples, oobe
 
 

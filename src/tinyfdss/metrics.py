@@ -26,7 +26,8 @@ def papr_db(signal) -> float | np.ndarray:
     With leading batch dimensions one PAPR per block is returned.
     """
     x = np.asarray(signal)
-    p = np.abs(x) ** 2
+    p = np.abs(x)
+    np.square(p, out=p)
     peak = p.max(axis=-1)
     mean = p.mean(axis=-1)
     if np.any(mean == 0.0):
@@ -59,7 +60,10 @@ def waveform_papr_db(bins: np.ndarray, cfg: ChainConfig) -> float | np.ndarray:
 
     Equal, byte for byte, to ``papr_db(time_signal(bins, cfg))`` without
     holding the whole batch's grid: a float for one block, else one PAPR per
-    block over the leading axes.
+    block over the leading axes.  Each tile's grid is written from the band
+    slices and transformed in place by :func:`time_signal`, and ``papr_db``
+    squares its magnitudes in place, so a tile costs one grid and one
+    magnitude array.
     """
     out = by_tiles(lambda tile: papr_db(time_signal(tile, cfg)), bins, cfg)
     return float(out) if out.ndim == 0 else out

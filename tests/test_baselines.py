@@ -20,7 +20,8 @@ from tinyfdss.chain import (
     precode,
     time_signal,
 )
-from tinyfdss.metrics import papr_db
+from tinyfdss import baselines
+from tinyfdss.metrics import papr_db, waveform_papr_db
 
 
 def freq_block(cfg, seed=0):
@@ -31,6 +32,13 @@ def freq_block(cfg, seed=0):
 
 def ext_block(cfg, seed=0):
     return extend(freq_block(cfg, seed), cfg.n_se)
+
+
+def clip_where_reference(x, level):
+    """``clip_amplitude`` before the in-place scale: the ``np.where`` form."""
+    mag = np.abs(x)
+    scale = np.where(mag > level, np.asarray(level) / np.maximum(mag, 1e-300), 1.0)
+    return x * scale
 
 
 def slm_one(block, slm, cfg):
@@ -73,6 +81,19 @@ class TestClf:
         x = time_signal(block, cfg)
         level = np.sqrt(np.mean(np.abs(x) ** 2)) * 10 ** (clf.clip_ratio_db / 20.0)
         np.testing.assert_array_equal(out, occupied_bins(clip_amplitude(x, level), cfg))
+
+    def test_clip_matches_where_form_at_the_level(self, rng):
+        x = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+        x[:, :4] = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]  # x == 0
+        mag = np.abs(x)
+        at = mag[:, 10:11]  # per-row level equal to that row's |x[10]|
+        below = np.nextafter(at, 0.0)  # |x[10]| just above the level
+        for level in (at, below, float(mag[0, 10]), float(np.median(mag))):
+            with np.errstate(divide="raise", invalid="raise"):  # x == 0 divides by 1e-300
+                got = clip_amplitude(x, level)
+            assert got.tobytes() == clip_where_reference(x, level).tobytes()
+        assert np.array_equal(clip_amplitude(x, at)[:, 10], x[:, 10])
+        assert np.all(np.abs(clip_amplitude(x, below)[:, 10]) < mag[:, 10])
 
     def test_deterministic(self, cfg):
         block = ext_block(cfg)
@@ -149,6 +170,44 @@ class TestSlm:
         idx1 = slm_select(block, phases, cfg)
         idx2 = slm_select(3.7 * block, phases, cfg)
         assert idx1 == idx2
+
+    @pytest.mark.parametrize("conventional", [False, True])
+    def test_reported_papr_is_the_chosen_candidates(self, cfg, conventional):
+        chain = conventional_config(cfg) if conventional else cfg
+        phases = slm_phase_vectors(SlmConfig(num_candidates=8), chain.n_data)
+        bits = np.random.default_rng(6).integers(0, 2, (2, 3, chain.n_data * 2))
+        blocks = precode(map_symbols(bits, ModScheme.QPSK))
+        idx, papr = slm_select(blocks, phases, chain, return_papr=True)
+        np.testing.assert_array_equal(idx, slm_select(blocks, phases, chain))
+        chosen = extend(blocks * phases[idx], chain.n_se)
+        assert papr.shape == (2, 3)
+        assert papr.tobytes() == waveform_papr_db(chosen, chain).tobytes()
+        one_idx, one_papr = slm_select(blocks[1, 2], phases, chain, return_papr=True)
+        assert one_idx == idx[1, 2] and one_papr == papr[1, 2]
+
+    def test_identity_papr_replaces_candidate_zero(self, cfg, monkeypatch):
+        conv = conventional_config(cfg)
+        phases = slm_phase_vectors(SlmConfig(num_candidates=8), conv.n_data)
+        # precoded blocks, where the identity mostly wins, and plain QPSK
+        # bins, where it rarely does
+        symbols = map_symbols(np.random.default_rng(8).integers(0, 2, (40, conv.n_data * 2)),
+                              ModScheme.QPSK)
+        blocks = np.concatenate([precode(symbols[:20]), symbols[20:]])
+        idx, papr = slm_select(blocks, phases, conv, return_papr=True)
+        assert np.any(idx == 0) and np.any(idx != 0)
+        identity = waveform_papr_db(blocks, conv)
+        calls = []
+        real = baselines.waveform_papr_db
+
+        def counting(bins, chain):
+            calls.append(len(bins))
+            return real(bins, chain)
+
+        monkeypatch.setattr(baselines, "waveform_papr_db", counting)
+        reused_idx, reused = slm_select(blocks, phases, conv, identity, return_papr=True)
+        assert calls == [len(blocks)] * 7  # candidates 1..7 only
+        np.testing.assert_array_equal(reused_idx, idx)
+        assert reused.tobytes() == papr.tobytes()
 
     def test_identity_candidate_is_row_zero(self, cfg):
         phases = slm_phase_vectors(SlmConfig(num_candidates=4), cfg.n_data)

@@ -5,6 +5,7 @@ import pytest
 
 from tinyfdss.baselines import conventional_config, fir_bin_gains, rrc_fir
 from tinyfdss.chain import (
+    SLICE_BOUND,
     ChainConfig,
     EqualizationError,
     ModScheme,
@@ -43,6 +44,48 @@ def shaped_block(bits, scheme, taps, cfg, oversample=None):
     s_ext = extend(precode(map_symbols(bits, scheme)), cfg.n_se)
     bins, eff, _ = shape_and_normalize(s_ext, taps)
     return SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins, cfg, oversample)), eff
+
+
+def detect_reference(received, scheme):
+    """The minimum-distance loop ``detect_symbols`` ran before the per-axis slicer."""
+    points, _ = constellation(scheme)
+    received = np.asarray(received, dtype=np.complex128)
+    flat = received.reshape(-1)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, 8192):
+        chunk = flat[lo : lo + 8192]
+        d2 = np.abs(chunk[:, None] - points[None, :]) ** 2
+        out[lo : lo + 8192] = points[np.argmin(d2, axis=1)]
+    return out.reshape(received.shape)
+
+
+def time_signal_reference(shaped, cfg, oversample=None):
+    """``time_signal`` before in-place synthesis: fancy-index map, IDFT, scale."""
+    shaped = np.asarray(shaped, dtype=np.complex128)
+    n = cfg.n_fft * (cfg.oversample if oversample is None else oversample)
+    grid = np.zeros(shaped.shape[:-1] + (n,), dtype=np.complex128)
+    grid[..., centered_band(cfg.n_sk, n)] = shaped
+    return np.fft.ifft(grid, axis=-1) * (n / np.sqrt(cfg.n_fft))
+
+
+def occupied_bins_reference(signal, cfg):
+    """``occupied_bins`` before the band slices: scale every bin, fancy-index the band."""
+    signal = np.asarray(signal, dtype=np.complex128)
+    grid = np.fft.fft(signal, axis=-1) * (np.sqrt(cfg.n_fft) / signal.shape[-1])
+    return grid[..., centered_band(cfg.n_sk, signal.shape[-1])]
+
+
+def axis_grid(axis):
+    """Every (I, Q) pairing of the axis values, without multiplying by 1j."""
+    grid = np.empty((len(axis), len(axis)), dtype=np.complex128)
+    grid.real, grid.imag = axis[:, None], axis[None, :]
+    return grid
+
+
+def pam_midpoints(scheme):
+    """Midpoints between adjacent PAM levels of the scheme's I (and Q) axis."""
+    levels = np.unique(constellation(scheme)[0].real)
+    return levels, (levels[1:] + levels[:-1]) / 2
 
 
 def qam16_spectra(rng, n_data, n_se):
@@ -122,6 +165,73 @@ class TestDetect:
         for r, d in zip(received, detected):
             brute = points[np.argmin(np.abs(r - points) ** 2)]
             assert d == brute
+
+
+class TestSlicer:
+    """``detect_symbols`` slices I and Q apart and decides as the distance loop does."""
+
+    @pytest.mark.parametrize("scheme", list(ModScheme))
+    def test_noisy_symbols_match_reference(self, scheme, rng):
+        points, _ = constellation(scheme)
+        shape = (500, 210)
+        sent = rng.choice(points, shape)
+        received = sent + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        detected = detect_symbols(received, scheme)
+        np.testing.assert_array_equal(detected, detect_reference(received, scheme))
+        assert np.any(detected != sent)  # the noise moves some decisions
+
+    @pytest.mark.parametrize("scheme", list(ModScheme))
+    def test_midpoints_and_neighbours_match_reference(self, scheme):
+        # every pairing of an I and a Q value at a midpoint, one or two ulp
+        # beside it, or on a level: each tie rests on rounding or on the
+        # distance loop's first-point rule
+        levels, mids = pam_midpoints(scheme)
+        axis = [levels, mids]
+        for steps in (1, 2):
+            up, down = mids, mids
+            for _ in range(steps):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            axis += [up, down]
+        received = axis_grid(np.concatenate(axis))
+        np.testing.assert_array_equal(detect_symbols(received, scheme),
+                                      detect_reference(received, scheme))
+
+    @pytest.mark.parametrize("scheme", list(ModScheme))
+    def test_out_of_bounds_and_non_finite_match_reference(self, scheme):
+        bound = np.array([SLICE_BOUND, np.nextafter(SLICE_BOUND, np.inf), 1e300])
+        received = axis_grid(np.concatenate([bound, -bound, [np.inf, -np.inf, np.nan, 0.1]]))
+        with np.errstate(invalid="ignore", over="ignore"):  # both rules square 1e300
+            got, want = detect_symbols(received, scheme), detect_reference(received, scheme)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_leading_shapes(self, shape, rng):
+        received = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        detected = detect_symbols(received, ModScheme.QAM64)
+        assert isinstance(detected, np.ndarray) and detected.shape == shape
+        assert detected.tobytes() == detect_reference(received, ModScheme.QAM64).tobytes()
+
+
+class TestBandSlices:
+    """``time_signal`` and ``occupied_bins`` equal their fancy-index forms byte for byte."""
+
+    # even and odd n_sk, and a band that fills the critical-rate grid
+    CONFIGS = [ChainConfig(), ChainConfig(n_data=25, n_se=3, n_fft=64),
+               ChainConfig(n_data=24, n_se=4, n_fft=64), ChainConfig(n_data=56, n_se=4, n_fft=64)]
+
+    @pytest.mark.parametrize("chain", CONFIGS, ids=lambda c: f"n_sk{c.n_sk}")
+    @pytest.mark.parametrize("oversample", [1, 4])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_match_fancy_index_reference(self, chain, oversample, lead, rng):
+        shape = lead + (chain.n_sk,)
+        bins = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = time_signal(bins, chain, oversample)
+        want = time_signal_reference(bins, chain, oversample)
+        assert x.shape == want.shape == lead + (chain.n_fft * oversample,)
+        assert x.tobytes() == want.tobytes()
+        back = occupied_bins(x, chain)
+        assert back.shape == shape
+        assert back.tobytes() == occupied_bins_reference(x, chain).tobytes()
 
 
 class TestDftPrecode:

@@ -5,13 +5,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tinyfdss import channel, evaluation, metrics, network
+from tinyfdss import baselines, channel, evaluation, metrics, network
 from tinyfdss.baselines import (clf_reduce, clip_amplitude, conventional_config,
                                 slm_phase_vectors, slm_select)
 from tinyfdss.chain import (ChainConfig, ModScheme, detect_symbols, equalize,
                             occupied_bins, time_signal)
 from tinyfdss.evaluation import EvalConfig, evaluate
-from tinyfdss.metrics import papr_db, tile_rows
+from tinyfdss.metrics import papr_db, tile_rows, waveform_papr_db
 from tinyfdss.training import TrainConfig, train
 
 
@@ -266,6 +266,40 @@ class TestBaselineTransmit:
         assert np.any(unrotated != tx.symbols)
 
 
+class TestCcdfPassReuse:
+    """The CCDF pass measures the plain waveform once and keeps SLM's running minimum."""
+
+    EVAL = EvalConfig(snr_db=(10.0,), n_blocks=20, ccdf_blocks=300, oobe_blocks=16,
+                      seed=5, schemes=("rrc", "dftsofdm", "clf", "slm"))
+
+    def test_columns_equal_per_scheme_resynthesis(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "CCDF_CHUNK", 128)  # two full chunks and a part
+        engine = evaluation._SchemeEngine(ChainConfig(), self.EVAL, None)
+        samples, _ = evaluation._ccdf_pass(engine)
+        s = engine.data_symbols("qpsk", np.arange(self.EVAL.ccdf_blocks))["s_conv"]
+        conv = engine.conv
+        assert samples["dftsofdm"].tobytes() == waveform_papr_db(s, conv).tobytes()
+        chosen = s * engine.slm_phases[slm_select(s, engine.slm_phases, conv)]
+        assert samples["slm"].tobytes() == waveform_papr_db(chosen, conv).tobytes()
+
+    def test_oversampled_waveforms_per_block(self, monkeypatch):
+        # rrc 1, the plain waveform 1 (dftsofdm and slm's identity candidate),
+        # clf 3 (two rounds and the result), slm's other 7 candidates
+        # (the OOBE blocks are synthesized through evaluation's own name)
+        rows = []
+        real = metrics.time_signal
+
+        def counting(bins, cfg, oversample=None):
+            rows.append(len(bins))
+            return real(bins, cfg, oversample)
+
+        monkeypatch.setattr(metrics, "time_signal", counting)
+        monkeypatch.setattr(baselines, "time_signal", counting)
+        engine = evaluation._SchemeEngine(ChainConfig(), self.EVAL, None)
+        evaluation._ccdf_pass(engine)
+        assert sum(rows) == 12 * self.EVAL.ccdf_blocks
+
+
 def set_tile_rows(monkeypatch, cfg, rows):
     """Shrink the tile budget so that a tile holds ``rows`` blocks of ``cfg``."""
     monkeypatch.setattr(metrics, "TILE_BYTES", 16 * cfg.n_fft * cfg.oversample * rows)
@@ -344,6 +378,16 @@ class TestTiledMemory:
 
     def test_ccdf_pass(self, engine):
         assert self.peak_mib(evaluation._ccdf_pass, engine) < 64
+
+    def test_ccdf_pass_holds_one_chunk_at_a_time(self, engine):
+        # a chunk's blocks and transmits are freed before the next chunk is
+        # drawn, so two chunks peak where one does; held over, the previous
+        # chunk's blocks and last transmit would add over 20 MiB
+        two = EvalConfig(ccdf_blocks=2 * evaluation.CCDF_CHUNK, seed=3,
+                         schemes=self.EVAL.schemes)
+        longer = evaluation._SchemeEngine(ChainConfig(), two, None)
+        one_chunk = self.peak_mib(evaluation._ccdf_pass, engine)
+        assert self.peak_mib(evaluation._ccdf_pass, longer) < one_chunk + 4
 
     def test_slm_select(self, engine):
         s = engine.data_symbols("qpsk", np.arange(self.EVAL.ccdf_blocks))["s_conv"]
