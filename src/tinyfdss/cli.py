@@ -12,6 +12,7 @@ history.csv is the one non-deterministic field).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import sys
@@ -38,6 +39,11 @@ CHECKPOINT_NAME = "checkpoint.bin"
 PAPR_TRACE_BLOCKS = 1000  # papr_vs_blocks.csv keeps the first blocks of each scheme
 _TOP_KEYS = {"seed", "out_dir", "checkpoint", "chain", "train", "eval", "baselines", "adapt",
              "sweep"}
+# glibc mallopt(3) parameters and the values main sets
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20  # the ceiling glibc's adaptive rule reaches on 64-bit
+TRIM_THRESHOLD_BYTES = 2 * MMAP_THRESHOLD_BYTES  # twice it, as the adaptive rule sets it
 
 
 class ConfigError(ValueError):
@@ -367,7 +373,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def keep_heap_resident() -> tuple[int, int] | None:
+    """Keep freed working arrays in the heap instead of returning them to the kernel.
+
+    After a few 0.5 MB frees, glibc's adaptive rule trims at 1 MB, so each
+    training step's grids go back to the kernel and are faulted in again as
+    zeroed pages on the next step.  Fixed thresholds stop that; setting both
+    is needed, since setting either one turns the adaptive rule off.  Returns
+    the two ``mallopt`` results (1 on success), or None where the C library
+    has no ``mallopt`` (macOS, Windows).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return None
+    return (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
+            mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES))
+
+
 def main(argv: list[str] | None = None) -> int:
+    keep_heap_resident()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed)
