@@ -46,8 +46,7 @@ samples["clf"] = waveform_papr_db(clf_reduce(spectrum, ClfConfig(), conv), conv)
 # selective mapping: best of 8 phase-rotated candidates (identity included);
 # the chosen phases are per-bin taps the receiver undoes with its matched filter
 phases = slm_phase_vectors(SlmConfig(num_candidates=8), conv.n_data)
-idx = slm_select(spectrum, phases, conv)
-samples["slm"] = waveform_papr_db(spectrum * phases[idx], conv)
+idx, samples["slm"] = slm_select(spectrum, phases, conv)  # the chosen candidates' PAPR
 print(f"SLM kept the identity candidate on {np.mean(idx == 0):.0%} of blocks")
 
 print(f"\n{'scheme':>10s} {'mean':>7s} {'@1e-2':>7s} {'@1e-3':>7s}  (dB)")

@@ -32,7 +32,6 @@ from .chain import (
     precode,
     receive,
     shape_and_normalize,
-    time_signal,
 )
 from .channel import ChannelCfg, ChannelModel, Stream, add_channel, block_rng, draw_channel
 from .filters import taps_from_coeffs
@@ -173,7 +172,7 @@ def run_scenario(
         now, snr_db = [], []
         bits = np.empty((len(ticks), n_bits), dtype=np.int64)
         h = np.empty((len(ticks), 1), dtype=np.complex128)
-        noise = np.empty((len(ticks), cfg.n_fft), dtype=np.complex128)
+        noise = np.empty((len(ticks), cfg.n_sk), dtype=np.complex128)
         for row, tick in enumerate(ticks):
             now.append(times[0] + tick * period_ms)
             while feedback_pos + 1 < len(trace) and trace[feedback_pos + 1][0] <= now[-1]:
@@ -181,15 +180,15 @@ def run_scenario(
             snr_db.append(float(trace[feedback_pos][1]))
             rng = block_rng(seed, Stream.ADAPT_TICK, tick)
             bits[row] = rng.integers(0, 2, n_bits)
-            h[row], noise[row] = draw_channel(awgn, cfg.n_fft, rng)
+            h[row], noise[row] = draw_channel(awgn, cfg.n_sk, rng)
         lam = [table.lookup(snr) for snr in snr_db]
         snr = np.array(snr_db)
         tx = map_symbols(bits, scheme)
         bins, taps = adaptation_cycle(snr, net, extend(precode(tx), cfg.n_se))
         papr = waveform_papr_db(bins, cfg)
-        # communication path at critical sampling under the true SNR
-        rx = add_channel(time_signal(bins, cfg, oversample=1), h, noise, snr, cfg)
-        detected, _ = receive(rx, h, taps, cfg, scheme)
+        # the channel on the occupied bins, at the true SNR
+        rx = add_channel(bins, h, noise, snr)
+        detected, _ = receive(rx, h, taps, cfg.n_se, scheme)
         ser = np.count_nonzero(detected != tx, axis=-1) / cfg.n_data
         records.extend(
             TickRecord(t_ms=t, snr_db=s, lam=lm, papr_db=float(p), ser_block=float(e))

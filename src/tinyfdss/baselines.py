@@ -6,9 +6,9 @@ out-of-allocation spectral regrowth, iterated a configurable number of times;
 Selective mapping transmits the minimum-PAPR candidate among phase-rotated
 copies of the frequency-domain symbols (candidate 0 is always the identity,
 so SLM never does worse than the unmodified block); ``slm_select`` returns the
-chosen index, the side information a real system would signal, and on request
-the chosen candidate's PAPR; the phases it picks are the block's complex
-receiver taps.
+chosen index, the side information a real system would signal, and the
+chosen candidate's PAPR; the phases it picks are the block's complex receiver
+taps.
 
 The static RRC baseline is the classic truncated time-domain pulse-shaping
 filter (32 taps by default); its circular convolution is expressed as per-bin
@@ -115,8 +115,8 @@ def slm_phase_vectors(slm: SlmConfig, n_data: int) -> np.ndarray:
 
 def slm_select(
     spectrum: np.ndarray, phases: np.ndarray, cfg: ChainConfig,
-    identity_papr: np.ndarray | None = None, return_papr: bool = False,
-):
+    identity_papr: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Index of the minimum-PAPR candidate per block (first minimum on ties).
 
     ``spectrum`` is (..., n_data) frequency-domain symbols.  Candidates are
@@ -126,9 +126,9 @@ def slm_select(
     :func:`slm_phase_vectors`, the unrotated spectrum's) passes its PAPR as
     ``identity_papr``, and that candidate is not synthesized again.
 
-    Returns the index per block, shaped like the leading axes; with
-    ``return_papr``, ``(index, papr)``, where ``papr`` is the running
-    minimum: per block, ``waveform_papr_db`` of the chosen candidate.
+    Returns ``(index, papr)``, each shaped like the leading axes: the index
+    per block and the running minimum, per block ``waveform_papr_db`` of the
+    chosen candidate.
     """
     def papr(u):
         return waveform_papr_db(extend(spectrum * phases[u], cfg.n_se), cfg)
@@ -139,7 +139,7 @@ def slm_select(
         candidate = papr(u)
         idx = np.where(candidate < best, u, idx)
         best = np.minimum(candidate, best)
-    return (idx, best) if return_papr else idx
+    return idx, best
 
 
 # ---------------------------------------------------------------------------

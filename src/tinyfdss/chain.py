@@ -2,10 +2,10 @@
 
 Transmit: bits -> Gray-mapped symbols -> DFT precoding (1/sqrt(n_data)) ->
 cyclic spectrum extension -> per-bin real shaping taps -> centered subcarrier
-mapping on an (oversampled) IDFT grid.  Receive: FFT -> occupied-bin
-extraction -> matched filter (taps are real, so F* = F) -> coherent folding of
-the extension copies onto their source bins with per-bin gain normalization ->
-inverse precoding -> minimum-distance detection.
+mapping on an (oversampled) IDFT grid.  The channel acts on the occupied
+bins.  Receive: fade removal -> matched filter (taps are real, so F* = F) ->
+coherent folding of the extension copies onto their source bins with per-bin
+gain normalization -> inverse precoding -> minimum-distance detection.
 
 Subcarrier mapping convention: the n_sk occupied bins sit symmetrically
 around DC, bins -n_sk//2 .. n_sk - n_sk//2 - 1, written straight into the
@@ -19,12 +19,12 @@ dimensions; training, evaluation and adaptation use only these.  Fixed
 transmit power (:func:`shape_and_normalize`) and the receiver's matched
 filter and folding (:func:`equalize`) are each written once here, so every
 transmit goes through ``shape_and_normalize`` and :func:`time_signal`.
-:func:`receive` is the array receive step (fade removal, occupied bins,
-equalization, detection) of every symbol-error path.  The stage-tagged
-:class:`SymbolBlock` exists only at the single-block boundary
-``SymbolBlock(Stage.TIME_DOMAIN, x)`` -> ``channel.apply_channel`` ->
-``receiver_chain``, which validates stage, length and taps and then runs
-``receive`` on the one block.
+:func:`receive` is the array receive step (fade removal, equalization,
+detection) of every symbol-error path; it takes received occupied bins and
+makes no FFT.  The stage-tagged :class:`SymbolBlock` exists only at the
+single-block boundary ``SymbolBlock(Stage.TIME_DOMAIN, x)`` ->
+``channel.apply_channel`` -> ``receiver_chain``, which validates stage, length
+and taps, reads the block's occupied bins and then runs ``receive`` on them.
 """
 
 from __future__ import annotations
@@ -368,16 +368,16 @@ def equalize(rx_bins: np.ndarray, taps: np.ndarray, n_se: int) -> np.ndarray:
 
 
 def receive(
-    rx: np.ndarray, h: complex | np.ndarray, taps: np.ndarray,
-    cfg: ChainConfig, scheme: ModScheme,
+    rx_bins: np.ndarray, h: complex | np.ndarray, taps: np.ndarray, n_se: int,
+    scheme: ModScheme,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Receive step: remove the known fade, equalize and detect.
 
-    ``rx`` holds received time-domain blocks on its last axis, with any
+    ``rx_bins`` holds received occupied bins on its last axis, with any
     leading axes; ``h`` (genie-aided) and ``taps`` broadcast against them.
     Returns ``(detected, equalized)`` data symbols.
     """
-    equalized = equalize(occupied_bins(rx / h, cfg), taps, cfg.n_se)
+    equalized = equalize(rx_bins / h, taps, n_se)
     return detect_symbols(equalized, scheme), equalized
 
 
@@ -392,7 +392,7 @@ def receiver_chain(
     scheme: ModScheme,
     fade: complex = 1.0 + 0.0j,
 ) -> tuple[SymbolBlock, np.ndarray]:
-    """Full receiver: FFT, matched filter, extension folding, detection.
+    """Full receiver: FFT to the occupied bins, then :func:`receive`.
 
     ``fade`` is the known flat fading coefficient (genie-aided compensation).
     Returns the detected symbol block and the raw equalized symbols.
@@ -404,5 +404,5 @@ def receiver_chain(
     taps = np.asarray(taps)
     if taps.shape != (cfg.n_sk,):
         raise ValueError(f"taps shape {taps.shape}, expected ({cfg.n_sk},)")
-    detected, equalized = receive(rx.values, fade, taps, cfg, scheme)
+    detected, equalized = receive(occupied_bins(rx.values, cfg), fade, taps, cfg.n_se, scheme)
     return SymbolBlock(Stage.DATA_SYMBOLS, detected), equalized

@@ -1,19 +1,18 @@
 """Flat-fading and AWGN channel models with deterministic seeding.
 
 SNR convention: the configured SNR is the ratio of average occupied-subcarrier
-signal power to noise power per complex sample.  At critical sampling
-(oversample = 1) the post-FFT noise per occupied bin then equals the per-sample
-noise power, so the per-bin SNR is exactly the configured value; on an
-L-times oversampled grid the receiver discards out-of-band noise and the
-per-bin SNR becomes L times larger.  All symbol-error paths in this package
-therefore run the channel at critical sampling.
+signal power to noise power per subcarrier, as in DFT-s-OFDM/SC-FDMA.  The
+channel acts on the n_sk occupied bins, so the noise is in-band only, and
+:func:`noise_power` is the one rule that turns an SNR into noise: every
+symbol-error path (training's fixed noise, eval's grid, adapt's ticks and the
+single-block boundary) takes its noise from :func:`noise_term`.
 
 Fading is flat per block: a single coefficient h with E[|h|^2] = 1 multiplies
-the whole time-domain vector, and the receiver compensates it genie-aided.
-Draw order per block is fixed (fade first, then noise) so that a given
-(config, seed) reproduces bit-identical sequences.  Drawing
-(:func:`draw_channel`) is separate from applying (:func:`add_channel`), so a
-paired Monte-Carlo can apply one block's draws to several waveforms.
+the whole block, and the receiver compensates it genie-aided.  Draw order per
+block is fixed (fade first, then noise) so that a given (config, seed)
+reproduces bit-identical sequences.  Drawing (:func:`draw_channel`) is
+separate from applying (:func:`add_channel`), so a paired Monte-Carlo can
+apply one block's draws to several transmits.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainConfig, Stage, SymbolBlock
+from .chain import ChainConfig, Stage, SymbolBlock, occupied_bins, time_signal
 
 RICIAN_K_DB = 3.0  # Rician K-factor of every run's training and evaluation
 
@@ -89,19 +88,16 @@ def draw_fade(model: ChannelModel, rng: np.random.Generator, k_linear: float) ->
     return complex(los + scatter * np.sqrt(1.0 / (k_linear + 1.0)))
 
 
-def noise_power(
-    signal: np.ndarray, snr_db: float | np.ndarray, chain_cfg: ChainConfig
-) -> float | np.ndarray:
-    """Per-sample noise power for the occupied-subcarrier SNR convention.
+def noise_power(bins: np.ndarray, snr_db: float | np.ndarray) -> float | np.ndarray:
+    """Noise power per occupied bin: ``mean|bins|^2 * 10**(-snr/10)``.
 
     One power per block (last axis); a single 1-D block gives a float.
     ``snr_db`` is one SNR for every block or one per block.
     """
-    occupied_power = np.mean(np.abs(signal) ** 2, axis=-1) * chain_cfg.n_fft / chain_cfg.n_sk
     # Python's float pow per SNR: numpy's vectorized power may differ in the
     # last bit, and a block's noise must not depend on the batch it is in
     scale = [10.0 ** (-snr / 10.0) for snr in np.ravel(snr_db).tolist()]
-    return occupied_power * np.reshape(scale, np.shape(snr_db))
+    return np.mean(np.abs(bins) ** 2, axis=-1) * np.reshape(scale, np.shape(snr_db))
 
 
 def draw_channel(
@@ -118,21 +114,24 @@ def unit_noise(parts: np.ndarray) -> np.ndarray:
     return parts[..., 0, :] + 1j * parts[..., 1, :]
 
 
-def add_channel(
-    x: np.ndarray,
-    h: complex | np.ndarray,
-    noise: np.ndarray,
-    snr_db: float | np.ndarray,
-    chain_cfg: ChainConfig,
-) -> np.ndarray:
-    """``h*x + sqrt(sigma2/2)*noise``, with sigma2 from each block's own power.
+def noise_term(bins: np.ndarray, noise: np.ndarray, snr_db: float | np.ndarray) -> np.ndarray:
+    """``sqrt(sigma2/2)*noise``, with sigma2 = :func:`noise_power` of each block.
 
-    ``x`` is one block or a batch of blocks along the leading axes; ``h``
-    broadcasts against it (one fade per block: shape ``(..., 1)``), and
-    ``snr_db`` is one SNR for every block or one per block.
+    ``bins`` is one block or a batch of blocks along the leading axes, and
+    ``noise`` unit complex noise of the same shape.
     """
-    sigma = np.sqrt(noise_power(x, snr_db, chain_cfg) / 2.0)
-    return h * x + sigma[..., None] * noise
+    return np.sqrt(noise_power(bins, snr_db) / 2.0)[..., None] * noise
+
+
+def add_channel(
+    bins: np.ndarray, h: complex | np.ndarray, noise: np.ndarray, snr_db: float | np.ndarray
+) -> np.ndarray:
+    """``h*bins + noise_term(bins, noise, snr_db)`` on the occupied bins.
+
+    ``h`` broadcasts against ``bins`` (one fade per block: shape ``(..., 1)``),
+    and ``snr_db`` is one SNR for every block or one per block.
+    """
+    return h * bins + noise_term(bins, noise, snr_db)
 
 
 def apply_channel(
@@ -143,12 +142,18 @@ def apply_channel(
 ) -> tuple[SymbolBlock, complex]:
     """Pass one time-domain block through the channel; returns (received, fade).
 
-    The fade coefficient is returned for genie-aided compensation at the
-    receiver.  Monte-Carlo loops pass one generator per block, from
-    :func:`block_rng` with a :class:`Stream` member and the block index.
+    The block's occupied bins go through :func:`add_channel`, and the received
+    bins are synthesized again at the block's own oversampling, so the
+    received noise is in-band only and each occupied bin sees the configured
+    SNR at any oversampling.  The fade coefficient is returned for
+    genie-aided compensation at the receiver.  Monte-Carlo loops pass one
+    generator per block, from :func:`block_rng` with a :class:`Stream` member
+    and the block index.
     """
     if signal.stage is not Stage.TIME_DOMAIN:
         raise ValueError(f"expected TIME_DOMAIN block, got {signal.stage.name}")
-    h, noise = draw_channel(cfg, len(signal), rng)
-    rx = add_channel(signal.values, h, noise, cfg.snr_db, chain_cfg)
+    bins = occupied_bins(signal.values, chain_cfg)
+    h, noise = draw_channel(cfg, chain_cfg.n_sk, rng)
+    rx = time_signal(add_channel(bins, h, noise, cfg.snr_db), chain_cfg,
+                     len(signal) // chain_cfg.n_fft)
     return SymbolBlock(Stage.RECEIVED, rx), h

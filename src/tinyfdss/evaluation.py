@@ -25,8 +25,8 @@ modulation, or once per (modulation, SNR) for ``tinyml``, whose taps depend
 on the SNR, and that one waveform passes through every channel.  So every
 scheme sees the same data, fades and noise at matched SNR, and every channel
 the same transmit.  PAPR is measured on the oversampled transmit waveform;
-the communication path runs at critical sampling where the configured SNR is
-exact per occupied bin.
+the communication path acts on the occupied bins, where
+``channel.noise_power`` makes the configured SNR exact per bin.
 """
 
 from __future__ import annotations
@@ -236,15 +236,14 @@ class _SchemeEngine:
         if scheme == "clf":
             return Transmit(conv, clf_reduce(s, self.eval_cfg.clf, conv), self.unit, sym)
         if scheme == "slm":
-            idx, papr = slm_select(s, self.slm_phases, conv,
-                                   identity_papr=data.get("papr_conv"), return_papr=True)
+            idx, papr = slm_select(s, self.slm_phases, conv, identity_papr=data.get("papr_conv"))
             taps = self.slm_phases[idx]
             return Transmit(conv, s * taps, taps, sym, papr)
         raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def _draw_channels(eval_cfg: EvalConfig, n: int) -> dict:
-    """Each block's fade and unit noise per (channel, mod, SNR), for every scheme.
+    """Each block's fade and unit noise on n bins per (channel, mod, SNR), for every scheme.
 
     Block ``idx`` draws from ``block_rng(seed, Stream.EVAL_CHANNEL, channel,
     mod, SNR, idx)``; fades have shape (n_blocks, 1) to broadcast over the block.
@@ -279,13 +278,11 @@ def _run_group(
     for snr_i, snr_db in enumerate(eval_cfg.snr_db):
         if snr_i == 0 or scheme == "tinyml":
             tx = engine.transmit(scheme, data, snr_db)
-            cfg = tx.cfg
-            x1 = time_signal(tx.bins, cfg, oversample=1)
             mean_papr = float(tx.waveform_papr().mean())
         for channel_name in eval_cfg.channels:
             h, noise = draws[channel_name, mod, snr_i]
-            rx = add_channel(x1, h, noise, snr_db, cfg)
-            detected, _ = receive(rx, h, tx.taps, cfg, SCHEME_NAMES[mod])
+            rx = add_channel(tx.bins, h, noise, snr_db)
+            detected, _ = receive(rx, h, tx.taps, tx.cfg.n_se, SCHEME_NAMES[mod])
             ser, _, total = measured_ser(tx.symbols, detected)
             cells[channel_name, snr_i] = CellResult(
                 scheme=scheme, channel=channel_name, mod=mod, snr_db=snr_db,
@@ -342,7 +339,7 @@ def evaluate(
 
     indices = np.arange(eval_cfg.n_blocks)
     data = {mod: engine.data_symbols(mod, indices) for mod in eval_cfg.mods}
-    draws = _draw_channels(eval_cfg, cfg.n_fft)
+    draws = _draw_channels(eval_cfg, cfg.n_sk)
     by_group = {
         (scheme, mod): _run_group(engine, scheme, mod, data[mod], draws)
         for scheme, mod in product(schemes, eval_cfg.mods)

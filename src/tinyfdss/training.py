@@ -8,7 +8,8 @@ the channel model (one ``random()``), the bits, the fade (``draw_fade``) and
 the per-bin noise's standard-normal parts, real then imaginary
 (``unit_noise``), as ``draw_channel`` draws them.  ``prepare_batch``'s
 per-block loop only draws; symbols, lambda, noise scaling and features run on
-the whole batch.
+the whole batch.  The noise is the channel's own, ``channel.noise_term`` at
+the block's SNR on its occupied bins, held fixed and fade-compensated.
 
 The loss per block is mse + lambda(snr) * softplus(papr - x0), with the
 lambda looked up per block's drawn SNR.  The chain is differentiated in closed
@@ -48,7 +49,7 @@ from .chain import (
     shape_and_normalize,
     time_signal,
 )
-from .channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_fade, unit_noise
+from .channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_fade, noise_term, unit_noise
 from .filters import coeff_basis, taps_from_coeffs
 from .metrics import SURROGATE_SHARPNESS, TAIL_X0_DB, surrogate_blocks
 from .network import HISTORY_COLUMNS
@@ -200,14 +201,10 @@ def prepare_batch(
         if rows:
             symbols[rows] = map_symbols(np.stack([bits[row] for row in rows]), scheme)
     lam = np.array([table.lookup(s) for s in snr])
-    # sigma per occupied bin with unit reference power, by Python's pow (numpy's
-    # vectorized power may differ in the last bit); scaled to p_ref below
-    sigma = np.array([10.0 ** (-s / 20.0) for s in snr])
-    eta = unit_noise(parts) / np.sqrt(2.0) * sigma[:, None] / h[:, None]
     s_ext = extend(precode(symbols), cfg.n_se)
-    # reference transmit power: unshaped occupied power per block
-    p_ref = np.mean(np.abs(s_ext) ** 2, axis=-1)
-    eta *= np.sqrt(p_ref)[:, None]
+    # the channel's noise on the unshaped bins, whose power the normalized
+    # transmit keeps; fade-compensated, as the receiver sees it
+    eta = noise_term(s_ext, unit_noise(parts), np.array(snr)) / h[:, None]
     features = network.build_input(s_ext, np.array(snr), expected_len=cfg.n_sk)
     return BatchPrep(
         symbols=symbols, s_ext=s_ext, features=features, eta=eta,

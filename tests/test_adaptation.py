@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from tinyfdss.chain import (
     precode,
     receive,
     shape_and_normalize,
-    time_signal,
 )
 from tinyfdss.channel import (
     ChannelCfg,
@@ -61,9 +62,9 @@ def replay_tick_by_tick(trace, net, cfg, scheme, seed):
         tx = map_symbols(bits, scheme)
         bins, taps = adaptation_cycle(snr_db, net, extend(precode(tx), cfg.n_se))
         papr = waveform_papr_db(bins, cfg)
-        h, noise = draw_channel(ChannelCfg(ChannelModel.AWGN, snr_db), cfg.n_fft, rng)
-        rx = add_channel(time_signal(bins, cfg, oversample=1), h, noise, snr_db, cfg)
-        detected, _ = receive(rx, h, taps, cfg, scheme)
+        h, noise = draw_channel(ChannelCfg(ChannelModel.AWGN, snr_db), cfg.n_sk, rng)
+        rx = add_channel(bins, h, noise, snr_db)
+        detected, _ = receive(rx, h, taps, cfg.n_se, scheme)
         ser, _, _ = measured_ser(tx, detected)
         records.append(TickRecord(t_ms=now, snr_db=float(snr_db), lam=lam,
                                   papr_db=float(papr), ser_block=float(ser)))
@@ -217,6 +218,26 @@ class TestRunScenario:
         assert {r.lam for r in records} == {lam for _, _, lam in DEFAULT_BINS}
         want = replay_tick_by_tick(trace, deployed, cfg, scheme, seed=6)
         assert [repr(r) for r in records] == [repr(r) for r in want]
+
+    def test_ser_matches_closed_form_at_the_configured_snr(self, cfg):
+        # zero weights and output bias [1, 0, 0, 0, 0]: every tap is 1, so the
+        # link is the extended chain with unit taps, and folding the 2*n_se
+        # copies buys n_data/(n_data - n_se) in SNR (acceptance criterion 6).
+        # 3000 ticks of 210 QPSK symbols at 8 dB, ~0.5 s.
+        snr_db, n_ticks = 8.0, 3000
+        unit_net = network.NetParams.from_layers([(
+            np.zeros((network.OUT_DIM, cfg.n_sk + 1)), np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
+            np.ones((network.OUT_DIM, cfg.n_sk + 1)),
+        )])
+        trace = [(i * DEFAULT_PERIOD_MS, snr_db) for i in range(n_ticks)]
+        records = run_scenario(trace, unit_net, cfg, ModScheme.QPSK, seed=11)
+        assert len(records) == n_ticks
+        ser = np.mean([r.ser_block for r in records])
+        gamma = 10 ** (snr_db / 10) * cfg.n_data / (cfg.n_data - cfg.n_se)
+        p_axis = 0.5 * math.erfc(math.sqrt(gamma / 2))
+        theory = 2 * p_axis - p_axis**2
+        sem = math.sqrt(theory * (1 - theory) / (n_ticks * cfg.n_data))
+        assert abs(ser - theory) <= 3 * sem
 
     def test_tick_count_and_feedback_holding(self, cfg, net):
         trace = [(0.0, 4.0), (250.0, 12.0)]

@@ -44,7 +44,7 @@ def clip_where_reference(x, level):
 def slm_one(block, slm, cfg):
     """SLM for one frequency-domain block: (chosen candidate's time signal, index)."""
     phases = slm_phase_vectors(slm, cfg.n_data)
-    idx = slm_select(block, phases, cfg)
+    idx, _ = slm_select(block, phases, cfg)
     return time_signal(extend(block * phases[idx], cfg.n_se), cfg), idx
 
 
@@ -145,7 +145,7 @@ class TestSlm:
         # plain QPSK bins (no DFT precoding), where the identity rarely wins
         bits = np.random.default_rng(3).integers(0, 2, (12, cfg.n_data * 2))
         blocks = map_symbols(bits, ModScheme.QPSK)
-        idx = slm_select(blocks, phases, cfg)
+        idx, _ = slm_select(blocks, phases, cfg)
         every = time_signal(extend(blocks[:, None, :] * phases[None], cfg.n_se), cfg)
         want = np.argmin(papr_db(every), axis=-1)
         assert np.all(want < 8) and len(set(want)) > 1
@@ -155,11 +155,11 @@ class TestSlm:
         phases = slm_phase_vectors(SlmConfig(num_candidates=4), cfg.n_data)
         bits = np.random.default_rng(4).integers(0, 2, (2, 3, cfg.n_data * 2))
         blocks = precode(map_symbols(bits, ModScheme.QPSK))
-        idx = slm_select(blocks, phases, cfg)
+        idx, _ = slm_select(blocks, phases, cfg)
         assert idx.shape == (2, 3)
-        flat_idx = slm_select(blocks.reshape(6, -1), phases, cfg)
+        flat_idx, _ = slm_select(blocks.reshape(6, -1), phases, cfg)
         np.testing.assert_array_equal(idx.reshape(6), flat_idx)
-        one_idx = slm_select(blocks[1, 2], phases, cfg)
+        one_idx, _ = slm_select(blocks[1, 2], phases, cfg)
         assert np.shape(one_idx) == ()
         assert one_idx == flat_idx[5]
 
@@ -167,8 +167,8 @@ class TestSlm:
         slm = SlmConfig(num_candidates=8)
         phases = slm_phase_vectors(slm, cfg.n_data)
         block = freq_block(cfg, seed=9)
-        idx1 = slm_select(block, phases, cfg)
-        idx2 = slm_select(3.7 * block, phases, cfg)
+        idx1, _ = slm_select(block, phases, cfg)
+        idx2, _ = slm_select(3.7 * block, phases, cfg)
         assert idx1 == idx2
 
     @pytest.mark.parametrize("conventional", [False, True])
@@ -177,12 +177,11 @@ class TestSlm:
         phases = slm_phase_vectors(SlmConfig(num_candidates=8), chain.n_data)
         bits = np.random.default_rng(6).integers(0, 2, (2, 3, chain.n_data * 2))
         blocks = precode(map_symbols(bits, ModScheme.QPSK))
-        idx, papr = slm_select(blocks, phases, chain, return_papr=True)
-        np.testing.assert_array_equal(idx, slm_select(blocks, phases, chain))
+        idx, papr = slm_select(blocks, phases, chain)
         chosen = extend(blocks * phases[idx], chain.n_se)
         assert papr.shape == (2, 3)
         assert papr.tobytes() == waveform_papr_db(chosen, chain).tobytes()
-        one_idx, one_papr = slm_select(blocks[1, 2], phases, chain, return_papr=True)
+        one_idx, one_papr = slm_select(blocks[1, 2], phases, chain)
         assert one_idx == idx[1, 2] and one_papr == papr[1, 2]
 
     def test_identity_papr_replaces_candidate_zero(self, cfg, monkeypatch):
@@ -193,7 +192,7 @@ class TestSlm:
         symbols = map_symbols(np.random.default_rng(8).integers(0, 2, (40, conv.n_data * 2)),
                               ModScheme.QPSK)
         blocks = np.concatenate([precode(symbols[:20]), symbols[20:]])
-        idx, papr = slm_select(blocks, phases, conv, return_papr=True)
+        idx, papr = slm_select(blocks, phases, conv)
         assert np.any(idx == 0) and np.any(idx != 0)
         identity = waveform_papr_db(blocks, conv)
         calls = []
@@ -204,7 +203,7 @@ class TestSlm:
             return real(bins, chain)
 
         monkeypatch.setattr(baselines, "waveform_papr_db", counting)
-        reused_idx, reused = slm_select(blocks, phases, conv, identity, return_papr=True)
+        reused_idx, reused = slm_select(blocks, phases, conv, identity)
         assert calls == [len(blocks)] * 7  # candidates 1..7 only
         np.testing.assert_array_equal(reused_idx, idx)
         assert reused.tobytes() == papr.tobytes()

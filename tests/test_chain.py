@@ -23,7 +23,7 @@ from tinyfdss.chain import (
     shape_and_normalize,
     time_signal,
 )
-from tinyfdss.channel import ChannelCfg, ChannelModel, apply_channel
+from tinyfdss.channel import ChannelCfg, ChannelModel, add_channel, apply_channel, draw_channel
 from tinyfdss.filters import rrc_taps, taps_from_coeffs, unit_taps
 from tinyfdss.metrics import measured_ser, papr_db
 
@@ -462,39 +462,96 @@ class TestReceiverChain:
 
 
 
+# receiver_chain(apply_channel(...)) against the batched link, relative to the
+# block's largest equalized symbol: two FFT round trips read at most 1.1e-15
+BOUNDARY_RTOL = 1e-13
+
+
+def shaped_bins(rng, scheme, n_blocks, cfg):
+    """Blocks shaped at fixed power with a different tap kind per block.
+
+    Returns (bins, effective taps), one row per block.
+    """
+    tap_kinds = [
+        unit_taps(cfg.n_sk),
+        rrc_taps(cfg.n_sk, 0.25),
+        0.2 + rng.uniform(0.0, 1.0, cfg.n_sk),
+        fir_bin_gains(rrc_fir(32, 0.25, sps=cfg.oversample), cfg),
+    ]
+    bits = rng.integers(0, 2, (n_blocks, cfg.n_data * scheme.bits_per_symbol))
+    taps = np.stack([tap_kinds[b % 4] for b in range(n_blocks)])
+    bins, eff, _ = shape_and_normalize(extend(precode(map_symbols(bits, scheme)), cfg.n_se), taps)
+    return bins, eff
+
+
 class TestReceive:
     @pytest.mark.parametrize("scheme", [ModScheme.QPSK, ModScheme.QAM16])
     def test_batch_equals_per_block_receiver_chain_bytewise(self, cfg, scheme):
         # per-block fades from all three models and a different tap kind per block
-        rng = np.random.default_rng(77)
-        tap_kinds = [
-            unit_taps(cfg.n_sk),
-            rrc_taps(cfg.n_sk, 0.25),
-            0.2 + rng.uniform(0.0, 1.0, cfg.n_sk),
-            fir_bin_gains(rrc_fir(32, 0.25, sps=cfg.oversample), cfg),
-        ]
-        models = list(ChannelModel)
         n_blocks = 12
-        blocks, fades, eff_taps = [], [], []
+        bins, eff_taps = shaped_bins(np.random.default_rng(77), scheme, n_blocks, cfg)
+        models = list(ChannelModel)
+        blocks, fades = [], []
         for b in range(n_blocks):
-            bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
-            sig, eff = shaped_block(bits, scheme, tap_kinds[b % 4], cfg, oversample=1)
+            sig = SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins[b], cfg, oversample=1))
             channel = ChannelCfg(models[b % 3], snr_db=4.0 + b, k_factor_db=3.0)
             rx, fade = apply_channel(sig, channel, cfg, np.random.default_rng((5, b)))
             blocks.append(rx)
             fades.append(fade)
-            eff_taps.append(eff)
         assert len(set(fades)) > n_blocks // 2  # the faded blocks differ
         rx = np.stack([block.values for block in blocks]).reshape(3, 4, -1)
         h = np.array(fades).reshape(3, 4, 1)
-        detected, equalized = receive(rx, h, np.stack(eff_taps).reshape(3, 4, -1),
-                                      cfg, scheme)
+        detected, equalized = receive(occupied_bins(rx, cfg), h, eff_taps.reshape(3, 4, -1),
+                                      cfg.n_se, scheme)
         assert detected.shape == equalized.shape == (3, 4, cfg.n_data)
         for b, block in enumerate(blocks):
             want_det, want_eq = receiver_chain(block, eff_taps[b], cfg, scheme,
                                                fade=fades[b])
             assert detected.reshape(n_blocks, -1)[b].tobytes() == want_det.values.tobytes()
             assert equalized.reshape(n_blocks, -1)[b].tobytes() == want_eq.tobytes()
+
+    @pytest.mark.parametrize("scheme", [ModScheme.QPSK, ModScheme.QAM16])
+    def test_batch_link_equals_per_row_link_bytewise(self, cfg, scheme):
+        # add_channel then receive on a (3, 4) batch, one fade and SNR per block
+        n_blocks = 12
+        bins, eff_taps = shaped_bins(np.random.default_rng(78), scheme, n_blocks, cfg)
+        models = list(ChannelModel)
+        snrs = 4.0 + np.arange(n_blocks)
+        draws = [draw_channel(ChannelCfg(models[b % 3], snrs[b], k_factor_db=3.0), cfg.n_sk,
+                              np.random.default_rng((6, b))) for b in range(n_blocks)]
+        h = np.array([fade for fade, _ in draws]).reshape(3, 4, 1)
+        noise = np.stack([w for _, w in draws]).reshape(3, 4, -1)
+        rx = add_channel(bins.reshape(3, 4, -1), h, noise, snrs.reshape(3, 4))
+        detected, equalized = receive(rx, h, eff_taps.reshape(3, 4, -1), cfg.n_se, scheme)
+        for b, (fade, w) in enumerate(draws):
+            rx_b = add_channel(bins[b], fade, w, float(snrs[b]))
+            want_det, want_eq = receive(rx_b, fade, eff_taps[b], cfg.n_se, scheme)
+            assert rx.reshape(n_blocks, -1)[b].tobytes() == rx_b.tobytes()
+            assert detected.reshape(n_blocks, -1)[b].tobytes() == want_det.tobytes()
+            assert equalized.reshape(n_blocks, -1)[b].tobytes() == want_eq.tobytes()
+
+    @pytest.mark.parametrize("model", list(ChannelModel))
+    @pytest.mark.parametrize("oversample", [1, 4])
+    def test_boundary_agrees_with_batched_link(self, cfg, model, oversample):
+        # receiver_chain(apply_channel(...)) is the batched link plus two FFT
+        # round trips (bins -> waveform -> bins, at each end of the channel)
+        n_blocks, snr_db = 12, 8.0
+        bins, eff_taps = shaped_bins(np.random.default_rng(79), ModScheme.QAM16, n_blocks, cfg)
+        channel = ChannelCfg(model, snr_db, k_factor_db=3.0)
+        draws = [draw_channel(channel, cfg.n_sk, np.random.default_rng((7, b)))
+                 for b in range(n_blocks)]
+        h = np.array([[fade] for fade, _ in draws])
+        rx = add_channel(bins, h, np.stack([w for _, w in draws]), snr_db)
+        detected, equalized = receive(rx, h, eff_taps, cfg.n_se, ModScheme.QAM16)
+        for b in range(n_blocks):
+            sig = SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins[b], cfg, oversample))
+            rx_b, fade = apply_channel(sig, channel, cfg, np.random.default_rng((7, b)))
+            assert len(rx_b) == cfg.n_fft * oversample
+            assert fade == h[b, 0]
+            det_b, eq_b = receiver_chain(rx_b, eff_taps[b], cfg, ModScheme.QAM16, fade=fade)
+            err = np.max(np.abs(eq_b - equalized[b])) / np.max(np.abs(equalized[b]))
+            assert err < BOUNDARY_RTOL
+            np.testing.assert_array_equal(det_b.values, detected[b])
 
 
 class TestRoundTripInvariant:

@@ -8,8 +8,10 @@ from tinyfdss.chain import (
     ModScheme,
     Stage,
     SymbolBlock,
+    centered_band,
     extend,
     map_symbols,
+    occupied_bins,
     precode,
     shape_and_normalize,
     time_signal,
@@ -24,17 +26,23 @@ from tinyfdss.channel import (
     draw_channel,
     draw_fade,
     noise_power,
+    noise_term,
     unit_noise,
 )
 from tinyfdss.filters import unit_taps
 
 
-def make_signal(cfg, rng, oversample=1):
-    """One unit-tap QPSK block at fixed transmit power, in the time domain."""
+def make_bins(cfg, rng):
+    """One unit-tap QPSK block's occupied bins at fixed transmit power."""
     bits = rng.integers(0, 2, cfg.n_data * 2)
     s_ext = extend(precode(map_symbols(bits, ModScheme.QPSK)), cfg.n_se)
     bins, _, _ = shape_and_normalize(s_ext, unit_taps(cfg.n_sk))
-    return SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins, cfg, oversample))
+    return bins
+
+
+def make_signal(cfg, rng, oversample=1):
+    """The same block in the time domain."""
+    return SymbolBlock(Stage.TIME_DOMAIN, time_signal(make_bins(cfg, rng), cfg, oversample))
 
 
 class TestBlockRng:
@@ -96,26 +104,32 @@ class TestApplyChannel:
         np.testing.assert_array_equal(rx1.values, rx2.values)
 
     def test_noise_power_within_one_percent(self, cfg):
+        # the boundary's noise per occupied bin is the configured SNR's at any
+        # oversampling, and nothing is added outside the band
         rng = np.random.default_rng(5)
-        sig = make_signal(cfg, rng)
+        bins = make_bins(cfg, rng)
         ch = ChannelCfg(ChannelModel.AWGN, snr_db=10.0)
-        sigma2 = noise_power(sig.values, 10.0, cfg)
-        acc = 0.0
-        count = 0
-        n_runs = int(np.ceil(1e6 / len(sig)))
-        for i in range(n_runs):
-            rx, _ = apply_channel(sig, ch, cfg, rng=np.random.default_rng((17, i)))
-            w = rx.values - sig.values
-            acc += np.sum(np.abs(w) ** 2)
-            count += w.size
-        assert acc / count == pytest.approx(sigma2, rel=0.01)
+        sigma2 = noise_power(bins, 10.0)
+        n_runs = int(np.ceil(5e5 / cfg.n_sk))
+        for oversample in (1, 4):
+            sig = SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins, cfg, oversample))
+            out_of_band = np.ones(len(sig), dtype=bool)
+            out_of_band[centered_band(cfg.n_sk, len(sig))] = False
+            acc = 0.0
+            for i in range(n_runs):
+                rx, _ = apply_channel(sig, ch, cfg, rng=np.random.default_rng((17, i)))
+                acc += np.sum(np.abs(occupied_bins(rx.values, cfg) - bins) ** 2)
+                if i == 0:
+                    leak = np.fft.fft(rx.values - sig.values)[out_of_band]
+                    assert np.max(np.abs(leak)) < 1e-9
+            assert acc / (n_runs * cfg.n_sk) == pytest.approx(sigma2, rel=0.01)
 
     def test_fading_is_flat_per_block(self, cfg, rng):
-        sig = make_signal(cfg, rng)
+        bins = make_bins(cfg, rng)
         ch = ChannelCfg(ChannelModel.RAYLEIGH, snr_db=10.0)
-        h, _ = draw_channel(ch, len(sig), np.random.default_rng(3))
-        rx = add_channel(sig.values, h, np.zeros(len(sig), dtype=complex), ch.snr_db, cfg)
-        np.testing.assert_array_equal(rx, h * sig.values)
+        h, _ = draw_channel(ch, cfg.n_sk, np.random.default_rng(3))
+        rx = add_channel(bins, h, np.zeros(cfg.n_sk, dtype=complex), ch.snr_db)
+        np.testing.assert_array_equal(rx, h * bins)
 
     def test_rician_requires_finite_k(self):
         with pytest.raises(ValueError):
@@ -144,27 +158,33 @@ class TestDrawThenApply:
         data = np.random.default_rng(seed)
         # blocks of different powers, so a pooled noise power would show
         scale = data.uniform(0.1, 10.0, (n_blocks, 1))
-        x = scale * (data.standard_normal((n_blocks, cfg.n_fft))
-                     + 1j * data.standard_normal((n_blocks, cfg.n_fft)))
-        draws = [draw_channel(ch, cfg.n_fft, np.random.default_rng((seed, b)))
+        x = scale * (data.standard_normal((n_blocks, cfg.n_sk))
+                     + 1j * data.standard_normal((n_blocks, cfg.n_sk)))
+        draws = [draw_channel(ch, cfg.n_sk, np.random.default_rng((seed, b)))
                  for b in range(n_blocks)]
         h = np.array([[fade] for fade, _ in draws])
-        assert all(w.shape == (cfg.n_fft,) for _, w in draws)
+        assert all(w.shape == (cfg.n_sk,) for _, w in draws)
         noise = np.stack([w for _, w in draws])
-        batched = add_channel(x, h, noise, snr_db, cfg)
-        sigma2 = noise_power(x, snr_db, cfg)
+        batched = add_channel(x, h, noise, snr_db)
+        sigma2 = noise_power(x, snr_db)
         assert sigma2.shape == (n_blocks,)
         # one SNR per block, as adapt's replay passes them
         snrs = snr_db + np.arange(n_blocks) / 3.0
-        per_block = add_channel(x, h, noise, snrs, cfg)
+        per_block = add_channel(x, h, noise, snrs)
+        # the boundary's steps on the whole batch: bins, channel, synthesis
+        x_time = time_signal(x, cfg, oversample=1)
+        boundary = time_signal(add_channel(occupied_bins(x_time, cfg), h, noise, snr_db), cfg,
+                               oversample=1)
         for b in range(n_blocks):
-            y, fade = apply_channel(SymbolBlock(Stage.TIME_DOMAIN, x[b]), ch, cfg,
+            assert sigma2[b] == noise_power(x[b], snr_db)
+            alone = add_channel(x[b], h[b], noise[b], snr_db)
+            assert batched[b].tobytes() == alone.tobytes()
+            alone = add_channel(x[b], h[b], noise[b], float(snrs[b]))
+            assert per_block[b].tobytes() == alone.tobytes()
+            y, fade = apply_channel(SymbolBlock(Stage.TIME_DOMAIN, x_time[b]), ch, cfg,
                                     np.random.default_rng((seed, b)))
             assert fade == h[b, 0]
-            assert batched[b].tobytes() == y.values.tobytes()
-            assert sigma2[b] == noise_power(x[b], snr_db, cfg)
-            alone = add_channel(x[b], h[b], noise[b], float(snrs[b]), cfg)
-            assert per_block[b].tobytes() == alone.tobytes()
+            assert boundary[b].tobytes() == y.values.tobytes()
 
     @pytest.mark.parametrize("model", list(ChannelModel))
     def test_noise_draws_real_parts_then_imaginary(self, model):
@@ -178,10 +198,23 @@ class TestDrawThenApply:
         assert batch.tobytes() == np.stack([np.zeros(16), np.full(16, 1 + 2j)]).tobytes()
 
     def test_noise_power_is_per_block(self, cfg):
-        # unit-magnitude samples: occupied power n_fft/n_sk, noise at 0 dB equal
-        x = np.ones((2, cfg.n_fft), dtype=complex)
+        # unit-magnitude bins: occupied power 1, noise at 0 dB equal
+        x = np.ones((2, cfg.n_sk), dtype=complex)
         x[1] *= 2.0
-        np.testing.assert_allclose(
-            noise_power(x, 0.0, cfg), [cfg.n_fft / cfg.n_sk, 4 * cfg.n_fft / cfg.n_sk],
-            rtol=1e-12,
-        )
+        np.testing.assert_array_equal(noise_power(x, 0.0), [1.0, 4.0])
+
+    def test_unit_bins_noise_power_is_the_snr_rule_exactly(self, cfg):
+        # per occupied bin, noise power over signal power is 10**(-snr/10)
+        snrs = [-10.0, 0.0, 3.0, 10.0, 22.0, 37.5]
+        x = np.array([1, 1j, -1, -1j])[np.arange(cfg.n_sk) % 4]  # |x| = 1 on every bin
+        for snr in snrs:
+            assert noise_power(x, snr) == 10.0 ** (-snr / 10.0)
+        batch = np.stack([np.ones(cfg.n_sk, dtype=complex)] * len(snrs))
+        assert noise_power(batch, np.array(snrs)).tolist() == [10.0 ** (-s / 10.0) for s in snrs]
+
+    def test_noise_term_scales_unit_noise(self, cfg):
+        bins = 3.0 * np.ones((2, cfg.n_sk), dtype=complex)
+        noise = np.ones((2, cfg.n_sk)) * (1 + 1j)
+        got = noise_term(bins, noise, np.array([0.0, 10.0]))
+        np.testing.assert_allclose(got[0], 3.0 / np.sqrt(2.0) * (1 + 1j), rtol=1e-15)
+        np.testing.assert_allclose(got[1], 3.0 / np.sqrt(20.0) * (1 + 1j), rtol=1e-15)

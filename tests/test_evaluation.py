@@ -279,7 +279,7 @@ class TestCcdfPassReuse:
         s = engine.data_symbols("qpsk", np.arange(self.EVAL.ccdf_blocks))["s_conv"]
         conv = engine.conv
         assert samples["dftsofdm"].tobytes() == waveform_papr_db(s, conv).tobytes()
-        chosen = s * engine.slm_phases[slm_select(s, engine.slm_phases, conv)]
+        chosen = s * engine.slm_phases[slm_select(s, engine.slm_phases, conv)[0]]
         assert samples["slm"].tobytes() == waveform_papr_db(chosen, conv).tobytes()
 
     def test_oversampled_waveforms_per_block(self, monkeypatch):

@@ -19,7 +19,8 @@ from tinyfdss.chain import (
     shape_and_normalize,
     time_signal,
 )
-from tinyfdss.channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_channel
+from tinyfdss.channel import (MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_channel,
+                              noise_term)
 from tinyfdss.filters import taps_from_coeffs
 from tinyfdss.training import (
     OUT_INIT_SCALE,
@@ -89,6 +90,7 @@ def per_row_prepare_batch(config, indices, table):
     cfg = config.chain
     b = len(indices)
     symbols = np.empty((b, cfg.n_data), dtype=np.complex128)
+    s_ext = np.empty((b, cfg.n_sk), dtype=np.complex128)
     eta = np.empty((b, cfg.n_sk), dtype=np.complex128)
     snr = np.empty(b)
     lam = np.empty(b)
@@ -103,13 +105,13 @@ def per_row_prepare_batch(config, indices, table):
         model = MODEL_NAMES[models[rng.choice(len(models), p=w_model / w_model.sum())]]
         bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
         symbols[row] = map_symbols(bits, scheme)
+        s_ext[row] = extend(precode(symbols[row]), cfg.n_se)
         h, noise = draw_channel(ChannelCfg(model, snr_db), cfg.n_sk, rng)
         snr[row] = snr_db
         lam[row] = table.lookup(snr_db)
-        eta[row] = noise / np.sqrt(2.0) * 10.0 ** (-snr_db / 20.0) / h
+        # the channel's noise on the block's unshaped bins, fade-compensated
+        eta[row] = noise_term(s_ext[row], noise, snr_db) / h
         drawn.add((scheme, model))
-    s_ext = extend(precode(symbols), cfg.n_se)
-    eta *= np.sqrt(np.mean(np.abs(s_ext) ** 2, axis=-1))[:, None]
     features = network.build_input(s_ext, snr, expected_len=cfg.n_sk)
     prep = BatchPrep(symbols=symbols, s_ext=s_ext, features=features, eta=eta,
                      lam=lam, indices=np.asarray(indices))
