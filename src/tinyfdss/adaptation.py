@@ -33,7 +33,8 @@ from .chain import (
     receive,
     shape_and_normalize,
 )
-from .channel import ChannelCfg, ChannelModel, Stream, add_channel, block_rng, draw_channel
+from .channel import (ChannelCfg, ChannelModel, Stream, add_channel, block_rngs, draw_channel,
+                      unit_noise)
 from .filters import taps_from_coeffs
 from .metrics import waveform_papr_db
 
@@ -60,7 +61,7 @@ class LambdaTable:
     """SNR-bin -> lambda map over ``DEFAULT_BINS``, with below-range clamping."""
 
     def lookup(self, snr_db: float) -> float:
-        if not np.isfinite(snr_db):
+        if not math.isfinite(snr_db):
             raise ValueError(f"snr_db must be finite, got {snr_db}")
         if snr_db < DEFAULT_BINS[0][0]:
             return DEFAULT_BINS[0][2]
@@ -148,10 +149,11 @@ def run_scenario(
     transmits one fresh block, measures its PAPR, passes it through an AWGN
     channel at the true SNR, and records that block's symbol error rate.
 
-    The ticks run ``CHUNK_TICKS`` at a time.  Per chunk, a loop resolves each
-    tick's time and feedback and draws its bits, fade and noise from
-    ``block_rng(seed, Stream.ADAPT_TICK, tick)``; the link then runs once on
-    the chunk, with one SNR per block.  Every step of the link is
+    Every tick's generator, ``block_rng(seed, Stream.ADAPT_TICK, tick)``, is
+    seeded up front in one pass (``block_rngs``).  The ticks run
+    ``CHUNK_TICKS`` at a time.  Per chunk, a loop resolves each tick's time
+    and feedback and draws its bits, fade and noise; the link then runs once
+    on the chunk, with one SNR per block.  Every step of the link is
     row-independent, so each record has the bytes of the tick run alone.
     """
     if len(trace) == 0:
@@ -167,27 +169,28 @@ def run_scenario(
     n_bits = cfg.n_data * scheme.bits_per_symbol
     awgn = ChannelCfg(ChannelModel.AWGN)
     feedback_pos = 0
+    rngs = block_rngs(seed, Stream.ADAPT_TICK, indices=range(n_ticks))
     for lo in range(0, n_ticks, CHUNK_TICKS):
         ticks = range(lo, min(lo + CHUNK_TICKS, n_ticks))
         now, snr_db = [], []
         bits = np.empty((len(ticks), n_bits), dtype=np.int64)
         h = np.empty((len(ticks), 1), dtype=np.complex128)
-        noise = np.empty((len(ticks), cfg.n_sk), dtype=np.complex128)
+        parts = np.empty((len(ticks), 2, cfg.n_sk))  # the noise's standard-normal parts
         for row, tick in enumerate(ticks):
             now.append(times[0] + tick * period_ms)
             while feedback_pos + 1 < len(trace) and trace[feedback_pos + 1][0] <= now[-1]:
                 feedback_pos += 1
             snr_db.append(float(trace[feedback_pos][1]))
-            rng = block_rng(seed, Stream.ADAPT_TICK, tick)
+            rng = next(rngs)
             bits[row] = rng.integers(0, 2, n_bits)
-            h[row], noise[row] = draw_channel(awgn, cfg.n_sk, rng)
+            h[row] = draw_channel(awgn, rng, parts[row])
         lam = [table.lookup(snr) for snr in snr_db]
         snr = np.array(snr_db)
         tx = map_symbols(bits, scheme)
         bins, taps = adaptation_cycle(snr, net, extend(precode(tx), cfg.n_se))
         papr = waveform_papr_db(bins, cfg)
         # the channel on the occupied bins, at the true SNR
-        rx = add_channel(bins, h, noise, snr)
+        rx = add_channel(bins, h, unit_noise(parts), snr)
         detected, _ = receive(rx, h, taps, cfg.n_se, scheme)
         ser = np.count_nonzero(detected != tx, axis=-1) / cfg.n_data
         records.extend(

@@ -235,7 +235,9 @@ def detect_symbols(received: np.ndarray, scheme: ModScheme) -> np.ndarray:
 def precode(x: np.ndarray) -> np.ndarray:
     """DFT precoding S = DFT(s)/sqrt(n_data); preserves block energy."""
     x = np.asarray(x, dtype=np.complex128)
-    return np.fft.fft(x, axis=-1) / np.sqrt(x.shape[-1])
+    # numpy divides complex by real as (a + b*0) * (1/c): the multiply by the
+    # reciprocal has the same bits, at a fraction of the cost
+    return np.fft.fft(x, axis=-1) * (1.0 / np.sqrt(x.shape[-1]))
 
 def deprecode(spectrum: np.ndarray) -> np.ndarray:
     """Inverse of :func:`precode` (IDFT scaled by sqrt(n_data))."""
@@ -349,7 +351,7 @@ def _matched_fold(
     matched = rx_bins * np.conj(taps)
     numer = fold_extension(matched, n_se)
     gain = fold_extension(np.broadcast_to(np.abs(taps) ** 2, matched.shape), n_se)
-    return numer, gain, numer / (gain + GAIN_EPS)
+    return numer, gain, numer * (1.0 / (gain + GAIN_EPS))  # same bits as the division
 
 
 def equalize(rx_bins: np.ndarray, taps: np.ndarray, n_se: int) -> np.ndarray:

@@ -13,11 +13,18 @@ block is fixed (fade first, then noise) so that a given (config, seed)
 reproduces bit-identical sequences.  Drawing (:func:`draw_channel`) is
 separate from applying (:func:`add_channel`), so a paired Monte-Carlo can
 apply one block's draws to several transmits.
+
+Every generator is ``np.random.default_rng((seed, stream, *index))``
+(:func:`block_rng`).  :func:`block_rngs` gives the same generators for many
+indices: numpy's ``SeedSequence`` is a fixed hash of uint32 words, so it is
+computed for all indices in one numpy pass, and each generator's PCG64 state
+follows from its four seed words.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +53,107 @@ class Stream(enum.IntEnum):
 def block_rng(seed: int, stream: Stream, *index: int) -> np.random.Generator:
     """The generator of one (seed, stream, index...) coordinate."""
     return np.random.default_rng((seed, stream, *index))
+
+
+# numpy's SeedSequence (O'Neill's seed_seq hash, pool of 4 uint32 words) and
+# PCG64's 128-bit LCG multiplier
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _uint32_words(value: int) -> list[int]:
+    """An int's entropy words as ``SeedSequence`` takes them: 32 bits each,
+    least significant first, one word for 0."""
+    if value < 0:
+        raise ValueError(f"seed entries must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The running constant of ``count`` hash steps, before and after each
+    step's update, as (count, 1) uint32 columns: it does not depend on the data."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _hash(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """One hash step per row; uint32 arrays wrap without a warning."""
+    values = (values ^ xor) * mult
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return x ^ (x >> 16)
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(column).generate_state(4, np.uint64)`` for each column.
+
+    ``entropy`` holds one seed's uint32 entropy words per column.  Every step
+    that numpy runs word by word runs here on all seeds at once, and on all
+    the pool words it updates with one source word.  Returns (n_seeds, 4).
+    """
+    n_words, n = entropy.shape
+    n_extra = max(n_words - _POOL_SIZE, 0)
+    xor, mult = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * n_extra)
+    pool = np.zeros((_POOL_SIZE, n), dtype=np.uint32)  # zeros past the entropy's end
+    pool[:n_words] = entropy[:_POOL_SIZE]
+    pool = _hash(pool, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):  # every pool word into every other
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k:k + len(dst)], mult[k:k + len(dst)]))
+        k += len(dst)
+    for word in entropy[_POOL_SIZE:]:  # then each further word into all of them
+        pool = _mix(pool, _hash(word, xor[k:k + _POOL_SIZE], mult[k:k + _POOL_SIZE]))
+        k += _POOL_SIZE
+    xor, mult = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = _hash(np.tile(pool, (2, 1)), xor, mult)  # 8 uint32 words per seed
+    return np.ascontiguousarray((state[0::2] | state[1::2].astype(np.uint64) << 32).T)
+
+
+def block_rngs(
+    seed: int, stream: Stream, *prefix: int, indices: Iterable[int]
+) -> Iterator[np.random.Generator]:
+    """``block_rng(seed, stream, *prefix, i)`` for each ``i`` of ``indices``, in order.
+
+    Each generator's state equals that of :func:`block_rng` for its
+    coordinate, so its draws are the same.  The seed words of every index are
+    computed at the first ``next`` in one numpy pass, and one generator is
+    reseeded per index: a yielded generator is valid until the next one is
+    taken.  An index outside ``[0, 2**32)`` takes :func:`block_rng`.
+    """
+    indices = np.asarray(indices)
+    shared = [w for value in (seed, stream, *prefix) for w in _uint32_words(int(value))]
+    entropy = np.empty((len(shared) + 1, len(indices)), dtype=np.uint32)
+    entropy[:-1] = np.array(shared, dtype=np.uint32)[:, None]
+    entropy[-1] = indices.astype(np.uint32)  # one word: rows past 32 bits take block_rng
+    words = _seed_words(entropy)
+    in_range = ((indices >= 0) & (indices <= _MASK32)).tolist()
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for row, index in enumerate(indices):
+        if not in_range[row]:
+            yield block_rng(seed, stream, *prefix, int(index))
+            continue
+        w0, w1, w2, w3 = words[row].tolist()
+        # pcg64_set_seed: inc from words 2-3, then two LCG steps around words 0-1
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": state, "inc": inc}}
+        yield rng
 
 
 class ChannelModel(enum.Enum):
@@ -100,12 +208,12 @@ def noise_power(bins: np.ndarray, snr_db: float | np.ndarray) -> float | np.ndar
     return np.mean(np.abs(bins) ** 2, axis=-1) * np.reshape(scale, np.shape(snr_db))
 
 
-def draw_channel(
-    cfg: ChannelCfg, n: int, rng: np.random.Generator
-) -> tuple[complex, np.ndarray]:
-    """One block's draws: the fade, then unit complex noise of length ``n``."""
+def draw_channel(cfg: ChannelCfg, rng: np.random.Generator, out: np.ndarray) -> complex:
+    """One block's draws: returns the fade, then fills ``out`` (2, n) with the
+    noise's standard-normal parts, which :func:`unit_noise` turns into noise."""
     h = draw_fade(cfg.model, rng, cfg.k_linear)
-    return h, unit_noise(rng.standard_normal((2, n)))
+    rng.standard_normal(out=out)
+    return h
 
 
 def unit_noise(parts: np.ndarray) -> np.ndarray:
@@ -153,7 +261,8 @@ def apply_channel(
     if signal.stage is not Stage.TIME_DOMAIN:
         raise ValueError(f"expected TIME_DOMAIN block, got {signal.stage.name}")
     bins = occupied_bins(signal.values, chain_cfg)
-    h, noise = draw_channel(cfg, chain_cfg.n_sk, rng)
-    rx = time_signal(add_channel(bins, h, noise, cfg.snr_db), chain_cfg,
+    parts = np.empty((2, chain_cfg.n_sk))
+    h = draw_channel(cfg, rng, parts)
+    rx = time_signal(add_channel(bins, h, unit_noise(parts), cfg.snr_db), chain_cfg,
                      len(signal) // chain_cfg.n_fft)
     return SymbolBlock(Stage.RECEIVED, rx), h

@@ -58,7 +58,7 @@ from .chain import (
     time_signal,
 )
 from .channel import (MODEL_NAMES, RICIAN_K_DB, ChannelCfg, Stream, add_channel,
-                      block_rng, draw_channel)
+                      block_rngs, draw_channel, unit_noise)
 from .filters import rrc_taps, unit_taps
 from .metrics import (
     OOBE_MIN_BLOCKS,
@@ -202,8 +202,8 @@ class _SchemeEngine:
         scheme = SCHEME_NAMES[mod]
         n_bits = self.conv.n_data * scheme.bits_per_symbol
         bits = np.empty((len(indices), n_bits), dtype=np.int64)
-        for row, idx in enumerate(indices):
-            rng = block_rng(self.eval_cfg.seed, Stream.EVAL_DATA, mod_i, int(idx))
+        rngs = block_rngs(self.eval_cfg.seed, Stream.EVAL_DATA, mod_i, indices=indices)
+        for row, rng in enumerate(rngs):
             bits[row] = rng.integers(0, 2, n_bits)
         sym_conv = map_symbols(bits, scheme)
         sym_ext = sym_conv[:, : self.cfg.n_data]
@@ -246,7 +246,8 @@ def _draw_channels(eval_cfg: EvalConfig, n: int) -> dict:
     """Each block's fade and unit noise on n bins per (channel, mod, SNR), for every scheme.
 
     Block ``idx`` draws from ``block_rng(seed, Stream.EVAL_CHANNEL, channel,
-    mod, SNR, idx)``; fades have shape (n_blocks, 1) to broadcast over the block.
+    mod, SNR, idx)``, each cell's seeded in one pass (``block_rngs``); fades
+    have shape (n_blocks, 1) to broadcast over the block.
     """
     draws = {}
     for channel_name, mod, (snr_i, snr_db) in product(
@@ -257,11 +258,12 @@ def _draw_channels(eval_cfg: EvalConfig, n: int) -> dict:
         chan_i = list(MODEL_NAMES).index(channel_name)
         mod_i = list(SCHEME_NAMES).index(mod)
         h = np.empty((eval_cfg.n_blocks, 1), dtype=np.complex128)
-        noise = np.empty((eval_cfg.n_blocks, n), dtype=np.complex128)
-        for idx in range(eval_cfg.n_blocks):
-            rng = block_rng(eval_cfg.seed, Stream.EVAL_CHANNEL, chan_i, mod_i, snr_i, idx)
-            h[idx], noise[idx] = draw_channel(channel, n, rng)
-        draws[channel_name, mod, snr_i] = (h, noise)
+        parts = np.empty((eval_cfg.n_blocks, 2, n))
+        rngs = block_rngs(eval_cfg.seed, Stream.EVAL_CHANNEL, chan_i, mod_i, snr_i,
+                          indices=range(eval_cfg.n_blocks))
+        for idx, rng in enumerate(rngs):
+            h[idx] = draw_channel(channel, rng, parts[idx])
+        draws[channel_name, mod, snr_i] = (h, unit_noise(parts))
     return draws
 
 

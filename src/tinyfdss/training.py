@@ -4,12 +4,13 @@ Every block is a pure function of (seed, block index), so runs are
 bit-reproducible regardless of batching.  Its generator,
 ``block_rng(seed, Stream.TRAIN_BLOCK, index)``, draws in this order: the
 modulation (one ``random()`` against the mix's CDF), the SNR (``uniform``),
-the channel model (one ``random()``), the bits, the fade (``draw_fade``) and
-the per-bin noise's standard-normal parts, real then imaginary
-(``unit_noise``), as ``draw_channel`` draws them.  ``prepare_batch``'s
-per-block loop only draws; symbols, lambda, noise scaling and features run on
-the whole batch.  The noise is the channel's own, ``channel.noise_term`` at
-the block's SNR on its occupied bins, held fixed and fade-compensated.
+the channel model (one ``random()``), the bits, then ``draw_channel``'s fade
+and the per-bin noise's standard-normal parts, real then imaginary
+(``unit_noise``).  ``prepare_batch`` seeds the batch's generators in one pass
+(``block_rngs``) and its per-block loop only draws; symbols, lambda, noise
+scaling and features run on the whole batch.  The noise is the channel's
+own, ``channel.noise_term`` at the block's SNR on its occupied bins, held
+fixed and fade-compensated.
 
 The loss per block is mse + lambda(snr) * softplus(papr - x0), with the
 lambda looked up per block's drawn SNR.  The chain is differentiated in closed
@@ -49,7 +50,8 @@ from .chain import (
     shape_and_normalize,
     time_signal,
 )
-from .channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_fade, noise_term, unit_noise
+from .channel import (MODEL_NAMES, ChannelCfg, Stream, block_rng, block_rngs, draw_channel,
+                      noise_term, unit_noise)
 from .filters import coeff_basis, taps_from_coeffs
 from .metrics import SURROGATE_SHARPNESS, TAIL_X0_DB, surrogate_blocks
 from .network import HISTORY_COLUMNS
@@ -187,15 +189,13 @@ def prepare_batch(
     snr, bits = [], []
     h = np.empty(batch, dtype=np.complex128)
     parts = np.empty((batch, 2, cfg.n_sk))  # the noise's standard-normal parts
-    for row, idx in enumerate(indices):
-        rng = block_rng(config.seed, Stream.TRAIN_BLOCK, int(idx))
+    for row, rng in enumerate(block_rngs(config.seed, Stream.TRAIN_BLOCK, indices=indices)):
         k = pick_scheme(rng)
         rows_of[k].append(row)
         snr.append(float(rng.uniform(lo, hi)))
         channel = channels[pick_channel(rng)]
         bits.append(rng.integers(0, 2, cfg.n_data * schemes[k].bits_per_symbol))
-        h[row] = draw_fade(channel.model, rng, channel.k_linear)
-        rng.standard_normal(out=parts[row])
+        h[row] = draw_channel(channel, rng, parts[row])
     symbols = np.empty((batch, cfg.n_data), dtype=np.complex128)
     for scheme, rows in zip(schemes, rows_of):
         if rows:
@@ -293,13 +293,14 @@ def chain_loss(
     c_log = 10.0 / np.log(10.0)
     x_bar = x * (-2.0 * w_papr / (n_os * mean_pow) * c_log)[:, None]
     x_bar[rows, peak_idx] += x[rows, peak_idx] * (2.0 * w_papr * c_log / peak)
-    shaped_bar = np.fft.fft(x_bar, axis=-1)[..., centered_band(n_sk, n_os)] / np.sqrt(cfg.n_fft)
+    shaped_bar = (np.fft.fft(x_bar, axis=-1)[..., centered_band(n_sk, n_os)]
+                  * (1.0 / np.sqrt(cfg.n_fft)))
     d_taps = np.real(shaped_bar * np.conj(s_ext))
 
     # --- backward: mse term, first w.r.t. the effective taps u = g * taps
     shat_bar = err * (2.0 / (batch * cfg.n_data))
-    rec_bar = np.fft.fft(shat_bar, axis=-1) / np.sqrt(cfg.n_data)
-    t_bar = rec_bar / (gain + GAIN_EPS)
+    rec_bar = np.fft.fft(shat_bar, axis=-1) * (1.0 / np.sqrt(cfg.n_data))
+    t_bar = rec_bar * (1.0 / (gain + GAIN_EPS))
     g_bar = -np.real(rec_bar * np.conj(numer)) / (gain + GAIN_EPS) ** 2
     # unfold: every extended position inherits its data bin's cotangent
     t_bar_ext = extend(t_bar, cfg.n_se)

@@ -29,6 +29,7 @@ from tinyfdss.channel import (
     add_channel,
     block_rng,
     draw_channel,
+    unit_noise,
 )
 from tinyfdss.filters import taps_from_coeffs
 from tinyfdss.metrics import measured_ser, waveform_papr_db
@@ -62,8 +63,9 @@ def replay_tick_by_tick(trace, net, cfg, scheme, seed):
         tx = map_symbols(bits, scheme)
         bins, taps = adaptation_cycle(snr_db, net, extend(precode(tx), cfg.n_se))
         papr = waveform_papr_db(bins, cfg)
-        h, noise = draw_channel(ChannelCfg(ChannelModel.AWGN, snr_db), cfg.n_sk, rng)
-        rx = add_channel(bins, h, noise, snr_db)
+        parts = np.empty((2, cfg.n_sk))
+        h = draw_channel(ChannelCfg(ChannelModel.AWGN, snr_db), rng, parts)
+        rx = add_channel(bins, h, unit_noise(parts), snr_db)
         detected, _ = receive(rx, h, taps, cfg.n_se, scheme)
         ser, _, _ = measured_ser(tx, detected)
         records.append(TickRecord(t_ms=now, snr_db=float(snr_db), lam=lam,

@@ -5,12 +5,14 @@ import pytest
 
 from tinyfdss.baselines import conventional_config, fir_bin_gains, rrc_fir
 from tinyfdss.chain import (
+    GAIN_EPS,
     SLICE_BOUND,
     ChainConfig,
     EqualizationError,
     ModScheme,
     Stage,
     SymbolBlock,
+    _matched_fold,
     centered_band,
     constellation,
     detect_symbols,
@@ -23,7 +25,8 @@ from tinyfdss.chain import (
     shape_and_normalize,
     time_signal,
 )
-from tinyfdss.channel import ChannelCfg, ChannelModel, add_channel, apply_channel, draw_channel
+from tinyfdss.channel import (ChannelCfg, ChannelModel, add_channel, apply_channel, draw_channel,
+                              unit_noise)
 from tinyfdss.filters import rrc_taps, taps_from_coeffs, unit_taps
 from tinyfdss.metrics import measured_ser, papr_db
 
@@ -263,6 +266,33 @@ class TestDftPrecode:
 
         x = rng.standard_normal(cfg.n_data) + 1j * rng.standard_normal(cfg.n_data)
         np.testing.assert_allclose(deprecode(precode(x)), x, atol=1e-10)
+
+
+class TestReciprocalScaling:
+    """A complex array times a real reciprocal, where the chain once divided."""
+
+    def test_same_bytes_as_the_division(self, cfg, rng):
+        for n in (3, 12, 59, cfg.n_data):  # 1/sqrt(n) != sqrt(1/n) for the first three
+            x = rng.standard_normal((8, n)) + 1j * rng.standard_normal((8, n))
+            assert precode(x).tobytes() == (np.fft.fft(x) / np.sqrt(n)).tobytes()
+        rx = rng.standard_normal((8, cfg.n_sk)) + 1j * rng.standard_normal((8, cfg.n_sk))
+        numer, gain, recovered = _matched_fold(rx, rng.uniform(0.0, 1.5, cfg.n_sk), cfg.n_se)
+        assert recovered.tobytes() == (numer / (gain + GAIN_EPS)).tobytes()
+
+    def test_differs_from_the_division_only_at_zero_or_non_finite_parts(self):
+        # numpy divides by a real divisor c as (a + b*0) * (1/c): only the sign
+        # of an exact zero part, or a part made non-finite, can differ
+        parts = np.array([0.0, -0.0, 1.5, -2.25, 5e-324, 1e300, np.inf, -np.inf, np.nan])
+        x = np.empty(parts.size**2, dtype=complex)  # every (real, imag) pair
+        x.real, x.imag = np.repeat(parts, parts.size), np.tile(parts, parts.size)
+        for c in (3.0, np.sqrt(210.0), GAIN_EPS, np.linspace(1e-12, 7.0, x.size)):
+            with np.errstate(all="ignore"):
+                got, want = x * (1.0 / c), x / c
+            for g, w in ((got.real, want.real), (got.imag, want.imag)):
+                same = g.view(np.uint64) == w.view(np.uint64)
+                zero = (g == 0.0) & (w == 0.0)
+                non_finite = ~np.isfinite(g) & ~np.isfinite(w)
+                assert np.all(same | zero | non_finite)
 
 
 class TestSpectrumExtend:
@@ -517,13 +547,14 @@ class TestReceive:
         bins, eff_taps = shaped_bins(np.random.default_rng(78), scheme, n_blocks, cfg)
         models = list(ChannelModel)
         snrs = 4.0 + np.arange(n_blocks)
-        draws = [draw_channel(ChannelCfg(models[b % 3], snrs[b], k_factor_db=3.0), cfg.n_sk,
-                              np.random.default_rng((6, b))) for b in range(n_blocks)]
-        h = np.array([fade for fade, _ in draws]).reshape(3, 4, 1)
-        noise = np.stack([w for _, w in draws]).reshape(3, 4, -1)
-        rx = add_channel(bins.reshape(3, 4, -1), h, noise, snrs.reshape(3, 4))
+        parts = np.empty((n_blocks, 2, cfg.n_sk))
+        fades = [draw_channel(ChannelCfg(models[b % 3], snrs[b], k_factor_db=3.0),
+                              np.random.default_rng((6, b)), parts[b]) for b in range(n_blocks)]
+        noise = unit_noise(parts)
+        h = np.array(fades).reshape(3, 4, 1)
+        rx = add_channel(bins.reshape(3, 4, -1), h, noise.reshape(3, 4, -1), snrs.reshape(3, 4))
         detected, equalized = receive(rx, h, eff_taps.reshape(3, 4, -1), cfg.n_se, scheme)
-        for b, (fade, w) in enumerate(draws):
+        for b, (fade, w) in enumerate(zip(fades, noise)):
             rx_b = add_channel(bins[b], fade, w, float(snrs[b]))
             want_det, want_eq = receive(rx_b, fade, eff_taps[b], cfg.n_se, scheme)
             assert rx.reshape(n_blocks, -1)[b].tobytes() == rx_b.tobytes()
@@ -538,10 +569,10 @@ class TestReceive:
         n_blocks, snr_db = 12, 8.0
         bins, eff_taps = shaped_bins(np.random.default_rng(79), ModScheme.QAM16, n_blocks, cfg)
         channel = ChannelCfg(model, snr_db, k_factor_db=3.0)
-        draws = [draw_channel(channel, cfg.n_sk, np.random.default_rng((7, b)))
-                 for b in range(n_blocks)]
-        h = np.array([[fade] for fade, _ in draws])
-        rx = add_channel(bins, h, np.stack([w for _, w in draws]), snr_db)
+        parts = np.empty((n_blocks, 2, cfg.n_sk))
+        h = np.array([[draw_channel(channel, np.random.default_rng((7, b)), parts[b])]
+                      for b in range(n_blocks)])
+        rx = add_channel(bins, h, unit_noise(parts), snr_db)
         detected, equalized = receive(rx, h, eff_taps, cfg.n_se, ModScheme.QAM16)
         for b in range(n_blocks):
             sig = SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins[b], cfg, oversample))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from tinyfdss.channel import (
     add_channel,
     apply_channel,
     block_rng,
+    block_rngs,
     draw_channel,
     draw_fade,
     noise_power,
@@ -70,6 +73,44 @@ class TestBlockRng:
     def test_training_exports_the_same_function(self):
         from tinyfdss import training
         assert training.block_rng is block_rng
+
+
+class TestBlockRngs:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.sampled_from(list(Stream)),
+        # past 4 entropy words in all, the seed hash mixes the rest in after
+        # its pool (EVAL_CHANNEL's coordinates are 6 words)
+        prefix=st.lists(st.integers(0, 2**40), max_size=4),
+        indices=st.lists(st.sampled_from([0, 2**32 - 1, 2**32, 2**40])
+                         | st.integers(0, 2**32 - 1), max_size=6),
+    )
+    @example(seed=0, stream=Stream.TRAIN_BLOCK, prefix=[], indices=[0, 2**32 - 1, 2**32, 2**40])
+    @example(seed=2**64 - 1, stream=Stream.EVAL_CHANNEL, prefix=[2, 2, 4, 2**32 - 1],
+             indices=[0, 7, 2**32 - 1, 2**32, 2**40])
+    def test_states_and_draws_equal_block_rng(self, seed, stream, prefix, indices):
+        rngs = block_rngs(seed, stream, *prefix, indices=np.array(indices, dtype=np.int64))
+        for index in indices:
+            rng, want = next(rngs), block_rng(seed, stream, *prefix, index)
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert rng.integers(0, 2**62, 4).tobytes() == want.integers(0, 2**62, 4).tobytes()
+            assert rng.standard_normal(5).tobytes() == want.standard_normal(5).tobytes()
+        assert next(rngs, None) is None
+
+    def test_batch_builds_no_generator_per_block(self, monkeypatch):
+        calls = Counter()
+        for name in ("default_rng", "SeedSequence"):
+            def counting(*args, _name=name, _real=getattr(np.random, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.random, name, counting)
+        rngs = list(block_rngs(3, Stream.EVAL_DATA, 1, indices=np.arange(2048)))
+        assert calls == Counter()
+        assert all(rng is rngs[0] for rng in rngs)  # one generator, reseeded
+        # an index past 32 bits takes block_rng
+        rngs = list(block_rngs(3, Stream.EVAL_DATA, 1, indices=[2**32, 5]))
+        assert calls == Counter(default_rng=1) and rngs[0] is not rngs[1]
 
 
 class TestApplyChannel:
@@ -127,7 +168,7 @@ class TestApplyChannel:
     def test_fading_is_flat_per_block(self, cfg, rng):
         bins = make_bins(cfg, rng)
         ch = ChannelCfg(ChannelModel.RAYLEIGH, snr_db=10.0)
-        h, _ = draw_channel(ch, cfg.n_sk, np.random.default_rng(3))
+        h = draw_channel(ch, np.random.default_rng(3), np.empty((2, cfg.n_sk)))
         rx = add_channel(bins, h, np.zeros(cfg.n_sk, dtype=complex), ch.snr_db)
         np.testing.assert_array_equal(rx, h * bins)
 
@@ -160,11 +201,11 @@ class TestDrawThenApply:
         scale = data.uniform(0.1, 10.0, (n_blocks, 1))
         x = scale * (data.standard_normal((n_blocks, cfg.n_sk))
                      + 1j * data.standard_normal((n_blocks, cfg.n_sk)))
-        draws = [draw_channel(ch, cfg.n_sk, np.random.default_rng((seed, b)))
-                 for b in range(n_blocks)]
-        h = np.array([[fade] for fade, _ in draws])
-        assert all(w.shape == (cfg.n_sk,) for _, w in draws)
-        noise = np.stack([w for _, w in draws])
+        parts = np.empty((n_blocks, 2, cfg.n_sk))
+        h = np.array([[draw_channel(ch, np.random.default_rng((seed, b)), parts[b])]
+                      for b in range(n_blocks)])
+        noise = unit_noise(parts)
+        assert noise.shape == (n_blocks, cfg.n_sk)
         batched = add_channel(x, h, noise, snr_db)
         sigma2 = noise_power(x, snr_db)
         assert sigma2.shape == (n_blocks,)
@@ -189,7 +230,9 @@ class TestDrawThenApply:
     @pytest.mark.parametrize("model", list(ChannelModel))
     def test_noise_draws_real_parts_then_imaginary(self, model):
         # every output's noise depends on this order
-        _, noise = draw_channel(ChannelCfg(model), 16, np.random.default_rng(3))
+        parts = np.empty((2, 16))
+        draw_channel(ChannelCfg(model), np.random.default_rng(3), parts)
+        noise = unit_noise(parts)
         ref = np.random.default_rng(3)
         draw_fade(model, ref, ChannelCfg(model).k_linear)
         want = ref.standard_normal(16) + 1j * ref.standard_normal(16)

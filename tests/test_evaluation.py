@@ -8,8 +8,9 @@ import pytest
 from tinyfdss import baselines, channel, evaluation, metrics, network
 from tinyfdss.baselines import (clf_reduce, clip_amplitude, conventional_config,
                                 slm_phase_vectors, slm_select)
-from tinyfdss.chain import (ChainConfig, ModScheme, detect_symbols, equalize,
+from tinyfdss.chain import (SCHEME_NAMES, ChainConfig, ModScheme, detect_symbols, equalize,
                             occupied_bins, time_signal)
+from tinyfdss.channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_fade
 from tinyfdss.evaluation import EvalConfig, evaluate
 from tinyfdss.metrics import papr_db, tile_rows, waveform_papr_db
 from tinyfdss.training import TrainConfig, train
@@ -223,6 +224,47 @@ class TestEvaluate:
         cell = evaluate(None, eval_cfg, ChainConfig()).cells[0]
         sem = math.sqrt(theory * (1 - theory) / cell.ser_total)
         assert abs(cell.ser - theory) <= 3 * sem
+
+
+class TestDrawsMatchPerBlockRng:
+    """Eval's two draw loops against one ``block_rng`` per block, bytewise."""
+
+    def test_data_symbols_bits(self, monkeypatch):
+        eval_cfg = EvalConfig(mods=("qpsk", "qam16", "qam64"), seed=14)
+        engine = evaluation._SchemeEngine(ChainConfig(), eval_cfg, None)
+        bits_seen = []
+        real = evaluation.map_symbols
+
+        def recording(bits, scheme):
+            bits_seen.append(bits)
+            return real(bits, scheme)
+
+        monkeypatch.setattr(evaluation, "map_symbols", recording)
+        indices = np.array([0, 1, 5, 2047, 2048, 19_999])
+        for mod_i, (mod, scheme) in enumerate(SCHEME_NAMES.items()):
+            engine.data_symbols(mod, indices)
+            n_bits = engine.conv.n_data * scheme.bits_per_symbol
+            for row, idx in enumerate(indices):
+                want = block_rng(eval_cfg.seed, Stream.EVAL_DATA, mod_i, int(idx))
+                assert bits_seen[-1][row].tobytes() == want.integers(0, 2, n_bits).tobytes()
+
+    def test_draw_channels_fades_and_noise(self):
+        eval_cfg = EvalConfig(snr_db=(0.0, 12.5), channels=("awgn", "rayleigh", "rician"),
+                              mods=("qpsk", "qam64"), n_blocks=25, rician_k_db=6.0, seed=15)
+        n = ChainConfig().n_sk
+        draws = evaluation._draw_channels(eval_cfg, n)
+        assert len(draws) == 3 * 2 * 2
+        for (channel_name, mod, snr_i), (h, noise) in draws.items():
+            model = MODEL_NAMES[channel_name]
+            k_linear = ChannelCfg(model, k_factor_db=eval_cfg.rician_k_db).k_linear
+            coords = (list(MODEL_NAMES).index(channel_name), list(SCHEME_NAMES).index(mod), snr_i)
+            assert h.shape == (eval_cfg.n_blocks, 1) and noise.shape == (eval_cfg.n_blocks, n)
+            for idx in range(eval_cfg.n_blocks):
+                rng = block_rng(eval_cfg.seed, Stream.EVAL_CHANNEL, *coords, idx)
+                fade = np.complex128(draw_fade(model, rng, k_linear))
+                want = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                assert h[idx].tobytes() == fade.tobytes()
+                assert noise[idx].tobytes() == want.tobytes()
 
 
 class TestBaselineTransmit:

@@ -20,7 +20,7 @@ from tinyfdss.chain import (
     time_signal,
 )
 from tinyfdss.channel import (MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_channel,
-                              noise_term)
+                              noise_term, unit_noise)
 from tinyfdss.filters import taps_from_coeffs
 from tinyfdss.training import (
     OUT_INIT_SCALE,
@@ -106,7 +106,9 @@ def per_row_prepare_batch(config, indices, table):
         bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
         symbols[row] = map_symbols(bits, scheme)
         s_ext[row] = extend(precode(symbols[row]), cfg.n_se)
-        h, noise = draw_channel(ChannelCfg(model, snr_db), cfg.n_sk, rng)
+        parts = np.empty((2, cfg.n_sk))
+        h = draw_channel(ChannelCfg(model, snr_db), rng, parts)
+        noise = unit_noise(parts)
         snr[row] = snr_db
         lam[row] = table.lookup(snr_db)
         # the channel's noise on the block's unshaped bins, fade-compensated
