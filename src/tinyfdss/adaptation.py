@@ -191,7 +191,7 @@ def run_scenario(
         papr = waveform_papr_db(bins, cfg)
         # the channel on the occupied bins, at the true SNR
         rx = add_channel(bins, h, unit_noise(parts), snr)
-        detected, _ = receive(rx, h, taps, cfg.n_se, scheme)
+        detected, _ = receive(rx, h * taps, cfg.n_se, scheme)
         ser = np.count_nonzero(detected != tx, axis=-1) / cfg.n_data
         records.extend(
             TickRecord(t_ms=t, snr_db=s, lam=lm, papr_db=float(p), ser_block=float(e))

@@ -3,9 +3,10 @@
 Transmit: bits -> Gray-mapped symbols -> DFT precoding (1/sqrt(n_data)) ->
 cyclic spectrum extension -> per-bin real shaping taps -> centered subcarrier
 mapping on an (oversampled) IDFT grid.  The channel acts on the occupied
-bins.  Receive: fade removal -> matched filter (taps are real, so F* = F) ->
-coherent folding of the extension copies onto their source bins with per-bin
-gain normalization -> inverse precoding -> minimum-distance detection.
+bins.  Receive (single-carrier FDE, the fade times the taps being one
+per-bin gain): matched filter (its conjugate) -> coherent folding of the
+extension copies onto their source bins with per-bin gain normalization ->
+inverse precoding -> per-axis minimum-distance detection.
 
 Subcarrier mapping convention: the n_sk occupied bins sit symmetrically
 around DC, bins -n_sk//2 .. n_sk - n_sk//2 - 1, written straight into the
@@ -19,9 +20,9 @@ dimensions; training, evaluation and adaptation use only these.  Fixed
 transmit power (:func:`shape_and_normalize`) and the receiver's matched
 filter and folding (:func:`equalize`) are each written once here, so every
 transmit goes through ``shape_and_normalize`` and :func:`time_signal`.
-:func:`receive` is the array receive step (fade removal, equalization,
-detection) of every symbol-error path; it takes received occupied bins and
-makes no FFT.  The stage-tagged :class:`SymbolBlock` exists only at the
+:func:`receive` is the array receive step (equalization with the effective
+taps, then detection) of every symbol-error path; it takes received occupied
+bins and makes no FFT.  The stage-tagged :class:`SymbolBlock` exists only at the
 single-block boundary ``SymbolBlock(Stage.TIME_DOMAIN, x)`` ->
 ``channel.apply_channel`` -> ``receiver_chain``, which validates stage, length
 and taps, reads the block's occupied bins and then runs ``receive`` on them.
@@ -35,9 +36,6 @@ from functools import lru_cache
 
 import numpy as np
 
-DETECT_CHUNK = 8192  # symbols per minimum-distance chunk, bounds the distance matrix
-SLICE_TIE = 1e-9  # half-width around a PAM midpoint that the full distance rule decides
-SLICE_BOUND = 100.0  # |I| or |Q| beyond which the full distance rule decides
 GAIN_EPS = 1e-12  # guards the per-bin gain normalization of the receiver
 
 
@@ -104,6 +102,8 @@ class ChainConfig:
             raise ValueError(f"n_data must be positive, got {self.n_data}")
         if self.n_se < 0 or self.n_se >= self.n_data:
             raise ValueError(f"n_se must satisfy 0 <= n_se < n_data, got {self.n_se}")
+        if self.n_sk < 2:
+            raise ValueError(f"n_sk = n_data + 2*n_se must be >= 2, got {self.n_sk}")
         if self.n_fft < self.n_sk:
             raise ValueError(f"n_fft={self.n_fft} smaller than n_sk={self.n_sk}")
         if self.oversample < 1:
@@ -177,55 +177,25 @@ def _pam_slicer(scheme: ModScheme) -> tuple[np.ndarray, np.ndarray]:
     return (levels[1:] + levels[:-1]) / 2, grid
 
 
-def _slice_axis(x: np.ndarray, mids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One axis' PAM level index, and where the slicer may decide it alone.
-
-    The index counts the midpoints below each value, as ``searchsorted``
-    would, by one comparison per midpoint (seven at most, and far faster
-    than a binary search).  Values within ``SLICE_TIE`` of a midpoint, beyond
-    ``SLICE_BOUND`` or not finite are left to the full rule.
-    """
-    lo = np.zeros(x.shape, dtype=np.int8)
-    hi = np.zeros(x.shape, dtype=np.int8)
-    for mid in mids:
-        lo += x > mid - SLICE_TIE
-        hi += x > mid + SLICE_TIE
-    return hi, (lo == hi) & (np.abs(x) <= SLICE_BOUND)
-
-
-def _nearest_points(flat: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Full minimum-distance rule: squared distance to every point, first on ties."""
-    out = np.empty_like(flat)
-    for lo in range(0, flat.size, DETECT_CHUNK):
-        chunk = flat[lo : lo + DETECT_CHUNK]
-        d2 = np.abs(chunk[:, None] - points[None, :]) ** 2
-        out[lo : lo + DETECT_CHUNK] = points[np.argmin(d2, axis=1)]
-    return out
-
-
 def detect_symbols(received: np.ndarray, scheme: ModScheme) -> np.ndarray:
-    """Minimum-Euclidean-distance decision onto the constellation grid.
+    """Minimum-Euclidean-distance decision onto the square constellation grid.
 
-    The grid is square, so I and Q are sliced apart: each axis takes its
-    nearest PAM level.  This gives the full rule's decisions exactly.  Off a
-    midpoint, any other point's squared distance exceeds the sliced point's
-    by at least 2 * spacing * (distance to the nearest midpoint), far more
-    than a squared distance's rounding for |I|, |Q| <= ``SLICE_BOUND``.  The
-    few values near a midpoint, where rounding or the first-point tie rule
-    decides, and values out of bounds take the full rule (``DETECT_CHUNK``
-    symbols at a time).
+    I and Q are sliced apart: each axis counts the PAM midpoints strictly
+    below its value (one comparison per midpoint into int8 counters, far
+    faster than a binary search) and takes that level.  Away from a midpoint
+    this is the nearest level; a value on a midpoint takes the lower level,
+    +-inf and values past the outer levels take the edge level, and NaN
+    takes the lowest.
     """
     received = np.asarray(received, dtype=np.complex128)
     flat = received.reshape(-1)
     mids, grid = _pam_slicer(scheme)
-    i, clear = _slice_axis(flat.real, mids)
-    q, clear_q = _slice_axis(flat.imag, mids)
-    out = grid[i * (len(mids) + 1) + q]
-    clear &= clear_q
-    if not clear.all():
-        hard = ~clear
-        out[hard] = _nearest_points(flat[hard], constellation(scheme)[0])
-    return out.reshape(received.shape)
+    i = np.zeros(flat.shape, dtype=np.int8)
+    q = np.zeros(flat.shape, dtype=np.int8)
+    for mid in mids:
+        i += flat.real > mid
+        q += flat.imag > mid
+    return grid[i * (len(mids) + 1) + q].reshape(received.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +327,12 @@ def _matched_fold(
 def equalize(rx_bins: np.ndarray, taps: np.ndarray, n_se: int) -> np.ndarray:
     """Matched filter, extension folding and gain normalization, inverse precoding.
 
-    The learned taps are real, so the matched filter F* reduces to plain
-    multiplication; complex gains (a transmit FIR's bin response, SLM's chosen
-    phases) are handled with the conjugate.  Each data bin is normalized by the
-    summed squared gain of its contributing copies (``GAIN_EPS``-guarded); a bin
-    whose total gain is exactly zero is undecodable.
+    ``taps`` are the effective taps ``h * taps``, the fade times the transmit
+    shaping (a transmit FIR's bin response and SLM's phases are complex too),
+    so the matched filter multiplies by their conjugate.  Each data bin is
+    normalized by the summed squared gain of its copies, the faded gain
+    |h|^2 * sum|taps|^2, which ``GAIN_EPS`` guards.  A bin whose total gain
+    is exactly zero is undecodable.
     """
     _, gain, recovered = _matched_fold(rx_bins, taps, n_se)
     if np.any(gain == 0.0):
@@ -370,16 +341,16 @@ def equalize(rx_bins: np.ndarray, taps: np.ndarray, n_se: int) -> np.ndarray:
 
 
 def receive(
-    rx_bins: np.ndarray, h: complex | np.ndarray, taps: np.ndarray, n_se: int,
-    scheme: ModScheme,
+    rx_bins: np.ndarray, taps: np.ndarray, n_se: int, scheme: ModScheme
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Receive step: remove the known fade, equalize and detect.
+    """Receive step: equalize with the effective taps and detect.
 
     ``rx_bins`` holds received occupied bins on its last axis, with any
-    leading axes; ``h`` (genie-aided) and ``taps`` broadcast against them.
-    Returns ``(detected, equalized)`` data symbols.
+    leading axes; ``taps``, the effective taps ``h * taps`` (the known fade
+    times the transmit taps), broadcast against them.  Returns
+    ``(detected, equalized)`` data symbols.
     """
-    equalized = equalize(rx_bins / h, taps, n_se)
+    equalized = equalize(rx_bins, taps, n_se)
     return detect_symbols(equalized, scheme), equalized
 
 
@@ -388,15 +359,11 @@ def receive(
 # ---------------------------------------------------------------------------
 
 def receiver_chain(
-    rx: SymbolBlock,
-    taps: np.ndarray,
-    cfg: ChainConfig,
-    scheme: ModScheme,
-    fade: complex = 1.0 + 0.0j,
+    rx: SymbolBlock, taps: np.ndarray, cfg: ChainConfig, scheme: ModScheme
 ) -> tuple[SymbolBlock, np.ndarray]:
     """Full receiver: FFT to the occupied bins, then :func:`receive`.
 
-    ``fade`` is the known flat fading coefficient (genie-aided compensation).
+    ``taps`` are the effective taps: a faded block passes ``fade * taps``.
     Returns the detected symbol block and the raw equalized symbols.
     """
     if rx.stage is not Stage.RECEIVED:
@@ -406,5 +373,5 @@ def receiver_chain(
     taps = np.asarray(taps)
     if taps.shape != (cfg.n_sk,):
         raise ValueError(f"taps shape {taps.shape}, expected ({cfg.n_sk},)")
-    detected, equalized = receive(occupied_bins(rx.values, cfg), fade, taps, cfg.n_se, scheme)
+    detected, equalized = receive(occupied_bins(rx.values, cfg), taps, cfg.n_se, scheme)
     return SymbolBlock(Stage.DATA_SYMBOLS, detected), equalized

@@ -8,7 +8,8 @@ symbol-error path (training's fixed noise, eval's grid, adapt's ticks and the
 single-block boundary) takes its noise from :func:`noise_term`.
 
 Fading is flat per block: a single coefficient h with E[|h|^2] = 1 multiplies
-the whole block, and the receiver compensates it genie-aided.  Draw order per
+the whole block; the receiver knows it (genie-aided) and equalizes with the
+effective taps h * taps, fade and shaping as one per-bin gain.  Draw order per
 block is fixed (fade first, then noise) so that a given (config, seed)
 reproduces bit-identical sequences.  Drawing (:func:`draw_channel`) is
 separate from applying (:func:`add_channel`), so a paired Monte-Carlo can
@@ -253,8 +254,8 @@ def apply_channel(
     The block's occupied bins go through :func:`add_channel`, and the received
     bins are synthesized again at the block's own oversampling, so the
     received noise is in-band only and each occupied bin sees the configured
-    SNR at any oversampling.  The fade coefficient is returned for
-    genie-aided compensation at the receiver.  Monte-Carlo loops pass one
+    SNR at any oversampling.  The fade is returned for the receiver's
+    effective taps ``fade * taps`` (genie-aided).  Monte-Carlo loops pass one
     generator per block, from :func:`block_rng` with a :class:`Stream` member
     and the block index.
     """

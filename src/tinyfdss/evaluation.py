@@ -284,7 +284,7 @@ def _run_group(
         for channel_name in eval_cfg.channels:
             h, noise = draws[channel_name, mod, snr_i]
             rx = add_channel(tx.bins, h, noise, snr_db)
-            detected, _ = receive(rx, h, tx.taps, tx.cfg.n_se, SCHEME_NAMES[mod])
+            detected, _ = receive(rx, h * tx.taps, tx.cfg.n_se, SCHEME_NAMES[mod])
             ser, _, total = measured_ser(tx.symbols, detected)
             cells[channel_name, snr_i] = CellResult(
                 scheme=scheme, channel=channel_name, mod=mod, snr_db=snr_db,

@@ -133,10 +133,10 @@ def init_params(
 ) -> NetParams:
     """Glorot-uniform weights with a damped output layer.
 
-    The output bias starts at [1, 0, ...] so the initial filter is the
-    identity (all-ones) profile; the output weight matrix is additionally
-    scaled by ``out_scale`` so early blocks stay decodable while hidden-layer
-    gradients remain nonzero.
+    The output bias starts at [1, 0, ...], the identity (all-ones) profile,
+    and the output weights are scaled by ``out_scale``: the initial filter is
+    that profile only as ``out_scale`` -> 0 (training passes 0.3), but early
+    blocks stay decodable while hidden-layer gradients remain nonzero.
     """
     if hidden_width < 0:
         raise ValueError(f"hidden_width must be >= 0, got {hidden_width}")

@@ -203,7 +203,8 @@ def prepare_batch(
     lam = np.array([table.lookup(s) for s in snr])
     s_ext = extend(precode(symbols), cfg.n_se)
     # the channel's noise on the unshaped bins, whose power the normalized
-    # transmit keeps; fade-compensated, as the receiver sees it
+    # transmit keeps, divided by the flat fade: the receiver's effective taps
+    # h * taps see the same noise, up to where GAIN_EPS sits
     eta = noise_term(s_ext, unit_noise(parts), np.array(snr)) / h[:, None]
     features = network.build_input(s_ext, np.array(snr), expected_len=cfg.n_sk)
     return BatchPrep(

@@ -66,7 +66,7 @@ def replay_tick_by_tick(trace, net, cfg, scheme, seed):
         parts = np.empty((2, cfg.n_sk))
         h = draw_channel(ChannelCfg(ChannelModel.AWGN, snr_db), rng, parts)
         rx = add_channel(bins, h, unit_noise(parts), snr_db)
-        detected, _ = receive(rx, h, taps, cfg.n_se, scheme)
+        detected, _ = receive(rx, h * taps, cfg.n_se, scheme)
         ser, _, _ = measured_ser(tx, detected)
         records.append(TickRecord(t_ms=now, snr_db=float(snr_db), lam=lam,
                                   papr_db=float(papr), ser_block=float(ser)))

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinyfdss.baselines import conventional_config, fir_bin_gains, rrc_fir
 from tinyfdss.chain import (
     GAIN_EPS,
-    SLICE_BOUND,
     ChainConfig,
     EqualizationError,
     ModScheme,
@@ -16,6 +17,7 @@ from tinyfdss.chain import (
     centered_band,
     constellation,
     detect_symbols,
+    equalize,
     extend,
     map_symbols,
     occupied_bins,
@@ -60,6 +62,16 @@ def detect_reference(received, scheme):
         d2 = np.abs(chunk[:, None] - points[None, :]) ** 2
         out[lo : lo + 8192] = points[np.argmin(d2, axis=1)]
     return out.reshape(received.shape)
+
+
+def slice_reference(received, scheme):
+    """The slicer's stated rule per axis: the level above the midpoints strictly below."""
+    levels, mids = pam_midpoints(scheme)
+    received = np.asarray(received, dtype=np.complex128)
+    out = np.empty_like(received)
+    out.real = levels[np.searchsorted(mids, received.real, side="left")]
+    out.imag = levels[np.searchsorted(mids, received.imag, side="left")]
+    return out
 
 
 def time_signal_reference(shaped, cfg, oversample=None):
@@ -171,7 +183,11 @@ class TestDetect:
 
 
 class TestSlicer:
-    """``detect_symbols`` slices I and Q apart and decides as the distance loop does."""
+    """``detect_symbols`` slices I and Q apart by one stated rule per axis.
+
+    Away from a midpoint it decides as the distance loop does; on a midpoint,
+    past the outer levels and at non-finite values the rule alone decides.
+    """
 
     @pytest.mark.parametrize("scheme", list(ModScheme))
     def test_noisy_symbols_match_reference(self, scheme, rng):
@@ -185,9 +201,9 @@ class TestSlicer:
 
     @pytest.mark.parametrize("scheme", list(ModScheme))
     def test_midpoints_and_neighbours_match_reference(self, scheme):
-        # every pairing of an I and a Q value at a midpoint, one or two ulp
-        # beside it, or on a level: each tie rests on rounding or on the
-        # distance loop's first-point rule
+        # every pairing of an I and a Q value on a level, on a midpoint or one
+        # or two ulp beside it: each axis takes the level above the midpoints
+        # strictly below it, so a midpoint takes the lower level
         levels, mids = pam_midpoints(scheme)
         axis = [levels, mids]
         for steps in (1, 2):
@@ -196,16 +212,20 @@ class TestSlicer:
                 up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
             axis += [up, down]
         received = axis_grid(np.concatenate(axis))
-        np.testing.assert_array_equal(detect_symbols(received, scheme),
-                                      detect_reference(received, scheme))
+        assert detect_symbols(received, scheme).tobytes() == \
+            slice_reference(received, scheme).tobytes()
+        on_mids = detect_symbols(axis_grid(mids), scheme)
+        assert on_mids.tobytes() == axis_grid(levels[:-1]).tobytes()
 
     @pytest.mark.parametrize("scheme", list(ModScheme))
     def test_out_of_bounds_and_non_finite_match_reference(self, scheme):
-        bound = np.array([SLICE_BOUND, np.nextafter(SLICE_BOUND, np.inf), 1e300])
-        received = axis_grid(np.concatenate([bound, -bound, [np.inf, -np.inf, np.nan, 0.1]]))
-        with np.errstate(invalid="ignore", over="ignore"):  # both rules square 1e300
-            got, want = detect_symbols(received, scheme), detect_reference(received, scheme)
-        np.testing.assert_array_equal(got, want)
+        # far out and infinite values take the edge level; NaN compares below
+        # every midpoint, so it decides as -inf does: the lowest level
+        axis = np.array([100.0, 1e300, np.inf, -100.0, -1e300, -np.inf, 0.1, np.nan])
+        received = axis_grid(axis)
+        as_lowest = axis_grid(np.where(np.isnan(axis), -np.inf, axis))
+        assert detect_symbols(received, scheme).tobytes() == \
+            slice_reference(as_lowest, scheme).tobytes()
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
     def test_leading_shapes(self, shape, rng):
@@ -472,7 +492,7 @@ class TestReceiverChain:
             rx, fade = apply_channel(
                 sig, ChannelCfg(ChannelModel.AWGN, snr_db=snr_db), cfg, rng=brng
             )
-            detected, _ = receiver_chain(rx, eff, cfg, ModScheme.QPSK, fade=fade)
+            detected, _ = receiver_chain(rx, fade * eff, cfg, ModScheme.QPSK)
             _, e, t = measured_ser(tx, detected.values)
             errors += e
             total += t
@@ -531,12 +551,11 @@ class TestReceive:
         assert len(set(fades)) > n_blocks // 2  # the faded blocks differ
         rx = np.stack([block.values for block in blocks]).reshape(3, 4, -1)
         h = np.array(fades).reshape(3, 4, 1)
-        detected, equalized = receive(occupied_bins(rx, cfg), h, eff_taps.reshape(3, 4, -1),
+        detected, equalized = receive(occupied_bins(rx, cfg), h * eff_taps.reshape(3, 4, -1),
                                       cfg.n_se, scheme)
         assert detected.shape == equalized.shape == (3, 4, cfg.n_data)
         for b, block in enumerate(blocks):
-            want_det, want_eq = receiver_chain(block, eff_taps[b], cfg, scheme,
-                                               fade=fades[b])
+            want_det, want_eq = receiver_chain(block, fades[b] * eff_taps[b], cfg, scheme)
             assert detected.reshape(n_blocks, -1)[b].tobytes() == want_det.values.tobytes()
             assert equalized.reshape(n_blocks, -1)[b].tobytes() == want_eq.tobytes()
 
@@ -553,10 +572,10 @@ class TestReceive:
         noise = unit_noise(parts)
         h = np.array(fades).reshape(3, 4, 1)
         rx = add_channel(bins.reshape(3, 4, -1), h, noise.reshape(3, 4, -1), snrs.reshape(3, 4))
-        detected, equalized = receive(rx, h, eff_taps.reshape(3, 4, -1), cfg.n_se, scheme)
+        detected, equalized = receive(rx, h * eff_taps.reshape(3, 4, -1), cfg.n_se, scheme)
         for b, (fade, w) in enumerate(zip(fades, noise)):
             rx_b = add_channel(bins[b], fade, w, float(snrs[b]))
-            want_det, want_eq = receive(rx_b, fade, eff_taps[b], cfg.n_se, scheme)
+            want_det, want_eq = receive(rx_b, fade * eff_taps[b], cfg.n_se, scheme)
             assert rx.reshape(n_blocks, -1)[b].tobytes() == rx_b.tobytes()
             assert detected.reshape(n_blocks, -1)[b].tobytes() == want_det.tobytes()
             assert equalized.reshape(n_blocks, -1)[b].tobytes() == want_eq.tobytes()
@@ -573,16 +592,76 @@ class TestReceive:
         h = np.array([[draw_channel(channel, np.random.default_rng((7, b)), parts[b])]
                       for b in range(n_blocks)])
         rx = add_channel(bins, h, unit_noise(parts), snr_db)
-        detected, equalized = receive(rx, h, eff_taps, cfg.n_se, ModScheme.QAM16)
+        detected, equalized = receive(rx, h * eff_taps, cfg.n_se, ModScheme.QAM16)
         for b in range(n_blocks):
             sig = SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins[b], cfg, oversample))
             rx_b, fade = apply_channel(sig, channel, cfg, np.random.default_rng((7, b)))
             assert len(rx_b) == cfg.n_fft * oversample
             assert fade == h[b, 0]
-            det_b, eq_b = receiver_chain(rx_b, eff_taps[b], cfg, ModScheme.QAM16, fade=fade)
+            det_b, eq_b = receiver_chain(rx_b, fade * eff_taps[b], cfg, ModScheme.QAM16)
             err = np.max(np.abs(eq_b - equalized[b])) / np.max(np.abs(equalized[b]))
             assert err < BOUNDARY_RTOL
             np.testing.assert_array_equal(det_b.values, detected[b])
+
+
+def receive_reference(rx, h, taps, n_se, scheme):
+    """The receive step before the effective taps: divide out the fade, then equalize."""
+    equalized = equalize(rx / h, taps, n_se)
+    return detect_symbols(equalized, scheme), equalized
+
+
+class TestEffectiveTaps:
+    """``receive`` with the taps ``h * taps`` against dividing the fade out first.
+
+    The two forms differ by rounding and by where ``GAIN_EPS`` sits: the
+    guard moves each data bin ``r`` of the effective-taps form by
+    ``|r| * GAIN_EPS * |1 - |h|^2| / (|h|^2 * gain + GAIN_EPS)``, with ``gain``
+    the bin's folded |taps|^2, and the unitary inverse precoding moves no
+    equalized symbol by more than the 2-norm of those shifts.
+    """
+
+    CFG = ChainConfig()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(list(ChannelModel)),
+        scheme=st.sampled_from(list(ModScheme)),
+        depth=st.one_of(st.just(1.0), st.floats(1e-4, 1.0)),
+        snr_db=st.floats(-5.0, 40.0),
+        batch=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dividing_out_the_fade(self, model, scheme, depth, snr_db, batch, seed):
+        cfg = self.CFG
+        rng = np.random.default_rng(seed)
+        bins, taps = shaped_bins(rng, scheme, 4, cfg)  # one tap kind per block
+        parts = np.empty((4, 2, cfg.n_sk))
+        channel = ChannelCfg(model, snr_db, k_factor_db=3.0)
+        h = np.array([[draw_channel(channel, rng, parts[b])] for b in range(4)])
+        if model is not ChannelModel.AWGN:
+            h *= depth  # down to a 1e-4 deep fade
+        rx = add_channel(bins, h, unit_noise(parts), snr_db)
+        if not batch:
+            rx, h, taps = rx[0], h[0, 0], taps[0]
+        detected, equalized = receive(rx, h * taps, cfg.n_se, scheme)
+        want_det, want_eq = receive_reference(rx, h, taps, cfg.n_se, scheme)
+        assert detected.shape == equalized.shape == want_eq.shape
+        _, gain, recovered = _matched_fold(rx / h, taps, cfg.n_se)
+        abs2 = np.abs(h) ** 2
+        shift = np.abs(recovered) * GAIN_EPS * np.abs(1.0 - abs2) / (abs2 * gain + GAIN_EPS)
+        tol = (1e-12 * np.abs(want_eq).max(axis=-1, keepdims=True)
+               + np.linalg.norm(shift, axis=-1, keepdims=True))
+        assert np.all(np.abs(equalized - want_eq) <= tol)
+        # the detections agree wherever the reference is clear of every midpoint:
+        # at the drawn fades that is every symbol, while a 1e-4 deep fade's
+        # guard shift can move a few
+        _, mids = pam_midpoints(scheme)
+        near = np.zeros(want_eq.shape, dtype=bool)
+        for axis in (want_eq.real, want_eq.imag):
+            near |= np.any(np.abs(axis[..., None] - mids) <= tol[..., None], axis=-1)
+        np.testing.assert_array_equal(detected[~near], want_det[~near])
+        if depth == 1.0:
+            assert not near.any()
 
 
 class TestRoundTripInvariant:

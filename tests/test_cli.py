@@ -209,6 +209,10 @@ class TestConfig:
         ("baselines", "eval", {"schemes": ["clf", "slm"]},
          "eval.schemes must include the summary anchors 'rrc' and 'dftsofdm', "
          "got ['clf', 'slm']"),
+        ("train", "chain", {"n_data": 1, "n_se": 0},
+         "chain: n_sk = n_data + 2*n_se must be >= 2, got 1"),
+        ("baselines", "chain", {"n_data": 1, "n_se": 0},
+         "chain: n_sk = n_data + 2*n_se must be >= 2, got 1"),
     ], ids=[
         "seed-str", "seed-float", "seed-negative", "snr_db-scalar", "snr_range_db-scalar",
         "channel_mix-str-weight", "hidden_widths-scalar", "eval-list", "n_blocks-float",
@@ -226,6 +230,7 @@ class TestConfig:
         "mods-repeat", "snr_db-repeat", "snr_db-repeat-int-float", "hidden_widths-repeat",
         "schemes-empty", "channels-empty", "snr_db-empty", "hidden_widths-empty",
         "rrc_rolloff-zero", "rrc_rolloff-above-one", "rrc_rolloff-nan", "schemes-no-anchor",
+        "chain-n_sk-one-train", "chain-n_sk-one-baselines",
     ])
     def test_malformed_value_exits_2_naming_the_key(
         self, tmp_path, capsys, command, section, value, message
