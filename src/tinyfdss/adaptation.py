@@ -58,17 +58,14 @@ PRESET_TRACES = {
 
 
 class LambdaTable:
-    """SNR-bin -> lambda map over ``DEFAULT_BINS``, with below-range clamping."""
+    """SNR-bin -> lambda map over ``DEFAULT_BINS``: the first bin whose upper
+    edge lies above the SNR, so the bins are half-open and an SNR below the
+    first bin takes it."""
 
     def lookup(self, snr_db: float) -> float:
         if not math.isfinite(snr_db):
             raise ValueError(f"snr_db must be finite, got {snr_db}")
-        if snr_db < DEFAULT_BINS[0][0]:
-            return DEFAULT_BINS[0][2]
-        for lo, hi, lam in DEFAULT_BINS:
-            if lo <= snr_db < hi:
-                return lam
-        return DEFAULT_BINS[-1][2]
+        return next(lam for _, hi, lam in DEFAULT_BINS if snr_db < hi)
 
 
 def adaptation_cycle(
@@ -150,11 +147,12 @@ def run_scenario(
     channel at the true SNR, and records that block's symbol error rate.
 
     Every tick's generator, ``block_rng(seed, Stream.ADAPT_TICK, tick)``, is
-    seeded up front in one pass (``block_rngs``).  The ticks run
-    ``CHUNK_TICKS`` at a time.  Per chunk, a loop resolves each tick's time
-    and feedback and draws its bits, fade and noise; the link then runs once
-    on the chunk, with one SNR per block.  Every step of the link is
-    row-independent, so each record has the bytes of the tick run alone.
+    seeded up front in one pass (``block_rngs``), and every tick's time,
+    feedback and lambda are resolved up front (one ``np.searchsorted``).  The
+    ticks run ``CHUNK_TICKS`` at a time.  Per chunk, a loop draws each tick's
+    bits, fade and noise; the link then runs once on the chunk, with one SNR
+    per block.  Every step of the link is row-independent, so each record has
+    the bytes of the tick run alone.
     """
     if len(trace) == 0:
         return []
@@ -168,24 +166,21 @@ def run_scenario(
     n_ticks = int((times[-1] - times[0]) // period_ms) + 1
     n_bits = cfg.n_data * scheme.bits_per_symbol
     awgn = ChannelCfg(ChannelModel.AWGN)
-    feedback_pos = 0
+    now = (times[0] + np.arange(n_ticks) * period_ms).tolist()
+    fed = np.searchsorted(times, now, side="right") - 1  # latest feedback at or before
+    snr_db = [float(trace[i][1]) for i in fed.tolist()]
+    lam = [table.lookup(snr) for snr in snr_db]
     rngs = block_rngs(seed, Stream.ADAPT_TICK, indices=range(n_ticks))
     for lo in range(0, n_ticks, CHUNK_TICKS):
-        ticks = range(lo, min(lo + CHUNK_TICKS, n_ticks))
-        now, snr_db = [], []
-        bits = np.empty((len(ticks), n_bits), dtype=np.int64)
-        h = np.empty((len(ticks), 1), dtype=np.complex128)
-        parts = np.empty((len(ticks), 2, cfg.n_sk))  # the noise's standard-normal parts
-        for row, tick in enumerate(ticks):
-            now.append(times[0] + tick * period_ms)
-            while feedback_pos + 1 < len(trace) and trace[feedback_pos + 1][0] <= now[-1]:
-                feedback_pos += 1
-            snr_db.append(float(trace[feedback_pos][1]))
+        ticks = slice(lo, lo + CHUNK_TICKS)
+        snr = np.array(snr_db[ticks])
+        bits = np.empty((len(snr), n_bits), dtype=np.int64)
+        h = np.empty((len(snr), 1), dtype=np.complex128)
+        parts = np.empty((len(snr), 2, cfg.n_sk))  # the noise's standard-normal parts
+        for row in range(len(snr)):
             rng = next(rngs)
             bits[row] = rng.integers(0, 2, n_bits)
             h[row] = draw_channel(awgn, rng, parts[row])
-        lam = [table.lookup(snr) for snr in snr_db]
-        snr = np.array(snr_db)
         tx = map_symbols(bits, scheme)
         bins, taps = adaptation_cycle(snr, net, extend(precode(tx), cfg.n_se))
         papr = waveform_papr_db(bins, cfg)
@@ -195,6 +190,6 @@ def run_scenario(
         ser = np.count_nonzero(detected != tx, axis=-1) / cfg.n_data
         records.extend(
             TickRecord(t_ms=t, snr_db=s, lam=lm, papr_db=float(p), ser_block=float(e))
-            for t, s, lm, p, e in zip(now, snr_db, lam, papr, ser)
+            for t, s, lm, p, e in zip(now[ticks], snr_db[ticks], lam[ticks], papr, ser)
         )
     return records

@@ -131,29 +131,26 @@ def _gray_pam(bits: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def constellation(scheme: ModScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Return (points, labels): all 2**bps constellation points and their bit labels."""
+    """Return (points, labels): all 2**bps constellation points and their bit
+    labels, point ``i`` carrying the label of the integer ``i``."""
     bps = scheme.bits_per_symbol
-    m = 2**bps
-    idx = np.arange(m)
-    labels = ((idx[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.uint8)
-    points = _map_label_bits(labels, scheme)
+    labels = ((np.arange(2**bps)[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.uint8)
+    # even bit positions drive the I axis, odd positions the Q axis
+    m_axis = 2 ** (bps // 2)
+    norm = np.sqrt(2.0 * (m_axis**2 - 1) / 3.0)
+    points = (_gray_pam(labels[:, 0::2]) + 1j * _gray_pam(labels[:, 1::2])) / norm
     points.setflags(write=False)
     labels.setflags(write=False)
     return points, labels
 
 
-def _map_label_bits(bits2d: np.ndarray, scheme: ModScheme) -> np.ndarray:
-    # even bit positions drive the I axis, odd positions the Q axis
-    i_amp = _gray_pam(bits2d[..., 0::2])
-    q_amp = _gray_pam(bits2d[..., 1::2])
-    m_axis = 2 ** (scheme.bits_per_symbol // 2)
-    norm = np.sqrt(2.0 * (m_axis**2 - 1) / 3.0)
-    return (i_amp + 1j * q_amp) / norm
-
-
 def map_symbols(bits: np.ndarray, scheme: ModScheme) -> np.ndarray:
-    """Gray-map the bits on the last axis to unit-average-energy symbols."""
-    bits = np.asarray(bits)
+    """Gray-map the bits on the last axis to unit-average-energy symbols.
+
+    Each symbol's bits, most significant first, form its label integer, which
+    indexes :func:`constellation`'s points.
+    """
+    bits = np.asarray(bits, dtype=np.int64)
     bps = scheme.bits_per_symbol
     if bits.ndim == 0:
         raise ValueError("bits must have at least one axis")
@@ -161,8 +158,12 @@ def map_symbols(bits: np.ndarray, scheme: ModScheme) -> np.ndarray:
         raise ValueError(
             f"bit count {bits.shape[-1]} not divisible by {bps} ({scheme.name})"
         )
-    n_sym = bits.shape[-1] // bps
-    return _map_label_bits(bits.reshape(bits.shape[:-1] + (n_sym, bps)), scheme)
+    grouped = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // bps, bps))
+    label = grouped[..., 0].copy()
+    for k in range(1, bps):
+        label <<= 1
+        label |= grouped[..., k]
+    return constellation(scheme)[0][label]
 
 
 @lru_cache(maxsize=None)

@@ -16,17 +16,16 @@ Schemes
 ``slm``       selective mapping on the conventional chain; the chosen phases
               are the receiver's complex taps (genie side info: the index)
 
-Pairing is structural.  The CCDF pass draws each chunk of blocks once and
-runs every scheme on it.  The grid draws each modulation's blocks once and
-each block's fade and unit noise once per (channel, modulation, SNR), from
-``block_rng(seed, Stream.EVAL_CHANNEL, channel, modulation, SNR, block)``, and
-applies those same draws to every scheme.  A scheme transmits once per
-modulation, or once per (modulation, SNR) for ``tinyml``, whose taps depend
-on the SNR, and that one waveform passes through every channel.  So every
-scheme sees the same data, fades and noise at matched SNR, and every channel
-the same transmit.  PAPR is measured on the oversampled transmit waveform;
-the communication path acts on the occupied bins, where
-``channel.noise_power`` makes the configured SNR exact per bin.
+Pairing is structural: draw once, then run every scheme through the draw.
+The CCDF pass draws each chunk of blocks once.  The grid draws each
+modulation's blocks once, and every scheme transmits them once (``tinyml``
+once per SNR, since its taps depend on it); per (SNR, channel) it draws each
+block's fade and unit noise once, from ``block_rng(seed, Stream.EVAL_CHANNEL,
+channel, modulation, SNR, block)``, and passes every scheme's transmit
+through them.  So every scheme sees the same data, fades and noise at
+matched SNR, and every channel the same transmit.  PAPR is measured on the
+oversampled transmit waveform; the communication path acts on the occupied
+bins, where ``channel.noise_power`` makes the configured SNR exact per bin.
 """
 
 from __future__ import annotations
@@ -242,55 +241,55 @@ class _SchemeEngine:
         raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _draw_channels(eval_cfg: EvalConfig, n: int) -> dict:
-    """Each block's fade and unit noise on n bins per (channel, mod, SNR), for every scheme.
+def _cell_draws(eval_cfg: EvalConfig, channel_name: str, mod: str, snr_i: int,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One (channel, mod, SNR) cell's fade and unit noise on n bins per block.
 
     Block ``idx`` draws from ``block_rng(seed, Stream.EVAL_CHANNEL, channel,
-    mod, SNR, idx)``, each cell's seeded in one pass (``block_rngs``); fades
-    have shape (n_blocks, 1) to broadcast over the block.
+    mod, SNR, idx)``, the cell's generators seeded in one pass
+    (``block_rngs``); fades have shape (n_blocks, 1) to broadcast over the block.
     """
-    draws = {}
-    for channel_name, mod, (snr_i, snr_db) in product(
-        eval_cfg.channels, eval_cfg.mods, enumerate(eval_cfg.snr_db)
-    ):
-        channel = ChannelCfg(MODEL_NAMES[channel_name], snr_db,
-                             k_factor_db=eval_cfg.rician_k_db)
-        chan_i = list(MODEL_NAMES).index(channel_name)
-        mod_i = list(SCHEME_NAMES).index(mod)
-        h = np.empty((eval_cfg.n_blocks, 1), dtype=np.complex128)
-        parts = np.empty((eval_cfg.n_blocks, 2, n))
-        rngs = block_rngs(eval_cfg.seed, Stream.EVAL_CHANNEL, chan_i, mod_i, snr_i,
-                          indices=range(eval_cfg.n_blocks))
-        for idx, rng in enumerate(rngs):
-            h[idx] = draw_channel(channel, rng, parts[idx])
-        draws[channel_name, mod, snr_i] = (h, unit_noise(parts))
-    return draws
+    channel = ChannelCfg(MODEL_NAMES[channel_name], eval_cfg.snr_db[snr_i],
+                         k_factor_db=eval_cfg.rician_k_db)
+    h = np.empty((eval_cfg.n_blocks, 1), dtype=np.complex128)
+    parts = np.empty((eval_cfg.n_blocks, 2, n))
+    rngs = block_rngs(eval_cfg.seed, Stream.EVAL_CHANNEL, list(MODEL_NAMES).index(channel_name),
+                      list(SCHEME_NAMES).index(mod), snr_i, indices=range(eval_cfg.n_blocks))
+    for idx, rng in enumerate(rngs):
+        h[idx] = draw_channel(channel, rng, parts[idx])
+    return h, unit_noise(parts)
 
 
-def _run_group(
-    engine: _SchemeEngine, scheme: str, mod: str, data: dict, draws: dict
-) -> dict:
-    """One (scheme, modulation) group: every (channel, SNR) cell.
+def _grid(engine: _SchemeEngine) -> list[CellResult]:
+    """Every (scheme, channel, mod, SNR) cell, listed in that order.
 
-    Only ``tinyml``'s taps depend on the SNR; every other scheme transmits
-    once.  Returns the cells keyed by (channel, SNR index).
+    Per modulation the blocks are drawn once and every scheme transmits once
+    (``tinyml`` once per SNR, since its taps depend on it); per (channel,
+    SNR) the fades and noise are drawn once and every scheme's transmit
+    passes through them.
     """
     eval_cfg = engine.eval_cfg
     cells = {}
-    for snr_i, snr_db in enumerate(eval_cfg.snr_db):
-        if snr_i == 0 or scheme == "tinyml":
-            tx = engine.transmit(scheme, data, snr_db)
-            mean_papr = float(tx.waveform_papr().mean())
-        for channel_name in eval_cfg.channels:
-            h, noise = draws[channel_name, mod, snr_i]
-            rx = add_channel(tx.bins, h, noise, snr_db)
-            detected, _ = receive(rx, h * tx.taps, tx.cfg.n_se, SCHEME_NAMES[mod])
-            ser, _, total = measured_ser(tx.symbols, detected)
-            cells[channel_name, snr_i] = CellResult(
-                scheme=scheme, channel=channel_name, mod=mod, snr_db=snr_db,
-                ser=ser, ser_total=total, mean_papr_db=mean_papr,
-            )
-    return cells
+    for mod in eval_cfg.mods:
+        sent = {}  # scheme -> (transmit, its mean PAPR)
+        data = engine.data_symbols(mod, np.arange(eval_cfg.n_blocks))
+        for snr_i, snr_db in enumerate(eval_cfg.snr_db):
+            for scheme in eval_cfg.schemes:
+                if snr_i == 0 or scheme == "tinyml":
+                    tx = engine.transmit(scheme, data, snr_db)
+                    sent[scheme] = tx, float(tx.waveform_papr().mean())
+            for channel_name in eval_cfg.channels:
+                h, noise = _cell_draws(eval_cfg, channel_name, mod, snr_i, engine.cfg.n_sk)
+                for scheme, (tx, mean_papr) in sent.items():
+                    rx = add_channel(tx.bins, h, noise, snr_db)
+                    detected, _ = receive(rx, h * tx.taps, tx.cfg.n_se, SCHEME_NAMES[mod])
+                    ser, _, total = measured_ser(tx.symbols, detected)
+                    cells[scheme, channel_name, mod, snr_db] = CellResult(
+                        scheme=scheme, channel=channel_name, mod=mod, snr_db=snr_db,
+                        ser=ser, ser_total=total, mean_papr_db=mean_papr,
+                    )
+    return [cells[key] for key in product(eval_cfg.schemes, eval_cfg.channels,
+                                          eval_cfg.mods, eval_cfg.snr_db)]
 
 
 def _ccdf_pass(engine: _SchemeEngine) -> tuple[dict, dict]:
@@ -323,36 +322,16 @@ def _ccdf_pass(engine: _SchemeEngine) -> tuple[dict, dict]:
 
 
 def evaluate(
-    checkpoint: Checkpoint | None,
-    eval_cfg: EvalConfig,
-    chain_cfg: ChainConfig | None = None,
+    checkpoint: Checkpoint | None, eval_cfg: EvalConfig, chain_cfg: ChainConfig
 ) -> EvalResult:
-    """Full evaluation: the CCDF pass plus the (scheme, channel, mod, SNR) grid.
-
-    The grid runs one (scheme, mod) group after another; cells are listed in
-    (scheme, channel, mod, SNR) order.
-    """
-    cfg = chain_cfg if chain_cfg is not None else ChainConfig()
-    engine = _SchemeEngine(cfg, eval_cfg, checkpoint)
+    """Full evaluation: the CCDF pass, then the grid (:func:`_grid`), whose
+    cells are listed in (scheme, channel, mod, SNR) order."""
+    engine = _SchemeEngine(chain_cfg, eval_cfg, checkpoint)
     schemes = eval_cfg.schemes
 
     papr_samples, oobe = _ccdf_pass(engine)
     ccdf = {scheme: empirical_ccdf(papr_samples[scheme], CCDF_GRID_DB) for scheme in schemes}
-
-    indices = np.arange(eval_cfg.n_blocks)
-    data = {mod: engine.data_symbols(mod, indices) for mod in eval_cfg.mods}
-    draws = _draw_channels(eval_cfg, cfg.n_sk)
-    by_group = {
-        (scheme, mod): _run_group(engine, scheme, mod, data[mod], draws)
-        for scheme, mod in product(schemes, eval_cfg.mods)
-    }
-    cells = [
-        by_group[scheme, mod][channel_name, snr_i]
-        for scheme in schemes
-        for channel_name in eval_cfg.channels
-        for mod in eval_cfg.mods
-        for snr_i in range(len(eval_cfg.snr_db))
-    ]
+    cells = _grid(engine)
 
     summary = {}
     rrc_anchor = None

@@ -97,6 +97,28 @@ def axis_grid(axis):
     return grid
 
 
+def gray_pam_reference(bits):
+    """Arithmetic Gray PAM: one axis' bits (sign bit first) to odd levels."""
+    s = 1 - 2 * bits.astype(np.int64)
+    level = np.ones(bits.shape[:-1], dtype=np.int64)
+    scale = 2
+    for j in range(s.shape[-1] - 1, 0, -1):
+        level = scale - s[..., j] * level
+        scale *= 2
+    return s[..., 0] * level
+
+
+def map_symbols_reference(bits, scheme):
+    """Arithmetic Gray mapping, each symbol computed from its bits: even bit
+    positions drive I, odd ones Q."""
+    bps = scheme.bits_per_symbol
+    grouped = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // bps, bps))
+    m_axis = 2 ** (bps // 2)
+    norm = np.sqrt(2.0 * (m_axis**2 - 1) / 3.0)
+    return (gray_pam_reference(grouped[..., 0::2])
+            + 1j * gray_pam_reference(grouped[..., 1::2])) / norm
+
+
 def pam_midpoints(scheme):
     """Midpoints between adjacent PAM levels of the scheme's I (and Q) axis."""
     levels = np.unique(constellation(scheme)[0].real)
@@ -162,6 +184,14 @@ class TestMapBits:
         assert batched.shape == (2, 3, 5)
         per_row = np.stack([[map_symbols(row, scheme) for row in plane] for plane in bits])
         assert batched.tobytes() == per_row.tobytes()
+
+    @pytest.mark.parametrize("scheme", list(ModScheme))
+    @pytest.mark.parametrize("shape", [(240,), (32, 210), (500, 240), (2, 3, 7)])
+    def test_table_lookup_matches_arithmetic_mapping(self, scheme, shape, rng):
+        bits = rng.integers(0, 2, shape[:-1] + (shape[-1] * scheme.bits_per_symbol,))
+        got = map_symbols(bits, scheme)
+        assert got.shape == shape
+        assert got.tobytes() == map_symbols_reference(bits, scheme).tobytes()
 
 
 class TestDetect:

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from dataclasses import astuple
 from itertools import product
 
 import numpy as np
@@ -9,9 +10,9 @@ from tinyfdss import baselines, channel, evaluation, metrics, network
 from tinyfdss.baselines import (clf_reduce, clip_amplitude, conventional_config,
                                 slm_phase_vectors, slm_select)
 from tinyfdss.chain import (SCHEME_NAMES, ChainConfig, ModScheme, detect_symbols, equalize,
-                            occupied_bins, time_signal)
+                            occupied_bins, receive, time_signal)
 from tinyfdss.channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_fade
-from tinyfdss.evaluation import EvalConfig, evaluate
+from tinyfdss.evaluation import CellResult, EvalConfig, evaluate
 from tinyfdss.metrics import papr_db, tile_rows, waveform_papr_db
 from tinyfdss.training import TrainConfig, train
 
@@ -252,9 +253,9 @@ class TestDrawsMatchPerBlockRng:
         eval_cfg = EvalConfig(snr_db=(0.0, 12.5), channels=("awgn", "rayleigh", "rician"),
                               mods=("qpsk", "qam64"), n_blocks=25, rician_k_db=6.0, seed=15)
         n = ChainConfig().n_sk
-        draws = evaluation._draw_channels(eval_cfg, n)
-        assert len(draws) == 3 * 2 * 2
-        for (channel_name, mod, snr_i), (h, noise) in draws.items():
+        for channel_name, mod, snr_i in product(eval_cfg.channels, eval_cfg.mods,
+                                                range(len(eval_cfg.snr_db))):
+            h, noise = evaluation._cell_draws(eval_cfg, channel_name, mod, snr_i, n)
             model = MODEL_NAMES[channel_name]
             k_linear = ChannelCfg(model, k_factor_db=eval_cfg.rician_k_db).k_linear
             coords = (list(MODEL_NAMES).index(channel_name), list(SCHEME_NAMES).index(mod), snr_i)
@@ -265,6 +266,48 @@ class TestDrawsMatchPerBlockRng:
                 want = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 assert h[idx].tobytes() == fade.tobytes()
                 assert noise[idx].tobytes() == want.tobytes()
+
+
+def scheme_outer_cells(engine):
+    """The grid one (scheme, mod) group after another, every cell transmitting
+    and drawing its fades and noise per block with its own ``block_rng``."""
+    eval_cfg, n = engine.eval_cfg, engine.cfg.n_sk
+    cells = []
+    for scheme, channel_name, mod in product(eval_cfg.schemes, eval_cfg.channels, eval_cfg.mods):
+        data = engine.data_symbols(mod, np.arange(eval_cfg.n_blocks))
+        model = MODEL_NAMES[channel_name]
+        k_linear = ChannelCfg(model, k_factor_db=eval_cfg.rician_k_db).k_linear
+        for snr_i, snr_db in enumerate(eval_cfg.snr_db):
+            tx = engine.transmit(scheme, data, snr_db)
+            coords = (list(MODEL_NAMES).index(channel_name), list(SCHEME_NAMES).index(mod), snr_i)
+            h = np.empty((eval_cfg.n_blocks, 1), dtype=np.complex128)
+            noise = np.empty((eval_cfg.n_blocks, n), dtype=np.complex128)
+            for idx in range(eval_cfg.n_blocks):
+                rng = block_rng(eval_cfg.seed, Stream.EVAL_CHANNEL, *coords, idx)
+                h[idx] = draw_fade(model, rng, k_linear)
+                noise[idx] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            rx = channel.add_channel(tx.bins, h, noise, snr_db)
+            detected, _ = receive(rx, h * tx.taps, tx.cfg.n_se, SCHEME_NAMES[mod])
+            ser, _, total = metrics.measured_ser(tx.symbols, detected)
+            cells.append(CellResult(scheme, channel_name, mod, snr_db, ser, total,
+                                    float(tx.waveform_papr().mean())))
+    return cells
+
+
+class TestGrid:
+    def test_cells_equal_scheme_outer_reference(self, small_ckpt):
+        # every scheme through each cell's one draw gives each cell the bytes
+        # of that cell transmitted and drawn on its own
+        eval_cfg = EvalConfig(
+            snr_db=(4.0, 11.0), channels=("rayleigh", "rician"), mods=("qpsk", "qam16"),
+            n_blocks=12, ccdf_blocks=64, oobe_blocks=16, seed=17,
+            schemes=evaluation.ALLSCHEME_NAMES,
+        )
+        engine = evaluation._SchemeEngine(ChainConfig(), eval_cfg, small_ckpt)
+        got = [astuple(c) for c in evaluation._grid(engine)]
+        want = [astuple(c) for c in scheme_outer_cells(engine)]
+        assert len(got) == 6 * 2 * 2 * 2
+        assert repr(got) == repr(want)
 
 
 class TestBaselineTransmit:
