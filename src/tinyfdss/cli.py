@@ -408,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep(cfg, out)
         if args.command == "adapt":
             return cmd_adapt(cfg, out, args.checkpoint, args.trace)
-    except (FileNotFoundError, ValueError, TrainingDivergedError) as exc:
+    except (OSError, ValueError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -1,36 +1,24 @@
 """Frozen-checkpoint Monte-Carlo evaluation across channels, SNRs, and schemes.
 
-Schemes
--------
-``tinyml``    learned taps on the spectrum-extended chain (quantized twin by
-              default), transmit power normalized per block; each batch is
-              one ``adaptation.adaptation_cycle``, the feedback cycle the
-              device runs
-``rrc_fdss``  static root-raised-cosine frequency-domain profile on the same
-              extended chain (informative extra column)
-``dftsofdm``  conventional DFT-s-OFDM: every subcarrier carries data, no
-              extension, flat spectrum
-``rrc``       conventional chain through the classic truncated time-domain
-              RRC transmit filter (expressed as complex per-bin gains)
-``clf``       clipping-and-filtering on the conventional chain
-``slm``       selective mapping on the conventional chain; the chosen phases
-              are the receiver's complex taps (genie side info: the index)
+Each scheme is one :data:`SCHEMES` entry, so a new scheme is one new entry:
+a builder, whose docstring describes the scheme, turns (chain config, eval
+config, deployed net or None) into its transmit rule, and a flag says whether
+that rule reads the SNR.
 
-Pairing is structural: draw once, then run every scheme through the draw.
-The CCDF pass draws each chunk of blocks once.  The grid draws each
-modulation's blocks once, and every scheme transmits them once (``tinyml``
-once per SNR, since its taps depend on it); per (SNR, channel) it draws each
-block's fade and unit noise once, from ``block_rng(seed, Stream.EVAL_CHANNEL,
-channel, modulation, SNR, block)``, and passes every scheme's transmit
-through them.  So every scheme sees the same data, fades and noise at
-matched SNR, and every channel the same transmit.  PAPR is measured on the
-oversampled transmit waveform; the communication path acts on the occupied
-bins, where ``channel.noise_power`` makes the configured SNR exact per bin.
+Pairing is structural: every scheme runs through one draw of the data
+(:class:`Draw`, both layouts) and, per (channel, modulation, SNR) cell, one
+draw of the fades and noise (:func:`_cell_draws`).  So every scheme sees the
+same data, fades and noise at matched SNR, and every channel the same
+transmit.  PAPR is measured on the oversampled transmit waveform; the
+communication path acts on the occupied bins, where ``channel.noise_power``
+makes the configured SNR exact per bin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -69,7 +57,6 @@ from .metrics import (
 )
 from .training import Checkpoint
 
-ALLSCHEME_NAMES = ("tinyml", "rrc", "dftsofdm", "clf", "slm", "rrc_fdss")
 RRC_FIR_TAPS = 32
 CCDF_CHUNK = 2048  # blocks per CCDF chunk, bounds peak memory
 CCDF_GRID_DB = np.arange(0.0, 12.0 + 0.1 / 2, 0.1)  # CCDF thresholds 0, 0.1, ..., 12 dB
@@ -101,15 +88,12 @@ class EvalConfig:
                 raise ValueError(f"{key} must name at least one entry")
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} must not repeat an entry, got {list(values)}")
-        for name in self.schemes:
-            if name not in ALLSCHEME_NAMES:
-                raise ValueError(f"unknown scheme {name!r}")
-        for name in self.channels:
-            if name not in MODEL_NAMES:
-                raise ValueError(f"unknown channel {name!r}")
-        for name in self.mods:
-            if name not in SCHEME_NAMES:
-                raise ValueError(f"unknown modulation {name!r}")
+        for key, noun, known in (("schemes", "scheme", SCHEMES),
+                                 ("channels", "channel", MODEL_NAMES),
+                                 ("mods", "modulation", SCHEME_NAMES)):
+            for name in getattr(self, key):
+                if name not in known:
+                    raise ValueError(f"unknown {noun} {name!r}")
         if self.n_blocks < 1:
             raise ValueError(f"n_blocks must be positive, got {self.n_blocks}")
         if self.ccdf_blocks < OOBE_MIN_BLOCKS:
@@ -164,81 +148,104 @@ class Transmit:
     symbols: np.ndarray  # reference data symbols
     papr: np.ndarray | None = None  # waveform PAPR per block, if already measured
 
+    @cached_property
     def waveform_papr(self) -> np.ndarray:
-        """PAPR per block of the oversampled waveform, synthesized only if unknown."""
+        """PAPR per block of the oversampled waveform, synthesized once if unknown."""
         return self.papr if self.papr is not None else waveform_papr_db(self.bins, self.cfg)
 
 
-class _SchemeEngine:
-    """Per-scheme transmit on blocks drawn once per (seed, mod, index)."""
+@dataclass(frozen=True)
+class Draw:
+    """Blocks in both layouts, sent plain; ``ext`` carries ``conv``'s first n_data symbols."""
 
-    def __init__(self, cfg: ChainConfig, eval_cfg: EvalConfig,
-                 checkpoint: Checkpoint | None):
-        self.cfg = cfg
-        self.conv = conventional_config(cfg)
-        self.eval_cfg = eval_cfg
-        self.net = (
-            None if checkpoint is None
-            else checkpoint.deployed_net(eval_cfg.use_quantized)
-        )
-        self.rrc_fdss_taps = rrc_taps(cfg.n_sk, eval_cfg.rrc_rolloff)
-        self.unit = unit_taps(self.conv.n_sk)
-        # the FIR runs at the oversampled rate; its occupied-bin gains apply
-        # to any synthesis grid for the same physical subcarriers
-        self.fir_gains = fir_bin_gains(
-            rrc_fir(RRC_FIR_TAPS, eval_cfg.rrc_rolloff, sps=cfg.oversample), cfg
-        )
-        self.slm_phases = slm_phase_vectors(eval_cfg.slm, self.conv.n_data)
+    ext: Transmit
+    conv: Transmit
 
-    def data_symbols(self, mod: str, indices: np.ndarray) -> dict:
-        """Blocks for both chain layouts, deterministic per (seed, mod, index).
 
-        When ``dftsofdm`` or ``slm`` is evaluated, ``papr_conv`` holds the
-        PAPR of the plain DFT-s-OFDM waveform: ``dftsofdm``'s transmit and
-        ``slm``'s identity candidate, measured once for both.
-        """
-        mod_i = list(SCHEME_NAMES).index(mod)
-        scheme = SCHEME_NAMES[mod]
-        n_bits = self.conv.n_data * scheme.bits_per_symbol
-        bits = np.empty((len(indices), n_bits), dtype=np.int64)
-        rngs = block_rngs(self.eval_cfg.seed, Stream.EVAL_DATA, mod_i, indices=indices)
-        for row, rng in enumerate(rngs):
-            bits[row] = rng.integers(0, 2, n_bits)
-        sym_conv = map_symbols(bits, scheme)
-        sym_ext = sym_conv[:, : self.cfg.n_data]
-        data = {
-            "sym_ext": sym_ext,
-            "s_ext": extend(precode(sym_ext), self.cfg.n_se),
-            "sym_conv": sym_conv,
-            "s_conv": precode(sym_conv),
-        }
-        if not {"dftsofdm", "slm"}.isdisjoint(self.eval_cfg.schemes):
-            data["papr_conv"] = waveform_papr_db(data["s_conv"], self.conv)
-        return data
+def _draw(cfg: ChainConfig, seed: int, mod: str, indices: np.ndarray) -> Draw:
+    """Blocks ``indices`` of ``mod``, block i from ``block_rng(seed, Stream.EVAL_DATA, mod, i)``."""
+    conv = conventional_config(cfg)
+    scheme = SCHEME_NAMES[mod]
+    n_bits = conv.n_data * scheme.bits_per_symbol
+    bits = np.empty((len(indices), n_bits), dtype=np.int64)
+    rngs = block_rngs(seed, Stream.EVAL_DATA, list(SCHEME_NAMES).index(mod), indices=indices)
+    for row, rng in enumerate(rngs):
+        bits[row] = rng.integers(0, 2, n_bits)
+    sym_conv = map_symbols(bits, scheme)
+    sym_ext = sym_conv[:, : cfg.n_data]
+    return Draw(Transmit(cfg, extend(precode(sym_ext), cfg.n_se), unit_taps(cfg.n_sk), sym_ext),
+                Transmit(conv, precode(sym_conv), unit_taps(conv.n_sk), sym_conv))
 
-    def transmit(self, scheme: str, data: dict, snr_db: float) -> Transmit:
-        """Occupied bins, effective receiver taps and reference symbols."""
-        if scheme == "tinyml":
-            if self.net is None:
-                raise ValueError("tinyml scheme requires a checkpoint")
-            bins, eff = adaptation_cycle(snr_db, self.net, data["s_ext"])
-            return Transmit(self.cfg, bins, eff, data["sym_ext"])
-        if scheme == "rrc_fdss":
-            bins, eff, _ = shape_and_normalize(data["s_ext"], self.rrc_fdss_taps)
-            return Transmit(self.cfg, bins, eff, data["sym_ext"])
-        conv, s, sym = self.conv, data["s_conv"], data["sym_conv"]
-        if scheme == "dftsofdm":
-            return Transmit(conv, s, self.unit, sym, data.get("papr_conv"))
-        if scheme == "rrc":
-            bins, eff, _ = shape_and_normalize(s, self.fir_gains)
-            return Transmit(conv, bins, eff, sym)
-        if scheme == "clf":
-            return Transmit(conv, clf_reduce(s, self.eval_cfg.clf, conv), self.unit, sym)
-        if scheme == "slm":
-            idx, papr = slm_select(s, self.slm_phases, conv, identity_papr=data.get("papr_conv"))
-            taps = self.slm_phases[idx]
-            return Transmit(conv, s * taps, taps, sym, papr)
-        raise ValueError(f"unknown scheme {scheme!r}")
+
+Rule = Callable[[Draw, float], Transmit]  # (draw, SNR in dB) -> one scheme's transmit
+
+
+def _shaped(plain: Transmit, bins: np.ndarray, eff_taps: np.ndarray, *_) -> Transmit:
+    """``plain``'s blocks sent as ``bins`` and equalized with ``eff_taps``; extras unused."""
+    return replace(plain, bins=bins, taps=eff_taps)
+
+
+def _tinyml(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
+    """Learned taps on the extended layout, one ``adaptation_cycle`` per batch, as on device."""
+    if net is None:
+        raise ValueError("tinyml scheme requires a checkpoint")
+    return lambda draw, snr_db: _shaped(draw.ext, *adaptation_cycle(snr_db, net, draw.ext.bins))
+
+
+def _rrc_fdss(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
+    """Static root-raised-cosine profile on the extended layout."""
+    taps = rrc_taps(cfg.n_sk, eval_cfg.rrc_rolloff)
+    return lambda draw, snr_db: _shaped(draw.ext, *shape_and_normalize(draw.ext.bins, taps))
+
+
+def _dftsofdm(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
+    """Plain DFT-s-OFDM: every subcarrier carries data, flat spectrum."""
+    return lambda draw, snr_db: draw.conv
+
+
+def _rrc(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
+    """The classic truncated RRC transmit FIR on the conventional layout, as per-bin gains."""
+    gains = fir_bin_gains(rrc_fir(RRC_FIR_TAPS, eval_cfg.rrc_rolloff, sps=cfg.oversample), cfg)
+    return lambda draw, snr_db: _shaped(draw.conv, *shape_and_normalize(draw.conv.bins, gains))
+
+
+def _clf(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
+    """Clipping and filtering on the conventional layout."""
+    return lambda draw, snr_db: replace(
+        draw.conv, bins=clf_reduce(draw.conv.bins, eval_cfg.clf, draw.conv.cfg))
+
+
+def _slm(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
+    """Selective mapping on the conventional layout; the chosen phases are
+    the receiver's taps (genie side information: the index)."""
+    phases = slm_phase_vectors(eval_cfg.slm, conventional_config(cfg).n_data)
+
+    def send(draw: Draw, snr_db: float) -> Transmit:
+        plain = draw.conv  # phase 0 is the identity: its PAPR is the plain one
+        idx, papr = slm_select(plain.bins, phases, plain.cfg, identity_papr=plain.waveform_papr)
+        return replace(plain, bins=plain.bins * phases[idx], taps=phases[idx], papr=papr)
+    return send
+
+
+@dataclass(frozen=True)
+class Scheme:
+    build: Callable[[ChainConfig, EvalConfig, object], Rule]  # (chain, eval, net or None)
+    reads_snr: bool = False  # whether the rule's transmit depends on the SNR
+
+
+SCHEMES = {
+    "tinyml": Scheme(_tinyml, reads_snr=True),
+    "rrc": Scheme(_rrc),
+    "dftsofdm": Scheme(_dftsofdm),
+    "clf": Scheme(_clf),
+    "slm": Scheme(_slm),
+    "rrc_fdss": Scheme(_rrc_fdss),
+}
+
+
+def _rules(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> dict[str, Rule]:
+    """Each evaluated scheme's transmit rule, in ``eval_cfg.schemes`` order."""
+    return {name: SCHEMES[name].build(cfg, eval_cfg, net) for name in eval_cfg.schemes}
 
 
 def _cell_draws(eval_cfg: EvalConfig, channel_name: str, mod: str, snr_i: int,
@@ -260,26 +267,24 @@ def _cell_draws(eval_cfg: EvalConfig, channel_name: str, mod: str, snr_i: int,
     return h, unit_noise(parts)
 
 
-def _grid(engine: _SchemeEngine) -> list[CellResult]:
+def _grid(cfg: ChainConfig, eval_cfg: EvalConfig, rules: dict[str, Rule]) -> list[CellResult]:
     """Every (scheme, channel, mod, SNR) cell, listed in that order.
 
     Per modulation the blocks are drawn once and every scheme transmits once
-    (``tinyml`` once per SNR, since its taps depend on it); per (channel,
-    SNR) the fades and noise are drawn once and every scheme's transmit
-    passes through them.
+    (a rule that reads the SNR once per SNR); per (channel, SNR) the fades
+    and noise are drawn once and every scheme's transmit passes through them.
     """
-    eval_cfg = engine.eval_cfg
     cells = {}
     for mod in eval_cfg.mods:
         sent = {}  # scheme -> (transmit, its mean PAPR)
-        data = engine.data_symbols(mod, np.arange(eval_cfg.n_blocks))
+        draw = _draw(cfg, eval_cfg.seed, mod, np.arange(eval_cfg.n_blocks))
         for snr_i, snr_db in enumerate(eval_cfg.snr_db):
-            for scheme in eval_cfg.schemes:
-                if snr_i == 0 or scheme == "tinyml":
-                    tx = engine.transmit(scheme, data, snr_db)
-                    sent[scheme] = tx, float(tx.waveform_papr().mean())
+            for scheme, rule in rules.items():
+                if snr_i == 0 or SCHEMES[scheme].reads_snr:
+                    tx = rule(draw, snr_db)
+                    sent[scheme] = tx, float(tx.waveform_papr.mean())
             for channel_name in eval_cfg.channels:
-                h, noise = _cell_draws(eval_cfg, channel_name, mod, snr_i, engine.cfg.n_sk)
+                h, noise = _cell_draws(eval_cfg, channel_name, mod, snr_i, cfg.n_sk)
                 for scheme, (tx, mean_papr) in sent.items():
                     rx = add_channel(tx.bins, h, noise, snr_db)
                     detected, _ = receive(rx, h * tx.taps, tx.cfg.n_se, SCHEME_NAMES[mod])
@@ -292,32 +297,31 @@ def _grid(engine: _SchemeEngine) -> list[CellResult]:
                                           eval_cfg.mods, eval_cfg.snr_db)]
 
 
-def _ccdf_pass(engine: _SchemeEngine) -> tuple[dict, dict]:
+def _ccdf_pass(cfg: ChainConfig, eval_cfg: EvalConfig,
+               rules: dict[str, Rule]) -> tuple[dict, dict]:
     """Noise-free PAPR samples and OOBE per scheme for the CCDF figure.
 
     Each chunk of blocks is drawn once and run through every scheme; the
     chunking bounds memory.  Waveforms are synthesized one tile of a chunk at
     a time, and in full only for the first chunk's OOBE blocks.  No waveform
-    is synthesized twice for its PAPR: the ``slm`` samples are the running
-    minimum ``slm_select`` keeps while choosing, and its identity candidate
-    is the plain waveform whose PAPR the chunk measures once, for
-    ``dftsofdm`` too (``papr_conv``).  Only one chunk's blocks and one
-    scheme's transmit are held at a time.
+    is synthesized twice for its PAPR: a rule hands over the PAPR it measured
+    while choosing (``Transmit.papr``), and the draw's plain transmits cache
+    theirs.  Only one chunk's blocks and one scheme's transmit are held at a
+    time.
     """
-    eval_cfg = engine.eval_cfg
-    samples = {scheme: np.empty(eval_cfg.ccdf_blocks) for scheme in eval_cfg.schemes}
+    samples = {scheme: np.empty(eval_cfg.ccdf_blocks) for scheme in rules}
     oobe = {}
     for lo in range(0, eval_cfg.ccdf_blocks, CCDF_CHUNK):
         indices = np.arange(lo, min(lo + CCDF_CHUNK, eval_cfg.ccdf_blocks))
-        data = engine.data_symbols(eval_cfg.mods[0], indices)
-        for scheme in eval_cfg.schemes:
-            tx = engine.transmit(scheme, data, eval_cfg.ccdf_snr_db)
-            samples[scheme][indices] = tx.waveform_papr()
+        draw = _draw(cfg, eval_cfg.seed, eval_cfg.mods[0], indices)
+        for scheme, rule in rules.items():
+            tx = rule(draw, eval_cfg.ccdf_snr_db)
+            samples[scheme][indices] = tx.waveform_papr
             if lo == 0:
                 x4 = time_signal(tx.bins[: eval_cfg.oobe_blocks], tx.cfg)
                 oobe[scheme] = float(oobe_db(x4, tx.cfg))
             del tx  # free this scheme's bins before the next scheme transmits
-        del data  # and this chunk's blocks before the next chunk is drawn
+        del draw  # and this chunk's blocks before the next chunk is drawn
     return samples, oobe
 
 
@@ -326,24 +330,21 @@ def evaluate(
 ) -> EvalResult:
     """Full evaluation: the CCDF pass, then the grid (:func:`_grid`), whose
     cells are listed in (scheme, channel, mod, SNR) order."""
-    engine = _SchemeEngine(chain_cfg, eval_cfg, checkpoint)
+    net = None if checkpoint is None else checkpoint.deployed_net(eval_cfg.use_quantized)
+    rules = _rules(chain_cfg, eval_cfg, net)  # a missing checkpoint fails here, before any draw
     schemes = eval_cfg.schemes
 
-    papr_samples, oobe = _ccdf_pass(engine)
+    papr_samples, oobe = _ccdf_pass(chain_cfg, eval_cfg, rules)
     ccdf = {scheme: empirical_ccdf(papr_samples[scheme], CCDF_GRID_DB) for scheme in schemes}
-    cells = _grid(engine)
+    cells = _grid(chain_cfg, eval_cfg, rules)
 
+    at_1e3 = {scheme: papr_at_ccdf(papr_samples[scheme], 1e-3) for scheme in schemes}
     summary = {}
-    rrc_anchor = None
-    if "rrc" in schemes:
-        rrc_anchor = papr_at_ccdf(papr_samples["rrc"], 1e-3)
     for scheme in schemes:
-        at_1e3 = papr_at_ccdf(papr_samples[scheme], 1e-3)
-        entry = {"papr_at_ccdf_1e3_db": at_1e3, "mean_papr_db": float(papr_samples[scheme].mean()),
-                 "oobe_db": oobe[scheme]}
-        if rrc_anchor is not None:
-            entry["delta_vs_rrc_db"] = at_1e3 - rrc_anchor
-        summary[scheme] = entry
+        summary[scheme] = {"papr_at_ccdf_1e3_db": at_1e3[scheme], "oobe_db": oobe[scheme],
+                           "mean_papr_db": float(papr_samples[scheme].mean())}
+        if "rrc" in schemes:
+            summary[scheme]["delta_vs_rrc_db"] = at_1e3[scheme] - at_1e3["rrc"]
 
     return EvalResult(
         schemes=schemes, ccdf=ccdf,

@@ -90,21 +90,18 @@ def papr_at_ccdf(samples: np.ndarray, prob: float) -> float:
     return float(np.quantile(samples, 1.0 - prob))
 
 
-def surrogate_blocks(
-    papr_db_batch: np.ndarray,
-    x0_db: float = TAIL_X0_DB,
-    sharpness: float = SURROGATE_SHARPNESS,
-) -> np.ndarray:
-    """Per-block softplus tail surrogate softplus_b(PAPR - x0).
+def surrogate_blocks(papr_db_batch: np.ndarray) -> np.ndarray:
+    """Per-block softplus tail surrogate softplus_b(PAPR - x0), with
+    b = ``SURROGATE_SHARPNESS`` and x0 = ``TAIL_X0_DB``.
 
     softplus_b(z) = log(1 + exp(b*z))/b approaches max(0, z) as the sharpness
     b grows, so its batch mean approximates E[max(0, PAPR - x0)], the hinge
-    form of the CCDF-tail integral.
+    form of the CCDF-tail integral.  ``training.chain_loss``'s backward reads
+    the same two constants.
     """
-    if not sharpness > 0.0:
-        raise ValueError(f"sharpness must be positive, got {sharpness}")
-    z = np.asarray(papr_db_batch, dtype=np.float64) - x0_db
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-sharpness * np.abs(z))) / sharpness
+    b = SURROGATE_SHARPNESS
+    z = np.asarray(papr_db_batch, dtype=np.float64) - TAIL_X0_DB
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-b * np.abs(z))) / b
 
 
 def measured_ser(tx_symbols: np.ndarray, detected: np.ndarray) -> tuple[float, int, int]:

@@ -292,6 +292,40 @@ def workloads(monkeypatch):
     return module
 
 
+class TestUnreadablePaths:
+    """A path that exists but cannot be read or made exits 2 with one error line."""
+
+    @pytest.fixture
+    def trained_out(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        return out
+
+    def assert_error_exit(self, argv, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self.assert_error_exit(["train", "--config", str(tmp_path)], capsys)
+
+    def test_checkpoint_is_a_directory(self, config_path, tmp_path, capsys):
+        self.assert_error_exit(["eval", "--config", str(config_path), "--out",
+                                str(tmp_path / "run"), "--checkpoint", str(tmp_path)], capsys)
+
+    def test_trace_is_a_directory(self, config_path, trained_out, tmp_path, capsys):
+        self.assert_error_exit(["adapt", "--config", str(config_path), "--out",
+                                str(trained_out), "--trace", str(tmp_path)], capsys)
+
+    def test_out_is_an_existing_file(self, config_path, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        self.assert_error_exit(["baselines", "--config", str(config_path), "--out", str(out)],
+                               capsys)
+        assert out.read_text() == "not a directory\n"
+
+
 class TestBenchmarkInvocations:
     """The CLI calls and configs of the benchmark (``perfbench/workloads.py``) still load."""
 

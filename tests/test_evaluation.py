@@ -1,6 +1,8 @@
+import json
 import tracemalloc
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
+from importlib.resources import files
 from itertools import product
 
 import numpy as np
@@ -12,7 +14,8 @@ from tinyfdss.baselines import (clf_reduce, clip_amplitude, conventional_config,
 from tinyfdss.chain import (SCHEME_NAMES, ChainConfig, ModScheme, detect_symbols, equalize,
                             occupied_bins, receive, time_signal)
 from tinyfdss.channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_fade
-from tinyfdss.evaluation import CellResult, EvalConfig, evaluate
+from tinyfdss.evaluation import SCHEMES, CellResult, EvalConfig, evaluate
+from tinyfdss.filters import unit_taps
 from tinyfdss.metrics import papr_db, tile_rows, waveform_papr_db
 from tinyfdss.training import TrainConfig, train
 
@@ -153,12 +156,17 @@ class TestEvaluate:
             return real_fade(*args, **kwargs)
 
         grid_sends = Counter()
-        real_transmit = evaluation._SchemeEngine.transmit
 
-        def counting_transmit(self, scheme, data, snr_db):
-            if len(data["s_conv"]) == eval_cfg.n_blocks:  # not a CCDF chunk
-                grid_sends[scheme] += 1
-            return real_transmit(self, scheme, data, snr_db)
+        def counting_scheme(name, scheme):
+            def build(*args):
+                rule = scheme.build(*args)
+
+                def send(draw, snr_db):
+                    if len(draw.conv.bins) == eval_cfg.n_blocks:  # not a CCDF chunk
+                        grid_sends[name] += 1
+                    return rule(draw, snr_db)
+                return send
+            return replace(scheme, build=build)
 
         cycles = []
         real_cycle = evaluation.adaptation_cycle
@@ -175,7 +183,8 @@ class TestEvaluate:
             return real_predict(*args)
 
         monkeypatch.setattr(channel, "draw_fade", counting_fade)
-        monkeypatch.setattr(evaluation._SchemeEngine, "transmit", counting_transmit)
+        for name, scheme in SCHEMES.items():
+            monkeypatch.setitem(SCHEMES, name, counting_scheme(name, scheme))
         monkeypatch.setattr(evaluation, "adaptation_cycle", counting_cycle)
         monkeypatch.setattr(network, "predict_coeffs", counting_predict)
         result = evaluate(small_ckpt, eval_cfg, ChainConfig())
@@ -204,9 +213,21 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(None, small_eval, ChainConfig())
 
+    def test_missing_checkpoint_fails_before_any_draw(self, small_eval, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(evaluation, "block_rngs", lambda *a, **k: drawn.append(a))
+        with pytest.raises(ValueError, match="requires a checkpoint"):
+            evaluate(None, small_eval, ChainConfig())
+        assert drawn == []
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             EvalConfig(schemes=("warp_drive",))
+
+    def test_summary_schema_lists_every_scheme(self):
+        # summary.json's scheme keys are checked against the packaged schema
+        schema = json.loads(files("tinyfdss").joinpath("schemas/summary.schema.json").read_text())
+        assert set(schema["properties"]) - {"meta"} == set(SCHEMES)
 
     def test_dftsofdm_ser_matches_closed_form(self):
         # conventional chain has no extension folding, so the per-symbol SNR
@@ -232,7 +253,7 @@ class TestDrawsMatchPerBlockRng:
 
     def test_data_symbols_bits(self, monkeypatch):
         eval_cfg = EvalConfig(mods=("qpsk", "qam16", "qam64"), seed=14)
-        engine = evaluation._SchemeEngine(ChainConfig(), eval_cfg, None)
+        conv = conventional_config(ChainConfig())
         bits_seen = []
         real = evaluation.map_symbols
 
@@ -243,8 +264,8 @@ class TestDrawsMatchPerBlockRng:
         monkeypatch.setattr(evaluation, "map_symbols", recording)
         indices = np.array([0, 1, 5, 2047, 2048, 19_999])
         for mod_i, (mod, scheme) in enumerate(SCHEME_NAMES.items()):
-            engine.data_symbols(mod, indices)
-            n_bits = engine.conv.n_data * scheme.bits_per_symbol
+            evaluation._draw(ChainConfig(), eval_cfg.seed, mod, indices)
+            n_bits = conv.n_data * scheme.bits_per_symbol
             for row, idx in enumerate(indices):
                 want = block_rng(eval_cfg.seed, Stream.EVAL_DATA, mod_i, int(idx))
                 assert bits_seen[-1][row].tobytes() == want.integers(0, 2, n_bits).tobytes()
@@ -268,17 +289,17 @@ class TestDrawsMatchPerBlockRng:
                 assert noise[idx].tobytes() == want.tobytes()
 
 
-def scheme_outer_cells(engine):
+def scheme_outer_cells(cfg, eval_cfg, rules):
     """The grid one (scheme, mod) group after another, every cell transmitting
     and drawing its fades and noise per block with its own ``block_rng``."""
-    eval_cfg, n = engine.eval_cfg, engine.cfg.n_sk
+    n = cfg.n_sk
     cells = []
     for scheme, channel_name, mod in product(eval_cfg.schemes, eval_cfg.channels, eval_cfg.mods):
-        data = engine.data_symbols(mod, np.arange(eval_cfg.n_blocks))
+        draw = evaluation._draw(cfg, eval_cfg.seed, mod, np.arange(eval_cfg.n_blocks))
         model = MODEL_NAMES[channel_name]
         k_linear = ChannelCfg(model, k_factor_db=eval_cfg.rician_k_db).k_linear
         for snr_i, snr_db in enumerate(eval_cfg.snr_db):
-            tx = engine.transmit(scheme, data, snr_db)
+            tx = rules[scheme](draw, snr_db)
             coords = (list(MODEL_NAMES).index(channel_name), list(SCHEME_NAMES).index(mod), snr_i)
             h = np.empty((eval_cfg.n_blocks, 1), dtype=np.complex128)
             noise = np.empty((eval_cfg.n_blocks, n), dtype=np.complex128)
@@ -290,7 +311,7 @@ def scheme_outer_cells(engine):
             detected, _ = receive(rx, h * tx.taps, tx.cfg.n_se, SCHEME_NAMES[mod])
             ser, _, total = metrics.measured_ser(tx.symbols, detected)
             cells.append(CellResult(scheme, channel_name, mod, snr_db, ser, total,
-                                    float(tx.waveform_papr().mean())))
+                                    float(tx.waveform_papr.mean())))
     return cells
 
 
@@ -301,11 +322,12 @@ class TestGrid:
         eval_cfg = EvalConfig(
             snr_db=(4.0, 11.0), channels=("rayleigh", "rician"), mods=("qpsk", "qam16"),
             n_blocks=12, ccdf_blocks=64, oobe_blocks=16, seed=17,
-            schemes=evaluation.ALLSCHEME_NAMES,
+            schemes=tuple(SCHEMES),
         )
-        engine = evaluation._SchemeEngine(ChainConfig(), eval_cfg, small_ckpt)
-        got = [astuple(c) for c in evaluation._grid(engine)]
-        want = [astuple(c) for c in scheme_outer_cells(engine)]
+        cfg = ChainConfig()
+        rules = evaluation._rules(cfg, eval_cfg, small_ckpt.deployed_net(eval_cfg.use_quantized))
+        got = [astuple(c) for c in evaluation._grid(cfg, eval_cfg, rules)]
+        want = [astuple(c) for c in scheme_outer_cells(cfg, eval_cfg, rules)]
         assert len(got) == 6 * 2 * 2 * 2
         assert repr(got) == repr(want)
 
@@ -318,22 +340,22 @@ class TestBaselineTransmit:
 
     @pytest.fixture(scope="class")
     def run(self):
-        engine = evaluation._SchemeEngine(ChainConfig(), self.EVAL, None)
-        data = engine.data_symbols("qpsk", np.arange(self.EVAL.ccdf_blocks))
-        return engine, data, evaluate(None, self.EVAL, ChainConfig())
+        draw = evaluation._draw(ChainConfig(), self.EVAL.seed, "qpsk",
+                                np.arange(self.EVAL.ccdf_blocks))
+        return draw, evaluate(None, self.EVAL, ChainConfig())
 
     def test_slm_samples_are_minimum_over_candidates(self, run):
-        _, data, result = run
+        draw, result = run
         conv = conventional_config(ChainConfig())
         phases = slm_phase_vectors(self.EVAL.slm, conv.n_data)
-        every = [papr_db(time_signal(data["s_conv"] * phases[u], conv))
+        every = [papr_db(time_signal(draw.conv.bins * phases[u], conv))
                  for u in range(len(phases))]
         np.testing.assert_array_equal(result.papr_samples["slm"], np.min(every, axis=0))
 
     def test_clf_samples_match_reference_loop(self, run):
-        _, data, result = run
+        draw, result = run
         conv, clf = conventional_config(ChainConfig()), self.EVAL.clf
-        x = time_signal(data["s_conv"], conv)
+        x = time_signal(draw.conv.bins, conv)
         rms = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True))
         level = rms * 10 ** (clf.clip_ratio_db / 20)
         for _ in range(clf.iterations):
@@ -342,12 +364,13 @@ class TestBaselineTransmit:
 
     def test_noise_free_slm_link_recovers_every_symbol(self, run):
         # the chosen phases are the receiver taps: its matched filter derotates
-        engine, data, _ = run
-        tx = engine.transmit("slm", data, self.EVAL.ccdf_snr_db)
+        draw, _ = run
+        slm = SCHEMES["slm"].build(ChainConfig(), self.EVAL, None)
+        tx = slm(draw, self.EVAL.ccdf_snr_db)
         assert np.any(tx.taps != 1.0)  # some block chose a rotated candidate
         detected = detect_symbols(equalize(tx.bins, tx.taps, 0), ModScheme.QPSK)
         np.testing.assert_array_equal(detected, tx.symbols)
-        unrotated = detect_symbols(equalize(tx.bins, engine.unit, 0), ModScheme.QPSK)
+        unrotated = detect_symbols(equalize(tx.bins, unit_taps(tx.cfg.n_sk), 0), ModScheme.QPSK)
         assert np.any(unrotated != tx.symbols)
 
 
@@ -359,12 +382,13 @@ class TestCcdfPassReuse:
 
     def test_columns_equal_per_scheme_resynthesis(self, monkeypatch):
         monkeypatch.setattr(evaluation, "CCDF_CHUNK", 128)  # two full chunks and a part
-        engine = evaluation._SchemeEngine(ChainConfig(), self.EVAL, None)
-        samples, _ = evaluation._ccdf_pass(engine)
-        s = engine.data_symbols("qpsk", np.arange(self.EVAL.ccdf_blocks))["s_conv"]
-        conv = engine.conv
+        cfg = ChainConfig()
+        samples, _ = evaluation._ccdf_pass(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
+        s = evaluation._draw(cfg, self.EVAL.seed, "qpsk", np.arange(self.EVAL.ccdf_blocks)).conv.bins
+        conv = conventional_config(cfg)
+        phases = slm_phase_vectors(self.EVAL.slm, conv.n_data)
         assert samples["dftsofdm"].tobytes() == waveform_papr_db(s, conv).tobytes()
-        chosen = s * engine.slm_phases[slm_select(s, engine.slm_phases, conv)[0]]
+        chosen = s * phases[slm_select(s, phases, conv)[0]]
         assert samples["slm"].tobytes() == waveform_papr_db(chosen, conv).tobytes()
 
     def test_oversampled_waveforms_per_block(self, monkeypatch):
@@ -380,8 +404,8 @@ class TestCcdfPassReuse:
 
         monkeypatch.setattr(metrics, "time_signal", counting)
         monkeypatch.setattr(baselines, "time_signal", counting)
-        engine = evaluation._SchemeEngine(ChainConfig(), self.EVAL, None)
-        evaluation._ccdf_pass(engine)
+        cfg = ChainConfig()
+        evaluation._ccdf_pass(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
         assert sum(rows) == 12 * self.EVAL.ccdf_blocks
 
 
@@ -407,7 +431,7 @@ class TestTiling:
     """Waveforms are synthesized per tile; the tile size changes no output."""
 
     EVAL = EvalConfig(snr_db=(10.0,), n_blocks=20, ccdf_blocks=300, oobe_blocks=16,
-                      seed=13, schemes=evaluation.ALLSCHEME_NAMES)
+                      seed=13, schemes=tuple(SCHEMES))
 
     def test_outputs_do_not_depend_on_tile_rows(self, small_ckpt, monkeypatch):
         cfg = ChainConfig()
@@ -431,8 +455,8 @@ class TestTiling:
         conv = conventional_config(ChainConfig())
         if rows is not None:
             set_tile_rows(monkeypatch, conv, rows)
-        engine = evaluation._SchemeEngine(ChainConfig(), self.EVAL, None)
-        s = engine.data_symbols("qpsk", np.arange(2 * tile_rows(conv) + 3))["s_conv"]
+        s = evaluation._draw(ChainConfig(), self.EVAL.seed, "qpsk",
+                             np.arange(2 * tile_rows(conv) + 3)).conv.bins
         np.testing.assert_array_equal(clf_reduce(s, self.EVAL.clf, conv),
                                       untiled_clf(s, self.EVAL.clf, conv))
 
@@ -449,8 +473,13 @@ class TestTiledMemory:
                       schemes=("rrc", "dftsofdm", "clf", "slm"))
 
     @pytest.fixture(scope="class")
-    def engine(self):
-        return evaluation._SchemeEngine(ChainConfig(), self.EVAL, None)
+    def rules(self):
+        return evaluation._rules(ChainConfig(), self.EVAL, None)
+
+    @pytest.fixture(scope="class")
+    def s(self):
+        return evaluation._draw(ChainConfig(), self.EVAL.seed, "qpsk",
+                                np.arange(self.EVAL.ccdf_blocks)).conv.bins
 
     @staticmethod
     def peak_mib(fn, *args):
@@ -461,23 +490,24 @@ class TestTiledMemory:
         finally:
             tracemalloc.stop()
 
-    def test_ccdf_pass(self, engine):
-        assert self.peak_mib(evaluation._ccdf_pass, engine) < 64
+    def test_ccdf_pass(self, rules):
+        assert self.peak_mib(evaluation._ccdf_pass, ChainConfig(), self.EVAL, rules) < 64
 
-    def test_ccdf_pass_holds_one_chunk_at_a_time(self, engine):
+    def test_ccdf_pass_holds_one_chunk_at_a_time(self, rules):
         # a chunk's blocks and transmits are freed before the next chunk is
         # drawn, so two chunks peak where one does; held over, the previous
         # chunk's blocks and last transmit would add over 20 MiB
         two = EvalConfig(ccdf_blocks=2 * evaluation.CCDF_CHUNK, seed=3,
                          schemes=self.EVAL.schemes)
-        longer = evaluation._SchemeEngine(ChainConfig(), two, None)
-        one_chunk = self.peak_mib(evaluation._ccdf_pass, engine)
-        assert self.peak_mib(evaluation._ccdf_pass, longer) < one_chunk + 4
+        longer = evaluation._rules(ChainConfig(), two, None)
+        one_chunk = self.peak_mib(evaluation._ccdf_pass, ChainConfig(), self.EVAL, rules)
+        assert self.peak_mib(evaluation._ccdf_pass, ChainConfig(), two, longer) < one_chunk + 4
 
-    def test_slm_select(self, engine):
-        s = engine.data_symbols("qpsk", np.arange(self.EVAL.ccdf_blocks))["s_conv"]
-        assert self.peak_mib(slm_select, s, engine.slm_phases, engine.conv) < 24
+    def test_slm_select(self, s):
+        conv = conventional_config(ChainConfig())
+        phases = slm_phase_vectors(self.EVAL.slm, conv.n_data)
+        assert self.peak_mib(slm_select, s, phases, conv) < 24
 
-    def test_clf_reduce(self, engine):
-        s = engine.data_symbols("qpsk", np.arange(self.EVAL.ccdf_blocks))["s_conv"]
-        assert self.peak_mib(clf_reduce, s, self.EVAL.clf, engine.conv) < 24
+    def test_clf_reduce(self, s):
+        conv = conventional_config(ChainConfig())
+        assert self.peak_mib(clf_reduce, s, self.EVAL.clf, conv) < 24
