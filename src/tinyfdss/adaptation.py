@@ -33,8 +33,7 @@ from .chain import (
     receive,
     shape_and_normalize,
 )
-from .channel import (ChannelCfg, ChannelModel, Stream, add_channel, block_rngs, draw_channel,
-                      unit_noise)
+from .channel import Stream, add_channel, block_rngs, unit_noise
 from .filters import taps_from_coeffs
 from .metrics import waveform_papr_db
 
@@ -144,15 +143,16 @@ def run_scenario(
     last trace timestamp; at each tick the most recent feedback at or before
     the tick applies.  Each tick looks lambda up in :class:`LambdaTable`,
     transmits one fresh block, measures its PAPR, passes it through an AWGN
-    channel at the true SNR, and records that block's symbol error rate.
+    channel (no fade) at the true SNR, and records that block's symbol error rate.
 
     Every tick's generator, ``block_rng(seed, Stream.ADAPT_TICK, tick)``, is
     seeded up front in one pass (``block_rngs``), and every tick's time,
     feedback and lambda are resolved up front (one ``np.searchsorted``).  The
     ticks run ``CHUNK_TICKS`` at a time.  Per chunk, a loop draws each tick's
-    bits, fade and noise; the link then runs once on the chunk, with one SNR
-    per block.  Every step of the link is row-independent, so each record has
-    the bytes of the tick run alone.
+    bits, then its noise (the stream steps ``draw_channel`` takes on AWGN);
+    the link then runs once on the chunk, with one SNR per block.  Every step
+    of the link is row-independent, so each record has the bytes of the tick
+    run alone.
     """
     if len(trace) == 0:
         return []
@@ -165,7 +165,6 @@ def run_scenario(
     records: list[TickRecord] = []
     n_ticks = int((times[-1] - times[0]) // period_ms) + 1
     n_bits = cfg.n_data * scheme.bits_per_symbol
-    awgn = ChannelCfg(ChannelModel.AWGN)
     now = (times[0] + np.arange(n_ticks) * period_ms).tolist()
     fed = np.searchsorted(times, now, side="right") - 1  # latest feedback at or before
     snr_db = [float(trace[i][1]) for i in fed.tolist()]
@@ -175,18 +174,17 @@ def run_scenario(
         ticks = slice(lo, lo + CHUNK_TICKS)
         snr = np.array(snr_db[ticks])
         bits = np.empty((len(snr), n_bits), dtype=np.int64)
-        h = np.empty((len(snr), 1), dtype=np.complex128)
         parts = np.empty((len(snr), 2, cfg.n_sk))  # the noise's standard-normal parts
         for row in range(len(snr)):
             rng = next(rngs)
             bits[row] = rng.integers(0, 2, n_bits)
-            h[row] = draw_channel(awgn, rng, parts[row])
+            rng.standard_normal(out=parts[row])
         tx = map_symbols(bits, scheme)
         bins, taps = adaptation_cycle(snr, net, extend(precode(tx), cfg.n_se))
         papr = waveform_papr_db(bins, cfg)
         # the channel on the occupied bins, at the true SNR
-        rx = add_channel(bins, h, unit_noise(parts), snr)
-        detected, _ = receive(rx, h * taps, cfg.n_se, scheme)
+        rx = add_channel(bins, 1.0, unit_noise(parts), snr)
+        detected, _ = receive(rx, taps, cfg.n_se, scheme)
         ser = np.count_nonzero(detected != tx, axis=-1) / cfg.n_data
         records.extend(
             TickRecord(t_ms=t, snr_db=s, lam=lm, papr_db=float(p), ser_block=float(e))

@@ -1,11 +1,13 @@
 """Flat-fading and AWGN channel models with deterministic seeding.
 
-SNR convention: the configured SNR is the ratio of average occupied-subcarrier
-signal power to noise power per subcarrier, as in DFT-s-OFDM/SC-FDMA.  The
-channel acts on the n_sk occupied bins, so the noise is in-band only, and
-:func:`noise_power` is the one rule that turns an SNR into noise: every
-symbol-error path (training's fixed noise, eval's grid, adapt's ticks and the
-single-block boundary) takes its noise from :func:`noise_term`.
+SNR convention: the SNR is the ratio of average occupied-subcarrier signal
+power to noise power per subcarrier, as in DFT-s-OFDM/SC-FDMA.  The channel
+acts on the n_sk occupied bins, so the noise is in-band only, and
+:func:`noise_power` is the one rule that turns an SNR into noise and the one
+check that rejects a non-finite SNR: every symbol-error path (training's
+fixed noise, eval's grid, adapt's ticks and the single-block boundary) takes
+its noise from :func:`noise_term` at an SNR it passes as an argument.  A
+:class:`ChannelCfg` is the fading model alone.
 
 Fading is flat per block: a single coefficient h with E[|h|^2] = 1 multiplies
 the whole block; the receiver knows it (genie-aided) and equalizes with the
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -169,15 +171,13 @@ MODEL_NAMES = {"awgn": ChannelModel.AWGN, "rayleigh": ChannelModel.RAYLEIGH,
 
 @dataclass(frozen=True)
 class ChannelCfg:
-    """Channel selector plus SNR and the Rician K-factor in dB."""
+    """The fading model alone: the selector and the keyword-only Rician K-factor in dB."""
 
     model: ChannelModel = ChannelModel.AWGN
-    snr_db: float = 10.0
+    _: KW_ONLY
     k_factor_db: float = RICIAN_K_DB
 
     def __post_init__(self):
-        if not np.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if self.model is ChannelModel.RICIAN and not np.isfinite(self.k_factor_db):
             raise ValueError("Rician channel requires a finite K-factor")
 
@@ -201,8 +201,11 @@ def noise_power(bins: np.ndarray, snr_db: float | np.ndarray) -> float | np.ndar
     """Noise power per occupied bin: ``mean|bins|^2 * 10**(-snr/10)``.
 
     One power per block (last axis); a single 1-D block gives a float.
-    ``snr_db`` is one SNR for every block or one per block.
+    ``snr_db`` is one SNR for every block or one per block, and each must be
+    finite.
     """
+    if not np.all(np.isfinite(snr_db)):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
     # Python's float pow per SNR: numpy's vectorized power may differ in the
     # last bit, and a block's noise must not depend on the batch it is in
     scale = [10.0 ** (-snr / 10.0) for snr in np.ravel(snr_db).tolist()]
@@ -246,15 +249,16 @@ def add_channel(
 def apply_channel(
     signal: SymbolBlock,
     cfg: ChannelCfg,
+    snr_db: float,
     chain_cfg: ChainConfig,
     rng: np.random.Generator,
 ) -> tuple[SymbolBlock, complex]:
     """Pass one time-domain block through the channel; returns (received, fade).
 
-    The block's occupied bins go through :func:`add_channel`, and the received
-    bins are synthesized again at the block's own oversampling, so the
-    received noise is in-band only and each occupied bin sees the configured
-    SNR at any oversampling.  The fade is returned for the receiver's
+    The block's occupied bins go through :func:`add_channel` at ``snr_db``,
+    and the received bins are synthesized again at the block's own
+    oversampling, so the received noise is in-band only and each occupied bin
+    sees that SNR at any oversampling.  The fade is returned for the receiver's
     effective taps ``fade * taps`` (genie-aided).  Monte-Carlo loops pass one
     generator per block, from :func:`block_rng` with a :class:`Stream` member
     and the block index.
@@ -264,6 +268,6 @@ def apply_channel(
     bins = occupied_bins(signal.values, chain_cfg)
     parts = np.empty((2, chain_cfg.n_sk))
     h = draw_channel(cfg, rng, parts)
-    rx = time_signal(add_channel(bins, h, unit_noise(parts), cfg.snr_db), chain_cfg,
+    rx = time_signal(add_channel(bins, h, unit_noise(parts), snr_db), chain_cfg,
                      len(signal) // chain_cfg.n_fft)
     return SymbolBlock(Stage.RECEIVED, rx), h

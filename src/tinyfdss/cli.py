@@ -247,15 +247,12 @@ def cmd_train(cfg: dict, out: Path) -> int:
 
 
 def _load_checkpoint(cfg: dict, out: Path, flag: str | None) -> tuple[Path, Checkpoint]:
-    """Find and load the checkpoint; reject one whose net does not fit the chain."""
-    for candidate in (flag, cfg["checkpoint"], out / CHECKPOINT_NAME):
-        if candidate is not None and Path(candidate).exists():
-            path = Path(candidate)
-            break
-    else:
-        raise FileNotFoundError(
-            "no checkpoint found; pass --checkpoint, set the config key, or run train first"
-        )
+    """Load ``--checkpoint``, else the config's ``checkpoint``, else the run
+    directory's, never the next if one is missing; reject a net that does not fit."""
+    path = next(Path(p) for p in (flag, cfg["checkpoint"], out / CHECKPOINT_NAME) if p is not None)
+    if not path.exists():
+        raise FileNotFoundError(f"checkpoint {path} not found; pass --checkpoint, set the "
+                                "config key, or run train first")
     ckpt = load_checkpoint(path)
     width, n_sk = ckpt.params.input_dim, cfg["chain"].n_sk
     if width != n_sk + 1:

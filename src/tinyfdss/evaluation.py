@@ -256,8 +256,7 @@ def _cell_draws(eval_cfg: EvalConfig, channel_name: str, mod: str, snr_i: int,
     mod, SNR, idx)``, the cell's generators seeded in one pass
     (``block_rngs``); fades have shape (n_blocks, 1) to broadcast over the block.
     """
-    channel = ChannelCfg(MODEL_NAMES[channel_name], eval_cfg.snr_db[snr_i],
-                         k_factor_db=eval_cfg.rician_k_db)
+    channel = ChannelCfg(MODEL_NAMES[channel_name], k_factor_db=eval_cfg.rician_k_db)
     h = np.empty((eval_cfg.n_blocks, 1), dtype=np.complex128)
     parts = np.empty((eval_cfg.n_blocks, 2, n))
     rngs = block_rngs(eval_cfg.seed, Stream.EVAL_CHANNEL, list(MODEL_NAMES).index(channel_name),

@@ -108,11 +108,6 @@ class NetParams(_Layers):
     mask1: np.ndarray | None
     mask2: np.ndarray
 
-    def copy(self) -> "NetParams":
-        return NetParams.from_layers(
-            [tuple(t.copy() for t in layer) for layer in self.layers()]
-        )
-
 
 @dataclass
 class Grads(_Layers):
@@ -212,14 +207,14 @@ def backward(params: NetParams, cache: list, upstream: np.ndarray) -> Grads:
 # AdamW
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+
 @dataclass
 class AdamState:
     """Decoupled-weight-decay Adam accumulators (one slot per parameter tensor)."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-4
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -236,17 +231,17 @@ def adamw_step(params: NetParams, grads: Grads, opt: AdamState) -> NetParams:
     """One AdamW update with bias correction; masks are re-applied afterwards."""
     opt.step += 1
     t = opt.step
-    bc1 = 1.0 - opt.beta1**t
-    bc2 = 1.0 - opt.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for k, ((w, b, _), (gw, gb)) in enumerate(zip(params.layers(), grads.layers())):
         for name, p, g in (("w", w, gw), ("b", b, gb)):
             m, v = opt.slot((name, k), p)
-            m *= opt.beta1
-            m += (1.0 - opt.beta1) * g
-            v *= opt.beta2
-            v += (1.0 - opt.beta2) * g * g
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
             p *= 1.0 - opt.lr * opt.weight_decay
-            p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+            p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     apply_masks(params)
     return params
 

@@ -64,7 +64,8 @@ def replay_tick_by_tick(trace, net, cfg, scheme, seed):
         bins, taps = adaptation_cycle(snr_db, net, extend(precode(tx), cfg.n_se))
         papr = waveform_papr_db(bins, cfg)
         parts = np.empty((2, cfg.n_sk))
-        h = draw_channel(ChannelCfg(ChannelModel.AWGN, snr_db), rng, parts)
+        # the fade-multiplying link: AWGN's fade of exactly 1, drawn and applied
+        h = draw_channel(ChannelCfg(ChannelModel.AWGN), rng, parts)
         rx = add_channel(bins, h, unit_noise(parts), snr_db)
         detected, _ = receive(rx, h * taps, cfg.n_se, scheme)
         ser, _, _ = measured_ser(tx, detected)

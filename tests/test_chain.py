@@ -519,9 +519,7 @@ class TestReceiverChain:
             bits = brng.integers(0, 2, cfg.n_data * 2)
             tx = map_symbols(bits, ModScheme.QPSK)
             sig, eff = shaped_block(bits, ModScheme.QPSK, taps, cfg, oversample=1)
-            rx, fade = apply_channel(
-                sig, ChannelCfg(ChannelModel.AWGN, snr_db=snr_db), cfg, rng=brng
-            )
+            rx, fade = apply_channel(sig, ChannelCfg(ChannelModel.AWGN), snr_db, cfg, rng=brng)
             detected, _ = receiver_chain(rx, fade * eff, cfg, ModScheme.QPSK)
             _, e, t = measured_ser(tx, detected.values)
             errors += e
@@ -574,8 +572,8 @@ class TestReceive:
         blocks, fades = [], []
         for b in range(n_blocks):
             sig = SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins[b], cfg, oversample=1))
-            channel = ChannelCfg(models[b % 3], snr_db=4.0 + b, k_factor_db=3.0)
-            rx, fade = apply_channel(sig, channel, cfg, np.random.default_rng((5, b)))
+            channel = ChannelCfg(models[b % 3], k_factor_db=3.0)
+            rx, fade = apply_channel(sig, channel, 4.0 + b, cfg, np.random.default_rng((5, b)))
             blocks.append(rx)
             fades.append(fade)
         assert len(set(fades)) > n_blocks // 2  # the faded blocks differ
@@ -597,7 +595,7 @@ class TestReceive:
         models = list(ChannelModel)
         snrs = 4.0 + np.arange(n_blocks)
         parts = np.empty((n_blocks, 2, cfg.n_sk))
-        fades = [draw_channel(ChannelCfg(models[b % 3], snrs[b], k_factor_db=3.0),
+        fades = [draw_channel(ChannelCfg(models[b % 3], k_factor_db=3.0),
                               np.random.default_rng((6, b)), parts[b]) for b in range(n_blocks)]
         noise = unit_noise(parts)
         h = np.array(fades).reshape(3, 4, 1)
@@ -617,7 +615,7 @@ class TestReceive:
         # round trips (bins -> waveform -> bins, at each end of the channel)
         n_blocks, snr_db = 12, 8.0
         bins, eff_taps = shaped_bins(np.random.default_rng(79), ModScheme.QAM16, n_blocks, cfg)
-        channel = ChannelCfg(model, snr_db, k_factor_db=3.0)
+        channel = ChannelCfg(model, k_factor_db=3.0)
         parts = np.empty((n_blocks, 2, cfg.n_sk))
         h = np.array([[draw_channel(channel, np.random.default_rng((7, b)), parts[b])]
                       for b in range(n_blocks)])
@@ -625,7 +623,7 @@ class TestReceive:
         detected, equalized = receive(rx, h * eff_taps, cfg.n_se, ModScheme.QAM16)
         for b in range(n_blocks):
             sig = SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins[b], cfg, oversample))
-            rx_b, fade = apply_channel(sig, channel, cfg, np.random.default_rng((7, b)))
+            rx_b, fade = apply_channel(sig, channel, snr_db, cfg, np.random.default_rng((7, b)))
             assert len(rx_b) == cfg.n_fft * oversample
             assert fade == h[b, 0]
             det_b, eq_b = receiver_chain(rx_b, fade * eff_taps[b], cfg, ModScheme.QAM16)
@@ -666,7 +664,7 @@ class TestEffectiveTaps:
         rng = np.random.default_rng(seed)
         bins, taps = shaped_bins(rng, scheme, 4, cfg)  # one tap kind per block
         parts = np.empty((4, 2, cfg.n_sk))
-        channel = ChannelCfg(model, snr_db, k_factor_db=3.0)
+        channel = ChannelCfg(model, k_factor_db=3.0)
         h = np.array([[draw_channel(channel, rng, parts[b])] for b in range(4)])
         if model is not ChannelModel.AWGN:
             h *= depth  # down to a 1e-4 deep fade

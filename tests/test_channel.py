@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -115,9 +116,18 @@ class TestBlockRngs:
 
 class TestApplyChannel:
     @pytest.mark.parametrize("snr_db", [np.inf, -np.inf, np.nan])
-    def test_non_finite_snr_rejected(self, snr_db):
+    def test_non_finite_snr_rejected(self, cfg, snr_db):
+        sig = make_signal(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="snr_db must be finite"):
-            ChannelCfg(ChannelModel.AWGN, snr_db=snr_db)
+            apply_channel(sig, ChannelCfg(ChannelModel.AWGN), snr_db, cfg,
+                          np.random.default_rng(0))
+
+    def test_config_is_the_fading_model_alone(self):
+        assert [f.name for f in dataclasses.fields(ChannelCfg)] == ["model", "k_factor_db"]
+        # the K-factor is keyword-only: a leftover positional SNR fails loudly
+        # rather than becoming the Rician K
+        with pytest.raises(TypeError):
+            ChannelCfg(ChannelModel.RICIAN, 5.0)
 
     def test_rayleigh_unit_power(self):
         rng = np.random.default_rng(0)
@@ -138,9 +148,9 @@ class TestApplyChannel:
 
     def test_seeded_determinism(self, cfg, rng):
         sig = make_signal(cfg, rng)
-        ch = ChannelCfg(ChannelModel.RAYLEIGH, snr_db=7.0)
-        rx1, h1 = apply_channel(sig, ch, cfg, np.random.default_rng(99))
-        rx2, h2 = apply_channel(sig, ch, cfg, np.random.default_rng(99))
+        ch = ChannelCfg(ChannelModel.RAYLEIGH)
+        rx1, h1 = apply_channel(sig, ch, 7.0, cfg, np.random.default_rng(99))
+        rx2, h2 = apply_channel(sig, ch, 7.0, cfg, np.random.default_rng(99))
         assert h1 == h2
         np.testing.assert_array_equal(rx1.values, rx2.values)
 
@@ -149,7 +159,7 @@ class TestApplyChannel:
         # oversampling, and nothing is added outside the band
         rng = np.random.default_rng(5)
         bins = make_bins(cfg, rng)
-        ch = ChannelCfg(ChannelModel.AWGN, snr_db=10.0)
+        ch = ChannelCfg(ChannelModel.AWGN)
         sigma2 = noise_power(bins, 10.0)
         n_runs = int(np.ceil(5e5 / cfg.n_sk))
         for oversample in (1, 4):
@@ -158,7 +168,7 @@ class TestApplyChannel:
             out_of_band[centered_band(cfg.n_sk, len(sig))] = False
             acc = 0.0
             for i in range(n_runs):
-                rx, _ = apply_channel(sig, ch, cfg, rng=np.random.default_rng((17, i)))
+                rx, _ = apply_channel(sig, ch, 10.0, cfg, rng=np.random.default_rng((17, i)))
                 acc += np.sum(np.abs(occupied_bins(rx.values, cfg) - bins) ** 2)
                 if i == 0:
                     leak = np.fft.fft(rx.values - sig.values)[out_of_band]
@@ -167,19 +177,20 @@ class TestApplyChannel:
 
     def test_fading_is_flat_per_block(self, cfg, rng):
         bins = make_bins(cfg, rng)
-        ch = ChannelCfg(ChannelModel.RAYLEIGH, snr_db=10.0)
+        ch = ChannelCfg(ChannelModel.RAYLEIGH)
         h = draw_channel(ch, np.random.default_rng(3), np.empty((2, cfg.n_sk)))
-        rx = add_channel(bins, h, np.zeros(cfg.n_sk, dtype=complex), ch.snr_db)
+        rx = add_channel(bins, h, np.zeros(cfg.n_sk, dtype=complex), 10.0)
         np.testing.assert_array_equal(rx, h * bins)
 
     def test_rician_requires_finite_k(self):
         with pytest.raises(ValueError):
-            ChannelCfg(ChannelModel.RICIAN, snr_db=10.0, k_factor_db=np.inf)
+            ChannelCfg(ChannelModel.RICIAN, k_factor_db=np.inf)
 
     def test_wrong_stage_rejected(self, cfg):
         block = SymbolBlock(Stage.DATA_SYMBOLS, np.ones(4, dtype=complex))
         with pytest.raises(ValueError):
-            apply_channel(block, ChannelCfg(ChannelModel.AWGN), cfg, np.random.default_rng(0))
+            apply_channel(block, ChannelCfg(ChannelModel.AWGN), 10.0, cfg,
+                          np.random.default_rng(0))
 
 
 class TestDrawThenApply:
@@ -195,7 +206,7 @@ class TestDrawThenApply:
     @example(model=ChannelModel.AWGN, snr_db=22.0, n_blocks=2, seed=0)
     def test_batched_matches_per_block_apply_channel(self, model, snr_db, n_blocks, seed):
         cfg = ChainConfig()
-        ch = ChannelCfg(model, snr_db=snr_db, k_factor_db=10.0)
+        ch = ChannelCfg(model, k_factor_db=10.0)
         data = np.random.default_rng(seed)
         # blocks of different powers, so a pooled noise power would show
         scale = data.uniform(0.1, 10.0, (n_blocks, 1))
@@ -222,7 +233,7 @@ class TestDrawThenApply:
             assert batched[b].tobytes() == alone.tobytes()
             alone = add_channel(x[b], h[b], noise[b], float(snrs[b]))
             assert per_block[b].tobytes() == alone.tobytes()
-            y, fade = apply_channel(SymbolBlock(Stage.TIME_DOMAIN, x_time[b]), ch, cfg,
+            y, fade = apply_channel(SymbolBlock(Stage.TIME_DOMAIN, x_time[b]), ch, snr_db, cfg,
                                     np.random.default_rng((seed, b)))
             assert fade == h[b, 0]
             assert boundary[b].tobytes() == y.values.tobytes()
@@ -261,3 +272,30 @@ class TestDrawThenApply:
         got = noise_term(bins, noise, np.array([0.0, 10.0]))
         np.testing.assert_allclose(got[0], 3.0 / np.sqrt(2.0) * (1 + 1j), rtol=1e-15)
         np.testing.assert_allclose(got[1], 3.0 / np.sqrt(20.0) * (1 + 1j), rtol=1e-15)
+
+
+class TestNonFiniteSnr:
+    """``noise_power`` is the link's one SNR check: every path that makes
+    noise rejects a non-finite SNR there, one for every block or one per block."""
+
+    @staticmethod
+    def assert_rejected_in_noise_power(call):
+        with pytest.raises(ValueError, match="snr_db must be finite") as exc:
+            call()
+        assert exc.traceback[-1].name == "noise_power"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("per_block", [False, True])
+    def test_every_noise_path(self, cfg, bad, per_block):
+        bins = np.ones((3, cfg.n_sk), dtype=complex)
+        noise = np.zeros((3, cfg.n_sk), dtype=complex)
+        # per block: one bad entry among finite ones
+        snr_db = np.array([3.0, bad, 10.0]) if per_block else bad
+        self.assert_rejected_in_noise_power(lambda: noise_power(bins, snr_db))
+        self.assert_rejected_in_noise_power(lambda: noise_term(bins, noise, snr_db))
+        self.assert_rejected_in_noise_power(
+            lambda: add_channel(bins, np.ones((3, 1)), noise, snr_db))
+        if not per_block:
+            sig = make_signal(cfg, np.random.default_rng(0))
+            self.assert_rejected_in_noise_power(lambda: apply_channel(
+                sig, ChannelCfg(ChannelModel.RAYLEIGH), bad, cfg, np.random.default_rng(0)))

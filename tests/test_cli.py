@@ -500,6 +500,25 @@ class TestEvalCommand:
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "adapt"])
+    @pytest.mark.parametrize("route", ["flag", "config key"])
+    def test_missing_named_checkpoint_is_not_replaced(
+        self, command, route, trained_out, tmp_path, capsys
+    ):
+        # the run directory holds a checkpoint, but the one named is missing
+        missing = tmp_path / "missing.bin"
+        keyed = route == "config key"
+        config = tmp_path / "named.json"
+        config.write_text(json.dumps(dict(SMOKE_CONFIG, checkpoint=str(missing)) if keyed
+                                     else SMOKE_CONFIG))
+        argv = [command, "--config", str(config), "--out", str(trained_out)]
+        capsys.readouterr()
+        code = main(argv if keyed else [*argv, "--checkpoint", str(missing)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and str(missing) in err
+        assert not (trained_out / "summary.json").exists()
+        assert not (trained_out / "events.csv").exists()
+
     def test_checkpoint_chain_mismatch_rejected(
         self, narrow_config_path, trained_out, tmp_path, capsys
     ):

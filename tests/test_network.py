@@ -1,3 +1,4 @@
+import copy
 import struct
 
 import numpy as np
@@ -183,7 +184,7 @@ class TestBackward:
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_noop(self, rng):
         p = random_params(seed=11)
-        before = p.copy()
+        before = copy.deepcopy(p)
         opt = AdamState(lr=1e-3, weight_decay=0.0)
         _, cache = forward_cached(p, rng.standard_normal(241))
         g = backward(p, cache, np.zeros(5))
@@ -194,14 +195,16 @@ class TestAdamW:
 
     def test_first_step_scalar_hand_trace(self):
         # published recurrence for one scalar: m=(1-b1)g, v=(1-b2)g^2,
-        # update = -lr * m_hat / (sqrt(v_hat) + eps)
-        lr, b1, b2, eps, g = 1e-3, 0.9, 0.999, 1e-8, 0.37
+        # update = -lr * m_hat / (sqrt(v_hat) + eps), at the module's constants
+        b1, b2, eps = network.ADAM_BETA1, network.ADAM_BETA2, network.ADAM_EPS
+        assert (b1, b2, eps) == (0.9, 0.999, 1e-8)  # Kingma & Ba's defaults
+        lr, g = 1e-3, 0.37
         m_hat = (1 - b1) * g / (1 - b1)
         v_hat = (1 - b2) * g * g / (1 - b2)
         expected_delta = -lr * m_hat / (np.sqrt(v_hat) + eps)
         p = random_params(seed=12)
         p.b2[:] = 0.0
-        opt = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0)
+        opt = AdamState(lr=lr, weight_decay=0.0)
         grads = network.Grads(
             w1=np.zeros_like(p.w1), b1=np.zeros_like(p.b1),
             w2=np.zeros_like(p.w2), b2=np.array([g, 0, 0, 0, 0.0]),
@@ -262,7 +265,7 @@ class TestPruning:
         p = random_params(seed=17)
         p.w1[:] = 0.5
         p.w2[:] = 0.5
-        q = p.copy()
+        q = copy.deepcopy(p)
         prune_to(p, 0.2)
         prune_to(q, 0.2)
         assert live_weight_count(p) == 1968

@@ -107,7 +107,7 @@ def per_row_prepare_batch(config, indices, table):
         symbols[row] = map_symbols(bits, scheme)
         s_ext[row] = extend(precode(symbols[row]), cfg.n_se)
         parts = np.empty((2, cfg.n_sk))
-        h = draw_channel(ChannelCfg(model, snr_db), rng, parts)
+        h = draw_channel(ChannelCfg(model), rng, parts)
         noise = unit_noise(parts)
         snr[row] = snr_db
         lam[row] = table.lookup(snr_db)
