@@ -26,7 +26,7 @@ import numpy as np
 
 from .chain import ChainConfig, centered_band, extend, occupied_bins, time_signal
 from .channel import Stream, block_rng
-from .metrics import by_tiles, waveform_papr_db
+from .metrics import by_tiles, single_precision, waveform_papr_db
 
 SLM_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
 
@@ -126,10 +126,19 @@ def slm_select(
     :func:`slm_phase_vectors`, the unrotated spectrum's) passes its PAPR as
     ``identity_papr``, and that candidate is not synthesized again.
 
+    The spectrum goes through :func:`metrics.single_precision` once and the
+    phases are cast, so every candidate is built in complex64.  The phases
+    (+-1, +-j) rotate exactly, so a candidate's PAPR has the bytes of
+    ``waveform_papr_db`` of its complex128 bins, and the index is the float64
+    argmin except between candidates within ~2e-6 dB of each other.
+
     Returns ``(index, papr)``, each shaped like the leading axes: the index
     per block and the running minimum, per block ``waveform_papr_db`` of the
     chosen candidate.
     """
+    spectrum = single_precision(spectrum)
+    phases = np.asarray(phases, dtype=np.complex64)
+
     def papr(u):
         return waveform_papr_db(extend(spectrum * phases[u], cfg.n_se), cfg)
 

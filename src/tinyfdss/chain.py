@@ -31,6 +31,7 @@ and taps, reads the block's occupied bins and then runs ``receive`` on them.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -258,17 +259,22 @@ def time_signal(
     slices, at the indices :func:`centered_band` names (the bins below DC at
     the top of the grid, DC and above at the bottom), and the grid is
     transformed and scaled in place: one grid-sized allocation per call.
+
+    The grid keeps the input's precision: complex64 bins (the noise-free PAPR
+    rule, :func:`metrics.waveform_papr_db`) give a complex64 grid, and any
+    other input, complex128 or real taps, a complex128 one.
     """
-    shaped = np.asarray(shaped, dtype=np.complex128)
+    shaped = np.asarray(shaped)
     if shaped.shape[-1] != cfg.n_sk:
         raise ValueError(f"expected {cfg.n_sk} shaped bins, got {shaped.shape[-1]}")
     n = cfg.n_fft * (cfg.oversample if oversample is None else oversample)
     half = cfg.n_sk // 2
-    grid = np.zeros(shaped.shape[:-1] + (n,), dtype=np.complex128)
+    dtype = np.complex64 if shaped.dtype == np.complex64 else np.complex128
+    grid = np.zeros(shaped.shape[:-1] + (n,), dtype=dtype)
     grid[..., : cfg.n_sk - half] = shaped[..., half:]
     grid[..., n - half :] = shaped[..., :half]
     np.fft.ifft(grid, axis=-1, out=grid)
-    grid *= n / np.sqrt(cfg.n_fft)
+    grid *= n / math.sqrt(cfg.n_fft)  # a Python float keeps a complex64 grid's loop complex64
     return grid
 
 

@@ -112,6 +112,11 @@ class TestClf:
             single = clf_reduce(blocks[i], ClfConfig(), cfg)
             np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
+    def test_rounds_stay_double(self, cfg):
+        # only the PAPR of CLF's result is measured in single precision
+        blocks = np.stack([ext_block(cfg, seed=s) for s in range(3)])
+        assert clf_reduce(blocks, ClfConfig(), cfg).dtype == np.complex128
+
 
 class TestSlm:
     def test_never_worse_than_identity(self, cfg):
@@ -207,6 +212,19 @@ class TestSlm:
         assert calls == [len(blocks)] * 7  # candidates 1..7 only
         np.testing.assert_array_equal(reused_idx, idx)
         assert reused.tobytes() == papr.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-100, 100])
+    def test_far_power_of_two_scales_keep_the_bytes(self, cfg, k):
+        # the spectrum is scaled into float32's range before its cast: at
+        # 2**100 the unscaled cast's powers would overflow
+        phases = slm_phase_vectors(SlmConfig(num_candidates=8), cfg.n_data)
+        bits = np.random.default_rng(5).integers(0, 2, (6, cfg.n_data * 2))
+        blocks = precode(map_symbols(bits, ModScheme.QPSK))
+        idx, papr = slm_select(blocks, phases, cfg)
+        far_idx, far_papr = slm_select(np.ldexp(1.0, k) * blocks, phases, cfg)
+        np.testing.assert_array_equal(far_idx, idx)
+        assert far_papr.tobytes() == papr.tobytes()
 
     def test_identity_candidate_is_row_zero(self, cfg):
         phases = slm_phase_vectors(SlmConfig(num_candidates=4), cfg.n_data)

@@ -287,6 +287,25 @@ class TestBandSlices:
         assert back.tobytes() == occupied_bins_reference(x, chain).tobytes()
 
 
+class TestTimeSignalPrecision:
+    """The grid keeps complex64 bins single and everything else double."""
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.float32, np.int64])
+    def test_other_inputs_give_the_complex128_reference(self, cfg, rng, dtype):
+        # real taps alone are a real input (the OOBE tests send them)
+        bins = (rng.standard_normal((3, cfg.n_sk)) * 4).astype(dtype)
+        x = time_signal(bins, cfg)
+        assert x.dtype == np.complex128
+        assert x.tobytes() == time_signal_reference(bins, cfg).tobytes()
+
+    def test_complex64_bins_give_a_complex64_grid(self, cfg, rng):
+        bins = rng.standard_normal((3, cfg.n_sk)) + 1j * rng.standard_normal((3, cfg.n_sk))
+        x = time_signal(bins.astype(np.complex64), cfg)
+        assert x.dtype == np.complex64
+        want = time_signal_reference(bins, cfg)
+        assert np.max(np.abs(x - want)) <= 1e-6 * np.max(np.abs(want))
+
+
 class TestDftPrecode:
     def test_all_ones_length_four(self):
         out = precode(np.ones(4, dtype=complex))

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -393,6 +394,24 @@ class TestTrainCommand:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert err.startswith("error: non-finite loss at block indices")
+
+    def test_smoke_train_transforms_only_in_double(self, tmp_path, monkeypatch):
+        # single precision is the noise-free PAPR rule's alone: a smoke train
+        # with every single-precision FFT refused writes the same bytes
+        def run(out):
+            assert main(["train", "--config", str(CONFIGS / "smoke.json"), "--out", str(out)]) == 0
+            header, rows = read_csv(out / "history.csv")
+            wall = header.index("wall_seconds")
+            return ((out / "checkpoint.bin").read_bytes(),
+                    [row[:wall] + row[wall + 1:] for row in rows])
+
+        plain = run(tmp_path / "plain")
+        for name in ("fft", "ifft"):
+            def double_only(a, *args, _real=getattr(np.fft, name), **kwargs):
+                assert np.asarray(a).dtype not in (np.complex64, np.float32)
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, double_only)
+        assert run(tmp_path / "guarded") == plain
 
     def test_rerun_byte_identical_checkpoint(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -16,7 +16,7 @@ from tinyfdss.chain import (SCHEME_NAMES, ChainConfig, ModScheme, detect_symbols
 from tinyfdss.channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_fade
 from tinyfdss.evaluation import SCHEMES, CellResult, EvalConfig, evaluate
 from tinyfdss.filters import unit_taps
-from tinyfdss.metrics import papr_db, tile_rows, waveform_papr_db
+from tinyfdss.metrics import papr_at_ccdf, papr_db, tile_rows, waveform_papr_db
 from tinyfdss.training import TrainConfig, train
 
 
@@ -348,7 +348,7 @@ class TestBaselineTransmit:
         draw, result = run
         conv = conventional_config(ChainConfig())
         phases = slm_phase_vectors(self.EVAL.slm, conv.n_data)
-        every = [papr_db(time_signal(draw.conv.bins * phases[u], conv))
+        every = [papr_db(time_signal((draw.conv.bins * phases[u]).astype(np.complex64), conv))
                  for u in range(len(phases))]
         np.testing.assert_array_equal(result.papr_samples["slm"], np.min(every, axis=0))
 
@@ -358,8 +358,12 @@ class TestBaselineTransmit:
         x = time_signal(draw.conv.bins, conv)
         rms = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True))
         level = rms * 10 ** (clf.clip_ratio_db / 20)
-        for _ in range(clf.iterations):
-            x = time_signal(occupied_bins(clip_amplitude(x, level), conv), conv)
+        for i in range(clf.iterations):
+            if i:
+                x = time_signal(bins, conv)
+            bins = occupied_bins(clip_amplitude(x, level), conv)
+        # the rounds in float64, the result's PAPR by the complex64 rule
+        x = time_signal(bins.astype(np.complex64), conv)
         np.testing.assert_array_equal(result.papr_samples["clf"], papr_db(x))
 
     def test_noise_free_slm_link_recovers_every_symbol(self, run):
@@ -407,6 +411,68 @@ class TestCcdfPassReuse:
         cfg = ChainConfig()
         evaluation._ccdf_pass(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
         assert sum(rows) == 12 * self.EVAL.ccdf_blocks
+
+    def test_oobe_input_stays_double(self, monkeypatch):
+        # only the noise-free PAPR rule synthesizes in single precision
+        seen = []
+        real = evaluation.oobe_db
+
+        def recording(blocks, cfg):
+            seen.append(blocks.dtype)
+            return real(blocks, cfg)
+
+        monkeypatch.setattr(evaluation, "oobe_db", recording)
+        cfg = ChainConfig()
+        evaluation._ccdf_pass(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
+        assert seen == [np.complex128] * len(self.EVAL.schemes)
+
+
+SINGLE_PRECISION_BOUND_DB = 1e-5  # the complex64 PAPR rule's distance from float64
+
+
+class TestSinglePrecisionPapr:
+    """Every scheme's single-precision PAPR against the float64 synthesis
+    ``papr_db(time_signal(bins))``, on QPSK, QAM16 and QAM64 blocks."""
+
+    EVAL = EvalConfig(snr_db=(10.0,), n_blocks=20, ccdf_blocks=1000, oobe_blocks=16,
+                      seed=7, schemes=tuple(SCHEMES), mods=tuple(SCHEME_NAMES))
+
+    @pytest.fixture(scope="class")
+    def sent(self, small_ckpt):
+        cfg = ChainConfig()
+        rules = evaluation._rules(cfg, self.EVAL, small_ckpt.deployed_net(True))
+        out = {}
+        for mod in self.EVAL.mods:
+            draw = evaluation._draw(cfg, self.EVAL.seed, mod, np.arange(self.EVAL.ccdf_blocks))
+            for scheme, rule in rules.items():
+                tx = rule(draw, self.EVAL.ccdf_snr_db)
+                out[mod, scheme] = draw, tx, papr_db(time_signal(tx.bins, tx.cfg))
+        return out
+
+    def test_transmits_stay_double(self, sent):
+        assert all(tx.bins.dtype == np.complex128 for _, tx, _ in sent.values())
+
+    def test_each_block_within_bound(self, sent):
+        for (mod, scheme), (_, tx, double) in sent.items():
+            err = np.max(np.abs(tx.waveform_papr - double))
+            assert err <= SINGLE_PRECISION_BOUND_DB, (mod, scheme, err)
+
+    def test_ccdf_quantile_within_bound(self, sent):
+        for (mod, scheme), (_, tx, double) in sent.items():
+            err = abs(papr_at_ccdf(tx.waveform_papr, 1e-3) - papr_at_ccdf(double, 1e-3))
+            assert err <= SINGLE_PRECISION_BOUND_DB, (mod, scheme, err)
+
+    def test_slm_index_is_the_double_argmin_outside_near_ties(self, sent):
+        conv = conventional_config(ChainConfig())
+        phases = slm_phase_vectors(self.EVAL.slm, conv.n_data)
+        for mod in self.EVAL.mods:
+            bins = sent[mod, "slm"][0].conv.bins
+            idx, _ = slm_select(bins, phases, conv)
+            every = papr_db(time_signal(bins[:, None, :] * phases, conv))
+            best_two = np.sort(every, axis=-1)[:, :2]
+            clear = best_two[:, 1] - best_two[:, 0] > 2 * SINGLE_PRECISION_BOUND_DB
+            assert np.count_nonzero(clear) > 0.9 * len(bins)
+            np.testing.assert_array_equal(idx[clear], np.argmin(every, axis=-1)[clear])
 
 
 def set_tile_rows(monkeypatch, cfg, rows):

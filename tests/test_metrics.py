@@ -18,6 +18,9 @@ from tinyfdss.metrics import (
     waveform_papr_db,
 )
 
+# the single-precision PAPR rule's distance from the float64 synthesis
+SINGLE_PRECISION_BOUND_DB = 1e-5
+
 
 class TestPaprDb:
     def test_constant_envelope_tone(self):
@@ -50,7 +53,8 @@ class TestPaprDb:
 
 
 class TestWaveformPaprDb:
-    """The tiled rule equals ``papr_db(time_signal(...))`` of the whole batch."""
+    """The tiled rule equals ``papr_db(time_signal(...))`` of the whole batch
+    cast to complex64."""
 
     @staticmethod
     def bins(rng, shape, cfg):
@@ -68,25 +72,39 @@ class TestWaveformPaprDb:
         b = self.bins(rng, (n,), cfg)
         got = waveform_papr_db(b, cfg)
         assert got.shape == (n,)
-        np.testing.assert_array_equal(got, papr_db(time_signal(b, cfg)))
+        np.testing.assert_array_equal(got, papr_db(time_signal(b.astype(np.complex64), cfg)))
 
     def test_any_leading_shape(self, cfg, rng):
         b = self.bins(rng, (2, 3), cfg)
         got = waveform_papr_db(b, cfg)
         assert got.shape == (2, 3)
-        np.testing.assert_array_equal(got, papr_db(time_signal(b, cfg)))
+        np.testing.assert_array_equal(got, papr_db(time_signal(b.astype(np.complex64), cfg)))
 
     def test_single_block_is_a_float(self, cfg, rng):
         b = self.bins(rng, (), cfg)
         got = waveform_papr_db(b, cfg)
         assert type(got) is float
-        assert got == papr_db(time_signal(b, cfg))
+        assert got == papr_db(time_signal(b.astype(np.complex64), cfg))
 
     def test_all_zero_row_rejected(self, cfg, rng):
         b = self.bins(rng, (tile_rows(cfg) + 5,), cfg)
         b[-2] = 0.0
         with pytest.raises(ValueError, match="PAPR undefined for an all-zero signal"):
             waveform_papr_db(b, cfg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_each_row_scale_free_within_bound_of_float64(self, cfg, rng):
+        # rows from 1e-30 to 1e30 in one tile: unscaled, float32 powers
+        # overflow above ~1e19 and underflow below ~1e-19
+        b = self.bins(rng, (61,), cfg) * np.logspace(-30, 30, 61)[:, None]
+        got = waveform_papr_db(b, cfg)
+        assert np.all(np.abs(got - papr_db(time_signal(b, cfg))) <= SINGLE_PRECISION_BOUND_DB)
+
+    @pytest.mark.parametrize("k", [-1000, -100, 100, 1000])
+    def test_power_of_two_scales_keep_the_bytes(self, cfg, rng, k):
+        b = self.bins(rng, (20,), cfg)
+        assert (waveform_papr_db(np.ldexp(1.0, k) * b, cfg).tobytes()
+                == waveform_papr_db(b, cfg).tobytes())
 
 
 class TestEmpiricalCcdf:
