@@ -46,6 +46,9 @@ DEFAULT_BINS = (
 )
 
 DEFAULT_PERIOD_MS = 100.0
+# most feedback cycles one replay runs (27.8 h of 100 ms cycles); a config or
+# trace that asks for more is rejected before any tick is allocated
+MAX_TICKS = 10**6
 # ticks per batched replay step: peak RSS grows with it, and past a few dozen
 # ticks the per-call overhead it saves is already gone
 CHUNK_TICKS = 32
@@ -54,6 +57,19 @@ PRESET_TRACES = {
     "factory": 5.0,  # noisy industrial floor, reliability first
     "rural": 15.0,  # line-of-sight uplink, energy first
 }
+
+
+def tick_count(span_ms: float, period_ms: float) -> int:
+    """Feedback cycles from 0 to ``span_ms`` inclusive: ``floor(span / period) + 1``.
+
+    A count above ``MAX_TICKS`` raises ``ValueError`` before anything is
+    allocated for the ticks.
+    """
+    steps = span_ms // period_ms
+    if not steps < MAX_TICKS:
+        raise ValueError(f"a {span_ms} ms span at a {period_ms} ms period is more than "
+                         f"MAX_TICKS = {MAX_TICKS} feedback cycles")
+    return int(steps) + 1
 
 
 class LambdaTable:
@@ -104,6 +120,7 @@ class AdaptConfig:
             raise ValueError(f"period_ms must be positive and finite, got {self.period_ms}")
         if not 0.0 <= self.duration_ms < math.inf:
             raise ValueError(f"duration_ms must be finite and >= 0, got {self.duration_ms}")
+        tick_count(self.duration_ms, self.period_ms)
         if self.preset not in PRESET_TRACES:
             raise ValueError(f"preset must be in {sorted(PRESET_TRACES)}, got {self.preset!r}")
         if self.mod not in SCHEME_NAMES:
@@ -125,8 +142,7 @@ def preset_trace(name: str, duration_ms: float = AdaptConfig.duration_ms,
     if name not in PRESET_TRACES:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESET_TRACES)}")
     snr = PRESET_TRACES[name]
-    ticks = int(duration_ms // period_ms) + 1
-    return [(i * period_ms, snr) for i in range(ticks)]
+    return [(i * period_ms, snr) for i in range(tick_count(duration_ms, period_ms))]
 
 
 def run_scenario(
@@ -161,9 +177,9 @@ def run_scenario(
         raise ValueError("trace timestamps must be sorted")
     if period_ms <= 0:
         raise ValueError("cycle period must be positive")
+    n_ticks = tick_count(times[-1] - times[0], period_ms)
     table = LambdaTable()
     records: list[TickRecord] = []
-    n_ticks = int((times[-1] - times[0]) // period_ms) + 1
     n_bits = cfg.n_data * scheme.bits_per_symbol
     now = (times[0] + np.arange(n_ticks) * period_ms).tolist()
     fed = np.searchsorted(times, now, side="right") - 1  # latest feedback at or before

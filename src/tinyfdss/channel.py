@@ -202,13 +202,19 @@ def noise_power(bins: np.ndarray, snr_db: float | np.ndarray) -> float | np.ndar
 
     One power per block (last axis); a single 1-D block gives a float.
     ``snr_db`` is one SNR for every block or one per block, and each must be
-    finite.
+    finite and above the floor of about -3082.5 dB, where ``10**(-snr/10)``
+    overflows a float.
     """
     if not np.all(np.isfinite(snr_db)):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
     # Python's float pow per SNR: numpy's vectorized power may differ in the
     # last bit, and a block's noise must not depend on the batch it is in
-    scale = [10.0 ** (-snr / 10.0) for snr in np.ravel(snr_db).tolist()]
+    snrs = np.ravel(snr_db).tolist()
+    try:
+        scale = [10.0 ** (-snr / 10.0) for snr in snrs]
+    except OverflowError:
+        raise ValueError(f"snr_db {min(snrs)} dB is below the floor of about -3082.5 dB, "
+                         "where its noise power 10**(-snr/10) overflows a float") from None
     return np.mean(np.abs(bins) ** 2, axis=-1) * np.reshape(scale, np.shape(snr_db))
 
 

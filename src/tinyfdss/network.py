@@ -20,6 +20,7 @@ optimizer step.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -414,40 +415,33 @@ _SECTION_BITS = {"quantized twin": 0, "extras": 2, "history": 3}
 FLAGS = sum(1 << bit for bit in _SECTION_BITS.values())  # 13, set in every file
 
 
-def _f32_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f4").tobytes()
+# The body after the header, in file order: per net class, the (field, kind,
+# ndim) of each section it writes for every layer, input side first.  A field
+# indexes the layer's ``layers()`` tuple; a kind is a little-endian dtype or
+# "mask" (a packed bitset); a section's shape is the first ``ndim`` axes of the
+# layer's (fan_out, fan_in) weight shape: 1 is the bias and 0 one scalar.
+_BODY = (
+    (NetParams, ((0, "<f4", 2), (1, "<f4", 1))),  # w, b
+    (NetParams, ((2, "mask", 2),)),
+    (QuantizedNet, ((0, "<i1", 2), (1, "<f4", 0), (2, "<i4", 1), (3, "<f4", 0))),
+)
 
 
-def _mask_bytes(mask: np.ndarray) -> bytes:
-    return np.packbits(mask.astype(np.uint8), axis=None).tobytes()
+def _sections(shapes: list[tuple[int, int]]) -> list[tuple]:
+    """Every body section in file order: (net class, layer, field, kind, shape)."""
+    return [
+        (cls, k, field, kind, shape[:ndim])
+        for cls, fields in _BODY
+        for k, shape in enumerate(shapes)
+        for field, kind, ndim in fields
+    ]
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ValueError("truncated checkpoint file")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def array(self, dtype: str, shape: tuple) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        raw = self.take(n * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-
-    def f32(self) -> float:
-        (value,) = struct.unpack("<f", self.take(4))
-        return float(value)
-
-    def mask(self, shape: tuple) -> np.ndarray:
-        n = int(np.prod(shape))
-        raw = self.take((n + 7) // 8)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n)
-        return bits.reshape(shape).astype(np.float64)
+def _encode(kind: str, value) -> bytes:
+    """One section's bytes: ``kind`` as in ``_BODY``."""
+    if kind == "mask":
+        return np.packbits(value.astype(np.uint8), axis=None).tobytes()
+    return np.ascontiguousarray(value, dtype=kind).tobytes()
 
 
 def save_net(
@@ -464,23 +458,16 @@ def save_net(
     save -> load -> forward round trip should hold float32-representable
     parameters (the trainer casts once after training).
     """
+    layers = {NetParams: params.layers(), QuantizedNet: qnet.layers()}
+    shapes = [w.shape for w, *_ in layers[NetParams]]
     chunks = [
         struct.pack(
             "<4sIIIII", MAGIC, VERSION, params.hidden_width,
             params.input_dim, params.out_dim, FLAGS,
         )
     ]
-    layers = params.layers()
-    for w, b, _ in layers:
-        chunks += [_f32_bytes(w), _f32_bytes(b)]
-    chunks += [_mask_bytes(mask) for _, _, mask in layers]
-    for q, scale, b_q, bias_scale in qnet.layers():
-        chunks += [
-            q.astype("<i1").tobytes(),
-            struct.pack("<f", scale),
-            b_q.astype("<i4").tobytes(),
-            struct.pack("<f", bias_scale),
-        ]
+    chunks += [_encode(kind, layers[cls][k][field])
+               for cls, k, field, kind, _ in _sections(shapes)]
     chunks.append(struct.pack("<IQ", epoch, config_hash))
     hist = np.ascontiguousarray(history, dtype="<f8").reshape(-1, len(HISTORY_COLUMNS))
     chunks.append(struct.pack("<I", hist.shape[0]))
@@ -496,10 +483,28 @@ def load_net(path) -> dict:
     carries bytes after its history raises ``ValueError``.
     """
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
-    magic, version, hidden, in_dim, out_dim, flags = struct.unpack(
-        "<4sIIIII", reader.take(24)
-    )
+        data = fh.read()
+    pos = 0
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(data):
+            raise ValueError("truncated checkpoint file")
+        pos += size
+        return data[pos - size : pos]
+
+    def read(kind: str, shape: tuple):
+        """The next section; floats load as float64 and a scalar as a Python number."""
+        count = math.prod(shape)  # a Python int: a header's product never wraps
+        if kind == "mask":
+            raw = np.frombuffer(take((count + 7) // 8), dtype=np.uint8)
+            return np.unpackbits(raw, count=count).reshape(shape).astype(np.float64)
+        value = np.frombuffer(take(count * np.dtype(kind).itemsize), dtype=kind).reshape(shape)
+        if not shape:
+            return value.item()
+        return value.astype(np.float64) if value.dtype.kind == "f" else value.copy()
+
+    magic, version, hidden, in_dim, out_dim, flags = struct.unpack("<4sIIIII", take(24))
     if magic != MAGIC:
         raise ValueError(f"bad checkpoint magic {magic!r}")
     if version != VERSION:
@@ -516,23 +521,17 @@ def load_net(path) -> dict:
             raise ValueError(f"checkpoint lacks its {section} section "
                              f"(flag bit {bit}, flags {flags:#x})")
     shapes = _layer_shapes(in_dim, hidden, out_dim)
-    tensors = [
-        (reader.array("<f4", shape).astype(np.float64),
-         reader.array("<f4", shape[:1]).astype(np.float64))
-        for shape in shapes
-    ]
-    masks = [reader.mask(shape) for shape in shapes]
-    params = NetParams.from_layers([(w, b, mask) for (w, b), mask in zip(tensors, masks)])
+    layers = {cls: [[None] * len(cls.FIELDS[0]) for _ in shapes]
+              for cls in (NetParams, QuantizedNet)}
+    for cls, k, field, kind, shape in _sections(shapes):
+        layers[cls][k][field] = read(kind, shape)
+    params = NetParams.from_layers(layers[NetParams])
     apply_masks(params)
-    qnet = QuantizedNet.from_layers([
-        (reader.array("<i1", shape), reader.f32(),
-         reader.array("<i4", shape[:1]), reader.f32())
-        for shape in shapes
-    ])
-    epoch, config_hash = struct.unpack("<IQ", reader.take(12))
-    (rows,) = struct.unpack("<I", reader.take(4))
-    history = reader.array("<f8", (rows, len(HISTORY_COLUMNS)))
-    trailing = len(reader.data) - reader.pos
+    qnet = QuantizedNet.from_layers(layers[QuantizedNet])
+    epoch, config_hash = struct.unpack("<IQ", take(12))
+    (rows,) = struct.unpack("<I", take(4))
+    history = read("<f8", (rows, len(HISTORY_COLUMNS)))
+    trailing = len(data) - pos
     if trailing:
         raise ValueError(f"{trailing} trailing bytes after the checkpoint's last section")
     return {"params": params, "qnet": qnet, "epoch": int(epoch),

@@ -8,11 +8,14 @@ from tinyfdss.adaptation import (
     CHUNK_TICKS,
     DEFAULT_BINS,
     DEFAULT_PERIOD_MS,
+    MAX_TICKS,
+    AdaptConfig,
     LambdaTable,
     TickRecord,
     adaptation_cycle,
     preset_trace,
     run_scenario,
+    tick_count,
 )
 from tinyfdss.chain import (
     ModScheme,
@@ -261,6 +264,23 @@ class TestRunScenario:
         for period_ms in (0.0, -100.0):
             with pytest.raises(ValueError, match="period"):
                 run_scenario([(0.0, 5.0)], net, cfg, period_ms=period_ms)
+
+    def test_tick_count_bound(self):
+        # arithmetic only: the count is checked before any tick exists
+        assert tick_count((MAX_TICKS - 1) * 100.0, 100.0) == MAX_TICKS
+        with pytest.raises(ValueError, match="MAX_TICKS"):
+            tick_count(MAX_TICKS * 100.0, 100.0)
+
+    def test_unbounded_tick_counts_rejected(self, cfg, net):
+        # rejected before the tick list or the per-tick arrays are built
+        with pytest.raises(ValueError, match="MAX_TICKS"):
+            AdaptConfig(period_ms=1e-300)
+        with pytest.raises(ValueError, match="MAX_TICKS"):
+            AdaptConfig(duration_ms=MAX_TICKS * DEFAULT_PERIOD_MS)
+        with pytest.raises(ValueError, match="MAX_TICKS"):
+            preset_trace("factory", 2000.0, 1e-300)
+        with pytest.raises(ValueError, match="MAX_TICKS"):
+            run_scenario([(0.0, 5.0), (1e300, 5.0)], net, cfg)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):

@@ -276,7 +276,8 @@ class TestDrawThenApply:
 
 class TestNonFiniteSnr:
     """``noise_power`` is the link's one SNR check: every path that makes
-    noise rejects a non-finite SNR there, one for every block or one per block."""
+    noise rejects a non-finite SNR there, one for every block or one per block,
+    and ``noise_power`` rejects an SNR below the float floor."""
 
     @staticmethod
     def assert_rejected_in_noise_power(call):
@@ -299,3 +300,13 @@ class TestNonFiniteSnr:
             sig = make_signal(cfg, np.random.default_rng(0))
             self.assert_rejected_in_noise_power(lambda: apply_channel(
                 sig, ChannelCfg(ChannelModel.RAYLEIGH), bad, cfg, np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("per_block", [False, True])
+    def test_snr_below_the_floor_rejected(self, cfg, per_block):
+        # 10**(-snr/10) overflows a float below about -3082.5 dB
+        bins = np.ones((3, cfg.n_sk), dtype=complex)
+        noise_power(bins, -3082.0)
+        snr_db = np.array([3.0, -4000.0, 10.0]) if per_block else -4000.0
+        with pytest.raises(ValueError, match=r"snr_db -4000.0 dB is below the floor") as exc:
+            noise_power(bins, snr_db)
+        assert exc.traceback[-1].name == "noise_power"

@@ -136,6 +136,8 @@ class TestConfig:
         ("adapt", "adapt", {"period_ms": 0}, "adapt: period_ms must be positive"),
         ("adapt", "adapt", {"period_ms": "x"}, 'adapt.period_ms must be a number, got "x"'),
         ("adapt", "adapt", {"duration_ms": -5}, "adapt: duration_ms must be finite and >= 0"),
+        ("adapt", "adapt", {"period_ms": 1e-300},
+         "adapt: a 400.0 ms span at a 1e-300 ms period is more than MAX_TICKS = 1000000"),
         ("train", "train", {"snr_range_db": [0.0, float("inf")]},
          "train: snr_range_db must be two finite values"),
         ("train", "train", {"snr_range_db": [float("nan"), 5.0]},
@@ -217,7 +219,7 @@ class TestConfig:
     ], ids=[
         "seed-str", "seed-float", "seed-negative", "snr_db-scalar", "snr_range_db-scalar",
         "channel_mix-str-weight", "hidden_widths-scalar", "eval-list", "n_blocks-float",
-        "adapt-mod", "period_ms-zero", "period_ms-str", "duration_ms-negative",
+        "adapt-mod", "period_ms-zero", "period_ms-str", "duration_ms-negative", "period_ms-tiny",
         "snr_range_db-inf", "snr_range_db-nan", "channel_mix-nan-weight", "mods-empty",
         "ccdf_grid_db-zero-step", "use_quantized-int", "checkpoint-int", "clf-iterations",
         "baselines-unknown", "adapt-preset", "hidden_widths-negative",
@@ -246,6 +248,21 @@ class TestConfig:
         assert code == 2
         assert err.startswith("error: ") and message in err
         assert not out.exists()  # rejected before anything ran
+
+    @pytest.mark.parametrize("command, section, value", [
+        ("baselines", "eval", {"snr_db": [-4000.0]}),
+        ("train", "train", {"snr_range_db": [-4000.0, 0.0]}),
+    ], ids=["baselines-snr_db", "train-snr_range_db"])
+    def test_snr_below_the_floor_exits_2(self, tmp_path, capsys, command, section, value):
+        # config load takes the value; the noise rule rejects it on first use
+        path = tmp_path / "low.json"
+        cfg = dict(SMOKE_CONFIG, **{section: dict(SMOKE_CONFIG[section], **value)})
+        path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: snr_db ") and "below the floor" in err
+        assert len(err.splitlines()) == 1
 
     def test_perceptron_keeps_one_live_weight_at_its_bound(self, tmp_path):
         # round(1205 * (1 - 0.9995)) = 1 live weight; 0.9996 leaves 0

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import struct
 
 import numpy as np
@@ -398,6 +399,55 @@ class TestCheckpointIO:
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(ValueError):
             load_net(path)
+
+    def test_huge_header_dims_read_as_truncated(self, tmp_path):
+        # 2**32 - 1 squared elements overflow an int64 product; the section
+        # size is counted in Python ints, so the short file reads as short
+        path = tmp_path / "huge.bin"
+        dim = 2**32 - 1
+        path.write_bytes(struct.pack("<4sIIIII", network.MAGIC, network.VERSION,
+                                     dim, dim, 5, network.FLAGS) + bytes(64))
+        with pytest.raises(ValueError, match="truncated"):
+            load_net(path)
+
+
+def pattern_net(hidden: int) -> network.NetParams:
+    """A 4-input, 3-output net of closed-form float32 values and patterned masks."""
+    layers = []
+    for k, (fan_out, fan_in) in enumerate(network._layer_shapes(4, hidden, 3)):
+        n = fan_out * fan_in
+        w = ((np.arange(n) - n / 2 + 0.5) / 8.0 * (k + 1)).reshape(fan_out, fan_in)
+        mask = (np.arange(n) % (3 + k) != 1).reshape(fan_out, fan_in).astype(np.float64)
+        b = (np.arange(fan_out) - 1.0) / 4.0 + k
+        layers.append((w * mask, b, mask))
+    return network.NetParams.from_layers(layers)
+
+
+class TestCheckpointBytes:
+    """SHA-256 of ``save_net``'s output for two closed-form nets: any change to
+    a section's order, dtype or packing changes these records."""
+
+    RECORDS = {
+        2: "189516d5b7a455a1e1731caf5ddfef81d7e02f062cfac559cf62b16d2eb7ac9f",
+        0: "9c13e8806d7d7510e58ca46ff10531fb5eaa7d2e8791b34f04585363bd07710b",
+    }
+
+    @pytest.mark.parametrize("hidden", [2, 0])
+    def test_bytes_match_record_and_load_back(self, tmp_path, hidden):
+        p = pattern_net(hidden)
+        q = quantize(p)
+        history = np.arange(12.0).reshape(2, 6) / 4.0 - 1.0
+        path = tmp_path / "net.bin"
+        save_net(path, p, q, epoch=3 + hidden, config_hash=0x0123456789ABCDEF,
+                 history=history)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.RECORDS[hidden]
+        loaded = load_net(path)
+        for got, want in zip(loaded["params"].layers() + loaded["qnet"].layers(),
+                             p.layers() + q.layers()):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        assert (loaded["epoch"], loaded["config_hash"]) == (3 + hidden, 0x0123456789ABCDEF)
+        np.testing.assert_array_equal(loaded["history"], history)
 
 
 class TestDeterminism:
