@@ -202,8 +202,9 @@ def noise_power(bins: np.ndarray, snr_db: float | np.ndarray) -> float | np.ndar
 
     One power per block (last axis); a single 1-D block gives a float.
     ``snr_db`` is one SNR for every block or one per block, and each must be
-    finite and above the floor of about -3082.5 dB, where ``10**(-snr/10)``
-    overflows a float.
+    finite and above the floor where the noise power overflows a float:
+    about -3082.5 dB for a unit-power block, where ``10**(-snr/10)`` itself
+    overflows, and higher for a block of more power.
     """
     if not np.all(np.isfinite(snr_db)):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
@@ -213,9 +214,19 @@ def noise_power(bins: np.ndarray, snr_db: float | np.ndarray) -> float | np.ndar
     try:
         scale = [10.0 ** (-snr / 10.0) for snr in snrs]
     except OverflowError:
-        raise ValueError(f"snr_db {min(snrs)} dB is below the floor of about -3082.5 dB, "
-                         "where its noise power 10**(-snr/10) overflows a float") from None
-    return np.mean(np.abs(bins) ** 2, axis=-1) * np.reshape(scale, np.shape(snr_db))
+        raise _below_floor(min(snrs)) from None
+    power = np.mean(np.abs(bins) ** 2, axis=-1)
+    with np.errstate(over="ignore"):
+        sigma2 = power * np.reshape(scale, np.shape(snr_db))
+    overflow = np.isinf(sigma2) & np.isfinite(power)
+    if np.any(overflow):
+        raise _below_floor(np.broadcast_to(snr_db, np.shape(sigma2))[overflow].min())
+    return sigma2
+
+
+def _below_floor(snr_db: float) -> ValueError:
+    return ValueError(f"snr_db {snr_db} dB is below the floor where its noise power overflows "
+                      "a float (about -3082.5 dB for a unit-power block)")
 
 
 def draw_channel(cfg: ChannelCfg, rng: np.random.Generator, out: np.ndarray) -> complex:

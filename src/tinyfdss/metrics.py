@@ -8,8 +8,11 @@ Noise-free PAPR figures (the CCDF, its quantiles, mean PAPR, SLM's candidate
 search and adapt's per-tick PAPR) come from :func:`waveform_papr_db`, which
 synthesizes in single precision: each block's PAPR lies within ~2e-6 dB of
 the float64 synthesis, against a ~0.06 dB sampling interval of the 1e-3
-quantile.  The links, CLF's rounds, the OOBE periodogram and training's
-gradients stay float64.
+quantile.  SLM's candidate search measures each candidate first on the
+critical-rate grid by the same rule, a lower bound on its oversampled PAPR,
+and synthesizes the oversampled waveform only of candidates that bound does
+not rule out (``baselines.slm_select``).  The links, CLF's rounds, the OOBE
+periodogram and training's gradients stay float64.
 """
 
 from __future__ import annotations

@@ -456,10 +456,24 @@ def save_net(
 
     Parameter tensors are stored as float32; callers needing a bit-exact
     save -> load -> forward round trip should hold float32-representable
-    parameters (the trainer casts once after training).
+    parameters (the trainer casts once after training).  Every section must
+    have the shape the header's dimensions (``params``') give it, as
+    ``load_net`` reads it; otherwise ``ValueError`` names the first field
+    that does not, and no file is written.
     """
     layers = {NetParams: params.layers(), QuantizedNet: qnet.layers()}
-    shapes = [w.shape for w, *_ in layers[NetParams]]
+    shapes = _layer_shapes(params.input_dim, params.hidden_width, params.out_dim)
+    sections = _sections(shapes)
+    for cls, net in layers.items():
+        if len(net) != len(shapes):
+            raise ValueError(f"{cls.__name__} has {len(net)} layer(s); the header's "
+                             f"dimensions give {len(shapes)}")
+    for cls, k, field, _, shape in sections:
+        got = np.shape(layers[cls][k][field])
+        if got != shape:
+            name = cls.FIELDS[len(cls.FIELDS) - len(shapes) + k][field]
+            raise ValueError(f"{cls.__name__}.{name} (layer {k + 1}) has shape {got}; "
+                             f"the header's dimensions give {shape}")
     chunks = [
         struct.pack(
             "<4sIIIII", MAGIC, VERSION, params.hidden_width,
@@ -467,7 +481,7 @@ def save_net(
         )
     ]
     chunks += [_encode(kind, layers[cls][k][field])
-               for cls, k, field, kind, _ in _sections(shapes)]
+               for cls, k, field, kind, _ in sections]
     chunks.append(struct.pack("<IQ", epoch, config_hash))
     hist = np.ascontiguousarray(history, dtype="<f8").reshape(-1, len(HISTORY_COLUMNS))
     chunks.append(struct.pack("<I", hist.shape[0]))

@@ -1,7 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinyfdss.baselines import (
+    SLM_ALPHABET,
+    SLM_BOUND_SLACK_DB,
     ClfConfig,
     SlmConfig,
     clf_reduce,
@@ -13,6 +19,8 @@ from tinyfdss.baselines import (
     slm_select,
 )
 from tinyfdss.chain import (
+    SCHEME_NAMES,
+    ChainConfig,
     ModScheme,
     extend,
     map_symbols,
@@ -21,7 +29,7 @@ from tinyfdss.chain import (
     time_signal,
 )
 from tinyfdss import baselines
-from tinyfdss.metrics import papr_db, waveform_papr_db
+from tinyfdss.metrics import papr_db, single_precision, waveform_papr_db
 
 
 def freq_block(cfg, seed=0):
@@ -39,6 +47,36 @@ def clip_where_reference(x, level):
     mag = np.abs(x)
     scale = np.where(mag > level, np.asarray(level) / np.maximum(mag, 1e-300), 1.0)
     return x * scale
+
+
+def precoded_blocks(cfg, scheme, lead, seed):
+    n_bits = cfg.n_data * scheme.bits_per_symbol
+    bits = np.random.default_rng(seed).integers(0, 2, lead + (n_bits,))
+    return precode(map_symbols(bits, scheme))
+
+
+def slm_reference(spectrum, phases, cfg, identity_papr=None):
+    """The exhaustive search ``slm_select`` ran before its critical-rate bound:
+    every candidate synthesized on the oversampled grid, in complex64."""
+    spectrum = single_precision(spectrum)
+    phases = np.asarray(phases, dtype=np.complex64)
+
+    def papr(u):
+        return waveform_papr_db(extend(spectrum * phases[u], cfg.n_se), cfg)
+
+    best = papr(0) if identity_papr is None else identity_papr
+    idx = np.zeros(np.shape(best), dtype=np.intp)
+    for u in range(1, len(phases)):
+        candidate = papr(u)
+        idx = np.where(candidate < best, u, idx)
+        best = np.minimum(candidate, best)
+    return idx, best
+
+
+def assert_same_bytes(got, want):
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w) and np.asarray(g).dtype == np.asarray(w).dtype
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 def slm_one(block, slm, cfg):
@@ -189,7 +227,7 @@ class TestSlm:
         one_idx, one_papr = slm_select(blocks[1, 2], phases, chain)
         assert one_idx == idx[1, 2] and one_papr == papr[1, 2]
 
-    def test_identity_papr_replaces_candidate_zero(self, cfg, monkeypatch):
+    def test_identity_papr_replaces_candidate_zero(self, cfg, monkeypatch, slm_survivors):
         conv = conventional_config(cfg)
         phases = slm_phase_vectors(SlmConfig(num_candidates=8), conv.n_data)
         # precoded blocks, where the identity mostly wins, and plain QPSK
@@ -204,14 +242,91 @@ class TestSlm:
         real = baselines.waveform_papr_db
 
         def counting(bins, chain):
-            calls.append(len(bins))
+            calls.append((chain.oversample, len(bins)))
             return real(bins, chain)
 
         monkeypatch.setattr(baselines, "waveform_papr_db", counting)
         reused_idx, reused = slm_select(blocks, phases, conv, identity)
-        assert calls == [len(blocks)] * 7  # candidates 1..7 only
+        # candidates 1..7 only: each one's bound on every block, then the
+        # oversampled synthesis of the blocks whose bound is near the minimum
+        assert [n for k, n in calls if k == 1] == [len(blocks)] * 7
+        survivors = slm_survivors(blocks, phases, conv)
+        assert 0 < survivors < 7 * len(blocks)
+        assert sum(n for k, n in calls if k == conv.oversample) == survivors
         np.testing.assert_array_equal(reused_idx, idx)
         assert reused.tobytes() == papr.tobytes()
+
+    @pytest.mark.parametrize("mod", sorted(SCHEME_NAMES))
+    def test_bound_keeps_the_exhaustive_bytes(self, cfg, mod):
+        conv = conventional_config(cfg)
+        phases = slm_phase_vectors(SlmConfig(num_candidates=8), conv.n_data)
+        blocks = precoded_blocks(conv, SCHEME_NAMES[mod], (4096,), seed=11)
+        idx, papr = slm_select(blocks, phases, conv)
+        assert np.any(idx != 0)
+        assert_same_bytes((idx, papr), slm_reference(blocks, phases, conv))
+        identity = waveform_papr_db(blocks, conv)
+        assert_same_bytes(slm_select(blocks, phases, conv, identity),
+                          slm_reference(blocks, phases, conv, identity))
+
+    def test_bound_keeps_the_exhaustive_bytes_extended(self, cfg):
+        phases = slm_phase_vectors(SlmConfig(num_candidates=8), cfg.n_data)
+        # the identity wins every precoded block here; on plain QPSK bins it
+        # rarely does
+        blocks = precoded_blocks(cfg, ModScheme.QPSK, (4096,), seed=12)
+        blocks[2048:] = map_symbols(
+            np.random.default_rng(12).integers(0, 2, (2048, cfg.n_data * 2)), ModScheme.QPSK)
+        idx, papr = slm_select(blocks, phases, cfg)
+        assert np.any(idx[2048:] != 0)
+        assert_same_bytes((idx, papr), slm_reference(blocks, phases, cfg))
+
+    @pytest.mark.parametrize("k", [-100, 0, 100])
+    def test_bound_keeps_the_exhaustive_bytes_leading_axes_and_scales(self, cfg, k):
+        phases = slm_phase_vectors(SlmConfig(num_candidates=8), cfg.n_data)
+        # plain QPSK bins, where the identity rarely wins
+        blocks = np.ldexp(1.0, k) * map_symbols(
+            np.random.default_rng(13).integers(0, 2, (2, 3, cfg.n_data * 2)), ModScheme.QPSK)
+        got = slm_select(blocks, phases, cfg)
+        assert got[0].shape == (2, 3) and np.any(got[0] != 0)
+        assert_same_bytes(got, slm_reference(blocks, phases, cfg))
+        one = slm_select(blocks[1, 2], phases, cfg)
+        assert isinstance(one[1], float)
+        assert_same_bytes(one, slm_reference(blocks[1, 2], phases, cfg))
+
+    def test_tie_with_the_identity_keeps_the_first_index(self, cfg):
+        # a row of -1 (or the negation of a row) rotates every bin by pi: the
+        # waveform is negated exactly and its PAPR has the same bytes, so the
+        # earlier of the two rows must win
+        rows = slm_phase_vectors(SlmConfig(num_candidates=2), cfg.n_data)
+        phases = np.stack([rows[0], -rows[0], rows[1], -rows[1]])
+        blocks = map_symbols(np.random.default_rng(14).integers(0, 2, (64, cfg.n_data * 2)),
+                             ModScheme.QPSK)
+        flipped = waveform_papr_db(extend(-blocks, cfg.n_se), cfg)
+        assert flipped.tobytes() == waveform_papr_db(extend(blocks, cfg.n_se), cfg).tobytes()
+        idx, papr = slm_select(blocks, phases, cfg)
+        assert set(np.unique(idx)) == {0, 2}
+        assert_same_bytes((idx, papr), slm_reference(blocks, phases, cfg))
+        idx, _ = slm_select(blocks, phases[:2], cfg)
+        assert np.all(idx == 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mod=st.sampled_from(sorted(SCHEME_NAMES)),
+        precoded=st.booleans(),
+        conventional=st.booleans(),
+        k=st.integers(-100, 100),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_critical_rate_papr_bounds_the_oversampled_one(self, mod, precoded, conventional,
+                                                           k, seed):
+        chain = conventional_config(ChainConfig()) if conventional else ChainConfig()
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, (8, chain.n_data * SCHEME_NAMES[mod].bits_per_symbol))
+        symbols = map_symbols(bits, SCHEME_NAMES[mod])
+        spectrum = single_precision(np.ldexp(1.0, k) * (precode(symbols) if precoded else symbols))
+        phases = SLM_ALPHABET[rng.integers(0, len(SLM_ALPHABET), chain.n_data)]
+        cand = extend(spectrum * phases.astype(np.complex64), chain.n_se)
+        bound = waveform_papr_db(cand, replace(chain, oversample=1))
+        assert np.all(bound <= waveform_papr_db(cand, chain) + SLM_BOUND_SLACK_DB / 100)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k", [-100, 100])

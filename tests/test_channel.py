@@ -310,3 +310,21 @@ class TestNonFiniteSnr:
         with pytest.raises(ValueError, match=r"snr_db -4000.0 dB is below the floor") as exc:
             noise_power(bins, snr_db)
         assert exc.traceback[-1].name == "noise_power"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("per_block", [False, True])
+    def test_noise_power_overflow_rejected(self, per_block):
+        # 10**(3082/10) is finite, but times a block power of 4 it overflows:
+        # the floor error, without an overflow warning
+        with pytest.raises(ValueError, match=r"snr_db -3082.0 dB is below the floor"):
+            noise_power(np.full(4, 2 + 0j), -3082.0)
+        bins = np.ones((2, 4), dtype=complex)
+        bins[1] = 2.0
+        snr_db = np.array([3.0, -3082.0]) if per_block else -3082.0
+        with pytest.raises(ValueError, match=r"snr_db -3082.0 dB is below the floor") as exc:
+            noise_power(bins, snr_db)
+        assert exc.traceback[-1].name == "noise_power"
+        # a finite noise power keeps its bytes
+        assert noise_power(bins[0], -3082.0) == 10.0 ** 308.2
+        got = noise_power(bins, np.array([-3082.0, 3.0]))
+        assert got.tobytes() == np.array([10.0 ** 308.2, 4.0 * 10.0 ** -0.3]).tobytes()

@@ -395,22 +395,29 @@ class TestCcdfPassReuse:
         chosen = s * phases[slm_select(s, phases, conv)[0]]
         assert samples["slm"].tobytes() == waveform_papr_db(chosen, conv).tobytes()
 
-    def test_oversampled_waveforms_per_block(self, monkeypatch):
+    def test_oversampled_waveforms_per_block(self, monkeypatch, slm_survivors):
         # rrc 1, the plain waveform 1 (dftsofdm and slm's identity candidate),
-        # clf 3 (two rounds and the result), slm's other 7 candidates
+        # clf 3 (two rounds and the result); slm's other 7 candidates each
+        # once at the critical rate, then on the oversampled grid only where
+        # that bound is near the running minimum
         # (the OOBE blocks are synthesized through evaluation's own name)
-        rows = []
+        cfg = ChainConfig()
+        n = self.EVAL.ccdf_blocks
+        s = evaluation._draw(cfg, self.EVAL.seed, "qpsk", np.arange(n)).conv.bins
+        conv = conventional_config(cfg)
+        survivors = slm_survivors(s, slm_phase_vectors(self.EVAL.slm, conv.n_data), conv)
+        assert 0 < survivors < n
+        rows = Counter()
         real = metrics.time_signal
 
         def counting(bins, cfg, oversample=None):
-            rows.append(len(bins))
+            rows[cfg.oversample if oversample is None else oversample] += len(bins)
             return real(bins, cfg, oversample)
 
         monkeypatch.setattr(metrics, "time_signal", counting)
         monkeypatch.setattr(baselines, "time_signal", counting)
-        cfg = ChainConfig()
         evaluation._ccdf_pass(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
-        assert sum(rows) == 12 * self.EVAL.ccdf_blocks
+        assert rows == {cfg.oversample: 5 * n + survivors, 1: 7 * n}
 
     def test_oobe_input_stays_double(self, monkeypatch):
         # only the noise-free PAPR rule synthesizes in single precision

@@ -394,6 +394,24 @@ class TestCheckpointIO:
             assert w1.shape == (3, 7) and w2.shape == (4, 3)
             assert (net.hidden_width, net.input_dim, net.out_dim) == (3, 7, 4)
 
+    @pytest.mark.parametrize("twin, field", [
+        ((3, 7, 4), r"QuantizedNet\.q1 \(layer 1\) has shape \(3, 7\); .* give \(2, 7\)"),
+        ((2, 4, 7), r"QuantizedNet\.q1 \(layer 1\) has shape \(2, 4\); .* give \(2, 7\)"),
+        ((0, 7, 4), r"QuantizedNet has 1 layer\(s\); .* give 2"),
+    ], ids=["hidden-3", "swapped", "perceptron"])
+    def test_save_rejects_a_twin_of_other_shapes(self, tmp_path, twin, field):
+        # a hidden-2 net saved with a hidden-3, an input/out-swapped or a
+        # perceptron int8 twin: the loader would reject the file, so none is
+        # written
+        p = init_params(hidden_width=2, rng=np.random.default_rng(0), input_dim=7, out_dim=4)
+        hidden, input_dim, out_dim = twin
+        q = quantize(init_params(hidden_width=hidden, rng=np.random.default_rng(1),
+                                 input_dim=input_dim, out_dim=out_dim))
+        path = tmp_path / "net.bin"
+        with pytest.raises(ValueError, match=field):
+            save_net(path, p, q, epoch=0, config_hash=0, history=np.zeros((0, 6)))
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\0" * 64)
