@@ -33,7 +33,7 @@ from .chain import (
     receive,
     shape_and_normalize,
 )
-from .channel import Stream, add_channel, block_rngs, unit_noise
+from .channel import Stream, add_channel, bit_words, block_rngs, unit_noise, unpack_bits
 from .filters import taps_from_coeffs
 from .metrics import waveform_papr_db
 
@@ -49,9 +49,10 @@ DEFAULT_PERIOD_MS = 100.0
 # most feedback cycles one replay runs (27.8 h of 100 ms cycles); a config or
 # trace that asks for more is rejected before any tick is allocated
 MAX_TICKS = 10**6
-# ticks per batched replay step: peak RSS grows with it, and past a few dozen
-# ticks the per-call overhead it saves is already gone
-CHUNK_TICKS = 32
+# ticks per batched replay step, chosen by measuring perfbench adapt: 64
+# replays faster than 32 at the same peak RSS; 128 is ~7% faster again, but
+# its per-chunk arrays add ~4 MB (+8%) to the peak
+CHUNK_TICKS = 64
 
 PRESET_TRACES = {
     "factory": 5.0,  # noisy industrial floor, reliability first
@@ -62,9 +63,14 @@ PRESET_TRACES = {
 def tick_count(span_ms: float, period_ms: float) -> int:
     """Feedback cycles from 0 to ``span_ms`` inclusive: ``floor(span / period) + 1``.
 
-    A count above ``MAX_TICKS`` raises ``ValueError`` before anything is
-    allocated for the ticks.
+    The one check of a replay's clock: the span must be finite and >= 0 and
+    the period finite and > 0, and a count above ``MAX_TICKS`` raises
+    ``ValueError`` before anything is allocated for the ticks.
     """
+    if not 0.0 < period_ms < math.inf:
+        raise ValueError(f"period_ms must be positive and finite, got {period_ms}")
+    if not 0.0 <= span_ms < math.inf:
+        raise ValueError(f"a replay span must be finite and >= 0 ms, got {span_ms}")
     steps = span_ms // period_ms
     if not steps < MAX_TICKS:
         raise ValueError(f"a {span_ms} ms span at a {period_ms} ms period is more than "
@@ -116,8 +122,6 @@ class AdaptConfig:
     mod: str = "qpsk"
 
     def __post_init__(self):
-        if not 0.0 < self.period_ms < math.inf:
-            raise ValueError(f"period_ms must be positive and finite, got {self.period_ms}")
         if not 0.0 <= self.duration_ms < math.inf:
             raise ValueError(f"duration_ms must be finite and >= 0, got {self.duration_ms}")
         tick_count(self.duration_ms, self.period_ms)
@@ -165,18 +169,18 @@ def run_scenario(
     seeded up front in one pass (``block_rngs``), and every tick's time,
     feedback and lambda are resolved up front (one ``np.searchsorted``).  The
     ticks run ``CHUNK_TICKS`` at a time.  Per chunk, a loop draws each tick's
-    bits, then its noise (the stream steps ``draw_channel`` takes on AWGN);
-    the link then runs once on the chunk, with one SNR per block.  Every step
-    of the link is row-independent, so each record has the bytes of the tick
-    run alone.
+    bits as raw words (``channel.bit_words``), then its noise (the stream
+    steps ``draw_channel`` takes on AWGN); the chunk's words are unpacked at
+    once (``channel.unpack_bits``) into the bytes of each tick's
+    ``rng.integers(0, 2, n_bits)``, and the link runs once on the chunk, with
+    one SNR per block.  Every step of the link is row-independent, so each
+    record has the bytes of the tick run alone.
     """
     if len(trace) == 0:
         return []
     times = [t for t, _ in trace]
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("trace timestamps must be sorted")
-    if period_ms <= 0:
-        raise ValueError("cycle period must be positive")
     n_ticks = tick_count(times[-1] - times[0], period_ms)
     table = LambdaTable()
     records: list[TickRecord] = []
@@ -189,21 +193,18 @@ def run_scenario(
     for lo in range(0, n_ticks, CHUNK_TICKS):
         ticks = slice(lo, lo + CHUNK_TICKS)
         snr = np.array(snr_db[ticks])
-        bits = np.empty((len(snr), n_bits), dtype=np.int64)
+        words = []  # the bits' raw words
         parts = np.empty((len(snr), 2, cfg.n_sk))  # the noise's standard-normal parts
-        for row in range(len(snr)):
-            rng = next(rngs)
-            bits[row] = rng.integers(0, 2, n_bits)
+        for row, rng in zip(range(len(snr)), rngs):
+            words.append(bit_words(rng, n_bits))
             rng.standard_normal(out=parts[row])
-        tx = map_symbols(bits, scheme)
+        tx = map_symbols(unpack_bits(np.stack(words), n_bits), scheme)
         bins, taps = adaptation_cycle(snr, net, extend(precode(tx), cfg.n_se))
         papr = waveform_papr_db(bins, cfg)
         # the channel on the occupied bins, at the true SNR
         rx = add_channel(bins, 1.0, unit_noise(parts), snr)
         detected, _ = receive(rx, taps, cfg.n_se, scheme)
         ser = np.count_nonzero(detected != tx, axis=-1) / cfg.n_data
-        records.extend(
-            TickRecord(t_ms=t, snr_db=s, lam=lm, papr_db=float(p), ser_block=float(e))
-            for t, s, lm, p, e in zip(now[ticks], snr_db[ticks], lam[ticks], papr, ser)
-        )
+        records.extend(map(TickRecord, now[ticks], snr_db[ticks], lam[ticks],
+                           papr.tolist(), ser.tolist()))
     return records

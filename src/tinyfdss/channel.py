@@ -21,7 +21,10 @@ Every generator is ``np.random.default_rng((seed, stream, *index))``
 (:func:`block_rng`).  :func:`block_rngs` gives the same generators for many
 indices: numpy's ``SeedSequence`` is a fixed hash of uint32 words, so it is
 computed for all indices in one numpy pass, and each generator's PCG64 state
-follows from its four seed words.
+follows from its four seed words.  A block's bits are the bytes of
+``rng.integers(0, 2, n)``, drawn as raw words in the per-block loop
+(:func:`bit_words`) and unpacked for the whole batch at once
+(:func:`unpack_bits`), so no stream changes.
 """
 
 from __future__ import annotations
@@ -157,6 +160,25 @@ def block_rngs(
         bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                "state": {"state": state, "inc": inc}}
         yield rng
+
+
+def bit_words(rng: np.random.Generator, n_bits: int) -> np.ndarray:
+    """The ``ceil(n_bits / 2)`` raw PCG64 words that ``rng.integers(0, 2, n_bits)`` reads.
+
+    For a range of 2, numpy's bounded-integer rule (Lemire's) never rejects:
+    each bit is the top bit of one 32-bit half of a word, the low half first.
+    So these words, through :func:`unpack_bits`, give that call's bits, and
+    the generator's next 64-bit draw (``random_raw``, ``standard_normal``)
+    is the same.  For odd ``n_bits`` the unused high half is dropped, where
+    ``integers`` would keep it for a later 32-bit draw; no caller makes one.
+    """
+    return rng.bit_generator.random_raw((n_bits + 1) // 2)
+
+
+def unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
+    """The int64 bits of :func:`bit_words` rows ``(..., ceil(n_bits / 2))``: ``(..., n_bits)``."""
+    halves = np.ascontiguousarray(words, dtype="<u8").view("<u4")  # per word: low half, then high
+    return (halves[..., :n_bits] >> 31).astype(np.int64)
 
 
 class ChannelModel(enum.Enum):

@@ -44,8 +44,8 @@ from .chain import (
     shape_and_normalize,
     time_signal,
 )
-from .channel import (MODEL_NAMES, RICIAN_K_DB, ChannelCfg, Stream, add_channel,
-                      block_rngs, draw_channel, unit_noise)
+from .channel import (MODEL_NAMES, RICIAN_K_DB, ChannelCfg, Stream, add_channel, bit_words,
+                      block_rngs, draw_channel, unit_noise, unpack_bits)
 from .filters import rrc_taps, unit_taps
 from .metrics import (
     OOBE_MIN_BLOCKS,
@@ -167,11 +167,9 @@ def _draw(cfg: ChainConfig, seed: int, mod: str, indices: np.ndarray) -> Draw:
     conv = conventional_config(cfg)
     scheme = SCHEME_NAMES[mod]
     n_bits = conv.n_data * scheme.bits_per_symbol
-    bits = np.empty((len(indices), n_bits), dtype=np.int64)
     rngs = block_rngs(seed, Stream.EVAL_DATA, list(SCHEME_NAMES).index(mod), indices=indices)
-    for row, rng in enumerate(rngs):
-        bits[row] = rng.integers(0, 2, n_bits)
-    sym_conv = map_symbols(bits, scheme)
+    words = np.stack([bit_words(rng, n_bits) for rng in rngs])
+    sym_conv = map_symbols(unpack_bits(words, n_bits), scheme)
     sym_ext = sym_conv[:, : cfg.n_data]
     return Draw(Transmit(cfg, extend(precode(sym_ext), cfg.n_se), unit_taps(cfg.n_sk), sym_ext),
                 Transmit(conv, precode(sym_conv), unit_taps(conv.n_sk), sym_conv))

@@ -7,10 +7,12 @@ modulation (one ``random()`` against the mix's CDF), the SNR (``uniform``),
 the channel model (one ``random()``), the bits, then ``draw_channel``'s fade
 and the per-bin noise's standard-normal parts, real then imaginary
 (``unit_noise``).  ``prepare_batch`` seeds the batch's generators in one pass
-(``block_rngs``) and its per-block loop only draws; symbols, lambda, noise
-scaling and features run on the whole batch.  The noise is the channel's
-own, ``channel.noise_term`` at the block's SNR on its occupied bins, held
-fixed and fade-compensated.
+(``block_rngs``) and its per-block loop only draws, the bits as raw words
+(``channel.bit_words``).  The words of each modulation's rows are unpacked
+at once (``channel.unpack_bits``) into the bytes of ``rng.integers(0, 2, n)``,
+and symbols, lambda, noise scaling and features run on the whole batch.
+The noise is the channel's own, ``channel.noise_term`` at the block's SNR on
+its occupied bins, held fixed and fade-compensated.
 
 The loss per block is mse + lambda(snr) * softplus(papr - x0), with the
 lambda looked up per block's drawn SNR.  The chain is differentiated in closed
@@ -50,8 +52,8 @@ from .chain import (
     shape_and_normalize,
     time_signal,
 )
-from .channel import (MODEL_NAMES, ChannelCfg, Stream, block_rng, block_rngs, draw_channel,
-                      noise_term, unit_noise)
+from .channel import (MODEL_NAMES, ChannelCfg, Stream, bit_words, block_rng, block_rngs,
+                      draw_channel, noise_term, unit_noise, unpack_bits)
 from .filters import coeff_basis, taps_from_coeffs
 from .metrics import SURROGATE_SHARPNESS, TAIL_X0_DB, surrogate_blocks
 from .network import HISTORY_COLUMNS
@@ -182,11 +184,12 @@ def prepare_batch(
     cfg = config.chain
     batch = len(indices)
     schemes = [SCHEME_NAMES[name] for name, _ in config.mod_mix]
+    n_bits = [cfg.n_data * scheme.bits_per_symbol for scheme in schemes]
     channels = [ChannelCfg(MODEL_NAMES[name]) for name, _ in config.channel_mix]
     pick_scheme, pick_channel = _mix_sampler(config.mod_mix), _mix_sampler(config.channel_mix)
     lo, hi = config.snr_range_db
     rows_of = [[] for _ in schemes]  # batch rows of each scheme
-    snr, bits = [], []
+    snr, words = [], []  # each block's SNR and its bits' raw words
     h = np.empty(batch, dtype=np.complex128)
     parts = np.empty((batch, 2, cfg.n_sk))  # the noise's standard-normal parts
     for row, rng in enumerate(block_rngs(config.seed, Stream.TRAIN_BLOCK, indices=indices)):
@@ -194,12 +197,13 @@ def prepare_batch(
         rows_of[k].append(row)
         snr.append(float(rng.uniform(lo, hi)))
         channel = channels[pick_channel(rng)]
-        bits.append(rng.integers(0, 2, cfg.n_data * schemes[k].bits_per_symbol))
+        words.append(bit_words(rng, n_bits[k]))
         h[row] = draw_channel(channel, rng, parts[row])
     symbols = np.empty((batch, cfg.n_data), dtype=np.complex128)
-    for scheme, rows in zip(schemes, rows_of):
+    for scheme, n, rows in zip(schemes, n_bits, rows_of):
         if rows:
-            symbols[rows] = map_symbols(np.stack([bits[row] for row in rows]), scheme)
+            symbols[rows] = map_symbols(unpack_bits(np.stack([words[row] for row in rows]), n),
+                                        scheme)
     lam = np.array([table.lookup(s) for s in snr])
     s_ext = extend(precode(symbols), cfg.n_se)
     # the channel's noise on the unshaped bins, whose power the normalized

@@ -215,10 +215,10 @@ class TestRunScenario:
     ])
     def test_records_equal_tick_by_tick_replay_bytewise(self, cfg, net, kind, scheme):
         deployed = net if kind == "float" else network.quantize(net)
-        # feedback held across ticks and across every lambda bin; 77 ticks are
+        # feedback held across ticks and across every lambda bin; 153 ticks are
         # two full chunks and a partial third
-        trace = [(0.0, -1.0), (250.0, 3.0), (1230.0, 7.5), (2600.0, 12.0),
-                 (4100.0, 17.0), (5555.0, 22.0), (6400.0, 9.0), (7600.0, 4.0)]
+        trace = [(0.0, -1.0), (500.0, 3.0), (2460.0, 7.5), (5200.0, 12.0),
+                 (8200.0, 17.0), (11110.0, 22.0), (12800.0, 9.0), (15200.0, 4.0)]
         records = run_scenario(trace, deployed, cfg, scheme, seed=6)
         assert len(records) > 2 * CHUNK_TICKS and len(records) % CHUNK_TICKS
         assert {r.lam for r in records} == {lam for _, _, lam in DEFAULT_BINS}
@@ -270,6 +270,25 @@ class TestRunScenario:
         assert tick_count((MAX_TICKS - 1) * 100.0, 100.0) == MAX_TICKS
         with pytest.raises(ValueError, match="MAX_TICKS"):
             tick_count(MAX_TICKS * 100.0, 100.0)
+
+    @pytest.mark.parametrize("span_ms, period_ms, bad", [
+        (-500.0, 100.0, "span must be finite and >= 0 ms, got -500.0"),
+        (math.nan, 100.0, "span must be finite and >= 0 ms, got nan"),
+        (math.inf, 100.0, "span must be finite and >= 0 ms, got inf"),
+        (2000.0, 0.0, "period_ms must be positive and finite, got 0.0"),
+        (2000.0, -100.0, "period_ms must be positive and finite, got -100.0"),
+        (2000.0, math.nan, "period_ms must be positive and finite, got nan"),
+    ], ids=["span-negative", "span-nan", "span-inf", "period-zero", "period-negative",
+            "period-nan"])
+    def test_tick_count_rejects_a_bad_clock_naming_the_value(self, span_ms, period_ms, bad):
+        with pytest.raises(ValueError, match=bad):
+            tick_count(span_ms, period_ms)
+
+    @pytest.mark.parametrize("period_ms", [0.0, -100.0])
+    def test_preset_trace_rejects_a_nonpositive_period(self, period_ms):
+        # not a ZeroDivisionError, and not an empty trace
+        with pytest.raises(ValueError, match=f"period_ms must be .* finite, got {period_ms}"):
+            preset_trace("factory", 2000.0, period_ms)
 
     def test_unbounded_tick_counts_rejected(self, cfg, net):
         # rejected before the tick list or the per-tick arrays are built

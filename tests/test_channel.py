@@ -25,6 +25,7 @@ from tinyfdss.channel import (
     Stream,
     add_channel,
     apply_channel,
+    bit_words,
     block_rng,
     block_rngs,
     draw_channel,
@@ -32,6 +33,7 @@ from tinyfdss.channel import (
     noise_power,
     noise_term,
     unit_noise,
+    unpack_bits,
 )
 from tinyfdss.filters import unit_taps
 
@@ -112,6 +114,46 @@ class TestBlockRngs:
         # an index past 32 bits takes block_rng
         rngs = list(block_rngs(3, Stream.EVAL_DATA, 1, indices=[2**32, 5]))
         assert calls == Counter(default_rng=1) and rngs[0] is not rngs[1]
+
+
+class TestBitWords:
+    """``unpack_bits(bit_words(rng, n), n)`` against ``rng.integers(0, 2, n)`` as the oracle."""
+
+    SIZES = [*range(1, 71), 420, 840, 1260]
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    @example(seed=0)
+    def test_bytes_and_next_draws_equal_integers(self, seed):
+        for n in self.SIZES:
+            rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            words = bit_words(rng, n)
+            assert words.shape == ((n + 1) // 2,) and words.dtype == np.uint64
+            bits, oracle = unpack_bits(words, n), want.integers(0, 2, n)
+            assert (bits.shape, bits.dtype) == (oracle.shape, oracle.dtype) == ((n,), np.int64)
+            assert bits.tobytes() == oracle.tobytes()
+            # the stream goes on where integers leaves it, odd n too
+            assert rng.bit_generator.random_raw() == want.bit_generator.random_raw()
+            assert rng.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_data=st.sampled_from([1, 5, 210]))
+    def test_batched_unpack_of_mixed_modulations(self, seed, n_data):
+        # rows of three modulations from one loop, unpacked per modulation as
+        # prepare_batch does; every row must equal its generator's integers
+        schemes = [ModScheme.QPSK, ModScheme.QAM16, ModScheme.QAM64, ModScheme.QPSK,
+                   ModScheme.QAM64, ModScheme.QAM16, ModScheme.QAM16]
+        words = [bit_words(rng, n_data * scheme.bits_per_symbol) for rng, scheme
+                 in zip(block_rngs(seed, Stream.TRAIN_BLOCK, indices=range(len(schemes))),
+                        schemes)]
+        for scheme in set(schemes):
+            rows = [row for row, s in enumerate(schemes) if s is scheme]
+            n_bits = n_data * scheme.bits_per_symbol
+            bits = unpack_bits(np.stack([words[row] for row in rows]), n_bits)
+            assert bits.shape == (len(rows), n_bits) and bits.dtype == np.int64
+            for got, row in zip(bits, rows):
+                want = block_rng(seed, Stream.TRAIN_BLOCK, row).integers(0, 2, n_bits)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestApplyChannel:

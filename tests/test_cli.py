@@ -134,6 +134,8 @@ class TestConfig:
         ("train", "eval", {"n_blocks": 1.5}, "eval.n_blocks must be an integer, got 1.5"),
         ("adapt", "adapt", {"mod": "qam256"}, "adapt: mod must be in"),
         ("adapt", "adapt", {"period_ms": 0}, "adapt: period_ms must be positive"),
+        ("adapt", "adapt", {"period_ms": -100},
+         "adapt: period_ms must be positive and finite, got -100\n"),
         ("adapt", "adapt", {"period_ms": "x"}, 'adapt.period_ms must be a number, got "x"'),
         ("adapt", "adapt", {"duration_ms": -5}, "adapt: duration_ms must be finite and >= 0"),
         ("adapt", "adapt", {"period_ms": 1e-300},
@@ -219,7 +221,8 @@ class TestConfig:
     ], ids=[
         "seed-str", "seed-float", "seed-negative", "snr_db-scalar", "snr_range_db-scalar",
         "channel_mix-str-weight", "hidden_widths-scalar", "eval-list", "n_blocks-float",
-        "adapt-mod", "period_ms-zero", "period_ms-str", "duration_ms-negative", "period_ms-tiny",
+        "adapt-mod", "period_ms-zero", "period_ms-negative", "period_ms-str",
+        "duration_ms-negative", "period_ms-tiny",
         "snr_range_db-inf", "snr_range_db-nan", "channel_mix-nan-weight", "mods-empty",
         "ccdf_grid_db-zero-step", "use_quantized-int", "checkpoint-int", "clf-iterations",
         "baselines-unknown", "adapt-preset", "hidden_widths-negative",
