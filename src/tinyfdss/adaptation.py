@@ -1,10 +1,10 @@
-"""Runtime adaptation loop: SNR feedback -> lambda lookup -> tap recomputation.
+"""Runtime adaptation loop: SNR feedback -> tap recomputation, lambda logged.
 
-The trade-off weight lambda comes from a small SNR-binned lookup table; taps
-are recomputed once per feedback cycle (nominally every 100 ms of simulated
-time -- the period is a tick label, no wall-clock scheduling is involved).
-Bins are half-open [lo, hi): a feedback value on a boundary belongs to the
-upper bin, and values below the first bin clamp to it.
+Taps are recomputed from the fed-back SNR alone once per feedback cycle, a
+simulated 100 ms by default (a tick label; nothing runs on a wall clock).  The
+weight lambda of a small SNR-binned table weights each block's tail term in
+training; at run time it is looked up and logged.  Bins are half-open [lo, hi):
+a value on a boundary belongs to the upper bin, one below the first bin to it.
 
 :func:`adaptation_cycle` is the one learned-filter transmit: features ->
 net -> taps -> shaping at fixed power.  The net's forward is batch-invariant
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +35,8 @@ from .chain import (
     receive,
     shape_and_normalize,
 )
-from .channel import Stream, add_channel, bit_words, block_rngs, unit_noise, unpack_bits
+from .channel import (ChannelCfg, Stream, add_channel, bit_words, block_rngs, draw_channel,
+                      unit_noise, unpack_bits)
 from .filters import taps_from_coeffs
 from .metrics import waveform_papr_db
 
@@ -131,8 +134,9 @@ class AdaptConfig:
             raise ValueError(f"mod must be in {sorted(SCHEME_NAMES)}, got {self.mod!r}")
 
 
-@dataclass
-class TickRecord:
+class TickRecord(NamedTuple):
+    """One tick: a row of ``events.csv``, whose ``lambda`` column is ``lam``."""
+
     t_ms: float
     snr_db: float
     lam: float
@@ -159,45 +163,46 @@ def run_scenario(
 ) -> list[TickRecord]:
     """Replay an SNR feedback trace: a loop that only draws, then batched links.
 
-    The simulated clock advances in ``period_ms`` steps from the first to the
-    last trace timestamp; at each tick the most recent feedback at or before
-    the tick applies.  Each tick looks lambda up in :class:`LambdaTable`,
-    transmits one fresh block, measures its PAPR, passes it through an AWGN
-    channel (no fade) at the true SNR, and records that block's symbol error rate.
+    The trace's timestamps must be sorted (a NaN is out of order) and its
+    values finite: the CLI's rule.  The clock advances in ``period_ms`` steps
+    from the first to the last timestamp, and each tick takes the latest
+    feedback at or before it, looks lambda up in :class:`LambdaTable`,
+    transmits one fresh block, measures its PAPR, passes it through AWGN (no
+    fade) at the true SNR, and records that block's symbol error rate.
 
     Every tick's generator, ``block_rng(seed, Stream.ADAPT_TICK, tick)``, is
     seeded up front in one pass (``block_rngs``), and every tick's time,
     feedback and lambda are resolved up front (one ``np.searchsorted``).  The
     ticks run ``CHUNK_TICKS`` at a time.  Per chunk, a loop draws each tick's
-    bits as raw words (``channel.bit_words``), then its noise (the stream
-    steps ``draw_channel`` takes on AWGN); the chunk's words are unpacked at
-    once (``channel.unpack_bits``) into the bytes of each tick's
+    bits as raw words (``channel.bit_words``), then its noise
+    (``channel.draw_channel``); the chunk's words are unpacked at once
+    (``channel.unpack_bits``) into the bytes of each tick's
     ``rng.integers(0, 2, n_bits)``, and the link runs once on the chunk, with
     one SNR per block.  Every step of the link is row-independent, so each
     record has the bytes of the tick run alone.
     """
     if len(trace) == 0:
         return []
-    times = [t for t, _ in trace]
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("trace timestamps must be sorted")
+    times, snrs = np.array(trace, dtype=float).T
+    if not (np.all(np.diff(times) >= 0) and np.all(np.isfinite(snrs))):
+        raise ValueError("trace timestamps must be sorted and its values finite")
     n_ticks = tick_count(times[-1] - times[0], period_ms)
-    table = LambdaTable()
     records: list[TickRecord] = []
     n_bits = cfg.n_data * scheme.bits_per_symbol
     now = (times[0] + np.arange(n_ticks) * period_ms).tolist()
     fed = np.searchsorted(times, now, side="right") - 1  # latest feedback at or before
-    snr_db = [float(trace[i][1]) for i in fed.tolist()]
-    lam = [table.lookup(snr) for snr in snr_db]
+    snr_db = snrs[fed].tolist()
+    lam = list(map(LambdaTable().lookup, snr_db))
     rngs = block_rngs(seed, Stream.ADAPT_TICK, indices=range(n_ticks))
+    awgn = ChannelCfg()  # draws no fade
     for lo in range(0, n_ticks, CHUNK_TICKS):
         ticks = slice(lo, lo + CHUNK_TICKS)
         snr = np.array(snr_db[ticks])
         words = []  # the bits' raw words
         parts = np.empty((len(snr), 2, cfg.n_sk))  # the noise's standard-normal parts
-        for row, rng in zip(range(len(snr)), rngs):
+        for row, rng in enumerate(islice(rngs, len(snr))):
             words.append(bit_words(rng, n_bits))
-            rng.standard_normal(out=parts[row])
+            draw_channel(awgn, rng, parts[row])
         tx = map_symbols(unpack_bits(np.stack(words), n_bits), scheme)
         bins, taps = adaptation_cycle(snr, net, extend(precode(tx), cfg.n_se))
         papr = waveform_papr_db(bins, cfg)

@@ -50,7 +50,7 @@ class Stream(enum.IntEnum):
     TRAIN_BLOCK = 0  # training block: mod, SNR, channel model, bits, fade, noise
     INIT = 1  # initial network weights
     EPOCH_ORDER = 2  # per-epoch permutation of the training blocks
-    ADAPT_TICK = 4  # adapt tick: bits, then fade and noise
+    ADAPT_TICK = 4  # adapt tick: bits, then noise (its AWGN channel draws no fade)
     SLM_PHASES = 5  # SLM candidate phase vectors
     EVAL_DATA = 30  # eval bits per (modulation, block)
     EVAL_CHANNEL = 31  # eval fade and noise per (channel, mod, SNR, block)

@@ -179,9 +179,7 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -333,11 +331,7 @@ def cmd_adapt(cfg: dict, out: Path, checkpoint_flag: str | None,
              preset_trace(adapt.preset, float(adapt.duration_ms), float(adapt.period_ms)))
     records = run_scenario(trace, net, cfg["chain"], scheme=SCHEME_NAMES[adapt.mod],
                            seed=cfg["seed"], period_ms=float(adapt.period_ms))
-    write_csv(
-        out / "events.csv",
-        ["t_ms", "snr_db", "lambda", "papr_db", "ser_block"],
-        ((r.t_ms, r.snr_db, r.lam, r.papr_db, r.ser_block) for r in records),
-    )
+    write_csv(out / "events.csv", ["t_ms", "snr_db", "lambda", "papr_db", "ser_block"], records)
     print(f"{len(records)} adaptation ticks written to {out / 'events.csv'}")
     return 0
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tinyfdss import network
 from tinyfdss.adaptation import (
@@ -47,6 +49,39 @@ def make_block(cfg, seed=0):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, cfg.n_data * 2)
     return extend(precode(map_symbols(bits, ModScheme.QPSK)), cfg.n_se)
+
+
+# an inner NaN timestamp fails every comparison with its neighbours, so a
+# check for a decrease alone (b < a) passes it: this trace replayed 4 ticks
+INNER_NAN_TRACE = [(0.0, 5.0), (math.nan, 25.0), (300.0, 12.0)]
+
+
+@st.composite
+def sorted_traces(draw, min_size=1):
+    """Finite traces in time order over at most 2 s, repeats and every lambda bin allowed."""
+    times = sorted(draw(st.lists(st.floats(0.0, 2000.0), min_size=min_size, max_size=6)))
+    snrs = draw(st.lists(st.floats(-5.0, 30.0), min_size=len(times), max_size=len(times)))
+    return list(zip(times, snrs))
+
+
+@st.composite
+def refused_traces(draw):
+    """A sorted finite trace with one row spoiled, as the CLI's trace reader refuses it:
+    a non-finite timestamp or SNR, or a timestamp below the one before."""
+    trace = draw(sorted_traces(min_size=2))
+    i = draw(st.integers(0, len(trace) - 1))
+    t_ms, snr_db = trace[i]
+    bad = st.sampled_from([math.nan, math.inf, -math.inf])
+    kind = draw(st.sampled_from(["time", "snr", "decrease"]))
+    if kind == "time":
+        t_ms = draw(bad)
+    elif kind == "snr":
+        snr_db = draw(bad)
+    else:
+        i = max(i, 1)
+        t_ms = trace[i - 1][0] - draw(st.floats(1e-3, 1e3))
+    trace[i] = (t_ms, snr_db)
+    return trace
 
 
 def replay_tick_by_tick(trace, net, cfg, scheme, seed):
@@ -254,6 +289,28 @@ class TestRunScenario:
     def test_unsorted_trace_rejected(self, cfg, net):
         with pytest.raises(ValueError):
             run_scenario([(100.0, 5.0), (0.0, 5.0)], net, cfg)
+
+    # the fixtures are only read, so one instance serves every example
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(trace=refused_traces())
+    @example(trace=INNER_NAN_TRACE)
+    def test_a_trace_the_cli_refuses_is_rejected(self, cfg, net, trace):
+        with pytest.raises(ValueError):
+            run_scenario(trace, net, cfg)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(trace=sorted_traces())
+    def test_a_sorted_finite_trace_replays_one_record_per_tick(self, cfg, net, trace):
+        records = run_scenario(trace, net, cfg, seed=2)
+        start = trace[0][0]
+        now = [start + k * DEFAULT_PERIOD_MS
+               for k in range(tick_count(trace[-1][0] - start, DEFAULT_PERIOD_MS))]
+        assert [r.t_ms for r in records] == now
+        # each tick holds the latest feedback at or before it
+        assert [r.snr_db for r in records] == [
+            [snr for t, snr in trace if t <= tick][-1] for tick in now]
 
     def test_snr_crossing_changes_lambda(self, cfg, net):
         trace = [(0.0, 9.0), (100.0, 11.0)]

@@ -12,7 +12,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from tinyfdss.adaptation import AdaptConfig
+from tinyfdss.adaptation import AdaptConfig, LambdaTable, TickRecord
 from tinyfdss.cli import (
     ConfigError,
     SweepConfig,
@@ -623,6 +623,22 @@ class TestAdaptCommand:
         assert (out / "events.csv").read_bytes() == first
         _, rows = read_csv(out / "events.csv")
         assert [r[2] for r in rows] == ["0.3", "0.5", "0.8"]
+
+    def test_events_columns_are_the_tick_record_fields_in_order(self, config_path, tmp_path):
+        # cmd_adapt writes each TickRecord as it is, so its fields' order is the header's
+        out = tmp_path / "run"
+        main(["train", "--config", str(config_path), "--out", str(out)])
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t_ms,snr_db\n0,-1.5\n100,7.0\n200,12.5\n300,17.0\n400,24.0\n")
+        assert main(["adapt", "--config", str(config_path), "--out", str(out),
+                     "--trace", str(trace)]) == 0
+        header, rows = read_csv(out / "events.csv")
+        assert header == [{"lam": "lambda"}.get(name, name) for name in TickRecord._fields]
+        records = [TickRecord(*map(float, row)) for row in rows]
+        assert [r.t_ms for r in records] == [0.0, 100.0, 200.0, 300.0, 400.0]
+        assert [r.snr_db for r in records] == [-1.5, 7.0, 12.5, 17.0, 24.0]
+        assert [r.lam for r in records] == [LambdaTable().lookup(r.snr_db) for r in records]
+        assert all(0.0 <= r.ser_block <= 1.0 < r.papr_db for r in records)
 
 
 class TestBaselinesCommand:
