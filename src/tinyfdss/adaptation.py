@@ -63,17 +63,18 @@ PRESET_TRACES = {
 }
 
 
-def tick_count(span_ms: float, period_ms: float) -> int:
+def tick_count(span_ms: float, period_ms: float, span_name: str = "a replay span") -> int:
     """Feedback cycles from 0 to ``span_ms`` inclusive: ``floor(span / period) + 1``.
 
-    The one check of a replay's clock: the span must be finite and >= 0 and
-    the period finite and > 0, and a count above ``MAX_TICKS`` raises
-    ``ValueError`` before anything is allocated for the ticks.
+    The one check of a replay's clock: the span must be finite and >= 0 (its
+    message names the span ``span_name``) and the period finite and > 0, and
+    a count above ``MAX_TICKS`` raises ``ValueError`` before anything is
+    allocated for the ticks.
     """
     if not 0.0 < period_ms < math.inf:
         raise ValueError(f"period_ms must be positive and finite, got {period_ms}")
     if not 0.0 <= span_ms < math.inf:
-        raise ValueError(f"a replay span must be finite and >= 0 ms, got {span_ms}")
+        raise ValueError(f"{span_name} must be finite and >= 0 ms, got {span_ms}")
     steps = span_ms // period_ms
     if not steps < MAX_TICKS:
         raise ValueError(f"a {span_ms} ms span at a {period_ms} ms period is more than "
@@ -86,10 +87,18 @@ class LambdaTable:
     edge lies above the SNR, so the bins are half-open and an SNR below the
     first bin takes it."""
 
-    def lookup(self, snr_db: float) -> float:
-        if not math.isfinite(snr_db):
-            raise ValueError(f"snr_db must be finite, got {snr_db}")
-        return next(lam for _, hi, lam in DEFAULT_BINS if snr_db < hi)
+    _upper = np.array([hi for _, hi, _ in DEFAULT_BINS])
+    _lam = np.array([lam for _, _, lam in DEFAULT_BINS])
+
+    def lookup(self, snr_db: float | np.ndarray) -> float | np.ndarray:
+        """Lambda of one SNR (a float) or of each of an array of SNRs (an
+        array of the same shape); a non-finite SNR anywhere raises."""
+        snr = np.asarray(snr_db, dtype=np.float64)
+        finite = np.isfinite(snr)
+        if not finite.all():
+            raise ValueError(f"snr_db must be finite, got {snr[~finite].flat[0]}")
+        lam = self._lam[np.searchsorted(self._upper, snr, side="right")]
+        return float(lam) if lam.ndim == 0 else lam
 
 
 def adaptation_cycle(
@@ -125,9 +134,7 @@ class AdaptConfig:
     mod: str = "qpsk"
 
     def __post_init__(self):
-        if not 0.0 <= self.duration_ms < math.inf:
-            raise ValueError(f"duration_ms must be finite and >= 0, got {self.duration_ms}")
-        tick_count(self.duration_ms, self.period_ms)
+        tick_count(self.duration_ms, self.period_ms, "duration_ms")
         if self.preset not in PRESET_TRACES:
             raise ValueError(f"preset must be in {sorted(PRESET_TRACES)}, got {self.preset!r}")
         if self.mod not in SCHEME_NAMES:
@@ -172,7 +179,8 @@ def run_scenario(
 
     Every tick's generator, ``block_rng(seed, Stream.ADAPT_TICK, tick)``, is
     seeded up front in one pass (``block_rngs``), and every tick's time,
-    feedback and lambda are resolved up front (one ``np.searchsorted``).  The
+    feedback and lambda are resolved up front (one ``np.searchsorted`` and
+    one ``LambdaTable.lookup`` of every tick's SNR).  The
     ticks run ``CHUNK_TICKS`` at a time.  Per chunk, a loop draws each tick's
     bits as raw words (``channel.bit_words``), then its noise
     (``channel.draw_channel``); the chunk's words are unpacked at once
@@ -192,7 +200,7 @@ def run_scenario(
     now = (times[0] + np.arange(n_ticks) * period_ms).tolist()
     fed = np.searchsorted(times, now, side="right") - 1  # latest feedback at or before
     snr_db = snrs[fed].tolist()
-    lam = list(map(LambdaTable().lookup, snr_db))
+    lam = LambdaTable().lookup(snrs[fed]).tolist()
     rngs = block_rngs(seed, Stream.ADAPT_TICK, indices=range(n_ticks))
     awgn = ChannelCfg()  # draws no fade
     for lo in range(0, n_ticks, CHUNK_TICKS):

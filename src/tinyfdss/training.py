@@ -7,20 +7,26 @@ modulation (one ``random()`` against the mix's CDF), the SNR (``uniform``),
 the channel model (one ``random()``), the bits, then ``draw_channel``'s fade
 and the per-bin noise's standard-normal parts, real then imaginary
 (``unit_noise``).  ``prepare_batch`` seeds the batch's generators in one pass
-(``block_rngs``) and its per-block loop only draws, the bits as raw words
-(``channel.bit_words``).  The words of each modulation's rows are unpacked
-at once (``channel.unpack_bits``) into the bytes of ``rng.integers(0, 2, n)``,
-and symbols, lambda, noise scaling and features run on the whole batch.
+(``block_rngs``) and its per-block loop only draws: the mixes' indices by
+bisecting a list CDF, the bits as raw words (``channel.bit_words``), fade and
+noise by ``channel.draw_channel``.  The words of each modulation's rows are
+unpacked at once (``channel.unpack_bits``) into the bytes of
+``rng.integers(0, 2, n)``, and symbols, lambda (one ``LambdaTable.lookup``
+of the batch's SNRs), noise scaling and features run on the whole batch.
 The noise is the channel's own, ``channel.noise_term`` at the block's SNR on
-its occupied bins, held fixed and fade-compensated.
+its occupied bins, held fixed and fade-compensated.  Every stage is
+row-independent, so ``train`` prepares ``PREP_BATCHES`` whole batches per
+call and slices each step's batch out of them: each Adam step sees the rows,
+and the bytes, of its own batch prepared alone.
 
 The loss per block is mse + lambda(snr) * softplus(papr - x0), with the
 lambda looked up per block's drawn SNR.  The chain is differentiated in closed
 form down to the polynomial coefficients: the PAPR path routes the gradient
-through each block's peak sample (max subgradient); the symbol-error path
-treats the drawn noise as constant and differentiates through shaping,
-power normalization, matched filtering, extension folding, gain
-normalization, and inverse precoding.
+through each block's peak sample (max subgradient), and needs no transform of
+its own (see :func:`chain_loss`); the symbol-error path treats the drawn
+noise as constant and differentiates through shaping, power normalization,
+matched filtering, extension folding, gain normalization, and inverse
+precoding.
 
 Transmit power is normalized per block (shaped occupied power equals the
 unshaped occupied power) so that scaling the taps can neither buy SNR nor
@@ -33,7 +39,9 @@ import hashlib
 import json
 import math
 import time
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +67,10 @@ from .metrics import SURROGATE_SHARPNESS, TAIL_X0_DB, surrogate_blocks
 from .network import HISTORY_COLUMNS
 
 OUT_INIT_SCALE = 0.3  # ``init_params`` scale of the output weights in every run
+# whole batches ``train`` prepares per ``prepare_batch`` call, chosen by
+# measuring perfbench train: 2 halves the calls at an unchanged peak RSS;
+# 4 reads ~3% more blocks/s than 2, but adds ~1.7 MB (+3.7%) to the peak
+PREP_BATCHES = 2
 
 
 class TrainingDivergedError(RuntimeError):
@@ -158,11 +170,14 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _mix_sampler(mix: tuple[tuple[str, float], ...]):
     """Index sampler of a mix: one ``rng.random()``, the same draw and stream
-    step as ``rng.choice(len(mix), p=w / w.sum())`` with the mix's weights."""
+    step as ``rng.choice(len(mix), p=w / w.sum())`` with the mix's weights.
+    The CDF is bisected as a list of floats: ``searchsorted(side="right")``'s
+    index, without a numpy call per block."""
     weights = np.array([w for _, w in mix])
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
-    return lambda rng: int(cdf.searchsorted(rng.random(), side="right"))
+    cdf = cdf.tolist()
+    return lambda rng: bisect_right(cdf, rng.random())
 
 
 @dataclass
@@ -175,6 +190,10 @@ class BatchPrep:
     eta: np.ndarray  # (B, n_sk) complex fixed noise (already fade-compensated)
     lam: np.ndarray  # (B,)
     indices: np.ndarray  # (B,) block indices, for diagnostics
+
+    def rows(self, rows: slice) -> BatchPrep:
+        """The batch of a run of rows: every field sliced alike."""
+        return BatchPrep(**{name: value[rows] for name, value in vars(self).items()})
 
 
 def prepare_batch(
@@ -189,13 +208,14 @@ def prepare_batch(
     pick_scheme, pick_channel = _mix_sampler(config.mod_mix), _mix_sampler(config.channel_mix)
     lo, hi = config.snr_range_db
     rows_of = [[] for _ in schemes]  # batch rows of each scheme
-    snr, words = [], []  # each block's SNR and its bits' raw words
+    words = []  # each block's bits as raw words
+    snr = np.empty(batch)
     h = np.empty(batch, dtype=np.complex128)
     parts = np.empty((batch, 2, cfg.n_sk))  # the noise's standard-normal parts
     for row, rng in enumerate(block_rngs(config.seed, Stream.TRAIN_BLOCK, indices=indices)):
         k = pick_scheme(rng)
         rows_of[k].append(row)
-        snr.append(float(rng.uniform(lo, hi)))
+        snr[row] = rng.uniform(lo, hi)
         channel = channels[pick_channel(rng)]
         words.append(bit_words(rng, n_bits[k]))
         h[row] = draw_channel(channel, rng, parts[row])
@@ -204,22 +224,29 @@ def prepare_batch(
         if rows:
             symbols[rows] = map_symbols(unpack_bits(np.stack([words[row] for row in rows]), n),
                                         scheme)
-    lam = np.array([table.lookup(s) for s in snr])
     s_ext = extend(precode(symbols), cfg.n_se)
     # the channel's noise on the unshaped bins, whose power the normalized
     # transmit keeps, divided by the flat fade: the receiver's effective taps
     # h * taps see the same noise, up to where GAIN_EPS sits
-    eta = noise_term(s_ext, unit_noise(parts), np.array(snr)) / h[:, None]
-    features = network.build_input(s_ext, np.array(snr), expected_len=cfg.n_sk)
+    eta = noise_term(s_ext, unit_noise(parts), snr) / h[:, None]
+    features = network.build_input(s_ext, snr, expected_len=cfg.n_sk)
     return BatchPrep(
         symbols=symbols, s_ext=s_ext, features=features, eta=eta,
-        lam=lam, indices=np.asarray(indices),
+        lam=table.lookup(snr), indices=np.asarray(indices),
     )
 
 
 # ---------------------------------------------------------------------------
 # Differentiable chain loss
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _twiddles(n: int) -> np.ndarray:
+    """The row e^(-j2 pi m / n), m = 0..n-1 (cached, read-only)."""
+    row = np.exp(-2j * np.pi * np.arange(n) / n)
+    row.setflags(write=False)
+    return row
+
 
 @dataclass
 class LossTerms:
@@ -242,6 +269,14 @@ def chain_loss(
     symbol MSE through power normalization, fixed noise, matched filter,
     folding, and inverse precoding.  Backward is exact reverse mode with the
     noise held constant and the max subgradient at each block's peak sample.
+
+    The PAPR's cotangent on the waveform, ``x_bar``, is the waveform times a
+    per-block scalar ``a`` plus one impulse ``c`` at the peak sample ``p``, so
+    its band bins have a closed form: ``a * (n_os / n_fft) * shaped + c *
+    e^(-j2 pi k p / n_os) / sqrt(n_fft)`` over the band's FFT-order indices
+    ``k``, the exponential read from one cached row of ``n_os`` twiddles.
+    No ``x_bar`` grid is built: a step runs one transform of the oversampled
+    grid, the forward IDFT.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     batch = coeffs.shape[0]
@@ -296,10 +331,14 @@ def chain_loss(
     z = SURROGATE_SHARPNESS * (papr - TAIL_X0_DB)
     w_papr = prep.lam / (1.0 + np.exp(-z)) / batch  # dLoss/dpapr_b
     c_log = 10.0 / np.log(10.0)
-    x_bar = x * (-2.0 * w_papr / (n_os * mean_pow) * c_log)[:, None]
-    x_bar[rows, peak_idx] += x[rows, peak_idx] * (2.0 * w_papr * c_log / peak)
-    shaped_bar = (np.fft.fft(x_bar, axis=-1)[..., centered_band(n_sk, n_os)]
-                  * (1.0 / np.sqrt(cfg.n_fft)))
+    # x_bar = a * x + c at the peak sample: its FFT over the band is a times
+    # the shaped bins (which x interpolates) plus c times one twiddle row
+    a = -2.0 * w_papr / (n_os * mean_pow) * c_log
+    c = x[rows, peak_idx] * (2.0 * w_papr * c_log / peak)
+    band = centered_band(n_sk, n_os)
+    shaped_bar = ((a * (n_os / cfg.n_fft))[:, None] * shaped
+                  + (c / np.sqrt(cfg.n_fft))[:, None]
+                  * _twiddles(n_os)[band * peak_idx[:, None] % n_os])
     d_taps = np.real(shaped_bar * np.conj(s_ext))
 
     # --- backward: mse term, first w.r.t. the effective taps u = g * taps
@@ -331,6 +370,17 @@ def chain_loss(
 # Training loop
 # ---------------------------------------------------------------------------
 
+def _batches(config: TrainConfig, order: np.ndarray, table: LambdaTable):
+    """Each step's batch of the epoch's ``order``, in order: ``PREP_BATCHES``
+    whole batches are prepared per ``prepare_batch`` call, then sliced.  A
+    row's bytes do not depend on the batch it is prepared in."""
+    size = PREP_BATCHES * config.batch_size
+    for lo in range(0, len(order), size):
+        chunk = prepare_batch(config, order[lo : lo + size], table)
+        for at in range(0, len(chunk.indices), config.batch_size):
+            yield chunk.rows(slice(at, at + config.batch_size))
+
+
 def _sparsity(params: network.NetParams) -> float:
     total = network.total_weight_count(params)
     return 1.0 - network.live_weight_count(params) / total
@@ -358,9 +408,7 @@ def train(config: TrainConfig, progress: bool = False) -> Checkpoint:
         t0 = time.perf_counter()
         order = block_rng(config.seed, Stream.EPOCH_ORDER, epoch).permutation(config.n_blocks)
         losses, mses, tails = [], [], []
-        for lo in range(0, config.n_blocks, config.batch_size):
-            idxs = order[lo : lo + config.batch_size]
-            prep = prepare_batch(config, idxs, table)
+        for prep in _batches(config, order, table):
             coeffs, cache = network.forward_cached(params, prep.features)
             try:
                 terms, d_coeffs = chain_loss(coeffs, prep, config.chain)

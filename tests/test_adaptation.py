@@ -144,6 +144,25 @@ class TestLambdaTable:
     def test_rejects_non_finite_snr(self):
         with pytest.raises(ValueError):
             LambdaTable().lookup(float("nan"))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"snr_db must be finite, got {bad}"):
+                LambdaTable().lookup(np.array([[5.0, 7.0], [bad, 12.0]]))
+
+    def test_array_form_is_the_scalar_rule(self):
+        # every bin edge, one ulp either side of it, below the first bin and
+        # far above the last; the rule: the first bin whose upper edge lies
+        # above the SNR
+        edges = [lo for lo, _, _ in DEFAULT_BINS] + [hi for _, hi, _ in DEFAULT_BINS[:-1]]
+        snrs = np.array(sorted({v for e in edges
+                                for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))}
+                               | {-3.0, -1e300, 1e300}))
+        table = LambdaTable()
+        scalar = [table.lookup(float(snr)) for snr in snrs]
+        assert all(type(lam) is float for lam in scalar)
+        assert scalar == [next(lam for _, hi, lam in DEFAULT_BINS if snr < hi) for snr in snrs]
+        got = table.lookup(snrs)
+        assert got.shape == snrs.shape and got.tolist() == scalar
+        assert table.lookup(snrs.reshape(-1, 1)).ravel().tolist() == scalar
 
 
 class TestAdaptationCycle:
@@ -340,6 +359,12 @@ class TestRunScenario:
     def test_tick_count_rejects_a_bad_clock_naming_the_value(self, span_ms, period_ms, bad):
         with pytest.raises(ValueError, match=bad):
             tick_count(span_ms, period_ms)
+
+    @pytest.mark.parametrize("duration_ms", [-5.0, math.nan, math.inf])
+    def test_adapt_config_span_is_checked_by_tick_count(self, duration_ms):
+        with pytest.raises(ValueError, match=f"^duration_ms must be finite and >= 0 ms, "
+                                             f"got {duration_ms}$"):
+            AdaptConfig(duration_ms=duration_ms)
 
     @pytest.mark.parametrize("period_ms", [0.0, -100.0])
     def test_preset_trace_rejects_a_nonpositive_period(self, period_ms):

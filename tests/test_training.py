@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tinyfdss import network
+from tinyfdss import network, training
 from tinyfdss.adaptation import LambdaTable
 from tinyfdss.chain import (
     SCHEME_NAMES,
@@ -11,6 +13,7 @@ from tinyfdss.chain import (
     ModScheme,
     Stage,
     SymbolBlock,
+    centered_band,
     constellation,
     extend,
     map_symbols,
@@ -21,9 +24,11 @@ from tinyfdss.chain import (
 )
 from tinyfdss.channel import (MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_channel,
                               noise_term, unit_noise)
-from tinyfdss.filters import taps_from_coeffs
+from tinyfdss.filters import coeff_basis, taps_from_coeffs
+from tinyfdss.metrics import SURROGATE_SHARPNESS, TAIL_X0_DB
 from tinyfdss.training import (
     OUT_INIT_SCALE,
+    PREP_BATCHES,
     BatchPrep,
     TrainConfig,
     _mix_sampler,
@@ -175,6 +180,31 @@ class TestMixSampler:
         assert got.random() == want.random()
 
 
+def fft_tail_gradient(coeffs, prep, cfg):
+    """The tail term's coefficient gradient by an FFT of the waveform's
+    cotangent ``x_bar`` on the whole oversampled grid: the oracle of
+    ``chain_loss``'s closed form."""
+    batch = len(coeffs)
+    taps = taps_from_coeffs(coeffs, cfg.n_sk)
+    x = time_signal(prep.s_ext * taps, cfg)
+    n_os = x.shape[-1]
+    power = np.abs(x) ** 2
+    peak_idx = np.argmax(power, axis=-1)
+    rows = np.arange(batch)
+    peak = power[rows, peak_idx]
+    mean_pow = power.mean(axis=-1)
+    papr = 10.0 * np.log10(peak / mean_pow)
+    z = SURROGATE_SHARPNESS * (papr - TAIL_X0_DB)
+    w_papr = prep.lam / (1.0 + np.exp(-z)) / batch
+    c_log = 10.0 / np.log(10.0)
+    x_bar = x * (-2.0 * w_papr / (n_os * mean_pow) * c_log)[:, None]
+    x_bar[rows, peak_idx] += x[rows, peak_idx] * (2.0 * w_papr * c_log / peak)
+    shaped_bar = (np.fft.fft(x_bar, axis=-1)[..., centered_band(cfg.n_sk, n_os)]
+                  * (1.0 / np.sqrt(cfg.n_fft)))
+    d_taps = np.real(shaped_bar * np.conj(prep.s_ext))
+    return d_taps @ coeff_basis(cfg.n_sk, coeffs.shape[-1])
+
+
 class TestChainLossGradient:
     def test_coefficient_gradient_matches_fd(self, table):
         # through-chain finite differences at 1e-3 relative
@@ -195,6 +225,47 @@ class TestChainLossGradient:
                 fd = (lp.loss - lm.loss) / (2 * h)
                 denom = max(abs(fd), abs(grad[b, z]), 1e-8)
                 assert abs(fd - grad[b, z]) / denom < 1e-3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_closed_form_tail_backward_matches_the_fft_backward(self, table, seed, monkeypatch):
+        # desk-size batches with every modulation and channel model; row 0's
+        # peak falls on sample 0 and row 1's on the last sample
+        config = TrainConfig(
+            **SMOKE, seed=seed,
+            mod_mix=(("qpsk", 0.4), ("qam16", 0.3), ("qam64", 0.3)),
+            channel_mix=(("awgn", 0.3), ("rayleigh", 0.3), ("rician", 0.4)),
+        )
+        cfg = config.chain
+        n_os = cfg.n_fft * cfg.oversample
+        prep = prepare_batch(config, np.arange(32 * seed, 32 * seed + 32), table)
+        band = centered_band(cfg.n_sk, n_os)
+        for row, at in ((0, 0), (1, n_os - 1)):
+            prep.s_ext[row] = np.exp(-2j * np.pi * band * at / n_os)  # an impulse at `at`
+        rng = np.random.default_rng(seed)
+        coeffs = np.array([1.0, 0.0, -0.4, 0.0, 0.1]) + 0.05 * rng.standard_normal((32, 5))
+        x = time_signal(prep.s_ext * taps_from_coeffs(coeffs, cfg.n_sk), cfg)
+        assert np.argmax(np.abs(x[:2]) ** 2, axis=-1).tolist() == [0, n_os - 1]
+
+        ffts = []
+
+        def spy(name):
+            def transform(a, *args, _real=getattr(np.fft, name), **kwargs):
+                ffts.append((name, np.shape(a)[-1]))
+                return _real(a, *args, **kwargs)
+            return transform
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, spy(name))
+        _, grad = chain_loss(coeffs, prep, cfg)
+        # one transform of the oversampled grid: the forward IDFT
+        assert [f for f in ffts if f[1] == n_os] == [("ifft", n_os)]
+        monkeypatch.undo()
+
+        _, mse_grad = chain_loss(coeffs, dataclasses.replace(prep, lam=np.zeros(32)), cfg)
+        want = mse_grad + fft_tail_gradient(coeffs, prep, cfg)
+        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+        for row in (0, 1):  # the boundary peaks, each on its own scale
+            assert np.max(np.abs(grad[row] - want[row])) <= 1e-12 * np.max(np.abs(want[row]))
 
     def test_loss_is_scale_invariant_in_taps(self, table):
         # power normalization means doubling the coefficients changes nothing
@@ -225,6 +296,37 @@ class TestChainLossGradient:
 
 
 class TestTrain:
+    def test_chunked_preparation_changes_no_step(self, table, monkeypatch):
+        # 100 blocks at batch 32: batches of 32, 32, 32 and 4, from chunks of
+        # 64 and 36 at two batches per chunk
+        size = PREP_BATCHES * 32
+        config = TrainConfig(n_blocks=100, batch_size=32, epochs=2, seed=18,
+                             channel_mix=(("awgn", 0.3), ("rayleigh", 0.3), ("rician", 0.4)))
+        chunks, steps = [], []
+
+        def prepare(config, indices, table, _real=training.prepare_batch):
+            chunks.append(len(indices))
+            return _real(config, indices, table)
+
+        def loss(coeffs, prep, cfg, _real=training.chain_loss):
+            steps.append(prep)
+            return _real(coeffs, prep, cfg)
+
+        monkeypatch.setattr(training, "prepare_batch", prepare)
+        monkeypatch.setattr(training, "chain_loss", loss)
+        train(config)
+        monkeypatch.undo()
+
+        assert chunks == [min(size, 100 - lo) for lo in range(0, 100, size)] * 2
+        want = [order[lo : lo + 32]
+                for order in (block_rng(18, Stream.EPOCH_ORDER, epoch).permutation(100)
+                              for epoch in range(2))
+                for lo in range(0, 100, 32)]
+        assert [len(p.indices) for p in steps] == [32, 32, 32, 4] * 2
+        for got, indices in zip(steps, want, strict=True):
+            assert got.indices.tolist() == indices.tolist()
+            assert_preps_equal(got, prepare_batch(config, indices, table))
+
     def test_zero_lr_leaves_parameters_unchanged(self):
         config = TrainConfig(n_blocks=96, epochs=1, batch_size=32, lr=0.0,
                              weight_decay=0.0, prune_mode="none", seed=9)
