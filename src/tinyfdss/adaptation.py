@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -30,13 +29,11 @@ from .chain import (
     ChainConfig,
     ModScheme,
     extend,
-    map_symbols,
     precode,
     receive,
     shape_and_normalize,
 )
-from .channel import (ChannelCfg, Stream, add_channel, bit_words, block_rngs, draw_channel,
-                      unit_noise, unpack_bits)
+from .channel import ChannelCfg, Stream, add_channel, block_rngs, draw_blocks
 from .filters import taps_from_coeffs
 from .metrics import waveform_papr_db
 
@@ -168,26 +165,16 @@ def run_scenario(
     seed: int = 0,
     period_ms: float = DEFAULT_PERIOD_MS,
 ) -> list[TickRecord]:
-    """Replay an SNR feedback trace: a loop that only draws, then batched links.
+    """Replay an SNR feedback trace, ``CHUNK_TICKS`` ticks per batched link.
 
     The trace's timestamps must be sorted (a NaN is out of order) and its
     values finite: the CLI's rule.  The clock advances in ``period_ms`` steps
     from the first to the last timestamp, and each tick takes the latest
     feedback at or before it, looks lambda up in :class:`LambdaTable`,
     transmits one fresh block, measures its PAPR, passes it through AWGN (no
-    fade) at the true SNR, and records that block's symbol error rate.
-
-    Every tick's generator, ``block_rng(seed, Stream.ADAPT_TICK, tick)``, is
-    seeded up front in one pass (``block_rngs``), and every tick's time,
-    feedback and lambda are resolved up front (one ``np.searchsorted`` and
-    one ``LambdaTable.lookup`` of every tick's SNR).  The
-    ticks run ``CHUNK_TICKS`` at a time.  Per chunk, a loop draws each tick's
-    bits as raw words (``channel.bit_words``), then its noise
-    (``channel.draw_channel``); the chunk's words are unpacked at once
-    (``channel.unpack_bits``) into the bytes of each tick's
-    ``rng.integers(0, 2, n_bits)``, and the link runs once on the chunk, with
-    one SNR per block.  Every step of the link is row-independent, so each
-    record has the bytes of the tick run alone.
+    fade) at the true SNR, and records that block's symbol error rate.  Tick
+    i draws from ``block_rng(seed, Stream.ADAPT_TICK, i)``, and each record
+    has the bytes of its tick run alone.
     """
     if len(trace) == 0:
         return []
@@ -196,7 +183,6 @@ def run_scenario(
         raise ValueError("trace timestamps must be sorted and its values finite")
     n_ticks = tick_count(times[-1] - times[0], period_ms)
     records: list[TickRecord] = []
-    n_bits = cfg.n_data * scheme.bits_per_symbol
     now = (times[0] + np.arange(n_ticks) * period_ms).tolist()
     fed = np.searchsorted(times, now, side="right") - 1  # latest feedback at or before
     snr_db = snrs[fed].tolist()
@@ -206,16 +192,11 @@ def run_scenario(
     for lo in range(0, n_ticks, CHUNK_TICKS):
         ticks = slice(lo, lo + CHUNK_TICKS)
         snr = np.array(snr_db[ticks])
-        words = []  # the bits' raw words
-        parts = np.empty((len(snr), 2, cfg.n_sk))  # the noise's standard-normal parts
-        for row, rng in enumerate(islice(rngs, len(snr))):
-            words.append(bit_words(rng, n_bits))
-            draw_channel(awgn, rng, parts[row])
-        tx = map_symbols(unpack_bits(np.stack(words), n_bits), scheme)
+        tx, _, noise = draw_blocks(rngs, len(snr), cfg.n_data, cfg.n_sk, lambda rng: (scheme, awgn))
         bins, taps = adaptation_cycle(snr, net, extend(precode(tx), cfg.n_se))
         papr = waveform_papr_db(bins, cfg)
         # the channel on the occupied bins, at the true SNR
-        rx = add_channel(bins, 1.0, unit_noise(parts), snr)
+        rx = add_channel(bins, 1.0, noise, snr)
         detected, _ = receive(rx, taps, cfg.n_se, scheme)
         ser = np.count_nonzero(detected != tx, axis=-1) / cfg.n_data
         records.extend(map(TickRecord, now[ticks], snr_db[ticks], lam[ticks],

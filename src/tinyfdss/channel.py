@@ -11,31 +11,22 @@ its noise from :func:`noise_term` at an SNR it passes as an argument.  A
 
 Fading is flat per block: a single coefficient h with E[|h|^2] = 1 multiplies
 the whole block; the receiver knows it (genie-aided) and equalizes with the
-effective taps h * taps, fade and shaping as one per-bin gain.  Draw order per
-block is fixed (fade first, then noise) so that a given (config, seed)
-reproduces bit-identical sequences.  Drawing (:func:`draw_channel`) is
-separate from applying (:func:`add_channel`), so a paired Monte-Carlo can
-apply one block's draws to several transmits.
-
-Every generator is ``np.random.default_rng((seed, stream, *index))``
-(:func:`block_rng`).  :func:`block_rngs` gives the same generators for many
-indices: numpy's ``SeedSequence`` is a fixed hash of uint32 words, so it is
-computed for all indices in one numpy pass, and each generator's PCG64 state
-follows from its four seed words.  A block's bits are the bytes of
-``rng.integers(0, 2, n)``, drawn as raw words in the per-block loop
-(:func:`bit_words`) and unpacked for the whole batch at once
-(:func:`unpack_bits`), so no stream changes.
+effective taps h * taps, fade and shaping as one per-bin gain.  Drawing
+(:func:`draw_blocks`) is separate from applying (:func:`add_channel`), so a
+paired Monte-Carlo can apply one block's draws to several transmits.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import KW_ONLY, dataclass
+from itertools import islice
 
 import numpy as np
 
-from .chain import ChainConfig, Stage, SymbolBlock, occupied_bins, time_signal
+from .chain import (ChainConfig, ModScheme, Stage, SymbolBlock, map_symbols, occupied_bins,
+                    time_signal)
 
 RICIAN_K_DB = 3.0  # Rician K-factor of every run's training and evaluation
 
@@ -44,16 +35,17 @@ class Stream(enum.IntEnum):
     """Tag of each random stream; every generator comes from :func:`block_rng`.
 
     A block is a pure function of (seed, stream, index...), so the values
-    are part of every output.
+    are part of every output.  Each comment lists the stream's draws in
+    order; a block stream draws through :func:`draw_blocks`.
     """
 
-    TRAIN_BLOCK = 0  # training block: mod, SNR, channel model, bits, fade, noise
+    TRAIN_BLOCK = 0  # per block: mod, SNR, channel model, bits, fade, noise
     INIT = 1  # initial network weights
     EPOCH_ORDER = 2  # per-epoch permutation of the training blocks
-    ADAPT_TICK = 4  # adapt tick: bits, then noise (its AWGN channel draws no fade)
+    ADAPT_TICK = 4  # per tick: bits, noise (its AWGN channel draws no fade)
     SLM_PHASES = 5  # SLM candidate phase vectors
-    EVAL_DATA = 30  # eval bits per (modulation, block)
-    EVAL_CHANNEL = 31  # eval fade and noise per (channel, mod, SNR, block)
+    EVAL_DATA = 30  # per (modulation, block): bits
+    EVAL_CHANNEL = 31  # per (channel, mod, SNR, block): fade, noise
 
 
 def block_rng(seed: int, stream: Stream, *index: int) -> np.random.Generator:
@@ -262,7 +254,51 @@ def draw_channel(cfg: ChannelCfg, rng: np.random.Generator, out: np.ndarray) -> 
 def unit_noise(parts: np.ndarray) -> np.ndarray:
     """Unit complex noise ``re + 1j*im`` from standard-normal parts of shape
     ``(..., 2, n)``, drawn real first: ``parts[..., 0, :]`` is ``re``."""
-    return parts[..., 0, :] + 1j * parts[..., 1, :]
+    noise = np.empty(parts.shape[:-2] + parts.shape[-1:], dtype=np.complex128)
+    noise.real, noise.imag = parts[..., 0, :], parts[..., 1, :]
+    return noise
+
+
+def draw_blocks(rngs: Iterable[np.random.Generator], n_blocks: int, n_symbols: int, n_noise: int,
+                head: Callable[[np.random.Generator], tuple[ModScheme | None, ChannelCfg | None]]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block from each of the next ``n_blocks`` generators of ``rngs``.
+
+    Every block stream draws in this order, per generator:
+
+    1. ``head(rng)``: the block's own leading draws; it returns the block's
+       modulation and channel, and None skips that kind of draw;
+    2. the bits of ``n_symbols`` symbols of the modulation, the bytes of
+       ``rng.integers(0, 2, n)``, taken as raw words (:func:`bit_words`);
+    3. the channel's fade;
+    4. ``n_noise`` standard normals for the noise's real parts, then as many
+       for its imaginary parts.
+
+    Returns ``(symbols (B, n_symbols), fades (B, 1), unit noise (B, n_noise))``.
+    Each modulation's rows are unpacked and mapped at once; a block that
+    skips a kind of draw has zero symbols, or a fade of 1 and zero noise.
+    """
+    kinds, words = [], []  # each block's modulation and bit words, None where it draws none
+    fades = np.ones(n_blocks, dtype=np.complex128)
+    parts = np.zeros((n_blocks, 2, n_noise))
+    for row, rng in enumerate(islice(rngs, n_blocks)):
+        scheme, channel = head(rng)
+        kinds.append(scheme)
+        words.append(None if scheme is None else bit_words(rng, n_symbols * scheme.bits_per_symbol))
+        if channel is not None:
+            fades[row] = draw_channel(channel, rng, parts[row])
+    if kinds and kinds[0] is not None and kinds.count(kinds[0]) == n_blocks:
+        # one modulation in every row: its mapped rows are the result, with no copy
+        bits = unpack_bits(np.stack(words), n_symbols * kinds[0].bits_per_symbol)
+        symbols = map_symbols(bits, kinds[0])
+    else:
+        symbols = np.zeros((n_blocks, n_symbols), dtype=np.complex128)
+        for scheme in set(kinds) - {None}:
+            rows = [row for row, kind in enumerate(kinds) if kind is scheme]
+            bits = unpack_bits(np.stack([words[row] for row in rows]),
+                               n_symbols * scheme.bits_per_symbol)
+            symbols[rows] = map_symbols(bits, scheme)
+    return symbols, fades[:, None], unit_noise(parts)
 
 
 def noise_term(bins: np.ndarray, noise: np.ndarray, snr_db: float | np.ndarray) -> np.ndarray:
@@ -305,8 +341,8 @@ def apply_channel(
     if signal.stage is not Stage.TIME_DOMAIN:
         raise ValueError(f"expected TIME_DOMAIN block, got {signal.stage.name}")
     bins = occupied_bins(signal.values, chain_cfg)
-    parts = np.empty((2, chain_cfg.n_sk))
-    h = draw_channel(cfg, rng, parts)
-    rx = time_signal(add_channel(bins, h, unit_noise(parts), snr_db), chain_cfg,
+    _, fades, noise = draw_blocks([rng], 1, 0, chain_cfg.n_sk, lambda rng: (None, cfg))
+    h = fades[0, 0]
+    rx = time_signal(add_channel(bins, h, noise[0], snr_db), chain_cfg,
                      len(signal) // chain_cfg.n_fft)
     return SymbolBlock(Stage.RECEIVED, rx), h

@@ -38,14 +38,13 @@ from .chain import (
     SCHEME_NAMES,
     ChainConfig,
     extend,
-    map_symbols,
     precode,
     receive,
     shape_and_normalize,
     time_signal,
 )
-from .channel import (MODEL_NAMES, RICIAN_K_DB, ChannelCfg, Stream, add_channel, bit_words,
-                      block_rngs, draw_channel, unit_noise, unpack_bits)
+from .channel import (MODEL_NAMES, RICIAN_K_DB, ChannelCfg, Stream, add_channel, block_rngs,
+                      draw_blocks)
 from .filters import rrc_taps, unit_taps
 from .metrics import (
     OOBE_MIN_BLOCKS,
@@ -163,13 +162,11 @@ class Draw:
 
 
 def _draw(cfg: ChainConfig, seed: int, mod: str, indices: np.ndarray) -> Draw:
-    """Blocks ``indices`` of ``mod``, block i from ``block_rng(seed, Stream.EVAL_DATA, mod, i)``."""
+    """Blocks ``indices`` of ``mod`` from the stream ``EVAL_DATA``."""
     conv = conventional_config(cfg)
     scheme = SCHEME_NAMES[mod]
-    n_bits = conv.n_data * scheme.bits_per_symbol
     rngs = block_rngs(seed, Stream.EVAL_DATA, list(SCHEME_NAMES).index(mod), indices=indices)
-    words = np.stack([bit_words(rng, n_bits) for rng in rngs])
-    sym_conv = map_symbols(unpack_bits(words, n_bits), scheme)
+    sym_conv, _, _ = draw_blocks(rngs, len(indices), conv.n_data, 0, lambda rng: (scheme, None))
     sym_ext = sym_conv[:, : cfg.n_data]
     return Draw(Transmit(cfg, extend(precode(sym_ext), cfg.n_se), unit_taps(cfg.n_sk), sym_ext),
                 Transmit(conv, precode(sym_conv), unit_taps(conv.n_sk), sym_conv))
@@ -248,20 +245,11 @@ def _rules(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> dict[str, Rule]:
 
 def _cell_draws(eval_cfg: EvalConfig, channel_name: str, mod: str, snr_i: int,
                 n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One (channel, mod, SNR) cell's fade and unit noise on n bins per block.
-
-    Block ``idx`` draws from ``block_rng(seed, Stream.EVAL_CHANNEL, channel,
-    mod, SNR, idx)``, the cell's generators seeded in one pass
-    (``block_rngs``); fades have shape (n_blocks, 1) to broadcast over the block.
-    """
+    """One (channel, mod, SNR) cell's fades (n_blocks, 1) and unit noise on n bins per block."""
     channel = ChannelCfg(MODEL_NAMES[channel_name], k_factor_db=eval_cfg.rician_k_db)
-    h = np.empty((eval_cfg.n_blocks, 1), dtype=np.complex128)
-    parts = np.empty((eval_cfg.n_blocks, 2, n))
     rngs = block_rngs(eval_cfg.seed, Stream.EVAL_CHANNEL, list(MODEL_NAMES).index(channel_name),
                       list(SCHEME_NAMES).index(mod), snr_i, indices=range(eval_cfg.n_blocks))
-    for idx, rng in enumerate(rngs):
-        h[idx] = draw_channel(channel, rng, parts[idx])
-    return h, unit_noise(parts)
+    return draw_blocks(rngs, eval_cfg.n_blocks, 0, n, lambda rng: (None, channel))[1:]
 
 
 def _grid(cfg: ChainConfig, eval_cfg: EvalConfig, rules: dict[str, Rule]) -> list[CellResult]:

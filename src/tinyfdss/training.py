@@ -1,24 +1,5 @@
 """Offline training: dataset generation, differentiable chain loss, AdamW loop.
 
-Every block is a pure function of (seed, block index), so runs are
-bit-reproducible regardless of batching.  Its generator,
-``block_rng(seed, Stream.TRAIN_BLOCK, index)``, draws in this order: the
-modulation (one ``random()`` against the mix's CDF), the SNR (``uniform``),
-the channel model (one ``random()``), the bits, then ``draw_channel``'s fade
-and the per-bin noise's standard-normal parts, real then imaginary
-(``unit_noise``).  ``prepare_batch`` seeds the batch's generators in one pass
-(``block_rngs``) and its per-block loop only draws: the mixes' indices by
-bisecting a list CDF, the bits as raw words (``channel.bit_words``), fade and
-noise by ``channel.draw_channel``.  The words of each modulation's rows are
-unpacked at once (``channel.unpack_bits``) into the bytes of
-``rng.integers(0, 2, n)``, and symbols, lambda (one ``LambdaTable.lookup``
-of the batch's SNRs), noise scaling and features run on the whole batch.
-The noise is the channel's own, ``channel.noise_term`` at the block's SNR on
-its occupied bins, held fixed and fade-compensated.  Every stage is
-row-independent, so ``train`` prepares ``PREP_BATCHES`` whole batches per
-call and slices each step's batch out of them: each Adam step sees the rows,
-and the bytes, of its own batch prepared alone.
-
 The loss per block is mse + lambda(snr) * softplus(papr - x0), with the
 lambda looked up per block's drawn SNR.  The chain is differentiated in closed
 form down to the polynomial coefficients: the PAPR path routes the gradient
@@ -55,13 +36,12 @@ from .chain import (
     centered_band,
     deprecode,
     extend,
-    map_symbols,
     precode,
     shape_and_normalize,
     time_signal,
 )
-from .channel import (MODEL_NAMES, ChannelCfg, Stream, bit_words, block_rng, block_rngs,
-                      draw_channel, noise_term, unit_noise, unpack_bits)
+from .channel import (MODEL_NAMES, ChannelCfg, Stream, block_rng, block_rngs, draw_blocks,
+                      noise_term)
 from .filters import coeff_basis, taps_from_coeffs
 from .metrics import SURROGATE_SHARPNESS, TAIL_X0_DB, surrogate_blocks
 from .network import HISTORY_COLUMNS
@@ -201,34 +181,24 @@ def prepare_batch(
 ) -> BatchPrep:
     """Rebuild blocks for the given dataset indices (deterministic per index)."""
     cfg = config.chain
-    batch = len(indices)
     schemes = [SCHEME_NAMES[name] for name, _ in config.mod_mix]
-    n_bits = [cfg.n_data * scheme.bits_per_symbol for scheme in schemes]
     channels = [ChannelCfg(MODEL_NAMES[name]) for name, _ in config.channel_mix]
     pick_scheme, pick_channel = _mix_sampler(config.mod_mix), _mix_sampler(config.channel_mix)
-    lo, hi = config.snr_range_db
-    rows_of = [[] for _ in schemes]  # batch rows of each scheme
-    words = []  # each block's bits as raw words
-    snr = np.empty(batch)
-    h = np.empty(batch, dtype=np.complex128)
-    parts = np.empty((batch, 2, cfg.n_sk))  # the noise's standard-normal parts
-    for row, rng in enumerate(block_rngs(config.seed, Stream.TRAIN_BLOCK, indices=indices)):
-        k = pick_scheme(rng)
-        rows_of[k].append(row)
-        snr[row] = rng.uniform(lo, hi)
-        channel = channels[pick_channel(rng)]
-        words.append(bit_words(rng, n_bits[k]))
-        h[row] = draw_channel(channel, rng, parts[row])
-    symbols = np.empty((batch, cfg.n_data), dtype=np.complex128)
-    for scheme, n, rows in zip(schemes, n_bits, rows_of):
-        if rows:
-            symbols[rows] = map_symbols(unpack_bits(np.stack([words[row] for row in rows]), n),
-                                        scheme)
+    snrs = []
+
+    def head(rng):
+        scheme = schemes[pick_scheme(rng)]
+        snrs.append(rng.uniform(*config.snr_range_db))
+        return scheme, channels[pick_channel(rng)]
+
+    symbols, h, noise = draw_blocks(block_rngs(config.seed, Stream.TRAIN_BLOCK, indices=indices),
+                                    len(indices), cfg.n_data, cfg.n_sk, head)
+    snr = np.array(snrs)
     s_ext = extend(precode(symbols), cfg.n_se)
     # the channel's noise on the unshaped bins, whose power the normalized
     # transmit keeps, divided by the flat fade: the receiver's effective taps
     # h * taps see the same noise, up to where GAIN_EPS sits
-    eta = noise_term(s_ext, unit_noise(parts), snr) / h[:, None]
+    eta = noise_term(s_ext, noise, snr) / h
     features = network.build_input(s_ext, snr, expected_len=cfg.n_sk)
     return BatchPrep(
         symbols=symbols, s_ext=s_ext, features=features, eta=eta,
@@ -262,21 +232,16 @@ def chain_loss(
     cfg: ChainConfig,
     want_grad: bool = True,
 ) -> tuple[LossTerms, np.ndarray | None]:
-    """Mean block loss and its gradient w.r.t. the (B, n_coeffs) coefficients.
+    """The batch's mean block loss and its gradient w.r.t. the coefficients.
 
-    Forward: coeffs -> taps -> shaped bins; PAPR on the oversampled grid
-    (batch mean of the softplus tail surrogate, lambda-weighted per block);
-    symbol MSE through power normalization, fixed noise, matched filter,
-    folding, and inverse precoding.  Backward is exact reverse mode with the
-    noise held constant and the max subgradient at each block's peak sample.
-
-    The PAPR's cotangent on the waveform, ``x_bar``, is the waveform times a
-    per-block scalar ``a`` plus one impulse ``c`` at the peak sample ``p``, so
-    its band bins have a closed form: ``a * (n_os / n_fft) * shaped + c *
-    e^(-j2 pi k p / n_os) / sqrt(n_fft)`` over the band's FFT-order indices
-    ``k``, the exponential read from one cached row of ``n_os`` twiddles.
-    No ``x_bar`` grid is built: a step runs one transform of the oversampled
-    grid, the forward IDFT.
+    ``coeffs`` holds one row of filter coefficients per block of ``prep``.  A
+    block's loss is its symbol MSE at fixed transmit power plus its lambda
+    times the softplus tail surrogate of its PAPR on the oversampled grid.
+    Returns the loss terms and the (B, n_coeffs) gradient of their mean, or
+    None for it when ``want_grad`` is false.  The gradient is exact reverse
+    mode that holds ``prep`` constant (symbols, extended spectra, noise,
+    lambda) and takes the max subgradient at each block's peak sample.  A
+    non-finite coefficient or loss raises :class:`TrainingDivergedError`.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     batch = coeffs.shape[0]
@@ -331,8 +296,12 @@ def chain_loss(
     z = SURROGATE_SHARPNESS * (papr - TAIL_X0_DB)
     w_papr = prep.lam / (1.0 + np.exp(-z)) / batch  # dLoss/dpapr_b
     c_log = 10.0 / np.log(10.0)
-    # x_bar = a * x + c at the peak sample: its FFT over the band is a times
-    # the shaped bins (which x interpolates) plus c times one twiddle row
+    # the waveform's cotangent x_bar is a * x plus an impulse c at the peak
+    # sample p, so its band bins need no FFT of the grid: a * (n_os / n_fft)
+    # times the shaped bins (which x interpolates) plus c * e^(-j2 pi k p /
+    # n_os) / sqrt(n_fft) over the band's FFT-order indices k, read from one
+    # cached twiddle row; tests/test_training.py::fft_tail_gradient is the
+    # FFT of the whole x_bar grid it is checked against
     a = -2.0 * w_papr / (n_os * mean_pow) * c_log
     c = x[rows, peak_idx] * (2.0 * w_papr * c_log / peak)
     band = centered_band(n_sk, n_os)

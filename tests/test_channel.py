@@ -28,6 +28,7 @@ from tinyfdss.channel import (
     bit_words,
     block_rng,
     block_rngs,
+    draw_blocks,
     draw_channel,
     draw_fade,
     noise_power,
@@ -140,7 +141,7 @@ class TestBitWords:
     @given(seed=st.integers(0, 2**32 - 1), n_data=st.sampled_from([1, 5, 210]))
     def test_batched_unpack_of_mixed_modulations(self, seed, n_data):
         # rows of three modulations from one loop, unpacked per modulation as
-        # prepare_batch does; every row must equal its generator's integers
+        # draw_blocks does; every row must equal its generator's integers
         schemes = [ModScheme.QPSK, ModScheme.QAM16, ModScheme.QAM64, ModScheme.QPSK,
                    ModScheme.QAM64, ModScheme.QAM16, ModScheme.QAM16]
         words = [bit_words(rng, n_data * scheme.bits_per_symbol) for rng, scheme
@@ -154,6 +155,81 @@ class TestBitWords:
             for got, row in zip(bits, rows):
                 want = block_rng(seed, Stream.TRAIN_BLOCK, row).integers(0, 2, n_bits)
                 assert got.tobytes() == want.tobytes()
+
+
+class TestDrawBlocks:
+    """``draw_blocks`` against one ``block_rng`` per block, whose
+    ``integers(0, 2, n)``, ``draw_fade`` and ``standard_normal`` are the oracle."""
+
+    # each block stream: (draws a modulation, draws a channel, leading draws of its head)
+    HEADS = {Stream.TRAIN_BLOCK: (True, True, 3), Stream.EVAL_DATA: (True, False, 0),
+             Stream.EVAL_CHANNEL: (False, True, 0), Stream.ADAPT_TICK: (True, True, 0)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stream=st.sampled_from(list(HEADS)),
+        seed=st.integers(0, 2**64 - 1),
+        prefix=st.lists(st.integers(0, 4), max_size=3),
+        blocks=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(list(ModScheme)),
+                                  st.sampled_from(list(ChannelModel))), min_size=1, max_size=7),
+        one_modulation=st.booleans(),
+        k_factor_db=st.sampled_from([-3.0, 3.0, 10.0]),
+        n_symbols=st.sampled_from([1, 7, 30]),
+        n_noise=st.sampled_from([0, 1, 16]),
+    )
+    @example(stream=Stream.TRAIN_BLOCK, seed=0, prefix=[],
+             blocks=[(0, ModScheme.QPSK, ChannelModel.AWGN),
+                     (1, ModScheme.QAM16, ChannelModel.RAYLEIGH),
+                     (2, ModScheme.QAM64, ChannelModel.RICIAN),
+                     (3, ModScheme.QPSK, ChannelModel.RICIAN)],
+             one_modulation=False, k_factor_db=3.0, n_symbols=30, n_noise=16)
+    @example(stream=Stream.EVAL_DATA, seed=3, prefix=[2],
+             blocks=[(5, ModScheme.QAM64, ChannelModel.AWGN),
+                     (2**32 - 1, ModScheme.QPSK, ChannelModel.RAYLEIGH)],
+             one_modulation=True, k_factor_db=3.0, n_symbols=30, n_noise=0)
+    def test_blocks_equal_one_block_rng_each(self, stream, seed, prefix, blocks, one_modulation,
+                                             k_factor_db, n_symbols, n_noise):
+        draws_mod, draws_channel, n_lead = self.HEADS[stream]
+        indices = [index for index, _, _ in blocks]
+        schemes = [blocks[0][1] if one_modulation else scheme for _, scheme, _ in blocks]
+        channels = [ChannelCfg(model, k_factor_db=k_factor_db) for _, _, model in blocks]
+
+        def run(rngs):
+            heads, leading = iter(zip(schemes, channels)), []
+
+            def head(rng):
+                leading.append([rng.random() for _ in range(n_lead)])
+                scheme, channel = next(heads)
+                return scheme if draws_mod else None, channel if draws_channel else None
+            return draw_blocks(rngs, len(blocks), n_symbols, n_noise, head), leading
+
+        (symbols, fades, noise), leading = run(
+            block_rngs(seed, stream, *prefix, indices=np.array(indices)))
+        assert symbols.shape == (len(blocks), n_symbols) and symbols.dtype == np.complex128
+        assert fades.shape == (len(blocks), 1) and noise.shape == (len(blocks), n_noise)
+        # the same blocks from a list of generators, each kept for its next draw
+        gens = [block_rng(seed, stream, *prefix, index) for index in indices]
+        again, _ = run(iter(gens))
+        for a, b in zip(again, (symbols, fades, noise)):
+            assert a.tobytes() == b.tobytes()
+        for row, (index, scheme, channel) in enumerate(zip(indices, schemes, channels)):
+            want = block_rng(seed, stream, *prefix, index)
+            assert leading[row] == [want.random() for _ in range(n_lead)]
+            if draws_mod:
+                bits = want.integers(0, 2, n_symbols * scheme.bits_per_symbol)
+                assert symbols[row].tobytes() == map_symbols(bits, scheme).tobytes()
+            else:
+                assert not symbols[row].any()
+            if draws_channel:
+                fade = np.complex128(draw_fade(channel.model, want, channel.k_linear))
+                parts = want.standard_normal((2, n_noise))
+                assert fades[row, 0].tobytes() == fade.tobytes()
+                assert noise[row].real.tobytes() == parts[0].tobytes()
+                assert noise[row].imag.tobytes() == parts[1].tobytes()
+            else:
+                assert fades[row, 0] == 1 and not noise[row].any()
+            # the generator goes on where the oracle's draws leave it
+            assert gens[row].bit_generator.random_raw() == want.bit_generator.random_raw()
 
 
 class TestApplyChannel:

@@ -126,13 +126,13 @@ class TestEvaluate:
             seed=9, schemes=("tinyml", "rrc", "slm"),
         )
         rows = []
-        real = evaluation.map_symbols
+        real = channel.map_symbols
 
         def counting(bits, scheme):
             rows.append(1 if np.ndim(bits) == 1 else len(bits))
             return real(bits, scheme)
 
-        monkeypatch.setattr(evaluation, "map_symbols", counting)
+        monkeypatch.setattr(channel, "map_symbols", counting)
         result = evaluate(small_ckpt, eval_cfg, ChainConfig())
         assert len(result.cells) == 3 * 2 * 2 * 2
         assert sum(rows) == eval_cfg.ccdf_blocks + len(eval_cfg.mods) * eval_cfg.n_blocks
@@ -249,19 +249,19 @@ class TestEvaluate:
 
 
 class TestDrawsMatchPerBlockRng:
-    """Eval's two draw loops against one ``block_rng`` per block, bytewise."""
+    """Eval's two ``draw_blocks`` calls against one ``block_rng`` per block, bytewise."""
 
     def test_data_symbols_bits(self, monkeypatch):
         eval_cfg = EvalConfig(mods=("qpsk", "qam16", "qam64"), seed=14)
         conv = conventional_config(ChainConfig())
         bits_seen = []
-        real = evaluation.map_symbols
+        real = channel.map_symbols
 
         def recording(bits, scheme):
             bits_seen.append(bits)
             return real(bits, scheme)
 
-        monkeypatch.setattr(evaluation, "map_symbols", recording)
+        monkeypatch.setattr(channel, "map_symbols", recording)
         indices = np.array([0, 1, 5, 2047, 2048, 19_999])
         for mod_i, (mod, scheme) in enumerate(SCHEME_NAMES.items()):
             evaluation._draw(ChainConfig(), eval_cfg.seed, mod, indices)
