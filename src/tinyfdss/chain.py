@@ -51,9 +51,8 @@ class ModScheme(enum.Enum):
     QAM16 = 4
     QAM64 = 6
 
-    @property
-    def bits_per_symbol(self) -> int:
-        return self.value
+    def __init__(self, bits: int):
+        self.bits_per_symbol = bits  # a plain attribute: read once per drawn block
 
 
 SCHEME_NAMES = {"qpsk": ModScheme.QPSK, "qam16": ModScheme.QAM16,

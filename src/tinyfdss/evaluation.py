@@ -12,11 +12,17 @@ same data, fades and noise at matched SNR, and every channel the same
 transmit.  PAPR is measured on the oversampled transmit waveform; the
 communication path acts on the occupied bins, where ``channel.noise_power``
 makes the configured SNR exact per bin.
+
+Both passes, the SER grid (:func:`_grid`) and the CCDF pass
+(:func:`_ccdf_pass`), walk their blocks in the same fixed-size chunks
+(:func:`_chunks`, :data:`CHUNK_BLOCKS`), so eval's memory does not grow with
+``n_blocks`` or ``ccdf_blocks``; every step of the link acts on each block
+alone, so the chunk size changes no output.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
@@ -57,7 +63,7 @@ from .metrics import (
 from .training import Checkpoint
 
 RRC_FIR_TAPS = 32
-CCDF_CHUNK = 2048  # blocks per CCDF chunk, bounds peak memory
+CHUNK_BLOCKS = 256  # blocks per chunk of the grid and the CCDF pass, bounds peak memory
 CCDF_GRID_DB = np.arange(0.0, 12.0 + 0.1 / 2, 0.1)  # CCDF thresholds 0, 0.1, ..., 12 dB
 
 
@@ -102,9 +108,9 @@ class EvalConfig:
                 f"oobe_blocks must be >= {OOBE_MIN_BLOCKS}, got {self.oobe_blocks}"
             )
         # the OOBE is measured on the first CCDF chunk
-        oobe_max = min(self.ccdf_blocks, CCDF_CHUNK)
+        oobe_max = min(self.ccdf_blocks, CHUNK_BLOCKS)
         if self.oobe_blocks > oobe_max:
-            raise ValueError(f"oobe_blocks must be <= min(ccdf_blocks, {CCDF_CHUNK}) = "
+            raise ValueError(f"oobe_blocks must be <= min(ccdf_blocks, {CHUNK_BLOCKS}) = "
                              f"{oobe_max}, got {self.oobe_blocks}")
         if not 0.0 < self.rrc_rolloff <= 1.0:
             raise ValueError(f"rrc_rolloff must be in (0, 1], got {self.rrc_rolloff}")
@@ -159,6 +165,12 @@ class Draw:
 
     ext: Transmit
     conv: Transmit
+
+
+def _chunks(n_blocks: int) -> Iterator[np.ndarray]:
+    """The indices ``0 .. n_blocks - 1`` in chunks of :data:`CHUNK_BLOCKS`, the last one partial."""
+    for lo in range(0, n_blocks, CHUNK_BLOCKS):
+        yield np.arange(lo, min(lo + CHUNK_BLOCKS, n_blocks))
 
 
 def _draw(cfg: ChainConfig, seed: int, mod: str, indices: np.ndarray) -> Draw:
@@ -244,40 +256,55 @@ def _rules(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> dict[str, Rule]:
 
 
 def _cell_draws(eval_cfg: EvalConfig, channel_name: str, mod: str, snr_i: int,
-                n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One (channel, mod, SNR) cell's fades (n_blocks, 1) and unit noise on n bins per block."""
+                n: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks ``indices`` of one (channel, mod, SNR) cell: fades (B, 1) and unit noise on n bins."""
     channel = ChannelCfg(MODEL_NAMES[channel_name], k_factor_db=eval_cfg.rician_k_db)
     rngs = block_rngs(eval_cfg.seed, Stream.EVAL_CHANNEL, list(MODEL_NAMES).index(channel_name),
-                      list(SCHEME_NAMES).index(mod), snr_i, indices=range(eval_cfg.n_blocks))
-    return draw_blocks(rngs, eval_cfg.n_blocks, 0, n, lambda rng: (None, channel))[1:]
+                      list(SCHEME_NAMES).index(mod), snr_i, indices=indices)
+    return draw_blocks(rngs, len(indices), 0, n, lambda rng: (None, channel))[1:]
 
 
 def _grid(cfg: ChainConfig, eval_cfg: EvalConfig, rules: dict[str, Rule]) -> list[CellResult]:
     """Every (scheme, channel, mod, SNR) cell, listed in that order.
 
-    Per modulation the blocks are drawn once and every scheme transmits once
-    (a rule that reads the SNR once per SNR); per (channel, SNR) the fades
-    and noise are drawn once and every scheme's transmit passes through them.
+    Like the CCDF pass, the grid streams each modulation's blocks in
+    fixed-size chunks (:func:`_chunks`).  Per chunk the blocks are drawn once
+    and every scheme transmits once (a rule that reads the SNR once per SNR);
+    per (channel, SNR) the chunk's fades and noise are drawn once and every
+    scheme's transmit passes through them.  A cell adds up its symbol errors
+    over the chunks, and its mean PAPR is that of one array filled chunk by
+    chunk.
     """
+    n = eval_cfg.n_blocks
     cells = {}
     for mod in eval_cfg.mods:
-        sent = {}  # scheme -> (transmit, its mean PAPR)
-        draw = _draw(cfg, eval_cfg.seed, mod, np.arange(eval_cfg.n_blocks))
-        for snr_i, snr_db in enumerate(eval_cfg.snr_db):
-            for scheme, rule in rules.items():
-                if snr_i == 0 or SCHEMES[scheme].reads_snr:
-                    tx = rule(draw, snr_db)
-                    sent[scheme] = tx, float(tx.waveform_papr.mean())
-            for channel_name in eval_cfg.channels:
-                h, noise = _cell_draws(eval_cfg, channel_name, mod, snr_i, cfg.n_sk)
-                for scheme, (tx, mean_papr) in sent.items():
-                    rx = add_channel(tx.bins, h, noise, snr_db)
-                    detected, _ = receive(rx, h * tx.taps, tx.cfg.n_se, SCHEME_NAMES[mod])
-                    ser, _, total = measured_ser(tx.symbols, detected)
-                    cells[scheme, channel_name, mod, snr_db] = CellResult(
-                        scheme=scheme, channel=channel_name, mod=mod, snr_db=snr_db,
-                        ser=ser, ser_total=total, mean_papr_db=mean_papr,
-                    )
+        papr = {(scheme, snr_db): np.empty(n) for scheme in rules for snr_db in eval_cfg.snr_db}
+        counts = {key: [0, 0] for key in product(rules, eval_cfg.channels, eval_cfg.snr_db)}
+        for indices in _chunks(n):
+            draw = _draw(cfg, eval_cfg.seed, mod, indices)
+            sent = {}  # scheme -> this chunk's transmit at the current SNR
+            for snr_i, snr_db in enumerate(eval_cfg.snr_db):
+                for scheme, rule in rules.items():
+                    if snr_i == 0 or SCHEMES[scheme].reads_snr:
+                        sent[scheme] = rule(draw, snr_db)
+                    papr[scheme, snr_db][indices] = sent[scheme].waveform_papr
+                for channel_name in eval_cfg.channels:
+                    h, noise = _cell_draws(eval_cfg, channel_name, mod, snr_i, cfg.n_sk, indices)
+                    for scheme, tx in sent.items():
+                        rx = add_channel(tx.bins, h, noise, snr_db)
+                        detected, _ = receive(rx, h * tx.taps, tx.cfg.n_se, SCHEME_NAMES[mod])
+                        _, errors, total = measured_ser(tx.symbols, detected)
+                        count = counts[scheme, channel_name, snr_db]
+                        count[0] += errors  # symbol errors and symbols, as integers
+                        count[1] += total
+            # free this chunk's blocks, transmits and link arrays before the next is drawn
+            del draw, sent, tx, h, noise, rx, detected
+        for (scheme, channel_name, snr_db), (errors, total) in counts.items():
+            cells[scheme, channel_name, mod, snr_db] = CellResult(
+                scheme=scheme, channel=channel_name, mod=mod, snr_db=snr_db,
+                ser=errors / total, ser_total=total,
+                mean_papr_db=float(papr[scheme, snr_db].mean()),
+            )
     return [cells[key] for key in product(eval_cfg.schemes, eval_cfg.channels,
                                           eval_cfg.mods, eval_cfg.snr_db)]
 
@@ -286,23 +313,22 @@ def _ccdf_pass(cfg: ChainConfig, eval_cfg: EvalConfig,
                rules: dict[str, Rule]) -> tuple[dict, dict]:
     """Noise-free PAPR samples and OOBE per scheme for the CCDF figure.
 
-    Each chunk of blocks is drawn once and run through every scheme; the
-    chunking bounds memory.  Waveforms are synthesized one tile of a chunk at
-    a time, and in full only for the first chunk's OOBE blocks.  No waveform
-    is synthesized twice for its PAPR: a rule hands over the PAPR it measured
-    while choosing (``Transmit.papr``), and the draw's plain transmits cache
-    theirs.  Only one chunk's blocks and one scheme's transmit are held at a
-    time.
+    Each chunk of blocks (:func:`_chunks`, as in the grid) is drawn once and
+    run through every scheme.  Waveforms are synthesized one tile of a chunk
+    at a time, and in full only for the first chunk's OOBE blocks.  No
+    waveform is synthesized twice for its PAPR: a rule hands over the PAPR it
+    measured while choosing (``Transmit.papr``), and the draw's plain
+    transmits cache theirs.  Only one chunk's blocks and one scheme's
+    transmit are held at a time.
     """
     samples = {scheme: np.empty(eval_cfg.ccdf_blocks) for scheme in rules}
     oobe = {}
-    for lo in range(0, eval_cfg.ccdf_blocks, CCDF_CHUNK):
-        indices = np.arange(lo, min(lo + CCDF_CHUNK, eval_cfg.ccdf_blocks))
+    for indices in _chunks(eval_cfg.ccdf_blocks):
         draw = _draw(cfg, eval_cfg.seed, eval_cfg.mods[0], indices)
         for scheme, rule in rules.items():
             tx = rule(draw, eval_cfg.ccdf_snr_db)
             samples[scheme][indices] = tx.waveform_papr
-            if lo == 0:
+            if indices[0] == 0:
                 x4 = time_signal(tx.bins[: eval_cfg.oobe_blocks], tx.cfg)
                 oobe[scheme] = float(oobe_db(x4, tx.cfg))
             del tx  # free this scheme's bins before the next scheme transmits

@@ -276,7 +276,8 @@ class TestDrawsMatchPerBlockRng:
         n = ChainConfig().n_sk
         for channel_name, mod, snr_i in product(eval_cfg.channels, eval_cfg.mods,
                                                 range(len(eval_cfg.snr_db))):
-            h, noise = evaluation._cell_draws(eval_cfg, channel_name, mod, snr_i, n)
+            h, noise = evaluation._cell_draws(eval_cfg, channel_name, mod, snr_i, n,
+                                              np.arange(eval_cfg.n_blocks))
             model = MODEL_NAMES[channel_name]
             k_linear = ChannelCfg(model, k_factor_db=eval_cfg.rician_k_db).k_linear
             coords = (list(MODEL_NAMES).index(channel_name), list(SCHEME_NAMES).index(mod), snr_i)
@@ -316,15 +317,26 @@ def scheme_outer_cells(cfg, eval_cfg, rules):
 
 
 class TestGrid:
+    EVAL = EvalConfig(
+        snr_db=(4.0, 11.0), channels=("rayleigh", "rician"), mods=("qpsk", "qam16"),
+        n_blocks=12, ccdf_blocks=64, oobe_blocks=16, seed=17,
+        schemes=tuple(SCHEMES),
+    )
+
     def test_cells_equal_scheme_outer_reference(self, small_ckpt):
         # every scheme through each cell's one draw gives each cell the bytes
         # of that cell transmitted and drawn on its own
-        eval_cfg = EvalConfig(
-            snr_db=(4.0, 11.0), channels=("rayleigh", "rician"), mods=("qpsk", "qam16"),
-            n_blocks=12, ccdf_blocks=64, oobe_blocks=16, seed=17,
-            schemes=tuple(SCHEMES),
-        )
-        cfg = ChainConfig()
+        self.check_against_reference(small_ckpt)
+
+    def test_chunked_cells_equal_scheme_outer_reference(self, small_ckpt, monkeypatch):
+        # the grid streams its 12 blocks as two full chunks and a partial
+        # one; per-chunk sends, draws and error counts change no cell's bytes
+        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 5)
+        assert [len(c) for c in evaluation._chunks(12)] == [5, 5, 2]
+        self.check_against_reference(small_ckpt)
+
+    def check_against_reference(self, small_ckpt):
+        eval_cfg, cfg = self.EVAL, ChainConfig()
         rules = evaluation._rules(cfg, eval_cfg, small_ckpt.deployed_net(eval_cfg.use_quantized))
         got = [astuple(c) for c in evaluation._grid(cfg, eval_cfg, rules)]
         want = [astuple(c) for c in scheme_outer_cells(cfg, eval_cfg, rules)]
@@ -385,7 +397,7 @@ class TestCcdfPassReuse:
                       seed=5, schemes=("rrc", "dftsofdm", "clf", "slm"))
 
     def test_columns_equal_per_scheme_resynthesis(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "CCDF_CHUNK", 128)  # two full chunks and a part
+        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 128)  # two full chunks and a part
         cfg = ChainConfig()
         samples, _ = evaluation._ccdf_pass(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
         s = evaluation._draw(cfg, self.EVAL.seed, "qpsk", np.arange(self.EVAL.ccdf_blocks)).conv.bins
@@ -535,14 +547,16 @@ class TestTiling:
 
 
 class TestTiledMemory:
-    """Peak traced memory on one 2048-block chunk of default-chain QPSK blocks.
+    """Peak traced memory on one chunk (``evaluation.CHUNK_BLOCKS`` = 256
+    blocks) of default-chain QPSK blocks.
 
-    One (2048, 240) complex128 array of bins is 7.5 MiB and one full
-    oversampled grid 32 MiB.  Before tiling the peaks were 166 MiB for the
-    CCDF pass, 72 MiB for ``slm_select`` and 111 MiB for ``clf_reduce``.
+    One (256, 240) complex128 array of bins is 0.94 MiB and one full
+    oversampled grid 4 MiB.  Before tiling, on 2048-block chunks, the peaks
+    were 166 MiB for the CCDF pass, 72 MiB for ``slm_select`` and 111 MiB for
+    ``clf_reduce``.
     """
 
-    EVAL = EvalConfig(ccdf_blocks=evaluation.CCDF_CHUNK, seed=3,
+    EVAL = EvalConfig(ccdf_blocks=evaluation.CHUNK_BLOCKS, seed=3,
                       schemes=("rrc", "dftsofdm", "clf", "slm"))
 
     @pytest.fixture(scope="class")
@@ -566,15 +580,29 @@ class TestTiledMemory:
     def test_ccdf_pass(self, rules):
         assert self.peak_mib(evaluation._ccdf_pass, ChainConfig(), self.EVAL, rules) < 64
 
-    def test_ccdf_pass_holds_one_chunk_at_a_time(self, rules):
+    def test_ccdf_pass_holds_one_chunk_at_a_time(self, monkeypatch):
         # a chunk's blocks and transmits are freed before the next chunk is
-        # drawn, so two chunks peak where one does; held over, the previous
-        # chunk's blocks and last transmit would add over 20 MiB
-        two = EvalConfig(ccdf_blocks=2 * evaluation.CCDF_CHUNK, seed=3,
-                         schemes=self.EVAL.schemes)
-        longer = evaluation._rules(ChainConfig(), two, None)
-        one_chunk = self.peak_mib(evaluation._ccdf_pass, ChainConfig(), self.EVAL, rules)
-        assert self.peak_mib(evaluation._ccdf_pass, ChainConfig(), two, longer) < one_chunk + 4
+        # drawn, so two chunks peak where one does.  At 2048-block chunks,
+        # held over, the previous chunk's blocks and last transmit would add
+        # over 20 MiB; at the default chunk the tiles' peak would hide them
+        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 2048)
+        one, two = (EvalConfig(ccdf_blocks=k * 2048, seed=3, schemes=self.EVAL.schemes)
+                    for k in (1, 2))
+        one_chunk = self.peak_mib(evaluation._ccdf_pass, ChainConfig(), one,
+                                  evaluation._rules(ChainConfig(), one, None))
+        assert self.peak_mib(evaluation._ccdf_pass, ChainConfig(), two,
+                             evaluation._rules(ChainConfig(), two, None)) < one_chunk + 4
+
+    def test_grid_holds_one_chunk_at_a_time(self, small_ckpt):
+        # the grid streams its blocks in the CCDF pass's chunks: four chunks
+        # of blocks peak where one does, where holding every block's
+        # transmits would add ~16 MiB per chunk
+        cfg, peaks = ChainConfig(), []
+        for k in (1, 4):
+            eval_cfg = EvalConfig(snr_db=(10.0,), n_blocks=k * evaluation.CHUNK_BLOCKS, seed=3)
+            rules = evaluation._rules(cfg, eval_cfg, small_ckpt.deployed_net(True))
+            peaks.append(self.peak_mib(evaluation._grid, cfg, eval_cfg, rules))
+        assert peaks[1] < peaks[0] + 4
 
     def test_slm_select(self, s):
         conv = conventional_config(ChainConfig())
