@@ -64,6 +64,7 @@ from .training import Checkpoint
 
 RRC_FIR_TAPS = 32
 CHUNK_BLOCKS = 256  # blocks per chunk of the grid and the CCDF pass, bounds peak memory
+OOBE_MAX_BLOCKS = 2048  # the OOBE blocks are synthesized at once, in the first CCDF chunk
 CCDF_GRID_DB = np.arange(0.0, 12.0 + 0.1 / 2, 0.1)  # CCDF thresholds 0, 0.1, ..., 12 dB
 
 
@@ -107,10 +108,9 @@ class EvalConfig:
             raise ValueError(
                 f"oobe_blocks must be >= {OOBE_MIN_BLOCKS}, got {self.oobe_blocks}"
             )
-        # the OOBE is measured on the first CCDF chunk
-        oobe_max = min(self.ccdf_blocks, CHUNK_BLOCKS)
+        oobe_max = min(self.ccdf_blocks, OOBE_MAX_BLOCKS)
         if self.oobe_blocks > oobe_max:
-            raise ValueError(f"oobe_blocks must be <= min(ccdf_blocks, {CHUNK_BLOCKS}) = "
+            raise ValueError(f"oobe_blocks must be <= min(ccdf_blocks, {OOBE_MAX_BLOCKS}) = "
                              f"{oobe_max}, got {self.oobe_blocks}")
         if not 0.0 < self.rrc_rolloff <= 1.0:
             raise ValueError(f"rrc_rolloff must be in (0, 1], got {self.rrc_rolloff}")
@@ -167,10 +167,10 @@ class Draw:
     conv: Transmit
 
 
-def _chunks(n_blocks: int) -> Iterator[np.ndarray]:
-    """The indices ``0 .. n_blocks - 1`` in chunks of :data:`CHUNK_BLOCKS`, the last one partial."""
-    for lo in range(0, n_blocks, CHUNK_BLOCKS):
-        yield np.arange(lo, min(lo + CHUNK_BLOCKS, n_blocks))
+def _chunks(n_blocks: int, size: int) -> Iterator[np.ndarray]:
+    """The indices ``0 .. n_blocks - 1`` in chunks of ``size``, the last one partial."""
+    for lo in range(0, n_blocks, size):
+        yield np.arange(lo, min(lo + size, n_blocks))
 
 
 def _draw(cfg: ChainConfig, seed: int, mod: str, indices: np.ndarray) -> Draw:
@@ -280,7 +280,7 @@ def _grid(cfg: ChainConfig, eval_cfg: EvalConfig, rules: dict[str, Rule]) -> lis
     for mod in eval_cfg.mods:
         papr = {(scheme, snr_db): np.empty(n) for scheme in rules for snr_db in eval_cfg.snr_db}
         counts = {key: [0, 0] for key in product(rules, eval_cfg.channels, eval_cfg.snr_db)}
-        for indices in _chunks(n):
+        for indices in _chunks(n, CHUNK_BLOCKS):
             draw = _draw(cfg, eval_cfg.seed, mod, indices)
             sent = {}  # scheme -> this chunk's transmit at the current SNR
             for snr_i, snr_db in enumerate(eval_cfg.snr_db):
@@ -314,16 +314,17 @@ def _ccdf_pass(cfg: ChainConfig, eval_cfg: EvalConfig,
     """Noise-free PAPR samples and OOBE per scheme for the CCDF figure.
 
     Each chunk of blocks (:func:`_chunks`, as in the grid) is drawn once and
-    run through every scheme.  Waveforms are synthesized one tile of a chunk
-    at a time, and in full only for the first chunk's OOBE blocks.  No
-    waveform is synthesized twice for its PAPR: a rule hands over the PAPR it
-    measured while choosing (``Transmit.papr``), and the draw's plain
-    transmits cache theirs.  Only one chunk's blocks and one scheme's
+    run through every scheme; a chunk holds :data:`CHUNK_BLOCKS` blocks, or
+    ``oobe_blocks`` if that is more, so that the first chunk holds the OOBE
+    blocks.  Waveforms are synthesized one tile of a chunk at a time, and in
+    full only for the first chunk's OOBE blocks.  No waveform is synthesized
+    twice for its PAPR: a rule hands over the PAPR it measured while choosing
+    (``Transmit.papr``), and the draw's plain transmits cache theirs.  Only one chunk's blocks and one scheme's
     transmit are held at a time.
     """
     samples = {scheme: np.empty(eval_cfg.ccdf_blocks) for scheme in rules}
     oobe = {}
-    for indices in _chunks(eval_cfg.ccdf_blocks):
+    for indices in _chunks(eval_cfg.ccdf_blocks, max(CHUNK_BLOCKS, eval_cfg.oobe_blocks)):
         draw = _draw(cfg, eval_cfg.seed, eval_cfg.mods[0], indices)
         for scheme, rule in rules.items():
             tx = rule(draw, eval_cfg.ccdf_snr_db)

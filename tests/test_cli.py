@@ -166,9 +166,9 @@ class TestConfig:
         ("train", "eval", {"oobe_blocks": 9}, "eval: oobe_blocks must be >= 10, got 9"),
         ("baselines", "eval", {"ccdf_blocks": 5}, "eval: ccdf_blocks must be >= 10"),
         ("baselines", "eval", {"ccdf_blocks": 12},
-         "eval: oobe_blocks must be <= min(ccdf_blocks, 256) = 12, got 16"),
-        ("baselines", "eval", {"ccdf_blocks": 300, "oobe_blocks": 258},
-         "eval: oobe_blocks must be <= min(ccdf_blocks, 256) = 256, got 258"),
+         "eval: oobe_blocks must be <= min(ccdf_blocks, 2048) = 12, got 16"),
+        ("baselines", "eval", {"ccdf_blocks": 2100, "oobe_blocks": 2050},
+         "eval: oobe_blocks must be <= min(ccdf_blocks, 2048) = 2048, got 2050"),
         ("train", "train", {"target_sparsity": 1.0},
          "train: target_sparsity must be in [0, 1), got 1.0"),
         ("train", "train", {"target_sparsity": 0.9999},

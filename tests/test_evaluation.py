@@ -332,7 +332,7 @@ class TestGrid:
         # the grid streams its 12 blocks as two full chunks and a partial
         # one; per-chunk sends, draws and error counts change no cell's bytes
         monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 5)
-        assert [len(c) for c in evaluation._chunks(12)] == [5, 5, 2]
+        assert [len(c) for c in evaluation._chunks(12, evaluation.CHUNK_BLOCKS)] == [5, 5, 2]
         self.check_against_reference(small_ckpt)
 
     def check_against_reference(self, small_ckpt):
@@ -445,6 +445,18 @@ class TestCcdfPassReuse:
         evaluation._ccdf_pass(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
         assert seen == [np.complex128] * len(self.EVAL.schemes)
 
+    def test_oobe_blocks_above_the_chunk_stay_in_the_first_chunk(self, monkeypatch):
+        # a CCDF chunk holds oobe_blocks where that is more than CHUNK_BLOCKS,
+        # so every output equals that of the pass in one chunk
+        cfg, eval_cfg = ChainConfig(), replace(self.EVAL, oobe_blocks=200)
+        runs = []
+        for chunk in (64, eval_cfg.ccdf_blocks):
+            monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", chunk)
+            samples, oobe = evaluation._ccdf_pass(cfg, eval_cfg,
+                                                  evaluation._rules(cfg, eval_cfg, None))
+            runs.append((repr(oobe), {k: v.tobytes() for k, v in samples.items()}))
+        assert runs[0] == runs[1]
+
 
 SINGLE_PRECISION_BOUND_DB = 1e-5  # the complex64 PAPR rule's distance from float64
 
@@ -547,17 +559,16 @@ class TestTiling:
 
 
 class TestTiledMemory:
-    """Peak traced memory on one chunk (``evaluation.CHUNK_BLOCKS`` = 256
-    blocks) of default-chain QPSK blocks.
+    """Peak traced memory on 2048 default-chain QPSK blocks, held as one
+    chunk: the CCDF pass's tests set ``evaluation.CHUNK_BLOCKS`` (256 by
+    default) to 2048.
 
-    One (256, 240) complex128 array of bins is 0.94 MiB and one full
-    oversampled grid 4 MiB.  Before tiling, on 2048-block chunks, the peaks
-    were 166 MiB for the CCDF pass, 72 MiB for ``slm_select`` and 111 MiB for
-    ``clf_reduce``.
+    One (2048, 240) complex128 array of bins is 7.5 MiB and one full
+    oversampled grid 32 MiB.  Before tiling the peaks were 166 MiB for the
+    CCDF pass, 72 MiB for ``slm_select`` and 111 MiB for ``clf_reduce``.
     """
 
-    EVAL = EvalConfig(ccdf_blocks=evaluation.CHUNK_BLOCKS, seed=3,
-                      schemes=("rrc", "dftsofdm", "clf", "slm"))
+    EVAL = EvalConfig(ccdf_blocks=2048, seed=3, schemes=("rrc", "dftsofdm", "clf", "slm"))
 
     @pytest.fixture(scope="class")
     def rules(self):
@@ -577,7 +588,8 @@ class TestTiledMemory:
         finally:
             tracemalloc.stop()
 
-    def test_ccdf_pass(self, rules):
+    def test_ccdf_pass(self, rules, monkeypatch):
+        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 2048)
         assert self.peak_mib(evaluation._ccdf_pass, ChainConfig(), self.EVAL, rules) < 64
 
     def test_ccdf_pass_holds_one_chunk_at_a_time(self, monkeypatch):
