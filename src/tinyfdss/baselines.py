@@ -69,17 +69,22 @@ def conventional_config(cfg: ChainConfig) -> ChainConfig:
 # Clipping and filtering
 # ---------------------------------------------------------------------------
 
-def clip_amplitude(x: np.ndarray, level: np.ndarray | float) -> np.ndarray:
+def clip_amplitude(x: np.ndarray, level: np.ndarray | float, *, mag: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Hard amplitude clip: |y_n| <= level with phases preserved.
 
-    Each sample is scaled by ``min(1, level / max(|x|, 1e-300))``, built in
-    one array; a sample at or below the level is scaled by exactly 1.
+    Each sample is multiplied by ``fmin(level / max(|x|, 1e-300), 1)``: by
+    exactly 1 at or below the level, and where the ratio is NaN (a NaN
+    sample or level, inf over inf), so the bytes are those of the
+    ``np.where(|x| > level, level / max(|x|, 1e-300), 1.0)`` form except
+    where 0 < |x| <= level < 1e-300.  ``mag`` is |x| if the caller has it,
+    and is overwritten with the scale; ``out=x`` clips in place.
     """
-    scale = np.abs(x)
+    scale = np.abs(x) if mag is None else mag
     np.maximum(scale, 1e-300, out=scale)
     np.divide(level, scale, out=scale)
-    np.minimum(scale, 1.0, out=scale)
-    return x * scale
+    np.fmin(scale, 1.0, out=scale)
+    return np.multiply(x, scale, out=out)
 
 
 def clf_reduce(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
@@ -93,14 +98,19 @@ def clf_reduce(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray
 
 
 def _clf_rounds(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
-    x = time_signal(bins, cfg)
-    level = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)) * 10.0 ** (
-        clf.clip_ratio_db / 20.0
-    )
-    for i in range(clf.iterations):
-        if i:
-            x = time_signal(bins, cfg)
-        bins = occupied_bins(clip_amplitude(x, level), cfg)
+    """Each round synthesizes, takes |x| once (round 1 also sets the level
+    from it) and clips the grid in place before filtering."""
+    level = None
+    for _ in range(clf.iterations):
+        x = time_signal(bins, cfg)
+        mag = np.abs(x)
+        if level is None:
+            level = np.sqrt(np.mean(mag**2, axis=-1, keepdims=True)) * 10.0 ** (
+                clf.clip_ratio_db / 20.0
+            )
+        clip_amplitude(x, level, mag=mag, out=x)
+        del mag  # the scale, freed before the filtering FFT
+        bins = occupied_bins(x, cfg)
     return bins
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import KW_ONLY, dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -195,8 +196,9 @@ class ChannelCfg:
         if self.model is ChannelModel.RICIAN and not np.isfinite(self.k_factor_db):
             raise ValueError("Rician channel requires a finite K-factor")
 
-    @property
+    @cached_property
     def k_linear(self) -> float:
+        """The K-factor as a power ratio, computed once per config (read per drawn block)."""
         return float(10.0 ** (self.k_factor_db / 10.0))
 
 

@@ -14,10 +14,11 @@ communication path acts on the occupied bins, where ``channel.noise_power``
 makes the configured SNR exact per bin.
 
 Both passes, the SER grid (:func:`_grid`) and the CCDF pass
-(:func:`_ccdf_pass`), walk their blocks in the same fixed-size chunks
-(:func:`_chunks`, :data:`CHUNK_BLOCKS`), so eval's memory does not grow with
-``n_blocks`` or ``ccdf_blocks``; every step of the link acts on each block
-alone, so the chunk size changes no output.
+(:func:`_ccdf_pass`), walk their blocks in fixed-size chunks (:func:`_chunks`:
+the CCDF pass :data:`CHUNK_BLOCKS`, the grid half as many), and the OOBE
+periodogram is a running sum over the CCDF chunks, so eval's memory does not
+grow with ``n_blocks``, ``ccdf_blocks`` or ``oobe_blocks``; every step of the
+link acts on each block alone, so the chunk size changes no output.
 """
 
 from __future__ import annotations
@@ -47,24 +48,25 @@ from .chain import (
     precode,
     receive,
     shape_and_normalize,
-    time_signal,
 )
 from .channel import (MODEL_NAMES, RICIAN_K_DB, ChannelCfg, Stream, add_channel, block_rngs,
                       draw_blocks)
 from .filters import rrc_taps, unit_taps
 from .metrics import (
     OOBE_MIN_BLOCKS,
+    Periodogram,
     empirical_ccdf,
     measured_ser,
-    oobe_db,
     papr_at_ccdf,
     waveform_papr_db,
 )
 from .training import Checkpoint
 
 RRC_FIR_TAPS = 32
-CHUNK_BLOCKS = 256  # blocks per chunk of the grid and the CCDF pass, bounds peak memory
-OOBE_MAX_BLOCKS = 2048  # the OOBE blocks are synthesized at once, in the first CCDF chunk
+CHUNK_BLOCKS = 256  # blocks per CCDF chunk, twice the grid's: bounds eval's peak memory
+# the accepted range of oobe_blocks, kept as it was when the OOBE blocks were
+# synthesized at once; the periodogram now streams, so memory sets no cap
+OOBE_MAX_BLOCKS = 2048
 CCDF_GRID_DB = np.arange(0.0, 12.0 + 0.1 / 2, 0.1)  # CCDF thresholds 0, 0.1, ..., 12 dB
 
 
@@ -268,19 +270,21 @@ def _grid(cfg: ChainConfig, eval_cfg: EvalConfig, rules: dict[str, Rule]) -> lis
     """Every (scheme, channel, mod, SNR) cell, listed in that order.
 
     Like the CCDF pass, the grid streams each modulation's blocks in
-    fixed-size chunks (:func:`_chunks`).  Per chunk the blocks are drawn once
-    and every scheme transmits once (a rule that reads the SNR once per SNR);
-    per (channel, SNR) the chunk's fades and noise are drawn once and every
-    scheme's transmit passes through them.  A cell adds up its symbol errors
-    over the chunks, and its mean PAPR is that of one array filled chunk by
-    chunk.
+    fixed-size chunks (:func:`_chunks`), of ``CHUNK_BLOCKS // 2`` blocks: a
+    grid chunk holds every scheme's transmit and one cell's link arrays,
+    where a CCDF chunk holds one scheme's transmit.  Per chunk the blocks
+    are drawn once and every scheme transmits once (a rule that reads the
+    SNR once per SNR); per (channel, SNR) the chunk's fades and noise are
+    drawn once and every scheme's transmit passes through them.  A cell adds
+    up its symbol errors over the chunks, and its mean PAPR is that of one
+    array filled chunk by chunk.
     """
     n = eval_cfg.n_blocks
     cells = {}
     for mod in eval_cfg.mods:
         papr = {(scheme, snr_db): np.empty(n) for scheme in rules for snr_db in eval_cfg.snr_db}
         counts = {key: [0, 0] for key in product(rules, eval_cfg.channels, eval_cfg.snr_db)}
-        for indices in _chunks(n, CHUNK_BLOCKS):
+        for indices in _chunks(n, CHUNK_BLOCKS // 2):
             draw = _draw(cfg, eval_cfg.seed, mod, indices)
             sent = {}  # scheme -> this chunk's transmit at the current SNR
             for snr_i, snr_db in enumerate(eval_cfg.snr_db):
@@ -313,28 +317,28 @@ def _ccdf_pass(cfg: ChainConfig, eval_cfg: EvalConfig,
                rules: dict[str, Rule]) -> tuple[dict, dict]:
     """Noise-free PAPR samples and OOBE per scheme for the CCDF figure.
 
-    Each chunk of blocks (:func:`_chunks`, as in the grid) is drawn once and
-    run through every scheme; a chunk holds :data:`CHUNK_BLOCKS` blocks, or
-    ``oobe_blocks`` if that is more, so that the first chunk holds the OOBE
-    blocks.  Waveforms are synthesized one tile of a chunk at a time, and in
-    full only for the first chunk's OOBE blocks.  No waveform is synthesized
-    twice for its PAPR: a rule hands over the PAPR it measured while choosing
-    (``Transmit.papr``), and the draw's plain transmits cache theirs.  Only one chunk's blocks and one scheme's
-    transmit are held at a time.
+    Each chunk of :data:`CHUNK_BLOCKS` blocks (:func:`_chunks`) is drawn once
+    and run through every scheme.  No waveform is synthesized twice for its
+    PAPR: a rule hands over the PAPR it measured while choosing
+    (``Transmit.papr``), and the draw's plain transmits cache theirs.  The
+    OOBE is each scheme's :class:`metrics.Periodogram` over the first
+    ``oobe_blocks`` blocks, which a chunk adds in block order, a tile of
+    waveforms at a time.  Only one chunk's blocks and one scheme's transmit
+    are held at a time.
     """
     samples = {scheme: np.empty(eval_cfg.ccdf_blocks) for scheme in rules}
-    oobe = {}
-    for indices in _chunks(eval_cfg.ccdf_blocks, max(CHUNK_BLOCKS, eval_cfg.oobe_blocks)):
+    welch = {}
+    for indices in _chunks(eval_cfg.ccdf_blocks, CHUNK_BLOCKS):
         draw = _draw(cfg, eval_cfg.seed, eval_cfg.mods[0], indices)
+        n_oobe = int(np.count_nonzero(indices < eval_cfg.oobe_blocks))  # the chunk's first ones
         for scheme, rule in rules.items():
             tx = rule(draw, eval_cfg.ccdf_snr_db)
             samples[scheme][indices] = tx.waveform_papr
-            if indices[0] == 0:
-                x4 = time_signal(tx.bins[: eval_cfg.oobe_blocks], tx.cfg)
-                oobe[scheme] = float(oobe_db(x4, tx.cfg))
+            if n_oobe:
+                welch.setdefault(scheme, Periodogram(tx.cfg)).add_bins(tx.bins[:n_oobe])
             del tx  # free this scheme's bins before the next scheme transmits
         del draw  # and this chunk's blocks before the next chunk is drawn
-    return samples, oobe
+    return samples, {scheme: float(welch[scheme].oobe_db()) for scheme in rules}
 
 
 def evaluate(

@@ -26,8 +26,11 @@ SURROGATE_SHARPNESS = 4.0  # softplus sharpness of the tail surrogate
 OOBE_MIN_BLOCKS = 10  # periodogram segments oobe_db averages at the least
 OOBE_PAD = 4  # zero-padding factor of each oobe_db periodogram segment
 # bytes of one tile's complex128 oversampled grid (CLF's rounds; the PAPR
-# rule's complex64 tiles take half): a tile stays in a 2 MiB per-core L2
-# instead of mapping and page-faulting a whole batch's grid
+# rule's complex64 tiles take half; a periodogram tile's zero-padded
+# spectrum, OOBE_PAD times longer, takes it all).  It bounds a batch's
+# working set, not its cache footprint: a CLF round holds two tiles at most
+# (its grid with |x| and |x|^2, then its grid and the filtering FFT's), more
+# than a 2 MiB L2
 TILE_BYTES = 2 << 20
 
 
@@ -149,31 +152,78 @@ def measured_ser(tx_symbols: np.ndarray, detected: np.ndarray) -> tuple[float, i
     return errors / total, errors, total
 
 
+def _segments_per_tile(n: int) -> int:
+    """Periodogram segments of length n whose zero-padded spectrum fits ``TILE_BYTES``."""
+    return max(1, TILE_BYTES // (16 * n * OOBE_PAD))
+
+
+class Periodogram:
+    """Welch's averaged periodogram as a running sum, the rule of :func:`oobe_db`.
+
+    Each block is one segment: Hann-windowed, zero-padded by ``OOBE_PAD`` so
+    leakage between subcarrier bins is resolved, and transformed.
+    :meth:`add` adds each segment's |FFT|^2 to one sum, row by row in block
+    order, which is the summation order of a mean over the blocks axis: a
+    sum built over any split of the blocks has the bytes of one built at
+    once.  A tile of segments is transformed at a time, so any number of
+    blocks costs one tile's spectrum.
+    """
+
+    def __init__(self, cfg: ChainConfig):
+        self.cfg = cfg
+        self.total: np.ndarray | None = None  # sum of the segments' |FFT|^2
+        self.count = 0  # segments added
+
+    def add(self, blocks: np.ndarray) -> None:
+        """Add one segment per row of ``blocks`` (..., n), n a multiple of n_fft."""
+        blocks = np.asarray(blocks, dtype=np.complex128)
+        blocks = blocks.reshape(-1, blocks.shape[-1])
+        n = blocks.shape[-1]
+        if n % self.cfg.n_fft != 0:
+            raise ValueError(f"block length {n} not a multiple of n_fft={self.cfg.n_fft}")
+        if self.total is None:
+            self.total = np.zeros(n * OOBE_PAD)
+        window = np.hanning(n)
+        step = _segments_per_tile(n)
+        for lo in range(0, len(blocks), step):
+            power = np.abs(np.fft.fft(blocks[lo: lo + step] * window, n=n * OOBE_PAD, axis=-1))
+            np.square(power, out=power)
+            for row in power:
+                self.total += row
+        self.count += len(blocks)
+
+    def add_bins(self, bins: np.ndarray) -> None:
+        """Add the oversampled waveform of each row of occupied ``bins`` (B, n_sk),
+        synthesized by :func:`chain.time_signal` one tile at a time."""
+        step = _segments_per_tile(self.cfg.n_fft * self.cfg.oversample)
+        for lo in range(0, len(bins), step):
+            self.add(time_signal(bins[lo: lo + step], self.cfg))
+
+    def oobe_db(self) -> float:
+        """Mean out-of-band PSD over mean in-band PSD of the segments so far, in dB."""
+        if self.count < OOBE_MIN_BLOCKS:
+            raise ValueError(
+                f"need at least {OOBE_MIN_BLOCKS} blocks for a stable PSD, got {self.count}"
+            )
+        psd = self.total / self.count
+        # occupied band at padded resolution: n_sk original bins, OOBE_PAD each
+        in_band = np.zeros(psd.size, dtype=bool)
+        in_band[centered_band(self.cfg.n_sk * OOBE_PAD, psd.size)] = True
+        mean_in = float(np.mean(psd[in_band]))
+        mean_out = float(np.mean(psd[~in_band]))
+        if mean_in == 0.0:
+            raise ValueError("no in-band power")
+        return 10.0 * np.log10(mean_out / mean_in) if mean_out > 0.0 else -np.inf
+
+
 def oobe_db(blocks: np.ndarray, cfg: ChainConfig) -> float:
     """Out-of-band emission from a Hann-windowed averaged periodogram, in dB.
 
-    Each block is one Welch segment: windowed, zero-padded by ``OOBE_PAD``
-    so leakage between subcarrier bins is resolved, and averaged.  OOBE is
-    mean out-of-band PSD over mean in-band PSD.  A block-boundary--free tone
+    Each block is one Welch segment (:class:`Periodogram`), and OOBE is mean
+    out-of-band PSD over mean in-band PSD.  A block-boundary--free tone
     still leaks through the window's sidelobes, which sets the measurement
     floor (well below -40 dB for the Hann window at this grid size).
     """
-    blocks = np.atleast_2d(np.asarray(blocks, dtype=np.complex128))
-    if blocks.shape[0] < OOBE_MIN_BLOCKS:
-        raise ValueError(
-            f"need at least {OOBE_MIN_BLOCKS} blocks for a stable PSD, got {blocks.shape[0]}"
-        )
-    n = blocks.shape[-1]
-    if n % cfg.n_fft != 0:
-        raise ValueError(f"block length {n} not a multiple of n_fft={cfg.n_fft}")
-    window = np.hanning(n)
-    spec = np.fft.fft(blocks * window, n=n * OOBE_PAD, axis=-1)
-    psd = np.mean(np.abs(spec) ** 2, axis=0)
-    # occupied band at padded resolution: n_sk original bins, OOBE_PAD each
-    in_band = np.zeros(n * OOBE_PAD, dtype=bool)
-    in_band[centered_band(cfg.n_sk * OOBE_PAD, n * OOBE_PAD)] = True
-    mean_in = float(np.mean(psd[in_band]))
-    mean_out = float(np.mean(psd[~in_band]))
-    if mean_in == 0.0:
-        raise ValueError("no in-band power")
-    return 10.0 * np.log10(mean_out / mean_in) if mean_out > 0.0 else -np.inf
+    welch = Periodogram(cfg)
+    welch.add(blocks)
+    return welch.oobe_db()

@@ -44,7 +44,7 @@ def build_input(
     s_ext = np.asarray(s_ext)
     if s_ext.shape[-1] != expected_len:
         raise ValueError(f"expected {expected_len} shaped bins, got {s_ext.shape[-1]}")
-    mags = np.abs(s_ext).astype(np.float64)
+    mags = np.abs(s_ext).astype(np.float64, copy=False)  # complex128 gives float64 already
     snr_feat = np.broadcast_to(np.asarray(snr_db, dtype=np.float64) / 20.0, mags.shape[:-1])
     return np.concatenate([mags, snr_feat[..., None]], axis=-1)
 

@@ -49,6 +49,23 @@ def clip_where_reference(x, level):
     return x * scale
 
 
+SPECIAL_PARTS = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def seeded_samples(draw):
+    """Complex normal samples (rows, n) with some real or imaginary parts set
+    to +-0, +-inf or NaN."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    parts = x.view(np.float64).reshape(-1)  # real and imaginary parts, interleaved
+    for i, value in draw(st.lists(st.tuples(st.integers(0, parts.size - 1),
+                                            st.sampled_from(SPECIAL_PARTS)), max_size=16)):
+        parts[i] = value
+    return x
+
+
 def precoded_blocks(cfg, scheme, lead, seed):
     n_bits = cfg.n_data * scheme.bits_per_symbol
     bits = np.random.default_rng(seed).integers(0, 2, lead + (n_bits,))
@@ -132,6 +149,23 @@ class TestClf:
             assert got.tobytes() == clip_where_reference(x, level).tobytes()
         assert np.array_equal(clip_amplitude(x, at)[:, 10], x[:, 10])
         assert np.all(np.abs(clip_amplitude(x, below)[:, 10]) < mag[:, 10])
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=seeded_samples(), kind=st.sampled_from(["scalar", "row", "rms"]),
+           ratio=st.floats(0.0, 4.0, allow_subnormal=False))
+    def test_clip_matches_where_form_on_special_parts(self, x, kind, ratio):
+        # +-0 parts (x * 1.0 can flip a signed zero), +-inf and NaN, against a
+        # scalar level, a per-row level and the per-row RMS level CLF uses
+        # (inf or NaN on a row that holds inf or NaN); in place too
+        with np.errstate(invalid="ignore"):  # inf * 0 and inf / inf, in both forms
+            mag = np.abs(x)
+            level = {"scalar": ratio, "row": ratio * mag[:, -1:],
+                     "rms": ratio * np.sqrt(np.mean(mag**2, axis=-1, keepdims=True))}[kind]
+            want = clip_where_reference(x, level).tobytes()
+            assert clip_amplitude(x, level).tobytes() == want
+            y = x.copy()
+            assert clip_amplitude(y, level, mag=np.abs(y), out=y) is y
+        assert y.tobytes() == want
 
     def test_deterministic(self, cfg):
         block = ext_block(cfg)

@@ -331,9 +331,17 @@ class TestGrid:
     def test_chunked_cells_equal_scheme_outer_reference(self, small_ckpt, monkeypatch):
         # the grid streams its 12 blocks as two full chunks and a partial
         # one; per-chunk sends, draws and error counts change no cell's bytes
-        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 5)
-        assert [len(c) for c in evaluation._chunks(12, evaluation.CHUNK_BLOCKS)] == [5, 5, 2]
+        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 10)  # the grid walks half as many
+        sizes, real = [], evaluation._chunks
+
+        def recording(n_blocks, size):
+            for chunk in real(n_blocks, size):
+                sizes.append(len(chunk))
+                yield chunk
+
+        monkeypatch.setattr(evaluation, "_chunks", recording)
         self.check_against_reference(small_ckpt)
+        assert sizes == [5, 5, 2] * len(self.EVAL.mods)
 
     def check_against_reference(self, small_ckpt):
         eval_cfg, cfg = self.EVAL, ChainConfig()
@@ -411,8 +419,8 @@ class TestCcdfPassReuse:
         # rrc 1, the plain waveform 1 (dftsofdm and slm's identity candidate),
         # clf 3 (two rounds and the result); slm's other 7 candidates each
         # once at the critical rate, then on the oversampled grid only where
-        # that bound is near the running minimum
-        # (the OOBE blocks are synthesized through evaluation's own name)
+        # that bound is near the running minimum; and each scheme's OOBE
+        # blocks once more, for the periodogram
         cfg = ChainConfig()
         n = self.EVAL.ccdf_blocks
         s = evaluation._draw(cfg, self.EVAL.seed, "qpsk", np.arange(n)).conv.bins
@@ -429,25 +437,26 @@ class TestCcdfPassReuse:
         monkeypatch.setattr(metrics, "time_signal", counting)
         monkeypatch.setattr(baselines, "time_signal", counting)
         evaluation._ccdf_pass(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
-        assert rows == {cfg.oversample: 5 * n + survivors, 1: 7 * n}
+        oobe = len(self.EVAL.schemes) * self.EVAL.oobe_blocks
+        assert rows == {cfg.oversample: 5 * n + survivors + oobe, 1: 7 * n}
 
     def test_oobe_input_stays_double(self, monkeypatch):
         # only the noise-free PAPR rule synthesizes in single precision
         seen = []
-        real = evaluation.oobe_db
+        real = metrics.Periodogram.add
 
-        def recording(blocks, cfg):
+        def recording(self, blocks):
             seen.append(blocks.dtype)
-            return real(blocks, cfg)
+            return real(self, blocks)
 
-        monkeypatch.setattr(evaluation, "oobe_db", recording)
+        monkeypatch.setattr(metrics.Periodogram, "add", recording)
         cfg = ChainConfig()
         evaluation._ccdf_pass(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
         assert seen == [np.complex128] * len(self.EVAL.schemes)
 
-    def test_oobe_blocks_above_the_chunk_stay_in_the_first_chunk(self, monkeypatch):
-        # a CCDF chunk holds oobe_blocks where that is more than CHUNK_BLOCKS,
-        # so every output equals that of the pass in one chunk
+    def test_oobe_blocks_across_chunks_equal_one_pass(self, monkeypatch):
+        # the OOBE blocks span four CCDF chunks of 64 blocks, and every
+        # output equals that of the pass in one chunk
         cfg, eval_cfg = ChainConfig(), replace(self.EVAL, oobe_blocks=200)
         runs = []
         for chunk in (64, eval_cfg.ccdf_blocks):
@@ -456,6 +465,19 @@ class TestCcdfPassReuse:
                                                   evaluation._rules(cfg, eval_cfg, None))
             runs.append((repr(oobe), {k: v.tobytes() for k, v in samples.items()}))
         assert runs[0] == runs[1]
+
+    def test_oobe_across_chunks_is_one_oobe_db_call(self, monkeypatch):
+        # the running periodogram adds the blocks of chunks 64, 64, 64 and 8
+        # row by row: the bytes of one oobe_db over all 200 blocks' waveforms
+        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 64)
+        cfg, eval_cfg = ChainConfig(), replace(self.EVAL, oobe_blocks=200)
+        rules = evaluation._rules(cfg, eval_cfg, None)
+        _, oobe = evaluation._ccdf_pass(cfg, eval_cfg, rules)
+        draw = evaluation._draw(cfg, eval_cfg.seed, "qpsk", np.arange(eval_cfg.oobe_blocks))
+        for scheme, rule in rules.items():
+            tx = rule(draw, eval_cfg.ccdf_snr_db)
+            assert repr(oobe[scheme]) == repr(float(metrics.oobe_db(time_signal(tx.bins, tx.cfg),
+                                                                    tx.cfg))), scheme
 
 
 SINGLE_PRECISION_BOUND_DB = 1e-5  # the complex64 PAPR rule's distance from float64
@@ -547,6 +569,17 @@ class TestTiling:
             assert other.oobe == first.oobe
             assert other.cells == first.cells
 
+    def test_clf_matches_untiled_reference_on_all_zero_rows(self, monkeypatch):
+        # an all-zero block clips at level 0 (scale 0) in place as out of
+        # place, at a tile's first and last row and inside a tile
+        conv = conventional_config(ChainConfig())
+        set_tile_rows(monkeypatch, conv, 7)
+        s = evaluation._draw(ChainConfig(), self.EVAL.seed, "qpsk", np.arange(17)).conv.bins
+        s[[0, 3, 6, 7, 16]] = 0.0
+        got = clf_reduce(s, self.EVAL.clf, conv)
+        assert got.tobytes() == untiled_clf(s, self.EVAL.clf, conv).tobytes()
+        assert not np.any(got[[0, 3, 6, 7, 16]])
+
     @pytest.mark.parametrize("rows", [7, None])
     def test_clf_matches_untiled_reference(self, monkeypatch, rows):
         conv = conventional_config(ChainConfig())
@@ -606,15 +639,35 @@ class TestTiledMemory:
                              evaluation._rules(ChainConfig(), two, None)) < one_chunk + 4
 
     def test_grid_holds_one_chunk_at_a_time(self, small_ckpt):
-        # the grid streams its blocks in the CCDF pass's chunks: four chunks
-        # of blocks peak where one does, where holding every block's
-        # transmits would add ~16 MiB per chunk
+        # the grid streams its blocks in chunks of CHUNK_BLOCKS // 2: four
+        # chunks of blocks peak where one does, where holding every block's
+        # transmits would add ~8 MiB per chunk
         cfg, peaks = ChainConfig(), []
         for k in (1, 4):
-            eval_cfg = EvalConfig(snr_db=(10.0,), n_blocks=k * evaluation.CHUNK_BLOCKS, seed=3)
+            eval_cfg = EvalConfig(snr_db=(10.0,), n_blocks=k * (evaluation.CHUNK_BLOCKS // 2),
+                                  seed=3)
             rules = evaluation._rules(cfg, eval_cfg, small_ckpt.deployed_net(True))
             peaks.append(self.peak_mib(evaluation._grid, cfg, eval_cfg, rules))
         assert peaks[1] < peaks[0] + 4
+
+    def test_ccdf_pass_memory_does_not_grow_with_oobe_blocks(self, rules):
+        # the periodogram is a running sum over the CCDF chunks: 1024 OOBE
+        # blocks (four chunks) peak within 4 MiB of 64.  Synthesizing them at
+        # once in one chunk of 1024 blocks peaked at ~131 MiB against ~12
+        cfg, peaks = ChainConfig(), []
+        for oobe_blocks in (64, 1024):
+            eval_cfg = replace(self.EVAL, ccdf_blocks=1024, oobe_blocks=oobe_blocks)
+            peaks.append(self.peak_mib(evaluation._ccdf_pass, cfg, eval_cfg, rules))
+        assert peaks[1] < peaks[0] + 4
+
+    def test_evaluate_at_the_benchmark_eval_shape(self, small_ckpt):
+        # perfbench's eval grid (5 schemes, 3 channels, 2 SNRs, 500 blocks)
+        # and three CCDF chunks: ~8.5 MiB, where 256-block grid chunks and
+        # out-of-place CLF rounds peaked at ~16.7 MiB
+        eval_cfg = EvalConfig(snr_db=(5.0, 10.0), channels=("awgn", "rayleigh", "rician"),
+                              n_blocks=500, ccdf_blocks=600, oobe_blocks=64, seed=3)
+        assert len(eval_cfg.schemes) == 5
+        assert self.peak_mib(evaluate, small_ckpt, eval_cfg, ChainConfig()) < 13
 
     def test_slm_select(self, s):
         conv = conventional_config(ChainConfig())
