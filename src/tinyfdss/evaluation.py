@@ -64,9 +64,6 @@ from .training import Checkpoint
 
 RRC_FIR_TAPS = 32
 CHUNK_BLOCKS = 256  # blocks per CCDF chunk, twice the grid's: bounds eval's peak memory
-# the accepted range of oobe_blocks, kept as it was when the OOBE blocks were
-# synthesized at once; the periodogram now streams, so memory sets no cap
-OOBE_MAX_BLOCKS = 2048
 CCDF_GRID_DB = np.arange(0.0, 12.0 + 0.1 / 2, 0.1)  # CCDF thresholds 0, 0.1, ..., 12 dB
 
 
@@ -110,10 +107,9 @@ class EvalConfig:
             raise ValueError(
                 f"oobe_blocks must be >= {OOBE_MIN_BLOCKS}, got {self.oobe_blocks}"
             )
-        oobe_max = min(self.ccdf_blocks, OOBE_MAX_BLOCKS)
-        if self.oobe_blocks > oobe_max:
-            raise ValueError(f"oobe_blocks must be <= min(ccdf_blocks, {OOBE_MAX_BLOCKS}) = "
-                             f"{oobe_max}, got {self.oobe_blocks}")
+        if self.oobe_blocks > self.ccdf_blocks:
+            raise ValueError(f"oobe_blocks must be <= ccdf_blocks = {self.ccdf_blocks}, "
+                             f"got {self.oobe_blocks}")
         if not 0.0 < self.rrc_rolloff <= 1.0:
             raise ValueError(f"rrc_rolloff must be in (0, 1], got {self.rrc_rolloff}")
         if not np.isfinite(self.rician_k_db):
@@ -232,7 +228,8 @@ def _slm(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
     def send(draw: Draw, snr_db: float) -> Transmit:
         plain = draw.conv  # phase 0 is the identity: its PAPR is the plain one
         idx, papr = slm_select(plain.bins, phases, plain.cfg, identity_papr=plain.waveform_papr)
-        return replace(plain, bins=plain.bins * phases[idx], taps=phases[idx], papr=papr)
+        chosen = phases[idx]
+        return replace(plain, bins=plain.bins * chosen, taps=chosen, papr=papr)
     return send
 
 

@@ -300,7 +300,7 @@ def chain_loss(
     # sample p, so its band bins need no FFT of the grid: a * (n_os / n_fft)
     # times the shaped bins (which x interpolates) plus c * e^(-j2 pi k p /
     # n_os) / sqrt(n_fft) over the band's FFT-order indices k, read from one
-    # cached twiddle row; tests/test_training.py::fft_tail_gradient is the
+    # cached twiddle row; tests/reference.py::tail_gradient is the
     # FFT of the whole x_bar grid it is checked against
     a = -2.0 * w_papr / (n_os * mean_pow) * c_log
     c = x[rows, peak_idx] * (2.0 * w_papr * c_log / peak)

@@ -13,31 +13,15 @@ from tinyfdss.adaptation import (
     MAX_TICKS,
     AdaptConfig,
     LambdaTable,
-    TickRecord,
     adaptation_cycle,
     preset_trace,
     run_scenario,
     tick_count,
 )
-from tinyfdss.chain import (
-    ModScheme,
-    extend,
-    map_symbols,
-    precode,
-    receive,
-    shape_and_normalize,
-)
-from tinyfdss.channel import (
-    ChannelCfg,
-    ChannelModel,
-    Stream,
-    add_channel,
-    block_rng,
-    draw_channel,
-    unit_noise,
-)
+from tinyfdss.chain import ChainConfig, ModScheme, extend, map_symbols, precode, shape_and_normalize
 from tinyfdss.filters import taps_from_coeffs
-from tinyfdss.metrics import measured_ser, waveform_papr_db
+
+from reference import lambda_of, qpsk_ser, replay
 
 
 @pytest.fixture
@@ -84,32 +68,14 @@ def refused_traces(draw):
     return trace
 
 
-def replay_tick_by_tick(trace, net, cfg, scheme, seed):
-    """Reference replay: one device cycle per tick, one block at a time."""
-    table = LambdaTable()
-    times = [t for t, _ in trace]
-    records = []
-    feedback_pos = 0
-    for tick in range(int((times[-1] - times[0]) // DEFAULT_PERIOD_MS) + 1):
-        now = times[0] + tick * DEFAULT_PERIOD_MS
-        while feedback_pos + 1 < len(trace) and trace[feedback_pos + 1][0] <= now:
-            feedback_pos += 1
-        snr_db = trace[feedback_pos][1]
-        lam = table.lookup(snr_db)
-        rng = block_rng(seed, Stream.ADAPT_TICK, tick)
-        bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
-        tx = map_symbols(bits, scheme)
-        bins, taps = adaptation_cycle(snr_db, net, extend(precode(tx), cfg.n_se))
-        papr = waveform_papr_db(bins, cfg)
-        parts = np.empty((2, cfg.n_sk))
-        # the fade-multiplying link: AWGN's fade of exactly 1, drawn and applied
-        h = draw_channel(ChannelCfg(ChannelModel.AWGN), rng, parts)
-        rx = add_channel(bins, h, unit_noise(parts), snr_db)
-        detected, _ = receive(rx, h * taps, cfg.n_se, scheme)
-        ser, _, _ = measured_ser(tx, detected)
-        records.append(TickRecord(t_ms=now, snr_db=float(snr_db), lam=lam,
-                                  papr_db=float(papr), ser_block=float(ser)))
-    return records
+# feedback held across ticks and across every lambda bin; its 153 ticks are
+# two full replay chunks and a partial third
+CHUNKED_TRACE = [(0.0, -1.0), (500.0, 3.0), (2460.0, 7.5), (5200.0, 12.0),
+                 (8200.0, 17.0), (11110.0, 22.0), (12800.0, 9.0), (15200.0, 4.0)]
+# the default layout, even and odd n_sk, and no extension
+REPLAY_CHAINS = [ChainConfig(), ChainConfig(n_data=24, n_se=4, n_fft=64),
+                 ChainConfig(n_data=25, n_se=3, n_fft=64, oversample=2),
+                 ChainConfig(n_data=30, n_se=0, n_fft=32)]
 
 
 class TestLambdaTable:
@@ -159,7 +125,7 @@ class TestLambdaTable:
         table = LambdaTable()
         scalar = [table.lookup(float(snr)) for snr in snrs]
         assert all(type(lam) is float for lam in scalar)
-        assert scalar == [next(lam for _, hi, lam in DEFAULT_BINS if snr < hi) for snr in snrs]
+        assert scalar == [lambda_of(snr) for snr in snrs]
         got = table.lookup(snrs)
         assert got.shape == snrs.shape and got.tolist() == scalar
         assert table.lookup(snrs.reshape(-1, 1)).ravel().tolist() == scalar
@@ -267,16 +233,20 @@ class TestRunScenario:
     @pytest.mark.parametrize("kind,scheme", [
         ("float", ModScheme.QPSK), ("int8", ModScheme.QPSK), ("float", ModScheme.QAM16),
     ])
-    def test_records_equal_tick_by_tick_replay_bytewise(self, cfg, net, kind, scheme):
+    @settings(max_examples=8, deadline=None)
+    @given(trace=sorted_traces(), chain=st.sampled_from(REPLAY_CHAINS),
+           seed=st.integers(0, 2**32 - 1), net_seed=st.integers(0, 2**32 - 1))
+    @example(trace=CHUNKED_TRACE, chain=ChainConfig(), seed=6, net_seed=0)
+    def test_records_equal_tick_by_tick_replay_bytewise(self, kind, scheme, trace, chain, seed,
+                                                       net_seed):
+        net = network.init_params(hidden_width=10, rng=np.random.default_rng(net_seed),
+                                  input_dim=chain.n_sk + 1)
         deployed = net if kind == "float" else network.quantize(net)
-        # feedback held across ticks and across every lambda bin; 153 ticks are
-        # two full chunks and a partial third
-        trace = [(0.0, -1.0), (500.0, 3.0), (2460.0, 7.5), (5200.0, 12.0),
-                 (8200.0, 17.0), (11110.0, 22.0), (12800.0, 9.0), (15200.0, 4.0)]
-        records = run_scenario(trace, deployed, cfg, scheme, seed=6)
-        assert len(records) > 2 * CHUNK_TICKS and len(records) % CHUNK_TICKS
-        assert {r.lam for r in records} == {lam for _, _, lam in DEFAULT_BINS}
-        want = replay_tick_by_tick(trace, deployed, cfg, scheme, seed=6)
+        records = run_scenario(trace, deployed, chain, scheme, seed=seed)
+        if trace == CHUNKED_TRACE:
+            assert len(records) > 2 * CHUNK_TICKS and len(records) % CHUNK_TICKS
+            assert {r.lam for r in records} == {lam for _, _, lam in DEFAULT_BINS}
+        want = replay(trace, deployed, chain, scheme, seed)
         assert [repr(r) for r in records] == [repr(r) for r in want]
 
     def test_ser_matches_closed_form_at_the_configured_snr(self, cfg):
@@ -293,9 +263,7 @@ class TestRunScenario:
         records = run_scenario(trace, unit_net, cfg, ModScheme.QPSK, seed=11)
         assert len(records) == n_ticks
         ser = np.mean([r.ser_block for r in records])
-        gamma = 10 ** (snr_db / 10) * cfg.n_data / (cfg.n_data - cfg.n_se)
-        p_axis = 0.5 * math.erfc(math.sqrt(gamma / 2))
-        theory = 2 * p_axis - p_axis**2
+        theory = qpsk_ser(snr_db, cfg.n_data, cfg.n_se)
         sem = math.sqrt(theory * (1 - theory) / (n_ticks * cfg.n_data))
         assert abs(ser - theory) <= 3 * sem
 

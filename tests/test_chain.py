@@ -17,7 +17,6 @@ from tinyfdss.chain import (
     centered_band,
     constellation,
     detect_symbols,
-    equalize,
     extend,
     map_symbols,
     occupied_bins,
@@ -31,6 +30,14 @@ from tinyfdss.channel import (ChannelCfg, ChannelModel, add_channel, apply_chann
                               unit_noise)
 from tinyfdss.filters import rrc_taps, taps_from_coeffs, unit_taps
 from tinyfdss.metrics import measured_ser, papr_db
+
+from reference import (band, detect, dft_matrix, dft_synthesis, pam_levels, qpsk_ser,
+                       slice_symbols)
+from reference import map_symbols as map_reference
+from reference import occupied_bins as occupied_bins_reference
+from reference import precode as precode_reference
+from reference import receive as receive_reference
+from reference import time_signal as time_signal_reference
 
 # 3GPP-style Gray 16-QAM table computed by hand from the per-axis rule
 # (sign bit, magnitude bit) -> level: 00->1, 01->3, 10->-1, 11->-3, I=(b0,b2), Q=(b1,b3)
@@ -51,78 +58,11 @@ def shaped_block(bits, scheme, taps, cfg, oversample=None):
     return SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins, cfg, oversample)), eff
 
 
-def detect_reference(received, scheme):
-    """The minimum-distance loop ``detect_symbols`` ran before the per-axis slicer."""
-    points, _ = constellation(scheme)
-    received = np.asarray(received, dtype=np.complex128)
-    flat = received.reshape(-1)
-    out = np.empty_like(flat)
-    for lo in range(0, flat.size, 8192):
-        chunk = flat[lo : lo + 8192]
-        d2 = np.abs(chunk[:, None] - points[None, :]) ** 2
-        out[lo : lo + 8192] = points[np.argmin(d2, axis=1)]
-    return out.reshape(received.shape)
-
-
-def slice_reference(received, scheme):
-    """The slicer's stated rule per axis: the level above the midpoints strictly below."""
-    levels, mids = pam_midpoints(scheme)
-    received = np.asarray(received, dtype=np.complex128)
-    out = np.empty_like(received)
-    out.real = levels[np.searchsorted(mids, received.real, side="left")]
-    out.imag = levels[np.searchsorted(mids, received.imag, side="left")]
-    return out
-
-
-def time_signal_reference(shaped, cfg, oversample=None):
-    """``time_signal`` before in-place synthesis: fancy-index map, IDFT, scale."""
-    shaped = np.asarray(shaped, dtype=np.complex128)
-    n = cfg.n_fft * (cfg.oversample if oversample is None else oversample)
-    grid = np.zeros(shaped.shape[:-1] + (n,), dtype=np.complex128)
-    grid[..., centered_band(cfg.n_sk, n)] = shaped
-    return np.fft.ifft(grid, axis=-1) * (n / np.sqrt(cfg.n_fft))
-
-
-def occupied_bins_reference(signal, cfg):
-    """``occupied_bins`` before the band slices: scale every bin, fancy-index the band."""
-    signal = np.asarray(signal, dtype=np.complex128)
-    grid = np.fft.fft(signal, axis=-1) * (np.sqrt(cfg.n_fft) / signal.shape[-1])
-    return grid[..., centered_band(cfg.n_sk, signal.shape[-1])]
-
-
 def axis_grid(axis):
     """Every (I, Q) pairing of the axis values, without multiplying by 1j."""
     grid = np.empty((len(axis), len(axis)), dtype=np.complex128)
     grid.real, grid.imag = axis[:, None], axis[None, :]
     return grid
-
-
-def gray_pam_reference(bits):
-    """Arithmetic Gray PAM: one axis' bits (sign bit first) to odd levels."""
-    s = 1 - 2 * bits.astype(np.int64)
-    level = np.ones(bits.shape[:-1], dtype=np.int64)
-    scale = 2
-    for j in range(s.shape[-1] - 1, 0, -1):
-        level = scale - s[..., j] * level
-        scale *= 2
-    return s[..., 0] * level
-
-
-def map_symbols_reference(bits, scheme):
-    """Arithmetic Gray mapping, each symbol computed from its bits: even bit
-    positions drive I, odd ones Q."""
-    bps = scheme.bits_per_symbol
-    grouped = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // bps, bps))
-    m_axis = 2 ** (bps // 2)
-    norm = np.sqrt(2.0 * (m_axis**2 - 1) / 3.0)
-    return (gray_pam_reference(grouped[..., 0::2])
-            + 1j * gray_pam_reference(grouped[..., 1::2])) / norm
-
-
-def pam_midpoints(scheme):
-    """Midpoints between adjacent PAM levels of the scheme's I (and Q) axis."""
-    levels = np.unique(constellation(scheme)[0].real)
-    return levels, (levels[1:] + levels[:-1]) / 2
 
 
 def qam16_spectra(rng, n_data, n_se):
@@ -191,7 +131,7 @@ class TestMapBits:
         bits = rng.integers(0, 2, shape[:-1] + (shape[-1] * scheme.bits_per_symbol,))
         got = map_symbols(bits, scheme)
         assert got.shape == shape
-        assert got.tobytes() == map_symbols_reference(bits, scheme).tobytes()
+        assert got.tobytes() == map_reference(bits, scheme).tobytes()
 
 
 class TestDetect:
@@ -204,12 +144,9 @@ class TestDetect:
         np.testing.assert_array_equal(detected, points)
 
     def test_matches_bruteforce_argmin(self, rng):
-        points, _ = constellation(ModScheme.QAM16)
         received = rng.standard_normal(100) + 1j * rng.standard_normal(100)
         detected = detect_symbols(received, ModScheme.QAM16)
-        for r, d in zip(received, detected):
-            brute = points[np.argmin(np.abs(r - points) ** 2)]
-            assert d == brute
+        np.testing.assert_array_equal(detected, detect(received, ModScheme.QAM16))
 
 
 class TestSlicer:
@@ -226,7 +163,7 @@ class TestSlicer:
         sent = rng.choice(points, shape)
         received = sent + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         detected = detect_symbols(received, scheme)
-        np.testing.assert_array_equal(detected, detect_reference(received, scheme))
+        np.testing.assert_array_equal(detected, [detect(row, scheme) for row in received])
         assert np.any(detected != sent)  # the noise moves some decisions
 
     @pytest.mark.parametrize("scheme", list(ModScheme))
@@ -234,7 +171,7 @@ class TestSlicer:
         # every pairing of an I and a Q value on a level, on a midpoint or one
         # or two ulp beside it: each axis takes the level above the midpoints
         # strictly below it, so a midpoint takes the lower level
-        levels, mids = pam_midpoints(scheme)
+        levels, mids = pam_levels(scheme)
         axis = [levels, mids]
         for steps in (1, 2):
             up, down = mids, mids
@@ -243,7 +180,7 @@ class TestSlicer:
             axis += [up, down]
         received = axis_grid(np.concatenate(axis))
         assert detect_symbols(received, scheme).tobytes() == \
-            slice_reference(received, scheme).tobytes()
+            slice_symbols(received, scheme).tobytes()
         on_mids = detect_symbols(axis_grid(mids), scheme)
         assert on_mids.tobytes() == axis_grid(levels[:-1]).tobytes()
 
@@ -251,18 +188,21 @@ class TestSlicer:
     def test_out_of_bounds_and_non_finite_match_reference(self, scheme):
         # far out and infinite values take the edge level; NaN compares below
         # every midpoint, so it decides as -inf does: the lowest level
-        axis = np.array([100.0, 1e300, np.inf, -100.0, -1e300, -np.inf, 0.1, np.nan])
-        received = axis_grid(axis)
-        as_lowest = axis_grid(np.where(np.isnan(axis), -np.inf, axis))
+        received = axis_grid(np.array([100.0, 1e300, np.inf, -100.0, -1e300, -np.inf, 0.1, np.nan]))
         assert detect_symbols(received, scheme).tobytes() == \
-            slice_reference(as_lowest, scheme).tobytes()
+            slice_symbols(received, scheme).tobytes()
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
     def test_leading_shapes(self, shape, rng):
         received = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         detected = detect_symbols(received, ModScheme.QAM64)
         assert isinstance(detected, np.ndarray) and detected.shape == shape
-        assert detected.tobytes() == detect_reference(received, ModScheme.QAM64).tobytes()
+        assert detected.tobytes() == detect(received, ModScheme.QAM64).tobytes()
+
+
+# np.fft's synthesis against the explicit float64 DFT sum, relative to the
+# block's largest sample: measured below 1e-15
+DFT_BOUND = 1e-13
 
 
 class TestBandSlices:
@@ -285,6 +225,14 @@ class TestBandSlices:
         back = occupied_bins(x, chain)
         assert back.shape == shape
         assert back.tobytes() == occupied_bins_reference(x, chain).tobytes()
+
+    @pytest.mark.parametrize("chain", CONFIGS, ids=lambda c: f"n_sk{c.n_sk}")
+    @pytest.mark.parametrize("oversample", [1, 4])
+    def test_reference_synthesis_is_the_dft_sum(self, chain, oversample, rng):
+        bins = rng.standard_normal(chain.n_sk) + 1j * rng.standard_normal(chain.n_sk)
+        want = dft_synthesis(bins, chain, oversample)
+        err = np.max(np.abs(time_signal_reference(bins, chain, oversample) - want))
+        assert err <= DFT_BOUND * np.max(np.abs(want))
 
 
 class TestTimeSignalPrecision:
@@ -322,13 +270,8 @@ class TestDftPrecode:
     def test_matches_naive_dft_oracle(self, cfg, rng):
         bits = rng.integers(0, 2, cfg.n_data * 2)
         x = map_symbols(bits, ModScheme.QPSK)
-        n = cfg.n_data
-        k = np.arange(n)
-        oracle = np.array(
-            [np.sum(x * np.exp(-2j * np.pi * kk * k / n)) for kk in k]
-        ) / np.sqrt(n)
-        out = precode(x)
-        np.testing.assert_allclose(out, oracle, atol=1e-9)
+        oracle = dft_matrix(cfg.n_data) @ x / np.sqrt(cfg.n_data)
+        np.testing.assert_allclose(precode(x), oracle, atol=1e-9)
 
     def test_inverse_round_trip(self, cfg, rng):
         from tinyfdss.chain import deprecode
@@ -343,7 +286,7 @@ class TestReciprocalScaling:
     def test_same_bytes_as_the_division(self, cfg, rng):
         for n in (3, 12, 59, cfg.n_data):  # 1/sqrt(n) != sqrt(1/n) for the first three
             x = rng.standard_normal((8, n)) + 1j * rng.standard_normal((8, n))
-            assert precode(x).tobytes() == (np.fft.fft(x) / np.sqrt(n)).tobytes()
+            assert precode(x).tobytes() == precode_reference(x).tobytes()
         rx = rng.standard_normal((8, cfg.n_sk)) + 1j * rng.standard_normal((8, cfg.n_sk))
         numer, gain, recovered = _matched_fold(rx, rng.uniform(0.0, 1.5, cfg.n_sk), cfg.n_se)
         assert recovered.tobytes() == (numer / (gain + GAIN_EPS)).tobytes()
@@ -493,10 +436,7 @@ class TestToTimeDomain:
                                           (7, 15), (1, 1), (15, 15), (0, 8)])
     def test_centered_band_matches_fftshifted_slice(self, width, n):
         # the bins at n//2 - width//2 ... of the DC-centered (fftshifted) grid
-        centered = np.fft.fftshift(np.arange(n))
-        start = n // 2 - width // 2
-        want = centered[start : start + width]
-        np.testing.assert_array_equal(centered_band(width, n), want)
+        np.testing.assert_array_equal(centered_band(width, n), band(width, n))
 
 
 class TestReceiverChain:
@@ -527,9 +467,7 @@ class TestReceiverChain:
     def test_awgn_ser_matches_closed_form(self, cfg):
         # folding the extension copies buys n_data/(n_data - n_se) in SNR
         snr_db = 10.0
-        gamma = 10 ** (snr_db / 10) * cfg.n_data / (cfg.n_data - cfg.n_se)
-        p_axis = 0.5 * math.erfc(math.sqrt(gamma / 2))
-        theory = 2 * p_axis - p_axis**2
+        theory = qpsk_ser(snr_db, cfg.n_data, cfg.n_se)
         taps = unit_taps(cfg.n_sk)
         errors = total = 0
         n_blocks = 480  # ~1e5 symbols
@@ -651,12 +589,6 @@ class TestReceive:
             np.testing.assert_array_equal(det_b.values, detected[b])
 
 
-def receive_reference(rx, h, taps, n_se, scheme):
-    """The receive step before the effective taps: divide out the fade, then equalize."""
-    equalized = equalize(rx / h, taps, n_se)
-    return detect_symbols(equalized, scheme), equalized
-
-
 class TestEffectiveTaps:
     """``receive`` with the taps ``h * taps`` against dividing the fade out first.
 
@@ -691,7 +623,7 @@ class TestEffectiveTaps:
         if not batch:
             rx, h, taps = rx[0], h[0, 0], taps[0]
         detected, equalized = receive(rx, h * taps, cfg.n_se, scheme)
-        want_det, want_eq = receive_reference(rx, h, taps, cfg.n_se, scheme)
+        want_det, want_eq = receive_reference(rx / h, taps, cfg.n_se, scheme)
         assert detected.shape == equalized.shape == want_eq.shape
         _, gain, recovered = _matched_fold(rx / h, taps, cfg.n_se)
         abs2 = np.abs(h) ** 2
@@ -702,7 +634,7 @@ class TestEffectiveTaps:
         # the detections agree wherever the reference is clear of every midpoint:
         # at the drawn fades that is every symbol, while a 1e-4 deep fade's
         # guard shift can move a few
-        _, mids = pam_midpoints(scheme)
+        _, mids = pam_levels(scheme)
         near = np.zeros(want_eq.shape, dtype=bool)
         for axis in (want_eq.real, want_eq.imag):
             near |= np.any(np.abs(axis[..., None] - mids) <= tol[..., None], axis=-1)

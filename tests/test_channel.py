@@ -38,6 +38,8 @@ from tinyfdss.channel import (
 )
 from tinyfdss.filters import unit_taps
 
+from reference import draw_block
+
 
 def make_bins(cfg, rng):
     """One unit-tap QPSK block's occupied bins at fixed transmit power."""
@@ -215,19 +217,10 @@ class TestDrawBlocks:
         for row, (index, scheme, channel) in enumerate(zip(indices, schemes, channels)):
             want = block_rng(seed, stream, *prefix, index)
             assert leading[row] == [want.random() for _ in range(n_lead)]
-            if draws_mod:
-                bits = want.integers(0, 2, n_symbols * scheme.bits_per_symbol)
-                assert symbols[row].tobytes() == map_symbols(bits, scheme).tobytes()
-            else:
-                assert not symbols[row].any()
-            if draws_channel:
-                fade = np.complex128(draw_fade(channel.model, want, channel.k_linear))
-                parts = want.standard_normal((2, n_noise))
-                assert fades[row, 0].tobytes() == fade.tobytes()
-                assert noise[row].real.tobytes() == parts[0].tobytes()
-                assert noise[row].imag.tobytes() == parts[1].tobytes()
-            else:
-                assert fades[row, 0] == 1 and not noise[row].any()
+            for got, oracle in zip((symbols[row], fades[row, 0], noise[row]), draw_block(
+                    want, scheme if draws_mod else None, channel if draws_channel else None,
+                    n_symbols, n_noise)):
+                assert got.tobytes() == oracle.tobytes()
             # the generator goes on where the oracle's draws leave it
             assert gens[row].bit_generator.random_raw() == want.bit_generator.random_raw()
 
@@ -362,9 +355,7 @@ class TestDrawThenApply:
         parts = np.empty((2, 16))
         draw_channel(ChannelCfg(model), np.random.default_rng(3), parts)
         noise = unit_noise(parts)
-        ref = np.random.default_rng(3)
-        draw_fade(model, ref, ChannelCfg(model).k_linear)
-        want = ref.standard_normal(16) + 1j * ref.standard_normal(16)
+        _, _, want = draw_block(np.random.default_rng(3), None, ChannelCfg(model), 0, 16)
         assert noise.tobytes() == want.tobytes()
         batch = unit_noise(np.stack([np.zeros((2, 16)), [np.ones(16), np.full(16, 2.0)]]))
         assert batch.tobytes() == np.stack([np.zeros(16), np.full(16, 1 + 2j)]).tobytes()

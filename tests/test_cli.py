@@ -166,9 +166,7 @@ class TestConfig:
         ("train", "eval", {"oobe_blocks": 9}, "eval: oobe_blocks must be >= 10, got 9"),
         ("baselines", "eval", {"ccdf_blocks": 5}, "eval: ccdf_blocks must be >= 10"),
         ("baselines", "eval", {"ccdf_blocks": 12},
-         "eval: oobe_blocks must be <= min(ccdf_blocks, 2048) = 12, got 16"),
-        ("baselines", "eval", {"ccdf_blocks": 2100, "oobe_blocks": 2050},
-         "eval: oobe_blocks must be <= min(ccdf_blocks, 2048) = 2048, got 2050"),
+         "eval: oobe_blocks must be <= ccdf_blocks = 12, got 16"),
         ("train", "train", {"target_sparsity": 1.0},
          "train: target_sparsity must be in [0, 1), got 1.0"),
         ("train", "train", {"target_sparsity": 0.9999},
@@ -228,7 +226,7 @@ class TestConfig:
         "baselines-unknown", "adapt-preset", "hidden_widths-negative",
         "hidden_width-negative", "channel_mix-negative-weight", "mod_mix-negative-weight",
         "papr_trace_blocks-negative", "oobe_blocks-zero", "oobe_blocks-nine",
-        "ccdf_blocks-five", "oobe_blocks-above-ccdf_blocks", "oobe_blocks-above-chunk",
+        "ccdf_blocks-five", "oobe_blocks-above-ccdf_blocks",
         "target_sparsity-one", "target_sparsity-no-live-weight",
         "target_sparsity-perceptron-no-live-weight", "lr-nan", "lr-negative", "weight_decay-inf",
         "weight_decay-negative", "eval-rician_k_db-nan", "train-rician_k_db-inf",
@@ -272,6 +270,12 @@ class TestConfig:
         path = tmp_path / "bound.json"
         path.write_text(json.dumps({"train": {"hidden_width": 0, "target_sparsity": 0.9995}}))
         assert load_config(path)["train"].target_sparsity == 0.9995
+
+    def test_oobe_blocks_past_2048_load(self, tmp_path):
+        # the OOBE periodogram streams, so ccdf_blocks is oobe_blocks' only cap
+        path = tmp_path / "oobe.json"
+        path.write_text(json.dumps({"eval": {"ccdf_blocks": 2100, "oobe_blocks": 2050}}))
+        assert load_config(path)["eval"].oobe_blocks == 2050
 
     def test_defaults_fill_in(self, tmp_path):
         path = tmp_path / "minimal.json"

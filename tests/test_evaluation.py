@@ -7,17 +7,23 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tinyfdss import baselines, channel, evaluation, metrics, network
-from tinyfdss.baselines import (clf_reduce, clip_amplitude, conventional_config,
-                                slm_phase_vectors, slm_select)
+from tinyfdss.baselines import clf_reduce, conventional_config, slm_phase_vectors, slm_select
 from tinyfdss.chain import (SCHEME_NAMES, ChainConfig, ModScheme, detect_symbols, equalize,
-                            occupied_bins, receive, time_signal)
-from tinyfdss.channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_fade
-from tinyfdss.evaluation import SCHEMES, CellResult, EvalConfig, evaluate
+                            time_signal)
+from tinyfdss.channel import MODEL_NAMES
+from tinyfdss.evaluation import SCHEMES, EvalConfig, evaluate
 from tinyfdss.filters import unit_taps
 from tinyfdss.metrics import papr_at_ccdf, papr_db, tile_rows, waveform_papr_db
 from tinyfdss.training import TrainConfig, train
+
+from reference import clf as clf_reference
+from reference import eval_cells, eval_channel_draw, eval_draw, qpsk_ser
+from reference import slm as slm_reference
+from reference import waveform_papr_db as papr_reference
 
 
 @pytest.fixture(scope="module")
@@ -232,43 +238,30 @@ class TestEvaluate:
     def test_dftsofdm_ser_matches_closed_form(self):
         # conventional chain has no extension folding, so the per-symbol SNR
         # equals the configured value exactly and the Q-function applies as-is
-        import math
-
         snr_db = 10.0
-        gamma = 10 ** (snr_db / 10)
-        p_axis = 0.5 * math.erfc(math.sqrt(gamma / 2))
-        theory = 2 * p_axis - p_axis**2
+        theory = qpsk_ser(snr_db)
         eval_cfg = EvalConfig(
             snr_db=(snr_db,), channels=("awgn",), mods=("qpsk",),
             n_blocks=500, ccdf_blocks=100, oobe_blocks=16, seed=12,
             schemes=("dftsofdm",),
         )
         cell = evaluate(None, eval_cfg, ChainConfig()).cells[0]
-        sem = math.sqrt(theory * (1 - theory) / cell.ser_total)
+        sem = np.sqrt(theory * (1 - theory) / cell.ser_total)
         assert abs(cell.ser - theory) <= 3 * sem
 
 
 class TestDrawsMatchPerBlockRng:
     """Eval's two ``draw_blocks`` calls against one ``block_rng`` per block, bytewise."""
 
-    def test_data_symbols_bits(self, monkeypatch):
-        eval_cfg = EvalConfig(mods=("qpsk", "qam16", "qam64"), seed=14)
-        conv = conventional_config(ChainConfig())
-        bits_seen = []
-        real = channel.map_symbols
-
-        def recording(bits, scheme):
-            bits_seen.append(bits)
-            return real(bits, scheme)
-
-        monkeypatch.setattr(channel, "map_symbols", recording)
+    def test_data_symbols_bits(self):
         indices = np.array([0, 1, 5, 2047, 2048, 19_999])
-        for mod_i, (mod, scheme) in enumerate(SCHEME_NAMES.items()):
-            evaluation._draw(ChainConfig(), eval_cfg.seed, mod, indices)
-            n_bits = conv.n_data * scheme.bits_per_symbol
-            for row, idx in enumerate(indices):
-                want = block_rng(eval_cfg.seed, Stream.EVAL_DATA, mod_i, int(idx))
-                assert bits_seen[-1][row].tobytes() == want.integers(0, 2, n_bits).tobytes()
+        for mod in SCHEME_NAMES:
+            got, want = (draw(ChainConfig(), 14, mod, indices)
+                         for draw in (evaluation._draw, eval_draw))
+            for a, b in ((got.ext, want.ext), (got.conv, want.conv)):
+                assert a.cfg == b.cfg
+                for name in ("bins", "taps", "symbols"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     def test_draw_channels_fades_and_noise(self):
         eval_cfg = EvalConfig(snr_db=(0.0, 12.5), channels=("awgn", "rayleigh", "rician"),
@@ -278,42 +271,29 @@ class TestDrawsMatchPerBlockRng:
                                                 range(len(eval_cfg.snr_db))):
             h, noise = evaluation._cell_draws(eval_cfg, channel_name, mod, snr_i, n,
                                               np.arange(eval_cfg.n_blocks))
-            model = MODEL_NAMES[channel_name]
-            k_linear = ChannelCfg(model, k_factor_db=eval_cfg.rician_k_db).k_linear
-            coords = (list(MODEL_NAMES).index(channel_name), list(SCHEME_NAMES).index(mod), snr_i)
             assert h.shape == (eval_cfg.n_blocks, 1) and noise.shape == (eval_cfg.n_blocks, n)
             for idx in range(eval_cfg.n_blocks):
-                rng = block_rng(eval_cfg.seed, Stream.EVAL_CHANNEL, *coords, idx)
-                fade = np.complex128(draw_fade(model, rng, k_linear))
-                want = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                fade, want = eval_channel_draw(eval_cfg, channel_name, mod, snr_i, idx, n)
                 assert h[idx].tobytes() == fade.tobytes()
                 assert noise[idx].tobytes() == want.tobytes()
 
 
-def scheme_outer_cells(cfg, eval_cfg, rules):
-    """The grid one (scheme, mod) group after another, every cell transmitting
-    and drawing its fades and noise per block with its own ``block_rng``."""
-    n = cfg.n_sk
-    cells = []
-    for scheme, channel_name, mod in product(eval_cfg.schemes, eval_cfg.channels, eval_cfg.mods):
-        draw = evaluation._draw(cfg, eval_cfg.seed, mod, np.arange(eval_cfg.n_blocks))
-        model = MODEL_NAMES[channel_name]
-        k_linear = ChannelCfg(model, k_factor_db=eval_cfg.rician_k_db).k_linear
-        for snr_i, snr_db in enumerate(eval_cfg.snr_db):
-            tx = rules[scheme](draw, snr_db)
-            coords = (list(MODEL_NAMES).index(channel_name), list(SCHEME_NAMES).index(mod), snr_i)
-            h = np.empty((eval_cfg.n_blocks, 1), dtype=np.complex128)
-            noise = np.empty((eval_cfg.n_blocks, n), dtype=np.complex128)
-            for idx in range(eval_cfg.n_blocks):
-                rng = block_rng(eval_cfg.seed, Stream.EVAL_CHANNEL, *coords, idx)
-                h[idx] = draw_fade(model, rng, k_linear)
-                noise[idx] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            rx = channel.add_channel(tx.bins, h, noise, snr_db)
-            detected, _ = receive(rx, h * tx.taps, tx.cfg.n_se, SCHEME_NAMES[mod])
-            ser, _, total = metrics.measured_ser(tx.symbols, detected)
-            cells.append(CellResult(scheme, channel_name, mod, snr_db, ser, total,
-                                    float(tx.waveform_papr.mean())))
-    return cells
+# chain layouts for the grid property: the default, even and odd n_sk, and no extension
+GRID_CHAINS = [ChainConfig(), ChainConfig(n_data=24, n_se=4, n_fft=64),
+               ChainConfig(n_data=25, n_se=3, n_fft=64, oversample=2),
+               ChainConfig(n_data=30, n_se=0, n_fft=32)]
+
+
+@st.composite
+def small_evals(draw):
+    """Eval configs of a few blocks over any schemes, channels, modulations and SNRs."""
+    def some(names):
+        return tuple(draw(st.lists(st.sampled_from(list(names)), min_size=1, unique=True)))
+    return EvalConfig(
+        snr_db=tuple(draw(st.lists(st.floats(-5.0, 25.0), min_size=1, max_size=2, unique=True))),
+        channels=some(MODEL_NAMES), mods=some(SCHEME_NAMES), schemes=some(SCHEMES),
+        n_blocks=draw(st.integers(1, 6)), rician_k_db=draw(st.sampled_from([-3.0, 3.0, 10.0])),
+        use_quantized=draw(st.booleans()), seed=draw(st.integers(0, 2**32 - 1)))
 
 
 class TestGrid:
@@ -323,10 +303,17 @@ class TestGrid:
         schemes=tuple(SCHEMES),
     )
 
-    def test_cells_equal_scheme_outer_reference(self, small_ckpt):
+    @settings(max_examples=12, deadline=None)
+    @given(cfg=st.sampled_from(GRID_CHAINS), eval_cfg=small_evals(),
+           net_seed=st.integers(0, 2**32 - 1))
+    @example(cfg=ChainConfig(), eval_cfg=EVAL, net_seed=0)
+    def test_cells_equal_scheme_outer_reference(self, cfg, eval_cfg, net_seed):
         # every scheme through each cell's one draw gives each cell the bytes
         # of that cell transmitted and drawn on its own
-        self.check_against_reference(small_ckpt)
+        net = network.init_params(np.random.default_rng(net_seed), hidden_width=8,
+                                  input_dim=cfg.n_sk + 1)
+        self.check_against_reference(cfg, eval_cfg, network.quantize(net)
+                                     if eval_cfg.use_quantized else net)
 
     def test_chunked_cells_equal_scheme_outer_reference(self, small_ckpt, monkeypatch):
         # the grid streams its 12 blocks as two full chunks and a partial
@@ -340,15 +327,17 @@ class TestGrid:
                 yield chunk
 
         monkeypatch.setattr(evaluation, "_chunks", recording)
-        self.check_against_reference(small_ckpt)
+        self.check_against_reference(ChainConfig(), self.EVAL,
+                                     small_ckpt.deployed_net(self.EVAL.use_quantized))
         assert sizes == [5, 5, 2] * len(self.EVAL.mods)
 
-    def check_against_reference(self, small_ckpt):
-        eval_cfg, cfg = self.EVAL, ChainConfig()
-        rules = evaluation._rules(cfg, eval_cfg, small_ckpt.deployed_net(eval_cfg.use_quantized))
+    @staticmethod
+    def check_against_reference(cfg, eval_cfg, net):
+        rules = evaluation._rules(cfg, eval_cfg, net)
         got = [astuple(c) for c in evaluation._grid(cfg, eval_cfg, rules)]
-        want = [astuple(c) for c in scheme_outer_cells(cfg, eval_cfg, rules)]
-        assert len(got) == 6 * 2 * 2 * 2
+        want = [astuple(c) for c in eval_cells(cfg, eval_cfg, rules)]
+        assert len(got) == len(eval_cfg.schemes) * len(eval_cfg.channels) * len(
+            eval_cfg.mods) * len(eval_cfg.snr_db)
         assert repr(got) == repr(want)
 
 
@@ -368,23 +357,15 @@ class TestBaselineTransmit:
         draw, result = run
         conv = conventional_config(ChainConfig())
         phases = slm_phase_vectors(self.EVAL.slm, conv.n_data)
-        every = [papr_db(time_signal((draw.conv.bins * phases[u]).astype(np.complex64), conv))
-                 for u in range(len(phases))]
-        np.testing.assert_array_equal(result.papr_samples["slm"], np.min(every, axis=0))
+        _, want = slm_reference(draw.conv.bins, phases, conv)
+        assert result.papr_samples["slm"].tobytes() == want.tobytes()
 
     def test_clf_samples_match_reference_loop(self, run):
         draw, result = run
-        conv, clf = conventional_config(ChainConfig()), self.EVAL.clf
-        x = time_signal(draw.conv.bins, conv)
-        rms = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True))
-        level = rms * 10 ** (clf.clip_ratio_db / 20)
-        for i in range(clf.iterations):
-            if i:
-                x = time_signal(bins, conv)
-            bins = occupied_bins(clip_amplitude(x, level), conv)
+        conv = conventional_config(ChainConfig())
         # the rounds in float64, the result's PAPR by the complex64 rule
-        x = time_signal(bins.astype(np.complex64), conv)
-        np.testing.assert_array_equal(result.papr_samples["clf"], papr_db(x))
+        want = papr_reference(clf_reference(draw.conv.bins, self.EVAL.clf, conv), conv)
+        assert result.papr_samples["clf"].tobytes() == want.tobytes()
 
     def test_noise_free_slm_link_recovers_every_symbol(self, run):
         # the chosen phases are the receiver taps: its matched filter derotates
@@ -534,18 +515,6 @@ def set_tile_rows(monkeypatch, cfg, rows):
     assert tile_rows(cfg) == rows
 
 
-def untiled_clf(bins, clf, cfg):
-    """``clf_reduce`` on the whole batch at once: the rounds before tiling."""
-    x = time_signal(bins, cfg)
-    level = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)) * 10.0 ** (
-        clf.clip_ratio_db / 20.0)
-    for i in range(clf.iterations):
-        if i:
-            x = time_signal(bins, cfg)
-        bins = occupied_bins(clip_amplitude(x, level), cfg)
-    return bins
-
-
 class TestTiling:
     """Waveforms are synthesized per tile; the tile size changes no output."""
 
@@ -577,7 +546,7 @@ class TestTiling:
         s = evaluation._draw(ChainConfig(), self.EVAL.seed, "qpsk", np.arange(17)).conv.bins
         s[[0, 3, 6, 7, 16]] = 0.0
         got = clf_reduce(s, self.EVAL.clf, conv)
-        assert got.tobytes() == untiled_clf(s, self.EVAL.clf, conv).tobytes()
+        assert got.tobytes() == clf_reference(s, self.EVAL.clf, conv).tobytes()
         assert not np.any(got[[0, 3, 6, 7, 16]])
 
     @pytest.mark.parametrize("rows", [7, None])
@@ -588,7 +557,7 @@ class TestTiling:
         s = evaluation._draw(ChainConfig(), self.EVAL.seed, "qpsk",
                              np.arange(2 * tile_rows(conv) + 3)).conv.bins
         np.testing.assert_array_equal(clf_reduce(s, self.EVAL.clf, conv),
-                                      untiled_clf(s, self.EVAL.clf, conv))
+                                      clf_reference(s, self.EVAL.clf, conv))
 
 
 class TestTiledMemory:

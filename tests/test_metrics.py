@@ -18,6 +18,8 @@ from tinyfdss.metrics import (
     waveform_papr_db,
 )
 
+from reference import qpsk_ser
+
 # the single-precision PAPR rule's distance from the float64 synthesis
 SINGLE_PRECISION_BOUND_DB = 1e-5
 
@@ -179,8 +181,7 @@ class TestErrorMetrics:
         # raw constellation + AWGN at 10 dB against the Q-function formula
         snr_db = 10.0
         gamma = 10 ** (snr_db / 10)
-        p_axis = 0.5 * math.erfc(math.sqrt(gamma / 2))
-        theory = 2 * p_axis - p_axis**2
+        theory = qpsk_ser(snr_db)
         rng = np.random.default_rng(8)
         n = 100_000
         bits = rng.integers(0, 2, 2 * n)

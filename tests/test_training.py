@@ -22,14 +22,11 @@ from tinyfdss.chain import (
     shape_and_normalize,
     time_signal,
 )
-from tinyfdss.channel import (MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_channel,
-                              noise_term, unit_noise)
-from tinyfdss.filters import coeff_basis, taps_from_coeffs
-from tinyfdss.metrics import SURROGATE_SHARPNESS, TAIL_X0_DB
+from tinyfdss.channel import MODEL_NAMES, Stream, block_rng
+from tinyfdss.filters import taps_from_coeffs
 from tinyfdss.training import (
     OUT_INIT_SCALE,
     PREP_BATCHES,
-    BatchPrep,
     TrainConfig,
     _mix_sampler,
     chain_loss,
@@ -39,6 +36,8 @@ from tinyfdss.training import (
     save_checkpoint,
     train,
 )
+
+from reference import mix_choice, tail_gradient, train_batch
 
 SMOKE = dict(n_blocks=500, epochs=2, batch_size=32)
 
@@ -87,44 +86,6 @@ class TestGenerateBlock:
             TrainConfig(channel_mix=(("underwater", 1.0),))
 
 
-def per_row_prepare_batch(config, indices, table):
-    """The per-block loop ``prepare_batch`` once ran, as a byte-exact reference.
-
-    Also returns the (modulation, channel model) pairs the batch drew.
-    """
-    cfg = config.chain
-    b = len(indices)
-    symbols = np.empty((b, cfg.n_data), dtype=np.complex128)
-    s_ext = np.empty((b, cfg.n_sk), dtype=np.complex128)
-    eta = np.empty((b, cfg.n_sk), dtype=np.complex128)
-    snr = np.empty(b)
-    lam = np.empty(b)
-    drawn = set()
-    mods, w_mod = zip(*config.mod_mix)
-    models, w_model = zip(*config.channel_mix)
-    w_mod, w_model = np.array(w_mod), np.array(w_model)
-    for row, idx in enumerate(indices):
-        rng = np.random.default_rng((config.seed, 0, int(idx)))
-        scheme = SCHEME_NAMES[mods[rng.choice(len(mods), p=w_mod / w_mod.sum())]]
-        snr_db = float(rng.uniform(*config.snr_range_db))
-        model = MODEL_NAMES[models[rng.choice(len(models), p=w_model / w_model.sum())]]
-        bits = rng.integers(0, 2, cfg.n_data * scheme.bits_per_symbol)
-        symbols[row] = map_symbols(bits, scheme)
-        s_ext[row] = extend(precode(symbols[row]), cfg.n_se)
-        parts = np.empty((2, cfg.n_sk))
-        h = draw_channel(ChannelCfg(model), rng, parts)
-        noise = unit_noise(parts)
-        snr[row] = snr_db
-        lam[row] = table.lookup(snr_db)
-        # the channel's noise on the block's unshaped bins, fade-compensated
-        eta[row] = noise_term(s_ext[row], noise, snr_db) / h
-        drawn.add((scheme, model))
-    features = network.build_input(s_ext, snr, expected_len=cfg.n_sk)
-    prep = BatchPrep(symbols=symbols, s_ext=s_ext, features=features, eta=eta,
-                     lam=lam, indices=np.asarray(indices))
-    return prep, drawn
-
-
 class TestPrepareBatch:
     def test_matches_per_row_reference_byte_for_byte(self, table):
         config = TrainConfig(
@@ -132,7 +93,7 @@ class TestPrepareBatch:
             channel_mix=(("awgn", 0.3), ("rayleigh", 0.3), ("rician", 0.4)),
         )
         indices = np.random.default_rng(0).permutation(config.n_blocks)[:48]
-        want, drawn = per_row_prepare_batch(config, indices, table)
+        want, drawn = train_batch(config, indices)
         # every modulation meets every channel model in this batch
         assert {(s.name, m.name) for s, m in drawn} == {
             (s, m) for s in ("QPSK", "QAM16") for m in ("AWGN", "RAYLEIGH", "RICIAN")
@@ -146,7 +107,7 @@ class TestPrepareBatch:
     def test_degenerate_mixes_match_per_row_reference(self, table, mod_mix, channel_mix):
         config = TrainConfig(**SMOKE, seed=22, mod_mix=mod_mix, channel_mix=channel_mix)
         indices = np.random.default_rng(1).permutation(config.n_blocks)[:40]
-        want, drawn = per_row_prepare_batch(config, indices, table)
+        want, drawn = train_batch(config, indices)
         assert drawn <= {(SCHEME_NAMES[s], MODEL_NAMES[m])
                          for s, ws in mod_mix if ws > 0 for m, wm in channel_mix if wm > 0}
         assert_preps_equal(prepare_batch(config, indices, table), want)
@@ -174,35 +135,9 @@ class TestMixSampler:
         weights = [w / sum(raw) for w in raw]
         assume(abs(sum(weights) - 1.0) <= 1e-9)  # TrainConfig's sum check
         config = TrainConfig(mod_mix=tuple(("qpsk", w) for w in weights))
-        w = np.array([w for _, w in config.mod_mix])
         want, got = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _mix_sampler(config.mod_mix)(got) == want.choice(len(w), p=w / w.sum())
+        assert _mix_sampler(config.mod_mix)(got) == mix_choice(want, config.mod_mix)
         assert got.random() == want.random()
-
-
-def fft_tail_gradient(coeffs, prep, cfg):
-    """The tail term's coefficient gradient by an FFT of the waveform's
-    cotangent ``x_bar`` on the whole oversampled grid: the oracle of
-    ``chain_loss``'s closed form."""
-    batch = len(coeffs)
-    taps = taps_from_coeffs(coeffs, cfg.n_sk)
-    x = time_signal(prep.s_ext * taps, cfg)
-    n_os = x.shape[-1]
-    power = np.abs(x) ** 2
-    peak_idx = np.argmax(power, axis=-1)
-    rows = np.arange(batch)
-    peak = power[rows, peak_idx]
-    mean_pow = power.mean(axis=-1)
-    papr = 10.0 * np.log10(peak / mean_pow)
-    z = SURROGATE_SHARPNESS * (papr - TAIL_X0_DB)
-    w_papr = prep.lam / (1.0 + np.exp(-z)) / batch
-    c_log = 10.0 / np.log(10.0)
-    x_bar = x * (-2.0 * w_papr / (n_os * mean_pow) * c_log)[:, None]
-    x_bar[rows, peak_idx] += x[rows, peak_idx] * (2.0 * w_papr * c_log / peak)
-    shaped_bar = (np.fft.fft(x_bar, axis=-1)[..., centered_band(cfg.n_sk, n_os)]
-                  * (1.0 / np.sqrt(cfg.n_fft)))
-    d_taps = np.real(shaped_bar * np.conj(prep.s_ext))
-    return d_taps @ coeff_basis(cfg.n_sk, coeffs.shape[-1])
 
 
 class TestChainLossGradient:
@@ -262,7 +197,8 @@ class TestChainLossGradient:
         monkeypatch.undo()
 
         _, mse_grad = chain_loss(coeffs, dataclasses.replace(prep, lam=np.zeros(32)), cfg)
-        want = mse_grad + fft_tail_gradient(coeffs, prep, cfg)
+        want = mse_grad + np.array([tail_gradient(*row, cfg) / 32
+                                    for row in zip(coeffs, prep.s_ext, prep.lam)])
         assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
         for row in (0, 1):  # the boundary peaks, each on its own scale
             assert np.max(np.abs(grad[row] - want[row])) <= 1e-12 * np.max(np.abs(want[row]))

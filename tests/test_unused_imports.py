@@ -1,4 +1,5 @@
-"""No module imports a name it never uses (a package ``__init__`` re-exports)."""
+"""No module imports a name it never uses (a package ``__init__`` re-exports),
+and no function of ``tests/reference.py`` outlives the tests that call it."""
 
 import ast
 from pathlib import Path
@@ -23,6 +24,24 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def uncalled(reference: str, tests: list[str]) -> list[str]:
+    """The functions ``reference`` defines that no test reaches, in definition
+    order: a test imports them from ``reference`` (and reads them, by the rule
+    above), or a reached reference function names them."""
+    defs = {node.name: node for node in ast.parse(reference).body
+            if isinstance(node, ast.FunctionDef)}
+    reached = [alias.name for source in tests for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ImportFrom) and node.module == "reference"
+               for alias in node.names]
+    seen = set()
+    while reached:
+        name = reached.pop()
+        if name in defs and name not in seen:
+            seen.add(name)
+            reached += [node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)]
+    return [name for name in defs if name not in seen]
+
+
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
@@ -32,3 +51,14 @@ def test_the_scan_sees_an_unused_name():
     source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nprint(np, e)\n"
     assert unused_imports(source) == ["os", "c"]
     assert FILES  # the folders were found
+
+
+def test_every_reference_function_is_called_by_a_test():
+    tests = [path.read_text() for path in sorted((ROOT / "tests").glob("test_*.py"))]
+    assert uncalled((ROOT / "tests" / "reference.py").read_text(), tests) == []
+
+
+def test_the_scan_sees_an_uncalled_reference_function():
+    reference = "def a():\n    return b()\n\n\ndef b():\n    pass\n\n\ndef c():\n    pass\n"
+    assert uncalled(reference, ["from reference import a\n"]) == ["c"]
+    assert uncalled(reference, ["import reference\n"]) == ["a", "b", "c"]
