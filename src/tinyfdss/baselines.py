@@ -2,7 +2,8 @@
 
 Clipping-and-filtering amplitude-limits the time signal and removes the
 out-of-allocation spectral regrowth, iterated a configurable number of times;
-``clf_reduce`` returns the filtered occupied bins of its last round.
+the rounds run in single precision, and ``clf_reduce`` returns the filtered
+occupied bins of its last round in complex128.
 Selective mapping transmits the minimum-PAPR candidate among phase-rotated
 copies of the frequency-domain symbols (candidate 0 is always the identity,
 so SLM never does worse than the unmodified block); ``slm_select`` returns the
@@ -26,7 +27,7 @@ import numpy as np
 
 from .chain import ChainConfig, centered_band, extend, occupied_bins, time_signal
 from .channel import Stream, block_rng
-from .metrics import by_tiles, single_precision, waveform_papr_db
+from .metrics import by_tiles, row_scale, single_precision, waveform_papr_db
 
 SLM_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
 # how far a candidate's critical-rate PAPR (dB) may exceed the running minimum
@@ -73,15 +74,17 @@ def clip_amplitude(x: np.ndarray, level: np.ndarray | float, *, mag: np.ndarray 
                    out: np.ndarray | None = None) -> np.ndarray:
     """Hard amplitude clip: |y_n| <= level with phases preserved.
 
-    Each sample is multiplied by ``fmin(level / max(|x|, 1e-300), 1)``: by
+    Each sample is multiplied by ``fmin(level / max(|x|, guard), 1)``: by
     exactly 1 at or below the level, and where the ratio is NaN (a NaN
     sample or level, inf over inf), so the bytes are those of the
-    ``np.where(|x| > level, level / max(|x|, 1e-300), 1.0)`` form except
-    where 0 < |x| <= level < 1e-300.  ``mag`` is |x| if the caller has it,
-    and is overwritten with the scale; ``out=x`` clips in place.
+    ``np.where(|x| > level, level / max(|x|, guard), 1.0)`` form except
+    where 0 < |x| <= level < guard.  The guard is a normal number of |x|'s
+    precision: 1e-300 in float64 and float32's smallest normal, ~1.2e-38,
+    in float32 (CLF's rounds).  ``mag`` is |x| if the caller has it, and is
+    overwritten with the scale; ``out=x`` clips in place.
     """
     scale = np.abs(x) if mag is None else mag
-    np.maximum(scale, 1e-300, out=scale)
+    np.maximum(scale, max(1e-300, np.finfo(scale.dtype).tiny), out=scale)
     np.divide(level, scale, out=scale)
     np.fmin(scale, 1.0, out=scale)
     return np.multiply(x, scale, out=out)
@@ -92,7 +95,12 @@ def clf_reduce(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray
 
     The clip level is fixed from the input signal's RMS; filtering keeps only
     the occupied bins, which restores the spectrum but regrows the peaks --
-    the classic CLF behavior.  The rounds run one tile of blocks at a time.
+    the classic CLF behavior.  The rounds run one tile of blocks at a time,
+    in single precision: each row enters them as
+    :func:`metrics.single_precision` casts it, its power-of-two
+    :func:`metrics.row_scale` kept, and the result is complex128 at the
+    input's scale, exactly.  Each block's PAPR lies within ~4e-6 dB of the
+    float64 rounds', and its bins within ~5e-7 of the row's peak.
     """
     return by_tiles(lambda tile: _clf_rounds(tile, clf, cfg), bins, cfg)
 
@@ -100,6 +108,8 @@ def clf_reduce(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray
 def _clf_rounds(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
     """Each round synthesizes, takes |x| once (round 1 also sets the level
     from it) and clips the grid in place before filtering."""
+    pow2 = row_scale(bins)
+    bins = single_precision(bins, pow2)
     level = None
     for _ in range(clf.iterations):
         x = time_signal(bins, cfg)
@@ -111,7 +121,9 @@ def _clf_rounds(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarra
         clip_amplitude(x, level, mag=mag, out=x)
         del mag  # the scale, freed before the filtering FFT
         bins = occupied_bins(x, cfg)
-    return bins
+    out = bins.astype(np.complex128)
+    out /= pow2  # exact: a power of two
+    return out
 
 
 # ---------------------------------------------------------------------------

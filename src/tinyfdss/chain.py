@@ -281,16 +281,25 @@ def occupied_bins(signal: np.ndarray, cfg: ChainConfig) -> np.ndarray:
     """Recover the n_sk occupied bins from a time-domain grid (inverse mapping).
 
     The band is read as the same two slices :func:`time_signal` writes, and
-    only those n_sk bins are scaled.
+    only those n_sk bins are scaled.  The bins keep the grid's precision, as
+    in :func:`time_signal`: a complex64 grid (CLF's rounds) gives complex64
+    bins, any other input complex128 ones.  A complex64 grid is transformed
+    with ``norm="forward"`` and its bins scaled by sqrt(n_fft): the default
+    norm's integer factor runs complex64 through numpy's complex128 loop,
+    ~5x slower.
     """
-    signal = np.asarray(signal, dtype=np.complex128)
+    signal = np.asarray(signal)
+    single = signal.dtype == np.complex64
+    if not single:
+        signal = signal.astype(np.complex128, copy=False)
     n = signal.shape[-1]
     if n % cfg.n_fft != 0:
         raise ValueError(f"signal length {n} not a multiple of n_fft={cfg.n_fft}")
-    spectrum = np.fft.fft(signal, axis=-1)
+    spectrum = np.fft.fft(signal, axis=-1, norm="forward" if single else None)
     half = cfg.n_sk // 2
     bins = np.concatenate([spectrum[..., n - half :], spectrum[..., : cfg.n_sk - half]], axis=-1)
-    bins *= np.sqrt(cfg.n_fft) / n
+    # a Python float keeps a complex64 grid's loop complex64
+    bins *= math.sqrt(cfg.n_fft) if single else math.sqrt(cfg.n_fft) / n
     return bins
 
 

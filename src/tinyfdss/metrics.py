@@ -11,8 +11,10 @@ the float64 synthesis, against a ~0.06 dB sampling interval of the 1e-3
 quantile.  SLM's candidate search measures each candidate first on the
 critical-rate grid by the same rule, a lower bound on its oversampled PAPR,
 and synthesizes the oversampled waveform only of candidates that bound does
-not rule out (``baselines.slm_select``).  The links, CLF's rounds, the OOBE
-periodogram and training's gradients stay float64.
+not rule out (``baselines.slm_select``).  CLF's rounds run in single
+precision too, from :func:`single_precision`'s scaled bins, and return
+complex128 (``baselines.clf_reduce``).  The links, the OOBE periodogram and
+training's gradients stay float64.
 """
 
 from __future__ import annotations
@@ -25,12 +27,9 @@ TAIL_X0_DB = 6.0
 SURROGATE_SHARPNESS = 4.0  # softplus sharpness of the tail surrogate
 OOBE_MIN_BLOCKS = 10  # periodogram segments oobe_db averages at the least
 OOBE_PAD = 4  # zero-padding factor of each oobe_db periodogram segment
-# bytes of one tile's complex128 oversampled grid (CLF's rounds; the PAPR
-# rule's complex64 tiles take half; a periodogram tile's zero-padded
-# spectrum, OOBE_PAD times longer, takes it all).  It bounds a batch's
-# working set, not its cache footprint: a CLF round holds two tiles at most
-# (its grid with |x| and |x|^2, then its grid and the filtering FFT's), more
-# than a 2 MiB L2
+# bytes of one tile's complex128 oversampled grid: the complex64 tiles of
+# CLF's rounds and the PAPR rule take half, a periodogram tile's zero-padded
+# spectrum all of it.  It bounds a batch's working set, not its cache footprint
 TILE_BYTES = 2 << 20
 
 
@@ -71,17 +70,24 @@ def by_tiles(fn, bins: np.ndarray, cfg: ChainConfig) -> np.ndarray:
     return out.reshape(bins.shape[:-1] + out.shape[1:])
 
 
-def single_precision(bins: np.ndarray) -> np.ndarray:
-    """``bins`` in complex64, each row scaled so its largest |bin| lies in [0.5, 1).
+def row_scale(bins: np.ndarray) -> np.ndarray:
+    """The power of two per row (a length-1 last axis) that puts the row's
+    largest |bin| in [0.5, 1), from ``np.frexp``; 1 for an all-zero row."""
+    _, exp = np.frexp(np.abs(bins).max(axis=-1, keepdims=True))
+    return np.ldexp(1.0, -exp)
 
-    The scale is a power of two (from ``np.frexp``), applied before the cast:
-    it is exact and PAPR is scale-free, so a row's waveform PAPR has the bytes
-    of the unscaled cast's wherever that stays in float32's normal range, and
-    far outside it the float32 powers neither overflow nor underflow.
+
+def single_precision(bins: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """``bins`` times their :func:`row_scale` (``scale`` if the caller has it),
+    in complex64.
+
+    The scale is applied before the cast: it is exact and PAPR is scale-free,
+    so a row's waveform PAPR has the bytes of the unscaled cast's wherever
+    that stays in float32's normal range, and far outside it the float32
+    powers neither overflow nor underflow.
     """
     bins = np.asarray(bins)
-    _, exp = np.frexp(np.abs(bins).max(axis=-1, keepdims=True))
-    return (bins * np.ldexp(1.0, -exp)).astype(np.complex64)
+    return (bins * (row_scale(bins) if scale is None else scale)).astype(np.complex64)
 
 
 def waveform_papr_db(bins: np.ndarray, cfg: ChainConfig) -> float | np.ndarray:

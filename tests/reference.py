@@ -123,10 +123,15 @@ def dft_synthesis(bins, cfg, oversample=None):
 
 
 def occupied_bins(signal, cfg):
-    """The inverse of ``time_signal``: DFT, times sqrt(n_fft)/n, read on the band."""
-    signal = np.asarray(signal, dtype=np.complex128)
+    """The inverse of ``time_signal``: DFT, times sqrt(n_fft)/n, read on the band, in
+    the signal's precision (complex64's 1/n by the ``norm="forward"`` transform)."""
+    signal = np.asarray(signal)
     n = signal.shape[-1]
-    return (np.fft.fft(signal, axis=-1) * (np.sqrt(cfg.n_fft) / n))[..., band(cfg.n_sk, n)]
+    if signal.dtype == np.complex64:
+        spectrum = np.fft.fft(signal, axis=-1, norm="forward") * math.sqrt(cfg.n_fft)
+    else:
+        spectrum = np.fft.fft(signal.astype(np.complex128), axis=-1) * (math.sqrt(cfg.n_fft) / n)
+    return spectrum[..., band(cfg.n_sk, n)]
 
 
 def papr_db(x):
@@ -142,13 +147,16 @@ def waveform_papr_db(bins, cfg):
 
 
 def clip(x, level):
-    """Hard amplitude clip at ``level``, phases kept."""
+    """Hard amplitude clip at ``level``, phases kept; |x| below the larger of
+    1e-300 and the least normal number of its precision divides as that number."""
     mag = np.abs(x)
-    return x * np.where(mag > level, level / np.maximum(mag, 1e-300), 1.0)
+    guard = max(1e-300, np.finfo(mag.dtype).tiny)
+    return x * np.where(mag > level, level / np.maximum(mag, guard), 1.0)
 
 
 def clf(bins, clf_cfg, cfg):
-    """Rounds of a clip at the input waveform's RMS level, then its occupied bins."""
+    """Rounds of a clip at the input waveform's RMS level, then its occupied bins,
+    in the bins' precision."""
     x = time_signal(bins, cfg)
     level = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)) * 10.0 ** (
         clf_cfg.clip_ratio_db / 20.0)

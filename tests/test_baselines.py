@@ -86,7 +86,8 @@ class TestClf:
     def test_clip_level_above_peak_is_identity(self, cfg):
         block = ext_block(cfg)
         out = clf_reduce(block, ClfConfig(clip_ratio_db=40.0, iterations=1), cfg)
-        np.testing.assert_allclose(out, block, atol=1e-12)
+        # the round trip is float32's: exact to ~1e-7 of the block's peak
+        assert np.max(np.abs(out - block)) <= 1e-6 * np.max(np.abs(block))
 
     def test_clip_stage_bound_is_exact(self, cfg, rng):
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
@@ -108,11 +109,11 @@ class TestClf:
     def test_filtering_restores_allocation(self, cfg):
         # the result is the occupied bins of the clipped signal, so nothing
         # outside the allocation is transmitted
-        block = ext_block(cfg)
+        block = single_precision(ext_block(cfg))
         clf = ClfConfig(iterations=1)
         out = clf_reduce(block, clf, cfg)
         assert out.shape == (cfg.n_sk,)
-        assert out.tobytes() == clf_reference(block, clf, cfg).tobytes()
+        assert out.tobytes() == clf_reference(block, clf, cfg).astype(np.complex128).tobytes()
 
     def test_clip_matches_where_form_at_the_level(self, rng):
         x = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
@@ -129,11 +130,14 @@ class TestClf:
 
     @settings(max_examples=200, deadline=None)
     @given(x=seeded_samples(), kind=st.sampled_from(["scalar", "row", "rms"]),
-           ratio=st.floats(0.0, 4.0, allow_subnormal=False))
-    def test_clip_matches_where_form_on_special_parts(self, x, kind, ratio):
+           ratio=st.floats(0.0, 4.0, allow_subnormal=False),
+           dtype=st.sampled_from([np.complex128, np.complex64]))
+    def test_clip_matches_where_form_on_special_parts(self, x, kind, ratio, dtype):
         # +-0 parts (x * 1.0 can flip a signed zero), +-inf and NaN, against a
         # scalar level, a per-row level and the per-row RMS level CLF uses
-        # (inf or NaN on a row that holds inf or NaN); in place too
+        # (inf or NaN on a row that holds inf or NaN); in place too; complex64
+        # (CLF's rounds) in float32 throughout
+        x = x.astype(dtype)
         with np.errstate(invalid="ignore"):  # inf * 0 and inf / inf, in both forms
             mag = np.abs(x)
             level = {"scalar": ratio, "row": ratio * mag[:, -1:],
@@ -162,7 +166,8 @@ class TestClf:
             np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
     def test_rounds_stay_double(self, cfg):
-        # only the PAPR of CLF's result is measured in single precision
+        # the rounds run in single precision, and the result is complex128
+        # for the float64 link and OOBE periodogram
         blocks = np.stack([ext_block(cfg, seed=s) for s in range(3)])
         assert clf_reduce(blocks, ClfConfig(), cfg).dtype == np.complex128
 

@@ -254,6 +254,24 @@ class TestTimeSignalPrecision:
         assert np.max(np.abs(x - want)) <= 1e-6 * np.max(np.abs(want))
 
 
+class TestOccupiedBinsPrecision:
+    """The bins keep a complex64 grid single and everything else double."""
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.float32, np.int64])
+    def test_other_inputs_give_the_complex128_reference(self, cfg, rng, dtype):
+        x = (rng.standard_normal((3, cfg.n_fft * cfg.oversample)) * 4).astype(dtype)
+        bins = occupied_bins(x, cfg)
+        assert bins.dtype == np.complex128
+        assert bins.tobytes() == occupied_bins_reference(x, cfg).tobytes()
+
+    def test_complex64_grid_gives_complex64_bins(self, cfg, rng):
+        shape = (3, cfg.n_fft * cfg.oversample)
+        x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(np.complex64)
+        bins = occupied_bins(x, cfg)
+        assert bins.dtype == np.complex64
+        assert bins.tobytes() == occupied_bins_reference(x, cfg).tobytes()
+
+
 class TestDftPrecode:
     def test_all_ones_length_four(self):
         out = precode(np.ones(4, dtype=complex))

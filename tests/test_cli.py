@@ -654,6 +654,23 @@ class TestBaselinesCommand:
         assert "tinyml" not in summary
         assert "rrc" in summary and "dftsofdm" in summary
 
+    def test_smoke_baselines_transform_single_precision_forward(self, tmp_path, monkeypatch):
+        # np.fft.fft's default norm passes the integer factor 1, which runs
+        # complex64 input through the complex128 loop: every single-precision
+        # forward transform (CLF's filtering) asks for norm="forward"
+        seen = []
+        real = np.fft.fft
+
+        def recording(a, *args, **kwargs):
+            seen.append((np.asarray(a).dtype, kwargs.get("norm")))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recording)
+        out = tmp_path / "baselines"
+        assert main(["baselines", "--config", str(CONFIGS / "smoke.json"), "--out", str(out)]) == 0
+        single = [norm for dtype, norm in seen if dtype == np.complex64]
+        assert single and set(single) == {"forward"}
+
 
 class TestSweepCommand:
     def test_sweep_emits_architecture_columns(self, config_path, tmp_path):

@@ -17,7 +17,8 @@ from tinyfdss.chain import (SCHEME_NAMES, ChainConfig, ModScheme, detect_symbols
 from tinyfdss.channel import MODEL_NAMES
 from tinyfdss.evaluation import SCHEMES, EvalConfig, evaluate
 from tinyfdss.filters import unit_taps
-from tinyfdss.metrics import papr_at_ccdf, papr_db, tile_rows, waveform_papr_db
+from tinyfdss.metrics import (papr_at_ccdf, papr_db, single_precision, tile_rows,
+                             waveform_papr_db)
 from tinyfdss.training import TrainConfig, train
 
 from reference import clf as clf_reference
@@ -363,8 +364,10 @@ class TestBaselineTransmit:
     def test_clf_samples_match_reference_loop(self, run):
         draw, result = run
         conv = conventional_config(ChainConfig())
-        # the rounds in float64, the result's PAPR by the complex64 rule
-        want = papr_reference(clf_reference(draw.conv.bins, self.EVAL.clf, conv), conv)
+        # the rounds in complex64 on the scaled bins, the result's PAPR by the
+        # complex64 rule, which is blind to the power-of-two scale
+        want = papr_reference(clf_reference(single_precision(draw.conv.bins), self.EVAL.clf, conv),
+                              conv)
         assert result.papr_samples["clf"].tobytes() == want.tobytes()
 
     def test_noise_free_slm_link_recovers_every_symbol(self, run):
@@ -509,6 +512,34 @@ class TestSinglePrecisionPapr:
             np.testing.assert_array_equal(idx[clear], np.argmin(every, axis=-1)[clear])
 
 
+class TestSinglePrecisionClf:
+    """CLF's single-precision rounds against the float64 statement of them,
+    on QPSK, QAM16 and QAM64 blocks."""
+
+    @pytest.fixture(scope="class")
+    def rounds(self):
+        conv, clf = conventional_config(ChainConfig()), baselines.ClfConfig()
+        out = {}
+        for mod in SCHEME_NAMES:
+            bins = evaluation._draw(ChainConfig(), 7, mod, np.arange(1000)).conv.bins
+            out[mod] = clf_reduce(bins, clf, conv), clf_reference(bins, clf, conv)
+        return conv, out
+
+    def test_each_block_papr_within_bound(self, rounds):
+        conv, out = rounds
+        for mod, (got, want) in out.items():
+            err = np.max(np.abs(papr_db(time_signal(got, conv))
+                                - papr_db(time_signal(want, conv))))
+            assert err <= SINGLE_PRECISION_BOUND_DB, (mod, err)
+
+    def test_each_block_bins_within_bound(self, rounds):
+        _, out = rounds
+        for mod, (got, want) in out.items():
+            assert got.dtype == want.dtype == np.complex128
+            err = np.max(np.abs(got - want), axis=-1) / np.max(np.abs(want), axis=-1)
+            assert np.max(err) <= 1e-6, (mod, np.max(err))
+
+
 def set_tile_rows(monkeypatch, cfg, rows):
     """Shrink the tile budget so that a tile holds ``rows`` blocks of ``cfg``."""
     monkeypatch.setattr(metrics, "TILE_BYTES", 16 * cfg.n_fft * cfg.oversample * rows)
@@ -540,22 +571,26 @@ class TestTiling:
 
     def test_clf_matches_untiled_reference_on_all_zero_rows(self, monkeypatch):
         # an all-zero block clips at level 0 (scale 0) in place as out of
-        # place, at a tile's first and last row and inside a tile
+        # place, at a tile's first and last row and inside a tile, from
+        # complex128 and complex64 input
         conv = conventional_config(ChainConfig())
         set_tile_rows(monkeypatch, conv, 7)
         s = evaluation._draw(ChainConfig(), self.EVAL.seed, "qpsk", np.arange(17)).conv.bins
         s[[0, 3, 6, 7, 16]] = 0.0
-        got = clf_reduce(s, self.EVAL.clf, conv)
-        assert got.tobytes() == clf_reference(s, self.EVAL.clf, conv).tobytes()
-        assert not np.any(got[[0, 3, 6, 7, 16]])
+        s = single_precision(s)
+        want = clf_reference(s, self.EVAL.clf, conv).astype(np.complex128).tobytes()
+        for dtype in (np.complex128, np.complex64):
+            got = clf_reduce(s.astype(dtype), self.EVAL.clf, conv)
+            assert got.tobytes() == want
+            assert not np.any(got[[0, 3, 6, 7, 16]])
 
     @pytest.mark.parametrize("rows", [7, None])
     def test_clf_matches_untiled_reference(self, monkeypatch, rows):
         conv = conventional_config(ChainConfig())
         if rows is not None:
             set_tile_rows(monkeypatch, conv, rows)
-        s = evaluation._draw(ChainConfig(), self.EVAL.seed, "qpsk",
-                             np.arange(2 * tile_rows(conv) + 3)).conv.bins
+        s = single_precision(evaluation._draw(ChainConfig(), self.EVAL.seed, "qpsk",
+                                              np.arange(2 * tile_rows(conv) + 3)).conv.bins)
         np.testing.assert_array_equal(clf_reduce(s, self.EVAL.clf, conv),
                                       clf_reference(s, self.EVAL.clf, conv))
 
