@@ -37,12 +37,13 @@ from .channel import ChannelCfg, Stream, add_channel, block_rngs, draw_blocks
 from .filters import taps_from_coeffs
 from .metrics import waveform_papr_db
 
+# (upper edge in dB, lambda) per bin
 DEFAULT_BINS = (
-    (0.0, 5.0, 0.1),
-    (5.0, 10.0, 0.3),
-    (10.0, 15.0, 0.5),
-    (15.0, 20.0, 0.8),
-    (20.0, math.inf, 1.0),
+    (5.0, 0.1),
+    (10.0, 0.3),
+    (15.0, 0.5),
+    (20.0, 0.8),
+    (math.inf, 1.0),
 )
 
 DEFAULT_PERIOD_MS = 100.0
@@ -84,8 +85,7 @@ class LambdaTable:
     edge lies above the SNR, so the bins are half-open and an SNR below the
     first bin takes it."""
 
-    _upper = np.array([hi for _, hi, _ in DEFAULT_BINS])
-    _lam = np.array([lam for _, _, lam in DEFAULT_BINS])
+    _upper, _lam = np.array(DEFAULT_BINS).T
 
     def lookup(self, snr_db: float | np.ndarray) -> float | np.ndarray:
         """Lambda of one SNR (a float) or of each of an array of SNRs (an
@@ -127,7 +127,6 @@ class AdaptConfig:
     period_ms: float = DEFAULT_PERIOD_MS
     preset: str = "factory"
     duration_ms: float = 2000.0
-    trace: str | None = None  # trace CSV path; the preset is used when unset
     mod: str = "qpsk"
 
     def __post_init__(self):

@@ -70,8 +70,7 @@ def conventional_config(cfg: ChainConfig) -> ChainConfig:
 # Clipping and filtering
 # ---------------------------------------------------------------------------
 
-def clip_amplitude(x: np.ndarray, level: np.ndarray | float, *, mag: np.ndarray | None = None,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def clip_amplitude(x: np.ndarray, level: np.ndarray | float) -> np.ndarray:
     """Hard amplitude clip: |y_n| <= level with phases preserved.
 
     Each sample is multiplied by ``fmin(level / max(|x|, guard), 1)``: by
@@ -80,14 +79,11 @@ def clip_amplitude(x: np.ndarray, level: np.ndarray | float, *, mag: np.ndarray 
     ``np.where(|x| > level, level / max(|x|, guard), 1.0)`` form except
     where 0 < |x| <= level < guard.  The guard is a normal number of |x|'s
     precision: 1e-300 in float64 and float32's smallest normal, ~1.2e-38,
-    in float32 (CLF's rounds).  ``mag`` is |x| if the caller has it, and is
-    overwritten with the scale; ``out=x`` clips in place.
+    in float32 (CLF's rounds).
     """
-    scale = np.abs(x) if mag is None else mag
+    scale = np.abs(x)
     np.maximum(scale, max(1e-300, np.finfo(scale.dtype).tiny), out=scale)
-    np.divide(level, scale, out=scale)
-    np.fmin(scale, 1.0, out=scale)
-    return np.multiply(x, scale, out=out)
+    return x * np.fmin(np.divide(level, scale, out=scale), 1.0, out=scale)
 
 
 def clf_reduce(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
@@ -106,24 +102,17 @@ def clf_reduce(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray
 
 
 def _clf_rounds(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
-    """Each round synthesizes, takes |x| once (round 1 also sets the level
-    from it) and clips the grid in place before filtering."""
     pow2 = row_scale(bins)
     bins = single_precision(bins, pow2)
     level = None
     for _ in range(clf.iterations):
         x = time_signal(bins, cfg)
-        mag = np.abs(x)
         if level is None:
-            level = np.sqrt(np.mean(mag**2, axis=-1, keepdims=True)) * 10.0 ** (
-                clf.clip_ratio_db / 20.0
-            )
-        clip_amplitude(x, level, mag=mag, out=x)
-        del mag  # the scale, freed before the filtering FFT
+            rms = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True))
+            level = rms * 10.0 ** (clf.clip_ratio_db / 20.0)
+        x = clip_amplitude(x, level)  # the unclipped grid is freed before the FFT
         bins = occupied_bins(x, cfg)
-    out = bins.astype(np.complex128)
-    out /= pow2  # exact: a power of two
-    return out
+    return bins.astype(np.complex128) / pow2  # exact: a power of two
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +151,7 @@ def slm_select(
     rounding of the two syntheses (a bound above the exact PAPR by ~3e-6 dB
     at most on desk blocks), so a skipped candidate's PAPR exceeds the
     running minimum and could not have been chosen: index and PAPR keep the
-    bytes of trying every candidate.  With phases applied to DFT-precoded
-    bins the identity wins ~99% of blocks and ~98% of candidate blocks are
-    skipped; phases applied before the DFT (ROADMAP item 6) would skip fewer,
-    and the search would stay exact.
+    bytes of trying every candidate.
 
     The spectrum goes through :func:`metrics.single_precision` once and the
     phases are cast, so every candidate is built in complex64.  The phases

@@ -130,18 +130,16 @@ def _gray_pam(bits: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def constellation(scheme: ModScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Return (points, labels): all 2**bps constellation points and their bit
-    labels, point ``i`` carrying the label of the integer ``i``."""
+def constellation(scheme: ModScheme) -> np.ndarray:
+    """All 2**bps constellation points, point ``i`` carrying the bit label of
+    the integer ``i``, most significant bit first."""
     bps = scheme.bits_per_symbol
     labels = ((np.arange(2**bps)[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.uint8)
     # even bit positions drive the I axis, odd positions the Q axis
-    m_axis = 2 ** (bps // 2)
-    norm = np.sqrt(2.0 * (m_axis**2 - 1) / 3.0)
+    norm = np.sqrt(2.0 * (2**bps - 1) / 3.0)  # RMS of the m x m odd levels, m * m = 2**bps
     points = (_gray_pam(labels[:, 0::2]) + 1j * _gray_pam(labels[:, 1::2])) / norm
     points.setflags(write=False)
-    labels.setflags(write=False)
-    return points, labels
+    return points
 
 
 def map_symbols(bits: np.ndarray, scheme: ModScheme) -> np.ndarray:
@@ -163,13 +161,13 @@ def map_symbols(bits: np.ndarray, scheme: ModScheme) -> np.ndarray:
     for k in range(1, bps):
         label <<= 1
         label |= grouped[..., k]
-    return constellation(scheme)[0][label]
+    return constellation(scheme)[label]
 
 
 @lru_cache(maxsize=None)
 def _pam_slicer(scheme: ModScheme) -> tuple[np.ndarray, np.ndarray]:
     """(midpoints of the PAM levels, the points at index ``I level * m + Q level``)."""
-    points, _ = constellation(scheme)
+    points = constellation(scheme)
     levels = np.unique(points.real)  # the same PAM levels carry I and Q
     m = len(levels)
     grid = np.empty(m * m, dtype=np.complex128)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import KW_ONLY, dataclass
-from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -196,21 +195,16 @@ class ChannelCfg:
         if self.model is ChannelModel.RICIAN and not np.isfinite(self.k_factor_db):
             raise ValueError("Rician channel requires a finite K-factor")
 
-    @cached_property
-    def k_linear(self) -> float:
-        """The K-factor as a power ratio, computed once per config (read per drawn block)."""
-        return float(10.0 ** (self.k_factor_db / 10.0))
 
-
-def draw_fade(model: ChannelModel, rng: np.random.Generator, k_linear: float) -> complex:
+def draw_fade(cfg: ChannelCfg, rng: np.random.Generator) -> complex:
     """One unit-power flat fading coefficient; AWGN returns exactly 1."""
-    if model is ChannelModel.AWGN:
+    if cfg.model is ChannelModel.AWGN:
         return 1.0 + 0.0j
     scatter = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
-    if model is ChannelModel.RAYLEIGH:
+    if cfg.model is ChannelModel.RAYLEIGH:
         return complex(scatter)
-    los = np.sqrt(k_linear / (k_linear + 1.0))
-    return complex(los + scatter * np.sqrt(1.0 / (k_linear + 1.0)))
+    k = 10.0 ** (cfg.k_factor_db / 10.0)
+    return complex(np.sqrt(k / (k + 1.0)) + scatter * np.sqrt(1.0 / (k + 1.0)))
 
 
 def noise_power(bins: np.ndarray, snr_db: float | np.ndarray) -> float | np.ndarray:
@@ -248,7 +242,7 @@ def _below_floor(snr_db: float) -> ValueError:
 def draw_channel(cfg: ChannelCfg, rng: np.random.Generator, out: np.ndarray) -> complex:
     """One block's draws: returns the fade, then fills ``out`` (2, n) with the
     noise's standard-normal parts, which :func:`unit_noise` turns into noise."""
-    h = draw_fade(cfg.model, rng, cfg.k_linear)
+    h = draw_fade(cfg, rng)
     rng.standard_normal(out=out)
     return h
 

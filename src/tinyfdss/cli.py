@@ -37,8 +37,7 @@ from .training import (
 
 CHECKPOINT_NAME = "checkpoint.bin"
 PAPR_TRACE_BLOCKS = 1000  # papr_vs_blocks.csv keeps the first blocks of each scheme
-_TOP_KEYS = {"seed", "out_dir", "checkpoint", "chain", "train", "eval", "baselines", "adapt",
-             "sweep"}
+_TOP_KEYS = {"seed", "out_dir", "chain", "train", "eval", "baselines", "adapt", "sweep"}
 # glibc mallopt(3) parameters and the values main sets
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
@@ -93,8 +92,6 @@ def _typed(value, default, path: str):
         kind = "a number"
     elif isinstance(default, str):
         ok, kind = isinstance(value, str), "a string"
-    elif default is None:
-        ok, kind = value is None or isinstance(value, str), "a string or null"
     elif isinstance(default[0], tuple):
         if not isinstance(value, dict):
             raise ConfigError(f"{path} must be an object of name -> weight, "
@@ -150,7 +147,6 @@ def load_config(path: str | Path, seed: int | None = None) -> dict:
     config = {
         "seed": seed,
         "out_dir": _typed(raw.get("out_dir", "runs/default"), "", "out_dir"),
-        "checkpoint": _typed(raw.get("checkpoint"), None, "checkpoint"),
         "chain": chain,
         "train": _section(TrainConfig, raw.get("train", {}), "train", seed=seed, chain=chain),
         "eval": _section(
@@ -245,12 +241,12 @@ def cmd_train(cfg: dict, out: Path) -> int:
 
 
 def _load_checkpoint(cfg: dict, out: Path, flag: str | None) -> tuple[Path, Checkpoint]:
-    """Load ``--checkpoint``, else the config's ``checkpoint``, else the run
-    directory's, never the next if one is missing; reject a net that does not fit."""
-    path = next(Path(p) for p in (flag, cfg["checkpoint"], out / CHECKPOINT_NAME) if p is not None)
+    """Load ``--checkpoint``, else the run directory's, never the latter if the
+    former is missing; reject a net that does not fit."""
+    path = Path(flag) if flag is not None else out / CHECKPOINT_NAME
     if not path.exists():
-        raise FileNotFoundError(f"checkpoint {path} not found; pass --checkpoint, set the "
-                                "config key, or run train first")
+        raise FileNotFoundError(f"checkpoint {path} not found; pass --checkpoint or run "
+                                "train first")
     ckpt = load_checkpoint(path)
     width, n_sk = ckpt.params.input_dim, cfg["chain"].n_sk
     if width != n_sk + 1:
@@ -326,8 +322,7 @@ def cmd_adapt(cfg: dict, out: Path, checkpoint_flag: str | None,
     _, ckpt = _load_checkpoint(cfg, out, checkpoint_flag)
     net = ckpt.deployed_net(cfg["eval"].use_quantized)
     adapt = cfg["adapt"]
-    trace_path = trace_flag or adapt.trace
-    trace = (_load_trace(trace_path) if trace_path else
+    trace = (_load_trace(trace_flag) if trace_flag else
              preset_trace(adapt.preset, float(adapt.duration_ms), float(adapt.period_ms)))
     records = run_scenario(trace, net, cfg["chain"], scheme=SCHEME_NAMES[adapt.mod],
                            seed=cfg["seed"], period_ms=float(adapt.period_ms))

@@ -1,24 +1,22 @@
 """Frozen-checkpoint Monte-Carlo evaluation across channels, SNRs, and schemes.
 
-Each scheme is one :data:`SCHEMES` entry, so a new scheme is one new entry:
-a builder, whose docstring describes the scheme, turns (chain config, eval
-config, deployed net or None) into its transmit rule, and a flag says whether
-that rule reads the SNR.
+Each scheme is one :data:`SCHEMES` entry: a builder, whose docstring
+describes the scheme, turns (chain config, eval config, deployed net or None)
+into its transmit rule, and a flag says whether that rule reads the SNR.
 
-Pairing is structural: every scheme runs through one draw of the data
-(:class:`Draw`, both layouts) and, per (channel, modulation, SNR) cell, one
-draw of the fades and noise (:func:`_cell_draws`).  So every scheme sees the
-same data, fades and noise at matched SNR, and every channel the same
-transmit.  PAPR is measured on the oversampled transmit waveform; the
-communication path acts on the occupied bins, where ``channel.noise_power``
-makes the configured SNR exact per bin.
+Every scheme runs through one draw of the data (:class:`Draw`, both layouts)
+and, per (channel, modulation, SNR) cell, one draw of the fades and noise
+(:func:`_cell_draws`), so the schemes are compared on the same data, fades
+and noise.  PAPR is measured on the oversampled transmit waveform; the link
+acts on the occupied bins, where ``channel.noise_power`` makes the SNR exact
+per bin.
 
-Both passes, the SER grid (:func:`_grid`) and the CCDF pass
-(:func:`_ccdf_pass`), walk their blocks in fixed-size chunks (:func:`_chunks`:
-the CCDF pass :data:`CHUNK_BLOCKS`, the grid half as many), and the OOBE
-periodogram is a running sum over the CCDF chunks, so eval's memory does not
-grow with ``n_blocks``, ``ccdf_blocks`` or ``oobe_blocks``; every step of the
-link acts on each block alone, so the chunk size changes no output.
+The SER grid (:func:`_grid`) and the CCDF pass (:func:`_ccdf_pass`) walk
+their blocks in chunks of :data:`CHUNK_BLOCKS` (the grid half as many, since
+it holds every scheme's transmit), and the OOBE periodogram is a running sum
+over the CCDF chunks, so memory does not grow with ``n_blocks``,
+``ccdf_blocks`` or ``oobe_blocks``.  Every step of the link acts on each
+block alone, so the chunk size changes no output.
 """
 
 from __future__ import annotations

@@ -27,9 +27,8 @@ TAIL_X0_DB = 6.0
 SURROGATE_SHARPNESS = 4.0  # softplus sharpness of the tail surrogate
 OOBE_MIN_BLOCKS = 10  # periodogram segments oobe_db averages at the least
 OOBE_PAD = 4  # zero-padding factor of each oobe_db periodogram segment
-# bytes of one tile's complex128 oversampled grid: the complex64 tiles of
-# CLF's rounds and the PAPR rule take half, a periodogram tile's zero-padded
-# spectrum all of it.  It bounds a batch's working set, not its cache footprint
+# bytes of one tile's complex128 oversampled grid: it bounds a batch's
+# working set, not its cache footprint
 TILE_BYTES = 2 << 20
 
 
@@ -72,9 +71,14 @@ def by_tiles(fn, bins: np.ndarray, cfg: ChainConfig) -> np.ndarray:
 
 def row_scale(bins: np.ndarray) -> np.ndarray:
     """The power of two per row (a length-1 last axis) that puts the row's
-    largest |bin| in [0.5, 1), from ``np.frexp``; 1 for an all-zero row."""
+    largest |bin| in [0.5, 1), from ``np.frexp``; 1 for an all-zero row.
+
+    The scale is capped at 2**1023, the largest finite power of two, so a
+    row whose largest |bin| is below 2**-1024 lands in [2**-51, 0.5) instead:
+    exact, and in float32's normal range.
+    """
     _, exp = np.frexp(np.abs(bins).max(axis=-1, keepdims=True))
-    return np.ldexp(1.0, -exp)
+    return np.ldexp(1.0, np.minimum(-exp, 1023))
 
 
 def single_precision(bins: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
@@ -168,11 +172,9 @@ class Periodogram:
 
     Each block is one segment: Hann-windowed, zero-padded by ``OOBE_PAD`` so
     leakage between subcarrier bins is resolved, and transformed.
-    :meth:`add` adds each segment's |FFT|^2 to one sum, row by row in block
-    order, which is the summation order of a mean over the blocks axis: a
+    :meth:`add` adds each segment's |FFT|^2 to one sum in block order, so a
     sum built over any split of the blocks has the bytes of one built at
-    once.  A tile of segments is transformed at a time, so any number of
-    blocks costs one tile's spectrum.
+    once, and transforms a tile of segments at a time.
     """
 
     def __init__(self, cfg: ChainConfig):

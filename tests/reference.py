@@ -41,13 +41,13 @@ def draw_block(rng, scheme, channel, n_symbols, n_noise):
         symbols = map_symbols(rng.integers(0, 2, n_symbols * scheme.bits_per_symbol), scheme)
     if channel is None:
         return symbols, np.complex128(1.0), np.zeros(n_noise, dtype=complex)
-    fade = np.complex128(draw_fade(channel.model, rng, channel.k_linear))
+    fade = np.complex128(draw_fade(channel, rng))
     return symbols, fade, rng.standard_normal(n_noise) + 1j * rng.standard_normal(n_noise)
 
 
 def lambda_of(snr_db):
     """The tail weight of the first lambda bin whose upper edge lies above the SNR."""
-    return next(lam for _, hi, lam in DEFAULT_BINS if snr_db < hi)
+    return next(lam for hi, lam in DEFAULT_BINS if snr_db < hi)
 
 
 def gray_pam(bits):

@@ -98,14 +98,15 @@ class TestLambdaTable:
             assert table.lookup(snr) == lam
 
     def test_rejects_gaps(self):
-        # the bins are the constant DEFAULT_BINS: ordered, with no gap
-        los, his, _ = zip(*DEFAULT_BINS)
-        assert all(lo < hi for lo, hi in zip(los, his))
-        assert los[1:] == his[:-1]  # each bin starts where the last one ends
+        # the bins are the constant DEFAULT_BINS: each starts where the last
+        # one ends, so the upper edges rise, and the last one is open
+        his, _ = zip(*DEFAULT_BINS)
+        assert all(lo < hi for lo, hi in zip(his, his[1:]))
+        assert his[-1] == math.inf
 
     def test_rejects_bad_lambda(self):
         # every lambda of the constant DEFAULT_BINS lies in (0, 1]
-        assert all(0.0 < lam <= 1.0 for _, _, lam in DEFAULT_BINS)
+        assert all(0.0 < lam <= 1.0 for _, lam in DEFAULT_BINS)
 
     def test_rejects_non_finite_snr(self):
         with pytest.raises(ValueError):
@@ -115,10 +116,10 @@ class TestLambdaTable:
                 LambdaTable().lookup(np.array([[5.0, 7.0], [bad, 12.0]]))
 
     def test_array_form_is_the_scalar_rule(self):
-        # every bin edge, one ulp either side of it, below the first bin and
-        # far above the last; the rule: the first bin whose upper edge lies
-        # above the SNR
-        edges = [lo for lo, _, _ in DEFAULT_BINS] + [hi for _, hi, _ in DEFAULT_BINS[:-1]]
+        # every bin edge (0 dB and the finite upper edges), one ulp either
+        # side of it, below the first bin and far above the last; the rule:
+        # the first bin whose upper edge lies above the SNR
+        edges = [0.0] + [hi for hi, _ in DEFAULT_BINS[:-1]]
         snrs = np.array(sorted({v for e in edges
                                 for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))}
                                | {-3.0, -1e300, 1e300}))
@@ -245,7 +246,7 @@ class TestRunScenario:
         records = run_scenario(trace, deployed, chain, scheme, seed=seed)
         if trace == CHUNKED_TRACE:
             assert len(records) > 2 * CHUNK_TICKS and len(records) % CHUNK_TICKS
-            assert {r.lam for r in records} == {lam for _, _, lam in DEFAULT_BINS}
+            assert {r.lam for r in records} == {lam for _, lam in DEFAULT_BINS}
         want = replay(trace, deployed, chain, scheme, seed)
         assert [repr(r) for r in records] == [repr(r) for r in want]
 

@@ -135,18 +135,23 @@ class TestClf:
     def test_clip_matches_where_form_on_special_parts(self, x, kind, ratio, dtype):
         # +-0 parts (x * 1.0 can flip a signed zero), +-inf and NaN, against a
         # scalar level, a per-row level and the per-row RMS level CLF uses
-        # (inf or NaN on a row that holds inf or NaN); in place too; complex64
-        # (CLF's rounds) in float32 throughout
+        # (inf or NaN on a row that holds inf or NaN); complex64 (CLF's
+        # rounds) in float32 throughout
         x = x.astype(dtype)
         with np.errstate(invalid="ignore"):  # inf * 0 and inf / inf, in both forms
             mag = np.abs(x)
             level = {"scalar": ratio, "row": ratio * mag[:, -1:],
                      "rms": ratio * np.sqrt(np.mean(mag**2, axis=-1, keepdims=True))}[kind]
-            want = clip(x, level).tobytes()
-            assert clip_amplitude(x, level).tobytes() == want
-            y = x.copy()
-            assert clip_amplitude(y, level, mag=np.abs(y), out=y) is y
-        assert y.tobytes() == want
+            assert clip_amplitude(x, level).tobytes() == clip(x, level).tobytes()
+
+    def test_subnormal_row_is_clipped(self, cfg):
+        # the largest |bin| ~1e-310 is subnormal, and its power-of-two scale
+        # is capped at float64's largest; the clip and filter still act
+        block = ext_block(cfg)
+        tiny = block * (1e-310 / np.max(np.abs(block)))
+        out = clf_reduce(tiny, ClfConfig(), cfg)
+        assert np.all(np.isfinite(out)) and np.any(out != 0)
+        assert waveform_papr_db(out, cfg) < waveform_papr_db(tiny, cfg)
 
     def test_deterministic(self, cfg):
         block = ext_block(cfg)
@@ -315,6 +320,26 @@ class TestSlm:
         assert_same_bytes((idx, papr), slm_reference(blocks, phases, cfg))
         idx, _ = slm_select(blocks, phases[:2], cfg)
         assert np.all(idx == 0)
+
+    def test_slack_keeps_a_candidate_whose_bound_lies_above_the_minimum(self):
+        # candidate 1 is candidate 0 delayed by one critical-rate sample (a
+        # linear phase across plain DFT-s-OFDM's band), so the two PAPRs tie
+        # but for float32 rounding.  On some blocks candidate 1's PAPR lies
+        # below candidate 0's while its critical-rate bound lies above it:
+        # there only the slack keeps the exhaustive search's choice
+        chain = conventional_config(ChainConfig())
+        freq = np.arange(chain.n_data) - chain.n_data // 2
+        phases = np.stack([np.ones(chain.n_data), np.exp(-2j * np.pi * freq / chain.n_fft)])
+        phases = phases.astype(np.complex64)
+        bits = np.random.default_rng(0).integers(0, 2, (128, chain.n_data * 2))
+        spectrum = single_precision(precode(map_symbols(bits, ModScheme.QPSK)))
+        papr = [waveform_papr_db(spectrum * p, chain) for p in phases]
+        bound = waveform_papr_db(spectrum * phases[1], replace(chain, oversample=1))
+        decided = (papr[1] < papr[0]) & (bound > papr[0])
+        assert np.count_nonzero(decided) == 2  # blocks 39 and 99, by < 1e-6 dB
+        idx, best = slm_select(spectrum, phases, chain)
+        assert np.all(idx[decided] == 1)
+        assert_same_bytes((idx, best), slm_reference(spectrum, phases, chain))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -243,7 +243,7 @@ class TestApplyChannel:
     def test_rayleigh_unit_power(self):
         rng = np.random.default_rng(0)
         draws = np.array(
-            [draw_fade(ChannelModel.RAYLEIGH, rng, k_linear=0.0) for _ in range(100_000)]
+            [draw_fade(ChannelCfg(ChannelModel.RAYLEIGH), rng) for _ in range(100_000)]
         )
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.02)
 
@@ -251,9 +251,8 @@ class TestApplyChannel:
         # K = 10 dB: E|h|^2 = 1 and |E h|^2 = K/(K+1)
         k_lin = 10.0
         rng = np.random.default_rng(1)
-        draws = np.array(
-            [draw_fade(ChannelModel.RICIAN, rng, k_lin) for _ in range(100_000)]
-        )
+        rician = ChannelCfg(ChannelModel.RICIAN, k_factor_db=10.0)
+        draws = np.array([draw_fade(rician, rng) for _ in range(100_000)])
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.02)
         assert np.abs(np.mean(draws)) ** 2 == pytest.approx(k_lin / (k_lin + 1), abs=0.02)
 

@@ -150,7 +150,8 @@ class TestConfig:
         ("train", "eval", {"ccdf_grid_db": [0.0, 12.0, 0.0]},
          "unknown config key 'ccdf_grid_db' in eval"),
         ("train", "eval", {"use_quantized": 1}, "eval.use_quantized must be true or false"),
-        ("train", "checkpoint", 5, "checkpoint must be a string or null, got 5"),
+        ("eval", "checkpoint", 5, "unknown config key 'checkpoint' in config root"),
+        ("adapt", "adapt", {"trace": "trace.csv"}, "unknown config key 'trace' in adapt"),
         ("train", "baselines", {"clf": {"iterations": 0}}, "baselines.clf: iterations"),
         ("train", "baselines", {"dft": {}}, "unknown config key 'dft' in baselines"),
         ("train", "adapt", {"preset": "moon"}, "adapt: preset must be in"),
@@ -222,7 +223,8 @@ class TestConfig:
         "adapt-mod", "period_ms-zero", "period_ms-negative", "period_ms-str",
         "duration_ms-negative", "period_ms-tiny",
         "snr_range_db-inf", "snr_range_db-nan", "channel_mix-nan-weight", "mods-empty",
-        "ccdf_grid_db-zero-step", "use_quantized-int", "checkpoint-int", "clf-iterations",
+        "ccdf_grid_db-zero-step", "use_quantized-int", "checkpoint-int", "adapt-trace-str",
+        "clf-iterations",
         "baselines-unknown", "adapt-preset", "hidden_widths-negative",
         "hidden_width-negative", "channel_mix-negative-weight", "mod_mix-negative-weight",
         "papr_trace_blocks-negative", "oobe_blocks-zero", "oobe_blocks-nine",
@@ -247,7 +249,7 @@ class TestConfig:
         code = main([command, "--config", str(path), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not out.exists()  # rejected before anything ran
 
     @pytest.mark.parametrize("command, section, value", [
@@ -544,19 +546,14 @@ class TestEvalCommand:
         assert "checkpoint" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "adapt"])
-    @pytest.mark.parametrize("route", ["flag", "config key"])
     def test_missing_named_checkpoint_is_not_replaced(
-        self, command, route, trained_out, tmp_path, capsys
+        self, command, config_path, trained_out, tmp_path, capsys
     ):
         # the run directory holds a checkpoint, but the one named is missing
         missing = tmp_path / "missing.bin"
-        keyed = route == "config key"
-        config = tmp_path / "named.json"
-        config.write_text(json.dumps(dict(SMOKE_CONFIG, checkpoint=str(missing)) if keyed
-                                     else SMOKE_CONFIG))
-        argv = [command, "--config", str(config), "--out", str(trained_out)]
         capsys.readouterr()
-        code = main(argv if keyed else [*argv, "--checkpoint", str(missing)])
+        code = main([command, "--config", str(config_path), "--out", str(trained_out),
+                     "--checkpoint", str(missing)])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ") and str(missing) in err
         assert not (trained_out / "summary.json").exists()

@@ -21,7 +21,6 @@ from tinyfdss.cli import ConfigError, _load_trace, load_config
 BASE = {
     "seed": 3,
     "out_dir": "runs/x",
-    "checkpoint": None,
     "chain": {"n_data": 210, "n_se": 15, "n_fft": 256, "oversample": 4,
               "bandwidth_hz": 20e6, "scs_hz": 30e3},
     "train": {"n_blocks": 160, "batch_size": 32, "epochs": 2, "lr": 0.001,
@@ -33,8 +32,7 @@ BASE = {
              "use_quantized": True, "schemes": ["tinyml", "rrc", "dftsofdm"]},
     "baselines": {"clf": {"clip_ratio_db": 4.0, "iterations": 2},
                   "slm": {"num_candidates": 8}},
-    "adapt": {"period_ms": 100.0, "preset": "factory", "duration_ms": 400.0,
-              "trace": None, "mod": "qpsk"},
+    "adapt": {"period_ms": 100.0, "preset": "factory", "duration_ms": 400.0, "mod": "qpsk"},
     "sweep": {"hidden_widths": [5, 0]},
 }
 

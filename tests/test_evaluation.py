@@ -601,8 +601,7 @@ class TestTiledMemory:
     default) to 2048.
 
     One (2048, 240) complex128 array of bins is 7.5 MiB and one full
-    oversampled grid 32 MiB.  Before tiling the peaks were 166 MiB for the
-    CCDF pass, 72 MiB for ``slm_select`` and 111 MiB for ``clf_reduce``.
+    oversampled grid 32 MiB.
     """
 
     EVAL = EvalConfig(ccdf_blocks=2048, seed=3, schemes=("rrc", "dftsofdm", "clf", "slm"))

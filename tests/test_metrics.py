@@ -102,6 +102,13 @@ class TestWaveformPaprDb:
         got = waveform_papr_db(b, cfg)
         assert np.all(np.abs(got - papr_db(time_signal(b, cfg))) <= SINGLE_PRECISION_BOUND_DB)
 
+    def test_subnormal_row_keeps_the_bytes_of_a_normal_one(self, cfg, rng):
+        # the largest |bin| ~1e-310 is subnormal: its uncapped scale, 2**1029,
+        # would overflow to inf
+        b = self.bins(rng, (), cfg)
+        b *= 1e-310 / np.max(np.abs(b))
+        assert waveform_papr_db(b, cfg) == waveform_papr_db(b * 2.0**100, cfg)
+
     @pytest.mark.parametrize("k", [-1000, -100, 100, 1000])
     def test_power_of_two_scales_keep_the_bytes(self, cfg, rng, k):
         b = self.bins(rng, (20,), cfg)

@@ -74,7 +74,7 @@ class TestGenerateBlock:
     def test_pure_qpsk_mix(self, table):
         config = TrainConfig(**SMOKE, seed=7, mod_mix=(("qpsk", 1.0),))
         prep = prepare_batch(config, np.arange(200), table)
-        points, _ = constellation(ModScheme.QPSK)
+        points = constellation(ModScheme.QPSK)
         assert np.isin(prep.symbols, points).all()
 
     def test_mix_weights_must_sum_to_one(self):
