@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import KW_ONLY, dataclass
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -53,14 +54,12 @@ def block_rng(seed: int, stream: Stream, *index: int) -> np.random.Generator:
     return np.random.default_rng((seed, stream, *index))
 
 
-# numpy's SeedSequence (O'Neill's seed_seq hash, pool of 4 uint32 words) and
-# PCG64's 128-bit LCG multiplier
+# numpy's SeedSequence: O'Neill's seed_seq hash, pool of 4 uint32 words
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32 = 2**32 - 1
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -128,9 +127,9 @@ def block_rngs(
 
     Each generator's state equals that of :func:`block_rng` for its
     coordinate, so its draws are the same.  The seed words of every index are
-    computed at the first ``next`` in one numpy pass, and one generator is
-    reseeded per index: a yielded generator is valid until the next one is
-    taken.  An index outside ``[0, 2**32)`` takes :func:`block_rng`.
+    computed at the first ``next`` in one numpy pass, and numpy's PCG64 seeds
+    each generator from its index's words (:func:`_words_seed`).  An index
+    outside ``[0, 2**32)`` takes :func:`block_rng`.
     """
     indices = np.asarray(indices)
     shared = [w for value in (seed, stream, *prefix) for w in _uint32_words(int(value))]
@@ -139,19 +138,35 @@ def block_rngs(
     entropy[-1] = indices.astype(np.uint32)  # one word: rows past 32 bits take block_rng
     words = _seed_words(entropy)
     in_range = ((indices >= 0) & (indices <= _MASK32)).tolist()
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
+    generator, pcg64, words_seed = np.random.Generator, np.random.PCG64, _words_seed()
     for row, index in enumerate(indices):
-        if not in_range[row]:
+        if in_range[row]:
+            yield generator(pcg64(words_seed(words[row])))
+        else:
             yield block_rng(seed, stream, *prefix, int(index))
-            continue
-        w0, w1, w2, w3 = words[row].tolist()
-        # pcg64_set_seed: inc from words 2-3, then two LCG steps around words 0-1
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                               "state": {"state": state, "inc": inc}}
-        yield rng
+
+
+@lru_cache(maxsize=None)
+def _words_seed() -> type:
+    """A seed sequence of given state words, for ``PCG64``.
+
+    ``PCG64(s)`` seeds itself from ``s.generate_state(4, np.uint64)`` by
+    numpy's ``pcg64_set_seed``, so one that returns a row of
+    :func:`_seed_words` gives ``block_rng``'s generator without hashing again.
+    Made on first use: importing the package loads no ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class WordsSeed(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words  # PCG64 asks for 4 uint64 words, and nothing else asks
+
+    return WordsSeed
 
 
 def bit_words(rng: np.random.Generator, n_bits: int) -> np.ndarray:
@@ -196,15 +211,33 @@ class ChannelCfg:
             raise ValueError("Rician channel requires a finite K-factor")
 
 
+def _fades(cfg: ChannelCfg, normals: np.ndarray) -> np.ndarray:
+    """Unit-power flat fades from standard-normal pairs ``normals (..., 2)``.
+
+    A pair is the scatter's real part, then its imaginary part: Rayleigh
+    ``(n1 + 1j*n2) / sqrt(2)``, Rician ``sqrt(K/(K+1)) + sqrt(1/(K+1)) *
+    scatter``; AWGN's fades are exactly 1.  Each part is divided by ``sqrt(2)``
+    on its own, as Python's complex division does; numpy multiplies a complex
+    array by the reciprocal, which can differ in the last bit.
+    """
+    shape = normals.shape[:-1]
+    if cfg.model is ChannelModel.AWGN:
+        return np.ones(shape, dtype=np.complex128)
+    re, im = normals[..., 0] / np.sqrt(2.0), normals[..., 1] / np.sqrt(2.0)
+    if cfg.model is ChannelModel.RICIAN:
+        k = 10.0 ** (cfg.k_factor_db / 10.0)
+        scale = np.sqrt(1.0 / (k + 1.0))
+        re, im = np.sqrt(k / (k + 1.0)) + re * scale, im * scale
+    fades = np.empty(shape, dtype=np.complex128)
+    fades.real, fades.imag = re, im
+    return fades
+
+
 def draw_fade(cfg: ChannelCfg, rng: np.random.Generator) -> complex:
-    """One unit-power flat fading coefficient; AWGN returns exactly 1."""
+    """One :func:`_fades` fade from two standard normals; AWGN draws none."""
     if cfg.model is ChannelModel.AWGN:
         return 1.0 + 0.0j
-    scatter = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
-    if cfg.model is ChannelModel.RAYLEIGH:
-        return complex(scatter)
-    k = 10.0 ** (cfg.k_factor_db / 10.0)
-    return complex(np.sqrt(k / (k + 1.0)) + scatter * np.sqrt(1.0 / (k + 1.0)))
+    return complex(_fades(cfg, rng.standard_normal(2)))
 
 
 def noise_power(bins: np.ndarray, snr_db: float | np.ndarray) -> float | np.ndarray:
@@ -239,14 +272,6 @@ def _below_floor(snr_db: float) -> ValueError:
                       "a float (about -3082.5 dB for a unit-power block)")
 
 
-def draw_channel(cfg: ChannelCfg, rng: np.random.Generator, out: np.ndarray) -> complex:
-    """One block's draws: returns the fade, then fills ``out`` (2, n) with the
-    noise's standard-normal parts, which :func:`unit_noise` turns into noise."""
-    h = draw_fade(cfg, rng)
-    rng.standard_normal(out=out)
-    return h
-
-
 def unit_noise(parts: np.ndarray) -> np.ndarray:
     """Unit complex noise ``re + 1j*im`` from standard-normal parts of shape
     ``(..., 2, n)``, drawn real first: ``parts[..., 0, :]`` is ``re``."""
@@ -266,23 +291,29 @@ def draw_blocks(rngs: Iterable[np.random.Generator], n_blocks: int, n_symbols: i
        modulation and channel, and None skips that kind of draw;
     2. the bits of ``n_symbols`` symbols of the modulation, the bytes of
        ``rng.integers(0, 2, n)``, taken as raw words (:func:`bit_words`);
-    3. the channel's fade;
+    3. the channel's fade: two standard normals, none for AWGN;
     4. ``n_noise`` standard normals for the noise's real parts, then as many
        for its imaginary parts.
 
-    Returns ``(symbols (B, n_symbols), fades (B, 1), unit noise (B, n_noise))``.
-    Each modulation's rows are unpacked and mapped at once; a block that
+    Steps 3 and 4 are one ``standard_normal`` call per block.  Returns
+    ``(symbols (B, n_symbols), fades (B, 1), unit noise (B, n_noise))``.
+    Each modulation's rows are unpacked and mapped at once, and each
+    channel's fades are computed at once by :func:`_fades`; a block that
     skips a kind of draw has zero symbols, or a fade of 1 and zero noise.
+    A stream of fewer than ``n_blocks`` generators raises ``ValueError``.
     """
-    kinds, words = [], []  # each block's modulation and bit words, None where it draws none
-    fades = np.ones(n_blocks, dtype=np.complex128)
-    parts = np.zeros((n_blocks, 2, n_noise))
+    kinds, words, channels = [], [], []  # per block; None where it draws none of that kind
+    normals = np.zeros((n_blocks, 2 + 2 * n_noise))  # per block: the fade's pair, the noise's
     for row, rng in enumerate(islice(rngs, n_blocks)):
         scheme, channel = head(rng)
         kinds.append(scheme)
         words.append(None if scheme is None else bit_words(rng, n_symbols * scheme.bits_per_symbol))
+        channels.append(channel)
         if channel is not None:
-            fades[row] = draw_channel(channel, rng, parts[row])
+            rng.standard_normal(out=normals[row, 2 if channel.model is ChannelModel.AWGN else 0:])
+    if len(kinds) < n_blocks:
+        raise ValueError(f"asked for {n_blocks} blocks, but the generator stream "
+                         f"ended after {len(kinds)}")
     if kinds and kinds[0] is not None and kinds.count(kinds[0]) == n_blocks:
         # one modulation in every row: its mapped rows are the result, with no copy
         bits = unpack_bits(np.stack(words), n_symbols * kinds[0].bits_per_symbol)
@@ -294,7 +325,14 @@ def draw_blocks(rngs: Iterable[np.random.Generator], n_blocks: int, n_symbols: i
             bits = unpack_bits(np.stack([words[row] for row in rows]),
                                n_symbols * scheme.bits_per_symbol)
             symbols[rows] = map_symbols(bits, scheme)
-    return symbols, fades[:, None], unit_noise(parts)
+    groups = {}  # rows per config object: equal configs in separate objects are separate groups
+    for row, channel in enumerate(channels):
+        if channel is not None:
+            groups.setdefault(id(channel), []).append(row)
+    fades = np.ones(n_blocks, dtype=np.complex128)
+    for rows in groups.values():
+        fades[rows] = _fades(channels[rows[0]], normals[rows, :2])
+    return symbols, fades[:, None], unit_noise(normals[:, 2:].reshape(n_blocks, 2, n_noise))
 
 
 def noise_term(bins: np.ndarray, noise: np.ndarray, snr_db: float | np.ndarray) -> np.ndarray:

@@ -12,8 +12,10 @@ from functools import lru_cache
 import numpy as np
 
 
+@lru_cache(maxsize=None)
 def tap_positions(n_sk: int) -> np.ndarray:
-    """Normalized bin positions t_k = (2k - n_sk - 1)/(n_sk - 1) for k = 1..n_sk.
+    """Normalized bin positions t_k = (2k - n_sk - 1)/(n_sk - 1) for k = 1..n_sk
+    (cached, read-only).
 
     The grid spans [-1, 1] symmetrically, which keeps the polynomial basis
     well conditioned (raw bin indices would make the high powers explode).
@@ -21,7 +23,9 @@ def tap_positions(n_sk: int) -> np.ndarray:
     if n_sk < 2:
         raise ValueError(f"tap grid needs at least 2 bins, got n_sk={n_sk}")
     k = np.arange(1, n_sk + 1, dtype=np.float64)
-    return (2.0 * k - n_sk - 1.0) / (n_sk - 1.0)
+    t = (2.0 * k - n_sk - 1.0) / (n_sk - 1.0)
+    t.setflags(write=False)
+    return t
 
 
 @lru_cache(maxsize=None)

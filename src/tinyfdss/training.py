@@ -21,6 +21,7 @@ import json
 import math
 import time
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -177,9 +178,17 @@ class BatchPrep:
 
 
 def prepare_batch(
-    config: TrainConfig, indices: np.ndarray, table: LambdaTable
+    config: TrainConfig, indices: np.ndarray, table: LambdaTable,
+    rngs: Iterator[np.random.Generator] | None = None,
 ) -> BatchPrep:
-    """Rebuild blocks for the given dataset indices (deterministic per index)."""
+    """Rebuild blocks for the given dataset indices (deterministic per index).
+
+    ``rngs`` yields the blocks' generators, one per index, in order; the call
+    takes the next ``len(indices)`` of them.  A caller that prepares a long
+    run of indices chunk by chunk passes one ``block_rngs`` stream over the
+    run, so the seeds are hashed once; by default the stream covers
+    ``indices`` alone.
+    """
     cfg = config.chain
     schemes = [SCHEME_NAMES[name] for name, _ in config.mod_mix]
     channels = [ChannelCfg(MODEL_NAMES[name]) for name, _ in config.channel_mix]
@@ -191,8 +200,9 @@ def prepare_batch(
         snrs.append(rng.uniform(*config.snr_range_db))
         return scheme, channels[pick_channel(rng)]
 
-    symbols, h, noise = draw_blocks(block_rngs(config.seed, Stream.TRAIN_BLOCK, indices=indices),
-                                    len(indices), cfg.n_data, cfg.n_sk, head)
+    if rngs is None:
+        rngs = block_rngs(config.seed, Stream.TRAIN_BLOCK, indices=indices)
+    symbols, h, noise = draw_blocks(rngs, len(indices), cfg.n_data, cfg.n_sk, head)
     snr = np.array(snrs)
     s_ext = extend(precode(symbols), cfg.n_se)
     # the channel's noise on the unshaped bins, whose power the normalized
@@ -341,11 +351,13 @@ def chain_loss(
 
 def _batches(config: TrainConfig, order: np.ndarray, table: LambdaTable):
     """Each step's batch of the epoch's ``order``, in order: ``PREP_BATCHES``
-    whole batches are prepared per ``prepare_batch`` call, then sliced.  A
-    row's bytes do not depend on the batch it is prepared in."""
+    whole batches are prepared per ``prepare_batch`` call, then sliced, all
+    from one generator stream over ``order``.  A row's bytes do not depend on
+    the batch it is prepared in."""
+    rngs = block_rngs(config.seed, Stream.TRAIN_BLOCK, indices=order)
     size = PREP_BATCHES * config.batch_size
     for lo in range(0, len(order), size):
-        chunk = prepare_batch(config, order[lo : lo + size], table)
+        chunk = prepare_batch(config, order[lo : lo + size], table, rngs)
         for at in range(0, len(chunk.indices), config.batch_size):
             yield chunk.rows(slice(at, at + config.batch_size))
 

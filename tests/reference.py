@@ -20,7 +20,7 @@ from tinyfdss import network
 from tinyfdss.adaptation import DEFAULT_BINS, DEFAULT_PERIOD_MS, TickRecord
 from tinyfdss.baselines import conventional_config
 from tinyfdss.chain import GAIN_EPS, SCHEME_NAMES
-from tinyfdss.channel import MODEL_NAMES, ChannelCfg, Stream, block_rng, draw_fade
+from tinyfdss.channel import MODEL_NAMES, ChannelCfg, ChannelModel, Stream, block_rng
 from tinyfdss.evaluation import CellResult, Draw, Transmit
 from tinyfdss.filters import coeff_basis, taps_from_coeffs, unit_taps
 from tinyfdss.metrics import SURROGATE_SHARPNESS, TAIL_X0_DB
@@ -33,6 +33,18 @@ def mix_choice(rng, mix):
     return rng.choice(len(weights), p=weights / weights.sum())
 
 
+def flat_fade(channel, rng):
+    """A flat fade from two scalar standard normals: Rayleigh ``(n1 + 1j*n2) / sqrt(2)``;
+    Rician ``sqrt(K/(K+1)) + sqrt(1/(K+1))`` times that scatter; AWGN draws none: 1."""
+    if channel.model is ChannelModel.AWGN:
+        return np.complex128(1.0)
+    scatter = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
+    if channel.model is ChannelModel.RICIAN:
+        k = 10 ** (channel.k_factor_db / 10)
+        scatter = math.sqrt(k / (k + 1)) + math.sqrt(1 / (k + 1)) * scatter
+    return np.complex128(scatter)
+
+
 def draw_block(rng, scheme, channel, n_symbols, n_noise):
     """A block's draws after its head: ``integers(0, 2, n)`` bits, mapped; the
     fade; unit noise, real parts first.  A None scheme or channel draws none."""
@@ -41,8 +53,8 @@ def draw_block(rng, scheme, channel, n_symbols, n_noise):
         symbols = map_symbols(rng.integers(0, 2, n_symbols * scheme.bits_per_symbol), scheme)
     if channel is None:
         return symbols, np.complex128(1.0), np.zeros(n_noise, dtype=complex)
-    fade = np.complex128(draw_fade(channel, rng))
-    return symbols, fade, rng.standard_normal(n_noise) + 1j * rng.standard_normal(n_noise)
+    h = flat_fade(channel, rng)
+    return symbols, h, rng.standard_normal(n_noise) + 1j * rng.standard_normal(n_noise)
 
 
 def lambda_of(snr_db):

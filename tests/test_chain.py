@@ -26,12 +26,11 @@ from tinyfdss.chain import (
     shape_and_normalize,
     time_signal,
 )
-from tinyfdss.channel import (ChannelCfg, ChannelModel, add_channel, apply_channel, draw_channel,
-                              unit_noise)
+from tinyfdss.channel import ChannelCfg, ChannelModel, add_channel, apply_channel
 from tinyfdss.filters import rrc_taps, taps_from_coeffs, unit_taps
 from tinyfdss.metrics import measured_ser, papr_db
 
-from reference import (band, detect, dft_matrix, dft_synthesis, pam_levels, qpsk_ser,
+from reference import (band, detect, dft_matrix, dft_synthesis, draw_block, pam_levels, qpsk_ser,
                        slice_symbols)
 from reference import map_symbols as map_reference
 from reference import occupied_bins as occupied_bins_reference
@@ -569,10 +568,10 @@ class TestReceive:
         bins, eff_taps = shaped_bins(np.random.default_rng(78), scheme, n_blocks, cfg)
         models = list(ChannelModel)
         snrs = 4.0 + np.arange(n_blocks)
-        parts = np.empty((n_blocks, 2, cfg.n_sk))
-        fades = [draw_channel(ChannelCfg(models[b % 3], k_factor_db=3.0),
-                              np.random.default_rng((6, b)), parts[b]) for b in range(n_blocks)]
-        noise = unit_noise(parts)
+        fades, noise = zip(*(draw_block(np.random.default_rng((6, b)), None,
+                                        ChannelCfg(models[b % 3], k_factor_db=3.0), 0, cfg.n_sk)[1:]
+                             for b in range(n_blocks)))
+        noise = np.array(noise)
         h = np.array(fades).reshape(3, 4, 1)
         rx = add_channel(bins.reshape(3, 4, -1), h, noise.reshape(3, 4, -1), snrs.reshape(3, 4))
         detected, equalized = receive(rx, h * eff_taps.reshape(3, 4, -1), cfg.n_se, scheme)
@@ -591,10 +590,10 @@ class TestReceive:
         n_blocks, snr_db = 12, 8.0
         bins, eff_taps = shaped_bins(np.random.default_rng(79), ModScheme.QAM16, n_blocks, cfg)
         channel = ChannelCfg(model, k_factor_db=3.0)
-        parts = np.empty((n_blocks, 2, cfg.n_sk))
-        h = np.array([[draw_channel(channel, np.random.default_rng((7, b)), parts[b])]
-                      for b in range(n_blocks)])
-        rx = add_channel(bins, h, unit_noise(parts), snr_db)
+        h, noise = zip(*(draw_block(np.random.default_rng((7, b)), None, channel, 0, cfg.n_sk)[1:]
+                         for b in range(n_blocks)))
+        h = np.array(h)[:, None]
+        rx = add_channel(bins, h, np.array(noise), snr_db)
         detected, equalized = receive(rx, h * eff_taps, cfg.n_se, ModScheme.QAM16)
         for b in range(n_blocks):
             sig = SymbolBlock(Stage.TIME_DOMAIN, time_signal(bins[b], cfg, oversample))
@@ -632,12 +631,12 @@ class TestEffectiveTaps:
         cfg = self.CFG
         rng = np.random.default_rng(seed)
         bins, taps = shaped_bins(rng, scheme, 4, cfg)  # one tap kind per block
-        parts = np.empty((4, 2, cfg.n_sk))
         channel = ChannelCfg(model, k_factor_db=3.0)
-        h = np.array([[draw_channel(channel, rng, parts[b])] for b in range(4)])
+        h, noise = zip(*(draw_block(rng, None, channel, 0, cfg.n_sk)[1:] for _ in range(4)))
+        h = np.array(h)[:, None]
         if model is not ChannelModel.AWGN:
             h *= depth  # down to a 1e-4 deep fade
-        rx = add_channel(bins, h, unit_noise(parts), snr_db)
+        rx = add_channel(bins, h, np.array(noise), snr_db)
         if not batch:
             rx, h, taps = rx[0], h[0, 0], taps[0]
         detected, equalized = receive(rx, h * taps, cfg.n_se, scheme)

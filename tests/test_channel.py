@@ -29,7 +29,6 @@ from tinyfdss.channel import (
     block_rng,
     block_rngs,
     draw_blocks,
-    draw_channel,
     draw_fade,
     noise_power,
     noise_term,
@@ -111,12 +110,18 @@ class TestBlockRngs:
                 calls[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np.random, name, counting)
-        rngs = list(block_rngs(3, Stream.EVAL_DATA, 1, indices=np.arange(2048)))
+        indices = np.arange(2048)
+        rngs = list(block_rngs(3, Stream.EVAL_DATA, 1, indices=indices))
         assert calls == Counter()
-        assert all(rng is rngs[0] for rng in rngs)  # one generator, reseeded
         # an index past 32 bits takes block_rng
-        rngs = list(block_rngs(3, Stream.EVAL_DATA, 1, indices=[2**32, 5]))
-        assert calls == Counter(default_rng=1) and rngs[0] is not rngs[1]
+        past = list(block_rngs(3, Stream.EVAL_DATA, 1, indices=[2**32, 5]))
+        assert calls == Counter(default_rng=1) and past[0] is not past[1]
+        monkeypatch.undo()
+        # a generator stays valid after the next one is taken: each draws its block_rng's bytes
+        for index, rng in zip([*indices, 2**32, 5], rngs + past, strict=True):
+            want = block_rng(3, Stream.EVAL_DATA, 1, int(index))
+            assert rng.bit_generator.random_raw(3).tobytes() == \
+                want.bit_generator.random_raw(3).tobytes()
 
 
 class TestBitWords:
@@ -224,6 +229,26 @@ class TestDrawBlocks:
             # the generator goes on where the oracle's draws leave it
             assert gens[row].bit_generator.random_raw() == want.bit_generator.random_raw()
 
+    def test_rows_of_equal_channel_configs_each_get_their_fade(self):
+        # configs equal by value in separate objects, and one object in two
+        # rows: each row's fade is its own generator's, as the oracle draws it
+        rician = ChannelCfg(ChannelModel.RICIAN, k_factor_db=6.0)
+        channels = [rician, ChannelCfg(ChannelModel.RAYLEIGH),
+                    ChannelCfg(ChannelModel.RICIAN, k_factor_db=6.0), ChannelCfg(ChannelModel.AWGN),
+                    rician, ChannelCfg(ChannelModel.RAYLEIGH)]
+        heads = iter(channels)
+        _, fades, noise = draw_blocks(block_rngs(5, Stream.EVAL_CHANNEL, indices=range(6)), 6, 0, 8,
+                                      lambda rng: (None, next(heads)))
+        for row, channel in enumerate(channels):
+            _, fade, want = draw_block(block_rng(5, Stream.EVAL_CHANNEL, row), None, channel, 0, 8)
+            assert fades[row, 0].tobytes() == fade.tobytes()
+            assert noise[row].tobytes() == want.tobytes()
+
+    def test_a_short_stream_raises_naming_both_counts(self):
+        rngs = block_rngs(1, Stream.ADAPT_TICK, indices=range(2))
+        with pytest.raises(ValueError, match=r"asked for 4 blocks.* ended after 2"):
+            draw_blocks(rngs, 4, 3, 2, lambda rng: (ModScheme.QPSK, ChannelCfg()))
+
 
 class TestApplyChannel:
     @pytest.mark.parametrize("snr_db", [np.inf, -np.inf, np.nan])
@@ -288,7 +313,7 @@ class TestApplyChannel:
     def test_fading_is_flat_per_block(self, cfg, rng):
         bins = make_bins(cfg, rng)
         ch = ChannelCfg(ChannelModel.RAYLEIGH)
-        h = draw_channel(ch, np.random.default_rng(3), np.empty((2, cfg.n_sk)))
+        h = draw_fade(ch, np.random.default_rng(3))
         rx = add_channel(bins, h, np.zeros(cfg.n_sk, dtype=complex), 10.0)
         np.testing.assert_array_equal(rx, h * bins)
 
@@ -322,10 +347,9 @@ class TestDrawThenApply:
         scale = data.uniform(0.1, 10.0, (n_blocks, 1))
         x = scale * (data.standard_normal((n_blocks, cfg.n_sk))
                      + 1j * data.standard_normal((n_blocks, cfg.n_sk)))
-        parts = np.empty((n_blocks, 2, cfg.n_sk))
-        h = np.array([[draw_channel(ch, np.random.default_rng((seed, b)), parts[b])]
-                      for b in range(n_blocks)])
-        noise = unit_noise(parts)
+        fades, noise = zip(*(draw_block(np.random.default_rng((seed, b)), None, ch, 0, cfg.n_sk)[1:]
+                             for b in range(n_blocks)))
+        h, noise = np.array(fades)[:, None], np.array(noise)
         assert noise.shape == (n_blocks, cfg.n_sk)
         batched = add_channel(x, h, noise, snr_db)
         sigma2 = noise_power(x, snr_db)
@@ -351,11 +375,11 @@ class TestDrawThenApply:
     @pytest.mark.parametrize("model", list(ChannelModel))
     def test_noise_draws_real_parts_then_imaginary(self, model):
         # every output's noise depends on this order
-        parts = np.empty((2, 16))
-        draw_channel(ChannelCfg(model), np.random.default_rng(3), parts)
-        noise = unit_noise(parts)
-        _, _, want = draw_block(np.random.default_rng(3), None, ChannelCfg(model), 0, 16)
-        assert noise.tobytes() == want.tobytes()
+        _, fade, noise = draw_blocks([np.random.default_rng(3)], 1, 0, 16,
+                                     lambda rng: (None, ChannelCfg(model)))
+        _, want_fade, want = draw_block(np.random.default_rng(3), None, ChannelCfg(model), 0, 16)
+        assert fade[0, 0].tobytes() == want_fade.tobytes()
+        assert noise[0].tobytes() == want.tobytes()
         batch = unit_noise(np.stack([np.zeros((2, 16)), [np.ones(16), np.full(16, 2.0)]]))
         assert batch.tobytes() == np.stack([np.zeros(16), np.full(16, 1 + 2j)]).tobytes()
 

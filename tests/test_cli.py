@@ -507,6 +507,28 @@ class TestHeapPolicy:
                 == (tmp_path / "a" / "checkpoint.bin").read_bytes())
 
 
+# the numpy.random and numpy.fft modules that importing the CLI loads beyond numpy's own
+LAZY_PROBE = """
+import sys
+import numpy
+heavy = ("numpy.random", "numpy.fft")
+before = {name for name in sys.modules if name.startswith(heavy)}
+import tinyfdss.cli
+print(sorted({name for name in sys.modules if name.startswith(heavy)} - before))
+"""
+
+
+def test_importing_the_cli_loads_no_numpy_random_or_fft():
+    # both load on the first draw or transform: every command's setup time
+    # would pay for an import at the top of a module
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run([sys.executable, "-c", LAZY_PROBE], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 class TestEvalCommand:
     @pytest.fixture
     def trained_out(self, config_path, tmp_path):

@@ -155,12 +155,12 @@ class TestEvaluate:
             mods=("qpsk", "qam16"), n_blocks=20, ccdf_blocks=50, oobe_blocks=16,
             seed=9, schemes=("tinyml", "rrc", "slm"),
         )
-        fades = []
-        real_fade = channel.draw_fade
+        drawn = Counter()  # blocks drawn per (channel, mod, SNR) cell
+        real_draws = evaluation._cell_draws
 
-        def counting_fade(*args, **kwargs):
-            fades.append(1)
-            return real_fade(*args, **kwargs)
+        def counting_draws(eval_cfg, channel_name, mod, snr_i, n, indices):
+            drawn[channel_name, mod, snr_i] += len(indices)
+            return real_draws(eval_cfg, channel_name, mod, snr_i, n, indices)
 
         grid_sends = Counter()
 
@@ -189,7 +189,7 @@ class TestEvaluate:
             net_calls.append(1)
             return real_predict(*args)
 
-        monkeypatch.setattr(channel, "draw_fade", counting_fade)
+        monkeypatch.setattr(evaluation, "_cell_draws", counting_draws)
         for name, scheme in SCHEMES.items():
             monkeypatch.setitem(SCHEMES, name, counting_scheme(name, scheme))
         monkeypatch.setattr(evaluation, "adaptation_cycle", counting_cycle)
@@ -197,7 +197,8 @@ class TestEvaluate:
         result = evaluate(small_ckpt, eval_cfg, ChainConfig())
         n_mods, n_snrs = len(eval_cfg.mods), len(eval_cfg.snr_db)
         assert len(result.cells) == 3 * 2 * n_mods * n_snrs
-        assert len(fades) == len(eval_cfg.channels) * n_mods * n_snrs * eval_cfg.n_blocks
+        assert drawn == {cell: eval_cfg.n_blocks for cell in product(
+            eval_cfg.channels, eval_cfg.mods, range(n_snrs))}
         assert grid_sends == {"tinyml": n_mods * n_snrs, "rrc": n_mods, "slm": n_mods}
         # the one CCDF chunk, then every (mod, SNR) of the grid
         assert cycles == [(eval_cfg.ccdf_blocks, eval_cfg.ccdf_snr_db)] + [

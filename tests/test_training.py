@@ -238,11 +238,12 @@ class TestTrain:
         size = PREP_BATCHES * 32
         config = TrainConfig(n_blocks=100, batch_size=32, epochs=2, seed=18,
                              channel_mix=(("awgn", 0.3), ("rayleigh", 0.3), ("rician", 0.4)))
-        chunks, steps = [], []
+        chunks, streams, steps = [], [], []
 
-        def prepare(config, indices, table, _real=training.prepare_batch):
+        def prepare(config, indices, table, rngs, _real=training.prepare_batch):
             chunks.append(len(indices))
-            return _real(config, indices, table)
+            streams.append(rngs)
+            return _real(config, indices, table, rngs)
 
         def loss(coeffs, prep, cfg, _real=training.chain_loss):
             steps.append(prep)
@@ -254,6 +255,9 @@ class TestTrain:
         monkeypatch.undo()
 
         assert chunks == [min(size, 100 - lo) for lo in range(0, 100, size)] * 2
+        # one generator stream per epoch, shared by its chunks
+        assert [stream is streams[0] for stream in streams] == [True, True, False, False]
+        assert streams[3] is streams[2]
         want = [order[lo : lo + 32]
                 for order in (block_rng(18, Stream.EPOCH_ORDER, epoch).permutation(100)
                               for epoch in range(2))
