@@ -79,11 +79,15 @@ def clip_amplitude(x: np.ndarray, level: np.ndarray | float) -> np.ndarray:
     ``np.where(|x| > level, level / max(|x|, guard), 1.0)`` form except
     where 0 < |x| <= level < guard.  The guard is a normal number of |x|'s
     precision: 1e-300 in float64 and float32's smallest normal, ~1.2e-38,
-    in float32 (CLF's rounds).
+    in float32 (CLF's rounds).  Where x == 0, level / guard may overflow to
+    inf, which the fmin takes to 1 as the where form does; that overflow
+    raises no warning.
     """
     scale = np.abs(x)
     np.maximum(scale, max(1e-300, np.finfo(scale.dtype).tiny), out=scale)
-    return x * np.fmin(np.divide(level, scale, out=scale), 1.0, out=scale)
+    with np.errstate(over="ignore"):
+        np.divide(level, scale, out=scale)
+    return x * np.fmin(scale, 1.0, out=scale)
 
 
 def clf_reduce(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:

@@ -160,10 +160,14 @@ def waveform_papr_db(bins, cfg):
 
 def clip(x, level):
     """Hard amplitude clip at ``level``, phases kept; |x| below the larger of
-    1e-300 and the least normal number of its precision divides as that number."""
+    1e-300 and the least normal number of its precision divides as that number.
+    The ratio is computed everywhere; where |x| <= level it is discarded, and
+    its overflow there (x == 0 under a large level) is not reported."""
     mag = np.abs(x)
     guard = max(1e-300, np.finfo(mag.dtype).tiny)
-    return x * np.where(mag > level, level / np.maximum(mag, guard), 1.0)
+    with np.errstate(over="ignore"):
+        ratio = level / np.maximum(mag, guard)
+    return x * np.where(mag > level, ratio, 1.0)
 
 
 def clf(bins, clf_cfg, cfg):

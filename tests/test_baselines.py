@@ -128,6 +128,15 @@ class TestClf:
         assert np.array_equal(clip_amplitude(x, at)[:, 10], x[:, 10])
         assert np.all(np.abs(clip_amplitude(x, below)[:, 10]) < mag[:, 10])
 
+    def test_zero_sample_under_a_level_past_the_guard_ratio(self):
+        # level / guard overflows where x == 0 (float32: 4 / ~1.2e-38), which
+        # the clip maps to a factor of 1 as the where form does
+        for dtype, level in ((np.complex64, 4.0), (np.complex128, 1e20)):
+            x = np.array([[0.0, complex(-0.0, -0.0), 1.0]], dtype=dtype)
+            got = clip_amplitude(x, level)
+            assert got.tobytes() == clip(x, level).tobytes()
+            assert np.array_equal(got, x)
+
     @settings(max_examples=200, deadline=None)
     @given(x=seeded_samples(), kind=st.sampled_from(["scalar", "row", "rms"]),
            ratio=st.floats(0.0, 4.0, allow_subnormal=False),
