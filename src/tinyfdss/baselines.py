@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain import ChainConfig, centered_band, extend, occupied_bins, time_signal
-from .channel import Stream, block_rng
+from .channel import Stream, block_rng, check_decibels
 from .metrics import by_tiles, row_scale, single_precision, waveform_papr_db
 
 SLM_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
@@ -44,8 +44,7 @@ class ClfConfig:
     iterations: int = 2
 
     def __post_init__(self):
-        if not np.isfinite(self.clip_ratio_db):
-            raise ValueError(f"clip_ratio_db must be finite, got {self.clip_ratio_db}")
+        check_decibels("clip_ratio_db", self.clip_ratio_db, 20)
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
@@ -223,7 +222,9 @@ def fir_bin_gains(fir: np.ndarray, cfg: ChainConfig) -> np.ndarray:
 
     Circular convolution on the transmit grid is exactly a per-bin complex
     multiplication, so the filtered baseline can reuse the shaping/equalizing
-    machinery with these gains as (complex) taps.
+    machinery with these gains as (complex) taps.  On a grid of n samples,
+    tap t lands on sample t mod n: a FIR longer than the grid wraps around.
     """
     n = cfg.n_fft * cfg.oversample
-    return np.fft.fft(fir, n)[centered_band(cfg.n_sk, n)]
+    wrapped = np.bincount(np.arange(fir.size) % n, weights=fir, minlength=n)
+    return np.fft.fft(wrapped)[centered_band(cfg.n_sk, n)]

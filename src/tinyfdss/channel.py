@@ -207,8 +207,23 @@ class ChannelCfg:
     k_factor_db: float = RICIAN_K_DB
 
     def __post_init__(self):
-        if self.model is ChannelModel.RICIAN and not np.isfinite(self.k_factor_db):
-            raise ValueError("Rician channel requires a finite K-factor")
+        if self.model is ChannelModel.RICIAN:
+            check_decibels("k_factor_db", self.k_factor_db, 10)
+
+
+def check_decibels(name: str, db: float, per: int) -> None:
+    """``ValueError`` naming ``name`` unless ``db`` is finite and its linear
+    form ``10 ** (db / per)`` (``per`` 10 for a power ratio, 20 for an
+    amplitude ratio) is a finite float: up to about 3082.5 dB for a power
+    ratio and 6165.1 dB for an amplitude ratio."""
+    if not np.isfinite(db):
+        raise ValueError(f"{name} must be finite, got {db}")
+    try:
+        10.0 ** (float(db) / per)
+    except OverflowError:
+        bound = per * np.log10(np.finfo(float).max)
+        raise ValueError(f"{name} must be at most {bound:.1f} dB, where 10**({name}/{per}) "
+                         f"overflows a float, got {db}") from None
 
 
 def _fades(cfg: ChannelCfg, normals: np.ndarray) -> np.ndarray:

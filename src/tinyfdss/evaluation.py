@@ -48,7 +48,7 @@ from .chain import (
     shape_and_normalize,
 )
 from .channel import (MODEL_NAMES, RICIAN_K_DB, ChannelCfg, Stream, add_channel, block_rngs,
-                      draw_blocks)
+                      check_decibels, draw_blocks)
 from .filters import rrc_taps, unit_taps
 from .metrics import (
     OOBE_MIN_BLOCKS,
@@ -110,8 +110,7 @@ class EvalConfig:
                              f"got {self.oobe_blocks}")
         if not 0.0 < self.rrc_rolloff <= 1.0:
             raise ValueError(f"rrc_rolloff must be in (0, 1], got {self.rrc_rolloff}")
-        if not np.isfinite(self.rician_k_db):
-            raise ValueError(f"rician_k_db must be finite, got {self.rician_k_db}")
+        check_decibels("rician_k_db", self.rician_k_db, 10)
         if not np.all(np.isfinite(self.snr_db)):
             raise ValueError(f"snr_db must hold finite values, got {list(self.snr_db)}")
         if not np.isfinite(self.ccdf_snr_db):

@@ -388,31 +388,30 @@ def predict_coeffs(net: NetParams | QuantizedNet, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # Little-endian byte layout, version 1:
-#   magic           4s   b"TFSS"
-#   version         u32  1
-#   hidden_width    u32
-#   input_dim       u32
-#   out_dim         u32  (also the coefficient count)
-#   flags           u32  13: bit0 quantized twin, bit2 extras, bit3 history.
-#                        Every file carries all three sections; a file that
-#                        clears one of these bits or sets any other bit is
-#                        rejected (bit1 marked a retired optimizer section)
+#   header          _HEADER: magic 4s b"TFSS", u32 version 1, u32 hidden_width,
+#                   u32 input_dim, u32 out_dim (also the coefficient count),
+#                   u32 flags 13
 #   params          float32 row-major: [w1, b1] (if hidden>0), w2, b2
 #   masks           packed bitsets (row-major, padded to byte) per weight tensor
-#   quant (bit0)    per layer: int8 tensor, float32 weight scale,
+#   quant           per layer: int8 tensor, float32 weight scale,
 #                   int32 bias tensor, float32 bias scale
-#   extras(bit2)    u32 epoch, u64 config hash
-#   history(bit3)   u32 row count, rows of len(HISTORY_COLUMNS) = 6 f64
-#                   (epoch, mean_loss, median_loss, mse_term, tail_term, sparsity)
+#   extras          _EXTRAS: u32 epoch, u64 config hash
+#   history         _ROWS: u32 row count, then rows of len(HISTORY_COLUMNS) = 6
+#                   f64 (epoch, mean_loss, median_loss, mse_term, tail_term,
+#                   sparsity)
 #
 # The file ends after the history; trailing bytes are rejected.
 
 MAGIC = b"TFSS"
 VERSION = 1
+# bit0 quantized twin, bit2 extras, bit3 history: every file carries all three.
+# bit1 marked an optimizer section that no writer emits any more.
+FLAGS = 13
 HISTORY_COLUMNS = ("epoch", "mean_loss", "median_loss", "mse_term", "tail_term",
                    "sparsity")
-_SECTION_BITS = {"quantized twin": 0, "extras": 2, "history": 3}
-FLAGS = sum(1 << bit for bit in _SECTION_BITS.values())  # 13, set in every file
+_HEADER = struct.Struct("<4sIIIII")
+_EXTRAS = struct.Struct("<IQ")
+_ROWS = struct.Struct("<I")
 
 
 # The body after the header, in file order: per net class, the (field, kind,
@@ -437,8 +436,11 @@ def _sections(shapes: list[tuple[int, int]]) -> list[tuple]:
     ]
 
 
-def _encode(kind: str, value) -> bytes:
-    """One section's bytes: ``kind`` as in ``_BODY``."""
+def _encode(what: str, kind: str, value, shape: tuple) -> bytes:
+    """One section's bytes, ``kind`` as in ``_BODY``; ``ValueError`` naming
+    ``what`` unless ``value`` has ``shape``."""
+    if np.shape(value) != shape:
+        raise ValueError(f"{what} has shape {np.shape(value)}; the layout would give {shape}")
     if kind == "mask":
         return np.packbits(value.astype(np.uint8), axis=None).tobytes()
     return np.ascontiguousarray(value, dtype=kind).tobytes()
@@ -457,35 +459,26 @@ def save_net(
     Parameter tensors are stored as float32; callers needing a bit-exact
     save -> load -> forward round trip should hold float32-representable
     parameters (the trainer casts once after training).  Every section must
-    have the shape the header's dimensions (``params``') give it, as
-    ``load_net`` reads it; otherwise ``ValueError`` names the first field
-    that does not, and no file is written.
+    have the shape that ``load_net`` reads: the header's dimensions
+    (``params``') for the nets, ``(rows, len(HISTORY_COLUMNS))`` for the
+    history.  Otherwise ``ValueError`` names the first field that does not,
+    and no file is written.
     """
     layers = {NetParams: params.layers(), QuantizedNet: qnet.layers()}
     shapes = _layer_shapes(params.input_dim, params.hidden_width, params.out_dim)
-    sections = _sections(shapes)
     for cls, net in layers.items():
         if len(net) != len(shapes):
             raise ValueError(f"{cls.__name__} has {len(net)} layer(s); the header's "
                              f"dimensions give {len(shapes)}")
-    for cls, k, field, _, shape in sections:
-        got = np.shape(layers[cls][k][field])
-        if got != shape:
-            name = cls.FIELDS[len(cls.FIELDS) - len(shapes) + k][field]
-            raise ValueError(f"{cls.__name__}.{name} (layer {k + 1}) has shape {got}; "
-                             f"the header's dimensions give {shape}")
-    chunks = [
-        struct.pack(
-            "<4sIIIII", MAGIC, VERSION, params.hidden_width,
-            params.input_dim, params.out_dim, FLAGS,
-        )
-    ]
-    chunks += [_encode(kind, layers[cls][k][field])
-               for cls, k, field, kind, _ in sections]
-    chunks.append(struct.pack("<IQ", epoch, config_hash))
-    hist = np.ascontiguousarray(history, dtype="<f8").reshape(-1, len(HISTORY_COLUMNS))
-    chunks.append(struct.pack("<I", hist.shape[0]))
-    chunks.append(hist.tobytes())
+    chunks = [_HEADER.pack(MAGIC, VERSION, params.hidden_width, params.input_dim,
+                           params.out_dim, FLAGS)]
+    for cls, k, field, kind, shape in _sections(shapes):
+        name = cls.FIELDS[len(cls.FIELDS) - len(shapes) + k][field]
+        chunks.append(_encode(f"{cls.__name__}.{name} (layer {k + 1})", kind,
+                              layers[cls][k][field], shape))
+    rows = np.shape(history)[:1]
+    hist = _encode("history", "<f8", history, (*rows, len(HISTORY_COLUMNS)))
+    chunks += [_EXTRAS.pack(epoch, config_hash), _ROWS.pack(*rows), hist]
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
@@ -493,8 +486,10 @@ def save_net(
 def load_net(path) -> dict:
     """Load a checkpoint into a dict: params, qnet, epoch, config_hash, history.
 
-    A file whose flags are not exactly ``FLAGS``, that ends early, or that
-    carries bytes after its history raises ``ValueError``.
+    A file whose magic, version or flags are not exactly ``MAGIC``,
+    ``VERSION`` and ``FLAGS``, that ends early, or that carries bytes after
+    its history raises ``ValueError``; a header field's message names it and
+    both values.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -507,6 +502,9 @@ def load_net(path) -> dict:
         pos += size
         return data[pos - size : pos]
 
+    def unpack(layout: struct.Struct) -> tuple:
+        return layout.unpack(take(layout.size))
+
     def read(kind: str, shape: tuple):
         """The next section; floats load as float64 and a scalar as a Python number."""
         count = math.prod(shape)  # a Python int: a header's product never wraps
@@ -518,22 +516,11 @@ def load_net(path) -> dict:
             return value.item()
         return value.astype(np.float64) if value.dtype.kind == "f" else value.copy()
 
-    magic, version, hidden, in_dim, out_dim, flags = struct.unpack("<4sIIIII", take(24))
-    if magic != MAGIC:
-        raise ValueError(f"bad checkpoint magic {magic!r}")
-    if version != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    unknown = flags & ~FLAGS
-    if unknown:
-        bits = [i for i in range(32) if unknown >> i & 1]
-        raise ValueError(
-            f"checkpoint sets flag bit(s) {bits} (flags {flags:#x}) that this loader "
-            "does not read"
-        )
-    for section, bit in _SECTION_BITS.items():
-        if not flags >> bit & 1:
-            raise ValueError(f"checkpoint lacks its {section} section "
-                             f"(flag bit {bit}, flags {flags:#x})")
+    magic, version, hidden, in_dim, out_dim, flags = unpack(_HEADER)
+    for name, got, want in (("magic", magic, MAGIC), ("version", version, VERSION),
+                            ("flags", flags, FLAGS)):
+        if got != want:
+            raise ValueError(f"checkpoint {name} {got!r}; this loader reads only {want!r}")
     shapes = _layer_shapes(in_dim, hidden, out_dim)
     layers = {cls: [[None] * len(cls.FIELDS[0]) for _ in shapes]
               for cls in (NetParams, QuantizedNet)}
@@ -542,8 +529,8 @@ def load_net(path) -> dict:
     params = NetParams.from_layers(layers[NetParams])
     apply_masks(params)
     qnet = QuantizedNet.from_layers(layers[QuantizedNet])
-    epoch, config_hash = struct.unpack("<IQ", take(12))
-    (rows,) = struct.unpack("<I", take(4))
+    epoch, config_hash = unpack(_EXTRAS)
+    (rows,) = unpack(_ROWS)
     history = read("<f8", (rows, len(HISTORY_COLUMNS)))
     trailing = len(data) - pos
     if trailing:

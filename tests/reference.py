@@ -158,6 +158,14 @@ def waveform_papr_db(bins, cfg):
     return papr_db(time_signal((bins * np.ldexp(1.0, -exp)).astype(np.complex64), cfg))
 
 
+def fir_gains(fir, cfg):
+    """A FIR's gain on each band bin k of the n-sample grid: the DFT sum over
+    every tap, sum_t fir[t] exp(-2j pi k t / n), so a tap past n wraps."""
+    n = cfg.n_fft * cfg.oversample
+    k = band(cfg.n_sk, n)
+    return np.exp(-2j * np.pi * (np.outer(k, np.arange(len(fir))) % n) / n) @ fir
+
+
 def clip(x, level):
     """Hard amplitude clip at ``level``, phases kept; |x| below the larger of
     1e-300 and the least normal number of its precision divides as that number.

@@ -32,7 +32,7 @@ from tinyfdss import baselines
 from tinyfdss.metrics import papr_db, single_precision, waveform_papr_db
 
 from reference import clf as clf_reference
-from reference import clip
+from reference import clip, fir_gains
 from reference import slm as slm_reference
 
 
@@ -412,15 +412,24 @@ class TestRrcFir:
         np.testing.assert_allclose(h, h[::-1], atol=1e-12)
 
     def test_bin_gains_match_circular_convolution(self, cfg, rng):
+        self.check_bin_gains(cfg, rng)
+
+    def test_bin_gains_wrap_a_fir_longer_than_the_grid(self, rng):
+        # 16 grid samples against 32 taps: taps 16-31 wrap onto 0-15
+        self.check_bin_gains(ChainConfig(n_data=8, n_se=2, n_fft=16, oversample=1), rng)
+
+    @staticmethod
+    def check_bin_gains(cfg, rng):
         conv = conventional_config(cfg)
         h = rrc_fir(32, 0.25, sps=conv.oversample)
         gains = fir_bin_gains(h, conv)
+        np.testing.assert_allclose(gains, fir_gains(h, conv), atol=1e-12)
         bits = rng.integers(0, 2, conv.n_data * 2)
         spectrum = precode(map_symbols(bits, ModScheme.QPSK))
-        # explicit circular convolution on the oversampled grid
+        # explicit circular convolution on the oversampled grid: tap t
+        # delays the signal by t samples, modulo the grid
         x = time_signal(spectrum, conv)
-        n = len(x)
-        y = np.fft.ifft(np.fft.fft(x) * np.fft.fft(h, n))
+        y = sum(tap * np.roll(x, t) for t, tap in enumerate(h))
         np.testing.assert_allclose(
             occupied_bins(y, conv), spectrum * gains, atol=1e-10
         )

@@ -1,8 +1,8 @@
 """Property tests: the checkpoint loader accepts exactly the files the writer emits.
 
 A valid file is built from drawn shapes and section contents; every strict
-prefix, every non-empty suffix, every flag bit the loader does not read and
-every cleared section bit must raise ``ValueError``.
+prefix, every non-empty suffix, every flags value but 13 and every version but
+1 must raise ``ValueError``.
 """
 
 import struct
@@ -12,14 +12,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tinyfdss.network import init_params, load_net, quantize, save_net
 
+VERSION_OFFSET = 4  # after magic
 FLAGS_OFFSET = 20  # after magic, version, hidden_width, input_dim, out_dim
-SECTION_BITS = (0, 2, 3)  # quantized twin, extras, history
-UNKNOWN_BITS = [b for b in range(32) if b not in SECTION_BITS]
+FLAGS = 13  # bits 0, 2 and 3: quantized twin, extras, history
 
 
 @st.composite
@@ -77,35 +77,50 @@ def test_every_appended_suffix_rejected(workdir, parts, suffix):
         load_bytes(workdir, blob + suffix)
 
 
-@settings(max_examples=60, deadline=None)
-@given(parts=checkpoint_bytes(), bit=st.sampled_from(UNKNOWN_BITS))
-def test_every_unknown_flag_bit_rejected(workdir, parts, bit):
-    blob = bytearray(valid_file(workdir, parts))
-    (flags,) = struct.unpack_from("<I", blob, FLAGS_OFFSET)
-    struct.pack_into("<I", blob, FLAGS_OFFSET, flags | 1 << bit)
-    with pytest.raises(ValueError, match=rf"flag bit\(s\) \[{bit}\]"):
-        load_bytes(workdir, bytes(blob))
+def with_field(blob: bytes, offset: int, value: int) -> bytes:
+    """``blob`` with the u32 at ``offset`` replaced by ``value``."""
+    blob = bytearray(blob)
+    struct.pack_into("<I", blob, offset, value)
+    return bytes(blob)
+
+
+PARAMS = init_params(hidden_width=2, rng=np.random.default_rng(0), input_dim=5, out_dim=3)
+PARTS = {"params": PARAMS, "qnet": quantize(PARAMS), "epoch": 0, "config_hash": 0,
+         "history": np.zeros((0, 6))}
+
+
+def single_bit_flips(test):
+    """``test`` with one example per bit of 13 set or cleared."""
+    for bit in range(32):
+        test = example(parts=PARTS, flags=FLAGS ^ 1 << bit)(test)
+    return test
 
 
 @settings(max_examples=60, deadline=None)
-@given(parts=checkpoint_bytes(), bit=st.sampled_from(SECTION_BITS))
-def test_every_cleared_section_bit_rejected(workdir, parts, bit):
-    blob = bytearray(valid_file(workdir, parts))
-    (flags,) = struct.unpack_from("<I", blob, FLAGS_OFFSET)
-    struct.pack_into("<I", blob, FLAGS_OFFSET, flags & ~(1 << bit))
-    with pytest.raises(ValueError, match=rf"lacks its .* section \(flag bit {bit},"):
-        load_bytes(workdir, bytes(blob))
+@given(parts=checkpoint_bytes(), flags=st.integers(0, 2**32 - 1).filter(lambda f: f != FLAGS))
+@single_bit_flips
+def test_every_other_flags_value_rejected(workdir, parts, flags):
+    blob = with_field(valid_file(workdir, parts), FLAGS_OFFSET, flags)
+    with pytest.raises(ValueError, match=rf"^checkpoint flags {flags}; .* only 13$"):
+        load_bytes(workdir, blob)
+
+
+@settings(max_examples=30, deadline=None)
+@given(parts=checkpoint_bytes(), version=st.integers(0, 2**32 - 1).filter(lambda v: v != 1))
+@example(parts=PARTS, version=0)
+@example(parts=PARTS, version=2)
+def test_every_other_version_rejected(workdir, parts, version):
+    blob = with_field(valid_file(workdir, parts), VERSION_OFFSET, version)
+    with pytest.raises(ValueError, match=rf"^checkpoint version {version}; .* only 1$"):
+        load_bytes(workdir, blob)
 
 
 def test_optimizer_section_file_rejected(workdir):
     # the layout of a file that still carries the retired optimizer section
     # (bit 1): quantized twin, then step and hyperparameters, then m and v
-    p = init_params(hidden_width=2, rng=np.random.default_rng(0), input_dim=5, out_dim=3)
-    blob = valid_file(workdir, {"params": p, "qnet": quantize(p), "epoch": 0,
-                                "config_hash": 0, "history": np.zeros((0, 6))})
-    blob = bytearray(blob[:-16])  # without the extras (12 bytes) and empty history (4)
+    blob = bytearray(valid_file(workdir, PARTS)[:-16])  # no extras (12 bytes), empty history (4)
     struct.pack_into("<I", blob, FLAGS_OFFSET, 1 | 2)
     blob += struct.pack("<Qddddd", 7, 1e-3, 0.9, 0.999, 1e-8, 1e-4)
-    blob += bytes(2 * 8 * (p.w1.size + p.b1.size + p.w2.size + p.b2.size))
-    with pytest.raises(ValueError, match=r"flag bit\(s\) \[1\]"):
+    blob += bytes(2 * 8 * sum(t.size for t in (PARAMS.w1, PARAMS.b1, PARAMS.w2, PARAMS.b2)))
+    with pytest.raises(ValueError, match=r"^checkpoint flags 3; this loader reads only 13$"):
         load_bytes(workdir, bytes(blob))

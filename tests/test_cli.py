@@ -190,6 +190,12 @@ class TestConfig:
          "baselines.clf: clip_ratio_db must be finite, got nan"),
         ("baselines", "baselines", {"clf": {"clip_ratio_db": float("inf")}},
          "baselines.clf: clip_ratio_db must be finite, got inf"),
+        ("baselines", "eval", {"rician_k_db": 4000, "channels": ["rician"]},
+         "eval: rician_k_db must be at most 3082.5 dB, where 10**(rician_k_db/10) overflows "
+         "a float, got 4000"),
+        ("baselines", "baselines", {"clf": {"clip_ratio_db": 7000}},
+         "baselines.clf: clip_ratio_db must be at most 6165.1 dB, where "
+         "10**(clip_ratio_db/20) overflows a float, got 7000"),
         ("baselines", "eval", {"channels": ["awgn", "awgn"]},
          "eval: channels must not repeat an entry, got ['awgn', 'awgn']"),
         ("baselines", "eval", {"schemes": ["rrc", "rrc"]},
@@ -232,7 +238,8 @@ class TestConfig:
         "target_sparsity-one", "target_sparsity-no-live-weight",
         "target_sparsity-perceptron-no-live-weight", "lr-nan", "lr-negative", "weight_decay-inf",
         "weight_decay-negative", "eval-rician_k_db-nan", "train-rician_k_db-inf",
-        "clip_ratio_db-nan", "clip_ratio_db-inf", "channels-repeat", "schemes-repeat",
+        "clip_ratio_db-nan", "clip_ratio_db-inf", "rician_k_db-overflow",
+        "clip_ratio_db-overflow", "channels-repeat", "schemes-repeat",
         "mods-repeat", "snr_db-repeat", "snr_db-repeat-int-float", "hidden_widths-repeat",
         "schemes-empty", "channels-empty", "snr_db-empty", "hidden_widths-empty",
         "rrc_rolloff-zero", "rrc_rolloff-above-one", "rrc_rolloff-nan", "schemes-no-anchor",

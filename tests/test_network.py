@@ -412,10 +412,20 @@ class TestCheckpointIO:
             save_net(path, p, q, epoch=0, config_hash=0, history=np.zeros((0, 6)))
         assert not path.exists()
 
+    @pytest.mark.parametrize("history", [np.zeros((3, 4)), np.zeros(12), np.zeros((2, 6, 1))],
+                             ids=["3x4", "flat", "3-d"])
+    def test_save_rejects_a_history_of_other_shapes(self, tmp_path, history):
+        # rows of 6 columns are what the loader reads back; nothing is re-rowed
+        p = init_params(hidden_width=2, rng=np.random.default_rng(0), input_dim=7, out_dim=4)
+        path = tmp_path / "net.bin"
+        with pytest.raises(ValueError, match=r"^history has shape .*; the layout would give"):
+            save_net(path, p, quantize(p), epoch=0, config_hash=0, history=history)
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\0" * 64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^checkpoint magic b'NOPE'; .* only b'TFSS'$"):
             load_net(path)
 
     def test_huge_header_dims_read_as_truncated(self, tmp_path):

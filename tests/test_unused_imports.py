@@ -1,7 +1,9 @@
 """No module imports a name it never uses (a package ``__init__`` re-exports),
-and no function of ``tests/reference.py`` outlives the tests that call it."""
+no top-level name of ``src/tinyfdss`` goes unread, and no function of
+``tests/reference.py`` outlives the tests that call it."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,31 @@ def unused_imports(source: str) -> list[str]:
             imported += [alias.asname or alias.name for alias in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+def unread(module: str, readers: list[str], readme: str) -> list[str]:
+    """The module-level functions, classes and assigned names of ``module``
+    that no ``Name``, ``Attribute`` or import alias in ``readers`` reads and
+    ``readme`` does not mention, in definition order."""
+    defined = []
+    for node in ast.parse(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name)]
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [name for name in defined
+            if name not in read and not re.search(rf"\b{re.escape(name)}\b", readme)]
 
 
 def uncalled(reference: str, tests: list[str]) -> list[str]:
@@ -51,6 +78,24 @@ def test_the_scan_sees_an_unused_name():
     source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nprint(np, e)\n"
     assert unused_imports(source) == ["os", "c"]
     assert FILES  # the folders were found
+
+
+def test_every_top_level_name_in_src_is_read():
+    readers = [path.read_text() for folder in ("src", "tests", "demos", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    modules = sorted(path for path in (ROOT / "src" / "tinyfdss").glob("*.py")
+                     if path.name != "__init__.py")
+    assert modules
+    assert {path.name: unread(path.read_text(), readers, readme) for path in modules} == {
+        path.name: [] for path in modules}
+
+
+def test_the_scan_sees_an_unread_top_level_name():
+    module = ("import os\nA = 1\nB: int = 2\nC, (D, E) = 3, (4, 5)\n\n\n"
+              "def f():\n    return os.sep\n\n\nclass G:\n    pass\n")
+    readers = [module, "from m import f\nprint(m.B, D)\n"]
+    assert unread(module, readers, "README names `E`, not EE.") == ["A", "C", "G"]
 
 
 def test_every_reference_function_is_called_by_a_test():
