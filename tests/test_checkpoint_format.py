@@ -1,8 +1,9 @@
 """Property tests: the checkpoint loader accepts exactly the files the writer emits.
 
 A valid file is built from drawn shapes and section contents; every strict
-prefix, every non-empty suffix, every flags value but 13 and every version but
-1 must raise ``ValueError``.
+prefix, every non-empty suffix, every flags value but 13 (a set bit the loader
+does not read or a cleared section bit among them) and every version but 1 must
+raise ``ValueError``.
 """
 
 import struct
@@ -20,6 +21,8 @@ from tinyfdss.network import init_params, load_net, quantize, save_net
 VERSION_OFFSET = 4  # after magic
 FLAGS_OFFSET = 20  # after magic, version, hidden_width, input_dim, out_dim
 FLAGS = 13  # bits 0, 2 and 3: quantized twin, extras, history
+SECTION_BITS = [b for b in range(32) if FLAGS >> b & 1]
+UNKNOWN_BITS = [b for b in range(32) if not FLAGS >> b & 1]
 
 
 @st.composite
@@ -84,25 +87,32 @@ def with_field(blob: bytes, offset: int, value: int) -> bytes:
     return bytes(blob)
 
 
-PARAMS = init_params(hidden_width=2, rng=np.random.default_rng(0), input_dim=5, out_dim=3)
-PARTS = {"params": PARAMS, "qnet": quantize(PARAMS), "epoch": 0, "config_hash": 0,
-         "history": np.zeros((0, 6))}
+def flags_rejected(workdir, blob: bytes, flags: int):
+    with pytest.raises(ValueError, match=rf"^checkpoint flags {flags}; .* only 13$"):
+        load_bytes(workdir, with_field(blob, FLAGS_OFFSET, flags))
 
 
-def single_bit_flips(test):
-    """``test`` with one example per bit of 13 set or cleared."""
-    for bit in range(32):
-        test = example(parts=PARTS, flags=FLAGS ^ 1 << bit)(test)
-    return test
+@settings(max_examples=60, deadline=None)
+@given(parts=checkpoint_bytes(), bit=st.sampled_from(UNKNOWN_BITS))
+def test_every_unknown_flag_bit_rejected(workdir, parts, bit):
+    flags_rejected(workdir, valid_file(workdir, parts), FLAGS | 1 << bit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=checkpoint_bytes(), bit=st.sampled_from(SECTION_BITS))
+def test_every_cleared_section_bit_rejected(workdir, parts, bit):
+    flags_rejected(workdir, valid_file(workdir, parts), FLAGS & ~(1 << bit))
 
 
 @settings(max_examples=60, deadline=None)
 @given(parts=checkpoint_bytes(), flags=st.integers(0, 2**32 - 1).filter(lambda f: f != FLAGS))
-@single_bit_flips
 def test_every_other_flags_value_rejected(workdir, parts, flags):
-    blob = with_field(valid_file(workdir, parts), FLAGS_OFFSET, flags)
-    with pytest.raises(ValueError, match=rf"^checkpoint flags {flags}; .* only 13$"):
-        load_bytes(workdir, blob)
+    flags_rejected(workdir, valid_file(workdir, parts), flags)
+
+
+PARAMS = init_params(hidden_width=2, rng=np.random.default_rng(0), input_dim=5, out_dim=3)
+PARTS = {"params": PARAMS, "qnet": quantize(PARAMS), "epoch": 0, "config_hash": 0,
+         "history": np.zeros((0, 6))}
 
 
 @settings(max_examples=30, deadline=None)
