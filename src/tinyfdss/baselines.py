@@ -112,7 +112,11 @@ def _clf_rounds(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarra
         x = time_signal(bins, cfg)
         if level is None:
             rms = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True))
-            level = rms * 10.0 ** (clf.clip_ratio_db / 20.0)
+            # past ~770 dB the ratio overflows float32 to inf, a level that
+            # clips nothing, as does an all-zero row's NaN (0 * inf); neither
+            # warns, as clip_amplitude's overflowing ratio does not
+            with np.errstate(over="ignore", invalid="ignore"):
+                level = rms * 10.0 ** (clf.clip_ratio_db / 20.0)
         x = clip_amplitude(x, level)  # the unclipped grid is freed before the FFT
         bins = occupied_bins(x, cfg)
     return bins.astype(np.complex128) / pow2  # exact: a power of two

@@ -17,9 +17,10 @@ this mapping bit-exactly.
 
 The array-level functions act on the last axis and accept leading batch
 dimensions; training, evaluation and adaptation use only these.  Fixed
-transmit power (:func:`shape_and_normalize`) and the receiver's matched
-filter and folding (:func:`equalize`) are each written once here, so every
-transmit goes through ``shape_and_normalize`` and :func:`time_signal`.
+transmit power (:func:`power_gain`, which :func:`shape_and_normalize` and
+training's loss apply) and the receiver's matched filter and folding
+(:func:`equalize`) are each written once here, so every transmit goes through
+``shape_and_normalize`` and :func:`time_signal`.
 :func:`receive` is the array receive step (equalization with the effective
 taps, then detection) of every symbol-error path; it takes received occupied
 bins and makes no FFT.  The stage-tagged :class:`SymbolBlock` exists only at the
@@ -301,12 +302,19 @@ def occupied_bins(signal: np.ndarray, cfg: ChainConfig) -> np.ndarray:
     return bins
 
 
+def power_gain(p_s: np.ndarray, p_shaped: np.ndarray) -> np.ndarray:
+    """The fixed-transmit-power gain ``sqrt(p_s / p_shaped)`` per block, from
+    the mean bin powers ``mean|s|^2`` and ``mean|s*taps|^2``; ``p_shaped`` is
+    floored at 1e-300, so all-zero taps give a finite gain."""
+    return np.sqrt(p_s / np.maximum(p_shaped, 1e-300))
+
+
 def shape_and_normalize(
     s: np.ndarray, taps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shape the bins with the taps at fixed transmit power.
 
-    Returns ``(bins, eff_taps, g)``: the per-block gain
+    Returns ``(bins, eff_taps, g)``: the per-block :func:`power_gain`
     ``g = sqrt(mean|s|^2 / mean|s*taps|^2)`` makes the shaped bins
     ``bins = g*(s*taps)`` carry the unshaped occupied power, so scaling the
     taps can neither buy SNR nor change PAPR; ``eff_taps = g*taps`` is what the
@@ -314,10 +322,7 @@ def shape_and_normalize(
     bin response) and broadcast against ``s``.
     """
     shaped = s * taps
-    g = np.sqrt(
-        np.mean(np.abs(s) ** 2, axis=-1)
-        / np.maximum(np.mean(np.abs(shaped) ** 2, axis=-1), 1e-300)
-    )
+    g = power_gain(np.mean(np.abs(s) ** 2, axis=-1), np.mean(np.abs(shaped) ** 2, axis=-1))
     return g[..., None] * shaped, g[..., None] * taps, g
 
 

@@ -13,8 +13,10 @@ critical-rate grid by the same rule, a lower bound on its oversampled PAPR,
 and synthesizes the oversampled waveform only of candidates that bound does
 not rule out (``baselines.slm_select``).  CLF's rounds run in single
 precision too, from :func:`single_precision`'s scaled bins, and return
-complex128 (``baselines.clf_reduce``).  The links, the OOBE periodogram and
-training's gradients stay float64.
+complex128 (``baselines.clf_reduce``).  Training's loss finds each block's
+peak index on a single-precision grid of :func:`single_precision`'s bins
+(``training.chain_loss``); its PAPR values and gradients stay float64, as do
+the links and the OOBE periodogram.
 """
 
 from __future__ import annotations

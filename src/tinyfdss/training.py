@@ -1,13 +1,15 @@
 """Offline training: dataset generation, differentiable chain loss, AdamW loop.
 
 The loss per block is mse + lambda(snr) * softplus(papr - x0), with the
-lambda looked up per block's drawn SNR.  The chain is differentiated in closed
-form down to the polynomial coefficients: the PAPR path routes the gradient
-through each block's peak sample (max subgradient), and needs no transform of
-its own (see :func:`chain_loss`); the symbol-error path treats the drawn
-noise as constant and differentiates through shaping, power normalization,
-matched filtering, extension folding, gain normalization, and inverse
-precoding.
+lambda looked up per block's drawn SNR.  A block's PAPR is float64 from its
+shaped bins: its peak sample is found on a single-precision oversampled grid,
+which serves only that argmax, and recomputed from the bins, and its mean
+power is Parseval's.  The chain is differentiated in closed form down to the
+polynomial coefficients: the PAPR path routes the gradient through each
+block's peak sample (max subgradient), and needs no transform of its own (see
+:func:`chain_loss`); the symbol-error path treats the drawn noise as constant
+and differentiates through shaping, power normalization, matched filtering,
+extension folding, gain normalization, and inverse precoding.
 
 Transmit power is normalized per block (shaped occupied power equals the
 unshaped occupied power) so that scaling the taps can neither buy SNR nor
@@ -37,14 +39,14 @@ from .chain import (
     centered_band,
     deprecode,
     extend,
+    power_gain,
     precode,
-    shape_and_normalize,
     time_signal,
 )
 from .channel import (MODEL_NAMES, ChannelCfg, Stream, block_rng, block_rngs, draw_blocks,
                       noise_term)
 from .filters import coeff_basis, taps_from_coeffs
-from .metrics import SURROGATE_SHARPNESS, TAIL_X0_DB, surrogate_blocks
+from .metrics import SURROGATE_SHARPNESS, TAIL_X0_DB, single_precision, surrogate_blocks
 from .network import HISTORY_COLUMNS
 
 OUT_INIT_SCALE = 0.3  # ``init_params`` scale of the output weights in every run
@@ -234,6 +236,8 @@ class LossTerms:
     mse_term: float
     tail_term: float
     mse: np.ndarray  # (B,)
+    papr: np.ndarray  # (B,) dB, on the oversampled grid
+    peak: np.ndarray  # (B,) grid index of each block's peak sample
 
 
 def chain_loss(
@@ -247,6 +251,10 @@ def chain_loss(
     ``coeffs`` holds one row of filter coefficients per block of ``prep``.  A
     block's loss is its symbol MSE at fixed transmit power plus its lambda
     times the softplus tail surrogate of its PAPR on the oversampled grid.
+    The peak sample's index is found on a single-precision grid; the PAPR
+    itself is float64 from the bins: the peak sample is one dot product of
+    the shaped bins with that sample's twiddles, and the mean power is
+    Parseval's, so the loss and the gradient never read the grid's values.
     Returns the loss terms and the (B, n_coeffs) gradient of their mean, or
     None for it when ``want_grad`` is false.  The gradient is exact reverse
     mode that holds ``prep`` constant (symbols, extended spectra, noise,
@@ -266,22 +274,33 @@ def chain_loss(
         taps = taps_from_coeffs(coeffs, n_sk)
 
         s_ext = prep.s_ext
+        s_ext_pow = np.abs(s_ext) ** 2
         shaped = s_ext * taps
+        p_shaped = np.mean(np.abs(shaped) ** 2, axis=-1)
 
-        # --- PAPR path (scale-invariant, so it runs on the unnormalized bins)
-        x = time_signal(shaped, cfg)
-        n_os = x.shape[-1]
-        power = np.abs(x) ** 2
+        # --- PAPR path (scale-invariant, so it runs on the unnormalized bins).
+        # The complex64 grid serves only the argmax; float32 rounding moves it
+        # only between samples whose powers tie to within that rounding.  The
+        # peak sample is float64, x_p = sum_k shaped_k e^(j2 pi k p / n_os) /
+        # sqrt(n_fft) over the band's FFT-order indices k (the twiddles the
+        # backward reads too), and so is the mean power, sum|shaped|^2 / n_fft
+        # by Parseval
+        power = np.abs(time_signal(single_precision(shaped), cfg))
+        np.square(power, out=power)
+        n_os = power.shape[-1]
         peak_idx = np.argmax(power, axis=-1)
-        rows = np.arange(batch)
-        peak = power[rows, peak_idx]
-        mean_pow = power.mean(axis=-1)
+        twiddle = _twiddles(n_os)[centered_band(n_sk, n_os) * peak_idx[:, None] % n_os]
+        x_peak = np.vecdot(twiddle, shaped) / np.sqrt(cfg.n_fft)  # conjugates the twiddles
+        peak = np.abs(x_peak) ** 2
+        mean_pow = p_shaped * (n_sk / cfg.n_fft)
         papr = 10.0 * np.log10(peak / mean_pow)
         softplus = surrogate_blocks(papr)
 
         # --- symbol-error path at fixed transmit power
-        bins, taps_eff, g = shape_and_normalize(s_ext, taps)
-        numer, gain, recovered = _matched_fold(bins + prep.eta, taps_eff, cfg.n_se)
+        g = power_gain(np.mean(s_ext_pow, axis=-1), p_shaped)
+        taps_eff = g[:, None] * taps
+        numer, gain, recovered = _matched_fold(g[:, None] * shaped + prep.eta, taps_eff,
+                                               cfg.n_se)
         s_hat = deprecode(recovered)
         err = s_hat - prep.symbols
         mse = np.mean(np.abs(err) ** 2, axis=-1)
@@ -293,6 +312,8 @@ def chain_loss(
         mse_term=float(np.mean(mse)),
         tail_term=float(np.mean(prep.lam * softplus)),
         mse=mse,
+        papr=papr,
+        peak=peak_idx,
     )
     if not np.isfinite(loss):
         bad = prep.indices[~np.isfinite(per_block)]
@@ -308,16 +329,13 @@ def chain_loss(
     c_log = 10.0 / np.log(10.0)
     # the waveform's cotangent x_bar is a * x plus an impulse c at the peak
     # sample p, so its band bins need no FFT of the grid: a * (n_os / n_fft)
-    # times the shaped bins (which x interpolates) plus c * e^(-j2 pi k p /
-    # n_os) / sqrt(n_fft) over the band's FFT-order indices k, read from one
-    # cached twiddle row; tests/reference.py::tail_gradient is the
-    # FFT of the whole x_bar grid it is checked against
+    # times the shaped bins (which x interpolates) plus c times the peak's
+    # twiddles / sqrt(n_fft); tests/reference.py::tail_gradient is the FFT
+    # of the whole x_bar grid it is checked against
     a = -2.0 * w_papr / (n_os * mean_pow) * c_log
-    c = x[rows, peak_idx] * (2.0 * w_papr * c_log / peak)
-    band = centered_band(n_sk, n_os)
+    c = x_peak * (2.0 * w_papr * c_log / peak)
     shaped_bar = ((a * (n_os / cfg.n_fft))[:, None] * shaped
-                  + (c / np.sqrt(cfg.n_fft))[:, None]
-                  * _twiddles(n_os)[band * peak_idx[:, None] % n_os])
+                  + (c / np.sqrt(cfg.n_fft))[:, None] * twiddle)
     d_taps = np.real(shaped_bar * np.conj(s_ext))
 
     # --- backward: mse term, first w.r.t. the effective taps u = g * taps
@@ -331,8 +349,6 @@ def chain_loss(
     dt_du = 2.0 * taps_eff * s_ext + prep.eta
     d_u = np.real(np.conj(t_bar_ext) * dt_du) + 2.0 * taps_eff * g_bar_ext
     # through the power normalization u = g(taps) * taps
-    p_shaped = np.mean(np.abs(shaped) ** 2, axis=-1)
-    s_ext_pow = np.abs(s_ext) ** 2
     du_dot_f = np.sum(d_u * taps, axis=-1)
     d_taps += g[:, None] * d_u
     d_taps -= (

@@ -162,6 +162,17 @@ class TestClf:
         assert np.all(np.isfinite(out)) and np.any(out != 0)
         assert waveform_papr_db(out, cfg) < waveform_papr_db(tiny, cfg)
 
+    def test_clip_ratio_past_float32_clips_nothing(self, cfg):
+        # 800 and 6000 dB overflow the float32 level to inf, which clips
+        # nothing, as 100 dB (no block comes near 1e5 times its RMS) does;
+        # an all-zero row's level is 0 * inf, NaN, which clips nothing too.
+        # pytest turns a RuntimeWarning into an error
+        blocks = np.stack([ext_block(cfg, seed=s) for s in range(3)] + [np.zeros(cfg.n_sk)])
+        want = clf_reduce(blocks, ClfConfig(clip_ratio_db=100.0), cfg)
+        for db in (800.0, 6000.0):
+            assert clf_reduce(blocks, ClfConfig(clip_ratio_db=db), cfg).tobytes() == want.tobytes()
+        assert not np.any(want[-1])
+
     def test_deterministic(self, cfg):
         block = ext_block(cfg)
         a = clf_reduce(block, ClfConfig(), cfg)

@@ -12,6 +12,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from tinyfdss import training
 from tinyfdss.adaptation import AdaptConfig, LambdaTable, TickRecord
 from tinyfdss.cli import (
     ConfigError,
@@ -428,9 +429,11 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: non-finite loss at block indices")
 
-    def test_smoke_train_transforms_only_in_double(self, tmp_path, monkeypatch):
-        # single precision is the noise-free PAPR rule's alone: a smoke train
-        # with every single-precision FFT refused writes the same bytes
+    def test_smoke_train_reads_the_single_precision_grid_only_for_its_peaks(
+            self, tmp_path, monkeypatch):
+        # the loss finds each block's peak index on a complex64 grid and takes
+        # the peak and mean powers in float64 from the bins: a smoke train
+        # that finds the index on a complex128 grid instead writes the same bytes
         def run(out):
             assert main(["train", "--config", str(CONFIGS / "smoke.json"), "--out", str(out)]) == 0
             header, rows = read_csv(out / "history.csv")
@@ -438,13 +441,9 @@ class TestTrainCommand:
             return ((out / "checkpoint.bin").read_bytes(),
                     [row[:wall] + row[wall + 1:] for row in rows])
 
-        plain = run(tmp_path / "plain")
-        for name in ("fft", "ifft"):
-            def double_only(a, *args, _real=getattr(np.fft, name), **kwargs):
-                assert np.asarray(a).dtype not in (np.complex64, np.float32)
-                return _real(a, *args, **kwargs)
-            monkeypatch.setattr(np.fft, name, double_only)
-        assert run(tmp_path / "guarded") == plain
+        single = run(tmp_path / "single")
+        monkeypatch.setattr(training, "single_precision", lambda bins: bins)
+        assert run(tmp_path / "double") == single
 
     def test_rerun_byte_identical_checkpoint(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

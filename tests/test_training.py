@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tinyfdss import network, training
@@ -38,6 +38,8 @@ from tinyfdss.training import (
 )
 
 from reference import mix_choice, tail_gradient, train_batch
+from reference import papr_db as papr_reference
+from reference import time_signal as time_signal_reference
 
 SMOKE = dict(n_blocks=500, epochs=2, batch_size=32)
 
@@ -229,6 +231,56 @@ class TestChainLossGradient:
             )
             mse = float(np.mean(np.abs(equalized - prep.symbols[b]) ** 2))
             assert mse == pytest.approx(terms.mse[b], rel=1e-9)
+
+
+# chain_loss finds each block's peak index on a complex64 grid.  Its powers lie
+# within ~5 float32 eps of the block's peak power of the float64 grid's
+# (measured on 4096 desk blocks), so its argmax can fall on another sample only
+# where the two samples' float64 powers lie within twice that of each other;
+# the tolerance below allows 32 eps.  The PAPR at the chosen sample is float64
+# from the bins, within PAPR_BOUND_DB of the float64 grid's (measured <= 7.1e-15)
+PEAK_TIE_REL = 32 * float(np.finfo(np.float32).eps)
+PAPR_BOUND_DB = 3e-14
+N_OS = ChainConfig().n_fft * ChainConfig().oversample
+
+
+class TestChainLossPapr:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        coeffs=st.lists(st.tuples(*[st.floats(-2.0, 2.0, allow_subnormal=False)] * 5)
+                        .filter(lambda row: max(map(abs, row)) > 1e-3),
+                        min_size=1, max_size=4),
+        tie=st.none() | st.tuples(st.integers(0, N_OS - 1), st.integers(0, N_OS - 1),
+                                  st.floats(-1e-6, 1e-6)),
+    )
+    # a constructed near-tie: row 0 is two impulses whose float64 peak powers
+    # differ by 2e-9 relative, and the complex64 argmax picks the lower one
+    @example(seed=0, coeffs=[(1.0, 0.0, -0.4, 0.0, 0.1)] * 2, tie=(100, 612, 1e-9))
+    def test_papr_matches_the_float64_grid(self, seed, coeffs, tie):
+        config = TrainConfig(**SMOKE, seed=seed,
+                             mod_mix=(("qpsk", 0.4), ("qam16", 0.3), ("qam64", 0.3)))
+        cfg = config.chain
+        prep = prepare_batch(config, np.arange(len(coeffs)), LambdaTable())
+        if tie is not None:
+            band = centered_band(cfg.n_sk, N_OS)
+            at, other, rel = tie
+            prep.s_ext[0] = (np.exp(-2j * np.pi * band * at / N_OS)
+                             + (1.0 + rel) * np.exp(-2j * np.pi * band * other / N_OS))
+        coeffs = np.array(coeffs)
+        terms, _ = chain_loss(coeffs, prep, cfg, want_grad=False)
+
+        x = time_signal_reference(prep.s_ext * taps_from_coeffs(coeffs, cfg.n_sk), cfg)
+        power = np.abs(x) ** 2
+        want, rows = np.argmax(power, axis=-1), np.arange(len(coeffs))
+        tied = power[rows, terms.peak] >= (1.0 - PEAK_TIE_REL) * power[rows, want]
+        assert np.all((terms.peak == want) | tied)
+        gap = papr_reference(x) - terms.papr
+        same = terms.peak == want
+        assert np.all(np.abs(gap[same]) <= PAPR_BOUND_DB)
+        # at a tie the PAPR is the other sample's, below the peak's by the tie at most
+        assert np.all(gap[~same] >= -PAPR_BOUND_DB)
+        assert np.all(gap[~same] <= -10.0 * np.log10(1.0 - PEAK_TIE_REL) + PAPR_BOUND_DB)
 
 
 class TestTrain:
