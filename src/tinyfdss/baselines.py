@@ -72,15 +72,11 @@ def conventional_config(cfg: ChainConfig) -> ChainConfig:
 def clip_amplitude(x: np.ndarray, level: np.ndarray | float) -> np.ndarray:
     """Hard amplitude clip: |y_n| <= level with phases preserved.
 
-    Each sample is multiplied by ``fmin(level / max(|x|, guard), 1)``: by
-    exactly 1 at or below the level, and where the ratio is NaN (a NaN
-    sample or level, inf over inf), so the bytes are those of the
-    ``np.where(|x| > level, level / max(|x|, guard), 1.0)`` form except
-    where 0 < |x| <= level < guard.  The guard is a normal number of |x|'s
-    precision: 1e-300 in float64 and float32's smallest normal, ~1.2e-38,
-    in float32 (CLF's rounds).  Where x == 0, level / guard may overflow to
-    inf, which the fmin takes to 1 as the where form does; that overflow
-    raises no warning.
+    A sample at or below the level, or whose ratio level / max(|x|, guard)
+    is NaN (a NaN sample or level, inf over inf) or overflows (a zero
+    sample), is scaled by exactly 1, without a warning.  The bytes are those
+    of ``np.where(|x| > level, level / max(|x|, guard), 1.0)`` except where
+    0 < |x| <= level < guard, a normal number of |x|'s precision.
     """
     scale = np.abs(x)
     np.maximum(scale, max(1e-300, np.finfo(scale.dtype).tiny), out=scale)
@@ -112,9 +108,8 @@ def _clf_rounds(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarra
         x = time_signal(bins, cfg)
         if level is None:
             rms = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True))
-            # past ~770 dB the ratio overflows float32 to inf, a level that
-            # clips nothing, as does an all-zero row's NaN (0 * inf); neither
-            # warns, as clip_amplitude's overflowing ratio does not
+            # past ~770 dB the level overflows float32 to inf, and an all-zero
+            # row's is NaN (0 * inf): both clip nothing, without a warning
             with np.errstate(over="ignore", invalid="ignore"):
                 level = rms * 10.0 ** (clf.clip_ratio_db / 20.0)
         x = clip_amplitude(x, level)  # the unclipped grid is freed before the FFT

@@ -56,8 +56,8 @@ class ModScheme(enum.Enum):
         self.bits_per_symbol = bits  # a plain attribute: read once per drawn block
 
 
-SCHEME_NAMES = {"qpsk": ModScheme.QPSK, "qam16": ModScheme.QAM16,
-                "qam64": ModScheme.QAM64}
+# in member order: a name's position is a coordinate of eval's block streams
+SCHEME_NAMES = {scheme.name.lower(): scheme for scheme in ModScheme}
 
 
 class Stage(enum.Enum):

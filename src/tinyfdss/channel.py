@@ -194,8 +194,8 @@ class ChannelModel(enum.Enum):
     RICIAN = "rician"
 
 
-MODEL_NAMES = {"awgn": ChannelModel.AWGN, "rayleigh": ChannelModel.RAYLEIGH,
-               "rician": ChannelModel.RICIAN}
+# in member order: a name's position is a coordinate of eval's block streams
+MODEL_NAMES = {model.value: model for model in ChannelModel}
 
 
 @dataclass(frozen=True)

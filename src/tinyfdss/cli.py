@@ -161,6 +161,11 @@ def load_config(path: str | Path, seed: int | None = None) -> dict:
     if not {"rrc", "dftsofdm"} <= set(schemes):  # summary.schema.json requires both
         raise ConfigError(f"eval.schemes must include the summary anchors 'rrc' and "
                           f"'dftsofdm', got {list(schemes)}")
+    for i, width in enumerate(config["sweep"].hidden_widths):  # each one cmd_sweep trains
+        try:
+            replace(config["train"], hidden_width=width)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"sweep.hidden_widths[{i}] with the train section: {exc}") from None
     return config
 
 

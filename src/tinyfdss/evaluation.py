@@ -1,19 +1,16 @@
 """Frozen-checkpoint Monte-Carlo evaluation across channels, SNRs, and schemes.
 
-Each scheme is one :data:`SCHEMES` entry: a builder, whose docstring
-describes the scheme, turns (chain config, eval config, deployed net or None)
-into its transmit rule, and a flag says whether that rule reads the SNR.
-
-Every scheme runs through one draw of the data (:class:`Draw`, both layouts)
-and, per (channel, modulation, SNR) cell, one draw of the fades and noise
-(:func:`_cell_draws`), so the schemes are compared on the same data, fades
-and noise.  PAPR is measured on the oversampled transmit waveform; the link
-acts on the occupied bins, where ``channel.noise_power`` makes the SNR exact
-per bin.
+Each scheme is one :data:`SCHEMES` entry: a builder that turns (chain
+config, eval config, deployed net or None) into its transmit rule, and a
+flag saying whether that rule reads the SNR.  All schemes share one draw of
+the data (:class:`Draw`, both layouts) and, per (channel, modulation, SNR)
+cell, one draw of the fades and noise (:func:`_cell_draws`).  PAPR is
+measured on the oversampled transmit waveform; the link acts on the
+occupied bins, where ``channel.noise_power`` makes the SNR exact per bin.
 
 The SER grid (:func:`_grid`) and the CCDF pass (:func:`_ccdf_pass`) walk
-their blocks in chunks of :data:`CHUNK_BLOCKS` (the grid half as many, since
-it holds every scheme's transmit), and the OOBE periodogram is a running sum
+their blocks in chunks of :data:`CHUNK_BLOCKS` (the grid half as many: it
+holds every scheme's transmit), and the OOBE periodogram is a running sum
 over the CCDF chunks, so memory does not grow with ``n_blocks``,
 ``ccdf_blocks`` or ``oobe_blocks``.  Every step of the link acts on each
 block alone, so the chunk size changes no output.

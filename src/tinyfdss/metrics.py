@@ -8,15 +8,9 @@ Noise-free PAPR figures (the CCDF, its quantiles, mean PAPR, SLM's candidate
 search and adapt's per-tick PAPR) come from :func:`waveform_papr_db`, which
 synthesizes in single precision: each block's PAPR lies within ~2e-6 dB of
 the float64 synthesis, against a ~0.06 dB sampling interval of the 1e-3
-quantile.  SLM's candidate search measures each candidate first on the
-critical-rate grid by the same rule, a lower bound on its oversampled PAPR,
-and synthesizes the oversampled waveform only of candidates that bound does
-not rule out (``baselines.slm_select``).  CLF's rounds run in single
-precision too, from :func:`single_precision`'s scaled bins, and return
-complex128 (``baselines.clf_reduce``).  Training's loss finds each block's
-peak index on a single-precision grid of :func:`single_precision`'s bins
-(``training.chain_loss``); its PAPR values and gradients stay float64, as do
-the links and the OOBE periodogram.
+quantile.  CLF's rounds and training's peak search also run on
+:func:`single_precision`'s bins; training's PAPR values and gradients stay
+float64, as do the links and the OOBE periodogram.
 """
 
 from __future__ import annotations

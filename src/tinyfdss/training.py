@@ -251,15 +251,13 @@ def chain_loss(
     ``coeffs`` holds one row of filter coefficients per block of ``prep``.  A
     block's loss is its symbol MSE at fixed transmit power plus its lambda
     times the softplus tail surrogate of its PAPR on the oversampled grid.
-    The peak sample's index is found on a single-precision grid; the PAPR
-    itself is float64 from the bins: the peak sample is one dot product of
-    the shaped bins with that sample's twiddles, and the mean power is
-    Parseval's, so the loss and the gradient never read the grid's values.
-    Returns the loss terms and the (B, n_coeffs) gradient of their mean, or
-    None for it when ``want_grad`` is false.  The gradient is exact reverse
-    mode that holds ``prep`` constant (symbols, extended spectra, noise,
-    lambda) and takes the max subgradient at each block's peak sample.  A
-    non-finite coefficient or loss raises :class:`TrainingDivergedError`.
+    The PAPR is float64 from the bins; only its peak index comes from a
+    single-precision grid.  Returns the loss terms and the (B, n_coeffs)
+    gradient of their mean, or None for it when ``want_grad`` is false.  The
+    gradient is exact reverse mode that holds ``prep`` constant (symbols,
+    extended spectra, noise, lambda) and takes the max subgradient at each
+    block's peak sample.  A non-finite coefficient or loss raises
+    :class:`TrainingDivergedError`.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     batch = coeffs.shape[0]
@@ -279,12 +277,8 @@ def chain_loss(
         p_shaped = np.mean(np.abs(shaped) ** 2, axis=-1)
 
         # --- PAPR path (scale-invariant, so it runs on the unnormalized bins).
-        # The complex64 grid serves only the argmax; float32 rounding moves it
-        # only between samples whose powers tie to within that rounding.  The
-        # peak sample is float64, x_p = sum_k shaped_k e^(j2 pi k p / n_os) /
-        # sqrt(n_fft) over the band's FFT-order indices k (the twiddles the
-        # backward reads too), and so is the mean power, sum|shaped|^2 / n_fft
-        # by Parseval
+        # The complex64 grid serves only the argmax: float32 rounding moves it
+        # only between samples whose powers tie to within that rounding
         power = np.abs(time_signal(single_precision(shaped), cfg))
         np.square(power, out=power)
         n_os = power.shape[-1]

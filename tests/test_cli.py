@@ -224,6 +224,11 @@ class TestConfig:
          "chain: n_sk = n_data + 2*n_se must be >= 2, got 1"),
         ("baselines", "chain", {"n_data": 1, "n_se": 0},
          "chain: n_sk = n_data + 2*n_se must be >= 2, got 1"),
+        ("sweep", ("train", "sweep"), ({"target_sparsity": 0.999}, {"hidden_widths": [5, 1]}),
+         "sweep.hidden_widths[1] with the train section: target_sparsity must leave at least "
+         "one of the 246 weights live, got 0.999"),
+        ("sweep", "sweep", {"hidden_widths": [5, 10**400]},
+         "sweep.hidden_widths[1] with the train section: int too large to convert to float"),
     ], ids=[
         "seed-str", "seed-float", "seed-negative", "snr_db-scalar", "snr_range_db-scalar",
         "channel_mix-str-weight", "hidden_widths-scalar", "eval-list", "n_blocks-float",
@@ -245,14 +250,17 @@ class TestConfig:
         "schemes-empty", "channels-empty", "snr_db-empty", "hidden_widths-empty",
         "rrc_rolloff-zero", "rrc_rolloff-above-one", "rrc_rolloff-nan", "schemes-no-anchor",
         "chain-n_sk-one-train", "chain-n_sk-one-baselines",
+        "sweep-width-no-live-weight", "sweep-width-overflow",
     ])
     def test_malformed_value_exits_2_naming_the_key(
         self, tmp_path, capsys, command, section, value, message
     ):
         path = tmp_path / "bad.json"
-        if isinstance(value, dict):
-            value = dict(SMOKE_CONFIG.get(section, {}), **value)
-        path.write_text(json.dumps(dict(SMOKE_CONFIG, **{section: value})))
+        sections = dict(zip(section, value)) if isinstance(section, tuple) else {section: value}
+        cfg = dict(SMOKE_CONFIG)
+        for name, val in sections.items():
+            cfg[name] = dict(SMOKE_CONFIG.get(name, {}), **val) if isinstance(val, dict) else val
+        path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
         code = main([command, "--config", str(path), "--out", str(out)])
         err = capsys.readouterr().err

@@ -1,16 +1,30 @@
-"""No module imports a name it never uses (a package ``__init__`` re-exports),
-no top-level name of ``src/tinyfdss`` goes unread, and no function of
-``tests/reference.py`` outlives the tests that call it."""
+"""No module imports a name it never uses, importing the package root loads
+and binds nothing but its version, no top-level name of ``src/tinyfdss`` goes
+unread, and no function of ``tests/reference.py`` outlives the tests that call
+it."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path for folder in ("src", "tests", "demos")
-               for path in (ROOT / folder).rglob("*.py") if path.name != "__init__.py")
+               for path in (ROOT / folder).rglob("*.py"))
+# the tinyfdss modules that importing the package root loads, and the names it binds
+# beyond the dunders the import system sets on every package
+ROOT_PROBE = """
+import sys
+import tinyfdss
+print(sorted(name for name in sys.modules if name.startswith("tinyfdss.")))
+print(sorted(set(vars(tinyfdss)) - {"__builtins__", "__cached__", "__doc__", "__file__",
+                                    "__loader__", "__name__", "__package__", "__path__",
+                                    "__spec__"}))
+"""
 
 
 def unused_imports(source: str) -> list[str]:
@@ -78,6 +92,16 @@ def test_the_scan_sees_an_unused_name():
     source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nprint(np, e)\n"
     assert unused_imports(source) == ["os", "c"]
     assert FILES  # the folders were found
+
+
+def test_the_package_root_binds_only_its_version():
+    # every name is imported from its module: the root re-exports nothing
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run([sys.executable, "-c", ROOT_PROBE], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == ["[]", "['__version__']"]
 
 
 def test_every_top_level_name_in_src_is_read():
