@@ -51,15 +51,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Hidden widths the ``sweep`` command trains; width 0 is the perceptron."""
+    """Hidden widths the ``sweep`` command trains (width 0 is the perceptron);
+    ``load_config`` checks each with the train section's rules."""
 
     hidden_widths: tuple[int, ...] = (5, 10, 20, 0)
 
     def __post_init__(self):
         if not self.hidden_widths:
             raise ValueError("hidden_widths must name at least one entry")
-        if any(width < 0 for width in self.hidden_widths):
-            raise ValueError(f"hidden_widths must be >= 0, got {list(self.hidden_widths)}")
         if len(set(self.hidden_widths)) != len(self.hidden_widths):
             raise ValueError(f"hidden_widths must not repeat an entry, "
                              f"got {list(self.hidden_widths)}")

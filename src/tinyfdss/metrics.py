@@ -179,13 +179,17 @@ class Periodogram:
         self.count = 0  # segments added
 
     def add(self, blocks: np.ndarray) -> None:
-        """Add one segment per row of ``blocks`` (..., n), n a multiple of n_fft."""
+        """Add one segment per row of ``blocks`` (..., n), n a multiple of n_fft
+        and above n_sk, so that the grid has an out-of-band bin."""
         blocks = np.asarray(blocks, dtype=np.complex128)
         blocks = blocks.reshape(-1, blocks.shape[-1])
         n = blocks.shape[-1]
         if n % self.cfg.n_fft != 0:
             raise ValueError(f"block length {n} not a multiple of n_fft={self.cfg.n_fft}")
         if self.total is None:
+            if n <= self.cfg.n_sk:
+                raise ValueError(f"OOBE undefined: a {n}-sample grid has no bin outside "
+                                 f"the band of n_sk={self.cfg.n_sk} occupied bins")
             self.total = np.zeros(n * OOBE_PAD)
         window = np.hanning(n)
         step = _segments_per_tile(n)

@@ -502,6 +502,24 @@ class TestReceiverChain:
         sem = math.sqrt(theory * (1 - theory) / total)
         assert abs(ser - theory) <= 3 * sem
 
+    @pytest.mark.parametrize("values, message", [
+        (np.ones((2, 3)), r"^block values must be 1-D, got shape \(2, 3\)$"),
+        (np.array([1.0, np.nan]), r"^block contains non-finite values$"),
+    ], ids=["2-D", "nan"])
+    def test_symbol_block_rejects_malformed_values(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            SymbolBlock(Stage.RECEIVED, values)
+
+    @pytest.mark.parametrize("stage, length, n_taps, message", [
+        (Stage.TIME_DOMAIN, 1024, 240, r"^expected RECEIVED block, got TIME_DOMAIN$"),
+        (Stage.RECEIVED, 1000, 240, r"^received length 1000 not a multiple of n_fft$"),
+        (Stage.RECEIVED, 1024, 239, r"^taps shape \(239,\), expected \(240,\)$"),
+    ], ids=["stage", "length", "taps"])
+    def test_rejects_malformed_input(self, cfg, stage, length, n_taps, message):
+        block = SymbolBlock(stage, np.ones(length))
+        with pytest.raises(ValueError, match=message):
+            receiver_chain(block, np.ones(n_taps), cfg, ModScheme.QPSK)
+
     def test_zero_gain_bin_raises(self, cfg, rng):
         bits = rng.integers(0, 2, cfg.n_data * 2)
         taps = unit_taps(cfg.n_sk)

@@ -103,6 +103,12 @@ class TestBlockRngs:
             assert rng.standard_normal(5).tobytes() == want.standard_normal(5).tobytes()
         assert next(rngs, None) is None
 
+    def test_negative_seed_entry_rejected(self):
+        # default_rng rejects it too: SeedSequence takes non-negative entries only
+        rngs = block_rngs(3, Stream.EVAL_DATA, -2, indices=[0])
+        with pytest.raises(ValueError, match=r"^seed entries must be non-negative, got -2$"):
+            next(rngs)
+
     def test_batch_builds_no_generator_per_block(self, monkeypatch):
         calls = Counter()
         for name in ("default_rng", "SeedSequence"):

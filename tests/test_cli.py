@@ -156,7 +156,8 @@ class TestConfig:
         ("train", "baselines", {"clf": {"iterations": 0}}, "baselines.clf: iterations"),
         ("train", "baselines", {"dft": {}}, "unknown config key 'dft' in baselines"),
         ("train", "adapt", {"preset": "moon"}, "adapt: preset must be in"),
-        ("train", "sweep", {"hidden_widths": [5, -1]}, "sweep: hidden_widths must be >= 0"),
+        ("sweep", "sweep", {"hidden_widths": [5, -1]},
+         "sweep.hidden_widths[1] with the train section: hidden_width must be >= 0, got -1"),
         ("train", "train", {"hidden_width": -3}, "train: hidden_width must be >= 0, got -3"),
         ("train", "train", {"channel_mix": {"awgn": 1.5, "rayleigh": -0.5}},
          "train: channel_mix weight of 'rayleigh' must be >= 0, got -0.5"),
@@ -229,6 +230,10 @@ class TestConfig:
          "one of the 246 weights live, got 0.999"),
         ("sweep", "sweep", {"hidden_widths": [5, 10**400]},
          "sweep.hidden_widths[1] with the train section: int too large to convert to float"),
+        ("train", "chain", {"n_se": -1}, "chain: n_se must satisfy 0 <= n_se < n_data, got -1"),
+        ("train", "chain", {"n_se": 210}, "chain: n_se must satisfy 0 <= n_se < n_data, got 210"),
+        ("baselines", "chain", {"oversample": 0}, "chain: oversample must be >= 1, got 0"),
+        ("baselines", "eval", {"n_blocks": 0}, "eval: n_blocks must be positive, got 0"),
     ], ids=[
         "seed-str", "seed-float", "seed-negative", "snr_db-scalar", "snr_range_db-scalar",
         "channel_mix-str-weight", "hidden_widths-scalar", "eval-list", "n_blocks-float",
@@ -251,6 +256,7 @@ class TestConfig:
         "rrc_rolloff-zero", "rrc_rolloff-above-one", "rrc_rolloff-nan", "schemes-no-anchor",
         "chain-n_sk-one-train", "chain-n_sk-one-baselines",
         "sweep-width-no-live-weight", "sweep-width-overflow",
+        "chain-n_se-negative", "chain-n_se-n_data", "chain-oversample-zero", "n_blocks-zero",
     ])
     def test_malformed_value_exits_2_naming_the_key(
         self, tmp_path, capsys, command, section, value, message
@@ -282,6 +288,22 @@ class TestConfig:
         assert code == 2
         assert err.startswith("error: snr_db ") and "below the floor" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["baselines", "eval", "sweep"])
+    def test_band_without_out_of_band_bin_exits_2(self, tmp_path, capsys, command):
+        # n_fft = n_sk = 240 at oversample 1 is a valid chain whose grid has no
+        # bin outside the band; the OOBE periodogram rejects it on first use
+        path = tmp_path / "full_band.json"
+        path.write_text(json.dumps(dict(SMOKE_CONFIG, chain={"n_fft": 240, "oversample": 1})))
+        out = tmp_path / "out"
+        if command == "eval":
+            assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: OOBE undefined: a 240-sample grid has no bin outside the band of "
+            "n_sk=240 occupied bins\n")
+        assert not (out / "summary.json").exists() and not (out / "sweep_ccdf.csv").exists()
 
     def test_perceptron_keeps_one_live_weight_at_its_bound(self, tmp_path):
         # round(1205 * (1 - 0.9995)) = 1 live weight; 0.9996 leaves 0

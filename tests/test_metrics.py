@@ -6,6 +6,7 @@ import pytest
 from tinyfdss.chain import ChainConfig, ModScheme, extend, map_symbols, precode, time_signal
 from tinyfdss.filters import rrc_taps, unit_taps
 from tinyfdss.metrics import (
+    OOBE_MIN_BLOCKS,
     SURROGATE_SHARPNESS,
     TAIL_X0_DB,
     empirical_ccdf,
@@ -235,6 +236,18 @@ class TestOobe:
         x = np.ones((5, cfg.n_fft * cfg.oversample), dtype=complex)
         with pytest.raises(ValueError):
             oobe_db(x, cfg)
+
+    @pytest.mark.parametrize("chain, n, fill, message", [
+        (ChainConfig(), 1000, 1.0, r"^block length 1000 not a multiple of n_fft=256$"),
+        (ChainConfig(), 1024, 0.0, r"^no in-band power$"),
+        # n_fft = n_sk at oversample 1: every bin of the grid is in the band
+        (ChainConfig(n_fft=240, oversample=1), 240, 1.0,
+         r"^OOBE undefined: a 240-sample grid has no bin outside the band of n_sk=240 "
+         r"occupied bins$"),
+    ], ids=["length-not-n_fft-multiple", "no-in-band-power", "no-out-of-band-bin"])
+    def test_rejects_blocks_it_cannot_measure(self, chain, n, fill, message):
+        with pytest.raises(ValueError, match=message):
+            oobe_db(np.full((OOBE_MIN_BLOCKS, n), fill, dtype=complex), chain)
 
 
 class TestPaprAtCcdf:

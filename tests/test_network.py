@@ -35,6 +35,11 @@ def random_params(hidden=10, seed=0, scale=1.0):
     return p
 
 
+def test_init_params_rejects_negative_width():
+    with pytest.raises(ValueError, match=r"^hidden_width must be >= 0, got -1$"):
+        init_params(np.random.default_rng(0), hidden_width=-1)
+
+
 class TestBuildInput:
     def test_zero_block(self):
         feats = build_input(np.zeros(240, dtype=complex), 0.0)
@@ -118,6 +123,12 @@ class TestBackward:
         g = backward(p, cache, np.zeros(5))
         assert np.all(g.w1 == 0) and np.all(g.w2 == 0)
         assert np.all(g.b1 == 0) and np.all(g.b2 == 0)
+
+    def test_rejects_wrong_upstream_width(self, rng):
+        p = random_params(seed=6)
+        _, cache = forward_cached(p, rng.standard_normal(241))
+        with pytest.raises(ValueError, match=r"^upstream dim 4, expected 5$"):
+            backward(p, cache, np.zeros(4))
 
     def test_single_neuron_relu_derivative(self):
         # d relu(w x) / dw = x * 1[w x > 0], checked on a 1-hidden-unit slice
@@ -306,6 +317,12 @@ class TestQuantize:
         p.w1[0, 0] = 0.0
         q = quantize(p)
         assert q.q1[0, 0] == 0
+
+    def test_rejects_non_finite_weights(self):
+        p = random_params(seed=21)
+        p.w2[1, 3] = np.inf
+        with pytest.raises(ValueError, match=r"^cannot quantize non-finite weights$"):
+            quantize(p)
 
     def test_all_zero_tensor_scale_sentinel(self):
         p = random_params(seed=20)

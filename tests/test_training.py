@@ -28,6 +28,7 @@ from tinyfdss.training import (
     OUT_INIT_SCALE,
     PREP_BATCHES,
     TrainConfig,
+    TrainingDivergedError,
     _mix_sampler,
     chain_loss,
     config_hash,
@@ -204,6 +205,14 @@ class TestChainLossGradient:
         assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
         for row in (0, 1):  # the boundary peaks, each on its own scale
             assert np.max(np.abs(grad[row] - want[row])) <= 1e-12 * np.max(np.abs(want[row]))
+
+    def test_non_finite_coefficients_name_their_blocks(self, table):
+        prep = prepare_batch(TrainConfig(**SMOKE, seed=5), np.arange(10, 13), table)
+        coeffs = np.tile([1.0, 0.0, -0.4, 0.0, 0.1], (3, 1))
+        coeffs[1, 2] = np.nan
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^non-finite coefficients at block indices \[11\]$"):
+            chain_loss(coeffs, prep, ChainConfig())
 
     def test_loss_is_scale_invariant_in_taps(self, table):
         # power normalization means doubling the coefficients changes nothing
@@ -384,8 +393,6 @@ class TestTrain:
         assert np.all(np.isfinite(ckpt.params.w2))
 
     def test_divergence_raises_with_diagnostics(self):
-        from tinyfdss.training import TrainingDivergedError
-
         # lr * weight_decay >> 1 makes the decay factor explosive, so the
         # parameters overflow within a few dozen steps
         config = TrainConfig(n_blocks=3200, epochs=1, batch_size=32, seed=17,
