@@ -9,7 +9,9 @@ copies of the frequency-domain symbols (candidate 0 is always the identity,
 so SLM never does worse than the unmodified block); ``slm_select`` returns the
 chosen index, the side information a real system would signal, and the
 chosen candidate's PAPR; the phases it picks are the block's complex receiver
-taps.
+taps.  Both take either bins or the :class:`metrics.Synthesis` of the plain
+waveform, which CLF's first round clips and SLM reads as its identity
+candidate; eval passes the one its ``dftsofdm`` PAPR comes from.
 
 The static RRC baseline is the classic truncated time-domain pulse-shaping
 filter (32 taps by default); its circular convolution is expressed as per-bin
@@ -27,7 +29,7 @@ import numpy as np
 
 from .chain import ChainConfig, centered_band, extend, occupied_bins, time_signal
 from .channel import Stream, block_rng, check_decibels
-from .metrics import by_tiles, row_scale, single_precision, waveform_papr_db
+from .metrics import Synthesis, by_tiles, synthesize, tile_rows, waveform_papr_db
 
 SLM_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
 # how far a candidate's critical-rate PAPR (dB) may exceed the running minimum
@@ -85,36 +87,50 @@ def clip_amplitude(x: np.ndarray, level: np.ndarray | float) -> np.ndarray:
     return x * np.fmin(scale, 1.0, out=scale)
 
 
-def clf_reduce(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
+def clf_reduce(bins: np.ndarray | Synthesis, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
     """CLF rounds on occupied-bin blocks (batch-capable); returns occupied bins.
 
     The clip level is fixed from the input signal's RMS; filtering keeps only
     the occupied bins, which restores the spectrum but regrows the peaks --
-    the classic CLF behavior.  The rounds run one tile of blocks at a time,
-    in single precision: each row enters them as
-    :func:`metrics.single_precision` casts it, its power-of-two
-    :func:`metrics.row_scale` kept, and the result is complex128 at the
-    input's scale, exactly.  Each block's PAPR lies within ~4e-6 dB of the
+    the classic CLF behavior.  The rounds run in single precision, from
+    :func:`metrics.synthesize`'s record of the input: ``bins`` (..., n_sk)
+    are synthesized one tile at a time, each row at its
+    :func:`metrics.row_scale` whatever its dtype, and a
+    :class:`metrics.Synthesis` of rows (B, n_sk) (eval's plain transmit) is
+    used as it is.  Round 1 clips
+    the record's grid at ``sqrt(mean) * 10**(clip_ratio_db / 20)``, and each
+    later round synthesizes the bins the one before filtered.  The result
+    is complex128 at the input's scale, exactly (the record's power-of-two
+    ``scale`` divided out).  Each block's PAPR lies within ~4e-6 dB of the
     float64 rounds', and its bins within ~5e-7 of the row's peak.
     """
-    return by_tiles(lambda tile: _clf_rounds(tile, clf, cfg), bins, cfg)
+    if isinstance(bins, Synthesis):
+        return _clf_rounds(bins, clf, cfg)
+    # in complex128, complex64 bins are scaled by their row_scale too
+    return by_tiles(lambda tile: _clf_rounds(
+        synthesize(np.asarray(tile, dtype=np.complex128), cfg), clf, cfg), bins, cfg)
 
 
-def _clf_rounds(bins: np.ndarray, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
-    pow2 = row_scale(bins)
-    bins = single_precision(bins, pow2)
-    level = None
-    for _ in range(clf.iterations):
-        x = time_signal(bins, cfg)
-        if level is None:
-            rms = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1, keepdims=True))
-            # past ~770 dB the level overflows float32 to inf, and an all-zero
-            # row's is NaN (0 * inf): both clip nothing, without a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                level = rms * 10.0 ** (clf.clip_ratio_db / 20.0)
-        x = clip_amplitude(x, level)  # the unclipped grid is freed before the FFT
-        bins = occupied_bins(x, cfg)
-    return bins.astype(np.complex128) / pow2  # exact: a power of two
+def _clf_rounds(plain: Synthesis, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
+    """The rounds on the rows of ``plain``, walking its grid ``tile_rows`` rows at a time."""
+    ratio = 10.0 ** (clf.clip_ratio_db / 20.0)
+    out = np.empty(plain.bins.shape, dtype=np.complex128)
+    step = tile_rows(cfg)
+    for lo in range(0, len(out), step):
+        rows = slice(lo, lo + step)
+        # past ~770 dB the level overflows float32 to inf, and an all-zero
+        # row's is NaN (0 * inf): both clip nothing, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            level = np.sqrt(plain.mean[rows, None]) * ratio
+        x = plain.grid[rows]
+        for i in range(clf.iterations):
+            if i:
+                x = time_signal(bins, cfg)
+            x = clip_amplitude(x, level)  # the unclipped grid is freed before the FFT
+            bins = occupied_bins(x, cfg)
+        out[rows] = bins
+    out /= plain.scale  # exact: a power of two
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +147,18 @@ def slm_phase_vectors(slm: SlmConfig, n_data: int) -> np.ndarray:
 
 
 def slm_select(
-    spectrum: np.ndarray, phases: np.ndarray, cfg: ChainConfig,
-    identity_papr: np.ndarray | None = None,
+    spectrum: np.ndarray | Synthesis, phases: np.ndarray, cfg: ChainConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index of the minimum-PAPR candidate per block (first minimum on ties).
 
-    ``spectrum`` is (..., n_data) frequency-domain symbols.  Candidates are
-    tried one at a time against a running minimum.  A caller that has
-    already measured candidate 0's waveform (with the identity row of
-    :func:`slm_phase_vectors`, the unrotated spectrum's) passes its PAPR as
-    ``identity_papr``, and that candidate is not synthesized again.
+    ``spectrum`` is (..., n_data) frequency-domain symbols, searched a tile
+    of rows at a time, or the :class:`metrics.Synthesis` of rows (B, n_sk)
+    of their candidate 0 (the extended bins, the identity row of
+    :func:`slm_phase_vectors`), searched as it is: eval passes its plain
+    transmit's.  Either way the
+    record's complex64 bins are the spectrum every candidate is rotated from
+    and its PAPR is candidate 0's, so that candidate is never synthesized
+    again.  Candidates are tried one at a time against a running minimum.
 
     The search is branch and bound, and exact.  The critical-rate waveform
     (``oversample=1``) is every ``oversample``-th sample of the oversampled
@@ -155,36 +173,40 @@ def slm_select(
     running minimum and could not have been chosen: index and PAPR keep the
     bytes of trying every candidate.
 
-    The spectrum goes through :func:`metrics.single_precision` once and the
-    phases are cast, so every candidate is built in complex64.  The phases
-    (+-1, +-j) rotate exactly, so a candidate's PAPR has the bytes of
-    ``waveform_papr_db`` of its complex128 bins, and the index is the float64
-    argmin except between candidates within ~2e-6 dB of each other.
+    The phases are cast, so every candidate is built in complex64 from the
+    record's bins.  The phases (+-1, +-j) rotate exactly, so a candidate's
+    PAPR has the bytes of ``waveform_papr_db`` of its complex128 bins, and
+    the index is the float64 argmin except between candidates within ~2e-6
+    dB of each other.
 
     Returns ``(index, papr)``, each shaped like the leading axes: the index
     per block and the running minimum, per block ``waveform_papr_db`` of the
     chosen candidate.
     """
-    spectrum = single_precision(spectrum)
-    lead = spectrum.shape[:-1]
-    spectrum = spectrum.reshape(-1, spectrum.shape[-1])
+    if isinstance(spectrum, Synthesis):
+        idx, best = _slm_search(spectrum, phases, cfg)
+    else:
+        idx, best = by_tiles(
+            lambda tile: _slm_search(synthesize(extend(tile, cfg.n_se), cfg), phases, cfg),
+            spectrum, cfg)
+    return idx, best[()]
+
+
+def _slm_search(plain: Synthesis, phases: np.ndarray,
+                cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
+    spectrum = plain.bins[:, cfg.n_se: cfg.n_se + cfg.n_data]
     phases = np.asarray(phases, dtype=np.complex64)
     critical = replace(cfg, oversample=1)
-
-    def candidate(u):
-        return extend(spectrum * phases[u], cfg.n_se)
-
-    best = waveform_papr_db(candidate(0), cfg) if identity_papr is None else identity_papr
-    best = np.array(best, dtype=np.float64).reshape(-1)
+    best = plain.papr
     idx = np.zeros(best.shape, dtype=np.intp)
     for u in range(1, len(phases)):
-        cand = candidate(u)
+        cand = extend(spectrum * phases[u], cfg.n_se)
         live = np.flatnonzero(waveform_papr_db(cand, critical) <= best + SLM_BOUND_SLACK_DB)
         if live.size:
             exact = waveform_papr_db(cand[live], cfg)
             idx[live[exact < best[live]]] = u
             best[live] = np.minimum(exact, best[live])
-    return idx.reshape(lead), best.reshape(lead)[()]
+    return idx, best
 
 
 # ---------------------------------------------------------------------------

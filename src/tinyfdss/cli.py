@@ -172,14 +172,10 @@ def load_config(path: str | Path, seed: int | None = None) -> dict:
 # Deterministic CSV emission
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
+    """One line per row of Python values (arrays enter through ``.tolist()``):
+    a float's ``str`` is its shortest round-trip ``repr``, in any precision."""
+    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -191,7 +187,7 @@ def _write_eval_outputs(result, out: Path, eval_cfg: EvalConfig,
         (
             (scheme, thr, p)
             for scheme in result.schemes
-            for thr, p in zip(CCDF_GRID_DB, result.ccdf[scheme])
+            for thr, p in zip(CCDF_GRID_DB.tolist(), result.ccdf[scheme].tolist())
         ),
     )
     write_csv(
@@ -200,7 +196,7 @@ def _write_eval_outputs(result, out: Path, eval_cfg: EvalConfig,
         (
             (scheme, i, v)
             for scheme in result.schemes
-            for i, v in enumerate(result.papr_samples[scheme][:PAPR_TRACE_BLOCKS])
+            for i, v in enumerate(result.papr_samples[scheme][:PAPR_TRACE_BLOCKS].tolist())
         ),
     )
     write_csv(
@@ -238,7 +234,7 @@ def cmd_train(cfg: dict, out: Path) -> int:
     ckpt = train(cfg["train"], progress=True)
     save_checkpoint(out / CHECKPOINT_NAME, ckpt)
     rows = [(int(row[0]), *row[1:], wall)
-            for row, wall in zip(ckpt.history, ckpt.wall_seconds)]
+            for row, wall in zip(ckpt.history.tolist(), ckpt.wall_seconds.tolist())]
     write_csv(out / "history.csv", [*HISTORY_COLUMNS, "wall_seconds"], rows)
     print(f"checkpoint written to {out / CHECKPOINT_NAME}")
     return 0
@@ -291,7 +287,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     columns["rrc"] = base.ccdf["rrc"]
     columns["dftsofdm"] = base.ccdf["dftsofdm"]
     write_csv(out / "sweep_ccdf.csv", ["threshold_db", *columns],
-              zip(CCDF_GRID_DB, *columns.values()))
+              zip(CCDF_GRID_DB.tolist(), *(column.tolist() for column in columns.values())))
     print(f"sweep outputs written to {out}")
     return 0
 
@@ -384,9 +380,11 @@ def keep_heap_resident() -> tuple[int, int] | None:
 def main(argv: list[str] | None = None) -> int:
     keep_heap_resident()
     args = build_parser().parse_args(argv)
+    made: list[Path] = []  # directories this call creates, the deepest first
     try:
         cfg = load_config(args.config, seed=args.seed)
         out = Path(args.out or cfg["out_dir"])
+        made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "train":
             return cmd_train(cfg, out)
@@ -400,6 +398,12 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_adapt(cfg, out, args.checkpoint, args.trace)
     except (OSError, ValueError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # an error found on first use leaves no run directory this call made
+        for d in made:
+            try:
+                d.rmdir()
+            except OSError:  # holds a file, or was never made
+                break
         return 2
     raise AssertionError("unreachable")
 

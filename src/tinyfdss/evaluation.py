@@ -50,9 +50,11 @@ from .filters import rrc_taps, unit_taps
 from .metrics import (
     OOBE_MIN_BLOCKS,
     Periodogram,
+    Synthesis,
     empirical_ccdf,
     measured_ser,
     papr_at_ccdf,
+    synthesize,
     waveform_papr_db,
 )
 from .training import Checkpoint
@@ -158,6 +160,12 @@ class Draw:
     ext: Transmit
     conv: Transmit
 
+    @cached_property
+    def plain(self) -> Synthesis:
+        """``conv``'s single-precision synthesis, made once per draw: ``dftsofdm``'s
+        PAPR, ``slm``'s identity candidate and ``clf``'s first round."""
+        return synthesize(self.conv.bins, self.conv.cfg)
+
 
 def _chunks(n_blocks: int, size: int) -> Iterator[np.ndarray]:
     """The indices ``0 .. n_blocks - 1`` in chunks of ``size``, the last one partial."""
@@ -199,7 +207,7 @@ def _rrc_fdss(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
 
 def _dftsofdm(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
     """Plain DFT-s-OFDM: every subcarrier carries data, flat spectrum."""
-    return lambda draw, snr_db: draw.conv
+    return lambda draw, snr_db: replace(draw.conv, papr=draw.plain.papr)
 
 
 def _rrc(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
@@ -211,7 +219,7 @@ def _rrc(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
 def _clf(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
     """Clipping and filtering on the conventional layout."""
     return lambda draw, snr_db: replace(
-        draw.conv, bins=clf_reduce(draw.conv.bins, eval_cfg.clf, draw.conv.cfg))
+        draw.conv, bins=clf_reduce(draw.plain, eval_cfg.clf, draw.conv.cfg))
 
 
 def _slm(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
@@ -220,10 +228,10 @@ def _slm(cfg: ChainConfig, eval_cfg: EvalConfig, net) -> Rule:
     phases = slm_phase_vectors(eval_cfg.slm, conventional_config(cfg).n_data)
 
     def send(draw: Draw, snr_db: float) -> Transmit:
-        plain = draw.conv  # phase 0 is the identity: its PAPR is the plain one
-        idx, papr = slm_select(plain.bins, phases, plain.cfg, identity_papr=plain.waveform_papr)
+        conv = draw.conv  # phase 0 is the identity: its synthesis is draw.plain
+        idx, papr = slm_select(draw.plain, phases, conv.cfg)
         chosen = phases[idx]
-        return replace(plain, bins=plain.bins * chosen, taps=chosen, papr=papr)
+        return replace(conv, bins=conv.bins * chosen, taps=chosen, papr=papr)
     return send
 
 
@@ -309,9 +317,11 @@ def _ccdf_pass(cfg: ChainConfig, eval_cfg: EvalConfig,
     """Noise-free PAPR samples and OOBE per scheme for the CCDF figure.
 
     Each chunk of :data:`CHUNK_BLOCKS` blocks (:func:`_chunks`) is drawn once
-    and run through every scheme.  No waveform is synthesized twice for its
-    PAPR: a rule hands over the PAPR it measured while choosing
-    (``Transmit.papr``), and the draw's plain transmits cache theirs.  The
+    and run through every scheme.  No waveform is synthesized twice: the
+    draw's plain conventional transmit is synthesized once (``Draw.plain``),
+    and ``dftsofdm`` takes its PAPR, ``slm`` its identity candidate and
+    ``clf`` its first round from that record; a rule hands over the PAPR it
+    measured while choosing (``Transmit.papr``).  The
     OOBE is each scheme's :class:`metrics.Periodogram` over the first
     ``oobe_blocks`` blocks, which a chunk adds in block order, a tile of
     waveforms at a time.  Only one chunk's blocks and one scheme's transmit

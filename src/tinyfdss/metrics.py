@@ -5,15 +5,18 @@ penalizes the CCDF tail above x0 through a differentiable softplus surrogate
 of its hinge form, E[max(0, PAPR - x0)].
 
 Noise-free PAPR figures (the CCDF, its quantiles, mean PAPR, SLM's candidate
-search and adapt's per-tick PAPR) come from :func:`waveform_papr_db`, which
-synthesizes in single precision: each block's PAPR lies within ~2e-6 dB of
-the float64 synthesis, against a ~0.06 dB sampling interval of the 1e-3
-quantile.  CLF's rounds and training's peak search also run on
+search and adapt's per-tick PAPR) come from :func:`synthesize`, through
+:func:`waveform_papr_db` or a :class:`Synthesis` record, in single precision:
+each block's PAPR lies within ~2e-6 dB of the float64 synthesis, against a
+~0.06 dB sampling interval of the 1e-3 quantile.  CLF's rounds start from a
+:class:`Synthesis` too, and training's peak search runs on
 :func:`single_precision`'s bins; training's PAPR values and gradients stay
 float64, as do the links and the OOBE periodogram.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +38,22 @@ def papr_db(signal) -> float | np.ndarray:
     peak and mean keep the signal's precision (single for a complex64
     waveform); their ratio and its log10 are float64.
     """
-    x = np.asarray(signal)
+    out = _ratio_db(*_powers(np.asarray(signal)))
+    return float(out) if out.ndim == 0 else out
+
+
+def _powers(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Peak and mean of |x|^2 over the last axis, squared in place, in x's precision."""
     p = np.abs(x)
     np.square(p, out=p)
-    peak = p.max(axis=-1)
-    mean = p.mean(axis=-1)
+    return p.max(axis=-1), p.mean(axis=-1)
+
+
+def _ratio_db(peak: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """10*log10(peak / mean), the ratio and its log10 in float64."""
     if np.any(mean == 0.0):
         raise ValueError("PAPR undefined for an all-zero signal")
-    out = 10.0 * np.log10(np.divide(peak, mean, dtype=np.float64))
-    return float(out) if np.ndim(out) == 0 else out
+    return np.asarray(10.0 * np.log10(np.divide(peak, mean, dtype=np.float64)))
 
 
 def tile_rows(cfg: ChainConfig) -> int:
@@ -51,18 +61,23 @@ def tile_rows(cfg: ChainConfig) -> int:
     return max(1, TILE_BYTES // (16 * cfg.n_fft * cfg.oversample))
 
 
-def by_tiles(fn, bins: np.ndarray, cfg: ChainConfig) -> np.ndarray:
+def by_tiles(fn, bins: np.ndarray, cfg: ChainConfig) -> np.ndarray | tuple[np.ndarray, ...]:
     """``fn`` on ``tile_rows(cfg)`` rows of ``bins`` (..., n_sk) at a time.
 
     The leading axes are flattened into rows and restored on the stacked
-    results.  Each row's FFT does not depend on the rows beside it, so a
-    row-wise ``fn`` gives the same bytes for any tile size.
+    results (on each one, if ``fn`` returns a tuple).  Each row's FFT does
+    not depend on the rows beside it, so a row-wise ``fn`` gives the same
+    bytes for any tile size.
     """
     bins = np.asarray(bins)
     rows = bins.reshape(-1, bins.shape[-1])
     step = tile_rows(cfg)
-    out = np.concatenate([fn(rows[lo: lo + step]) for lo in range(0, len(rows), step)])
-    return out.reshape(bins.shape[:-1] + out.shape[1:])
+    tiles = [fn(rows[lo: lo + step]) for lo in range(0, len(rows), step)]
+
+    def stack(parts):
+        out = np.concatenate(parts)
+        return out.reshape(bins.shape[:-1] + out.shape[1:])
+    return tuple(map(stack, zip(*tiles))) if isinstance(tiles[0], tuple) else stack(tiles)
 
 
 def row_scale(bins: np.ndarray) -> np.ndarray:
@@ -90,25 +105,61 @@ def single_precision(bins: np.ndarray, scale: np.ndarray | None = None) -> np.nd
     return (bins * (row_scale(bins) if scale is None else scale)).astype(np.complex64)
 
 
-def waveform_papr_db(bins: np.ndarray, cfg: ChainConfig) -> float | np.ndarray:
-    """PAPR of the oversampled waveform of occupied bins, synthesized per tile
-    in single precision.
+@dataclass(frozen=True)
+class Synthesis:
+    """One single-precision synthesis of a batch of occupied bins, made by
+    :func:`synthesize`, and what it measured.
 
-    Complex64 bins are synthesized as given (``slm_select`` scales its
-    spectrum once for every candidate); other bins pass through
-    :func:`single_precision` a tile at a time.  So the result equals, byte
-    for byte, ``papr_db(time_signal(bins.astype(np.complex64), cfg))``
-    wherever that cast stays in float32's normal range, without holding the
-    whole batch's grid: a float for one block, else one PAPR per block over
-    the leading axes.  Each tile's grid is written from the band slices and
-    transformed in place by :func:`time_signal`, and ``papr_db`` squares its
-    magnitudes in place, so a tile costs one grid and one magnitude array.
+    Eval makes one per chunk of its plain conventional transmit
+    (``evaluation.Draw.plain``): ``dftsofdm`` reads its PAPR, SLM its bins
+    and PAPR as the identity candidate, and CLF's first round clips its
+    grid at a level from its mean power.  :func:`waveform_papr_db` makes one
+    per tile and keeps the PAPR.
     """
-    def tile_papr(tile):
-        single = tile if tile.dtype == np.complex64 else single_precision(tile)
-        return papr_db(time_signal(single, cfg))
 
-    out = by_tiles(tile_papr, bins, cfg)
+    scale: np.ndarray | float  # per-row power of two (..., 1); 1.0 for complex64 input
+    bins: np.ndarray  # the bins times ``scale``, complex64 (..., n_sk)
+    grid: np.ndarray  # their oversampled waveform, complex64 (..., n_fft*oversample)
+    peak: np.ndarray  # per-row peak of |grid|^2, float32
+    mean: np.ndarray  # per-row mean of |grid|^2, float32
+
+    @property
+    def papr(self) -> np.ndarray:
+        """Per-row PAPR in dB, float64, as :func:`papr_db` of ``grid``; a new
+        array on each access.  Raises ValueError if a row is all zero."""
+        return _ratio_db(self.peak, self.mean)
+
+
+def synthesize(bins: np.ndarray, cfg: ChainConfig) -> Synthesis:
+    """``bins`` (..., n_sk) synthesized at once in single precision.
+
+    Complex64 bins are synthesized as given (``slm_select``'s candidates,
+    rotated from a record's scaled bins); other bins pass through
+    :func:`single_precision`.  The grid is :func:`chain.time_signal`'s, and
+    its powers are :func:`papr_db`'s, squared in place: the synthesis holds
+    one grid and its per-row peak and mean.
+    """
+    bins = np.asarray(bins)
+    if bins.dtype == np.complex64:
+        scale, single = 1.0, bins
+    else:
+        scale = row_scale(bins)
+        single = single_precision(bins, scale)
+    grid = time_signal(single, cfg)
+    return Synthesis(scale, single, grid, *_powers(grid))
+
+
+def waveform_papr_db(bins: np.ndarray, cfg: ChainConfig) -> float | np.ndarray:
+    """PAPR of the oversampled waveform of occupied bins, one :func:`synthesize`
+    per tile.
+
+    So the result equals, byte for byte,
+    ``papr_db(time_signal(bins.astype(np.complex64), cfg))`` wherever that
+    cast stays in float32's normal range, without holding the whole batch's
+    grid: a float for one block, else one PAPR per block over the leading
+    axes.  A tile costs one grid and one magnitude array.
+    """
+    out = by_tiles(lambda tile: synthesize(tile, cfg).papr, bins, cfg)
     return float(out) if out.ndim == 0 else out
 
 

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tinyfdss.baselines import (
@@ -28,8 +28,8 @@ from tinyfdss.chain import (
     precode,
     time_signal,
 )
-from tinyfdss import baselines
-from tinyfdss.metrics import papr_db, single_precision, waveform_papr_db
+from tinyfdss import baselines, metrics
+from tinyfdss.metrics import papr_db, single_precision, synthesize, waveform_papr_db
 
 from reference import clf as clf_reference
 from reference import clip, fir_gains
@@ -162,6 +162,16 @@ class TestClf:
         assert np.all(np.isfinite(out)) and np.any(out != 0)
         assert waveform_papr_db(out, cfg) < waveform_papr_db(tiny, cfg)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-80, 70])
+    def test_complex64_rows_enter_at_their_row_scale(self, cfg, k):
+        # as complex128 rows do: unscaled, the float32 powers of a row at
+        # 2**70 overflow and those of a row at 2**-80 underflow
+        block = single_precision(ext_block(cfg))
+        far = (block * np.float32(2.0**k)).astype(np.complex64)
+        want = clf_reduce(block, ClfConfig(), cfg) * 2.0**k
+        assert clf_reduce(far, ClfConfig(), cfg).tobytes() == want.tobytes()
+
     def test_clip_ratio_past_float32_clips_nothing(self, cfg):
         # 800 and 6000 dB overflow the float32 level to inf, which clips
         # nothing, as 100 dB (no block comes near 1e5 times its RMS) does;
@@ -270,7 +280,7 @@ class TestSlm:
         blocks = np.concatenate([precode(symbols[:20]), symbols[20:]])
         idx, papr = slm_select(blocks, phases, conv)
         assert np.any(idx == 0) and np.any(idx != 0)
-        identity = waveform_papr_db(blocks, conv)
+        plain = synthesize(blocks, conv)  # candidate 0's record, as eval's draw holds it
         calls = []
         real = baselines.waveform_papr_db
 
@@ -279,7 +289,7 @@ class TestSlm:
             return real(bins, chain)
 
         monkeypatch.setattr(baselines, "waveform_papr_db", counting)
-        reused_idx, reused = slm_select(blocks, phases, conv, identity)
+        reused_idx, reused = slm_select(plain, phases, conv)
         # candidates 1..7 only: each one's bound on every block, then the
         # oversampled synthesis of the blocks whose bound is near the minimum
         assert [n for k, n in calls if k == 1] == [len(blocks)] * 7
@@ -298,8 +308,7 @@ class TestSlm:
         assert np.any(idx != 0)
         want = slm_reference(blocks, phases, conv)
         assert_same_bytes((idx, papr), want)
-        identity = waveform_papr_db(blocks, conv)
-        assert_same_bytes(slm_select(blocks, phases, conv, identity), want)
+        assert_same_bytes(slm_select(synthesize(blocks, conv), phases, conv), want)
 
     def test_bound_keeps_the_exhaustive_bytes_extended(self, cfg):
         phases = slm_phase_vectors(SlmConfig(num_candidates=8), cfg.n_data)
@@ -402,6 +411,62 @@ class TestSlm:
     def test_rejects_zero_candidates(self):
         with pytest.raises(ValueError):
             SlmConfig(num_candidates=0)
+
+
+# a row's power-of-two exponent range per kind; "zero" rows are all zero
+ROW_KINDS = {"unit": (-60, 60), "subnormal": (-1060, -1030), "huge": (1000, 1018), "zero": None}
+
+
+@st.composite
+def scaled_rows(draw):
+    """QPSK rows (precoded or not), each times its own power of two, of kinds
+    from ``ROW_KINDS``: subnormal rows are where ``row_scale`` caps its scale,
+    huge ones sit a few binades under float64's largest value.  At least one
+    row is not zero."""
+    kinds = draw(st.lists(st.sampled_from(sorted(ROW_KINDS)), min_size=1, max_size=11))
+    kinds.insert(draw(st.integers(0, len(kinds))), draw(st.sampled_from(["unit", "huge"])))
+    exps = [0 if ROW_KINDS[k] is None else draw(st.integers(*ROW_KINDS[k])) for k in kinds]
+    return kinds, exps, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+class TestFromSynthesis:
+    """CLF and SLM run from a :func:`metrics.synthesize` record, as eval runs them
+    from its plain transmit, give the bytes of their library entries on bins."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=scaled_rows(), tile=st.integers(1, 5), conventional=st.booleans())
+    @example(rows=(["unit", "zero", "subnormal", "huge", "unit", "zero", "unit"],
+                   [3, 0, -1050, 1016, -40, 0, 0], True, 1), tile=3, conventional=True)
+    def test_record_gives_the_bytes_of_bins(self, rows, tile, conventional):
+        kinds, exps, precoded, seed = rows
+        chain = conventional_config(ChainConfig()) if conventional else ChainConfig()
+        bits = np.random.default_rng(seed).integers(0, 2, (len(kinds), chain.n_data * 2))
+        symbols = map_symbols(bits, ModScheme.QPSK)
+        spectrum = (precode(symbols) if precoded else symbols) * np.ldexp(1.0, exps)[:, None]
+        zero = np.array(kinds) == "zero"
+        spectrum[zero] = 0.0
+        bins = extend(spectrum, chain.n_se)
+        clf = ClfConfig()
+        phases = slm_phase_vectors(SlmConfig(num_candidates=8), chain.n_data)
+        with pytest.MonkeyPatch.context() as mp:
+            # tiles of ``tile`` rows: a record of more rows is walked tile by tile
+            mp.setattr(metrics, "TILE_BYTES", 16 * chain.n_fft * chain.oversample * tile)
+            plain = synthesize(bins, chain)
+            got = clf_reduce(plain, clf, chain)
+            assert got.tobytes() == clf_reduce(bins, clf, chain).tobytes()
+            if zero.any():  # no PAPR, so no SLM choice, for an all-zero row
+                with pytest.raises(ValueError, match="all-zero"):
+                    slm_select(plain, phases, chain)
+                plain = synthesize(bins[~zero], chain)
+            assert plain.papr.tobytes() == waveform_papr_db(bins[~zero], chain).tobytes()
+            spectrum, kinds = spectrum[~zero], np.array(kinds)[~zero]
+            got = slm_select(plain, phases, chain)
+            assert_same_bytes(got, slm_select(spectrum, phases, chain))
+        # the reference's frexp scale overflows on a subnormal row, whose
+        # row_scale is capped at 2**1023: it sees that row times 2**1023,
+        # which is exact and leaves every PAPR as it is
+        shifted = spectrum * np.ldexp(1.0, np.where(kinds == "subnormal", 1023, 0))[:, None]
+        assert_same_bytes(got, slm_reference(shifted, phases, chain))
 
 
 class TestConventionalConfig:

@@ -283,11 +283,13 @@ class TestConfig:
         path = tmp_path / "low.json"
         cfg = dict(SMOKE_CONFIG, **{section: dict(SMOKE_CONFIG[section], **value)})
         path.write_text(json.dumps(cfg))
-        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: snr_db ") and "below the floor" in err
         assert len(err.splitlines()) == 1
+        assert not out.exists()  # the directory made for the run is removed
 
     @pytest.mark.parametrize("command", ["baselines", "eval", "sweep"])
     def test_band_without_out_of_band_bin_exits_2(self, tmp_path, capsys, command):
@@ -304,6 +306,8 @@ class TestConfig:
             "error: OOBE undefined: a 240-sample grid has no bin outside the band of "
             "n_sk=240 occupied bins\n")
         assert not (out / "summary.json").exists() and not (out / "sweep_ccdf.csv").exists()
+        if command != "eval":  # eval's run directory holds the checkpoint
+            assert not out.exists()
 
     def test_perceptron_keeps_one_live_weight_at_its_bound(self, tmp_path):
         # round(1205 * (1 - 0.9995)) = 1 live weight; 0.9996 leaves 0
@@ -602,6 +606,16 @@ class TestEvalCommand:
         code = main(["eval", "--config", str(config_path), "--out", str(empty)])
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
+        assert empty.is_dir()  # a directory the call did not make stays
+
+    def test_missing_checkpoint_in_a_fresh_run_directory_leaves_none(
+        self, config_path, tmp_path, capsys
+    ):
+        out = tmp_path / "fresh" / "run"
+        code = main(["eval", "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        assert "checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()
 
     @pytest.mark.parametrize("command", ["eval", "adapt"])
     def test_missing_named_checkpoint_is_not_replaced(

@@ -401,11 +401,11 @@ class TestCcdfPassReuse:
         assert samples["slm"].tobytes() == waveform_papr_db(chosen, conv).tobytes()
 
     def test_oversampled_waveforms_per_block(self, monkeypatch, slm_survivors):
-        # rrc 1, the plain waveform 1 (dftsofdm and slm's identity candidate),
-        # clf 3 (two rounds and the result); slm's other 7 candidates each
-        # once at the critical rate, then on the oversampled grid only where
-        # that bound is near the running minimum; and each scheme's OOBE
-        # blocks once more, for the periodogram
+        # rrc 1, the plain waveform 1 (dftsofdm, slm's identity candidate and
+        # clf's first round), clf 2 (its second round and the result); slm's
+        # other 7 candidates each once at the critical rate, then on the
+        # oversampled grid only where that bound is near the running minimum;
+        # and each scheme's OOBE blocks once more, for the periodogram
         cfg = ChainConfig()
         n = self.EVAL.ccdf_blocks
         s = evaluation._draw(cfg, self.EVAL.seed, "qpsk", np.arange(n)).conv.bins
@@ -423,7 +423,7 @@ class TestCcdfPassReuse:
         monkeypatch.setattr(baselines, "time_signal", counting)
         evaluation._ccdf_pass(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
         oobe = len(self.EVAL.schemes) * self.EVAL.oobe_blocks
-        assert rows == {cfg.oversample: 5 * n + survivors + oobe, 1: 7 * n}
+        assert rows == {cfg.oversample: 4 * n + survivors + oobe, 1: 7 * n}
 
     def test_oobe_input_stays_double(self, monkeypatch):
         # only the noise-free PAPR rule synthesizes in single precision
