@@ -131,11 +131,11 @@ def load_config(path: str | Path, seed: int | None = None) -> dict:
     ``seed``, when given, replaces the config's seed everywhere it is used.
     """
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from None
     _object(raw, _TOP_KEYS, "config root")
     config_seed = _typed(raw.get("seed", 0), 0, "seed")
     seed = config_seed if seed is None else seed
@@ -295,11 +295,15 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
 def _load_trace(path: str | Path) -> list[tuple[float, float]]:
     """``(t_ms, snr_db)`` rows of a trace CSV; a ``t_ms`` header line is skipped.
 
-    A row that does not start with two finite numbers, or whose ``t_ms`` is
-    below the row before it, raises ValueError naming the file and the line.
+    A file that is not UTF-8 raises ValueError naming the file; a row that
+    does not start with two finite numbers, or whose ``t_ms`` is below the
+    row before it, raises ValueError naming the file and the line.
     """
-    lines = [(n, line) for n, line in enumerate(Path(path).read_text().splitlines(), 1)
-             if line.strip()]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"trace file {path} is not UTF-8: {exc}") from None
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if lines and lines[0][1].lstrip().lower().startswith("t_ms"):
         lines = lines[1:]
     rows = []

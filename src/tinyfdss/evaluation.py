@@ -8,12 +8,12 @@ cell, one draw of the fades and noise (:func:`_cell_draws`).  PAPR is
 measured on the oversampled transmit waveform; the link acts on the
 occupied bins, where ``channel.noise_power`` makes the SNR exact per bin.
 
-The SER grid (:func:`_grid`) and the CCDF pass (:func:`_ccdf_pass`) walk
-their blocks in chunks of :data:`CHUNK_BLOCKS` (the grid half as many: it
-holds every scheme's transmit), and the OOBE periodogram is a running sum
-over the CCDF chunks, so memory does not grow with ``n_blocks``,
-``ccdf_blocks`` or ``oobe_blocks``.  Every step of the link acts on each
-block alone, so the chunk size changes no output.
+One walk (:func:`_walk`) goes over each modulation's blocks once, in chunks
+of :data:`CHUNK_BLOCKS`: a chunk gives the CCDF pass's noise-free PAPR
+samples and the SER grid's cells from one draw, and the OOBE periodogram is
+a running sum over the CCDF chunks, so memory does not grow with
+``n_blocks``, ``ccdf_blocks`` or ``oobe_blocks``.  Every step of the link
+acts on each block alone, so the chunk size changes no output.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .metrics import (
 from .training import Checkpoint
 
 RRC_FIR_TAPS = 32
-CHUNK_BLOCKS = 256  # blocks per CCDF chunk, twice the grid's: bounds eval's peak memory
+CHUNK_BLOCKS = 128  # blocks per chunk of eval's walk: bounds its peak memory
 CCDF_GRID_DB = np.arange(0.0, 12.0 + 0.1 / 2, 0.1)  # CCDF thresholds 0, 0.1, ..., 12 dB
 
 
@@ -167,10 +167,10 @@ class Draw:
         return synthesize(self.conv.bins, self.conv.cfg)
 
 
-def _chunks(n_blocks: int, size: int) -> Iterator[np.ndarray]:
-    """The indices ``0 .. n_blocks - 1`` in chunks of ``size``, the last one partial."""
-    for lo in range(0, n_blocks, size):
-        yield np.arange(lo, min(lo + size, n_blocks))
+def _chunks(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The indices ``lo .. hi - 1`` in chunks of :data:`CHUNK_BLOCKS`, the last one partial."""
+    for start in range(lo, hi, CHUNK_BLOCKS):
+        yield np.arange(start, min(start + CHUNK_BLOCKS, hi))
 
 
 def _draw(cfg: ChainConfig, seed: int, mod: str, indices: np.ndarray) -> Draw:
@@ -265,30 +265,52 @@ def _cell_draws(eval_cfg: EvalConfig, channel_name: str, mod: str, snr_i: int,
     return draw_blocks(rngs, len(indices), 0, n, lambda rng: (None, channel))[1:]
 
 
-def _grid(cfg: ChainConfig, eval_cfg: EvalConfig, rules: dict[str, Rule]) -> list[CellResult]:
-    """Every (scheme, channel, mod, SNR) cell, listed in that order.
+def _walk(cfg: ChainConfig, eval_cfg: EvalConfig,
+          rules: dict[str, Rule]) -> tuple[dict, dict, list[CellResult]]:
+    """Each modulation's blocks, walked once: every scheme's noise-free PAPR
+    samples and OOBE for the CCDF figure, and every (scheme, channel, mod,
+    SNR) cell of the SER grid, listed in that order.
 
-    Like the CCDF pass, the grid streams each modulation's blocks in
-    fixed-size chunks (:func:`_chunks`), of ``CHUNK_BLOCKS // 2`` blocks: a
-    grid chunk holds every scheme's transmit and one cell's link arrays,
-    where a CCDF chunk holds one scheme's transmit.  Per chunk the blocks
-    are drawn once and every scheme transmits once (a rule that reads the
-    SNR once per SNR); per (channel, SNR) the chunk's fades and noise are
-    drawn once and every scheme's transmit passes through them.  A cell adds
-    up its symbol errors over the chunks, and its mean PAPR is that of one
-    array filled chunk by chunk.
+    A modulation's blocks come in chunks of :data:`CHUNK_BLOCKS`
+    (:func:`_chunks`): the grid's first ``n_blocks``, then, for ``mods[0]``,
+    those up to ``ccdf_blocks``.  Each chunk is drawn once.  If it holds
+    CCDF blocks (the first ``ccdf_blocks`` of ``mods[0]``), every scheme
+    transmits it at ``ccdf_snr_db``: those rows give the PAPR samples, and
+    the first ``oobe_blocks`` add to each scheme's
+    :class:`metrics.Periodogram` in block order.  No waveform is synthesized
+    twice: ``Draw.plain`` gives ``dftsofdm``'s PAPR, ``slm``'s identity
+    candidate and ``clf``'s first round, and a rule hands over the PAPR it
+    measured while choosing (``Transmit.papr``).  A chunk of the grid then
+    keeps the CCDF transmit of each rule that does not read the SNR (or
+    makes it once) and sends ``tinyml`` once per SNR; per (channel, SNR) its
+    fades and noise are drawn once and every scheme's transmit passes
+    through them.  A cell adds up its symbol errors over the chunks, and its
+    mean PAPR is that of one array filled chunk by chunk.  Only one chunk's
+    blocks, transmits and link arrays are held at a time.
     """
     n = eval_cfg.n_blocks
-    cells = {}
+    samples = {scheme: np.empty(eval_cfg.ccdf_blocks) for scheme in rules}
+    welch, cells = {}, {}
     for mod in eval_cfg.mods:
+        n_ccdf = eval_cfg.ccdf_blocks if mod == eval_cfg.mods[0] else 0
         papr = {(scheme, snr_db): np.empty(n) for scheme in rules for snr_db in eval_cfg.snr_db}
         counts = {key: [0, 0] for key in product(rules, eval_cfg.channels, eval_cfg.snr_db)}
-        for indices in _chunks(n, CHUNK_BLOCKS // 2):
+        for indices in chain(_chunks(0, n), _chunks(n, n_ccdf)):
             draw = _draw(cfg, eval_cfg.seed, mod, indices)
             sent = {}  # scheme -> this chunk's transmit at the current SNR
-            for snr_i, snr_db in enumerate(eval_cfg.snr_db):
+            grid_snrs = eval_cfg.snr_db if indices[0] < n else ()  # none past the grid
+            in_ccdf = int(np.count_nonzero(indices < n_ccdf))  # the chunk's first ones
+            n_oobe = int(np.count_nonzero(indices < eval_cfg.oobe_blocks))
+            for scheme, rule in rules.items() if in_ccdf else ():
+                tx = rule(draw, eval_cfg.ccdf_snr_db)
+                samples[scheme][indices[:in_ccdf]] = tx.waveform_papr[:in_ccdf]
+                welch.setdefault(scheme, Periodogram(tx.cfg)).add_bins(tx.bins[:n_oobe])
+                if grid_snrs:  # the grid keeps it; past the grid it is freed
+                    sent[scheme] = tx
+                del tx  # before the next scheme transmits
+            for snr_i, snr_db in enumerate(grid_snrs):
                 for scheme, rule in rules.items():
-                    if snr_i == 0 or SCHEMES[scheme].reads_snr:
+                    if scheme not in sent or SCHEMES[scheme].reads_snr:
                         sent[scheme] = rule(draw, snr_db)
                     papr[scheme, snr_db][indices] = sent[scheme].waveform_papr
                 for channel_name in eval_cfg.channels:
@@ -300,60 +322,28 @@ def _grid(cfg: ChainConfig, eval_cfg: EvalConfig, rules: dict[str, Rule]) -> lis
                         count = counts[scheme, channel_name, snr_db]
                         count[0] += errors  # symbol errors and symbols, as integers
                         count[1] += total
-            # free this chunk's blocks, transmits and link arrays before the next is drawn
-            del draw, sent, tx, h, noise, rx, detected
+                    del h, noise, tx, rx, detected  # this cell's link arrays
+            del draw, sent  # and this chunk's blocks and transmits, before the next draw
         for (scheme, channel_name, snr_db), (errors, total) in counts.items():
             cells[scheme, channel_name, mod, snr_db] = CellResult(
-                scheme=scheme, channel=channel_name, mod=mod, snr_db=snr_db,
-                ser=errors / total, ser_total=total,
-                mean_papr_db=float(papr[scheme, snr_db].mean()),
-            )
-    return [cells[key] for key in product(eval_cfg.schemes, eval_cfg.channels,
-                                          eval_cfg.mods, eval_cfg.snr_db)]
-
-
-def _ccdf_pass(cfg: ChainConfig, eval_cfg: EvalConfig,
-               rules: dict[str, Rule]) -> tuple[dict, dict]:
-    """Noise-free PAPR samples and OOBE per scheme for the CCDF figure.
-
-    Each chunk of :data:`CHUNK_BLOCKS` blocks (:func:`_chunks`) is drawn once
-    and run through every scheme.  No waveform is synthesized twice: the
-    draw's plain conventional transmit is synthesized once (``Draw.plain``),
-    and ``dftsofdm`` takes its PAPR, ``slm`` its identity candidate and
-    ``clf`` its first round from that record; a rule hands over the PAPR it
-    measured while choosing (``Transmit.papr``).  The
-    OOBE is each scheme's :class:`metrics.Periodogram` over the first
-    ``oobe_blocks`` blocks, which a chunk adds in block order, a tile of
-    waveforms at a time.  Only one chunk's blocks and one scheme's transmit
-    are held at a time.
-    """
-    samples = {scheme: np.empty(eval_cfg.ccdf_blocks) for scheme in rules}
-    welch = {}
-    for indices in _chunks(eval_cfg.ccdf_blocks, CHUNK_BLOCKS):
-        draw = _draw(cfg, eval_cfg.seed, eval_cfg.mods[0], indices)
-        n_oobe = int(np.count_nonzero(indices < eval_cfg.oobe_blocks))  # the chunk's first ones
-        for scheme, rule in rules.items():
-            tx = rule(draw, eval_cfg.ccdf_snr_db)
-            samples[scheme][indices] = tx.waveform_papr
-            if n_oobe:
-                welch.setdefault(scheme, Periodogram(tx.cfg)).add_bins(tx.bins[:n_oobe])
-            del tx  # free this scheme's bins before the next scheme transmits
-        del draw  # and this chunk's blocks before the next chunk is drawn
-    return samples, {scheme: float(welch[scheme].oobe_db()) for scheme in rules}
+                scheme, channel_name, mod, snr_db, ser=errors / total, ser_total=total,
+                mean_papr_db=float(papr[scheme, snr_db].mean()))
+    oobe = {scheme: float(welch[scheme].oobe_db()) for scheme in rules}
+    return samples, oobe, [cells[key] for key in product(
+        eval_cfg.schemes, eval_cfg.channels, eval_cfg.mods, eval_cfg.snr_db)]
 
 
 def evaluate(
     checkpoint: Checkpoint | None, eval_cfg: EvalConfig, chain_cfg: ChainConfig
 ) -> EvalResult:
-    """Full evaluation: the CCDF pass, then the grid (:func:`_grid`), whose
-    cells are listed in (scheme, channel, mod, SNR) order."""
+    """Full evaluation: one walk over each modulation's blocks (:func:`_walk`),
+    whose cells are listed in (scheme, channel, mod, SNR) order."""
     net = None if checkpoint is None else checkpoint.deployed_net(eval_cfg.use_quantized)
     rules = _rules(chain_cfg, eval_cfg, net)  # a missing checkpoint fails here, before any draw
     schemes = eval_cfg.schemes
 
-    papr_samples, oobe = _ccdf_pass(chain_cfg, eval_cfg, rules)
+    papr_samples, oobe, cells = _walk(chain_cfg, eval_cfg, rules)
     ccdf = {scheme: empirical_ccdf(papr_samples[scheme], CCDF_GRID_DB) for scheme in schemes}
-    cells = _grid(chain_cfg, eval_cfg, rules)
 
     at_1e3 = {scheme: papr_at_ccdf(papr_samples[scheme], 1e-3) for scheme in schemes}
     summary = {}

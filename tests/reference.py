@@ -153,9 +153,11 @@ def papr_db(x):
 
 
 def waveform_papr_db(bins, cfg):
-    """The bins scaled by the power of two that puts their peak in [0.5, 1), in complex64."""
+    """The bins scaled by the power of two that puts their peak in [0.5, 1), at most
+    2**1023 (the largest finite one), in complex64."""
     _, exp = np.frexp(np.abs(bins).max(axis=-1, keepdims=True))
-    return papr_db(time_signal((bins * np.ldexp(1.0, -exp)).astype(np.complex64), cfg))
+    return papr_db(time_signal((bins * np.ldexp(1.0, np.minimum(-exp, 1023))).astype(np.complex64),
+                               cfg))
 
 
 def fir_gains(fir, cfg):

@@ -18,6 +18,7 @@ from tinyfdss.chain import (
     constellation,
     detect_symbols,
     extend,
+    fold_extension,
     map_symbols,
     occupied_bins,
     precode,
@@ -253,8 +254,19 @@ class TestTimeSignalPrecision:
         assert np.max(np.abs(x - want)) <= 1e-6 * np.max(np.abs(want))
 
 
+class TestChainConfig:
+    @pytest.mark.parametrize("n_data", [0, -3])
+    def test_rejects_a_nonpositive_n_data(self, n_data):
+        with pytest.raises(ValueError, match=rf"^n_data must be positive, got {n_data}$"):
+            ChainConfig(n_data=n_data)
+
+
 class TestOccupiedBinsPrecision:
     """The bins keep a complex64 grid single and everything else double."""
+
+    def test_rejects_a_length_not_a_multiple_of_n_fft(self, cfg):
+        with pytest.raises(ValueError, match=r"^signal length 1000 not a multiple of n_fft=256$"):
+            occupied_bins(np.zeros((2, 1000), dtype=complex), cfg)
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.float32, np.int64])
     def test_other_inputs_give_the_complex128_reference(self, cfg, rng, dtype):
@@ -353,6 +365,10 @@ class TestSpectrumExtend:
     def test_rejects_extension_not_smaller_than_data(self):
         with pytest.raises(ValueError):
             extend(np.ones(4, dtype=complex), 4)
+
+    def test_fold_rejects_an_extension_that_leaves_no_data_bin(self):
+        with pytest.raises(ValueError, match=r"^extension larger than block$"):
+            fold_extension(np.ones(8, dtype=complex), 4)
 
 
 class TestApplyFilter:

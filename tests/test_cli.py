@@ -375,9 +375,19 @@ class TestUnreadablePaths:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return captured.err
 
     def test_config_is_a_directory(self, tmp_path, capsys):
         self.assert_error_exit(["train", "--config", str(tmp_path)], capsys)
+
+    def test_config_not_utf8_names_the_file(self, tmp_path, capsys):
+        # UTF-16 with its byte-order mark: not UTF-8, whatever the locale
+        config, out = tmp_path / "config.json", tmp_path / "fresh" / "run"
+        config.write_bytes("{}".encode("utf-16"))
+        err = self.assert_error_exit(["eval", "--config", str(config), "--out", str(out)],
+                                     capsys)
+        assert str(config) in err and "UTF-8" in err
+        assert not (tmp_path / "fresh").exists()
 
     def test_checkpoint_is_a_directory(self, config_path, tmp_path, capsys):
         self.assert_error_exit(["eval", "--config", str(config_path), "--out",
@@ -386,6 +396,15 @@ class TestUnreadablePaths:
     def test_trace_is_a_directory(self, config_path, trained_out, tmp_path, capsys):
         self.assert_error_exit(["adapt", "--config", str(config_path), "--out",
                                 str(trained_out), "--trace", str(tmp_path)], capsys)
+
+    def test_trace_not_utf8_names_the_file(self, config_path, trained_out, tmp_path, capsys):
+        trace, out = tmp_path / "trace.csv", tmp_path / "fresh" / "run"
+        trace.write_bytes("t_ms,snr_db\n0,5\n".encode("utf-16"))
+        err = self.assert_error_exit(["adapt", "--config", str(config_path), "--out", str(out),
+                                      "--checkpoint", str(trained_out / "checkpoint.bin"),
+                                      "--trace", str(trace)], capsys)
+        assert str(trace) in err and "UTF-8" in err
+        assert not (tmp_path / "fresh").exists()
 
     def test_out_is_an_existing_file(self, config_path, tmp_path, capsys):
         out = tmp_path / "taken"

@@ -17,8 +17,8 @@ from tinyfdss.chain import (SCHEME_NAMES, ChainConfig, ModScheme, detect_symbols
 from tinyfdss.channel import MODEL_NAMES
 from tinyfdss.evaluation import SCHEMES, EvalConfig, evaluate
 from tinyfdss.filters import unit_taps
-from tinyfdss.metrics import (papr_at_ccdf, papr_db, single_precision, tile_rows,
-                             waveform_papr_db)
+from tinyfdss.metrics import (OOBE_MIN_BLOCKS, papr_at_ccdf, papr_db, single_precision,
+                             tile_rows, waveform_papr_db)
 from tinyfdss.training import TrainConfig, train
 
 from reference import clf as clf_reference
@@ -125,8 +125,9 @@ class TestEvaluate:
         )
 
     def test_each_block_drawn_once(self, small_ckpt, monkeypatch):
-        # the CCDF pass draws its chunks once for all schemes and the grid
-        # draws each modulation's blocks once for all schemes, channels, SNRs
+        # the walk draws each modulation's blocks once for the CCDF samples
+        # and every scheme, channel and SNR of the grid: the first modulation's
+        # first max(n_blocks, ccdf_blocks), each other one's first n_blocks
         eval_cfg = EvalConfig(
             snr_db=(5.0, 10.0), channels=("awgn", "rayleigh"),
             mods=("qpsk", "qam16"), n_blocks=20, ccdf_blocks=50, oobe_blocks=16,
@@ -142,13 +143,15 @@ class TestEvaluate:
         monkeypatch.setattr(channel, "map_symbols", counting)
         result = evaluate(small_ckpt, eval_cfg, ChainConfig())
         assert len(result.cells) == 3 * 2 * 2 * 2
-        assert sum(rows) == eval_cfg.ccdf_blocks + len(eval_cfg.mods) * eval_cfg.n_blocks
+        assert sum(rows) == max(eval_cfg.n_blocks, eval_cfg.ccdf_blocks) + (
+            len(eval_cfg.mods) - 1) * eval_cfg.n_blocks
 
     def test_channel_drawn_once_and_snr_blind_schemes_sent_once(
         self, small_ckpt, monkeypatch
     ):
         # fades and noise are drawn once per (channel, mod, SNR) for all
-        # schemes; only tinyml's transmit depends on the SNR, and each of its
+        # schemes; only tinyml's transmit depends on the SNR, so the grid
+        # keeps every other scheme's CCDF transmit, and each of tinyml's
         # transmits is one batched feedback cycle of the adaptation loop
         eval_cfg = EvalConfig(
             snr_db=(5.0, 10.0), channels=("awgn", "rayleigh"),
@@ -162,15 +165,14 @@ class TestEvaluate:
             drawn[channel_name, mod, snr_i] += len(indices)
             return real_draws(eval_cfg, channel_name, mod, snr_i, n, indices)
 
-        grid_sends = Counter()
+        sent = Counter()  # blocks each scheme transmits
 
         def counting_scheme(name, scheme):
             def build(*args):
                 rule = scheme.build(*args)
 
                 def send(draw, snr_db):
-                    if len(draw.conv.bins) == eval_cfg.n_blocks:  # not a CCDF chunk
-                        grid_sends[name] += 1
+                    sent[name] += len(draw.conv.bins)
                     return rule(draw, snr_db)
                 return send
             return replace(scheme, build=build)
@@ -195,15 +197,17 @@ class TestEvaluate:
         monkeypatch.setattr(evaluation, "adaptation_cycle", counting_cycle)
         monkeypatch.setattr(network, "predict_coeffs", counting_predict)
         result = evaluate(small_ckpt, eval_cfg, ChainConfig())
+        n, n_ccdf, ccdf_snr = eval_cfg.n_blocks, eval_cfg.ccdf_blocks, eval_cfg.ccdf_snr_db
         n_mods, n_snrs = len(eval_cfg.mods), len(eval_cfg.snr_db)
         assert len(result.cells) == 3 * 2 * n_mods * n_snrs
-        assert drawn == {cell: eval_cfg.n_blocks for cell in product(
+        assert drawn == {cell: n for cell in product(
             eval_cfg.channels, eval_cfg.mods, range(n_snrs))}
-        assert grid_sends == {"tinyml": n_mods * n_snrs, "rrc": n_mods, "slm": n_mods}
-        # the one CCDF chunk, then every (mod, SNR) of the grid
-        assert cycles == [(eval_cfg.ccdf_blocks, eval_cfg.ccdf_snr_db)] + [
-            (eval_cfg.n_blocks, snr_db) for _ in eval_cfg.mods for snr_db in eval_cfg.snr_db
-        ]
+        blind = n_ccdf + (n_mods - 1) * n  # each block drawn, sent once
+        assert sent == {"tinyml": n_ccdf + n_mods * n_snrs * n, "rrc": blind, "slm": blind}
+        # the first modulation's grid chunk at the CCDF SNR and each grid SNR,
+        # its CCDF chunk past n_blocks, then the second modulation's grid chunk
+        grid = [(n, snr_db) for snr_db in eval_cfg.snr_db]
+        assert cycles == [(n, ccdf_snr), *grid, (n_ccdf - n, ccdf_snr), *grid]
         assert len(net_calls) == len(cycles)  # the net runs only inside the cycle
 
     def test_cell_order_is_scheme_channel_mod_snr(self, small_ckpt):
@@ -288,13 +292,15 @@ GRID_CHAINS = [ChainConfig(), ChainConfig(n_data=24, n_se=4, n_fft=64),
 
 @st.composite
 def small_evals(draw):
-    """Eval configs of a few blocks over any schemes, channels, modulations and SNRs."""
+    """Eval configs of a few blocks over any schemes, channels, modulations and
+    SNRs, with a CCDF pass of its least size or a few blocks more."""
     def some(names):
         return tuple(draw(st.lists(st.sampled_from(list(names)), min_size=1, unique=True)))
     return EvalConfig(
         snr_db=tuple(draw(st.lists(st.floats(-5.0, 25.0), min_size=1, max_size=2, unique=True))),
         channels=some(MODEL_NAMES), mods=some(SCHEME_NAMES), schemes=some(SCHEMES),
-        n_blocks=draw(st.integers(1, 6)), rician_k_db=draw(st.sampled_from([-3.0, 3.0, 10.0])),
+        n_blocks=draw(st.integers(1, 6)), ccdf_blocks=draw(st.integers(OOBE_MIN_BLOCKS, 14)),
+        oobe_blocks=OOBE_MIN_BLOCKS, rician_k_db=draw(st.sampled_from([-3.0, 3.0, 10.0])),
         use_quantized=draw(st.booleans()), seed=draw(st.integers(0, 2**32 - 1)))
 
 
@@ -318,29 +324,50 @@ class TestGrid:
                                      if eval_cfg.use_quantized else net)
 
     def test_chunked_cells_equal_scheme_outer_reference(self, small_ckpt, monkeypatch):
-        # the grid streams its 12 blocks as two full chunks and a partial
-        # one; per-chunk sends, draws and error counts change no cell's bytes
-        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 10)  # the grid walks half as many
+        # each modulation's 12 grid blocks come as two full chunks and a
+        # partial one, the first one's CCDF blocks past them in chunks of
+        # their own; per-chunk sends, draws and error counts change no bytes
+        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 5)
         sizes, real = [], evaluation._chunks
 
-        def recording(n_blocks, size):
-            for chunk in real(n_blocks, size):
+        def recording(lo, hi):
+            for chunk in real(lo, hi):
                 sizes.append(len(chunk))
                 yield chunk
 
         monkeypatch.setattr(evaluation, "_chunks", recording)
         self.check_against_reference(ChainConfig(), self.EVAL,
                                      small_ckpt.deployed_net(self.EVAL.use_quantized))
-        assert sizes == [5, 5, 2] * len(self.EVAL.mods)
+        assert sizes == [5, 5, 2] + [5] * 10 + [2] + [5, 5, 2]
+
+    def test_grid_past_the_ccdf_blocks_equals_scheme_outer_reference(self, small_ckpt):
+        # n_blocks above ccdf_blocks and no multiple of the chunk: the first
+        # chunk holds every CCDF block and grid blocks past them, the last
+        # grid chunk is partial, and the second modulation has no CCDF block
+        n = evaluation.CHUNK_BLOCKS + 5
+        eval_cfg = replace(self.EVAL, snr_db=(8.0,), channels=("rician",), n_blocks=n,
+                           ccdf_blocks=n - 40)
+        self.check_against_reference(ChainConfig(), eval_cfg, small_ckpt.deployed_net(True))
 
     @staticmethod
     def check_against_reference(cfg, eval_cfg, net):
+        # the cells, and each scheme's CCDF samples and OOBE from its transmit
+        # of the first modulation's CCDF blocks in one batch (the library's
+        # C-ordered draw: a transmit's last bits may follow the bins' layout)
         rules = evaluation._rules(cfg, eval_cfg, net)
-        got = [astuple(c) for c in evaluation._grid(cfg, eval_cfg, rules)]
+        samples, oobe, cells = evaluation._walk(cfg, eval_cfg, rules)
+        got = [astuple(c) for c in cells]
         want = [astuple(c) for c in eval_cells(cfg, eval_cfg, rules)]
         assert len(got) == len(eval_cfg.schemes) * len(eval_cfg.channels) * len(
             eval_cfg.mods) * len(eval_cfg.snr_db)
         assert repr(got) == repr(want)
+        draw = evaluation._draw(cfg, eval_cfg.seed, eval_cfg.mods[0],
+                                np.arange(eval_cfg.ccdf_blocks))
+        for scheme, rule in rules.items():
+            tx = rule(draw, eval_cfg.ccdf_snr_db)
+            assert samples[scheme].tobytes() == tx.waveform_papr.tobytes(), scheme
+            signal = time_signal(tx.bins[: eval_cfg.oobe_blocks], tx.cfg)
+            assert repr(oobe[scheme]) == repr(float(metrics.oobe_db(signal, tx.cfg))), scheme
 
 
 class TestBaselineTransmit:
@@ -384,15 +411,17 @@ class TestBaselineTransmit:
 
 
 class TestCcdfPassReuse:
-    """The CCDF pass measures the plain waveform once and keeps SLM's running minimum."""
+    """The walk's CCDF pass measures the plain waveform once and keeps SLM's
+    running minimum, and its grid reuses the transmits of SNR-blind schemes."""
 
     EVAL = EvalConfig(snr_db=(10.0,), n_blocks=20, ccdf_blocks=300, oobe_blocks=16,
                       seed=5, schemes=("rrc", "dftsofdm", "clf", "slm"))
 
     def test_columns_equal_per_scheme_resynthesis(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 128)  # two full chunks and a part
+        # the 20 grid blocks, then two full chunks and a part
+        monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 128)
         cfg = ChainConfig()
-        samples, _ = evaluation._ccdf_pass(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
+        samples, _, _ = evaluation._walk(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
         s = evaluation._draw(cfg, self.EVAL.seed, "qpsk", np.arange(self.EVAL.ccdf_blocks)).conv.bins
         conv = conventional_config(cfg)
         phases = slm_phase_vectors(self.EVAL.slm, conv.n_data)
@@ -405,7 +434,9 @@ class TestCcdfPassReuse:
         # clf's first round), clf 2 (its second round and the result); slm's
         # other 7 candidates each once at the critical rate, then on the
         # oversampled grid only where that bound is near the running minimum;
-        # and each scheme's OOBE blocks once more, for the periodogram
+        # and each scheme's OOBE blocks once more, for the periodogram.  The
+        # grid's 20 blocks synthesize nothing more: every scheme here is
+        # SNR-blind, so the grid keeps its CCDF transmit and PAPR
         cfg = ChainConfig()
         n = self.EVAL.ccdf_blocks
         s = evaluation._draw(cfg, self.EVAL.seed, "qpsk", np.arange(n)).conv.bins
@@ -421,7 +452,7 @@ class TestCcdfPassReuse:
 
         monkeypatch.setattr(metrics, "time_signal", counting)
         monkeypatch.setattr(baselines, "time_signal", counting)
-        evaluation._ccdf_pass(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
+        evaluation._walk(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
         oobe = len(self.EVAL.schemes) * self.EVAL.oobe_blocks
         assert rows == {cfg.oversample: 4 * n + survivors + oobe, 1: 7 * n}
 
@@ -436,28 +467,29 @@ class TestCcdfPassReuse:
 
         monkeypatch.setattr(metrics.Periodogram, "add", recording)
         cfg = ChainConfig()
-        evaluation._ccdf_pass(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
+        evaluation._walk(cfg, self.EVAL, evaluation._rules(cfg, self.EVAL, None))
         assert seen == [np.complex128] * len(self.EVAL.schemes)
 
     def test_oobe_blocks_across_chunks_equal_one_pass(self, monkeypatch):
-        # the OOBE blocks span four CCDF chunks of 64 blocks, and every
-        # output equals that of the pass in one chunk
+        # the OOBE blocks span the 20-block grid chunk and four CCDF chunks
+        # of 64 blocks, and every output equals that of the grid chunk and
+        # one CCDF chunk
         cfg, eval_cfg = ChainConfig(), replace(self.EVAL, oobe_blocks=200)
         runs = []
         for chunk in (64, eval_cfg.ccdf_blocks):
             monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", chunk)
-            samples, oobe = evaluation._ccdf_pass(cfg, eval_cfg,
-                                                  evaluation._rules(cfg, eval_cfg, None))
-            runs.append((repr(oobe), {k: v.tobytes() for k, v in samples.items()}))
+            samples, oobe, cells = evaluation._walk(cfg, eval_cfg,
+                                                    evaluation._rules(cfg, eval_cfg, None))
+            runs.append((repr(oobe), {k: v.tobytes() for k, v in samples.items()}, repr(cells)))
         assert runs[0] == runs[1]
 
     def test_oobe_across_chunks_is_one_oobe_db_call(self, monkeypatch):
-        # the running periodogram adds the blocks of chunks 64, 64, 64 and 8
+        # the running periodogram adds the blocks of chunks 20, 64, 64 and 52
         # row by row: the bytes of one oobe_db over all 200 blocks' waveforms
         monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 64)
         cfg, eval_cfg = ChainConfig(), replace(self.EVAL, oobe_blocks=200)
         rules = evaluation._rules(cfg, eval_cfg, None)
-        _, oobe = evaluation._ccdf_pass(cfg, eval_cfg, rules)
+        _, oobe, _ = evaluation._walk(cfg, eval_cfg, rules)
         draw = evaluation._draw(cfg, eval_cfg.seed, "qpsk", np.arange(eval_cfg.oobe_blocks))
         for scheme, rule in rules.items():
             tx = rule(draw, eval_cfg.ccdf_snr_db)
@@ -598,7 +630,7 @@ class TestTiling:
 
 class TestTiledMemory:
     """Peak traced memory on 2048 default-chain QPSK blocks, held as one
-    chunk: the CCDF pass's tests set ``evaluation.CHUNK_BLOCKS`` (256 by
+    chunk: the walk's CCDF tests set ``evaluation.CHUNK_BLOCKS`` (128 by
     default) to 2048.
 
     One (2048, 240) complex128 array of bins is 7.5 MiB and one full
@@ -626,48 +658,51 @@ class TestTiledMemory:
             tracemalloc.stop()
 
     def test_ccdf_pass(self, rules, monkeypatch):
+        # one CCDF chunk of 2048 blocks past the grid's 500
         monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 2048)
-        assert self.peak_mib(evaluation._ccdf_pass, ChainConfig(), self.EVAL, rules) < 64
+        eval_cfg = replace(self.EVAL, ccdf_blocks=500 + 2048)
+        assert eval_cfg.n_blocks == 500
+        assert self.peak_mib(evaluation._walk, ChainConfig(), eval_cfg, rules) < 64
 
     def test_ccdf_pass_holds_one_chunk_at_a_time(self, monkeypatch):
         # a chunk's blocks and transmits are freed before the next chunk is
-        # drawn, so two chunks peak where one does.  At 2048-block chunks,
-        # held over, the previous chunk's blocks and last transmit would add
-        # over 20 MiB; at the default chunk the tiles' peak would hide them
+        # drawn, so two CCDF chunks past the grid's 500 blocks peak where one
+        # does.  At 2048-block chunks, held over, the previous chunk's blocks
+        # and last transmit would add over 20 MiB; at the default chunk the
+        # tiles' peak would hide them
         monkeypatch.setattr(evaluation, "CHUNK_BLOCKS", 2048)
-        one, two = (EvalConfig(ccdf_blocks=k * 2048, seed=3, schemes=self.EVAL.schemes)
-                    for k in (1, 2))
-        one_chunk = self.peak_mib(evaluation._ccdf_pass, ChainConfig(), one,
+        one, two = (EvalConfig(n_blocks=500, ccdf_blocks=500 + k * 2048, seed=3,
+                               schemes=self.EVAL.schemes) for k in (1, 2))
+        one_chunk = self.peak_mib(evaluation._walk, ChainConfig(), one,
                                   evaluation._rules(ChainConfig(), one, None))
-        assert self.peak_mib(evaluation._ccdf_pass, ChainConfig(), two,
+        assert self.peak_mib(evaluation._walk, ChainConfig(), two,
                              evaluation._rules(ChainConfig(), two, None)) < one_chunk + 4
 
     def test_grid_holds_one_chunk_at_a_time(self, small_ckpt):
-        # the grid streams its blocks in chunks of CHUNK_BLOCKS // 2: four
-        # chunks of blocks peak where one does, where holding every block's
-        # transmits would add ~8 MiB per chunk
-        cfg, peaks = ChainConfig(), []
+        # the walk streams the grid's blocks in chunks of CHUNK_BLOCKS (the
+        # CCDF blocks all in the first): four chunks of blocks peak where one
+        # does, where holding every block's transmits would add ~8 MiB per chunk
+        cfg, peaks, chunk = ChainConfig(), [], evaluation.CHUNK_BLOCKS
         for k in (1, 4):
-            eval_cfg = EvalConfig(snr_db=(10.0,), n_blocks=k * (evaluation.CHUNK_BLOCKS // 2),
-                                  seed=3)
+            eval_cfg = EvalConfig(snr_db=(10.0,), n_blocks=k * chunk, ccdf_blocks=chunk, seed=3)
             rules = evaluation._rules(cfg, eval_cfg, small_ckpt.deployed_net(True))
-            peaks.append(self.peak_mib(evaluation._grid, cfg, eval_cfg, rules))
+            peaks.append(self.peak_mib(evaluation._walk, cfg, eval_cfg, rules))
         assert peaks[1] < peaks[0] + 4
 
     def test_ccdf_pass_memory_does_not_grow_with_oobe_blocks(self, rules):
         # the periodogram is a running sum over the CCDF chunks: 1024 OOBE
-        # blocks (four chunks) peak within 4 MiB of 64.  Synthesizing them at
+        # blocks (eight chunks) peak within 4 MiB of 64.  Synthesizing them at
         # once in one chunk of 1024 blocks peaked at ~131 MiB against ~12
         cfg, peaks = ChainConfig(), []
         for oobe_blocks in (64, 1024):
             eval_cfg = replace(self.EVAL, ccdf_blocks=1024, oobe_blocks=oobe_blocks)
-            peaks.append(self.peak_mib(evaluation._ccdf_pass, cfg, eval_cfg, rules))
+            peaks.append(self.peak_mib(evaluation._walk, cfg, eval_cfg, rules))
         assert peaks[1] < peaks[0] + 4
 
     def test_evaluate_at_the_benchmark_eval_shape(self, small_ckpt):
         # perfbench's eval grid (5 schemes, 3 channels, 2 SNRs, 500 blocks)
-        # and three CCDF chunks: ~8.5 MiB, where 256-block grid chunks and
-        # out-of-place CLF rounds peaked at ~16.7 MiB
+        # and 600 CCDF blocks, in five chunks: ~12 MiB, where 256-block grid
+        # chunks and out-of-place CLF rounds peaked at ~16.7 MiB
         eval_cfg = EvalConfig(snr_db=(5.0, 10.0), channels=("awgn", "rayleigh", "rician"),
                               n_blocks=500, ccdf_blocks=600, oobe_blocks=64, seed=3)
         assert len(eval_cfg.schemes) == 5

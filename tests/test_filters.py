@@ -39,6 +39,10 @@ class TestTapsFromCoeffs:
             taps = taps_from_coeffs(coeffs, 64)
             np.testing.assert_allclose(taps, naive_poly(coeffs, 64), atol=1e-12)
 
+    def test_rejects_no_coefficient(self):
+        with pytest.raises(ValueError, match=r"^empty coefficient vector$"):
+            taps_from_coeffs(np.zeros((3, 0)), 240)
+
     def test_linearity_in_coefficients(self):
         rng = np.random.default_rng(3)
         c1, c2 = rng.standard_normal(5), rng.standard_normal(5)

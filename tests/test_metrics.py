@@ -259,3 +259,7 @@ class TestPaprAtCcdf:
     def test_rejects_bad_prob(self):
         with pytest.raises(ValueError):
             papr_at_ccdf(np.array([1.0]), 0.0)
+
+    def test_rejects_no_sample(self):
+        with pytest.raises(ValueError, match=r"^need at least one PAPR sample$"):
+            papr_at_ccdf(np.array([]), 1e-3)

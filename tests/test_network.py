@@ -40,6 +40,13 @@ def test_init_params_rejects_negative_width():
         init_params(np.random.default_rng(0), hidden_width=-1)
 
 
+@pytest.mark.parametrize("n_layers", [0, 3])
+def test_from_layers_rejects_a_layer_count(n_layers):
+    layer = random_params().layers()[-1]
+    with pytest.raises(ValueError, match=rf"^a net has 1 or 2 layers, got {n_layers}$"):
+        network.NetParams.from_layers([layer] * n_layers)
+
+
 class TestBuildInput:
     def test_zero_block(self):
         feats = build_input(np.zeros(240, dtype=complex), 0.0)
@@ -296,6 +303,18 @@ class TestPruning:
         with pytest.raises(ValueError):
             prune_to(p, 0.99999999)
 
+    @pytest.mark.parametrize("sparsity", [-0.25, 1.0])
+    def test_rejects_a_sparsity_outside_the_unit_interval(self, sparsity):
+        with pytest.raises(ValueError, match=rf"^sparsity must be in \[0, 1\), got {sparsity}$"):
+            prune_to(random_params(seed=22), sparsity)
+
+    def test_a_lower_sparsity_masks_nothing(self):
+        p = prune_to(random_params(seed=23), 0.4)
+        masks, live = flat_masks(p), live_weight_count(p)
+        prune_to(p, 0.2)
+        np.testing.assert_array_equal(flat_masks(p), masks)
+        assert live_weight_count(p) == live
+
 
 def dequantized(qnet):
     """(weights, bias) per layer of the int8 twin, back in float64."""
@@ -322,6 +341,13 @@ class TestQuantize:
         p = random_params(seed=21)
         p.w2[1, 3] = np.inf
         with pytest.raises(ValueError, match=r"^cannot quantize non-finite weights$"):
+            quantize(p)
+
+    def test_rejects_a_bias_past_int32(self):
+        # the bias step is the weight step / 256, ~1e-5 here: 1e12 needs ~1e17 steps
+        p = random_params(seed=24)
+        p.b2[0] = 1e12
+        with pytest.raises(ValueError, match=r"^bias too large for int32 representation$"):
             quantize(p)
 
     def test_all_zero_tensor_scale_sentinel(self):

@@ -416,6 +416,11 @@ class TestTrain:
         assert np.all(np.isfinite(taps))
 
 
+def test_train_config_rejects_an_snr_range_out_of_order():
+    with pytest.raises(ValueError, match=r"^snr range out of order: \(20\.0, 0\.0\)$"):
+        TrainConfig(snr_range_db=(20.0, 0.0))
+
+
 def test_deployed_net_prefers_int8_twin_when_asked():
     ckpt = train(TrainConfig(n_blocks=64, batch_size=32, epochs=1, seed=4))
     assert ckpt.deployed_net(True) is ckpt.qnet
