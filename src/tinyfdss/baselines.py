@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import ChainConfig, centered_band, extend, occupied_bins, time_signal
 from .channel import Stream, block_rng, check_decibels
-from .metrics import Synthesis, by_tiles, synthesize, tile_rows, waveform_papr_db
+from .metrics import Synthesis, by_tiles, papr_db, synthesize, tile_rows
 
 SLM_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
 # how far a candidate's critical-rate PAPR (dB) may exceed the running minimum
@@ -88,27 +88,21 @@ def clip_amplitude(x: np.ndarray, level: np.ndarray | float) -> np.ndarray:
 
 
 def clf_reduce(bins: np.ndarray | Synthesis, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
-    """CLF rounds on occupied-bin blocks (batch-capable); returns occupied bins.
+    """CLF rounds on occupied-bin blocks; returns their occupied bins in complex128.
 
-    The clip level is fixed from the input signal's RMS; filtering keeps only
-    the occupied bins, which restores the spectrum but regrows the peaks --
-    the classic CLF behavior.  The rounds run in single precision, from
-    :func:`metrics.synthesize`'s record of the input: ``bins`` (..., n_sk)
-    are synthesized one tile at a time, each row at its
-    :func:`metrics.row_scale` whatever its dtype, and a
-    :class:`metrics.Synthesis` of rows (B, n_sk) (eval's plain transmit) is
-    used as it is.  Round 1 clips
-    the record's grid at ``sqrt(mean) * 10**(clip_ratio_db / 20)``, and each
-    later round synthesizes the bins the one before filtered.  The result
-    is complex128 at the input's scale, exactly (the record's power-of-two
-    ``scale`` divided out).  Each block's PAPR lies within ~4e-6 dB of the
+    The clip level is fixed from the input waveform's RMS, ``sqrt(mean) *
+    10**(clip_ratio_db / 20)``; each round clips the waveform and keeps its
+    occupied bins, which restores the spectrum but regrows the peaks.
+    ``bins`` (..., n_sk) of any dtype are synthesized a tile at a time by
+    :func:`metrics.synthesize`, and a :class:`metrics.Synthesis` of rows
+    (B, n_sk) (eval's plain transmit) is used as it is.  The rounds run in
+    single precision on the record's scaled bins, and the result is at the
+    input's scale exactly.  Each block's PAPR lies within ~4e-6 dB of the
     float64 rounds', and its bins within ~5e-7 of the row's peak.
     """
     if isinstance(bins, Synthesis):
         return _clf_rounds(bins, clf, cfg)
-    # in complex128, complex64 bins are scaled by their row_scale too
-    return by_tiles(lambda tile: _clf_rounds(
-        synthesize(np.asarray(tile, dtype=np.complex128), cfg), clf, cfg), bins, cfg)
+    return by_tiles(lambda tile: _clf_rounds(synthesize(tile, cfg), clf, cfg), bins, cfg)
 
 
 def _clf_rounds(plain: Synthesis, clf: ClfConfig, cfg: ChainConfig) -> np.ndarray:
@@ -149,39 +143,29 @@ def slm_phase_vectors(slm: SlmConfig, n_data: int) -> np.ndarray:
 def slm_select(
     spectrum: np.ndarray | Synthesis, phases: np.ndarray, cfg: ChainConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the minimum-PAPR candidate per block (first minimum on ties).
+    """Index of the minimum-PAPR candidate per block (first minimum on ties),
+    and that candidate's PAPR.
 
-    ``spectrum`` is (..., n_data) frequency-domain symbols, searched a tile
-    of rows at a time, or the :class:`metrics.Synthesis` of rows (B, n_sk)
-    of their candidate 0 (the extended bins, the identity row of
-    :func:`slm_phase_vectors`), searched as it is: eval passes its plain
-    transmit's.  Either way the
-    record's complex64 bins are the spectrum every candidate is rotated from
-    and its PAPR is candidate 0's, so that candidate is never synthesized
-    again.  Candidates are tried one at a time against a running minimum.
+    ``spectrum`` is (..., n_data) frequency-domain symbols of any dtype,
+    searched a tile of rows at a time from their :func:`metrics.synthesize`
+    record, or that record of rows (B, n_sk) of candidate 0 (the extended
+    bins, the identity row of :func:`slm_phase_vectors`), searched as it is:
+    eval passes its plain transmit's.  Candidate 0's PAPR is the record's;
+    every other candidate is the record's complex64 bins times its phases
+    (+-1, +-j, so exactly), measured by :func:`metrics.papr_db` of its
+    waveform.
 
-    The search is branch and bound, and exact.  The critical-rate waveform
-    (``oversample=1``) is every ``oversample``-th sample of the oversampled
-    one, and both have the mean power sum(|bins|^2)/n_fft, so a candidate's
-    critical-rate PAPR is a lower bound on its oversampled PAPR.  Each
-    candidate's bound is measured by the same rule on all blocks, and only
-    the blocks whose bound is within ``SLM_BOUND_SLACK_DB`` of the running
-    minimum are synthesized on the oversampled grid and compared (strict
-    ``<``, so the first minimum wins ties).  The slack covers the float32
-    rounding of the two syntheses (a bound above the exact PAPR by ~3e-6 dB
-    at most on desk blocks), so a skipped candidate's PAPR exceeds the
-    running minimum and could not have been chosen: index and PAPR keep the
-    bytes of trying every candidate.
+    The search is branch and bound, and exact.  A candidate's critical-rate
+    PAPR (every ``oversample``-th sample, at the same mean power) bounds its
+    oversampled PAPR from below, so only the blocks whose bound is within
+    ``SLM_BOUND_SLACK_DB`` of the running minimum are synthesized on the
+    oversampled grid and compared (strict ``<``).  The slack covers the
+    float32 rounding of the two syntheses, so index and PAPR keep the bytes
+    of trying every candidate.
 
-    The phases are cast, so every candidate is built in complex64 from the
-    record's bins.  The phases (+-1, +-j) rotate exactly, so a candidate's
-    PAPR has the bytes of ``waveform_papr_db`` of its complex128 bins, and
-    the index is the float64 argmin except between candidates within ~2e-6
-    dB of each other.
-
-    Returns ``(index, papr)``, each shaped like the leading axes: the index
-    per block and the running minimum, per block ``waveform_papr_db`` of the
-    chosen candidate.
+    Returns ``(index, papr)``, each shaped like the leading axes; the PAPR is
+    per block ``waveform_papr_db`` of the chosen candidate's bins, and the
+    index is the float64 argmin except between candidates within ~2e-6 dB.
     """
     if isinstance(spectrum, Synthesis):
         idx, best = _slm_search(spectrum, phases, cfg)
@@ -196,14 +180,14 @@ def _slm_search(plain: Synthesis, phases: np.ndarray,
                 cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
     spectrum = plain.bins[:, cfg.n_se: cfg.n_se + cfg.n_data]
     phases = np.asarray(phases, dtype=np.complex64)
-    critical = replace(cfg, oversample=1)
     best = plain.papr
     idx = np.zeros(best.shape, dtype=np.intp)
     for u in range(1, len(phases)):
         cand = extend(spectrum * phases[u], cfg.n_se)
-        live = np.flatnonzero(waveform_papr_db(cand, critical) <= best + SLM_BOUND_SLACK_DB)
+        bound = papr_db(time_signal(cand, cfg, oversample=1))
+        live = np.flatnonzero(bound <= best + SLM_BOUND_SLACK_DB)
         if live.size:
-            exact = waveform_papr_db(cand[live], cfg)
+            exact = papr_db(time_signal(cand[live], cfg))
             idx[live[exact < best[live]]] = u
             best[live] = np.minimum(exact, best[live])
     return idx, best

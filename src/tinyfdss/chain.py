@@ -319,8 +319,10 @@ def shape_and_normalize(
     ``bins = g*(s*taps)`` carry the unshaped occupied power, so scaling the
     taps can neither buy SNR nor change PAPR; ``eff_taps = g*taps`` is what the
     receiver equalizes with.  Taps may be real or complex (a transmit FIR's
-    bin response) and broadcast against ``s``.
+    bin response) and broadcast against ``s``.  ``s`` is read C-ordered, so a
+    block's bytes do not depend on its batch's layout.
     """
+    s = np.ascontiguousarray(s)
     shaped = s * taps
     g = power_gain(np.mean(np.abs(s) ** 2, axis=-1), np.mean(np.abs(shaped) ** 2, axis=-1))
     return g[..., None] * shaped, g[..., None] * taps, g

@@ -273,7 +273,8 @@ def noise_power(bins: np.ndarray, snr_db: float | np.ndarray) -> float | np.ndar
         scale = [10.0 ** (-snr / 10.0) for snr in snrs]
     except OverflowError:
         raise _below_floor(min(snrs)) from None
-    power = np.mean(np.abs(bins) ** 2, axis=-1)
+    # rows read C-ordered: a row's sum must not follow its batch's layout
+    power = np.mean(np.abs(np.ascontiguousarray(bins)) ** 2, axis=-1)
     with np.errstate(over="ignore"):
         sigma2 = power * np.reshape(scale, np.shape(snr_db))
     overflow = np.isinf(sigma2) & np.isfinite(power)

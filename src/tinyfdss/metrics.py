@@ -4,12 +4,11 @@ Reported PAPR figures are the empirical CCDF and its quantiles.  Training
 penalizes the CCDF tail above x0 through a differentiable softplus surrogate
 of its hinge form, E[max(0, PAPR - x0)].
 
-Noise-free PAPR figures (the CCDF, its quantiles, mean PAPR, SLM's candidate
-search and adapt's per-tick PAPR) come from :func:`synthesize`, through
-:func:`waveform_papr_db` or a :class:`Synthesis` record, in single precision:
-each block's PAPR lies within ~2e-6 dB of the float64 synthesis, against a
-~0.06 dB sampling interval of the 1e-3 quantile.  CLF's rounds start from a
-:class:`Synthesis` too, and training's peak search runs on
+Every noise-free PAPR (the CCDF, its quantiles, mean PAPR, SLM's candidates
+and adapt's per-tick PAPR) is measured in single precision on bins at their
+:func:`row_scale`, by :func:`synthesize` or on candidates rotated from its
+bins: within ~2e-6 dB of the float64 synthesis.  CLF's rounds start from a
+:func:`synthesize` record too, and training finds its peaks on
 :func:`single_precision`'s bins; training's PAPR values and gradients stay
 float64, as do the links and the OOBE periodogram.
 """
@@ -36,9 +35,10 @@ def papr_db(signal) -> float | np.ndarray:
 
     With leading batch dimensions one PAPR per block is returned.  Powers,
     peak and mean keep the signal's precision (single for a complex64
-    waveform); their ratio and its log10 are float64.
+    waveform); their ratio and its log10 are float64.  Rows are read
+    C-ordered, so a row's PAPR does not depend on its batch's layout.
     """
-    out = _ratio_db(*_powers(np.asarray(signal)))
+    out = _ratio_db(*_powers(np.ascontiguousarray(signal)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -107,17 +107,14 @@ def single_precision(bins: np.ndarray, scale: np.ndarray | None = None) -> np.nd
 
 @dataclass(frozen=True)
 class Synthesis:
-    """One single-precision synthesis of a batch of occupied bins, made by
-    :func:`synthesize`, and what it measured.
+    """One :func:`synthesize` of a batch of occupied bins: the scaled bins,
+    their oversampled grid, and its per-row peak and mean power.
 
-    Eval makes one per chunk of its plain conventional transmit
-    (``evaluation.Draw.plain``): ``dftsofdm`` reads its PAPR, SLM its bins
-    and PAPR as the identity candidate, and CLF's first round clips its
-    grid at a level from its mean power.  :func:`waveform_papr_db` makes one
-    per tile and keeps the PAPR.
+    Eval keeps one per chunk of its plain conventional transmit
+    (``evaluation.Draw.plain``), read by ``dftsofdm``, SLM and CLF.
     """
 
-    scale: np.ndarray | float  # per-row power of two (..., 1); 1.0 for complex64 input
+    scale: np.ndarray  # per-row :func:`row_scale` (..., 1)
     bins: np.ndarray  # the bins times ``scale``, complex64 (..., n_sk)
     grid: np.ndarray  # their oversampled waveform, complex64 (..., n_fft*oversample)
     peak: np.ndarray  # per-row peak of |grid|^2, float32
@@ -131,33 +128,26 @@ class Synthesis:
 
 
 def synthesize(bins: np.ndarray, cfg: ChainConfig) -> Synthesis:
-    """``bins`` (..., n_sk) synthesized at once in single precision.
+    """``bins`` (..., n_sk) of any dtype through :func:`single_precision` at
+    their :func:`row_scale`, synthesized at once by :func:`chain.time_signal`.
 
-    Complex64 bins are synthesized as given (``slm_select``'s candidates,
-    rotated from a record's scaled bins); other bins pass through
-    :func:`single_precision`.  The grid is :func:`chain.time_signal`'s, and
-    its powers are :func:`papr_db`'s, squared in place: the synthesis holds
-    one grid and its per-row peak and mean.
+    Returns the record of one grid and its per-row peak and mean, squared in
+    place as :func:`papr_db` squares them.
     """
-    bins = np.asarray(bins)
-    if bins.dtype == np.complex64:
-        scale, single = 1.0, bins
-    else:
-        scale = row_scale(bins)
-        single = single_precision(bins, scale)
+    scale = row_scale(bins)
+    single = single_precision(bins, scale)
     grid = time_signal(single, cfg)
     return Synthesis(scale, single, grid, *_powers(grid))
 
 
 def waveform_papr_db(bins: np.ndarray, cfg: ChainConfig) -> float | np.ndarray:
     """PAPR of the oversampled waveform of occupied bins, one :func:`synthesize`
-    per tile.
+    per tile: a float for one block, else one PAPR per block over the
+    leading axes.
 
-    So the result equals, byte for byte,
-    ``papr_db(time_signal(bins.astype(np.complex64), cfg))`` wherever that
-    cast stays in float32's normal range, without holding the whole batch's
-    grid: a float for one block, else one PAPR per block over the leading
-    axes.  A tile costs one grid and one magnitude array.
+    Equals ``papr_db(time_signal(bins.astype(np.complex64), cfg))`` byte for
+    byte wherever that cast stays in float32's normal range, and is
+    scale-free outside it.
     """
     out = by_tiles(lambda tile: synthesize(tile, cfg).papr, bins, cfg)
     return float(out) if out.ndim == 0 else out

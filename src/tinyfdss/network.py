@@ -157,8 +157,9 @@ def _dense(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
     summed in one fixed order, so a row's output has the same bytes at any
     batch shape, alone or inside a batch, under any BLAS threading.  A
     BLAS ``x @ w.T`` picks its kernel and blocking from the batch shape.
+    ``x`` is read C-ordered, so its layout does not change the order either.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     in_dim = layers[0][0].shape[1]
     if x.shape[-1] != in_dim:
         raise ValueError(f"input dim {x.shape[-1]}, expected {in_dim}")

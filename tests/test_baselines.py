@@ -29,11 +29,12 @@ from tinyfdss.chain import (
     time_signal,
 )
 from tinyfdss import baselines, metrics
-from tinyfdss.metrics import papr_db, single_precision, synthesize, waveform_papr_db
+from tinyfdss.metrics import papr_db, row_scale, single_precision, synthesize, waveform_papr_db
 
 from reference import clf as clf_reference
 from reference import clip, fir_gains
 from reference import slm as slm_reference
+from reference import waveform_papr_db as papr_reference
 
 
 def freq_block(cfg, seed=0):
@@ -282,13 +283,13 @@ class TestSlm:
         assert np.any(idx == 0) and np.any(idx != 0)
         plain = synthesize(blocks, conv)  # candidate 0's record, as eval's draw holds it
         calls = []
-        real = baselines.waveform_papr_db
+        real = baselines.time_signal
 
-        def counting(bins, chain):
-            calls.append((chain.oversample, len(bins)))
-            return real(bins, chain)
+        def counting(bins, chain, oversample=None):
+            calls.append((chain.oversample if oversample is None else oversample, len(bins)))
+            return real(bins, chain, oversample)
 
-        monkeypatch.setattr(baselines, "waveform_papr_db", counting)
+        monkeypatch.setattr(baselines, "time_signal", counting)
         reused_idx, reused = slm_select(plain, phases, conv)
         # candidates 1..7 only: each one's bound on every block, then the
         # oversampled synthesis of the blocks whose bound is near the minimum
@@ -463,6 +464,35 @@ class TestFromSynthesis:
             got = slm_select(plain, phases, chain)
             assert_same_bytes(got, slm_select(spectrum, phases, chain))
         assert_same_bytes(got, slm_reference(spectrum, phases, chain))
+
+
+class TestComplex64Rows:
+    """Complex64 rows enter each noise-free PAPR rule at their row scale, as
+    the same values in complex128 do, from far above to far below unit scale."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(-100, 100), seed=st.integers(0, 2**32 - 1))
+    @example(k=-80, seed=0)  # unscaled, the float32 powers underflow to 0
+    @example(k=-70, seed=0)  # unscaled, they lose bits as subnormals
+    @example(k=70, seed=0)  # unscaled, they overflow
+    def test_give_the_bytes_of_complex128(self, k, seed):
+        conv = conventional_config(ChainConfig())
+        single = (precoded_blocks(conv, ModScheme.QPSK, (3,), seed) * 2.0**k).astype(np.complex64)
+        double = single.astype(np.complex128)
+        papr = waveform_papr_db(single, conv)
+        assert papr.tobytes() == waveform_papr_db(double, conv).tobytes()
+        assert papr.tobytes() == papr_reference(double, conv).tobytes()
+        phases = slm_phase_vectors(SlmConfig(num_candidates=8), conv.n_data)
+        chosen = slm_select(single, phases, conv)
+        assert_same_bytes(chosen, slm_select(double, phases, conv))
+        assert_same_bytes(chosen, slm_reference(double, phases, conv))
+        clf = ClfConfig()
+        clipped = clf_reduce(single, clf, conv)
+        assert clipped.tobytes() == clf_reduce(double, clf, conv).tobytes()
+        scale = row_scale(double)
+        want = clf_reference(single_precision(double, scale), clf, conv).astype(np.complex128)
+        assert clipped.tobytes() == (want / scale).tobytes()
 
 
 class TestConventionalConfig:

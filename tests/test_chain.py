@@ -27,7 +27,8 @@ from tinyfdss.chain import (
     shape_and_normalize,
     time_signal,
 )
-from tinyfdss.channel import ChannelCfg, ChannelModel, add_channel, apply_channel
+from tinyfdss import network
+from tinyfdss.channel import ChannelCfg, ChannelModel, add_channel, apply_channel, noise_power
 from tinyfdss.filters import rrc_taps, taps_from_coeffs, unit_taps
 from tinyfdss.metrics import measured_ser, papr_db
 
@@ -717,3 +718,36 @@ class TestRoundTripInvariant:
         assert np.sum(np.abs(sig) ** 2) == pytest.approx(
             np.sum(np.abs(shaped) ** 2), rel=1e-9
         )
+
+
+def _net_input(rng):
+    return rng.standard_normal((64, network.INPUT_DIM))
+
+
+def _bins(rng):
+    return rng.standard_normal((64, 240)) + 1j * rng.standard_normal((64, 240))
+
+
+_NET = network.init_params(np.random.default_rng(3))
+# each entry reads a batch of rows and returns values per row
+LAYOUT_ENTRIES = {
+    "shape_and_normalize": (_bins, lambda x: shape_and_normalize(x, np.linspace(0.5, 2.0, 240))),
+    "noise_power": (_bins, lambda x: noise_power(x, 10.0)),
+    "papr_db": (_bins, papr_db),
+    "forward": (_net_input, lambda x: network.forward(_NET, x)),
+    "forward_q": (_net_input, lambda x: network.forward_q(network.quantize(_NET), x)),
+    "forward_cached": (_net_input, lambda x: network.forward_cached(_NET, x)),
+}
+
+
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [np.asarray(value).tobytes()]
+
+
+@pytest.mark.parametrize("entry", sorted(LAYOUT_ENTRIES))
+def test_f_ordered_batch_gives_the_bytes_of_its_c_copy(entry):
+    make, fn = LAYOUT_ENTRIES[entry]
+    x = make(np.random.default_rng(45))
+    assert _leaves(fn(np.asfortranarray(x))) == _leaves(fn(x))

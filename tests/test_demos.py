@@ -14,8 +14,9 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_demo_exits_0(demo):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    # a RuntimeWarning fails the demo, as pyproject.toml makes it fail a test
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr

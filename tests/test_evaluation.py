@@ -352,8 +352,7 @@ class TestGrid:
     @staticmethod
     def check_against_reference(cfg, eval_cfg, net):
         # the cells, and each scheme's CCDF samples and OOBE from its transmit
-        # of the first modulation's CCDF blocks in one batch (the library's
-        # C-ordered draw: a transmit's last bits may follow the bins' layout)
+        # of the first modulation's CCDF blocks in one batch
         rules = evaluation._rules(cfg, eval_cfg, net)
         samples, oobe, cells = evaluation._walk(cfg, eval_cfg, rules)
         got = [astuple(c) for c in cells]
@@ -361,8 +360,7 @@ class TestGrid:
         assert len(got) == len(eval_cfg.schemes) * len(eval_cfg.channels) * len(
             eval_cfg.mods) * len(eval_cfg.snr_db)
         assert repr(got) == repr(want)
-        draw = evaluation._draw(cfg, eval_cfg.seed, eval_cfg.mods[0],
-                                np.arange(eval_cfg.ccdf_blocks))
+        draw = eval_draw(cfg, eval_cfg.seed, eval_cfg.mods[0], np.arange(eval_cfg.ccdf_blocks))
         for scheme, rule in rules.items():
             tx = rule(draw, eval_cfg.ccdf_snr_db)
             assert samples[scheme].tobytes() == tx.waveform_papr.tobytes(), scheme
