@@ -131,7 +131,7 @@ def load_config(path: str | Path, seed: int | None = None) -> dict:
     ``seed``, when given, replaces the config's seed everywhere it is used.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -300,7 +300,7 @@ def _load_trace(path: str | Path) -> list[tuple[float, float]]:
     row before it, raises ValueError naming the file and the line.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"trace file {path} is not UTF-8: {exc}") from None
     lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
@@ -337,6 +337,17 @@ def cmd_adapt(cfg: dict, out: Path, checkpoint_flag: str | None,
 
 # ---------------------------------------------------------------------------
 
+def _thread_count(text: str) -> int:
+    """``--threads``: an integer of at least 1; argparse exits 2 on anything else."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tinyfdss",
@@ -354,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; has no effect")
+        p.add_argument("--threads", type=_thread_count, default=None,
+                       help="a count of at least 1, accepted for compatibility; has no effect")
         if name in ("eval", "adapt"):
             p.add_argument("--checkpoint", default=None, help="checkpoint file")
         if name == "adapt":

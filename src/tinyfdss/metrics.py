@@ -72,7 +72,8 @@ def by_tiles(fn, bins: np.ndarray, cfg: ChainConfig) -> np.ndarray | tuple[np.nd
     bins = np.asarray(bins)
     rows = bins.reshape(-1, bins.shape[-1])
     step = tile_rows(cfg)
-    tiles = [fn(rows[lo: lo + step]) for lo in range(0, len(rows), step)]
+    # an empty batch is one empty tile, so ``fn`` gives its empty results
+    tiles = [fn(rows[lo: lo + step]) for lo in range(0, max(len(rows), 1), step)]
 
     def stack(parts):
         out = np.concatenate(parts)

@@ -163,16 +163,6 @@ class TestClf:
         assert np.all(np.isfinite(out)) and np.any(out != 0)
         assert waveform_papr_db(out, cfg) < waveform_papr_db(tiny, cfg)
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("k", [-80, 70])
-    def test_complex64_rows_enter_at_their_row_scale(self, cfg, k):
-        # as complex128 rows do: unscaled, the float32 powers of a row at
-        # 2**70 overflow and those of a row at 2**-80 underflow
-        block = single_precision(ext_block(cfg))
-        far = (block * np.float32(2.0**k)).astype(np.complex64)
-        want = clf_reduce(block, ClfConfig(), cfg) * 2.0**k
-        assert clf_reduce(far, ClfConfig(), cfg).tobytes() == want.tobytes()
-
     def test_clip_ratio_past_float32_clips_nothing(self, cfg):
         # 800 and 6000 dB overflow the float32 level to inf, which clips
         # nothing, as 100 dB (no block comes near 1e5 times its RMS) does;
@@ -221,30 +211,15 @@ class TestSlm:
         _, idx = slm_one(block, SlmConfig(num_candidates=1), cfg)
         assert idx == 0
 
-    def test_argmin_matches_per_candidate_oracle(self, cfg):
-        phases = slm_phase_vectors(SlmConfig(num_candidates=8), cfg.n_data)
-        block = freq_block(cfg, seed=7)
-        assert_same_bytes(slm_select(block, phases, cfg), slm_reference(block, phases, cfg))
-
-    def test_running_minimum_matches_all_candidates_oracle(self, cfg):
-        # every phase row twice: each block's minimum is tied between u and
-        # u + 8, and the first index must win as it does for np.argmin
-        phases = np.concatenate([slm_phase_vectors(SlmConfig(num_candidates=8), cfg.n_data)] * 2)
-        # plain QPSK bins (no DFT precoding), where the identity rarely wins
-        bits = np.random.default_rng(3).integers(0, 2, (12, cfg.n_data * 2))
-        blocks = map_symbols(bits, ModScheme.QPSK)
-        idx, _ = slm_select(blocks, phases, cfg)
-        want, _ = slm_reference(blocks, phases, cfg)
-        assert np.all(want < 8) and len(set(want)) > 1
-        np.testing.assert_array_equal(idx, want)
-
     def test_any_leading_shape(self, cfg):
         phases = slm_phase_vectors(SlmConfig(num_candidates=4), cfg.n_data)
+        # plain QPSK bins, where the identity rarely wins
         bits = np.random.default_rng(4).integers(0, 2, (2, 3, cfg.n_data * 2))
-        blocks = precode(map_symbols(bits, ModScheme.QPSK))
+        blocks = map_symbols(bits, ModScheme.QPSK)
         idx, _ = slm_select(blocks, phases, cfg)
         assert idx.shape == (2, 3)
         flat_idx, _ = slm_select(blocks.reshape(6, -1), phases, cfg)
+        assert len(set(flat_idx)) > 1
         np.testing.assert_array_equal(idx.reshape(6), flat_idx)
         one_idx, _ = slm_select(blocks[1, 2], phases, cfg)
         assert np.shape(one_idx) == ()
@@ -269,7 +244,7 @@ class TestSlm:
         assert papr.shape == (2, 3)
         assert papr.tobytes() == waveform_papr_db(chosen, chain).tobytes()
         one_idx, one_papr = slm_select(blocks[1, 2], phases, chain)
-        assert one_idx == idx[1, 2] and one_papr == papr[1, 2]
+        assert one_idx == idx[1, 2] and one_papr == papr[1, 2] and isinstance(one_papr, float)
 
     def test_identity_papr_replaces_candidate_zero(self, cfg, monkeypatch, slm_survivors):
         conv = conventional_config(cfg)
@@ -310,30 +285,6 @@ class TestSlm:
         want = slm_reference(blocks, phases, conv)
         assert_same_bytes((idx, papr), want)
         assert_same_bytes(slm_select(synthesize(blocks, conv), phases, conv), want)
-
-    def test_bound_keeps_the_exhaustive_bytes_extended(self, cfg):
-        phases = slm_phase_vectors(SlmConfig(num_candidates=8), cfg.n_data)
-        # the identity wins every precoded block here; on plain QPSK bins it
-        # rarely does
-        blocks = precoded_blocks(cfg, ModScheme.QPSK, (4096,), seed=12)
-        blocks[2048:] = map_symbols(
-            np.random.default_rng(12).integers(0, 2, (2048, cfg.n_data * 2)), ModScheme.QPSK)
-        idx, papr = slm_select(blocks, phases, cfg)
-        assert np.any(idx[2048:] != 0)
-        assert_same_bytes((idx, papr), slm_reference(blocks, phases, cfg))
-
-    @pytest.mark.parametrize("k", [-100, 0, 100])
-    def test_bound_keeps_the_exhaustive_bytes_leading_axes_and_scales(self, cfg, k):
-        phases = slm_phase_vectors(SlmConfig(num_candidates=8), cfg.n_data)
-        # plain QPSK bins, where the identity rarely wins
-        blocks = np.ldexp(1.0, k) * map_symbols(
-            np.random.default_rng(13).integers(0, 2, (2, 3, cfg.n_data * 2)), ModScheme.QPSK)
-        got = slm_select(blocks, phases, cfg)
-        assert got[0].shape == (2, 3) and np.any(got[0] != 0)
-        assert_same_bytes(got, slm_reference(blocks, phases, cfg))
-        one = slm_select(blocks[1, 2], phases, cfg)
-        assert isinstance(one[1], float)
-        assert_same_bytes(one, slm_reference(blocks[1, 2], phases, cfg))
 
     def test_tie_with_the_identity_keeps_the_first_index(self, cfg):
         # a row of -1 (or the negation of a row) rotates every bin by pi: the
@@ -390,19 +341,6 @@ class TestSlm:
         cand = extend(spectrum * phases.astype(np.complex64), chain.n_se)
         bound = waveform_papr_db(cand, replace(chain, oversample=1))
         assert np.all(bound <= waveform_papr_db(cand, chain) + SLM_BOUND_SLACK_DB / 100)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("k", [-100, 100])
-    def test_far_power_of_two_scales_keep_the_bytes(self, cfg, k):
-        # the spectrum is scaled into float32's range before its cast: at
-        # 2**100 the unscaled cast's powers would overflow
-        phases = slm_phase_vectors(SlmConfig(num_candidates=8), cfg.n_data)
-        bits = np.random.default_rng(5).integers(0, 2, (6, cfg.n_data * 2))
-        blocks = precode(map_symbols(bits, ModScheme.QPSK))
-        idx, papr = slm_select(blocks, phases, cfg)
-        far_idx, far_papr = slm_select(np.ldexp(1.0, k) * blocks, phases, cfg)
-        np.testing.assert_array_equal(far_idx, idx)
-        assert far_papr.tobytes() == papr.tobytes()
 
     def test_identity_candidate_is_row_zero(self, cfg):
         phases = slm_phase_vectors(SlmConfig(num_candidates=4), cfg.n_data)
@@ -493,6 +431,18 @@ class TestComplex64Rows:
         scale = row_scale(double)
         want = clf_reference(single_precision(double, scale), clf, conv).astype(np.complex128)
         assert clipped.tobytes() == (want / scale).tobytes()
+
+
+@pytest.mark.parametrize("lead", [(0,), (2, 0)])
+def test_empty_batch_gives_empty_results(cfg, lead):
+    # as synthesize and papr_db do: no rows is one empty tile, not an error
+    papr = waveform_papr_db(np.zeros(lead + (cfg.n_sk,)), cfg)
+    assert papr.shape == lead and papr.dtype == np.float64
+    bins = clf_reduce(np.zeros(lead + (cfg.n_sk,)), ClfConfig(), cfg)
+    assert bins.shape == lead + (cfg.n_sk,) and bins.dtype == np.complex128
+    phases = slm_phase_vectors(SlmConfig(), cfg.n_data)
+    idx, papr = slm_select(np.zeros(lead + (cfg.n_data,)), phases, cfg)
+    assert idx.shape == papr.shape == lead and papr.dtype == np.float64
 
 
 class TestConventionalConfig:

@@ -1,3 +1,4 @@
+import codecs
 import ctypes
 import importlib.util
 import json
@@ -342,12 +343,30 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: seed must be non-negative")
         assert not out.exists()
 
+    @pytest.mark.parametrize("count, message", [
+        ("0", "must be at least 1, got 0"), ("-5", "must be at least 1, got -5"),
+        ("two", "must be an integer, got 'two'")])
+    def test_thread_count_not_a_positive_integer_exits_2(self, capsys, count, message):
+        parser = build_parser()
+        assert parser.parse_args(["train", "--config", "x", "--threads", "1"]).threads == 1
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args(["train", "--config", "x", "--threads", count])
+        assert exit_.value.code == 2
+        assert f"--threads: {message}\n" in capsys.readouterr().err
+
     def test_float_fields_keep_ints_as_given(self, tmp_path):
         path = tmp_path / "ints.json"
         path.write_text(json.dumps({"eval": {"snr_db": [5, 10]}, "adapt": {"period_ms": 50}}))
         cfg = load_config(path)
         assert [type(v) for v in cfg["eval"].snr_db] == [int, int]
         assert cfg["adapt"].period_ms == 50
+
+
+@pytest.fixture
+def trained_out(config_path, tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+    return out
 
 
 @pytest.fixture
@@ -363,12 +382,6 @@ def workloads(monkeypatch):
 
 class TestUnreadablePaths:
     """A path that exists but cannot be read or made exits 2 with one error line."""
-
-    @pytest.fixture
-    def trained_out(self, config_path, tmp_path):
-        out = tmp_path / "run"
-        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
-        return out
 
     def assert_error_exit(self, argv, capsys):
         capsys.readouterr()
@@ -412,6 +425,28 @@ class TestUnreadablePaths:
         self.assert_error_exit(["baselines", "--config", str(config_path), "--out", str(out)],
                                capsys)
         assert out.read_text() == "not a directory\n"
+
+
+class TestByteOrderMark:
+    """A config or trace saved with a UTF-8 byte-order mark reads as the text after it."""
+
+    def test_config_trains_to_the_same_checkpoint(self, config_path, trained_out, tmp_path):
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(codecs.BOM_UTF8 + config_path.read_bytes())
+        out = tmp_path / "marked"
+        assert main(["train", "--config", str(marked), "--out", str(out)]) == 0
+        want = (trained_out / "checkpoint.bin").read_bytes()
+        assert (out / "checkpoint.bin").read_bytes() == want
+
+    def test_trace_writes_the_same_events(self, config_path, trained_out, tmp_path):
+        events = []
+        for mark in (b"", codecs.BOM_UTF8):
+            trace = tmp_path / "trace.csv"
+            trace.write_bytes(mark + b"t_ms,snr_db\n0,9.0\n100,17.0\n")
+            assert main(["adapt", "--config", str(config_path), "--out", str(trained_out),
+                         "--trace", str(trace)]) == 0
+            events.append((trained_out / "events.csv").read_bytes())
+        assert events[0] == events[1]
 
 
 class TestBenchmarkInvocations:
@@ -589,12 +624,6 @@ def test_importing_the_cli_loads_no_numpy_random_or_fft():
 
 
 class TestEvalCommand:
-    @pytest.fixture
-    def trained_out(self, config_path, tmp_path):
-        out = tmp_path / "run"
-        main(["train", "--config", str(config_path), "--out", str(out)])
-        return out
-
     def test_eval_outputs_and_schema(self, config_path, trained_out):
         code = main(["eval", "--config", str(config_path), "--out", str(trained_out)])
         assert code == 0
